@@ -12,8 +12,14 @@ increases rank.  The two notions meet in `reductions`: zeroing the
 displayed block of a fragile pair produces an X-fragile matrix, and
 X-fragile matrices display isolated-minor fragility.
 
+A realising partition (C, D) also names the bases that display N
+through it: the bases of M made of C and elements of E(N).
+`partition_basis` reads the least one off a partition with rank
+queries, and `display_basis` is the least of those over all realising
+partitions.
+
 Enumeration order is fixed (size, then lexicographic), so the witness a
-failed check returns is minimal in that order.  Both searches refuse
+failed check returns is minimal in that order.  Every search refuses
 instances above the documented caps; pass a larger cap explicitly to
 override.
 """
@@ -111,23 +117,35 @@ def is_X_fragile_matrix(
     return x_fragile_failure(A, X, cap=cap) is None
 
 
+def partition_basis(
+    M: ReprMatroid, N: ReprMatroid, part: MinorSpec
+) -> frozenset[str] | None:
+    """Lexicographically least basis of M displaying N through the
+    realising partition `part` = (C, D), or None if there is none.  A
+    unique realising partition always has one: an element of C spanned
+    by the rest of C, or of D outside the span of E(M) - D, could move
+    to the other side.
+
+    Proof of the scan: B displays N through (C, D) exactly when B = C + X
+    with X inside E(N) and C + X a basis of M.  All such B share C, so
+    their lex order is that of X, and the greedy scan of E(N) in label
+    order yields the lex-least X.
+    """
+    B = set(part.contract)
+    r = M.rank(B)
+    if r != len(B):
+        return None
+    for e in sorted(N.ground):
+        if M.rank(B | {e}) > r:
+            B.add(e)
+            r += 1
+    return frozenset(B) if r == M.rank() else None
+
+
 def display_basis(M: ReprMatroid, N: ReprMatroid) -> frozenset[str] | None:
     """Lexicographically least basis B of M displaying N, i.e. with
-    M contract (B - E(N)) delete (E(M) - B - E(N)) equal to N.  None
-    when N is not a minor of M on its labels."""
-    if not N.ground <= M.ground:
-        raise GroundSetMismatch(
-            f"minor ground {sorted(N.ground)} not inside {sorted(M.ground)}"
-        )
-    r = M.rank()
-    from itertools import combinations
-
-    for combo in combinations(sorted(M.ground), r):
-        B = frozenset(combo)
-        if M.rank(B) != r:
-            continue
-        C = B - N.ground
-        D = M.ground - B - N.ground
-        if M.minor(C, D).equals(N):
-            return B
-    return None
+    M contract (B - E(N)) delete (E(M) - B - E(N)) equal to N, or None
+    when N is not a minor of M on its labels.  It is the least
+    `partition_basis` over `fragile_partitions`, and capped like it."""
+    found = (partition_basis(M, N, p) for p in fragile_partitions(M, N))
+    return min((B for B in found if B is not None), key=sorted, default=None)

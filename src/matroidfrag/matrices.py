@@ -6,10 +6,12 @@ elements are the row labels, and in that reading every label names one
 matroid element.  Entries are stored as integer encodings; the public
 accessor hands back FieldElem values.
 
-Rank is exact Gaussian elimination with first-nonzero pivoting in label
-order, so repeated runs are bit-for-bit deterministic.  GF(2) matrices
-take a packed-bitmask path; everything else runs the generic
-elimination on encodings.
+Rank is exact Gaussian elimination and has one kernel, `block_rank`:
+the rank of A with some rows dropped, on some columns.  Matrix rank,
+`submatrix_rank` and the matroid rank oracle all call it.  Over GF(2)
+each column is packed into an int once per matrix and rows are dropped
+by masking; every other field runs the generic elimination on
+encodings.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ def _check_labels(rows: Sequence[str], cols: Sequence[str]) -> None:
 
 
 class LabeledMatrix:
-    __slots__ = ("field", "rows", "cols", "_data", "_row_pos", "_col_pos")
+    __slots__ = ("field", "rows", "cols", "_data", "_row_pos", "_col_pos", "_gf2_cols")
 
     def __init__(
         self,
@@ -68,6 +70,7 @@ class LabeledMatrix:
         self._data = tuple(data)
         self._row_pos = {r: i for i, r in enumerate(rows)}
         self._col_pos = {c: j for j, c in enumerate(cols)}
+        self._gf2_cols: tuple[int, ...] | None = None
 
     # -- access -----------------------------------------------------------
 
@@ -182,24 +185,27 @@ class LabeledMatrix:
     # -- rank ---------------------------------------------------------------
 
     def rank(self) -> int:
-        if not self.rows or not self.cols:
-            return 0
-        # pivoting scans rows and columns in sorted label order so the
-        # elimination trace is independent of storage order
-        row_order = [self._row_pos[r] for r in sorted(self.rows)]
-        col_order = [self._col_pos[c] for c in sorted(self.cols)]
-        if self.field.order == 2:
-            packed = []
-            for i in row_order:
-                row = self._data[i]
-                m = 0
-                for bit, j in enumerate(col_order):
-                    if row[j]:
-                        m |= 1 << bit
-                packed.append(m)
-            return rank_gf2(packed)
-        mat = [[self._data[i][j] for j in col_order] for i in row_order]
-        return _rank_generic(self.field, mat)
+        return block_rank(self, 0, range(len(self.cols)))
+
+
+def block_rank(A: LabeledMatrix, drop: int, cols: Iterable[int]) -> int:
+    """Rank of A without the rows whose bits are set in `drop`, on the
+    columns at positions `cols`.  The one rank kernel of the package."""
+    if A.field.order == 2:
+        packed = A._gf2_cols
+        if packed is None:
+            # column j packed with bit i set iff A[i][j] is one
+            packed = A._gf2_cols = tuple(
+                sum(1 << i for i, row in enumerate(A._data) if row[j])
+                for j in range(len(A.cols))
+            )
+        keep = ~drop
+        return rank_gf2(packed[j] & keep for j in cols)
+    cols = list(cols)
+    rows = [row for i, row in enumerate(A._data) if not drop >> i & 1]
+    if not rows or not cols:
+        return 0
+    return _rank_generic(A.field, [[row[j] for j in cols] for row in rows])
 
 
 def submatrix_rank(A: LabeledMatrix, labels: Iterable[str]) -> int:
@@ -209,27 +215,12 @@ def submatrix_rank(A: LabeledMatrix, labels: Iterable[str]) -> int:
     unknown = want - A.labels()
     if unknown:
         raise UnknownLabel(f"labels not in matrix: {sorted(unknown)}")
-    ri = [i for i, r in enumerate(A.rows) if r in want]
-    ci = [j for j, c in enumerate(A.cols) if c in want]
-    if not ri or not ci:
-        return 0
-    data = A._data
-    if A.field.order == 2:
-        vecs = []
-        for i in ri:
-            row = data[i]
-            m = 0
-            for bit, j in enumerate(ci):
-                if row[j]:
-                    m |= 1 << bit
-            vecs.append(m)
-        return rank_gf2(vecs)
-    mat = [[data[i][j] for j in ci] for i in ri]
-    return _rank_generic(A.field, mat)
+    drop = sum(1 << i for i, r in enumerate(A.rows) if r not in want)
+    return block_rank(A, drop, [j for j, c in enumerate(A.cols) if c in want])
 
 
 def rank_gf2(masks: Iterable[int]) -> int:
-    """Rank of GF(2) row vectors packed as ints."""
+    """Rank of GF(2) vectors packed as ints."""
     pivots: dict[int, int] = {}
     rank = 0
     for v in masks:

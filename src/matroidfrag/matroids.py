@@ -3,9 +3,10 @@
 A ReprMatroid wraps a LabeledMatrix A whose row labels are the
 basis-side elements and whose column labels are the rest of the ground
 set; the element vector of a row label is the corresponding unit
-vector.  Rank queries reduce to |X on the row side| plus an exact rank
-of the complementary block of A, and results are cached per matroid, so
-the exhaustive certifications elsewhere in the package stay affordable.
+vector.  Rank queries reduce to |X on the row side| plus the rank of
+the complementary block of A, computed by the one rank kernel
+`matrices.block_rank`, and results are cached per matroid, so the
+exhaustive certifications elsewhere in the package stay affordable.
 
 Minors are computed by pivoting: contracting a column element first
 pivots it onto the row side, deleting a row element first pivots it out
@@ -33,7 +34,7 @@ from .errors import (
     UnknownLabel,
 )
 from .galois import FieldSpec, make_prime_field
-from .matrices import LabeledMatrix, rank_gf2
+from .matrices import LabeledMatrix, block_rank
 from .subsets import subsets_by_size
 
 EQUALS_CAP_DEFAULT = 16
@@ -99,8 +100,6 @@ class ReprMatroid:
         "_rowset",
         "_colset",
         "_rank_cache",
-        "_col_vec",
-        "_col_bits",
         "_bases_cache",
     )
 
@@ -110,14 +109,6 @@ class ReprMatroid:
         self._colset = frozenset(rep.cols)
         self.ground = self._rowset | self._colset
         self._rank_cache: dict[frozenset[str], int] = {}
-        self._col_vec = {c: rep.column_encs(c) for c in rep.cols}
-        if rep.field.order == 2:
-            self._col_bits = {
-                c: sum(1 << i for i, e in enumerate(vec) if e)
-                for c, vec in self._col_vec.items()
-            }
-        else:
-            self._col_bits = None
         self._bases_cache: frozenset[frozenset[str]] | None = None
 
     @property
@@ -147,27 +138,19 @@ class ReprMatroid:
         unknown = Xf - self.ground
         if unknown:
             raise UnknownLabel(f"labels not in ground set: {sorted(unknown)}")
-        R = Xf & self._rowset
-        T = sorted(Xf & self._colset)
-        # unit columns of R pivot immediately; what remains is the block
-        # of A on the untouched rows against the columns of T
-        if self._col_bits is not None:
-            mask = 0
-            rows = self.rep.rows
-            for i in range(len(rows)):
-                if rows[i] not in R:
-                    mask |= 1 << i
-            r = len(R) + rank_gf2(self._col_bits[v] & mask for v in T)
-        else:
-            rows = self.rep.rows
-            active = [i for i in range(len(rows)) if rows[i] not in R]
-            if active and T:
-                from .matrices import _rank_generic
-
-                mat = [[self._col_vec[v][i] for v in T] for i in active]
-                r = len(R) + _rank_generic(self.field, mat)
+        # unit columns of the row-side elements pivot immediately; what
+        # remains is the block of A on the other rows against X's columns
+        rep = self.rep
+        row_pos, col_pos = rep._row_pos, rep._col_pos
+        drop = 0
+        cols = []
+        for v in Xf:
+            j = col_pos.get(v)
+            if j is None:
+                drop |= 1 << row_pos[v]
             else:
-                r = len(R)
+                cols.append(j)
+        r = len(Xf) - len(cols) + block_rank(rep, drop, cols)
         self._rank_cache[Xf] = r
         return r
 

@@ -22,6 +22,12 @@ Every stage re-verifies its own guarantees by exhaustive oracle before
 returning and raises PostconditionViolation with a minimal witness when
 one fails, so a completed ReductionTrace is itself a certificate.
 
+Stages forward the partition certificate: the fragility postcondition
+of each stage enumerates the unique partition (C, D) realising the
+stage's minor in its output, and the next stage starts from that
+MinorSpec (read in the dual, sets swapped, on the coloop side) instead
+of searching again.  Called on their own, the stages search afresh.
+
 Field growth: collapsing a side of size s needs s coordinates linearly
 independent over the current field, hence a degree max(1, s) extension
 by default.  Conformance mode instead extends by degree k = |E(N)| at
@@ -45,14 +51,14 @@ from .errors import (
 )
 from .fragility import (
     PARTITION_CAP_DEFAULT,
-    display_basis,
     fragile_partitions,
     is_N_fragile,
+    partition_basis,
     x_fragile_failure,
 )
 from .galois import DEGREE_CAP_DEFAULT, FieldSpec, extend_field, is_in_subfield, subfield_basis
 from .matrices import LabeledMatrix, submatrix_rank
-from .matroids import ReprMatroid, is_relaxation, isolated
+from .matroids import MinorSpec, ReprMatroid, is_relaxation, isolated
 from .subsets import subsets_by_size
 
 
@@ -63,6 +69,23 @@ def _fresh_label(stem: str, used: set[str]) -> str:
     while f"{stem}{i}" in used:
         i += 1
     return f"{stem}{i}"
+
+
+def _sole_partition(
+    M: ReprMatroid, N: ReprMatroid, cap: int, error: type, message: str
+) -> MinorSpec:
+    """The one partition realising N in M, else `error(message)` with
+    the number of realising partitions filled in for {n}."""
+    parts = fragile_partitions(M, N, cap=cap)
+    if len(parts) != 1:
+        raise error(message.format(n=len(parts)))
+    (part,) = parts
+    return part
+
+
+def _flip(part: MinorSpec) -> MinorSpec:
+    """The same partition read in the dual: contract and delete swap."""
+    return MinorSpec(part.delete, part.contract)
 
 
 # ---------------------------------------------------------------------------
@@ -78,14 +101,20 @@ def zero_out(
     partition).  Returns the rewritten matroid and its representation,
     whose row-label set is the displaying basis.
     """
-    parts = fragile_partitions(M, N, cap=cap)
-    if len(parts) != 1:
-        raise NotFragile(
-            f"{len(parts)} partitions realise the minor; need exactly one"
+    return _zero_out(M, N, None, cap)[:2]
+
+
+def _zero_out(
+    M: ReprMatroid, N: ReprMatroid, part: MinorSpec | None, cap: int
+) -> tuple[ReprMatroid, LabeledMatrix, MinorSpec]:
+    """zero_out from the unique realising partition `part` (searched for
+    when None), also returning the partition that certifies the result
+    fragile for the isolated minor."""
+    if part is None:
+        part = _sole_partition(
+            M, N, cap, NotFragile, "{n} partitions realise the minor; need exactly one"
         )
-    B = display_basis(M, N)
-    if B is None:
-        raise NotFragile("no basis of the matroid displays the minor")
+    B = partition_basis(M, N, part)
     A = M.rebase(B).rep
     block_rows = sorted(B & N.ground)
     block_cols = sorted(N.ground - B)
@@ -105,11 +134,11 @@ def zero_out(
         raise PostconditionViolation(
             "zeroing the block changed the contraction by the displayed minor basis"
         )
-    if not is_N_fragile(M2, isolated(BN, N.ground), cap=cap):
-        raise PostconditionViolation(
-            "zeroed matroid is not fragile for the isolated minor"
-        )
-    return M2, A2
+    part = _sole_partition(
+        M2, isolated(BN, N.ground), cap, PostconditionViolation,
+        "zeroed matroid is not fragile for the isolated minor",
+    )
+    return M2, A2, part
 
 
 # ---------------------------------------------------------------------------
@@ -199,22 +228,32 @@ def collapse_side(
         raise InvalidArgs(f"sides overlap: {sorted(X1f & X2f)}")
     if d in M.ground:
         raise LabelCollision(f"label {d!r} already in the ground set")
-    N = isolated(X1f, X1f | X2f)
-    parts = fragile_partitions(M, N, cap=cap)
-    if len(parts) != 1:
-        raise NotFragile(
-            f"{len(parts)} partitions realise the isolated minor; need exactly one"
+    return _collapse_side(M, X1f, X2f, d, None, degree, degree_cap, cap)[0]
+
+
+def _collapse_side(
+    M: ReprMatroid, X1: frozenset[str], X2: frozenset[str], d: str,
+    part: MinorSpec | None, degree: int | None, degree_cap: int, cap: int,
+) -> tuple[ReprMatroid, MinorSpec]:
+    """collapse_side from the unique realising partition `part` (searched
+    for when None), also returning the partition that certifies the
+    result fragile for the collapsed isolated minor."""
+    N = isolated(X1, X1 | X2)
+    if part is None:
+        part = _sole_partition(
+            M, N, cap, NotFragile,
+            "{n} partitions realise the isolated minor; need exactly one",
         )
-    B = display_basis(M, N)
-    # B meets E(N) in the unique basis X1 of N, so X2 sits on the column side
-    A = M.rebase(B).rep
-    A2 = free_extension(A, X2f, d, degree=degree, degree_cap=degree_cap)
-    out = ReprMatroid(A2).minor(delete=X2f)
-    if not is_N_fragile(out, isolated(X1f, X1f | {d}), cap=cap):
-        raise PostconditionViolation(
-            "collapsed matroid is not fragile for the collapsed isolated minor"
-        )
-    return out
+    # the basis meets E(N) in the unique basis X1 of N, so X2 sits on
+    # the column side
+    A = M.rebase(partition_basis(M, N, part)).rep
+    A2 = free_extension(A, X2, d, degree=degree, degree_cap=degree_cap)
+    out = ReprMatroid(A2).minor(delete=X2)
+    part = _sole_partition(
+        out, isolated(X1, X1 | {d}), cap, PostconditionViolation,
+        "collapsed matroid is not fragile for the collapsed isolated minor",
+    )
+    return out, part
 
 
 def reduce_to_two(
@@ -232,7 +271,8 @@ def reduce_to_two(
     """Collapse both sides of an isolated minor to fresh elements c, d.
 
     The loop side X2 is collapsed directly, the coloop side X1 in the
-    dual.  The result is fragile for the two-element isolated minor
+    dual, which starts from the partition certified by the first
+    collapse.  The result is fragile for the two-element isolated minor
     (coloop c, loop d), agrees with M off the minor (contracting c and
     deleting d matches contracting X1 and deleting X2), and lives over
     an extension of total degree max(1,|X1|) * max(1,|X2|) unless larger
@@ -244,12 +284,11 @@ def reduce_to_two(
     for lab in (c, d):
         if lab in M.ground:
             raise LabelCollision(f"label {lab!r} already in the ground set")
-    Ma = collapse_side(
-        M, X1f, X2f, d, degree=degree_loops, degree_cap=degree_cap, cap=cap
-    )
-    Mc = collapse_side(
-        Ma.dual(), frozenset({d}), X1f, c,
-        degree=degree_coloops, degree_cap=degree_cap, cap=cap,
+    if X1f & X2f:
+        raise InvalidArgs(f"sides overlap: {sorted(X1f & X2f)}")
+    Ma, part = _collapse_side(M, X1f, X2f, d, None, degree_loops, degree_cap, cap)
+    Mc, _ = _collapse_side(
+        Ma.dual(), frozenset({d}), X1f, c, _flip(part), degree_coloops, degree_cap, cap
     )
     out = Mc.dual()
 
@@ -313,11 +352,18 @@ def relax_entry(
     if not Mn.equals(N):
         raise NotFragile("displayed minor is not the isolated coloop/loop pair")
     parts = fragile_partitions(M, N, cap=cap)
-    if len(parts) != 1 or next(iter(parts)).contract != Cf:
+    if parts != {MinorSpec(Cf, Df)}:
         raise NotFragile(
             "the matroid is not fragile for the pair, or (C, D) is not its partition"
         )
+    return _relax_entry(M, Cf, c, d, degree_cap, cap)
 
+
+def _relax_entry(
+    M: ReprMatroid, Cf: frozenset[str], c: str, d: str, degree_cap: int, cap: int
+) -> tuple[ReprMatroid, ReprMatroid, frozenset[str]]:
+    """relax_entry once Cf is certified the contract set of the unique
+    partition realising the isolated coloop/loop pair (c, d)."""
     A1 = M.rebase(Cf | {c}).rep
     if A1.enc(c, d) != 0:
         raise PostconditionViolation("displayed coloop/loop entry is nonzero")
@@ -407,7 +453,8 @@ def pipeline(
     if conformance:
         dcap = max(dcap, base_field.degree * 2 * k * k)
 
-    Mz, Az = zero_out(M, N, cap=cap)
+    # each stage starts from the partition certified by the one before
+    Mz, Az, part = _zero_out(M, N, None, cap)
     B = frozenset(Az.rows)
     X1 = B & N.ground
     X2 = N.ground - B
@@ -435,80 +482,40 @@ def pipeline(
             raise PostconditionViolation("stage field is not a tower over the input field")
         return q
 
-    # loop side
-    if not conformance and len(X2) == 1:
-        d_label = next(iter(X2))
-        stages.append(
-            StageRecord(
-                name="collapse_loop_side",
-                degree_over_input=1,
-                matroid=cur,
-                verdicts={"already_single": True},
-                details={"d": d_label, "skipped": True},
-            )
-        )
-    else:
-        d_label = _fresh_label("d", used)
-        used.add(d_label)
-        cur = collapse_side(
-            cur, X1, X2, d_label,
-            degree=(k if conformance else None), degree_cap=dcap, cap=cap,
-        )
-        stages.append(
-            StageRecord(
-                name="collapse_loop_side",
-                degree_over_input=_deg(cur),
-                matroid=cur,
-                verdicts={
-                    "unique_partition": True,
-                    "free_flat_condition": True,
-                    "collapsed_fragile": True,
-                },
-                details={"d": d_label, "collapsed": sorted(X2)},
-            )
-        )
-
-    # coloop side, handled in the dual
-    if not conformance and len(X1) == 1:
-        c_label = next(iter(X1))
-        stages.append(
-            StageRecord(
-                name="collapse_coloop_side",
-                degree_over_input=_deg(cur),
-                matroid=cur,
-                verdicts={"already_single": True},
-                details={"c": c_label, "skipped": True},
-            )
-        )
-    else:
-        c_label = _fresh_label("c", used)
-        used.add(c_label)
-        cur = collapse_side(
-            cur.dual(), frozenset({d_label}), X1, c_label,
-            degree=(k if conformance else None), degree_cap=dcap, cap=cap,
-        ).dual()
-        stages.append(
-            StageRecord(
-                name="collapse_coloop_side",
-                degree_over_input=_deg(cur),
-                matroid=cur,
-                verdicts={
-                    "unique_partition": True,
-                    "free_flat_condition": True,
-                    "collapsed_fragile": True,
-                },
-                details={"c": c_label, "collapsed": sorted(X1)},
-            )
-        )
+    # the loop side, then the coloop side as the loop side of the dual,
+    # where the certified partition holds with its two sets swapped
+    labels = {}
+    for name, key, side in (
+        ("collapse_loop_side", "d", X2),
+        ("collapse_coloop_side", "c", X1),
+    ):
+        if not conformance and len(side) == 1:
+            labels[key] = next(iter(side))
+            verdicts, details = {"already_single": True}, {"skipped": True}
+        else:
+            labels[key] = _fresh_label(key, used)
+            used.add(labels[key])
+            degree = k if conformance else None
+            if key == "d":
+                cur, part = _collapse_side(cur, X1, X2, labels["d"], part, degree, dcap, cap)
+            else:
+                dual, part = _collapse_side(
+                    cur.dual(), frozenset({labels["d"]}), X1, labels["c"], _flip(part),
+                    degree, dcap, cap,
+                )
+                cur, part = dual.dual(), _flip(part)
+            verdicts = {
+                "unique_partition": True,
+                "free_flat_condition": True,
+                "collapsed_fragile": True,
+            }
+            details = {"collapsed": sorted(side)}
+        details[key] = labels[key]
+        stages.append(StageRecord(name, _deg(cur), cur, verdicts, details))
+    c_label, d_label = labels["c"], labels["d"]
 
     # relax the displayed entry
-    N2 = isolated({c_label}, {c_label, d_label})
-    B2 = display_basis(cur, N2)
-    if B2 is None:
-        raise PostconditionViolation("two-element minor lost before relaxation")
-    C2 = B2 - {c_label}
-    D2 = cur.ground - B2 - {d_label}
-    M1, M2, H = relax_entry(cur, C2, D2, degree_cap=dcap, cap=cap)
+    M1, M2, H = _relax_entry(cur, part.contract, c_label, d_label, dcap, cap)
     stages.append(
         StageRecord(
             name="relax_entry",

@@ -351,11 +351,11 @@ def entry_relaxation(seed: int = 0, count: int = 100) -> dict:
 # the full pipeline
 
 
-def full_pipeline(seed: int = 0, count: int = 50, conformance: bool = True) -> dict:
-    """End-to-end pipeline on random fragile pairs over GF(2): the
-    common minor survives, the output is a relaxation, every stage
-    verdict holds, and the final extension degree divides the 2k^2
-    budget (equals it in conformance mode)."""
+def full_pipeline(seed: int = 0, count: int = 50) -> dict:
+    """End-to-end conformance-mode pipeline on random fragile pairs over
+    GF(2): the common minor survives, the output is a relaxation, every
+    stage verdict holds, and the final extension degree equals the 2k^2
+    bound."""
     t0 = time.perf_counter()
     failures = []
     master = random.Random(seed)
@@ -377,7 +377,7 @@ def full_pipeline(seed: int = 0, count: int = 50, conformance: bool = True) -> d
         N = inst.task.minor
         record["instance"] = serialize_instance(inst)
         try:
-            tr = pipeline(M, N, conformance=conformance)
+            tr = pipeline(M, N, conformance=True)
         except Exception as exc:
             failures.append({**record, "reason": f"{type(exc).__name__}: {exc}"})
             continue
@@ -391,11 +391,7 @@ def full_pipeline(seed: int = 0, count: int = 50, conformance: bool = True) -> d
         if not is_relaxation(tr.relaxed, tr.relaxation, tr.hyperplane):
             reasons.append("output is not a relaxation")
         bound = 2 * len(N.ground) ** 2
-        if bound % tr.final_degree_over_input != 0:
-            reasons.append(
-                f"degree {tr.final_degree_over_input} does not divide {bound}"
-            )
-        if conformance and tr.final_degree_over_input != bound:
+        if tr.final_degree_over_input != bound:
             reasons.append(
                 f"conformance degree {tr.final_degree_over_input} != {bound}"
             )

@@ -61,7 +61,7 @@ def test_acceptance_5_relaxation_certificates():
 def test_acceptance_6_pipeline_with_conformant_degrees():
     _run(
         6, 300,
-        lambda: suites.full_pipeline(seed=SEED, count=50, conformance=True),
+        lambda: suites.full_pipeline(seed=SEED, count=50),
         want_checked=50,
     )
 

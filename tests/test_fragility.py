@@ -6,6 +6,9 @@ the matrix one (the X block vanishes and X raises the rank of every
 disjoint nonempty Y).
 """
 
+from itertools import combinations
+from random import Random
+
 import pytest
 
 from matroidfrag import (
@@ -20,11 +23,13 @@ from matroidfrag import (
     is_N_fragile,
     is_X_fragile_matrix,
     isolated,
+    isolated_rn,
     make_prime_field,
     x_fragile_failure,
 )
 
 GF2 = make_prime_field(2)
+GF3 = make_prime_field(3)
 
 
 def one_coloop_one_loop_one_parallel():
@@ -147,3 +152,51 @@ def test_display_basis_lex_least():
     # both {a, b} and {a, c} display the single coloop a; lex order wins
     N = isolated({"a"}, {"a"})
     assert display_basis(M, N) == {"a", "b"}
+
+
+def test_display_basis_checks_the_cap_first():
+    # 13 elements outside the minor: refused before any basis is tried
+    with pytest.raises(CapExceeded):
+        display_basis(isolated_rn(1, 15), isolated_rn(1, 2))
+
+
+def display_basis_sweep(M, N):
+    """Reference: every r-subset of E(M) in lex order, the first basis
+    whose minor M/(B - E(N))\\(E(M) - B - E(N)) equals N."""
+    r = M.rank()
+    for combo in combinations(sorted(M.ground), r):
+        B = frozenset(combo)
+        if M.rank(B) == r and M.minor(B - N.ground, M.ground - B - N.ground).equals(N):
+            return B
+    return None
+
+
+def random_pair(rng):
+    F = rng.choice((GF2, GF3))
+    rows = [f"r{i}" for i in range(rng.randint(1, 4))]
+    cols = [f"c{j}" for j in range(rng.randint(1, 4))]
+    M = ReprMatroid(LabeledMatrix(
+        F, rows, cols, [[rng.randrange(F.order) for _ in cols] for _ in rows]))
+    C = {e for e in M.ground if rng.random() < 0.3}
+    D = {e for e in M.ground - C if rng.random() < 0.4}
+    N = M.minor(C, D)
+    if rng.random() < 0.25:
+        # the same labels with another rank function: often not a minor
+        B = set(rng.sample(sorted(N.ground), rng.randint(0, len(N.ground))))
+        N = isolated(B, N.ground, F)
+    return M, N
+
+
+def test_display_basis_matches_exhaustive_sweep():
+    rng = Random(7)
+    seen = {"none": 0, "one": 0, "several": 0}
+    for _ in range(250):
+        M, N = random_pair(rng)
+        parts = fragile_partitions(M, N)
+        got = display_basis(M, N)
+        assert got == display_basis_sweep(M, N)
+        if got is None:
+            seen["none"] += 1
+        else:
+            seen["one" if len(parts) == 1 else "several"] += 1
+    assert min(seen.values()) >= 20, seen

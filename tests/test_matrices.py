@@ -186,3 +186,24 @@ def test_empty_shapes():
     B = LabeledMatrix(GF2, ["a"], [], [[]])
     assert B.rank() == 0
     assert submatrix_rank(B, {"a"}) == 0
+
+
+def test_gf2_bitmask_rank_matches_generic_elimination():
+    # the packed-column GF(2) path of the rank kernel against the generic
+    # elimination on the same blocks: random rows dropped, random columns
+    from random import Random
+
+    from matroidfrag.matrices import _rank_generic, block_rank
+
+    rng = Random(2)
+    for _ in range(300):
+        nrows, ncols = rng.randint(0, 7), rng.randint(0, 7)
+        data = [[rng.randrange(2) for _ in range(ncols)] for _ in range(nrows)]
+        A = LabeledMatrix(GF2, [f"r{i}" for i in range(nrows)],
+                          [f"c{j}" for j in range(ncols)], data)
+        drop = rng.getrandbits(nrows) if nrows else 0
+        cols = [j for j in range(ncols) if rng.random() < 0.6]
+        block = [[data[i][j] for j in cols] for i in range(nrows) if not drop >> i & 1]
+        want = _rank_generic(GF2, block) if block and cols else 0
+        assert block_rank(A, drop, cols) == want
+        assert A.rank() == (_rank_generic(GF2, [list(r) for r in data]) if nrows else 0)

@@ -243,3 +243,41 @@ def test_isolated():
         isolated({"c"}, {"d"})
     with pytest.raises(InvalidArgs):
         isolated_rn(3, 2)
+
+
+def plain_rank(F, mat):
+    """Row reduction written out on field encodings, independent of the
+    package's rank kernel."""
+    mat = [list(r) for r in mat]
+    rank = 0
+    for j in range(len(mat[0]) if mat else 0):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][j]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = F.inv_enc(mat[rank][j])
+        for i in range(len(mat)):
+            if i != rank and mat[i][j]:
+                f = F.mul_enc(mat[i][j], inv)
+                mat[i] = [F.sub_enc(a, F.mul_enc(f, b)) for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("F", [GF2, GF3, GF4], ids=["gf2", "gf3", "gf4"])
+def test_rank_oracle_matches_plain_elimination(F):
+    # rank(X) = |X on the row side R| + rank of A[R - X, X on the column side]
+    from random import Random
+
+    rng = Random(F.order)
+    for _ in range(40):
+        nrows, ncols = rng.randint(0, 4), rng.randint(0, 4)
+        rows = [f"r{i}" for i in range(nrows)]
+        cols = [f"c{j}" for j in range(ncols)]
+        A = LabeledMatrix(F, rows, cols,
+                          [[rng.randrange(F.order) for _ in cols] for _ in rows])
+        M = ReprMatroid(A)
+        for _ in range(8):
+            X = frozenset(e for e in rows + cols if rng.random() < 0.5)
+            block = [[A.enc(r, c) for c in cols if c in X] for r in rows if r not in X]
+            assert M.rank(X) == len(X & set(rows)) + plain_rank(F, block)

@@ -250,6 +250,45 @@ def test_pipeline_seeded_split_sides():
     )
 
 
+@pytest.mark.parametrize(
+    "instance, conformance, collapsed",
+    [
+        ("singleton", False, 0),
+        ("split", False, 1),
+        ("singleton", True, 2),
+        ("four", False, 2),
+    ],
+)
+def test_pipeline_forwards_the_partition(monkeypatch, instance, conformance, collapsed):
+    # one partition search for the input and one per stage output; the
+    # relaxed entry and each collapse start from the forwarded partition
+    from matroidfrag import fragility, reductions
+
+    calls = {"fragile_partitions": 0, "display_basis": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    if instance == "singleton":
+        M, N = pair_matroid(), isolated({"c"}, {"c", "d"})
+    else:
+        seed, rows, cols, k = (2, 3, 3, 3) if instance == "split" else (1, 4, 4, 4)
+        gi = gen_random("pipeline", seed=seed, q=2, rows=rows, cols=cols, minor_size=k)
+        M, N = ReprMatroid(gi.instance.matrix), gi.instance.task.minor
+    # both bindings, so calls through is_N_fragile count as well
+    for name in calls:
+        wrapped = counted(name, getattr(fragility, name))
+        monkeypatch.setattr(fragility, name, wrapped)
+        monkeypatch.setattr(reductions, name, wrapped, raising=False)
+    tr = pipeline(M, N, conformance=conformance)
+    assert sum(not s.details.get("skipped") for s in tr.stages[1:3]) == collapsed
+    assert calls == {"fragile_partitions": 2 + collapsed, "display_basis": 0}
+
+
 def test_pipeline_seeded_conformance_exact_bound():
     gi = gen_random("pipeline", seed=2, q=2, rows=3, cols=3, minor_size=3)
     M = ReprMatroid(gi.instance.matrix)
