@@ -17,6 +17,12 @@ embeddings: the image of a subfield element in any taller tower keeps
 the same integer.  That last fact is what lets `embed` and
 `LabeledMatrix.lift` reuse encodings verbatim.
 
+extend_field adjoins a root of the canonical modulus: the lex-least
+monic irreducible of the requested degree, found by walking candidates
+in lex order and testing each with Rabin's test, whose cost is
+polynomial in the degree and in log of the base order.  Nothing is
+precomputed; each canonical modulus is memoised once found.
+
 Towers are interned: building the same (p, steps) twice returns the
 same FieldSpec object, so the per-field multiplication/inverse memo
 tables stay warm across calls.  All mutation is append-only cache
@@ -25,7 +31,6 @@ filling, safe under the usual CPython execution model.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Iterator
 
 from .errors import (
@@ -216,29 +221,10 @@ class FieldSpec:
         return r
 
     def _mul_raw(self, a: int, b: int) -> int:
-        base = self.base
-        badd, bmul, bsub = base.add_enc, base.mul_enc, base.sub_enc
-        da, db = self._digits(a), self._digits(b)
-        prod = [0] * (len(da) + len(db) - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    if y:
-                        prod[i + j] = badd(prod[i + j], bmul(x, y))
-        k = self._top_deg
-        mod = self._modulus
-        for i in range(len(prod) - 1, k - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                # modulus is monic, so x^k = -(m_0 + ... + m_{k-1} x^{k-1})
-                for j in range(k):
-                    m = mod[j]
-                    if m:
-                        prod[i - k + j] = bsub(prod[i - k + j], bmul(c, m))
+        prod = _poly_mulmod(self.base, self._digits(a), self._digits(b), self._modulus)
         out = 0
         B = self._base_order
-        for d in reversed(prod[:k]):
+        for d in reversed(prod):
             out = out * B + d
         return out
 
@@ -367,65 +353,119 @@ class FieldElem:
 
 
 # -- polynomial helpers over an arbitrary FieldSpec -----------------------
-# Polynomials are tuples of encodings, constant coefficient first.
+# Polynomials are lists of encodings, constant coefficient first.
 
 
-def _poly_eval(field: FieldSpec, coeffs: tuple[int, ...], x: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = field.add_enc(field.mul_enc(acc, x), c)
-    return acc
-
-
-def _poly_rem_is_zero(field: FieldSpec, num: tuple[int, ...], den: tuple[int, ...]) -> bool:
-    """True iff the monic polynomial `den` divides `num` exactly."""
-    rem = list(num)
-    dd = len(den) - 1
-    for i in range(len(rem) - 1, dd - 1, -1):
-        c = rem[i]
+def _poly_mulmod(field: FieldSpec, a: list[int], b: list[int], f: tuple[int, ...]) -> list[int]:
+    """a * b mod the monic f, for a and b of degree below deg f; the
+    result is padded to deg f coefficients.  Also the product of two
+    elements of the extension of `field` by f, as coefficient lists."""
+    add, mul, sub = field.add_enc, field.mul_enc, field.sub_enc
+    n = len(f) - 1
+    prod = [0] * (2 * n - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    prod[i + j] = add(prod[i + j], mul(x, y))
+    for i in range(len(prod) - 1, n - 1, -1):
+        c = prod[i]
         if c:
-            rem[i] = 0
-            for j in range(dd):
-                if den[j]:
-                    rem[i - dd + j] = field.sub_enc(rem[i - dd + j], field.mul_enc(c, den[j]))
-    return not any(rem[:dd])
+            # f is monic, so x^n = -(f_0 + ... + f_{n-1} x^{n-1})
+            for j in range(n):
+                if f[j]:
+                    prod[i - n + j] = sub(prod[i - n + j], mul(c, f[j]))
+    return prod[:n]
+
+
+def _poly_powmod(field: FieldSpec, a: list[int], e: int, f: tuple[int, ...]) -> list[int]:
+    """a**e mod the monic f by square-and-multiply."""
+    result = [1] + [0] * (len(f) - 2)
+    while e:
+        if e & 1:
+            result = _poly_mulmod(field, result, a, f)
+        e >>= 1
+        if e:
+            a = _poly_mulmod(field, a, a, f)
+    return result
+
+
+def _poly_trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _poly_coprime(field: FieldSpec, a: list[int], b: tuple[int, ...]) -> bool:
+    """True iff gcd(a, b) = 1, by Euclid's algorithm; b is nonzero."""
+    sub, mul = field.sub_enc, field.mul_enc
+    a, b = _poly_trim(list(a)), _poly_trim(list(b))
+    while a:
+        # b <- b mod a, then swap
+        inv = field.inv_enc(a[-1])
+        da = len(a) - 1
+        for i in range(len(b) - 1, da - 1, -1):
+            c = b[i]
+            if c:
+                q = mul(c, inv)
+                for j in range(da + 1):
+                    if a[j]:
+                        b[i - da + j] = sub(b[i - da + j], mul(q, a[j]))
+        a, b = _poly_trim(b), a
+    return len(b) == 1
 
 
 def is_irreducible(base: FieldSpec, coeffs: tuple[int, ...]) -> bool:
-    """Exhaustive irreducibility test for a monic polynomial over `base`.
+    """Rabin's irreducibility test for a monic polynomial over `base`.
 
     Coefficients are integer encodings, constant term first, leading
-    coefficient included and equal to 1.  Roots are checked first (which
-    settles degrees <= 3), then trial division by every monic polynomial
-    of degree 2..deg//2.  Intended for the small moduli this package
-    builds; cost grows as order**(deg//2).
+    coefficient included and equal to 1.  A monic f of degree n over
+    GF(Q) is irreducible iff x^(Q^n) = x mod f and
+    gcd(x^(Q^(n/r)) - x, f) = 1 for every prime r dividing n (Rabin,
+    SIAM J. Comput. 9, 1980).  The powers x^(Q^i) mod f come from n
+    repeated Q-th powerings by square-and-multiply, so the cost is
+    polynomial in n and log Q: O(n^3 log Q) base-field operations.
     """
     if len(coeffs) < 2 or coeffs[-1] != 1:
         raise InvalidArgs("expected a monic polynomial of degree >= 1")
-    k = len(coeffs) - 1
-    if k == 1:
+    n = len(coeffs) - 1
+    if n == 1:
         return True
-    for e in range(base.order):
-        if _poly_eval(base, coeffs, e) == 0:
-            return False
-    if k <= 3:
-        return True
-    for d in range(2, k // 2 + 1):
-        for tail in product(range(base.order), repeat=d):
-            if _poly_rem_is_zero(base, coeffs, (*tail, 1)):
+    if coeffs[0] == 0:
+        return False  # divisible by x
+    x = [0, 1] + [0] * (n - 2)
+    gcd_at = {n // r for r in range(2, n + 1) if n % r == 0 and _is_prime(r)}
+    h = x
+    for i in range(1, n + 1):
+        h = _poly_powmod(base, h, base.order, coeffs)
+        if i in gcd_at:
+            h_minus_x = list(h)
+            h_minus_x[1] = base.sub_enc(h[1], 1)
+            if not _poly_coprime(base, h_minus_x, coeffs):
                 return False
-    return True
+    return h == x
 
 
 def _canonical_modulus(base: FieldSpec, k: int) -> tuple[int, ...]:
-    """Lexicographically least monic irreducible of degree k over base,
-    comparing coefficient tuples constant term first by encoding."""
+    """Lexicographically least monic irreducible of degree k >= 2 over
+    base, comparing coefficient tuples constant term first by encoding.
+
+    Candidates are walked lazily: the counter m encodes the tail
+    (c_0, ..., c_{k-1}) as base-Q digits, c_0 most significant, so
+    counting up is the lex order.  It starts at c_0 = 1, since every
+    candidate before that is divisible by x.
+    """
     key = (base.p, base.steps, k)
     hit = _CANONICAL_MODULI.get(key)
     if hit is not None:
         return hit
-    for tail in product(range(base.order), repeat=k):
-        coeffs = (*tail, 1)
+    Q = base.order
+    for m in range(Q ** (k - 1), Q**k):
+        tail, rest = [], m
+        for _ in range(k):
+            rest, c = divmod(rest, Q)
+            tail.append(c)
+        coeffs = (*reversed(tail), 1)
         if is_irreducible(base, coeffs):
             _CANONICAL_MODULI[key] = coeffs
             return coeffs

@@ -52,7 +52,6 @@ from .errors import (
 from .fragility import (
     PARTITION_CAP_DEFAULT,
     fragile_partitions,
-    is_N_fragile,
     partition_basis,
     x_fragile_failure,
 )
@@ -287,13 +286,20 @@ def reduce_to_two(
     if X1f & X2f:
         raise InvalidArgs(f"sides overlap: {sorted(X1f & X2f)}")
     Ma, part = _collapse_side(M, X1f, X2f, d, None, degree_loops, degree_cap, cap)
-    Mc, _ = _collapse_side(
+    Mc, part = _collapse_side(
         Ma.dual(), frozenset({d}), X1f, c, _flip(part), degree_coloops, degree_cap, cap
     )
     out = Mc.dual()
 
-    if not is_N_fragile(out, isolated({c}, {c, d}), cap=cap):
-        raise PostconditionViolation("result is not fragile for the two-element minor")
+    # The dual collapse certified `part` as the one partition realising
+    # isolated({d}, {c, d}) in Mc = out*.  (C, D) realises N in M iff
+    # (D, C) realises N* in M*, so the flipped partition is the one
+    # realising isolated({c}, {c, d}) = isolated({d}, {c, d})* in out:
+    # out is fragile for it without a second search.
+    if not out.minor_of(_flip(part)).equals(isolated({c}, {c, d})):
+        raise PostconditionViolation(
+            "the flipped partition does not realise the two-element minor"
+        )
     if not out.minor({c}, {d}).equals(M.minor(X1f, X2f)):
         raise PostconditionViolation(
             "contracting c and deleting d does not match the original minor"

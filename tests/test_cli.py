@@ -9,9 +9,9 @@ import json
 
 import pytest
 
-from matroidfrag import suites
+from matroidfrag import gen_random, suites
 from matroidfrag.cli import main, run
-from matroidfrag.instances import parse_instance
+from matroidfrag.instances import parse_instance, serialize_instance
 
 PAIR_PIPELINE = """{
   "field": {"p": 2, "tower": []},
@@ -59,6 +59,17 @@ def test_pipeline_conformance_flag(tmp_path, capsys):
     assert code == 0
     assert report["conformance"] is True
     assert report["final_degree"] == report["degree_bound"] == 8
+
+
+def test_pipeline_conformance_k5(tmp_path, capsys):
+    # k = 5 lands on GF(2^50), the tower GF(2) -> 5 -> 5 -> 2
+    gi = gen_random("pipeline", seed=1, q=2, rows=5, cols=5, minor_size=5)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(serialize_instance(gi.instance)))
+    code, report = run_main(capsys, ["pipeline", "--input", str(path), "--conformance"])
+    assert code == 0
+    assert report["verdict"] is True
+    assert report["final_degree"] == report["degree_bound"] == 50
 
 
 def test_false_verdict_still_exits_zero(tmp_path, capsys):

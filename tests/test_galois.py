@@ -1,5 +1,7 @@
 """Field tower tests with independently derived expected values."""
 
+from itertools import product
+
 import pytest
 
 from matroidfrag import (
@@ -26,6 +28,8 @@ GF4 = extend_field(GF2, 2)
 GF8 = extend_field(GF2, 3)
 GF9 = extend_field(GF3, 2)
 GF16_OVER_GF4 = extend_field(GF4, 2)
+GF5 = make_prime_field(5)
+GF16 = extend_field(GF2, 4)
 
 
 def check_axioms(F):
@@ -73,10 +77,77 @@ def _poly_mul(F, f, g):
 
 
 def _monic_polys(F, deg):
-    from itertools import product
-
     for tail in product(range(F.order), repeat=deg):
         yield (*tail, 1)
+
+
+def _poly_eval(F, coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = F.add_enc(F.mul_enc(acc, x), c)
+    return acc
+
+
+def _poly_rem_is_zero(F, num, den):
+    # True iff the monic polynomial den divides num exactly
+    rem = list(num)
+    dd = len(den) - 1
+    for i in range(len(rem) - 1, dd - 1, -1):
+        c = rem[i]
+        if c:
+            rem[i] = 0
+            for j in range(dd):
+                if den[j]:
+                    rem[i - dd + j] = F.sub_enc(rem[i - dd + j], F.mul_enc(c, den[j]))
+    return not any(rem[:dd])
+
+
+def is_irreducible_exhaustive(F, coeffs):
+    """Reference test: no root in F (which settles degrees <= 3), then
+    trial division by every monic polynomial of degree 2..deg//2."""
+    k = len(coeffs) - 1
+    if k == 1:
+        return True
+    if any(_poly_eval(F, coeffs, e) == 0 for e in range(F.order)):
+        return False
+    if k <= 3:
+        return True
+    for d in range(2, k // 2 + 1):
+        for den in _monic_polys(F, d):
+            if _poly_rem_is_zero(F, coeffs, den):
+                return False
+    return True
+
+
+def _gauss_count(q, n):
+    # monic irreducibles of degree n over GF(q): (1/n) sum mu(d) q^(n/d)
+    def mu(d):
+        out, r = 1, 2
+        while d > 1:
+            if d % r == 0:
+                d //= r
+                if d % r == 0:
+                    return 0
+                out = -out
+            r += 1
+        return out
+
+    return sum(mu(d) * q ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+
+
+@pytest.mark.parametrize(
+    "F, max_deg",
+    [(GF2, 6), (GF3, 5), (GF4, 3), (GF5, 3), (GF9, 2), (GF16_OVER_GF4, 2)],
+    ids=["gf2", "gf3", "gf4", "gf5", "gf9", "gf16_over_gf4"],
+)
+def test_rabin_agrees_with_exhaustive(F, max_deg):
+    for deg in range(1, max_deg + 1):
+        found = 0
+        for f in _monic_polys(F, deg):
+            want = is_irreducible_exhaustive(F, f)
+            assert is_irreducible(F, f) == want, f
+            found += want
+        assert found == _gauss_count(F.order, deg)
 
 
 def test_moduli_irreducible_by_brute_force():
@@ -97,7 +168,8 @@ def test_moduli_lex_least():
         for cand in _monic_polys(base, k):
             if cand == modulus:
                 break
-            assert not is_irreducible(base, cand)
+            assert not is_irreducible_exhaustive(base, cand)
+        assert is_irreducible_exhaustive(base, modulus)
 
 
 def test_gf4_multiplication_table():
@@ -281,3 +353,55 @@ def test_is_irreducible_input_validation():
         is_irreducible(GF2, (1,))
     with pytest.raises(InvalidArgs):
         is_irreducible(GF3, (1, 1, 2))  # not monic
+
+
+# (q, k) -> steps of the conformance tower GF(q) -> degree k -> degree k
+# -> degree 2, as built by extend_field; recorded with the exhaustive
+# irreducibility test
+CONFORMANCE_TOWERS = {
+    (2, 2): ((2, (1, 1, 1)), (2, (1, 2, 1)), (2, (1, 4, 1))),
+    (2, 3): ((3, (1, 0, 1, 1)), (3, (1, 0, 3, 1)), (2, (1, 1, 1))),
+    (2, 4): ((4, (1, 0, 0, 1, 1)), (4, (1, 0, 1, 3, 1)), (2, (1, 18, 1))),
+    (3, 2): ((2, (1, 0, 1)), (2, (1, 4, 1)), (2, (1, 9, 1))),
+    (3, 3): ((3, (1, 0, 2, 1)), (3, (1, 0, 3, 1)), (2, (1, 0, 1))),
+}
+
+
+def _conformance_tower(q, k):
+    F = make_prime_field(q)
+    for d in (k, k, 2):
+        F = extend_field(F, d, degree_cap=2 * k * k)
+    return F
+
+
+@pytest.mark.parametrize("q, k", sorted(CONFORMANCE_TOWERS))
+def test_conformance_towers_pinned(q, k):
+    assert _conformance_tower(q, k).steps == CONFORMANCE_TOWERS[(q, k)]
+
+
+def test_k5_conformance_tower():
+    # the two degree-5 steps were recorded with the exhaustive test; the
+    # quadratic step over GF(2^25) is x^2 + x + 1, the first candidate
+    # with constant term 1 after x^2 + 1 = (x + 1)^2: in characteristic
+    # 2, x^2 + x + 1 is irreducible over GF(2^m) iff m is odd, and 25 is
+    F = _conformance_tower(2, 5)
+    assert F.steps == (
+        (5, (1, 0, 0, 1, 0, 1)),
+        (5, (1, 0, 0, 1, 8, 1)),
+        (2, (1, 1, 1)),
+    )
+    assert F.degree == 50
+
+
+def test_gcd_branch_rejects_product_of_quadratics():
+    # over GF(16), the product of two distinct irreducible quadratics has
+    # no root and divides x^(16^4) - x; only the gcd condition at r = 2
+    # shows it reducible
+    g, h = [f for f in _monic_polys(GF16, 2) if is_irreducible_exhaustive(GF16, f)][:2]
+    f = _poly_mul(GF16, g, h)
+    assert all(_poly_eval(GF16, f, e) for e in range(GF16.order))
+    assert not is_irreducible(GF16, f)
+    with pytest.raises(InvalidField):
+        field_from_tower(2, [GF16.steps[0], (4, f)], degree_cap=32)
+    canonical = list(CONFORMANCE_TOWERS[(2, 4)])
+    assert field_from_tower(2, canonical, degree_cap=32) is _conformance_tower(2, 4)

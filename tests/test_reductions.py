@@ -160,6 +160,37 @@ def test_reduce_to_two_relabels_pair():
         reduce_to_two(M, {"c"}, {"d"}, "e", "d2")
 
 
+def test_reduce_to_two_forwards_the_dual_certificate(monkeypatch):
+    # the dual collapse's postcondition certifies the two-element minor by
+    # duality, so no search follows it: the first collapse searches its
+    # input and its output, the dual collapse only its output
+    from matroidfrag import fragility, reductions
+
+    gi = gen_random("pipeline", seed=1, q=2, rows=4, cols=4, minor_size=4)
+    M, N = ReprMatroid(gi.instance.matrix), gi.instance.task.minor
+    Mz, Az = zero_out(M, N)
+    B = frozenset(Az.rows)
+    X1, X2 = B & N.ground, N.ground - B
+    # the public stages, each searching afresh, give the same matroid
+    Ma = collapse_side(Mz, X1, X2, "d")
+    want = collapse_side(Ma.dual(), {"d"}, X1, "c").dual()
+
+    calls = 0
+    search = fragility.fragile_partitions
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(fragility, "fragile_partitions", counted)
+    monkeypatch.setattr(reductions, "fragile_partitions", counted)
+    out = reduce_to_two(Mz, X1, X2, "c", "d")
+    assert calls == 3
+    assert out.rep == want.rep
+    assert is_N_fragile(out, isolated({"c"}, {"c", "d"}))
+
+
 # -- relax_entry --------------------------------------------------------------
 
 
