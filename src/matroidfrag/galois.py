@@ -200,6 +200,10 @@ class FieldSpec:
         return out
 
     def sub_enc(self, a: int, b: int) -> int:
+        if self.p == 2:
+            return a ^ b
+        if not self.steps:
+            return (a - b) % self.p
         return self.add_enc(a, self.neg_enc(b))
 
     def mul_enc(self, a: int, b: int) -> int:
@@ -220,13 +224,18 @@ class FieldSpec:
                 cache[key] = r
         return r
 
-    def _mul_raw(self, a: int, b: int) -> int:
-        prod = _poly_mulmod(self.base, self._digits(a), self._digits(b), self._modulus)
-        out = 0
+    def _undigits(self, digits: list[int]) -> int:
+        """The encoding with the given base-B digits, constant first."""
         B = self._base_order
-        for d in reversed(prod):
+        out = 0
+        for d in reversed(digits):
             out = out * B + d
         return out
+
+    def _mul_raw(self, a: int, b: int) -> int:
+        return self._undigits(
+            _poly_mulmod(self.base, self._digits(a), self._digits(b), self._modulus)
+        )
 
     def inv_enc(self, a: int) -> int:
         if a == 0:
@@ -238,7 +247,11 @@ class FieldSpec:
         cache = self._inv_cache
         r = cache.get(a)
         if r is None:
-            r = self.pow_enc(a, self.order - 2)
+            # s * a = g mod the irreducible modulus, with g a nonzero
+            # constant, so a^-1 = s / g
+            g, s = _poly_xgcd(self.base, self._digits(a), self._modulus)
+            c = self.base.inv_enc(g[0])
+            r = self._undigits([self.base.mul_enc(c, x) for x in s])
             cache[a] = r
         return r
 
@@ -396,23 +409,42 @@ def _poly_trim(a: list[int]) -> list[int]:
     return a
 
 
-def _poly_coprime(field: FieldSpec, a: list[int], b: tuple[int, ...]) -> bool:
-    """True iff gcd(a, b) = 1, by Euclid's algorithm; b is nonzero."""
+def _poly_divmod(field: FieldSpec, b: list[int], a: list[int]) -> tuple[list[int], list[int]]:
+    """(q, r) with b = q * a + r and deg r < deg a, for a trimmed and
+    nonzero; one inverse of the leading coefficient of a."""
     sub, mul = field.sub_enc, field.mul_enc
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while a:
-        # b <- b mod a, then swap
-        inv = field.inv_enc(a[-1])
-        da = len(a) - 1
-        for i in range(len(b) - 1, da - 1, -1):
-            c = b[i]
-            if c:
-                q = mul(c, inv)
-                for j in range(da + 1):
-                    if a[j]:
-                        b[i - da + j] = sub(b[i - da + j], mul(q, a[j]))
-        a, b = _poly_trim(b), a
-    return len(b) == 1
+    b = list(b)
+    da = len(a) - 1
+    inv = field.inv_enc(a[-1])
+    q = [0] * max(0, len(b) - da)
+    for i in range(len(b) - 1, da - 1, -1):
+        c = b[i]
+        if c:
+            qc = q[i - da] = mul(c, inv)
+            for j in range(da + 1):
+                if a[j]:
+                    b[i - da + j] = sub(b[i - da + j], mul(qc, a[j]))
+    return q, _poly_trim(b[:da])
+
+
+def _poly_xgcd(field: FieldSpec, a: list[int], f: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """(g, s) with g a gcd of a and the nonzero f, and s * a = g mod f,
+    by the extended Euclidean algorithm; g is not made monic."""
+    sub, mul = field.sub_enc, field.mul_enc
+    # invariant: s0 * a = r0 and s1 * a = r1 mod f
+    r0, r1 = _poly_trim(list(f)), _poly_trim(list(a))
+    s0, s1 = [], [1]
+    while r1:
+        q, r = _poly_divmod(field, r0, r1)
+        # s2 = s0 - q * s1
+        s2 = s0 + [0] * (len(q) + len(s1) - 1 - len(s0))
+        for i, x in enumerate(q):
+            if x:
+                for j, y in enumerate(s1):
+                    if y:
+                        s2[i + j] = sub(s2[i + j], mul(x, y))
+        r0, r1, s0, s1 = r1, r, s1, _poly_trim(s2)
+    return r0, s0
 
 
 def is_irreducible(base: FieldSpec, coeffs: tuple[int, ...]) -> bool:
@@ -441,8 +473,8 @@ def is_irreducible(base: FieldSpec, coeffs: tuple[int, ...]) -> bool:
         if i in gcd_at:
             h_minus_x = list(h)
             h_minus_x[1] = base.sub_enc(h[1], 1)
-            if not _poly_coprime(base, h_minus_x, coeffs):
-                return False
+            if len(_poly_xgcd(base, h_minus_x, coeffs)[0]) != 1:
+                return False  # a nonconstant common factor
     return h == x
 
 

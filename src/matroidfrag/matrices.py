@@ -6,12 +6,14 @@ elements are the row labels, and in that reading every label names one
 matroid element.  Entries are stored as integer encodings; the public
 accessor hands back FieldElem values.
 
-Rank is exact Gaussian elimination and has one kernel, `block_rank`:
-the rank of A with some rows dropped, on some columns.  Matrix rank,
-`submatrix_rank` and the matroid rank oracle all call it.  Over GF(2)
-each column is packed into an int once per matrix and rows are dropped
-by masking; every other field runs the generic elimination on
-encodings.
+Rank is exact Gaussian elimination, on two paths.  `block_rank`
+answers single queries: the rank of A with some rows dropped, on some
+columns.  Matrix rank, `submatrix_rank` and the matroid rank oracle all
+call it.  `rank_table` answers complete sweeps: the matroid rank of
+every subset of a label list, in one depth-first elimination walk,
+for the certifiers that would otherwise query all 2^n subsets.  Over
+GF(2) both read each column packed into an int once per matrix (rows
+are dropped by masking); every other field eliminates on encodings.
 """
 
 from __future__ import annotations
@@ -188,17 +190,23 @@ class LabeledMatrix:
         return block_rank(self, 0, range(len(self.cols)))
 
 
+def _gf2_columns(A: LabeledMatrix) -> tuple[int, ...]:
+    """The columns of a GF(2) matrix packed once per matrix: column j
+    has bit i set iff A[i][j] is one."""
+    packed = A._gf2_cols
+    if packed is None:
+        packed = A._gf2_cols = tuple(
+            sum(1 << i for i, row in enumerate(A._data) if row[j])
+            for j in range(len(A.cols))
+        )
+    return packed
+
+
 def block_rank(A: LabeledMatrix, drop: int, cols: Iterable[int]) -> int:
     """Rank of A without the rows whose bits are set in `drop`, on the
-    columns at positions `cols`.  The one rank kernel of the package."""
+    columns at positions `cols`.  The rank kernel for single queries."""
     if A.field.order == 2:
-        packed = A._gf2_cols
-        if packed is None:
-            # column j packed with bit i set iff A[i][j] is one
-            packed = A._gf2_cols = tuple(
-                sum(1 << i for i, row in enumerate(A._data) if row[j])
-                for j in range(len(A.cols))
-            )
+        packed = A._gf2_cols or _gf2_columns(A)
         keep = ~drop
         return rank_gf2(packed[j] & keep for j in cols)
     cols = list(cols)
@@ -217,6 +225,87 @@ def submatrix_rank(A: LabeledMatrix, labels: Iterable[str]) -> int:
         raise UnknownLabel(f"labels not in matrix: {sorted(unknown)}")
     drop = sum(1 << i for i, r in enumerate(A.rows) if r not in want)
     return block_rank(A, drop, [j for j, c in enumerate(A.cols) if c in want])
+
+
+def rank_table(A: LabeledMatrix, labels: Sequence[str]) -> bytearray:
+    """The rank, in the matroid of [I | A], of every subset of `labels`,
+    as a bytearray indexed by bitmask: bit i stands for labels[i].
+
+    One depth-first walk fills the table.  A node is an independent
+    subset; it holds the vectors of the labels after its highest bit,
+    reduced modulo its span (a row label's vector is its unit vector).
+    A child takes one more label: if its reduced vector is nonzero the
+    child is independent, and that vector becomes a pivot the child's
+    remaining vectors are reduced by.  If it is zero the label lies in
+    the node's span, so every superset ranks as it does without the
+    label, and the child's subtree is copied from the node's subtree
+    over the later labels, which the walk has filled already since it
+    takes children from the last label down.  A child of full row rank
+    fills its subtree with that rank.  So the walk visits only the
+    independent sets that are not spanning; every other entry is
+    written by a slice.
+    """
+    n = len(labels)
+    if len(set(labels)) != n:
+        raise InvalidArgs(f"duplicate label in {list(labels)}")
+    unknown = set(labels) - A.labels()
+    if unknown:
+        raise UnknownLabel(f"labels not in matrix: {sorted(unknown)}")
+    m = len(A.rows)
+    row_pos, col_pos = A._row_pos, A._col_pos
+    if A.field.order == 2:
+        packed = _gf2_columns(A)
+        vecs = [1 << row_pos[v] if v in row_pos else packed[col_pos[v]] for v in labels]
+
+        def reduce(pivot: int, rest: list) -> list:
+            h = pivot.bit_length() - 1
+            return [w ^ pivot if w >> h & 1 else w for w in rest]
+
+    else:
+        mul, sub, inv = A.field.mul_enc, A.field.sub_enc, A.field.inv_enc
+        # a vector is a tuple of encodings, or () when it is zero
+        vecs = []
+        for v in labels:
+            if v in row_pos:
+                vec = tuple(int(i == row_pos[v]) for i in range(m))
+            else:
+                vec = A.column_encs(v)
+            vecs.append(vec if any(vec) else ())
+
+        def reduce(pivot: tuple, rest: list) -> list:
+            support = [(i, x) for i, x in enumerate(pivot) if x]
+            h, lead = support[0]
+            lead = inv(lead)
+            out = []
+            for w in rest:
+                if w and w[h]:
+                    f = mul(w[h], lead)
+                    w = list(w)
+                    for i, x in support:
+                        w[i] = sub(w[i], mul(f, x))
+                    w = tuple(w) if any(w) else ()
+                out.append(w)
+            return out
+
+    table = bytearray(1 << n)
+
+    def walk(mask: int, r: int, lo: int, red: list) -> None:
+        # red[j - lo] is the vector of labels[j], reduced modulo the span
+        # of mask; every bit of mask lies below lo, so for x < 2^(j+1),
+        # table[x::step] is x joined with each subset of the labels after j
+        for j in range(n - 1, lo - 1, -1):
+            child, step = mask | 1 << j, 1 << (j + 1)
+            v = red[j - lo]
+            if not v:
+                table[child::step] = table[mask::step]
+            elif r + 1 == m:
+                table[child::step] = bytes((m,)) * (1 << (n - j - 1))
+            else:
+                table[child] = r + 1
+                walk(child, r + 1, j + 1, reduce(v, red[j - lo + 1 :]))
+
+    walk(0, 0, 0, vecs)
+    return table
 
 
 def rank_gf2(masks: Iterable[int]) -> int:

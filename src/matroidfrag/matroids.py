@@ -16,8 +16,9 @@ derived representation deterministic.  Duality transposes and negates
 the representing block.
 
 Everything here is exact and exponential where it says it is: `equals`
-compares rank functions on all subsets and refuses ground sets larger
-than the cap unless explicitly overridden.
+compares the rank tables of the two matroids (`matrices.rank_table`,
+one byte per subset) and refuses ground sets larger than the cap
+unless explicitly overridden.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from .errors import (
     UnknownLabel,
 )
 from .galois import FieldSpec, make_prime_field
-from .matrices import LabeledMatrix, block_rank
-from .subsets import subsets_by_size
+from .matrices import LabeledMatrix, block_rank, rank_table
 
 EQUALS_CAP_DEFAULT = 16
 
@@ -258,7 +258,11 @@ class ReprMatroid:
     # -- matroid predicates ---------------------------------------------------------
 
     def equals(self, other: "ReprMatroid", *, max_ground: int = EQUALS_CAP_DEFAULT) -> bool:
-        """Rank functions agree on every subset of a shared ground set."""
+        """Rank functions agree on every subset of a shared ground set.
+
+        Compares the two rank tables over the sorted ground set, built
+        fresh from each representation: no rank query and no rank cache
+        is involved."""
         if self.ground != other.ground:
             return False
         if len(self.ground) > max_ground:
@@ -266,10 +270,8 @@ class ReprMatroid:
                 f"|E| = {len(self.ground)} exceeds equals cap {max_ground}; "
                 "pass max_ground explicitly to override"
             )
-        for X in subsets_by_size(self.ground):
-            if self.rank(X) != other.rank(X):
-                return False
-        return True
+        labels = sorted(self.ground)
+        return rank_table(self.rep, labels) == rank_table(other.rep, labels)
 
     def bases(self) -> frozenset[frozenset[str]]:
         if self._bases_cache is None:

@@ -43,6 +43,7 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Iterable
 
 from .errors import (
+    CapExceeded,
     InvalidArgs,
     LabelCollision,
     NotFragile,
@@ -56,9 +57,9 @@ from .fragility import (
     x_fragile_failure,
 )
 from .galois import DEGREE_CAP_DEFAULT, FieldSpec, extend_field, is_in_subfield, subfield_basis
-from .matrices import LabeledMatrix, submatrix_rank
-from .matroids import MinorSpec, ReprMatroid, is_relaxation, isolated
-from .subsets import subsets_by_size
+from .matrices import LabeledMatrix, rank_table
+from .matroids import EQUALS_CAP_DEFAULT, MinorSpec, ReprMatroid, is_relaxation, isolated
+from .subsets import first_by_size
 
 
 def _fresh_label(stem: str, used: set[str]) -> str:
@@ -161,7 +162,11 @@ def free_extension(
     defaults to max(1, |X|) and may be raised (never lowered) with
     `degree`.  The defining property of a free placement is re-checked
     exhaustively before returning: every subset of the old ground set
-    that spans e must span all of X, and X spans e.
+    that spans e must span all of X, and X spans e.  Both are read off
+    one rank table over the old ground set and e, so the old ground set
+    may have at most EQUALS_CAP_DEFAULT (16) elements; a larger one
+    raises CapExceeded before the field is extended.  A failure names
+    the first failing subset in size-then-lex order.
     """
     Xf = frozenset(X)
     not_cols = Xf - frozenset(A.cols)
@@ -174,6 +179,11 @@ def free_extension(
     d = need if degree is None else degree
     if d < need:
         raise InvalidArgs(f"degree {d} below the minimum {need} for |X| = {k}")
+    old = sorted(A.labels())
+    if len(old) > EQUALS_CAP_DEFAULT:
+        raise CapExceeded(
+            f"|E| = {len(old)} exceeds the free-extension cap {EQUALS_CAP_DEFAULT}"
+        )
     F = A.field
     F2 = extend_field(F, d, degree_cap=degree_cap)
     lifted = A.lift(F2) if F2 != F else A
@@ -188,16 +198,17 @@ def free_extension(
         col_encs.append(acc)
     out = lifted.with_column(e, col_encs)
 
-    Mn = ReprMatroid(out)
-    old_ground = frozenset(A.rows) | frozenset(A.cols)
-    if Mn.rank(Xf | {e}) != Mn.rank(Xf):
+    # S spans e iff T[S + e] == T[S], and S spans X iff T[S + X] == T[S]
+    T = rank_table(out, old + [e])
+    ebit = 1 << len(old)
+    xmask = sum(1 << i for i, v in enumerate(old) if v in Xf)
+    if T[xmask | ebit] != T[xmask]:
         raise PostconditionViolation("new element does not lie on the span of X")
-    for S in subsets_by_size(old_ground):
-        rs = Mn.rank(S)
-        if Mn.rank(S | {e}) == rs and Mn.rank(S | Xf) != rs:
-            raise PostconditionViolation(
-                f"subset {sorted(S)} spans the new element but not all of X"
-            )
+    fails = [s for s in range(ebit) if T[s | ebit] == T[s] != T[s | xmask]]
+    if fails:
+        raise PostconditionViolation(
+            f"subset {first_by_size(fails, old)} spans the new element but not all of X"
+        )
     return out
 
 
@@ -339,7 +350,9 @@ def relax_entry(
 
     Verified before returning: the two representations have equal ranks
     on every label subset except exactly {c, d}, and M2 is a relaxation
-    of M1 at H.
+    of M1 at H.  The first check compares the rank tables of M1 and M2,
+    so M may have at most EQUALS_CAP_DEFAULT (16) elements; a larger one
+    raises CapExceeded before any work on the relaxation.
     """
     Cf, Df = frozenset(C), frozenset(D)
     rest = M.ground - Cf - Df
@@ -370,6 +383,11 @@ def _relax_entry(
 ) -> tuple[ReprMatroid, ReprMatroid, frozenset[str]]:
     """relax_entry once Cf is certified the contract set of the unique
     partition realising the isolated coloop/loop pair (c, d)."""
+    labels = sorted(M.ground)
+    if len(labels) > EQUALS_CAP_DEFAULT:
+        raise CapExceeded(
+            f"|E| = {len(labels)} exceeds the relax sweep cap {EQUALS_CAP_DEFAULT}"
+        )
     A1 = M.rebase(Cf | {c}).rep
     if A1.enc(c, d) != 0:
         raise PostconditionViolation("displayed coloop/loop entry is nonzero")
@@ -387,13 +405,20 @@ def _relax_entry(
     M2 = ReprMatroid(A2)
     H = Cf | {d}
 
-    pair = frozenset({c, d})
-    for Z in subsets_by_size(A1.labels()):
-        differs = submatrix_rank(A1, Z) != submatrix_rank(A2, Z)
-        if differs != (Z == pair):
-            raise PostconditionViolation(
-                f"rank difference pattern wrong at {sorted(Z)}"
-            )
+    # In the matroid of [I | A] with rows R and columns C, a set Y has
+    # rank |Y & R| + rank(A[R - Y, Y & C]); taking Y = Z ^ R gives
+    #     rank(A[Z]) = r((R - Z) | (Z & C)) - |R - Z|,
+    # so the submatrix ranks of A1 and A2 differ at Z iff their tables
+    # differ at Z ^ R.  They must differ at Z = {c, d} alone.
+    T1, T2 = rank_table(A1, labels), rank_table(A2, labels)
+    bit = {v: 1 << i for i, v in enumerate(labels)}
+    rmask = sum(bit[v] for v in A1.rows)
+    pair = bit[c] | bit[d]
+    wrong = [z for z in range(len(T1)) if (T1[z ^ rmask] != T2[z ^ rmask]) != (z == pair)]
+    if wrong:
+        raise PostconditionViolation(
+            f"rank difference pattern wrong at {first_by_size(wrong, labels)}"
+        )
     if not is_relaxation(M1, M2, H):
         raise PostconditionViolation("altered matroid is not a relaxation at H")
     return M1, M2, H

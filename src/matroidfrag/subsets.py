@@ -9,7 +9,7 @@ the caller.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 def subsets_by_size(labels: Iterable[str], *, min_size: int = 0) -> Iterator[frozenset[str]]:
@@ -17,6 +17,18 @@ def subsets_by_size(labels: Iterable[str], *, min_size: int = 0) -> Iterator[fro
     for r in range(min_size, len(items) + 1):
         for combo in combinations(items, r):
             yield frozenset(combo)
+
+
+def first_by_size(masks: Iterable[int], labels: Sequence[str]) -> list[str]:
+    """Of the subsets given as bitmasks over the sorted `labels` (bit i
+    stands for labels[i]), the one `subsets_by_size` yields first, as a
+    sorted list of labels."""
+
+    def members(s: int) -> list[int]:
+        return [i for i in range(len(labels)) if s >> i & 1]
+
+    first = min(masks, key=lambda s: (len(members(s)), members(s)))
+    return [labels[i] for i in members(first)]
 
 
 def partitions_of(labels: Iterable[str]) -> Iterator[tuple[frozenset[str], frozenset[str]]]:

@@ -30,6 +30,8 @@ GF9 = extend_field(GF3, 2)
 GF16_OVER_GF4 = extend_field(GF4, 2)
 GF5 = make_prime_field(5)
 GF16 = extend_field(GF2, 4)
+GF27 = extend_field(GF3, 3)
+GF256 = extend_field(GF2, 8)
 
 
 def check_axioms(F):
@@ -405,3 +407,36 @@ def test_gcd_branch_rejects_product_of_quadratics():
         field_from_tower(2, [GF16.steps[0], (4, f)], degree_cap=32)
     canonical = list(CONFORMANCE_TOWERS[(2, 4)])
     assert field_from_tower(2, canonical, degree_cap=32) is _conformance_tower(2, 4)
+
+
+def test_sub_enc_matches_add_of_negation():
+    # the characteristic-2 and prime-field fast paths against the
+    # general definition a - b = a + (-b)
+    for F in (GF2, GF3, GF5, GF4, GF8, GF9, GF27, GF16_OVER_GF4):
+        for a in range(F.order):
+            for b in range(F.order):
+                assert F.sub_enc(a, b) == F.add_enc(a, F.neg_enc(b))
+
+
+def _check_inverse(F, elems):
+    F._inv_cache.clear()
+    for a in elems:
+        inv = F.inv_enc(a)
+        assert F.mul_enc(a, inv) == 1
+        assert inv == F.pow_enc(a, F.order - 2)  # Fermat: a^(q-2) = a^-1
+
+
+def test_inverse_by_euclid_exhaustive():
+    for F in (GF4, GF8, GF9, GF27, GF256, GF16_OVER_GF4):
+        _check_inverse(F, range(1, F.order))
+
+
+def test_inverse_by_euclid_on_towers():
+    # GF(2^16) and GF(3^9) are the two-step levels of the GF(2) k=4 and
+    # GF(3) k=3 conformance towers, GF(2^32) the whole k=4 tower
+    from random import Random
+
+    rng = Random(7)
+    gf2_32 = _conformance_tower(2, 4)
+    for F in (gf2_32.base, gf2_32, _conformance_tower(3, 3).base):
+        _check_inverse(F, [rng.randrange(1, F.order) for _ in range(500)])

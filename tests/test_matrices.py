@@ -12,15 +12,20 @@ from matroidfrag import (
     LabelCollision,
     LabeledMatrix,
     NotASubfield,
+    ReprMatroid,
     UnknownLabel,
     extend_field,
     make_prime_field,
     submatrix_rank,
 )
+from matroidfrag.matrices import rank_table
 
 GF2 = make_prime_field(2)
 GF3 = make_prime_field(3)
 GF4 = extend_field(GF2, 2)
+GF8 = extend_field(GF2, 3)
+GF9 = extend_field(GF3, 2)
+GF16_OVER_GF4 = extend_field(GF4, 2)
 
 
 def rowspace_rank(A):
@@ -207,3 +212,59 @@ def test_gf2_bitmask_rank_matches_generic_elimination():
         want = _rank_generic(GF2, block) if block and cols else 0
         assert block_rank(A, drop, cols) == want
         assert A.rank() == (_rank_generic(GF2, [list(r) for r in data]) if nrows else 0)
+
+
+def assert_table_matches_rank(A, labels):
+    M = ReprMatroid(A)
+    table = rank_table(A, labels)
+    assert len(table) == 1 << len(labels)
+    for s in range(len(table)):
+        S = frozenset(v for i, v in enumerate(labels) if s >> i & 1)
+        assert table[s] == M.rank(S), (A, labels, sorted(S))
+
+
+def test_rank_table_matches_rank_oracle():
+    # every subset of a random choice of labels, in shuffled order: the
+    # whole ground set, rows only, columns only, or a random part of it
+    from random import Random
+
+    rng = Random(4)
+    fields = (GF2, GF3, GF4, GF8, GF9, GF16_OVER_GF4)
+    for t in range(300):
+        F = fields[t % len(fields)]
+        nrows, ncols = rng.randint(0, 5), rng.randint(0, 5)
+        rows = [f"r{i}" for i in range(nrows)]
+        cols = [f"c{j}" for j in range(ncols)]
+        density = rng.random()
+        data = [[rng.randrange(F.order) if rng.random() < density else 0 for _ in cols]
+                for _ in rows]
+        A = LabeledMatrix(F, rows, cols, data)
+        labels = [rows + cols, rows, cols, [v for v in rows + cols if rng.random() < 0.5]][t % 4]
+        labels = list(labels)
+        rng.shuffle(labels)
+        assert_table_matches_rank(A, labels)
+
+
+def test_rank_table_frozen_cases():
+    # empty labels, an empty matrix, a zero matrix
+    A = LabeledMatrix(GF3, ["a", "b"], ["x", "y", "z"], [[1, 2, 0], [0, 1, 1]])
+    assert rank_table(A, []) == bytearray([0])
+    assert rank_table(LabeledMatrix(GF2, [], [], []), []) == bytearray([0])
+    Z = LabeledMatrix(GF4, ["a", "b"], ["x", "y"], [[0, 0], [0, 0]])
+    assert rank_table(Z, ["x", "y"]) == bytearray(4)
+    assert_table_matches_rank(Z, ["y", "a", "x", "b"])
+    # {x, y} reaches full row rank after two labels, so the subtree over
+    # z, a and b is filled with rank 2 in one slice
+    assert rank_table(A, ["x", "y", "z", "a", "b"])[0b11:: 1 << 2] == bytearray([2] * 8)
+    assert_table_matches_rank(A, ["x", "y", "z", "a", "b"])
+    G = LabeledMatrix(GF2, ["a", "b"], ["x", "y", "z"], [[1, 0, 1], [0, 1, 1]])
+    assert_table_matches_rank(G, ["x", "y", "z", "a", "b"])
+    assert rank_table(G, ["a", "b"]) == bytearray([0, 1, 1, 2])
+
+
+def test_rank_table_label_checks():
+    A = LabeledMatrix(GF2, ["a"], ["x"], [[1]])
+    with pytest.raises(UnknownLabel):
+        rank_table(A, ["a", "q"])
+    with pytest.raises(InvalidArgs):
+        rank_table(A, ["a", "a"])

@@ -281,3 +281,30 @@ def test_rank_oracle_matches_plain_elimination(F):
             X = frozenset(e for e in rows + cols if rng.random() < 0.5)
             block = [[A.enc(r, c) for c in cols if c in X] for r in rows if r not in X]
             assert M.rank(X) == len(X & set(rows)) + plain_rank(F, block)
+
+
+def test_equals_matches_subset_sweep():
+    # equals compares two rank tables; the reference compares rank
+    # queries subset by subset
+    from random import Random
+
+    from matroidfrag import subsets_by_size
+
+    rng = Random(3)
+    verdicts = []
+    for t in range(60):
+        F = (GF2, GF3, GF4)[t % 3]
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+        rows = [f"r{i}" for i in range(nrows)]
+        cols = [f"c{j}" for j in range(ncols)]
+        A = LabeledMatrix(F, rows, cols, [[rng.randrange(F.order) for _ in cols] for _ in rows])
+        M = ReprMatroid(A)
+        if t % 2:
+            other = ReprMatroid(A.set_entry(rng.choice(rows), rng.choice(cols),
+                                            rng.randrange(F.order)))
+        else:
+            other = M.rebase(rng.choice(sorted(M.bases(), key=sorted)))
+        want = all(M.rank(X) == other.rank(X) for X in subsets_by_size(M.ground))
+        assert M.equals(other) == want
+        verdicts.append(want)
+    assert 10 <= verdicts.count(False) <= 50

@@ -6,13 +6,17 @@ PostconditionViolation on failure, so a clean return is itself a
 certificate; the assertions below pin the concrete outputs.
 """
 
+from random import Random
+
 import pytest
 
 from matroidfrag import (
+    CapExceeded,
     InvalidArgs,
     LabelCollision,
     LabeledMatrix,
     NotFragile,
+    PostconditionViolation,
     ReprMatroid,
     UnknownLabel,
     collapse_side,
@@ -27,11 +31,45 @@ from matroidfrag import (
     pipeline,
     reduce_to_two,
     relax_entry,
+    submatrix_rank,
+    subsets_by_size,
     zero_out,
 )
+from matroidfrag import fragility, matrices, reductions
+from matroidfrag.fragility import PARTITION_CAP_DEFAULT
+from matroidfrag.galois import DEGREE_CAP_DEFAULT
 
 GF2 = make_prime_field(2)
+GF3 = make_prime_field(3)
 GF4 = extend_field(GF2, 2)
+
+
+# -- references: the per-subset sweeps that rank tables replaced -------------
+
+
+def free_placement_failure(out, X, e):
+    """The message free_extension raises for the extended matrix `out`,
+    or None: the free-placement check as a loop of rank queries."""
+    Mn = ReprMatroid(out)
+    Xf = frozenset(X)
+    if Mn.rank(Xf | {e}) != Mn.rank(Xf):
+        return "new element does not lie on the span of X"
+    for S in subsets_by_size(out.labels() - {e}):
+        rs = Mn.rank(S)
+        if Mn.rank(S | {e}) == rs and Mn.rank(S | Xf) != rs:
+            return f"subset {sorted(S)} spans the new element but not all of X"
+    return None
+
+
+def relax_sweep_failure(A1, A2, c, d):
+    """The message of relax_entry's rank-difference sweep, or None: the
+    submatrix ranks of A1 and A2 must differ at {c, d} alone."""
+    pair = frozenset({c, d})
+    for Z in subsets_by_size(A1.labels()):
+        differs = submatrix_rank(A1, Z) != submatrix_rank(A2, Z)
+        if differs != (Z == pair):
+            return f"rank difference pattern wrong at {sorted(Z)}"
+    return None
 
 
 def pair_matroid():
@@ -89,6 +127,129 @@ def test_free_extension_label_checks():
         free_extension(A, {"r1"}, "e")  # rows are not a flat of columns
     with pytest.raises(LabelCollision):
         free_extension(A, {"a"}, "a")
+
+
+def test_free_extension_failures_match_the_reference(monkeypatch):
+    # dependent coefficients (all one) put e on a proper subflat of X's
+    # span, so the free-placement check must fail whenever |X| >= 2 and
+    # report the reference's first failing subset
+    monkeypatch.setattr(reductions, "subfield_basis", lambda ext, over: [ext.one] * 8)
+    rng = Random(11)
+    raised = 0
+    for t in range(60):
+        F = (GF2, GF3)[t % 2]
+        nrows, ncols = rng.randint(1, 4), rng.randint(2, 5)
+        rows = [f"r{i}" for i in range(nrows)]
+        cols = [f"c{j}" for j in range(ncols)]
+        A = LabeledMatrix(F, rows, cols,
+                          [[rng.randrange(F.order) for _ in cols] for _ in rows])
+        X = sorted(c for c in cols if rng.random() < 0.8)
+        F2 = extend_field(F, max(1, len(X)))
+        lifted = A.lift(F2)
+        column = []
+        for r in rows:
+            acc = 0
+            for v in X:
+                acc = F2.add_enc(acc, lifted.enc(r, v))
+            column.append(acc)
+        out = lifted.with_column("e", column)
+        want = free_placement_failure(out, X, "e")
+        if want is None:
+            assert free_extension(A, X, "e") == out
+        else:
+            raised += 1
+            with pytest.raises(PostconditionViolation) as exc:
+                free_extension(A, X, "e")
+            assert str(exc.value) == want
+    assert raised >= 30
+
+
+def test_sweeps_check_the_cap_first(monkeypatch):
+    def no_field(*args, **kwargs):
+        raise AssertionError("extend_field called before the cap check")
+
+    monkeypatch.setattr(reductions, "extend_field", no_field)
+    # 17 elements: one row, 16 parallel columns
+    A = LabeledMatrix(GF2, ["r"], [f"c{j:02d}" for j in range(16)], [[1] * 16])
+    with pytest.raises(CapExceeded, match="free-extension cap 16"):
+        free_extension(A, {"c00", "c01"}, "e")
+    # refused before the rebase, which would reject the non-basis {c00}
+    with pytest.raises(CapExceeded, match="relax sweep cap 16"):
+        reductions._relax_entry(ReprMatroid(A), frozenset(), "c00", "c01",
+                                DEGREE_CAP_DEFAULT, PARTITION_CAP_DEFAULT)
+
+
+def test_relax_sweep_failures_match_the_reference(monkeypatch):
+    # with the pair-fragility check switched off, relaxing a zero entry
+    # of a random matrix changes other submatrix ranks as well; the sweep
+    # must name the reference's first wrong subset
+    monkeypatch.setattr(reductions, "x_fragile_failure", lambda *args, **kwargs: None)
+    rng = Random(5)
+    raised = 0
+    for t in range(40):
+        F = (GF2, GF3)[t % 2]
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+        rows = [f"r{i}" for i in range(nrows)]
+        cols = [f"c{j}" for j in range(ncols)]
+        data = [[rng.randrange(F.order) for _ in cols] for _ in rows]
+        c, d = rng.choice(rows), rng.choice(cols)
+        data[rows.index(c)][cols.index(d)] = 0
+        A1 = LabeledMatrix(F, rows, cols, data)
+        F2 = extend_field(F, 2)
+        want = relax_sweep_failure(A1, A1.lift(F2).set_entry(c, d, F2.gen), c, d)
+        if want is None:
+            continue
+        raised += 1
+        with pytest.raises(PostconditionViolation) as exc:
+            reductions._relax_entry(ReprMatroid(A1), frozenset(rows) - {c}, c, d,
+                                    DEGREE_CAP_DEFAULT, PARTITION_CAP_DEFAULT)
+        assert str(exc.value) == want
+    assert raised >= 20
+
+
+def test_sweeps_make_no_rank_queries(monkeypatch):
+    # the free-placement check and the rank-difference sweep read rank
+    # tables; rank queries only come from the other checks of relax_entry
+    calls = 0
+    outside = 0
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            nonlocal calls
+            calls += not outside
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def uncounted(fn):
+        def wrapper(*args, **kwargs):
+            nonlocal outside
+            outside += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                outside -= 1
+
+        return wrapper
+
+    monkeypatch.setattr(ReprMatroid, "rank", counted(ReprMatroid.rank))
+    for module in (matrices, fragility, reductions):
+        monkeypatch.setattr(module, "submatrix_rank", counted(matrices.submatrix_rank),
+                            raising=False)
+    monkeypatch.setattr(ReprMatroid, "rebase", uncounted(ReprMatroid.rebase))
+    monkeypatch.setattr(reductions, "x_fragile_failure",
+                        uncounted(fragility.x_fragile_failure))
+    monkeypatch.setattr(reductions, "is_relaxation", uncounted(reductions.is_relaxation))
+
+    A = LabeledMatrix(GF3, ["r1", "r2", "r3"], ["a", "b", "x"],
+                      [[1, 0, 2], [0, 1, 1], [1, 1, 0]])
+    free_extension(A, {"a", "b"}, "e")
+    assert calls == 0
+    M = ReprMatroid(LabeledMatrix(GF2, ["a", "b"], ["c", "d"], [[0, 1], [1, 0]]))
+    M1, M2, H = reductions._relax_entry(M, frozenset({"b"}), "a", "c",
+                                        DEGREE_CAP_DEFAULT, PARTITION_CAP_DEFAULT)
+    assert H == {"b", "c"}
+    assert calls == 0
 
 
 # -- zero_out -----------------------------------------------------------------
