@@ -2,15 +2,18 @@
 
 A matroid M is fragile with respect to a fixed minor N on a fixed label
 set when exactly one partition (C, D) of E(M) - E(N) realises N as
-M contract C delete D.  `fragile_partitions` finds every realising
-partition by brute force, so the certificate is the whole search space,
-not a heuristic.
+M contract C delete D.  `fragile_partitions` checks every partition
+against the rank table of M (`matrices.rank_table`, one byte per
+subset of E(M)) and that of N, so the certificate is the whole search
+space, not a heuristic.
 
 The matrix-side notion: a labeled matrix A is X-fragile when the block
 A[X] vanishes and adjoining X to any nonempty disjoint Y strictly
-increases rank.  The two notions meet in `reductions`: zeroing the
-displayed block of a fragile pair produces an X-fragile matrix, and
-X-fragile matrices display isolated-minor fragility.
+increases rank.  `x_fragile_failure` reads that condition off two rank
+tables over the labels outside X.  The two notions meet in
+`reductions`: zeroing the displayed block of a fragile pair produces an
+X-fragile matrix, and X-fragile matrices display isolated-minor
+fragility.
 
 A realising partition (C, D) also names the bases that display N
 through it: the bases of M made of C and elements of E(N).
@@ -29,9 +32,9 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import CapExceeded, GroundSetMismatch, UnknownLabel
-from .matrices import LabeledMatrix, submatrix_rank
+from .matrices import LabeledMatrix, block_rank, rank_table
 from .matroids import MinorSpec, ReprMatroid
-from .subsets import partitions_of, subsets_by_size
+from .subsets import first_by_size, partitions_of
 
 PARTITION_CAP_DEFAULT = 12
 SUBSET_CAP_DEFAULT = 12
@@ -55,13 +58,17 @@ def fragile_partitions(
             f"|E(M)-E(N)| = {len(rest)} exceeds partition cap {cap}"
         )
     # M/C\D has ground set E(N) for every partition, and its rank of X
-    # is rank_M(X | C) - rank_M(C), so the comparison runs on M's cached
-    # rank function instead of materialising 2^|rest| pivoted minors
-    rN = [(X, N.rank(X)) for X in subsets_by_size(N.ground, min_size=1)]
+    # is r_M(X | C) - r_M(C).  With E(N) on the low n bits of T, the
+    # ranks of X | C over every X are the slice of T from the mask of C
+    n = len(N.ground)
+    order = sorted(N.ground) + sorted(rest)
+    bit = {v: 1 << i for i, v in enumerate(order)}
+    T = rank_table(M.rep, order)
+    TN = rank_table(N.rep, order[:n])
     found = []
     for C, D in partitions_of(rest):
-        rc = M.rank(C)
-        if all(M.rank(X | C) - rc == rx for X, rx in rN):
+        cm = sum(bit[v] for v in C)
+        if T[cm : cm + (1 << n)] == bytes(t + T[cm] for t in TN):
             found.append(MinorSpec(C, D))
     return frozenset(found)
 
@@ -98,12 +105,23 @@ def x_fragile_failure(
         for c in xc:
             if A.enc(r, c):
                 return ("block_nonzero", (r, c))
-    rest = A.labels() - Xf
+    rest = sorted(A.labels() - Xf)
     if len(rest) > cap:
         raise CapExceeded(f"|labels - X| = {len(rest)} exceeds subset cap {cap}")
-    for Y in subsets_by_size(rest, min_size=1):
-        if submatrix_rank(A, Xf | Y) <= submatrix_rank(A, Y):
-            return ("rank_not_increased", Y)
+    # In the matroid M of [I | A] with rows R, rank(A[Z]) is
+    # r_M((R - Z) | (Z - R)) - |R - Z|.  With Xr = X & R, Xc = X - R and
+    # W = Y ^ (R - X) for Y disjoint from X, that gives
+    #     rank(A[X | Y]) <= rank(A[Y])  iff  r_M(W | Xc) <= r_M(W | Xr) - |Xr|,
+    # and the two sides are tables of M/Xc\Xr and M/Xr\Xc over the
+    # labels outside X, the first offset by r_M(Xc).
+    M = ReprMatroid(A)
+    Tc = rank_table(M.minor(xc, xr).rep, rest)
+    Tr = rank_table(M.minor(xr, xc).rep, rest)
+    rc = block_rank(A, 0, [A._col_pos[c] for c in xc])
+    rmask = sum(1 << i for i, v in enumerate(rest) if v in A._row_pos)
+    fails = [y for y in range(1, len(Tc)) if Tc[y ^ rmask] + rc <= Tr[y ^ rmask]]
+    if fails:
+        return ("rank_not_increased", frozenset(first_by_size(fails, rest)))
     return None
 
 

@@ -6,14 +6,18 @@ elements are the row labels, and in that reading every label names one
 matroid element.  Entries are stored as integer encodings; the public
 accessor hands back FieldElem values.
 
-Rank is exact Gaussian elimination, on two paths.  `block_rank`
-answers single queries: the rank of A with some rows dropped, on some
-columns.  Matrix rank, `submatrix_rank` and the matroid rank oracle all
-call it.  `rank_table` answers complete sweeps: the matroid rank of
-every subset of a label list, in one depth-first elimination walk,
-for the certifiers that would otherwise query all 2^n subsets.  Over
+Rank is exact Gaussian elimination by one step per field kind: a
+pivot vector clears its leading coordinate from the vectors after it
+(XOR on packed ints over GF(2), field operations on tuples of
+encodings elsewhere).  The step has two callers.  `block_rank` answers
+single queries, the rank of A with some rows dropped, on some columns:
+each nonzero vector in turn becomes a pivot.  Matrix rank,
+`submatrix_rank` and the matroid rank oracle call it.  `rank_table`
+answers complete sweeps: the matroid rank of every subset of a label
+list, in one depth-first walk that reduces by the step at each node.
+Every exhaustive certificate in the package reads such a table.  Over
 GF(2) both read each column packed into an int once per matrix (rows
-are dropped by masking); every other field eliminates on encodings.
+are dropped by masking).
 """
 
 from __future__ import annotations
@@ -211,14 +215,13 @@ def block_rank(A: LabeledMatrix, drop: int, cols: Iterable[int]) -> int:
         return rank_gf2(packed[j] & keep for j in cols)
     cols = list(cols)
     rows = [row for i, row in enumerate(A._data) if not drop >> i & 1]
-    if not rows or not cols:
-        return 0
     return _rank_generic(A.field, [[row[j] for j in cols] for row in rows])
 
 
 def submatrix_rank(A: LabeledMatrix, labels: Iterable[str]) -> int:
-    """rank(A[X]) without materialising the submatrix; used by the
-    subset-enumeration certifiers, where allocation cost would dominate."""
+    """rank(A[X]) without materialising the submatrix.  The certifiers
+    read rank tables; the suites re-check their results subset by
+    subset with this query, independently of the tables."""
     want = frozenset(labels)
     unknown = want - A.labels()
     if unknown:
@@ -256,36 +259,14 @@ def rank_table(A: LabeledMatrix, labels: Sequence[str]) -> bytearray:
     if A.field.order == 2:
         packed = _gf2_columns(A)
         vecs = [1 << row_pos[v] if v in row_pos else packed[col_pos[v]] for v in labels]
-
-        def reduce(pivot: int, rest: list) -> list:
-            h = pivot.bit_length() - 1
-            return [w ^ pivot if w >> h & 1 else w for w in rest]
-
+        reduce = _reduce_gf2
     else:
-        mul, sub, inv = A.field.mul_enc, A.field.sub_enc, A.field.inv_enc
-        # a vector is a tuple of encodings, or () when it is zero
-        vecs = []
-        for v in labels:
-            if v in row_pos:
-                vec = tuple(int(i == row_pos[v]) for i in range(m))
-            else:
-                vec = A.column_encs(v)
-            vecs.append(vec if any(vec) else ())
-
-        def reduce(pivot: tuple, rest: list) -> list:
-            support = [(i, x) for i, x in enumerate(pivot) if x]
-            h, lead = support[0]
-            lead = inv(lead)
-            out = []
-            for w in rest:
-                if w and w[h]:
-                    f = mul(w[h], lead)
-                    w = list(w)
-                    for i, x in support:
-                        w[i] = sub(w[i], mul(f, x))
-                    w = tuple(w) if any(w) else ()
-                out.append(w)
-            return out
+        vecs = _nonzero_or_empty(
+            tuple(int(i == row_pos[v]) for i in range(m)) if v in row_pos
+            else A.column_encs(v)
+            for v in labels
+        )
+        reduce = _generic_reducer(A.field)
 
     table = bytearray(1 << n)
 
@@ -308,48 +289,57 @@ def rank_table(A: LabeledMatrix, labels: Sequence[str]) -> bytearray:
     return table
 
 
-def rank_gf2(masks: Iterable[int]) -> int:
-    """Rank of GF(2) vectors packed as ints."""
-    pivots: dict[int, int] = {}
+def _reduce_gf2(pivot: int, rest: list) -> list:
+    """The elimination step: `rest` with the leading coordinate of the
+    nonzero `pivot` cleared from each vector.  Over GF(2) a vector is an
+    int with bit i for coordinate i; elsewhere it is a tuple of
+    encodings, and () when it is zero."""
+    h = pivot.bit_length() - 1
+    return [w ^ pivot if w >> h & 1 else w for w in rest]
+
+
+def _generic_reducer(field: FieldSpec):
+    """The elimination step on tuples of encodings over `field`."""
+    mul, sub, inv = field.mul_enc, field.sub_enc, field.inv_enc
+
+    def reduce(pivot: tuple, rest: list) -> list:
+        support = [(i, x) for i, x in enumerate(pivot) if x]
+        h, lead = support[0]
+        lead = inv(lead)
+        out = []
+        for w in rest:
+            if w and w[h]:
+                f = mul(w[h], lead)
+                w = list(w)
+                for i, x in support:
+                    w[i] = sub(w[i], mul(f, x))
+                w = tuple(w) if any(w) else ()
+            out.append(w)
+        return out
+
+    return reduce
+
+
+def _nonzero_or_empty(vectors: Iterable[Sequence[int]]) -> list:
+    return [tuple(v) if any(v) else () for v in vectors]
+
+
+def _eliminate(reduce, vecs: list) -> int:
+    """Rank of `vecs`: each nonzero vector in turn becomes a pivot, and
+    the vectors after it are reduced by it."""
     rank = 0
-    for v in masks:
-        while v:
-            h = v.bit_length() - 1
-            p = pivots.get(h)
-            if p is None:
-                pivots[h] = v
-                rank += 1
-                break
-            v ^= p
+    for i in range(len(vecs)):
+        if vecs[i]:
+            rank += 1
+            vecs[i + 1 :] = reduce(vecs[i], vecs[i + 1 :])
     return rank
 
 
-def _rank_generic(field: FieldSpec, mat: list[list[int]]) -> int:
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    mul, sub, inv = field.mul_enc, field.sub_enc, field.inv_enc
-    pivot_row = 0
-    for j in range(n):
-        hit = -1
-        for i in range(pivot_row, m):
-            if mat[i][j]:
-                hit = i
-                break
-        if hit < 0:
-            continue
-        if hit != pivot_row:
-            mat[pivot_row], mat[hit] = mat[hit], mat[pivot_row]
-        pv = inv(mat[pivot_row][j])
-        prow = mat[pivot_row]
-        for i in range(pivot_row + 1, m):
-            f = mat[i][j]
-            if f:
-                factor = mul(f, pv)
-                row = mat[i]
-                for jj in range(j, n):
-                    if prow[jj]:
-                        row[jj] = sub(row[jj], mul(factor, prow[jj]))
-        pivot_row += 1
-        if pivot_row == m:
-            break
-    return pivot_row
+def rank_gf2(masks: Iterable[int]) -> int:
+    """Rank of GF(2) vectors packed as ints."""
+    return _eliminate(_reduce_gf2, list(masks))
+
+
+def _rank_generic(field: FieldSpec, vectors: Iterable[Sequence[int]]) -> int:
+    """Rank of vectors of encodings over `field`."""
+    return _eliminate(_generic_reducer(field), _nonzero_or_empty(vectors))

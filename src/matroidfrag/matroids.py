@@ -3,10 +3,10 @@
 A ReprMatroid wraps a LabeledMatrix A whose row labels are the
 basis-side elements and whose column labels are the rest of the ground
 set; the element vector of a row label is the corresponding unit
-vector.  Rank queries reduce to |X on the row side| plus the rank of
-the complementary block of A, computed by the one rank kernel
-`matrices.block_rank`, and results are cached per matroid, so the
-exhaustive certifications elsewhere in the package stay affordable.
+vector.  A single rank query reduces to |X on the row side| plus the
+rank of the complementary block of A, computed by
+`matrices.block_rank`, and its result is cached per matroid.  The cache
+serves single queries only: no exhaustive sweep goes through it.
 
 Minors are computed by pivoting: contracting a column element first
 pivots it onto the row side, deleting a row element first pivots it out
@@ -17,14 +17,14 @@ the representing block.
 
 Everything here is exact and exponential where it says it is: `equals`
 compares the rank tables of the two matroids (`matrices.rank_table`,
-one byte per subset) and refuses ground sets larger than the cap
-unless explicitly overridden.
+one byte per subset) and `bases` reads one.  Both refuse ground sets of
+more than EQUALS_CAP_DEFAULT (16) elements before they start; the cap
+cannot be overridden.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -100,7 +100,6 @@ class ReprMatroid:
         "_rowset",
         "_colset",
         "_rank_cache",
-        "_bases_cache",
     )
 
     def __init__(self, rep: LabeledMatrix):
@@ -109,7 +108,6 @@ class ReprMatroid:
         self._colset = frozenset(rep.cols)
         self.ground = self._rowset | self._colset
         self._rank_cache: dict[frozenset[str], int] = {}
-        self._bases_cache: frozenset[frozenset[str]] | None = None
 
     @property
     def field(self) -> FieldSpec:
@@ -257,7 +255,17 @@ class ReprMatroid:
 
     # -- matroid predicates ---------------------------------------------------------
 
-    def equals(self, other: "ReprMatroid", *, max_ground: int = EQUALS_CAP_DEFAULT) -> bool:
+    def _table(self, what: str) -> tuple[list[str], bytearray]:
+        """The sorted ground set and its rank table, refused above
+        EQUALS_CAP_DEFAULT elements before any work."""
+        labels = sorted(self.ground)
+        if len(labels) > EQUALS_CAP_DEFAULT:
+            raise CapExceeded(
+                f"|E| = {len(labels)} exceeds {what} cap {EQUALS_CAP_DEFAULT}"
+            )
+        return labels, rank_table(self.rep, labels)
+
+    def equals(self, other: "ReprMatroid") -> bool:
         """Rank functions agree on every subset of a shared ground set.
 
         Compares the two rank tables over the sorted ground set, built
@@ -265,23 +273,19 @@ class ReprMatroid:
         is involved."""
         if self.ground != other.ground:
             return False
-        if len(self.ground) > max_ground:
-            raise CapExceeded(
-                f"|E| = {len(self.ground)} exceeds equals cap {max_ground}; "
-                "pass max_ground explicitly to override"
-            )
-        labels = sorted(self.ground)
-        return rank_table(self.rep, labels) == rank_table(other.rep, labels)
+        labels, table = self._table("equals")
+        return table == rank_table(other.rep, labels)
 
     def bases(self) -> frozenset[frozenset[str]]:
-        if self._bases_cache is None:
-            r = self.rank()
-            self._bases_cache = frozenset(
-                frozenset(c)
-                for c in combinations(sorted(self.ground), r)
-                if self.rank(frozenset(c)) == r
-            )
-        return self._bases_cache
+        """Every basis, read off the rank table over the sorted ground
+        set: the subsets of full rank and of that size."""
+        labels, table = self._table("bases")
+        r = self.rank()
+        return frozenset(
+            frozenset(v for i, v in enumerate(labels) if s >> i & 1)
+            for s, t in enumerate(table)
+            if t == r and s.bit_count() == r
+        )
 
     def closure(self, X: Iterable[str]) -> frozenset[str]:
         Xf = frozenset(X)

@@ -92,16 +92,14 @@ def _flip(part: MinorSpec) -> MinorSpec:
 # stage 1: zero the displayed block
 
 
-def zero_out(
-    M: ReprMatroid, N: ReprMatroid, *, cap: int = PARTITION_CAP_DEFAULT
-) -> tuple[ReprMatroid, LabeledMatrix]:
+def zero_out(M: ReprMatroid, N: ReprMatroid) -> tuple[ReprMatroid, LabeledMatrix]:
     """Zero the E(N) block of a representation of M displaying N.
 
     Requires M fragile with respect to N (exactly one realising
     partition).  Returns the rewritten matroid and its representation,
     whose row-label set is the displaying basis.
     """
-    return _zero_out(M, N, None, cap)[:2]
+    return _zero_out(M, N, None, PARTITION_CAP_DEFAULT)[:2]
 
 
 def _zero_out(
@@ -221,10 +219,6 @@ def collapse_side(
     X1: Iterable[str],
     X2: Iterable[str],
     d: str,
-    *,
-    degree: int | None = None,
-    degree_cap: int = DEGREE_CAP_DEFAULT,
-    cap: int = PARTITION_CAP_DEFAULT,
 ) -> ReprMatroid:
     """Collapse the loop side X2 of an isolated minor to one element d.
 
@@ -238,7 +232,9 @@ def collapse_side(
         raise InvalidArgs(f"sides overlap: {sorted(X1f & X2f)}")
     if d in M.ground:
         raise LabelCollision(f"label {d!r} already in the ground set")
-    return _collapse_side(M, X1f, X2f, d, None, degree, degree_cap, cap)[0]
+    return _collapse_side(
+        M, X1f, X2f, d, None, None, DEGREE_CAP_DEFAULT, PARTITION_CAP_DEFAULT
+    )[0]
 
 
 def _collapse_side(
@@ -272,11 +268,6 @@ def reduce_to_two(
     X2: Iterable[str],
     c: str,
     d: str,
-    *,
-    degree_loops: int | None = None,
-    degree_coloops: int | None = None,
-    degree_cap: int = DEGREE_CAP_DEFAULT,
-    cap: int = PARTITION_CAP_DEFAULT,
 ) -> ReprMatroid:
     """Collapse both sides of an isolated minor to fresh elements c, d.
 
@@ -285,8 +276,7 @@ def reduce_to_two(
     collapse.  The result is fragile for the two-element isolated minor
     (coloop c, loop d), agrees with M off the minor (contracting c and
     deleting d matches contracting X1 and deleting X2), and lives over
-    an extension of total degree max(1,|X1|) * max(1,|X2|) unless larger
-    per-stage degrees are requested.
+    an extension of total degree max(1,|X1|) * max(1,|X2|).
     """
     X1f, X2f = frozenset(X1), frozenset(X2)
     if c == d:
@@ -296,9 +286,10 @@ def reduce_to_two(
             raise LabelCollision(f"label {lab!r} already in the ground set")
     if X1f & X2f:
         raise InvalidArgs(f"sides overlap: {sorted(X1f & X2f)}")
-    Ma, part = _collapse_side(M, X1f, X2f, d, None, degree_loops, degree_cap, cap)
+    dcap, cap = DEGREE_CAP_DEFAULT, PARTITION_CAP_DEFAULT
+    Ma, part = _collapse_side(M, X1f, X2f, d, None, None, dcap, cap)
     Mc, part = _collapse_side(
-        Ma.dual(), frozenset({d}), X1f, c, _flip(part), degree_coloops, degree_cap, cap
+        Ma.dual(), frozenset({d}), X1f, c, _flip(part), None, dcap, cap
     )
     out = Mc.dual()
 
@@ -316,14 +307,11 @@ def reduce_to_two(
             "contracting c and deleting d does not match the original minor"
         )
     dd, rem = divmod(out.field.degree, M.field.degree)
-    want = (degree_loops or max(1, len(X2f))) * (degree_coloops or max(1, len(X1f)))
+    want = max(1, len(X2f)) * max(1, len(X1f))
     if rem or dd != want:
         raise PostconditionViolation(
             f"extension degree {out.field.degree}/{M.field.degree} != {want}"
         )
-    k = len(X1f) + len(X2f)
-    if degree_loops is None and degree_coloops is None and k >= 1 and dd > k * k:
-        raise PostconditionViolation(f"degree {dd} above the k^2 bound {k * k}")
     return out
 
 
@@ -336,7 +324,6 @@ def relax_entry(
     C: Iterable[str],
     D: Iterable[str],
     *,
-    degree_cap: int = DEGREE_CAP_DEFAULT,
     cap: int = PARTITION_CAP_DEFAULT,
 ) -> tuple[ReprMatroid, ReprMatroid, frozenset[str]]:
     """Relax the circuit-hyperplane displayed by a coloop/loop pair.
@@ -375,7 +362,7 @@ def relax_entry(
         raise NotFragile(
             "the matroid is not fragile for the pair, or (C, D) is not its partition"
         )
-    return _relax_entry(M, Cf, c, d, degree_cap, cap)
+    return _relax_entry(M, Cf, c, d, DEGREE_CAP_DEFAULT, cap)
 
 
 def _relax_entry(
@@ -463,7 +450,6 @@ def pipeline(
     N: ReprMatroid,
     *,
     conformance: bool = False,
-    degree_cap: int = DEGREE_CAP_DEFAULT,
     cap: int = PARTITION_CAP_DEFAULT,
 ) -> ReductionTrace:
     """Run the whole chain on a fragile pair and certify every stage.
@@ -480,7 +466,7 @@ def pipeline(
     base_field = M.field
     if conformance and k == 0:
         raise InvalidArgs("conformance mode needs a nonempty minor")
-    dcap = degree_cap
+    dcap = DEGREE_CAP_DEFAULT
     if conformance:
         dcap = max(dcap, base_field.degree * 2 * k * k)
 

@@ -199,7 +199,7 @@ def test_postcondition_violation_exits_one(tmp_path, monkeypatch):
     from matroidfrag import cli
     from matroidfrag.errors import PostconditionViolation
 
-    def boom(M, C, D, *, degree_cap=16, cap=12):
+    def boom(M, C, D, *, cap=12):
         raise PostconditionViolation("stub")
 
     monkeypatch.setattr(cli, "relax_entry", boom)

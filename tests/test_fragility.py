@@ -11,6 +11,7 @@ from random import Random
 
 import pytest
 
+from matroidfrag import fragility, matrices
 from matroidfrag import (
     CapExceeded,
     GroundSetMismatch,
@@ -19,17 +20,25 @@ from matroidfrag import (
     ReprMatroid,
     UnknownLabel,
     display_basis,
+    extend_field,
     fragile_partitions,
     is_N_fragile,
     is_X_fragile_matrix,
     isolated,
     isolated_rn,
     make_prime_field,
+    partitions_of,
+    submatrix_rank,
+    subsets_by_size,
     x_fragile_failure,
 )
 
 GF2 = make_prime_field(2)
 GF3 = make_prime_field(3)
+GF4 = extend_field(GF2, 2)
+GF8 = extend_field(GF2, 3)
+GF9 = extend_field(GF3, 2)
+GF16_OVER_GF4 = extend_field(GF4, 2)
 
 
 def one_coloop_one_loop_one_parallel():
@@ -200,3 +209,153 @@ def test_display_basis_matches_exhaustive_sweep():
         else:
             seen["one" if len(parts) == 1 else "several"] += 1
     assert min(seen.values()) >= 20, seen
+
+
+# -- references: the per-subset searches that rank tables replaced ------------
+
+
+def fragile_partitions_loop(M, N):
+    """Every realising partition, by one rank query of M per X | C."""
+    rN = [(X, N.rank(X)) for X in subsets_by_size(N.ground, min_size=1)]
+    found = set()
+    for C, D in partitions_of(M.ground - N.ground):
+        rc = M.rank(C)
+        if all(M.rank(X | C) - rc == rx for X, rx in rN):
+            found.add(MinorSpec(C, D))
+    return found
+
+
+def x_fragile_failure_loop(A, X):
+    """x_fragile_failure by two submatrix ranks per nonempty Y."""
+    Xf = frozenset(X)
+    for r in sorted(Xf & frozenset(A.rows)):
+        for c in sorted(Xf & frozenset(A.cols)):
+            if A.enc(r, c):
+                return ("block_nonzero", (r, c))
+    for Y in subsets_by_size(A.labels() - Xf, min_size=1):
+        if submatrix_rank(A, Xf | Y) <= submatrix_rank(A, Y):
+            return ("rank_not_increased", Y)
+    return None
+
+
+FIELDS = (GF2, GF3, GF4, GF8, GF9, GF16_OVER_GF4)
+
+
+def random_matrix(rng, F, max_rows=4, max_cols=4):
+    rows = [f"r{i}" for i in range(rng.randint(0, max_rows))]
+    cols = [f"c{j}" for j in range(rng.randint(0, max_cols))]
+    density = rng.random()
+    data = [[rng.randrange(F.order) if rng.random() < density else 0 for _ in cols]
+            for _ in rows]
+    return LabeledMatrix(F, rows, cols, data)
+
+
+def test_fragile_partitions_match_the_loop():
+    # minors by random partitions (sometimes of the whole ground set, so
+    # N is empty), and the same labels with another rank function
+    rng = Random(11)
+    seen = {"empty minor": 0, "none": 0, "one": 0, "several": 0}
+    for t in range(360):
+        M = ReprMatroid(random_matrix(rng, FIELDS[t % len(FIELDS)]))
+        E = sorted(M.ground)
+        if t % 10 == 0:
+            C = set(rng.sample(E, rng.randint(0, len(E))))
+            N = M.minor(C, M.ground - C)
+        else:
+            C = {e for e in E if rng.random() < 0.3}
+            N = M.minor(C, {e for e in M.ground - C if rng.random() < 0.4})
+            if t % 4 == 1:
+                B = set(rng.sample(sorted(N.ground), rng.randint(0, len(N.ground))))
+                N = isolated(B, N.ground, M.field)
+        got = fragile_partitions(M, N)
+        assert got == fragile_partitions_loop(M, N)
+        if not N.ground:
+            seen["empty minor"] += 1
+        else:
+            seen[("none", "one")[len(got)] if len(got) < 2 else "several"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_x_fragile_failure_matches_the_loop():
+    # X empty, X every label, and random X with the X block zeroed or left
+    rng = Random(12)
+    seen = {"block_nonzero": 0, "rank_not_increased": 0, None: 0}
+    for t in range(360):
+        A = random_matrix(rng, FIELDS[t % len(FIELDS)])
+        labels = sorted(A.labels())
+        kind = t % 4
+        if kind == 0:
+            X = set()
+        elif kind == 1:
+            X = set(labels)
+        else:
+            X = {v for v in labels if rng.random() < 0.5}
+        if kind != 3:
+            for r in X & set(A.rows):
+                for c in X & set(A.cols):
+                    A = A.set_entry(r, c, 0)
+        got = x_fragile_failure(A, X)
+        assert got == x_fragile_failure_loop(A, X), (A, sorted(X))
+        seen[got and got[0]] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_x_fragility_tall_matrix_reads_small_tables(monkeypatch):
+    # 20 rows, 5 columns, X = every row: both tables range over the 5
+    # columns alone, 2^5 entries each
+    sizes = []
+
+    def recorded(A, labels):
+        table = matrices.rank_table(A, labels)
+        sizes.append(len(table))
+        return table
+
+    monkeypatch.setattr(fragility, "rank_table", recorded)
+    rng = Random(13)
+    rows = [f"r{i:02d}" for i in range(20)]
+    cols = [f"c{j}" for j in range(5)]
+    data = [[rng.randrange(2) for _ in cols] for _ in rows]
+    data[0] = [1] * 5  # no zero column
+    A = LabeledMatrix(GF2, rows, cols, data)
+    assert x_fragile_failure(A, rows) is None
+    assert x_fragile_failure_loop(A, rows) is None
+    for row in data:
+        row[3] = 0
+    Z = LabeledMatrix(GF2, rows, cols, data)
+    assert x_fragile_failure(Z, rows) == ("rank_not_increased", frozenset({"c3"}))
+    assert x_fragile_failure_loop(Z, rows) == ("rank_not_increased", frozenset({"c3"}))
+    assert sizes == [32] * 4
+
+
+def test_searches_and_bases_make_no_rank_queries(monkeypatch):
+    # fragile_partitions, x_fragile_failure and bases read rank tables:
+    # no submatrix rank and no rank of a subset, through any binding
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    A = LabeledMatrix(GF3, ["a", "b"], ["c", "d", "e"], [[0, 1, 2], [0, 0, 1]])
+    M = ReprMatroid(A)
+    N = isolated({"a"}, {"a", "c"}, GF3)
+    want = (fragile_partitions_loop(M, N), x_fragile_failure_loop(A, {"a", "c"}),
+            {frozenset(B) for B in combinations("abcde", 2) if M.rank(B) == 2})
+    assert len(want[0]) == 3 and want[1] is not None and len(want[2]) == 5
+    rank = ReprMatroid.rank
+
+    def subset_rank(self, X=None):
+        if X is not None:
+            calls.append("ReprMatroid.rank")
+        return rank(self, X)
+
+    monkeypatch.setattr(ReprMatroid, "rank", subset_rank)
+    for module in (matrices, fragility):
+        monkeypatch.setattr(module, "submatrix_rank",
+                            counted("submatrix_rank", matrices.submatrix_rank), raising=False)
+    M = ReprMatroid(A)  # an empty rank cache
+    assert (fragile_partitions(M, N), x_fragile_failure(A, {"a", "c"}), M.bases()) == want
+    assert calls == []

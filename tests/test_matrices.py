@@ -214,6 +214,37 @@ def test_gf2_bitmask_rank_matches_generic_elimination():
         assert A.rank() == (_rank_generic(GF2, [list(r) for r in data]) if nrows else 0)
 
 
+def test_one_elimination_step_per_field_kind(monkeypatch):
+    # rank_table and block_rank reduce by the same step: the packed-int
+    # one over GF(2), the one on encodings over every other field
+    from matroidfrag import matrices
+
+    used = []
+    reduce_gf2, generic_reducer = matrices._reduce_gf2, matrices._generic_reducer
+
+    def counted_gf2(pivot, rest):
+        used.append(GF2)
+        return reduce_gf2(pivot, rest)
+
+    def counted_generic(field):
+        step = generic_reducer(field)
+
+        def reduce(pivot, rest):
+            used.append(field)
+            return step(pivot, rest)
+
+        return reduce
+
+    monkeypatch.setattr(matrices, "_reduce_gf2", counted_gf2)
+    monkeypatch.setattr(matrices, "_generic_reducer", counted_generic)
+    for F in (GF2, GF3, GF4):
+        A = LabeledMatrix(F, ["a", "b"], ["x", "y"], [[1, 1], [0, 1]])
+        for rank in (lambda: rank_table(A, ["x", "y", "a"])[0b111], A.rank):
+            used.clear()
+            assert rank() == 2
+            assert used and set(used) == {F}
+
+
 def assert_table_matches_rank(A, labels):
     M = ReprMatroid(A)
     table = rank_table(A, labels)

@@ -224,7 +224,34 @@ def test_equals_cap():
     big = isolated_rn(1, 17)
     with pytest.raises(CapExceeded):
         big.equals(big)
-    assert big.equals(big, max_ground=17)
+
+
+def test_bases_cap(monkeypatch):
+    from matroidfrag import matroids
+
+    def no_table(*args):
+        raise AssertionError("rank table built before the cap check")
+
+    monkeypatch.setattr(matroids, "rank_table", no_table)
+    with pytest.raises(CapExceeded, match="bases cap 16"):
+        isolated_rn(1, 17).bases()
+
+
+def test_bases_match_combinations():
+    # bases read one rank table; the reference asks every r-subset
+    from itertools import combinations
+    from random import Random
+
+    rng = Random(6)
+    for t in range(60):
+        F = (GF2, GF3, GF4)[t % 3]
+        rows = [f"r{i}" for i in range(rng.randint(0, 4))]
+        cols = [f"c{j}" for j in range(rng.randint(0, 4))]
+        M = ReprMatroid(LabeledMatrix(
+            F, rows, cols, [[rng.randrange(F.order) for _ in cols] for _ in rows]))
+        r = M.rank()
+        want = {frozenset(B) for B in combinations(sorted(M.ground), r) if M.rank(B) == r}
+        assert M.bases() == want
 
 
 def test_isolated():
