@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import CapExceeded, GroundSetMismatch, UnknownLabel
-from .matrices import LabeledMatrix, block_rank, rank_table
+from .matrices import LabeledMatrix, rank_table
 from .matroids import MinorSpec, ReprMatroid
 from .subsets import first_by_size, partitions_of
 
@@ -99,7 +99,8 @@ def x_fragile_failure(
     unknown = Xf - A.labels()
     if unknown:
         raise UnknownLabel(f"labels not in matrix: {sorted(unknown)}")
-    xr = sorted(Xf & frozenset(A.rows))
+    R = frozenset(A.rows)
+    xr = sorted(Xf & R)
     xc = sorted(Xf & frozenset(A.cols))
     for r in xr:
         for c in xc:
@@ -117,8 +118,8 @@ def x_fragile_failure(
     M = ReprMatroid(A)
     Tc = rank_table(M.minor(xc, xr).rep, rest)
     Tr = rank_table(M.minor(xr, xc).rep, rest)
-    rc = block_rank(A, 0, [A._col_pos[c] for c in xc])
-    rmask = sum(1 << i for i, v in enumerate(rest) if v in A._row_pos)
+    rc = M.rank(xc)
+    rmask = sum(1 << i for i, v in enumerate(rest) if v in R)
     fails = [y for y in range(1, len(Tc)) if Tc[y ^ rmask] + rc <= Tr[y ^ rmask]]
     if fails:
         return ("rank_not_increased", frozenset(first_by_size(fails, rest)))

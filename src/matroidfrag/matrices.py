@@ -290,16 +290,16 @@ def rank_table(A: LabeledMatrix, labels: Sequence[str]) -> bytearray:
 
 
 def _reduce_gf2(pivot: int, rest: list) -> list:
-    """The elimination step: `rest` with the leading coordinate of the
-    nonzero `pivot` cleared from each vector.  Over GF(2) a vector is an
-    int with bit i for coordinate i; elsewhere it is a tuple of
-    encodings, and () when it is zero."""
+    """The elimination step over GF(2), on ints with bit i for coordinate
+    i: `rest` with the leading coordinate of the nonzero `pivot` cleared."""
     h = pivot.bit_length() - 1
     return [w ^ pivot if w >> h & 1 else w for w in rest]
 
 
 def _generic_reducer(field: FieldSpec):
-    """The elimination step on tuples of encodings over `field`."""
+    """The elimination step over `field`: `reduce(pivot, rest)` is `rest`
+    with the leading coordinate of the nonzero `pivot` cleared from each
+    vector.  A vector is a tuple of encodings, and () when it is zero."""
     mul, sub, inv = field.mul_enc, field.sub_enc, field.inv_enc
 
     def reduce(pivot: tuple, rest: list) -> list:

@@ -329,7 +329,8 @@ def test_x_fragility_tall_matrix_reads_small_tables(monkeypatch):
 
 def test_searches_and_bases_make_no_rank_queries(monkeypatch):
     # fragile_partitions, x_fragile_failure and bases read rank tables:
-    # no submatrix rank and no rank of a subset, through any binding
+    # no submatrix rank, through any binding, and no rank of a subset but
+    # the one offset r(Xc) of x_fragile_failure
     calls = []
 
     def counted(name, fn):
@@ -349,7 +350,7 @@ def test_searches_and_bases_make_no_rank_queries(monkeypatch):
 
     def subset_rank(self, X=None):
         if X is not None:
-            calls.append("ReprMatroid.rank")
+            calls.append(("ReprMatroid.rank", sorted(X)))
         return rank(self, X)
 
     monkeypatch.setattr(ReprMatroid, "rank", subset_rank)
@@ -358,4 +359,4 @@ def test_searches_and_bases_make_no_rank_queries(monkeypatch):
                             counted("submatrix_rank", matrices.submatrix_rank), raising=False)
     M = ReprMatroid(A)  # an empty rank cache
     assert (fragile_partitions(M, N), x_fragile_failure(A, {"a", "c"}), M.bases()) == want
-    assert calls == []
+    assert calls == [("ReprMatroid.rank", ["c"])]
