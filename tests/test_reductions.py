@@ -6,6 +6,7 @@ PostconditionViolation on failure, so a clean return is itself a
 certificate; the assertions below pin the concrete outputs.
 """
 
+from collections import Counter
 from random import Random
 
 import pytest
@@ -35,21 +36,22 @@ from matroidfrag import (
     subsets_by_size,
     zero_out,
 )
-from matroidfrag import fragility, matrices, reductions
+from matroidfrag import fragility, matrices, matroids, reductions
 from matroidfrag.fragility import PARTITION_CAP_DEFAULT
-from matroidfrag.galois import DEGREE_CAP_DEFAULT
+from matroidfrag.galois import DEGREE_CAP_DEFAULT, subfield_basis
 
 GF2 = make_prime_field(2)
 GF3 = make_prime_field(3)
 GF4 = extend_field(GF2, 2)
 
 
-# -- references: the per-subset sweeps that rank tables replaced -------------
+# -- references: the subset sweeps that the stages' proofs replace -----------
 
 
 def free_placement_failure(out, X, e):
-    """The message free_extension raises for the extended matrix `out`,
-    or None: the free-placement check as a loop of rank queries."""
+    """The first way the column e of `out` fails to lie freely on the
+    span of X, or None: the free-placement property as a loop of rank
+    queries over every subset of the old elements."""
     Mn = ReprMatroid(out)
     Xf = frozenset(X)
     if Mn.rank(Xf | {e}) != Mn.rank(Xf):
@@ -62,8 +64,9 @@ def free_placement_failure(out, X, e):
 
 
 def relax_sweep_failure(A1, A2, c, d):
-    """The message of relax_entry's rank-difference sweep, or None: the
-    submatrix ranks of A1 and A2 must differ at {c, d} alone."""
+    """The first subset breaking the rank-difference pattern that
+    relax_entry's proof derives, or None: the submatrix ranks of A1 and
+    A2 must differ at {c, d} alone."""
     pair = frozenset({c, d})
     for Z in subsets_by_size(A1.labels()):
         differs = submatrix_rank(A1, Z) != submatrix_rank(A2, Z)
@@ -129,88 +132,123 @@ def test_free_extension_label_checks():
         free_extension(A, {"a"}, "a")
 
 
+def _placed(A, X, alphas):
+    """[I | A] lifted to the field of `alphas`, with a column e equal to
+    the sum of alpha_v times the column of v over the sorted X."""
+    F2 = alphas[0].spec if alphas else A.field
+    lifted = A.lift(F2)
+    column = []
+    for r in A.rows:
+        acc = 0
+        for a, v in zip(alphas, sorted(X)):
+            acc = F2.add_enc(acc, F2.mul_enc(a.enc, lifted.enc(r, v)))
+        column.append(acc)
+    return lifted.with_column("e", column)
+
+
 def test_free_extension_failures_match_the_reference(monkeypatch):
-    # dependent coefficients (all one) put e on a proper subflat of X's
-    # span, so the free-placement check must fail whenever |X| >= 2 and
-    # report the reference's first failing subset
-    monkeypatch.setattr(reductions, "subfield_basis", lambda ext, over: [ext.one] * 8)
+    # no false accept: dependent coefficients (all one) put e on a proper
+    # subflat of X's span whenever |X| >= 2; free_extension must refuse
+    # every draw whose column the reference rejects, and the coefficient
+    # check refuses every |X| >= 2.  With the real power basis the same
+    # draws are accepted and the reference finds no failing subset.
     rng = Random(11)
-    raised = 0
-    for t in range(60):
+    draws = []
+    for t in range(600):
         F = (GF2, GF3)[t % 2]
         nrows, ncols = rng.randint(1, 4), rng.randint(2, 5)
         rows = [f"r{i}" for i in range(nrows)]
         cols = [f"c{j}" for j in range(ncols)]
         A = LabeledMatrix(F, rows, cols,
                           [[rng.randrange(F.order) for _ in cols] for _ in rows])
-        X = sorted(c for c in cols if rng.random() < 0.8)
-        F2 = extend_field(F, max(1, len(X)))
-        lifted = A.lift(F2)
-        column = []
-        for r in rows:
-            acc = 0
-            for v in X:
-                acc = F2.add_enc(acc, lifted.enc(r, v))
-            column.append(acc)
-        out = lifted.with_column("e", column)
-        want = free_placement_failure(out, X, "e")
-        if want is None:
-            assert free_extension(A, X, "e") == out
-        else:
-            raised += 1
-            with pytest.raises(PostconditionViolation) as exc:
+        draws.append((A, sorted(c for c in cols if rng.random() < 0.8)))
+
+    refused = 0
+    with monkeypatch.context() as m:
+        m.setattr(reductions, "subfield_basis", lambda ext, over: [ext.one] * 8)
+        for A, X in draws:
+            F2 = extend_field(A.field, max(1, len(X)))
+            out = _placed(A, X, [F2.one] * len(X))
+            want = free_placement_failure(out, X, "e")
+            if len(X) < 2:
+                assert want is None
+                assert free_extension(A, X, "e") == out
+                continue
+            refused += want is not None
+            with pytest.raises(PostconditionViolation,
+                               match="coefficients of the new column are dependent"):
                 free_extension(A, X, "e")
-            assert str(exc.value) == want
-    assert raised >= 30
+    assert refused >= 300
+
+    for A, X in draws:
+        F2 = extend_field(A.field, max(1, len(X)))
+        out = free_extension(A, X, "e")
+        assert out == _placed(A, X, subfield_basis(F2, A.field)[:len(X)])
+        assert free_placement_failure(out, X, "e") is None
 
 
-def test_sweeps_check_the_cap_first(monkeypatch):
-    def no_field(*args, **kwargs):
-        raise AssertionError("extend_field called before the cap check")
-
-    monkeypatch.setattr(reductions, "extend_field", no_field)
-    # 17 elements: one row, 16 parallel columns
+def test_relax_and_free_extension_run_above_sixteen_elements():
+    # 17 elements, one row and 16 parallel columns: no sweep cap is left
     A = LabeledMatrix(GF2, ["r"], [f"c{j:02d}" for j in range(16)], [[1] * 16])
-    with pytest.raises(CapExceeded, match="free-extension cap 16"):
-        free_extension(A, {"c00", "c01"}, "e")
-    # refused before the rebase, which would reject the non-basis {c00}
-    with pytest.raises(CapExceeded, match="relax sweep cap 16"):
-        reductions._relax_entry(ReprMatroid(A), frozenset(), "c00", "c01",
-                                DEGREE_CAP_DEFAULT, PARTITION_CAP_DEFAULT)
+    out = free_extension(A, {"c00", "c01"}, "e")
+    assert out.field is GF4
+    assert out.column_encs("e") == (3,)  # 1 + w
+    # the pair (c, d) with fifteen copies of c is fragile; the relax stage
+    # is bounded only by its subset cap on the labels outside the pair
+    es = [f"e{j:02d}" for j in range(1, 16)]
+    M = ReprMatroid(LabeledMatrix(GF2, ["c"], ["d"] + es, [[0] + [1] * 15]))
+    assert is_N_fragile(M, isolated({"c"}, {"c", "d"}), cap=15)
+    with pytest.raises(CapExceeded, match="subset cap 12"):
+        reductions._relax_entry(M, frozenset(), "c", "d", DEGREE_CAP_DEFAULT, 12)
+    M1, M2, H = reductions._relax_entry(M, frozenset(), "c", "d", DEGREE_CAP_DEFAULT, 15)
+    assert H == {"d"}
+    assert M1.rep == M.rep
+    assert M2.rep == M.rep.lift(GF4).set_entry("c", "d", GF4.gen)
 
 
-def test_relax_sweep_failures_match_the_reference(monkeypatch):
-    # with the pair-fragility check switched off, relaxing a zero entry
-    # of a random matrix changes other submatrix ranks as well; the sweep
-    # must name the reference's first wrong subset
-    monkeypatch.setattr(reductions, "x_fragile_failure", lambda *args, **kwargs: None)
+def test_pair_fragility_decides_the_relax_sweep():
+    # x_fragile_failure(A1, {c, d}) passes exactly when the reference
+    # sweep does; the relaxation then holds, no rank of A2 is below A1's,
+    # and _relax_entry refuses every draw the reference rejects
     rng = Random(5)
-    raised = 0
-    for t in range(40):
-        F = (GF2, GF3)[t % 2]
+    outcomes = Counter()
+    for t in range(600):
+        F = (GF2, GF3, GF4)[t % 3]
         nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
         rows = [f"r{i}" for i in range(nrows)]
         cols = [f"c{j}" for j in range(ncols)]
-        data = [[rng.randrange(F.order) for _ in cols] for _ in rows]
+        density = rng.random()
+        data = [[rng.randrange(1, F.order) if rng.random() < density else 0
+                 for _ in cols] for _ in rows]
         c, d = rng.choice(rows), rng.choice(cols)
         data[rows.index(c)][cols.index(d)] = 0
         A1 = LabeledMatrix(F, rows, cols, data)
         F2 = extend_field(F, 2)
-        want = relax_sweep_failure(A1, A1.lift(F2).set_entry(c, d, F2.gen), c, d)
-        if want is None:
+        A2 = A1.lift(F2).set_entry(c, d, F2.gen)
+        want = relax_sweep_failure(A1, A2, c, d)
+        outcomes[F.order, want is None] += 1
+        assert (fragility.x_fragile_failure(A1, {c, d}) is None) == (want is None)
+        labels = sorted(A1.labels())
+        T1, T2 = matrices.rank_table(A1, labels), matrices.rank_table(A2, labels)
+        assert all(a <= b for a, b in zip(T1, T2))
+        C = frozenset(rows) - {c}
+        args = (ReprMatroid(A1), C, c, d, DEGREE_CAP_DEFAULT, PARTITION_CAP_DEFAULT)
+        if want is not None:
+            with pytest.raises(PostconditionViolation, match="not pair-fragile"):
+                reductions._relax_entry(*args)
             continue
-        raised += 1
-        with pytest.raises(PostconditionViolation) as exc:
-            reductions._relax_entry(ReprMatroid(A1), frozenset(rows) - {c}, c, d,
-                                    DEGREE_CAP_DEFAULT, PARTITION_CAP_DEFAULT)
-        assert str(exc.value) == want
-    assert raised >= 20
+        H = C | {d}
+        assert is_relaxation(ReprMatroid(A1), ReprMatroid(A2), H)
+        M1, M2, got = reductions._relax_entry(*args)
+        assert (M1.rep, M2.rep, got) == (A1, A2, H)
+    assert len(outcomes) == 6 and min(outcomes.values()) >= 40
 
 
 def test_sweeps_make_no_rank_queries(monkeypatch):
-    # the free-placement check and the rank-difference sweep read rank
-    # tables; rank queries only come from the other checks of relax_entry
+    # free_extension and relax_entry certify by proofs: no rank query of
+    # their own, and the only rank tables are x_fragile_failure's two
     calls = 0
+    tables = 0
     outside = 0
 
     def counted(fn):
@@ -232,24 +270,30 @@ def test_sweeps_make_no_rank_queries(monkeypatch):
 
         return wrapper
 
+    def counted_table(*args, **kwargs):
+        nonlocal tables
+        tables += 1
+        return rank_table(*args, **kwargs)
+
+    rank_table = matrices.rank_table
     monkeypatch.setattr(ReprMatroid, "rank", counted(ReprMatroid.rank))
-    for module in (matrices, fragility, reductions):
+    for module in (matrices, fragility, reductions, matroids):
         monkeypatch.setattr(module, "submatrix_rank", counted(matrices.submatrix_rank),
                             raising=False)
+        monkeypatch.setattr(module, "rank_table", counted_table, raising=False)
     monkeypatch.setattr(ReprMatroid, "rebase", uncounted(ReprMatroid.rebase))
     monkeypatch.setattr(reductions, "x_fragile_failure",
                         uncounted(fragility.x_fragile_failure))
-    monkeypatch.setattr(reductions, "is_relaxation", uncounted(reductions.is_relaxation))
 
     A = LabeledMatrix(GF3, ["r1", "r2", "r3"], ["a", "b", "x"],
                       [[1, 0, 2], [0, 1, 1], [1, 1, 0]])
     free_extension(A, {"a", "b"}, "e")
-    assert calls == 0
+    assert (calls, tables) == (0, 0)
     M = ReprMatroid(LabeledMatrix(GF2, ["a", "b"], ["c", "d"], [[0, 1], [1, 0]]))
     M1, M2, H = reductions._relax_entry(M, frozenset({"b"}), "a", "c",
                                         DEGREE_CAP_DEFAULT, PARTITION_CAP_DEFAULT)
     assert H == {"b", "c"}
-    assert calls == 0
+    assert (calls, tables) == (0, 2)
 
 
 # -- zero_out -----------------------------------------------------------------
@@ -411,7 +455,6 @@ def test_pipeline_default_keeps_singleton_sides():
         "relax_entry",
     ]
     assert [s.degree_over_input for s in tr.stages] == [1, 1, 1, 2]
-    assert tr.all_verified()
     assert is_relaxation(tr.relaxed, tr.relaxation, tr.hyperplane)
 
 
@@ -436,7 +479,6 @@ def test_pipeline_seeded_split_sides():
     # 2 * max(1,|coloops|) * max(1,|loops|)
     assert tr.final_degree_over_input == 4
     assert [s.degree_over_input for s in tr.stages] == [1, 2, 2, 4]
-    assert tr.all_verified()
     assert M.minor(tr.coloop_side, tr.loop_side).equals(
         tr.relaxed.minor({tr.c_label}, {tr.d_label})
     )
