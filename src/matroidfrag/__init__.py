@@ -54,6 +54,7 @@ from .fragility import (
     fragile_partitions,
     is_N_fragile,
     is_X_fragile_matrix,
+    one_move_partition,
     x_fragile_failure,
 )
 from .reductions import (
@@ -122,6 +123,7 @@ __all__ = [
     "fragile_partitions",
     "is_N_fragile",
     "is_X_fragile_matrix",
+    "one_move_partition",
     "x_fragile_failure",
     "ReductionTrace",
     "StageRecord",

@@ -15,6 +15,12 @@ tables over the labels outside X.  The two notions meet in
 X-fragile matrix, and X-fragile matrices display isolated-minor
 fragility.
 
+A realising partition also gives a cheap test of non-fragility:
+`one_move_partition` looks for a second realising partition one
+element away from it by single rank queries, and any it returns is a
+witness that M is not N-fragile.  Finding none proves nothing, so the
+fragility verdict itself is always the full search.
+
 A realising partition (C, D) also names the bases that display N
 through it: the bases of M made of C and elements of E(N).
 `partition_basis` reads the least one off a partition with rank
@@ -65,10 +71,12 @@ def fragile_partitions(
     bit = {v: 1 << i for i, v in enumerate(order)}
     T = rank_table(M.rep, order)
     TN = rank_table(N.rep, order[:n])
+    # the offset T[cm] is a rank of M, at most T[-1] = r(M)
+    targets = [bytes(t + o for t in TN) for o in range(T[-1] + 1)]
     found = []
     for C, D in partitions_of(rest):
         cm = sum(bit[v] for v in C)
-        if T[cm : cm + (1 << n)] == bytes(t + T[cm] for t in TN):
+        if T[cm : cm + (1 << n)] == targets[T[cm]]:
             found.append(MinorSpec(C, D))
     return frozenset(found)
 
@@ -79,7 +87,57 @@ def is_N_fragile(
     *,
     cap: int = PARTITION_CAP_DEFAULT,
 ) -> bool:
+    """M is N-fragile: exactly one partition (C, D) of E(M) - E(N)
+    realises N as M/C\\D.  Decided by the full `fragile_partitions`
+    search, since only the whole search space certifies uniqueness."""
     return len(fragile_partitions(M, N, cap=cap)) == 1
+
+
+def one_move_partition(M: ReprMatroid, part: MinorSpec) -> MinorSpec | None:
+    """A second partition realising the same minor as `part`, one
+    element away from it, or None if no single move keeps the minor.
+
+    `part` = (C0, D0) realises N = M/C0\\D0.  Moving e from C0 to D
+    gives (C0 - e, D0 + e), which realises N exactly when:
+        r(C0 - e) = r(C0)  or  r(E - D0 - e) = r(E - D0) - 1.
+    Moving e from D0 to C gives (C0 + e, D0 - e), which realises N
+    exactly when:
+        r(C0 + e) = r(C0)  or  r(E - D0 + e) = r(E - D0) + 1.
+    Elements are tried in label order, C0 first, and the first move
+    that keeps N is returned.  Each element costs at most two rank
+    queries of M beyond the two shared ones r(C0) and r(E - D0), so at
+    most 4|C0 + D0| in all; no rank table is built.
+
+    Proof.  For any matroid K and element e, K/e = K\\e iff e is a
+    loop or a coloop of K: otherwise r(K/e) = r(K) - 1 < r(K\\e)
+    (Oxley, Matroid Theory, 2nd ed., ch. 3).  For e in C0 take
+    K = M/(C0 - e)\\D0, so N = K/e and the moved partition gives K\\e.
+    In K, r_K(X) = r(X + C0 - e) - r(C0 - e) on E(K) = E - D0 - C0 + e.
+    So e is a loop of K iff r(C0) = r(C0 - e), and a coloop iff
+    r_K(E(K) - e) = r_K(E(K)) - 1, that is r(E - D0 - e) =
+    r(E - D0) - 1.  For e in D0 take K = M/C0\\(D0 - e): N = K\\e,
+    the moved partition gives K/e, e is a loop of K iff
+    r(C0 + e) = r(C0), and a coloop iff r(E - D0) = r(E - D0 + e) - 1.
+
+    A returned partition is therefore a witness that M is not N-fragile.
+    None proves nothing: two realising partitions may differ in more
+    than one element, so fragility still needs `fragile_partitions`.
+    """
+    part.validate(M)
+    C0, D0 = part.contract, part.delete
+    if not C0 and not D0:
+        return None
+    rank = M.rank
+    rc = rank(C0)
+    kept = M.ground - D0
+    rk = rank(kept)
+    for e in sorted(C0):
+        if rank(C0 - {e}) == rc or rank(kept - {e}) == rk - 1:
+            return MinorSpec(C0 - {e}, D0 | {e})
+    for e in sorted(D0):
+        if rank(C0 | {e}) == rc or rank(kept | {e}) == rk + 1:
+            return MinorSpec(C0 | {e}, D0 - {e})
+    return None
 
 
 def x_fragile_failure(

@@ -18,6 +18,12 @@ rows + cols.  Task kinds are "xfragile" {x}, "nfragile" {minor},
 matrix block over the same field.  Parsing reports the JSON path of the
 first offending value, so a bad entry in a large file is located
 exactly.
+
+`gen_random` draws seeded instances of each kind by rejection
+sampling.  The N-fragile kinds know one realising partition of every
+draw, so most rejections are proved by `fragility.one_move_partition`
+with a few rank queries; a draw is accepted only by the full partition
+search.
 """
 
 from __future__ import annotations
@@ -41,10 +47,11 @@ from .fragility import (
     SUBSET_CAP_DEFAULT,
     is_N_fragile,
     is_X_fragile_matrix,
+    one_move_partition,
 )
 from .galois import FieldSpec, field_from_tower, field_of_order
 from .matrices import LabeledMatrix
-from .matroids import ReprMatroid, isolated
+from .matroids import MinorSpec, ReprMatroid, isolated
 
 
 @dataclass(frozen=True)
@@ -319,6 +326,16 @@ def gen_random(
     random matroid by a random partition.  For "relax" the instance is a
     matroid fragile for the displayed coloop/loop pair (r0, c0).
 
+    For "nfragile", "pipeline" and "relax" the draw comes with one
+    partition realising its minor: the sampled one, or (rows - r0,
+    cols - c0) for "relax" since A[r0][c0] = 0.  A second realising
+    partition one move from it (`one_move_partition`) proves the draw
+    is not fragile, so it is rejected before the minor is built or any
+    rank table is read.  The witness only rejects: a draw is accepted
+    only when the full search `is_N_fragile` finds a unique partition,
+    so the accepted instances and rejection counts are those of the
+    full search alone.
+
     Returns the instance plus the number of rejected draws.  Raises
     Exhausted when max_attempts samples all fail the acceptance oracle,
     which signals improbable parameters rather than a bug.
@@ -372,7 +389,10 @@ def gen_random(
             keep = frozenset(rng.sample(ground, minor_size))
             outside = sorted(M.ground - keep)
             contract = frozenset(e for e in outside if rng.random() < 0.5)
-            N = M.minor(contract, frozenset(outside) - contract)
+            part = MinorSpec(contract, frozenset(outside) - contract)
+            if one_move_partition(M, part) is not None:
+                continue
+            N = M.minor_of(part)
             if is_N_fragile(M, N):
                 task = NFragileTask(N) if kind == "nfragile" else PipelineTask(N)
                 inst = InstanceFile(field, A, task, seed)
@@ -389,14 +409,16 @@ def gen_random(
             f"{PARTITION_CAP_DEFAULT}"
         )
     N = isolated({row_labels[0]}, {row_labels[0], col_labels[0]})
+    # with A[r0][c0] = 0 this partition leaves r0 a coloop and c0 a loop
+    part = MinorSpec(row_labels[1:], col_labels[1:])
     for attempt in range(max_attempts):
         A = _random_matrix(rng, field, row_labels, col_labels)
         data = [list(r) for r in A._data]
         data[0][0] = 0
         A = LabeledMatrix(field, row_labels, col_labels, data)
         M = ReprMatroid(A)
-        if is_N_fragile(M, N):
-            task = RelaxTask(frozenset(row_labels[1:]), frozenset(col_labels[1:]))
+        if one_move_partition(M, part) is None and is_N_fragile(M, N):
+            task = RelaxTask(part.contract, part.delete)
             inst = InstanceFile(field, A, task, seed)
             return GeneratedInstance(inst, attempt)
     raise Exhausted(f"no relaxable pair in {max_attempts} attempts")

@@ -57,13 +57,13 @@ def _finish(name: str, seed, checked: int, failures: list, t0: float) -> dict:
     }
 
 
-def _gen_with_retry(kind: str, master: random.Random, shape_fn, retries: int = 40):
-    """Draw shapes until one admits an instance.  Some parameter combos
-    make the acceptance predicate improbable or impossible (the
-    generator raises Exhausted for those); redrawing the shape keeps the
-    suite deterministic without cataloguing them."""
+def _gen_with_retry(kind: str, master: random.Random, shape_fn):
+    """Draw up to 40 shapes until one admits an instance.  Some
+    parameter combos make the acceptance predicate improbable or
+    impossible (the generator raises Exhausted for those); redrawing the
+    shape keeps the suite deterministic without cataloguing them."""
     last = None
-    for _ in range(retries):
+    for _ in range(40):
         shape = shape_fn(master)
         sub = master.randrange(2**32)
         try:

@@ -10,6 +10,7 @@ from itertools import combinations
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from matroidfrag import fragility, matrices
 from matroidfrag import (
@@ -27,6 +28,7 @@ from matroidfrag import (
     isolated,
     isolated_rn,
     make_prime_field,
+    one_move_partition,
     partitions_of,
     submatrix_rank,
     subsets_by_size,
@@ -360,3 +362,86 @@ def test_searches_and_bases_make_no_rank_queries(monkeypatch):
     M = ReprMatroid(A)  # an empty rank cache
     assert (fragile_partitions(M, N), x_fragile_failure(A, {"a", "c"}), M.bases()) == want
     assert calls == [("ReprMatroid.rank", ["c"])]
+
+
+# -- one-move witness against the full search ----------------------------------
+
+
+class CountingMatroid(ReprMatroid):
+    """A ReprMatroid that counts its rank queries of subsets."""
+
+    def __init__(self, rep):
+        super().__init__(rep)
+        self.queries = 0
+
+    def rank(self, X=None):
+        if X is not None:
+            self.queries += 1
+        return super().rank(X)
+
+
+WITNESS_FIELDS = (GF2, GF3, GF4)
+
+
+@st.composite
+def pairs_with_partition(draw):
+    """A matrix over GF(2), GF(3) or GF(4) of at most 4 x 4, and a side
+    for each label: "C" to contract, "D" to delete, "N" to keep."""
+    F = draw(st.sampled_from(range(len(WITNESS_FIELDS))))
+    m = draw(st.integers(0, 4))
+    n = draw(st.integers(0, 4))
+    order = WITNESS_FIELDS[F].order
+    entries = st.integers(0, order - 1)
+    data = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    sides = draw(st.text(alphabet="CDN", min_size=m + n, max_size=m + n))
+    return F, data, n, sides
+
+
+def build_pair(F, data, n, sides):
+    rows = [f"r{i}" for i in range(len(data))]
+    cols = [f"c{j}" for j in range(n)]
+    M = CountingMatroid(LabeledMatrix(WITNESS_FIELDS[F], rows, cols, data))
+    side = dict(zip(rows + cols, sides))
+    part = MinorSpec({e for e in side if side[e] == "C"},
+                     {e for e in side if side[e] == "D"})
+    return M, part
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(pairs_with_partition())
+# no C; no D; an empty minor; a loop and a coloop that may move either way
+@example((0, [[1, 1], [0, 1]], 2, "NDND"))
+@example((1, [[1, 2], [2, 0]], 2, "NCNC"))
+@example((2, [[3, 0], [1, 2]], 2, "CDDC"))
+@example((0, [[0, 1], [0, 0]], 2, "CNDN"))
+def test_one_move_witness_matches_the_full_search(case):
+    M, part = build_pair(*case)
+    N = M.minor_of(part)
+    parts = fragile_partitions(M, N)
+    assert part in parts
+    M.queries = 0
+    got = one_move_partition(M, part)
+    rest = part.contract | part.delete
+    assert M.queries <= 4 * len(rest)
+    neighbours = {p for p in parts if len(p.contract ^ part.contract) == 1}
+    if got is None:
+        assert not neighbours
+    else:
+        assert got in neighbours
+    if len(parts) == 1:
+        assert got is None
+
+
+def test_one_move_witness_reads_no_rank_table(monkeypatch):
+    tables = []
+    monkeypatch.setattr(fragility, "rank_table",
+                        lambda *a: tables.append(a) or matrices.rank_table(*a))
+    # e parallel to the coloop-side c: contracting it is the only choice
+    M = one_coloop_one_loop_one_parallel()
+    assert one_move_partition(M, MinorSpec({"e"}, set())) is None
+    # the loop e may be contracted or deleted: the witness moves it
+    M = isolated({"c"}, {"c", "d", "e"})
+    assert one_move_partition(M, MinorSpec(set(), {"e"})) == MinorSpec({"e"}, set())
+    assert one_move_partition(M, MinorSpec(set(), set())) is None
+    assert tables == []

@@ -1,9 +1,12 @@
 """Instance file codec and random generation tests."""
 
+import hashlib
 import json
+import sys
 
 import pytest
 
+from matroidfrag import instances, matrices
 from matroidfrag import (
     CapExceeded,
     Exhausted,
@@ -207,3 +210,90 @@ def test_serialized_sets_are_sorted_lists():
     obj = serialize_instance(gi.instance)
     assert obj["task"]["x"] == sorted(obj["task"]["x"])
     assert isinstance(gi.instance, InstanceFile)
+
+
+# Rejection counts and sha256 of the sorted-key JSON of
+# serialize_instance, recorded with the full partition search deciding
+# every draw; None, None where the draws run out (Exhausted).
+PINNED_DRAWS = [
+    ("relax", {"q": 2, "rows": 3, "cols": 3}, 1, 10,
+     "e20905122c502d066d97f0bd3935f91fb3cab85ee0e6978624ff1d1a14258093"),
+    ("relax", {"q": 2, "rows": 4, "cols": 4}, 2, 92,
+     "93766dedb6c2389538224aaa3260de4ed780ae9c6bd9883446ed1cef3a7df81f"),
+    ("relax", {"q": 3, "rows": 3, "cols": 3}, 3, 5,
+     "2e046d91953d6c2ad754782f7bbf18e09fa0fdf3ca5d15bbb31dac19cba414d4"),
+    ("relax", {"q": 4, "rows": 2, "cols": 3}, 4, 2,
+     "0182e423c0f1c1b609de1d7fbcb80020d48d91a9299e517f186c8c5056537304"),
+    ("relax", {"q": 2, "rows": 3, "cols": 4}, 21, 67,
+     "d94554c54adce4896695a9c0137d9ac730365e75a2684c1102bb3fdf8bbc5f9e"),
+    ("nfragile", {"q": 2, "rows": 3, "cols": 3, "minor_size": 2}, 5, 26,
+     "e9b1f7f0c90c34e124be15bde3e3c88a3537380f2401fdb35955a5fddc797b61"),
+    ("nfragile", {"q": 3, "rows": 3, "cols": 3, "minor_size": 3}, 6, 1,
+     "ae3990753f1214dac1a10e4ea5abc78d1ba63cf44362633a128f67c93c72eb2f"),
+    ("nfragile", {"q": 2, "rows": 4, "cols": 4, "minor_size": 3}, 24, 39,
+     "8a9454c0e2259783a082d4a7da81c008cf989abf153bd9ac6a80b8b7b4437d55"),
+    ("nfragile", {"q": 3, "rows": 2, "cols": 2, "minor_size": 4}, 26, 0,
+     "5bc3de7e16dfe106da8013941120b691eb9f6ae3588a81e044a61857bff2b752"),
+    ("pipeline", {"q": 2, "rows": 4, "cols": 4, "minor_size": 3}, 8, 55,
+     "e0d8491c06ff8bd44ea4f61591b3365e8bddb5286c83dc5c0a538482699acf34"),
+    ("pipeline", {"q": 3, "rows": 3, "cols": 4, "minor_size": 3}, 9, 7,
+     "61bfb86e1aa3e07c815c0a1b030a5468f70721c96f2cabafa8febd5ad54d8224"),
+    ("pipeline", {"q": 2, "rows": 4, "cols": 5, "minor_size": 3}, 27, 84,
+     "bb43006d225ed29684da7e9cb94b8a3ba2c824eb4bb5d2cf2e21ad161aa362b8"),
+    ("pipeline", {"q": 4, "rows": 3, "cols": 3, "minor_size": 2}, 28, 12,
+     "79a3e06b51c9a084152045fcc45a2129876aa167c7dd789dfb5a32c0d8e8bce0"),
+    ("relax", {"q": 2, "rows": 5, "cols": 5, "max_attempts": 60}, 11, None, None),
+    ("nfragile", {"q": 2, "rows": 3, "cols": 4, "minor_size": 0, "max_attempts": 50},
+     25, None, None),
+]
+
+
+@pytest.mark.parametrize("kind,shape,seed,rejections,digest", PINNED_DRAWS)
+def test_pinned_draws_are_unchanged(kind, shape, seed, rejections, digest):
+    if rejections is None:
+        with pytest.raises(Exhausted):
+            gen_random(kind, seed=seed, **shape)
+        return
+    gi = gen_random(kind, seed=seed, **shape)
+    text = json.dumps(serialize_instance(gi.instance), sort_keys=True)
+    assert (gi.rejections, hashlib.sha256(text.encode()).hexdigest()) == (
+        rejections, digest)
+
+
+@pytest.mark.parametrize("kind,shape,seed,rejections", [
+    ("pipeline", {"q": 2, "rows": 4, "cols": 4, "minor_size": 3}, 8, 55),
+    ("relax", {"q": 2, "rows": 4, "cols": 4}, 2, 92),
+])
+def test_witness_rejected_draws_build_no_minor_and_no_table(
+        monkeypatch, kind, shape, seed, rejections):
+    # one event list: each draw starts with the witness's verdict, and
+    # only a draw it cannot reject goes on to build tables (and a minor)
+    events = []
+
+    def logged(name, fn):
+        def wrapper(*args, **kwargs):
+            events.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    table = logged("rank_table", matrices.rank_table)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("matroidfrag") and hasattr(module, "rank_table"):
+            monkeypatch.setattr(module, "rank_table", table)
+    monkeypatch.setattr(ReprMatroid, "minor", logged("minor", ReprMatroid.minor))
+    witness = instances.one_move_partition
+    monkeypatch.setattr(
+        instances, "one_move_partition",
+        lambda M, part: events.append(w := witness(M, part)) or w)
+    gi = gen_random(kind, seed=seed, **shape)
+    assert gi.rejections == rejections
+    starts = [i for i, e in enumerate(events) if not isinstance(e, str)]
+    assert len(starts) == rejections + 1
+    draws = [events[i:j] for i, j in zip(starts, starts[1:] + [len(events)])]
+    full = ["minor", "rank_table", "rank_table"] if kind == "pipeline" else [
+        "rank_table", "rank_table"]
+    for draw in draws:
+        assert draw[1:] == ([] if draw[0] else full)
+    caught = sum(1 for draw in draws if draw[0])
+    assert caught >= rejections * 3 // 4, caught
