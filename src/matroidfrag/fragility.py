@@ -10,10 +10,12 @@ space, not a heuristic.
 The matrix-side notion: a labeled matrix A is X-fragile when the block
 A[X] vanishes and adjoining X to any nonempty disjoint Y strictly
 increases rank.  `x_fragile_failure` reads that condition off two rank
-tables over the labels outside X.  The two notions meet in
-`reductions`: zeroing the displayed block of a fragile pair produces an
-X-fragile matrix, and X-fragile matrices display isolated-minor
-fragility.
+tables over the labels outside X.  The two notions are one: A is
+X-fragile exactly when (rows - X, cols - X) is the only partition
+realising the isolated minor on X (coloops X & rows) in the matroid of
+[I | A] (proof in `x_fragile_failure`).  So `reductions` searches
+partitions once, and each stage certifies its output by
+`x_fragile_failure` on its own representation.
 
 A realising partition also gives a cheap test of non-fragility:
 `one_move_partition` looks for a second realising partition one
@@ -29,8 +31,8 @@ partitions.
 
 Enumeration order is fixed (size, then lexicographic), so the witness a
 failed check returns is minimal in that order.  Every search refuses
-instances above the documented caps; pass a larger cap explicitly to
-override.
+more than PARTITION_CAP_DEFAULT elements outside the minor, or outside
+X, by default; pass a larger cap explicitly to override.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .matroids import MinorSpec, ReprMatroid
 from .subsets import first_by_size, partitions_of
 
 PARTITION_CAP_DEFAULT = 12
-SUBSET_CAP_DEFAULT = 12
 
 
 def fragile_partitions(
@@ -144,7 +145,7 @@ def x_fragile_failure(
     A: LabeledMatrix,
     X: Iterable[str],
     *,
-    cap: int = SUBSET_CAP_DEFAULT,
+    cap: int = PARTITION_CAP_DEFAULT,
 ):
     """First reason A is not X-fragile, or None if it is.
 
@@ -152,6 +153,20 @@ def x_fragile_failure(
     the X block in label order, or ("rank_not_increased", Y) for the
     minimal nonempty Y whose rank does not strictly grow when X joins
     it.
+
+    Proof that None is fragility.  In the matroid M of [I | A] with
+    rows R and columns C, let Xr = X & R, Xc = X - R and, for Y outside X,
+    W = Y ^ (R - X), a bijection onto the subsets of E - X.  From
+    rank(A[Z]) = r((R - Z) | (Z - R)) - |R - Z|, Y fails, that is
+    rank(A[X | Y]) <= rank(A[Y]), iff r(W | Xc) <= r(W | Xr) - |Xr|, iff
+    r(W | Xc) = r(W) and r(W | Xr) = r(W) + |Xr|, as r(W | Xc) >= r(W) >=
+    r(W | Xr) - |Xr|.  By submodularity that holds exactly when
+    (W, E - X - W) realises isolated(Xr, X): W spans Xc and Xr stays
+    independent over W.  Y = {} gives the canonical partition
+    (R - X, C - X), which realises it exactly when rank(A[X]) = 0, the X
+    block being zero.  So the result is None exactly when (R - X, C - X) is
+    the only realising partition.  The verdict is the same on
+    `M.dual().rep` = -A^T, whose submatrices have the same ranks.
     """
     Xf = frozenset(X)
     unknown = Xf - A.labels()
@@ -167,12 +182,9 @@ def x_fragile_failure(
     rest = sorted(A.labels() - Xf)
     if len(rest) > cap:
         raise CapExceeded(f"|labels - X| = {len(rest)} exceeds subset cap {cap}")
-    # In the matroid M of [I | A] with rows R, rank(A[Z]) is
-    # r_M((R - Z) | (Z - R)) - |R - Z|.  With Xr = X & R, Xc = X - R and
-    # W = Y ^ (R - X) for Y disjoint from X, that gives
-    #     rank(A[X | Y]) <= rank(A[Y])  iff  r_M(W | Xc) <= r_M(W | Xr) - |Xr|,
-    # and the two sides are tables of M/Xc\Xr and M/Xr\Xc over the
-    # labels outside X, the first offset by r_M(Xc).
+    # Y fails iff r(W | Xc) <= r(W | Xr) - |Xr| (proof above), and the
+    # two sides are tables of M/Xc\Xr and M/Xr\Xc over the labels
+    # outside X, the first offset by r(Xc).
     M = ReprMatroid(A)
     Tc = rank_table(M.minor(xc, xr).rep, rest)
     Tr = rank_table(M.minor(xr, xc).rep, rest)
@@ -188,7 +200,7 @@ def is_X_fragile_matrix(
     A: LabeledMatrix,
     X: Iterable[str],
     *,
-    cap: int = SUBSET_CAP_DEFAULT,
+    cap: int = PARTITION_CAP_DEFAULT,
 ) -> bool:
     """A[X] vanishes and every nonempty disjoint Y gains rank from X."""
     return x_fragile_failure(A, X, cap=cap) is None

@@ -530,7 +530,6 @@ def extend_field(
     k: int,
     *,
     degree_cap: int = DEGREE_CAP_DEFAULT,
-    char_cap: int = CHAR_CAP_DEFAULT,
 ) -> FieldSpec:
     """Degree-k extension of `base` using the canonical (lex-least
     monic irreducible) modulus.  k == 1 returns `base` unchanged."""
@@ -538,8 +537,8 @@ def extend_field(
         raise InvalidArgs(f"extension degree must be a positive int, got {k!r}")
     if k == 1:
         return base
-    if base.p > char_cap:
-        raise DegreeCap(f"characteristic {base.p} exceeds cap {char_cap} for extensions")
+    if base.p > CHAR_CAP_DEFAULT:
+        raise DegreeCap(f"characteristic {base.p} exceeds cap {CHAR_CAP_DEFAULT} for extensions")
     if base.degree * k > degree_cap:
         raise DegreeCap(
             f"total degree {base.degree * k} exceeds cap {degree_cap}"

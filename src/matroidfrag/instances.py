@@ -44,7 +44,6 @@ from .errors import (
 )
 from .fragility import (
     PARTITION_CAP_DEFAULT,
-    SUBSET_CAP_DEFAULT,
     is_N_fragile,
     is_X_fragile_matrix,
     one_move_partition,
@@ -323,7 +322,9 @@ def gen_random(
     set X is the first x_rows row labels plus the first x_cols column
     labels and the X block is forced to zero before testing.  For
     "nfragile" and "pipeline" a minor of size minor_size is cut out of a
-    random matroid by a random partition.  For "relax" the instance is a
+    random matroid by a random partition; minor_size 0 on a nonempty
+    ground set raises InvalidArgs before any draw, as every partition
+    realises the empty minor.  For "relax" the instance is a
     matroid fragile for the displayed coloop/loop pair (r0, c0).
 
     For "nfragile", "pipeline" and "relax" the draw comes with one
@@ -355,9 +356,9 @@ def gen_random(
         if not 0 <= x_rows <= rows or not 0 <= x_cols <= cols:
             raise InvalidArgs("x_rows/x_cols out of range for the matrix shape")
         rest = rows + cols - x_rows - x_cols
-        if rest > SUBSET_CAP_DEFAULT:
+        if rest > PARTITION_CAP_DEFAULT:
             raise CapExceeded(
-                f"{rest} elements outside X exceeds the subset cap {SUBSET_CAP_DEFAULT}"
+                f"{rest} elements outside X exceeds the subset cap {PARTITION_CAP_DEFAULT}"
             )
         x = frozenset(row_labels[:x_rows]) | frozenset(col_labels[:x_cols])
         for attempt in range(max_attempts):
@@ -376,6 +377,8 @@ def gen_random(
     if kind in ("nfragile", "pipeline"):
         if not 0 <= minor_size <= rows + cols:
             raise InvalidArgs("minor_size out of range for the ground set")
+        if minor_size == 0 < rows + cols:
+            raise InvalidArgs("an empty minor of a nonempty ground set is never fragile")
         rest = rows + cols - minor_size
         if rest > PARTITION_CAP_DEFAULT:
             raise CapExceeded(

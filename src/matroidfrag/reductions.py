@@ -20,17 +20,17 @@ H, while the part of M outside E(N) survives as a common minor:
 
 Every stage re-verifies its own guarantees before returning and raises
 PostconditionViolation with a witness when one fails, so a completed
-ReductionTrace is itself a certificate.  The fragility postconditions
-are exhaustive partition searches.  The free placement and the
+ReductionTrace is itself a certificate.  The free placement and the
 relaxation are not swept over subsets: each follows by a short proof,
 given in the docstring of `free_extension` and of `relax_entry`, from
 polynomial checks that the stage runs.
 
-Stages forward the partition certificate: the fragility postcondition
-of each stage enumerates the unique partition (C, D) realising the
-stage's minor in its output, and the next stage starts from that
-MinorSpec (read in the dual, sets swapped, on the coloop side) instead
-of searching again.  Called on their own, the stages search afresh.
+One partition search per pipeline finds the partition (C, D) realising
+N in the input, and (C, D) never changes.  zero_out and each collapse
+display the isolated minor of their output on X with a zero block and
+(C, D) canonical, and certify it by `x_fragile_failure`, which for such
+a display is fragility (proof there); relax_entry relaxes the last such
+display.  Called on their own, the public stages search afresh.
 
 Field growth: collapsing a side of size s needs s coordinates linearly
 independent over the current field, hence a degree max(1, s) extension
@@ -74,13 +74,13 @@ def _fresh_label(stem: str, used: set[str]) -> str:
 
 
 def _sole_partition(
-    M: ReprMatroid, N: ReprMatroid, cap: int, error: type, message: str
+    M: ReprMatroid, N: ReprMatroid, cap: int, message: str
 ) -> MinorSpec:
-    """The one partition realising N in M, else `error(message)` with
+    """The one partition realising N in M, else NotFragile(message) with
     the number of realising partitions filled in for {n}."""
     parts = fragile_partitions(M, N, cap=cap)
     if len(parts) != 1:
-        raise error(message.format(n=len(parts)))
+        raise NotFragile(message.format(n=len(parts)))
     (part,) = parts
     return part
 
@@ -101,19 +101,15 @@ def zero_out(M: ReprMatroid, N: ReprMatroid) -> tuple[ReprMatroid, LabeledMatrix
     partition).  Returns the rewritten matroid and its representation,
     whose row-label set is the displaying basis.
     """
-    return _zero_out(M, N, None, PARTITION_CAP_DEFAULT)[:2]
+    return _zero_out(M, N, PARTITION_CAP_DEFAULT)
 
 
 def _zero_out(
-    M: ReprMatroid, N: ReprMatroid, part: MinorSpec | None, cap: int
-) -> tuple[ReprMatroid, LabeledMatrix, MinorSpec]:
-    """zero_out from the unique realising partition `part` (searched for
-    when None), also returning the partition that certifies the result
-    fragile for the isolated minor."""
-    if part is None:
-        part = _sole_partition(
-            M, N, cap, NotFragile, "{n} partitions realise the minor; need exactly one"
-        )
+    M: ReprMatroid, N: ReprMatroid, cap: int
+) -> tuple[ReprMatroid, LabeledMatrix]:
+    """zero_out under the partition cap `cap`; the partition found in M
+    is (rows - E(N), cols - E(N)) in the returned representation."""
+    part = _sole_partition(M, N, cap, "{n} partitions realise the minor; need exactly one")
     B = partition_basis(M, N, part)
     A = M.rebase(B).rep
     block_rows = sorted(B & N.ground)
@@ -134,11 +130,7 @@ def _zero_out(
         raise PostconditionViolation(
             "zeroing the block changed the contraction by the displayed minor basis"
         )
-    part = _sole_partition(
-        M2, isolated(BN, N.ground), cap, PostconditionViolation,
-        "zeroed matroid is not fragile for the isolated minor",
-    )
-    return M2, A2, part
+    return M2, A2
 
 
 # ---------------------------------------------------------------------------
@@ -228,33 +220,36 @@ def collapse_side(
     if d in M.ground:
         raise LabelCollision(f"label {d!r} already in the ground set")
     return _collapse_side(
-        M, X1f, X2f, d, None, None, DEGREE_CAP_DEFAULT, PARTITION_CAP_DEFAULT
-    )[0]
+        M, X1f, X2f, d, _isolated_partition(M, X1f, X2f), None,
+        DEGREE_CAP_DEFAULT, PARTITION_CAP_DEFAULT,
+    )
+
+
+def _isolated_partition(M: ReprMatroid, X1: frozenset[str], X2: frozenset[str]) -> MinorSpec:
+    """The one partition realising isolated(X1, X1 + X2) in M."""
+    return _sole_partition(
+        M, isolated(X1, X1 | X2), PARTITION_CAP_DEFAULT,
+        "{n} partitions realise the isolated minor; need exactly one",
+    )
 
 
 def _collapse_side(
     M: ReprMatroid, X1: frozenset[str], X2: frozenset[str], d: str,
-    part: MinorSpec | None, degree: int | None, degree_cap: int, cap: int,
-) -> tuple[ReprMatroid, MinorSpec]:
-    """collapse_side from the unique realising partition `part` (searched
-    for when None), also returning the partition that certifies the
-    result fragile for the collapsed isolated minor."""
-    N = isolated(X1, X1 | X2)
-    if part is None:
-        part = _sole_partition(
-            M, N, cap, NotFragile,
-            "{n} partitions realise the isolated minor; need exactly one",
-        )
+    part: MinorSpec, degree: int | None, degree_cap: int, cap: int,
+) -> ReprMatroid:
+    """collapse_side from `part` = (C, D), the one partition realising
+    isolated(X1, X1 + X2) in M; the output has rows C + X1."""
     # the basis meets E(N) in the unique basis X1 of N, so X2 sits on
     # the column side
-    A = M.rebase(partition_basis(M, N, part)).rep
+    A = M.rebase(partition_basis(M, isolated(X1, X1 | X2), part)).rep
     A2 = free_extension(A, X2, d, degree=degree, degree_cap=degree_cap)
     out = ReprMatroid(A2).minor(delete=X2)
-    part = _sole_partition(
-        out, isolated(X1, X1 | {d}), cap, PostconditionViolation,
-        "collapsed matroid is not fragile for the collapsed isolated minor",
-    )
-    return out, part
+    fail = x_fragile_failure(out.rep, X1 | {d}, cap=cap)
+    if fail is not None:
+        raise PostconditionViolation(
+            f"collapsed matroid is not fragile for the collapsed isolated minor: {fail}"
+        )
+    return out
 
 
 def reduce_to_two(
@@ -267,11 +262,12 @@ def reduce_to_two(
     """Collapse both sides of an isolated minor to fresh elements c, d.
 
     The loop side X2 is collapsed directly, the coloop side X1 in the
-    dual, which starts from the partition certified by the first
-    collapse.  The result is fragile for the two-element isolated minor
-    (coloop c, loop d), agrees with M off the minor (contracting c and
-    deleting d matches contracting X1 and deleting X2), and lives over
-    an extension of total degree max(1,|X1|) * max(1,|X2|).
+    dual, from the same partition with its sets swapped.  The result is
+    fragile for the two-element isolated minor (coloop c, loop d), as
+    the dual collapse certifies for its dual, agrees with M off the
+    minor (contracting c and deleting d matches contracting X1 and
+    deleting X2), and lives over an extension of total degree
+    max(1,|X1|) * max(1,|X2|).
     """
     X1f, X2f = frozenset(X1), frozenset(X2)
     if c == d:
@@ -282,21 +278,11 @@ def reduce_to_two(
     if X1f & X2f:
         raise InvalidArgs(f"sides overlap: {sorted(X1f & X2f)}")
     dcap, cap = DEGREE_CAP_DEFAULT, PARTITION_CAP_DEFAULT
-    Ma, part = _collapse_side(M, X1f, X2f, d, None, None, dcap, cap)
-    Mc, part = _collapse_side(
+    part = _isolated_partition(M, X1f, X2f)
+    Ma = _collapse_side(M, X1f, X2f, d, part, None, dcap, cap)
+    out = _collapse_side(
         Ma.dual(), frozenset({d}), X1f, c, _flip(part), None, dcap, cap
-    )
-    out = Mc.dual()
-
-    # The dual collapse certified `part` as the one partition realising
-    # isolated({d}, {c, d}) in Mc = out*.  (C, D) realises N in M iff
-    # (D, C) realises N* in M*, so the flipped partition is the one
-    # realising isolated({c}, {c, d}) = isolated({d}, {c, d})* in out:
-    # out is fragile for it without a second search.
-    if not out.minor_of(_flip(part)).equals(isolated({c}, {c, d})):
-        raise PostconditionViolation(
-            "the flipped partition does not realise the two-element minor"
-        )
+    ).dual()
     if not out.minor({c}, {d}).equals(M.minor(X1f, X2f)):
         raise PostconditionViolation(
             "contracting c and deleting d does not match the original minor"
@@ -330,10 +316,12 @@ def relax_entry(
     quadratic extension.  Returns (M1, M2, H) where H = C + {d} is a
     circuit-hyperplane of M1 and the unique new basis of M2.
 
-    Verified before returning: the re-displayed representation A1 is
-    {c, d}-fragile, its (c, d) entry zero included (`x_fragile_failure`,
-    capped by `cap` on the |E| - 2 labels outside the pair), and the
-    generator theta of the extension lies outside the entry field F.
+    Verified before returning: A1 is {c, d}-fragile, its (c, d) entry
+    zero included, as the partition search (capped by `cap` on the
+    |E| - 2 labels outside the pair) finds (C, D), the canonical
+    partition of A1, the only one realising the pair (proof in
+    `fragility.x_fragile_failure`); and the generator theta of the
+    extension lies outside the entry field F.
 
     Proof that these certify the relaxation.  A2 = A1 + theta * E_cd, so
     each minor of A2 is m0 + theta * m1, with m0 the same minor of A1
@@ -373,26 +361,23 @@ def relax_entry(
         raise NotFragile(
             "the matroid is not fragile for the pair, or (C, D) is not its partition"
         )
-    return _relax_entry(M, Cf, c, d, DEGREE_CAP_DEFAULT, cap)
+    return _relax_entry(M, Cf, c, d, DEGREE_CAP_DEFAULT)
 
 
 def _relax_entry(
-    M: ReprMatroid, Cf: frozenset[str], c: str, d: str, degree_cap: int, cap: int
+    M: ReprMatroid, Cf: frozenset[str], c: str, d: str, degree_cap: int
 ) -> tuple[ReprMatroid, ReprMatroid, frozenset[str]]:
-    """relax_entry once Cf is certified the contract set of the unique
-    partition realising the isolated coloop/loop pair (c, d)."""
+    """relax_entry once the display of M with basis Cf + {c} is
+    certified {c, d}-fragile."""
     M1 = M.rebase(Cf | {c})
     A1 = M1.rep
-    fail = x_fragile_failure(A1, {c, d}, cap=cap)
-    if fail is not None:
-        raise PostconditionViolation(f"displayed representation not pair-fragile: {fail}")
-
     F = A1.field
     F2 = extend_field(F, 2, degree_cap=degree_cap)
     theta = F2.gen
     if is_in_subfield(theta, F):
         raise PostconditionViolation("extension generator lies in the entry field")
-    # the two checks above certify the relaxation (proof in relax_entry)
+    # with the caller's pair fragility this certifies the relaxation
+    # (proof in relax_entry)
     M2 = ReprMatroid(A1.lift(F2).set_entry(c, d, theta))
     return M1, M2, Cf | {d}
 
@@ -453,11 +438,12 @@ def pipeline(
     if conformance:
         dcap = max(dcap, base_field.degree * 2 * k * k)
 
-    # each stage starts from the partition certified by the one before
-    Mz, Az, part = _zero_out(M, N, None, cap)
+    # the one partition search; every later stage keeps its result
+    Mz, Az = _zero_out(M, N, cap)
     B = frozenset(Az.rows)
     X1 = B & N.ground
     X2 = N.ground - B
+    part = MinorSpec(B - N.ground, frozenset(Az.cols) - N.ground)
     stages = [
         StageRecord(
             name="zero_displayed_block",
@@ -483,7 +469,7 @@ def pipeline(
         return q
 
     # the loop side, then the coloop side as the loop side of the dual,
-    # where the certified partition holds with its two sets swapped
+    # where the partition holds with its two sets swapped
     labels = {}
     for name, key, side in (
         ("collapse_loop_side", "d", X2),
@@ -497,13 +483,12 @@ def pipeline(
             used.add(labels[key])
             degree = k if conformance else None
             if key == "d":
-                cur, part = _collapse_side(cur, X1, X2, labels["d"], part, degree, dcap, cap)
+                cur = _collapse_side(cur, X1, X2, labels["d"], part, degree, dcap, cap)
             else:
-                dual, part = _collapse_side(
+                cur = _collapse_side(
                     cur.dual(), frozenset({labels["d"]}), X1, labels["c"], _flip(part),
                     degree, dcap, cap,
-                )
-                cur, part = dual.dual(), _flip(part)
+                ).dual()
             verdicts = {
                 "unique_partition": True,
                 "free_flat_condition": True,
@@ -514,8 +499,8 @@ def pipeline(
         stages.append(StageRecord(name, _deg(cur), cur, verdicts, details))
     c_label, d_label = labels["c"], labels["d"]
 
-    # relax the displayed entry
-    M1, M2, H = _relax_entry(cur, part.contract, c_label, d_label, dcap, cap)
+    # relax the entry that the last stage certified pair-fragile
+    M1, M2, H = _relax_entry(cur, part.contract, c_label, d_label, dcap)
     stages.append(
         StageRecord(
             name="relax_entry",

@@ -302,6 +302,31 @@ def test_x_fragile_failure_matches_the_loop():
     assert min(seen.values()) >= 10, seen
 
 
+def test_x_fragility_is_isolated_minor_fragility():
+    # the equivalence the reduction stages certify by: with the X block
+    # zero, A is X-fragile iff the canonical partition is the only one
+    # realising the isolated minor on X, and the dual reads the same
+    rng = Random(13)
+    seen = {True: 0, False: 0}
+    for t in range(600):
+        A = random_matrix(rng, (GF2, GF3, GF4)[t % 3], max_rows=4, max_cols=5)
+        R, C = frozenset(A.rows), frozenset(A.cols)
+        X = frozenset(v for v in A.labels() if rng.random() < 0.5)
+        for r in X & R:
+            for c in X & C:
+                A = A.set_entry(r, c, 0)
+        M = ReprMatroid(A)
+        fragile = x_fragile_failure(A, X) is None
+        assert fragile == (
+            fragile_partitions(M, isolated(X & R, X)) == {MinorSpec(R - X, C - X)})
+        D = M.dual()
+        assert (x_fragile_failure(D.rep, X) is None) == fragile
+        assert fragile == (
+            fragile_partitions(D, isolated(X & C, X)) == {MinorSpec(C - X, R - X)})
+        seen[fragile] += 1
+    assert min(seen.values()) >= 40, seen
+
+
 def test_x_fragility_tall_matrix_reads_small_tables(monkeypatch):
     # 20 rows, 5 columns, X = every row: both tables range over the 5
     # columns alone, 2^5 entries each

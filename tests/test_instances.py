@@ -205,6 +205,20 @@ def test_gen_validates_before_sampling():
         gen_random("nope", seed=0)
 
 
+def test_empty_minor_of_nonempty_ground_is_refused(monkeypatch):
+    # every partition realises the empty minor, so no draw could succeed;
+    # the shape is refused before the first draw
+    monkeypatch.setattr(instances, "_random_matrix", None)
+    for kind in ("nfragile", "pipeline"):
+        with pytest.raises(InvalidArgs, match="empty minor"):
+            gen_random(kind, seed=25, q=2, rows=3, cols=4, minor_size=0)
+    monkeypatch.undo()
+    # on the empty ground set the one partition is unique
+    gi = gen_random("pipeline", seed=0, rows=0, cols=0, minor_size=0)
+    assert gi.rejections == 0
+    assert gi.instance.task.minor.ground == frozenset()
+
+
 def test_serialized_sets_are_sorted_lists():
     gi = gen_random("xfragile", seed=1, q=2, rows=2, cols=2, x_rows=1, x_cols=1)
     obj = serialize_instance(gi.instance)
@@ -243,8 +257,6 @@ PINNED_DRAWS = [
     ("pipeline", {"q": 4, "rows": 3, "cols": 3, "minor_size": 2}, 28, 12,
      "79a3e06b51c9a084152045fcc45a2129876aa167c7dd789dfb5a32c0d8e8bce0"),
     ("relax", {"q": 2, "rows": 5, "cols": 5, "max_attempts": 60}, 11, None, None),
-    ("nfragile", {"q": 2, "rows": 3, "cols": 4, "minor_size": 0, "max_attempts": 50},
-     25, None, None),
 ]
 
 

@@ -37,7 +37,6 @@ from matroidfrag import (
     zero_out,
 )
 from matroidfrag import fragility, matrices, matroids, reductions
-from matroidfrag.fragility import PARTITION_CAP_DEFAULT
 from matroidfrag.galois import DEGREE_CAP_DEFAULT, subfield_basis
 
 GF2 = make_prime_field(2)
@@ -194,13 +193,12 @@ def test_relax_and_free_extension_run_above_sixteen_elements():
     assert out.field is GF4
     assert out.column_encs("e") == (3,)  # 1 + w
     # the pair (c, d) with fifteen copies of c is fragile; the relax stage
-    # is bounded only by its subset cap on the labels outside the pair
+    # is bounded only by its partition cap on the labels outside the pair
     es = [f"e{j:02d}" for j in range(1, 16)]
     M = ReprMatroid(LabeledMatrix(GF2, ["c"], ["d"] + es, [[0] + [1] * 15]))
-    assert is_N_fragile(M, isolated({"c"}, {"c", "d"}), cap=15)
-    with pytest.raises(CapExceeded, match="subset cap 12"):
-        reductions._relax_entry(M, frozenset(), "c", "d", DEGREE_CAP_DEFAULT, 12)
-    M1, M2, H = reductions._relax_entry(M, frozenset(), "c", "d", DEGREE_CAP_DEFAULT, 15)
+    with pytest.raises(CapExceeded, match="partition cap 12"):
+        relax_entry(M, (), es, cap=12)
+    M1, M2, H = relax_entry(M, (), es, cap=15)
     assert H == {"d"}
     assert M1.rep == M.rep
     assert M2.rep == M.rep.lift(GF4).set_entry("c", "d", GF4.gen)
@@ -209,7 +207,8 @@ def test_relax_and_free_extension_run_above_sixteen_elements():
 def test_pair_fragility_decides_the_relax_sweep():
     # x_fragile_failure(A1, {c, d}) passes exactly when the reference
     # sweep does; the relaxation then holds, no rank of A2 is below A1's,
-    # and _relax_entry refuses every draw the reference rejects
+    # and relax_entry's partition search refuses every draw the reference
+    # rejects
     rng = Random(5)
     outcomes = Counter()
     for t in range(600):
@@ -232,21 +231,21 @@ def test_pair_fragility_decides_the_relax_sweep():
         T1, T2 = matrices.rank_table(A1, labels), matrices.rank_table(A2, labels)
         assert all(a <= b for a, b in zip(T1, T2))
         C = frozenset(rows) - {c}
-        args = (ReprMatroid(A1), C, c, d, DEGREE_CAP_DEFAULT, PARTITION_CAP_DEFAULT)
+        args = (ReprMatroid(A1), C, frozenset(cols) - {d})
         if want is not None:
-            with pytest.raises(PostconditionViolation, match="not pair-fragile"):
-                reductions._relax_entry(*args)
+            with pytest.raises(NotFragile, match="not fragile for the pair"):
+                relax_entry(*args)
             continue
         H = C | {d}
         assert is_relaxation(ReprMatroid(A1), ReprMatroid(A2), H)
-        M1, M2, got = reductions._relax_entry(*args)
+        M1, M2, got = relax_entry(*args)
         assert (M1.rep, M2.rep, got) == (A1, A2, H)
     assert len(outcomes) == 6 and min(outcomes.values()) >= 40
 
 
 def test_sweeps_make_no_rank_queries(monkeypatch):
     # free_extension and relax_entry certify by proofs: no rank query of
-    # their own, and the only rank tables are x_fragile_failure's two
+    # their own, and no rank table once the pair fragility is certified
     calls = 0
     tables = 0
     outside = 0
@@ -282,18 +281,15 @@ def test_sweeps_make_no_rank_queries(monkeypatch):
                             raising=False)
         monkeypatch.setattr(module, "rank_table", counted_table, raising=False)
     monkeypatch.setattr(ReprMatroid, "rebase", uncounted(ReprMatroid.rebase))
-    monkeypatch.setattr(reductions, "x_fragile_failure",
-                        uncounted(fragility.x_fragile_failure))
 
     A = LabeledMatrix(GF3, ["r1", "r2", "r3"], ["a", "b", "x"],
                       [[1, 0, 2], [0, 1, 1], [1, 1, 0]])
     free_extension(A, {"a", "b"}, "e")
     assert (calls, tables) == (0, 0)
     M = ReprMatroid(LabeledMatrix(GF2, ["a", "b"], ["c", "d"], [[0, 1], [1, 0]]))
-    M1, M2, H = reductions._relax_entry(M, frozenset({"b"}), "a", "c",
-                                        DEGREE_CAP_DEFAULT, PARTITION_CAP_DEFAULT)
+    M1, M2, H = reductions._relax_entry(M, frozenset({"b"}), "a", "c", DEGREE_CAP_DEFAULT)
     assert H == {"b", "c"}
-    assert (calls, tables) == (0, 2)
+    assert (calls, tables) == (0, 0)
 
 
 # -- zero_out -----------------------------------------------------------------
@@ -363,12 +359,14 @@ def test_reduce_to_two_relabels_pair():
         reduce_to_two(M, {"c"}, {"d"}, "x", "x")
     with pytest.raises(LabelCollision):
         reduce_to_two(M, {"c"}, {"d"}, "e", "d2")
+    with pytest.raises(NotFragile):
+        reduce_to_two(isolated({"c"}, {"c", "d", "e"}), {"c"}, {"d"}, "c2", "d2")
 
 
 def test_reduce_to_two_forwards_the_dual_certificate(monkeypatch):
-    # the dual collapse's postcondition certifies the two-element minor by
-    # duality, so no search follows it: the first collapse searches its
-    # input and its output, the dual collapse only its output
+    # one partition search for the input; each collapse certifies its
+    # output by X-fragility, the dual one for the two-element minor by
+    # duality, so no search follows either
     from matroidfrag import fragility, reductions
 
     gi = gen_random("pipeline", seed=1, q=2, rows=4, cols=4, minor_size=4)
@@ -391,7 +389,7 @@ def test_reduce_to_two_forwards_the_dual_certificate(monkeypatch):
     monkeypatch.setattr(fragility, "fragile_partitions", counted)
     monkeypatch.setattr(reductions, "fragile_partitions", counted)
     out = reduce_to_two(Mz, X1, X2, "c", "d")
-    assert calls == 3
+    assert calls == 1
     assert out.rep == want.rep
     assert is_N_fragile(out, isolated({"c"}, {"c", "d"}))
 
@@ -494,11 +492,12 @@ def test_pipeline_seeded_split_sides():
     ],
 )
 def test_pipeline_forwards_the_partition(monkeypatch, instance, conformance, collapsed):
-    # one partition search for the input and one per stage output; the
-    # relaxed entry and each collapse start from the forwarded partition
+    # one partition search, for the input; each stage that changes the
+    # display certifies it by X-fragility, and the relaxed entry and each
+    # collapse start from the partition found
     from matroidfrag import fragility, reductions
 
-    calls = {"fragile_partitions": 0, "display_basis": 0}
+    calls = {"fragile_partitions": 0, "display_basis": 0, "x_fragile_failure": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -520,7 +519,8 @@ def test_pipeline_forwards_the_partition(monkeypatch, instance, conformance, col
         monkeypatch.setattr(reductions, name, wrapped, raising=False)
     tr = pipeline(M, N, conformance=conformance)
     assert sum(not s.details.get("skipped") for s in tr.stages[1:3]) == collapsed
-    assert calls == {"fragile_partitions": 2 + collapsed, "display_basis": 0}
+    assert calls == {"fragile_partitions": 1, "display_basis": 0,
+                     "x_fragile_failure": 1 + collapsed}
 
 
 def test_pipeline_seeded_conformance_exact_bound():
