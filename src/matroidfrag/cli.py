@@ -11,8 +11,9 @@ Run as `python -m matroidfrag <command> [flags]`.  Commands:
 Flags: --input PATH (instance JSON), --seed N, --max-ground N (default
 16, bounds the instance ground set and the enumeration caps),
 --conformance (uniform-degree tower to exactly 2k^2), --report PATH
-(write the report JSON to a file as well), --suite NAME (verify-suite
-only; default all).
+(write the report JSON to a file as well; opened before the command
+runs, so an unwritable path exits 2), --suite NAME (verify-suite only;
+default all).
 
 The report is JSON on stdout.  Exit code 0 means the command ran and
 every property it asserts held (a false check verdict still exits 0:
@@ -215,6 +216,16 @@ def main(argv: list[str] | None = None) -> int:
                                         "message": str(exc)}}))
             return 2
 
+    # opened before the run: an unwritable path is invalid input
+    out = None
+    if args.report is not None:
+        try:
+            out = open(args.report, "w", encoding="utf-8")
+        except OSError as exc:
+            print(json.dumps({"error": {"type": "InvalidArgs",
+                                        "message": f"cannot write {args.report}: {exc}"}}))
+            return 2
+
     report, code = run(
         args.command,
         instance,
@@ -225,9 +236,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    if out is not None:
+        with out:
+            out.write(text + "\n")
     return code
 
 

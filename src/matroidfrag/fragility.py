@@ -181,7 +181,7 @@ def x_fragile_failure(
                 return ("block_nonzero", (r, c))
     rest = sorted(A.labels() - Xf)
     if len(rest) > cap:
-        raise CapExceeded(f"|labels - X| = {len(rest)} exceeds subset cap {cap}")
+        raise CapExceeded(f"|labels - X| = {len(rest)} exceeds partition cap {cap}")
     # Y fails iff r(W | Xc) <= r(W | Xr) - |Xr| (proof above), and the
     # two sides are tables of M/Xc\Xr and M/Xr\Xc over the labels
     # outside X, the first offset by r(Xc).

@@ -576,9 +576,9 @@ def field_from_tower(
     return spec
 
 
-def field_of_order(q: int, *, degree_cap: int = DEGREE_CAP_DEFAULT) -> FieldSpec:
+def field_of_order(q: int) -> FieldSpec:
     """GF(q) for a prime power q, as the canonical one-step tower
-    GF(p) or GF(p^k) over GF(p)."""
+    GF(p) or GF(p^k) over GF(p), under the default degree cap."""
     if not isinstance(q, int) or q < 2:
         raise InvalidField(f"field order {q!r} is not a prime power")
     p = next(c for c in range(2, q + 1) if q % c == 0)
@@ -589,7 +589,7 @@ def field_of_order(q: int, *, degree_cap: int = DEGREE_CAP_DEFAULT) -> FieldSpec
     if n != 1:
         raise InvalidField(f"field order {q} is not a prime power")
     base = make_prime_field(p)
-    return base if k == 1 else extend_field(base, k, degree_cap=degree_cap)
+    return base if k == 1 else extend_field(base, k)
 
 
 # -- subfield relations -----------------------------------------------------

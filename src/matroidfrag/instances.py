@@ -19,11 +19,13 @@ matrix block over the same field.  Parsing reports the JSON path of the
 first offending value, so a bad entry in a large file is located
 exactly.
 
-`gen_random` draws seeded instances of each kind by rejection
-sampling.  The N-fragile kinds know one realising partition of every
-draw, so most rejections are proved by `fragility.one_move_partition`
-with a few rank queries; a draw is accepted only by the full partition
-search.
+`gen_random` draws seeded instances by rejection sampling in two
+loops: one cuts a minor out of a random matroid ("nfragile",
+"pipeline"), the other zeroes a block X ("xfragile", and "relax" with
+X = {r0, c0}).  Both know one realising partition of every draw, so
+most rejections are proved by `fragility.one_move_partition` with a
+few rank queries; a draw is accepted only by the full partition
+search, or by `fragility.x_fragile_failure`, which decides the same.
 """
 
 from __future__ import annotations
@@ -45,12 +47,12 @@ from .errors import (
 from .fragility import (
     PARTITION_CAP_DEFAULT,
     is_N_fragile,
-    is_X_fragile_matrix,
     one_move_partition,
+    x_fragile_failure,
 )
 from .galois import FieldSpec, field_from_tower, field_of_order
 from .matrices import LabeledMatrix
-from .matroids import MinorSpec, ReprMatroid, isolated
+from .matroids import MinorSpec, ReprMatroid
 
 
 @dataclass(frozen=True)
@@ -324,18 +326,20 @@ def gen_random(
     "nfragile" and "pipeline" a minor of size minor_size is cut out of a
     random matroid by a random partition; minor_size 0 on a nonempty
     ground set raises InvalidArgs before any draw, as every partition
-    realises the empty minor.  For "relax" the instance is a
-    matroid fragile for the displayed coloop/loop pair (r0, c0).
+    realises the empty minor.  "relax" is "xfragile" with
+    x_rows = x_cols = 1: a matroid fragile for the displayed coloop/loop
+    pair (r0, c0), returned as the task (rows - r0, cols - c0).
 
-    For "nfragile", "pipeline" and "relax" the draw comes with one
-    partition realising its minor: the sampled one, or (rows - r0,
-    cols - c0) for "relax" since A[r0][c0] = 0.  A second realising
-    partition one move from it (`one_move_partition`) proves the draw
-    is not fragile, so it is rejected before the minor is built or any
-    rank table is read.  The witness only rejects: a draw is accepted
-    only when the full search `is_N_fragile` finds a unique partition,
-    so the accepted instances and rejection counts are those of the
-    full search alone.
+    Every draw comes with one partition realising its minor: the
+    sampled one, or (rows - X, cols - X), which realises the isolated
+    minor on X as its block is zero.  A second realising partition one
+    move from it (`one_move_partition`) proves the draw is not fragile,
+    so it is rejected before the minor is built or any rank table is
+    read.  The witness only rejects: a draw is accepted only when the
+    full search `is_N_fragile` finds a unique partition, or when
+    `x_fragile_failure` passes, which holds exactly when (rows - X,
+    cols - X) is the only one.  So the accepted instances and rejection
+    counts are those of the full search alone.
 
     Returns the instance plus the number of rejected draws.  Raises
     Exhausted when max_attempts samples all fail the acceptance oracle,
@@ -351,28 +355,6 @@ def gen_random(
     row_labels = [f"r{i}" for i in range(rows)]
     col_labels = [f"c{j}" for j in range(cols)]
     rng = random.Random(seed)
-
-    if kind == "xfragile":
-        if not 0 <= x_rows <= rows or not 0 <= x_cols <= cols:
-            raise InvalidArgs("x_rows/x_cols out of range for the matrix shape")
-        rest = rows + cols - x_rows - x_cols
-        if rest > PARTITION_CAP_DEFAULT:
-            raise CapExceeded(
-                f"{rest} elements outside X exceeds the subset cap {PARTITION_CAP_DEFAULT}"
-            )
-        x = frozenset(row_labels[:x_rows]) | frozenset(col_labels[:x_cols])
-        for attempt in range(max_attempts):
-            A = _random_matrix(rng, field, row_labels, col_labels)
-            if x_rows and x_cols:
-                data = [list(r) for r in A._data]
-                for i in range(x_rows):
-                    for j in range(x_cols):
-                        data[i][j] = 0
-                A = LabeledMatrix(field, row_labels, col_labels, data)
-            if is_X_fragile_matrix(A, x):
-                inst = InstanceFile(field, A, XFragileTask(x), seed)
-                return GeneratedInstance(inst, attempt)
-        raise Exhausted(f"no X-fragile matrix in {max_attempts} attempts")
 
     if kind in ("nfragile", "pipeline"):
         if not 0 <= minor_size <= rows + cols:
@@ -402,26 +384,28 @@ def gen_random(
                 return GeneratedInstance(inst, attempt)
         raise Exhausted(f"no fragile pair in {max_attempts} attempts")
 
-    # relax: fragile for the displayed coloop/loop pair (r0, c0)
-    if rows < 1 or cols < 1:
-        raise InvalidArgs("relax instances need at least one row and one column")
-    rest = rows + cols - 2
+    # xfragile, and relax as X = {r0, c0}: the displayed coloop/loop pair
+    if kind == "relax":
+        if rows < 1 or cols < 1:
+            raise InvalidArgs("relax instances need at least one row and one column")
+        x_rows = x_cols = 1
+    if not 0 <= x_rows <= rows or not 0 <= x_cols <= cols:
+        raise InvalidArgs("x_rows/x_cols out of range for the matrix shape")
+    rest = rows + cols - x_rows - x_cols
     if rest > PARTITION_CAP_DEFAULT:
         raise CapExceeded(
-            f"{rest} elements outside the pair exceeds the partition cap "
-            f"{PARTITION_CAP_DEFAULT}"
+            f"{rest} elements outside X exceeds the partition cap {PARTITION_CAP_DEFAULT}"
         )
-    N = isolated({row_labels[0]}, {row_labels[0], col_labels[0]})
-    # with A[r0][c0] = 0 this partition leaves r0 a coloop and c0 a loop
-    part = MinorSpec(row_labels[1:], col_labels[1:])
+    x = frozenset(row_labels[:x_rows]) | frozenset(col_labels[:x_cols])
+    # with the X block zero this partition realises the isolated minor on X
+    part = MinorSpec(row_labels[x_rows:], col_labels[x_cols:])
     for attempt in range(max_attempts):
         A = _random_matrix(rng, field, row_labels, col_labels)
-        data = [list(r) for r in A._data]
-        data[0][0] = 0
+        data = [[0 if i < x_rows and j < x_cols else v for j, v in enumerate(row)]
+                for i, row in enumerate(A._data)]
         A = LabeledMatrix(field, row_labels, col_labels, data)
-        M = ReprMatroid(A)
-        if one_move_partition(M, part) is None and is_N_fragile(M, N):
-            task = RelaxTask(part.contract, part.delete)
-            inst = InstanceFile(field, A, task, seed)
-            return GeneratedInstance(inst, attempt)
-    raise Exhausted(f"no relaxable pair in {max_attempts} attempts")
+        if one_move_partition(ReprMatroid(A), part) is None and x_fragile_failure(A, x) is None:
+            task = XFragileTask(x) if kind == "xfragile" else RelaxTask(part.contract, part.delete)
+            return GeneratedInstance(InstanceFile(field, A, task, seed), attempt)
+    what = "X-fragile matrix" if kind == "xfragile" else "relaxable pair"
+    raise Exhausted(f"no {what} in {max_attempts} attempts")

@@ -25,12 +25,13 @@ relaxation are not swept over subsets: each follows by a short proof,
 given in the docstring of `free_extension` and of `relax_entry`, from
 polynomial checks that the stage runs.
 
-One partition search per pipeline finds the partition (C, D) realising
-N in the input, and (C, D) never changes.  zero_out and each collapse
-display the isolated minor of their output on X with a zero block and
-(C, D) canonical, and certify it by `x_fragile_failure`, which for such
-a display is fragility (proof there); relax_entry relaxes the last such
-display.  Called on their own, the public stages search afresh.
+One partition search per pipeline, in zero_out, finds the partition
+(C, D) realising N; from then on the display is the certificate.  Each
+stage shows its isolated minor on X with C on the rows, D on the
+columns and a zero block on X, and certifies it by `x_fragile_failure`,
+which for such a display is the uniqueness of (C, D) (proof there).
+Called on their own, collapse_side and reduce_to_two re-display their
+input once by a partition search, and relax_entry by a basis check.
 
 Field growth: collapsing a side of size s needs s coordinates linearly
 independent over the current field, hence a degree max(1, s) extension
@@ -83,11 +84,6 @@ def _sole_partition(
         raise NotFragile(message.format(n=len(parts)))
     (part,) = parts
     return part
-
-
-def _flip(part: MinorSpec) -> MinorSpec:
-    """The same partition read in the dual: contract and delete swap."""
-    return MinorSpec(part.delete, part.contract)
 
 
 # ---------------------------------------------------------------------------
@@ -220,29 +216,30 @@ def collapse_side(
     if d in M.ground:
         raise LabelCollision(f"label {d!r} already in the ground set")
     return _collapse_side(
-        M, X1f, X2f, d, _isolated_partition(M, X1f, X2f), None,
+        _isolated_display(M, X1f, X2f), X1f, X2f, d, None,
         DEGREE_CAP_DEFAULT, PARTITION_CAP_DEFAULT,
     )
 
 
-def _isolated_partition(M: ReprMatroid, X1: frozenset[str], X2: frozenset[str]) -> MinorSpec:
-    """The one partition realising isolated(X1, X1 + X2) in M."""
-    return _sole_partition(
-        M, isolated(X1, X1 | X2), PARTITION_CAP_DEFAULT,
+def _isolated_display(M: ReprMatroid, X1: frozenset[str], X2: frozenset[str]) -> ReprMatroid:
+    """M re-displayed by the one partition (C, D) realising
+    isolated(X1, X1 + X2): rows C + X1, columns D + X2."""
+    N = isolated(X1, X1 | X2)
+    part = _sole_partition(
+        M, N, PARTITION_CAP_DEFAULT,
         "{n} partitions realise the isolated minor; need exactly one",
     )
+    # the basis meets E(N) in the unique basis X1 of N
+    return M.rebase(partition_basis(M, N, part))
 
 
 def _collapse_side(
     M: ReprMatroid, X1: frozenset[str], X2: frozenset[str], d: str,
-    part: MinorSpec, degree: int | None, degree_cap: int, cap: int,
+    degree: int | None, degree_cap: int, cap: int,
 ) -> ReprMatroid:
-    """collapse_side from `part` = (C, D), the one partition realising
-    isolated(X1, X1 + X2) in M; the output has rows C + X1."""
-    # the basis meets E(N) in the unique basis X1 of N, so X2 sits on
-    # the column side
-    A = M.rebase(partition_basis(M, isolated(X1, X1 | X2), part)).rep
-    A2 = free_extension(A, X2, d, degree=degree, degree_cap=degree_cap)
+    """collapse_side on M displayed with X1 on the rows and X2 on the
+    columns; only columns change, so the output keeps the rows of M."""
+    A2 = free_extension(M.rep, X2, d, degree=degree, degree_cap=degree_cap)
     out = ReprMatroid(A2).minor(delete=X2)
     fail = x_fragile_failure(out.rep, X1 | {d}, cap=cap)
     if fail is not None:
@@ -261,8 +258,9 @@ def reduce_to_two(
 ) -> ReprMatroid:
     """Collapse both sides of an isolated minor to fresh elements c, d.
 
-    The loop side X2 is collapsed directly, the coloop side X1 in the
-    dual, from the same partition with its sets swapped.  The result is
+    M is re-displayed once by its one realising partition; the loop
+    side X2 is collapsed on that display, the coloop side X1 on its
+    dual, where rows and columns swap.  The result is
     fragile for the two-element isolated minor (coloop c, loop d), as
     the dual collapse certifies for its dual, agrees with M off the
     minor (contracting c and deleting d matches contracting X1 and
@@ -278,11 +276,8 @@ def reduce_to_two(
     if X1f & X2f:
         raise InvalidArgs(f"sides overlap: {sorted(X1f & X2f)}")
     dcap, cap = DEGREE_CAP_DEFAULT, PARTITION_CAP_DEFAULT
-    part = _isolated_partition(M, X1f, X2f)
-    Ma = _collapse_side(M, X1f, X2f, d, part, None, dcap, cap)
-    out = _collapse_side(
-        Ma.dual(), frozenset({d}), X1f, c, _flip(part), None, dcap, cap
-    ).dual()
+    Ma = _collapse_side(_isolated_display(M, X1f, X2f), X1f, X2f, d, None, dcap, cap)
+    out = _collapse_side(Ma.dual(), frozenset({d}), X1f, c, None, dcap, cap).dual()
     if not out.minor({c}, {d}).equals(M.minor(X1f, X2f)):
         raise PostconditionViolation(
             "contracting c and deleting d does not match the original minor"
@@ -316,12 +311,17 @@ def relax_entry(
     quadratic extension.  Returns (M1, M2, H) where H = C + {d} is a
     circuit-hyperplane of M1 and the unique new basis of M2.
 
-    Verified before returning: A1 is {c, d}-fragile, its (c, d) entry
-    zero included, as the partition search (capped by `cap` on the
-    |E| - 2 labels outside the pair) finds (C, D), the canonical
-    partition of A1, the only one realising the pair (proof in
-    `fragility.x_fragile_failure`); and the generator theta of the
-    extension lies outside the entry field F.
+    Verified before returning: C + {c} is a basis of M; the display A1
+    of M on it is {c, d}-fragile, its (c, d) entry zero included, by
+    `x_fragile_failure` (capped by `cap` on the |E| - 2 labels outside
+    the pair); and the generator theta of the extension lies outside the
+    entry field F.  The first two hold exactly when (C, D) is the only
+    partition realising the pair.  If it is, C is independent and E - D
+    spans, else one move (`fragility.one_move_partition`) gives a second
+    partition; as M/C\\D has rank 1, C + {c} is then a basis.  On that
+    display (C, D) is (rows - {c}, cols - {d}), the only partition
+    realising the pair exactly when A1 is {c, d}-fragile (proof in
+    `fragility.x_fragile_failure`).
 
     Proof that these certify the relaxation.  A2 = A1 + theta * E_cd, so
     each minor of A2 is m0 + theta * m1, with m0 the same minor of A1
@@ -353,23 +353,22 @@ def relax_entry(
     if len(coloops) != 1 or len(loops) != 1:
         raise NotFragile(f"minor is not one coloop plus one loop: ranks {by_rank}")
     c, d = coloops[0], loops[0]
-    N = isolated({c}, {c, d})
-    if not Mn.equals(N):
-        raise NotFragile("displayed minor is not the isolated coloop/loop pair")
-    parts = fragile_partitions(M, N, cap=cap)
-    if parts != {MinorSpec(Cf, Df)}:
-        raise NotFragile(
-            "the matroid is not fragile for the pair, or (C, D) is not its partition"
-        )
-    return _relax_entry(M, Cf, c, d, DEGREE_CAP_DEFAULT)
+    # with c rank 1 and d a loop, Mn is the pair isolated({c}, {c, d})
+    B = Cf | {c}
+    if M.rank(B) == len(B) == M.rank():
+        M1 = M.rebase(B)
+        if x_fragile_failure(M1.rep, {c, d}, cap=cap) is None:
+            return _relax_entry(M1, c, d, DEGREE_CAP_DEFAULT)
+    raise NotFragile(
+        "the matroid is not fragile for the pair, or (C, D) is not its partition"
+    )
 
 
 def _relax_entry(
-    M: ReprMatroid, Cf: frozenset[str], c: str, d: str, degree_cap: int
+    M1: ReprMatroid, c: str, d: str, degree_cap: int
 ) -> tuple[ReprMatroid, ReprMatroid, frozenset[str]]:
-    """relax_entry once the display of M with basis Cf + {c} is
-    certified {c, d}-fragile."""
-    M1 = M.rebase(Cf | {c})
+    """relax_entry on M1 displayed with basis C + {c}, a display
+    certified {c, d}-fragile; H = rows - {c} + {d}."""
     A1 = M1.rep
     F = A1.field
     F2 = extend_field(F, 2, degree_cap=degree_cap)
@@ -379,7 +378,7 @@ def _relax_entry(
     # with the caller's pair fragility this certifies the relaxation
     # (proof in relax_entry)
     M2 = ReprMatroid(A1.lift(F2).set_entry(c, d, theta))
-    return M1, M2, Cf | {d}
+    return M1, M2, frozenset(A1.rows) - {c} | {d}
 
 
 # ---------------------------------------------------------------------------
@@ -438,12 +437,11 @@ def pipeline(
     if conformance:
         dcap = max(dcap, base_field.degree * 2 * k * k)
 
-    # the one partition search; every later stage keeps its result
+    # the one partition search; every later stage keeps its display
     Mz, Az = _zero_out(M, N, cap)
     B = frozenset(Az.rows)
     X1 = B & N.ground
     X2 = N.ground - B
-    part = MinorSpec(B - N.ground, frozenset(Az.cols) - N.ground)
     stages = [
         StageRecord(
             name="zero_displayed_block",
@@ -469,7 +467,7 @@ def pipeline(
         return q
 
     # the loop side, then the coloop side as the loop side of the dual,
-    # where the partition holds with its two sets swapped
+    # where rows and columns swap
     labels = {}
     for name, key, side in (
         ("collapse_loop_side", "d", X2),
@@ -483,11 +481,10 @@ def pipeline(
             used.add(labels[key])
             degree = k if conformance else None
             if key == "d":
-                cur = _collapse_side(cur, X1, X2, labels["d"], part, degree, dcap, cap)
+                cur = _collapse_side(cur, X1, X2, labels["d"], degree, dcap, cap)
             else:
                 cur = _collapse_side(
-                    cur.dual(), frozenset({labels["d"]}), X1, labels["c"], _flip(part),
-                    degree, dcap, cap,
+                    cur.dual(), frozenset({labels["d"]}), X1, labels["c"], degree, dcap, cap
                 ).dual()
             verdicts = {
                 "unique_partition": True,
@@ -499,8 +496,8 @@ def pipeline(
         stages.append(StageRecord(name, _deg(cur), cur, verdicts, details))
     c_label, d_label = labels["c"], labels["d"]
 
-    # relax the entry that the last stage certified pair-fragile
-    M1, M2, H = _relax_entry(cur, part.contract, c_label, d_label, dcap)
+    # relax the entry of the display the last stage certified pair-fragile
+    M1, M2, H = _relax_entry(cur, c_label, d_label, dcap)
     stages.append(
         StageRecord(
             name="relax_entry",

@@ -224,6 +224,24 @@ def test_report_flag_writes_stdout_text(tmp_path, capsys):
     assert out_path.read_text() == printed.rstrip("\n") + "\n"
 
 
+def test_unwritable_report_exits_two(tmp_path, capsys, monkeypatch):
+    from matroidfrag import cli
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the command ran before the report path was checked")
+
+    monkeypatch.setattr(cli, "run", boom)
+    path = tmp_path / "inst.json"
+    path.write_text(PAIR_PIPELINE)
+    out_path = tmp_path / "no" / "such" / "r.json"
+    code, report = run_main(capsys, ["pipeline", "--input", str(path),
+                                     "--report", str(out_path)])
+    assert code == 2
+    assert report["error"]["type"] == "InvalidArgs"
+    assert str(out_path) in report["error"]["message"]
+    assert not out_path.parent.exists()
+
+
 def test_reports_are_canonical_across_runs(tmp_path, capsys):
     path = tmp_path / "inst.json"
     path.write_text(PAIR_PIPELINE)

@@ -257,6 +257,20 @@ PINNED_DRAWS = [
     ("pipeline", {"q": 4, "rows": 3, "cols": 3, "minor_size": 2}, 28, 12,
      "79a3e06b51c9a084152045fcc45a2129876aa167c7dd789dfb5a32c0d8e8bce0"),
     ("relax", {"q": 2, "rows": 5, "cols": 5, "max_attempts": 60}, 11, None, None),
+    ("xfragile", {"q": 2, "rows": 3, "cols": 3, "x_rows": 1, "x_cols": 1}, 12, 26,
+     "1eb75fba72e33d24863da783ae0a409dc4db2f9c9762fa734b7311153a5320a9"),
+    ("xfragile", {"q": 3, "rows": 3, "cols": 4, "x_rows": 2, "x_cols": 1}, 13, 1,
+     "4c5444d13c4bf61920706f40656f5fd6e5b7f868991211a81c3579c414e9e02d"),
+    ("xfragile", {"q": 4, "rows": 3, "cols": 3, "x_rows": 1, "x_cols": 2}, 15, 1,
+     "4760eee2e4dd622df66706f7ac84f8d4c232d1cab6a3b48bddcae68e1ddbbcbb"),
+    ("xfragile", {"q": 2, "rows": 4, "cols": 4, "x_rows": 1, "x_cols": 1}, 20, 510,
+     "ab8124156be1a7a006069bf67e7cd98cd31e0344f87ac08a198328191ccde43e"),
+    ("xfragile", {"q": 2, "rows": 3, "cols": 5, "x_rows": 3, "x_cols": 0}, 21, 3,
+     "afd053ab66c11dea806f4fce2af5f7f63781ce837820470c4c5cb7532f262aee"),
+    ("xfragile", {"q": 2, "rows": 5, "cols": 2, "x_rows": 0, "x_cols": 2}, 29, 1,
+     "9120c7a0dbab04d599c70106ab19734beadd2e9664f88870f0d920e25db4e996"),
+    ("xfragile", {"q": 2, "rows": 1, "cols": 2, "x_rows": 0, "x_cols": 1,
+                  "max_attempts": 50}, 18, None, None),
 ]
 
 
@@ -275,6 +289,7 @@ def test_pinned_draws_are_unchanged(kind, shape, seed, rejections, digest):
 @pytest.mark.parametrize("kind,shape,seed,rejections", [
     ("pipeline", {"q": 2, "rows": 4, "cols": 4, "minor_size": 3}, 8, 55),
     ("relax", {"q": 2, "rows": 4, "cols": 4}, 2, 92),
+    ("xfragile", {"q": 2, "rows": 3, "cols": 3, "x_rows": 1, "x_cols": 1}, 12, 26),
 ])
 def test_witness_rejected_draws_build_no_minor_and_no_table(
         monkeypatch, kind, shape, seed, rejections):
@@ -303,8 +318,10 @@ def test_witness_rejected_draws_build_no_minor_and_no_table(
     starts = [i for i, e in enumerate(events) if not isinstance(e, str)]
     assert len(starts) == rejections + 1
     draws = [events[i:j] for i, j in zip(starts, starts[1:] + [len(events)])]
+    # a zeroed block is accepted by x_fragile_failure, which builds the
+    # two minors M/Xc\\Xr and M/Xr\\Xc and a table of each
     full = ["minor", "rank_table", "rank_table"] if kind == "pipeline" else [
-        "rank_table", "rank_table"]
+        "minor", "rank_table", "minor", "rank_table"]
     for draw in draws:
         assert draw[1:] == ([] if draw[0] else full)
     caught = sum(1 for draw in draws if draw[0])

@@ -207,8 +207,7 @@ def test_relax_and_free_extension_run_above_sixteen_elements():
 def test_pair_fragility_decides_the_relax_sweep():
     # x_fragile_failure(A1, {c, d}) passes exactly when the reference
     # sweep does; the relaxation then holds, no rank of A2 is below A1's,
-    # and relax_entry's partition search refuses every draw the reference
-    # rejects
+    # and relax_entry refuses every draw the reference rejects
     rng = Random(5)
     outcomes = Counter()
     for t in range(600):
@@ -243,29 +242,76 @@ def test_pair_fragility_decides_the_relax_sweep():
     assert len(outcomes) == 6 and min(outcomes.values()) >= 40
 
 
+def relax_by_partition_search(M, C, D):
+    """relax_entry decided by the full partition search: NotFragile
+    unless (C, D) is the only partition realising the isolated pair of a
+    coloop c and a loop d, else the display on C + {c} and its
+    relaxation."""
+    C, D = frozenset(C), frozenset(D)
+    Mn = M.minor(C, D)
+    ranks = {x: Mn.rank({x}) for x in M.ground - C - D}
+    if sorted(ranks.values()) != [0, 1]:
+        return NotFragile
+    c, d = sorted(ranks, key=ranks.get, reverse=True)
+    N = isolated({c}, {c, d})
+    if fragility.fragile_partitions(M, N) != {matroids.MinorSpec(C, D)}:
+        return NotFragile
+    A1 = M.rebase(C | {c}).rep
+    F2 = extend_field(A1.field, 2)
+    return A1, A1.lift(F2).set_entry(c, d, F2.gen), C | {d}
+
+
+def test_relax_entry_matches_the_partition_search():
+    # relax_entry checks a basis and the X-fragility of one display in
+    # place of the partition search; over every field, on displays and on
+    # random (C, D), dependent C included, both decide and build alike
+    rng = Random(9)
+    outcomes = Counter()
+    for t in range(1200):
+        F = (GF2, GF3, GF4)[t % 3]
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+        rows = [f"r{i}" for i in range(nrows)]
+        cols = [f"c{j}" for j in range(ncols)]
+        density = rng.random()
+        data = [[rng.randrange(1, F.order) if rng.random() < density else 0
+                 for _ in cols] for _ in rows]
+        if t % 2:
+            M = ReprMatroid(LabeledMatrix(F, rows, cols, data))
+            others = sorted(M.ground - set(rng.sample(sorted(M.ground), 2)))
+            C = frozenset(e for e in others if rng.random() < 0.5)
+            D = frozenset(others) - C
+        else:
+            c, d = rng.choice(rows), rng.choice(cols)
+            data[rows.index(c)][cols.index(d)] = 0
+            M = ReprMatroid(LabeledMatrix(F, rows, cols, data))
+            C, D = frozenset(rows) - {c}, frozenset(cols) - {d}
+        want = relax_by_partition_search(M, C, D)
+        try:
+            M1, M2, H = relax_entry(M, C, D)
+            got = M1.rep, M2.rep, H
+        except NotFragile:
+            got = NotFragile
+        assert got == want
+        if sorted(M.minor(C, D).rank({x}) for x in M.ground - C - D) == [0, 1]:
+            outcomes[F.order, got is NotFragile, M.rank(C) < len(C)] += 1
+    for q in (2, 3, 4):
+        assert outcomes[q, False, False] >= 40
+        assert outcomes[q, True, False] + outcomes[q, True, True] >= 40
+        assert outcomes[q, True, True] >= 10
+    assert not any(outcomes[q, False, True] for q in (2, 3, 4))
+
+
 def test_sweeps_make_no_rank_queries(monkeypatch):
     # free_extension and relax_entry certify by proofs: no rank query of
     # their own, and no rank table once the pair fragility is certified
     calls = 0
     tables = 0
-    outside = 0
 
     def counted(fn):
         def wrapper(*args, **kwargs):
             nonlocal calls
-            calls += not outside
+            calls += 1
             return fn(*args, **kwargs)
-
-        return wrapper
-
-    def uncounted(fn):
-        def wrapper(*args, **kwargs):
-            nonlocal outside
-            outside += 1
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                outside -= 1
 
         return wrapper
 
@@ -280,15 +326,15 @@ def test_sweeps_make_no_rank_queries(monkeypatch):
         monkeypatch.setattr(module, "submatrix_rank", counted(matrices.submatrix_rank),
                             raising=False)
         monkeypatch.setattr(module, "rank_table", counted_table, raising=False)
-    monkeypatch.setattr(ReprMatroid, "rebase", uncounted(ReprMatroid.rebase))
 
     A = LabeledMatrix(GF3, ["r1", "r2", "r3"], ["a", "b", "x"],
                       [[1, 0, 2], [0, 1, 1], [1, 1, 0]])
     free_extension(A, {"a", "b"}, "e")
     assert (calls, tables) == (0, 0)
     M = ReprMatroid(LabeledMatrix(GF2, ["a", "b"], ["c", "d"], [[0, 1], [1, 0]]))
-    M1, M2, H = reductions._relax_entry(M, frozenset({"b"}), "a", "c", DEGREE_CAP_DEFAULT)
-    assert H == {"b", "c"}
+    # displayed with basis {a, b} = C + {c}: H = rows - {a} + {c}
+    M1, M2, H = reductions._relax_entry(M, "a", "c", DEGREE_CAP_DEFAULT)
+    assert H == {"b", "c"} and M1 is M
     assert (calls, tables) == (0, 0)
 
 
@@ -492,19 +538,29 @@ def test_pipeline_seeded_split_sides():
     ],
 )
 def test_pipeline_forwards_the_partition(monkeypatch, instance, conformance, collapsed):
-    # one partition search, for the input; each stage that changes the
-    # display certifies it by X-fragility, and the relaxed entry and each
-    # collapse start from the partition found
+    # one partition search, one basis read off it and one re-display, all
+    # for the input inside _zero_out; each stage that changes the display
+    # certifies it by X-fragility, and no partition is built after
     from matroidfrag import fragility, reductions
 
-    calls = {"fragile_partitions": 0, "display_basis": 0, "x_fragile_failure": 0}
+    names = ("fragile_partitions", "display_basis", "partition_basis", "x_fragile_failure")
+    calls = Counter()
+    inside = 0
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[name, inside > 0] += 1
             return fn(*args, **kwargs)
 
         return wrapper
+
+    def zero_out_core(*args, **kwargs):
+        nonlocal inside
+        inside += 1
+        try:
+            return zero_out_(*args, **kwargs)
+        finally:
+            inside -= 1
 
     if instance == "singleton":
         M, N = pair_matroid(), isolated({"c"}, {"c", "d"})
@@ -513,14 +569,23 @@ def test_pipeline_forwards_the_partition(monkeypatch, instance, conformance, col
         gi = gen_random("pipeline", seed=seed, q=2, rows=rows, cols=cols, minor_size=k)
         M, N = ReprMatroid(gi.instance.matrix), gi.instance.task.minor
     # both bindings, so calls through is_N_fragile count as well
-    for name in calls:
+    for name in names:
         wrapped = counted(name, getattr(fragility, name))
         monkeypatch.setattr(fragility, name, wrapped)
         monkeypatch.setattr(reductions, name, wrapped, raising=False)
+    monkeypatch.setattr(ReprMatroid, "rebase", counted("rebase", ReprMatroid.rebase))
+    monkeypatch.setattr(reductions, "MinorSpec", counted("MinorSpec", matroids.MinorSpec))
+    zero_out_ = reductions._zero_out
+    monkeypatch.setattr(reductions, "_zero_out", zero_out_core)
     tr = pipeline(M, N, conformance=conformance)
     assert sum(not s.details.get("skipped") for s in tr.stages[1:3]) == collapsed
-    assert calls == {"fragile_partitions": 1, "display_basis": 0,
-                     "x_fragile_failure": 1 + collapsed}
+    assert dict(calls) == {
+        ("fragile_partitions", True): 1,
+        ("partition_basis", True): 1,
+        ("rebase", True): 1,
+        ("x_fragile_failure", True): 1,
+        **({("x_fragile_failure", False): collapsed} if collapsed else {}),
+    }
 
 
 def test_pipeline_seeded_conformance_exact_bound():
