@@ -578,10 +578,13 @@ def field_from_tower(
 
 def field_of_order(q: int) -> FieldSpec:
     """GF(q) for a prime power q, as the canonical one-step tower
-    GF(p) or GF(p^k) over GF(p), under the default degree cap."""
+    GF(p) or GF(p^k) over GF(p), under the default degree cap.  The
+    characteristic is found by trial division up to PRIME_LIMIT."""
     if not isinstance(q, int) or q < 2:
         raise InvalidField(f"field order {q!r} is not a prime power")
-    p = next(c for c in range(2, q + 1) if q % c == 0)
+    p = next((c for c in range(2, min(q, PRIME_LIMIT) + 1) if q % c == 0), None)
+    if p is None:
+        raise InvalidField(f"field order {q} has no prime factor up to {PRIME_LIMIT}")
     k, n = 0, q
     while n % p == 0:
         n //= p

@@ -25,7 +25,7 @@ cannot be overridden.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import (
     CapExceeded,

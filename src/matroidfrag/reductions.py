@@ -30,8 +30,9 @@ One partition search per pipeline, in zero_out, finds the partition
 stage shows its isolated minor on X with C on the rows, D on the
 columns and a zero block on X, and certifies it by `x_fragile_failure`,
 which for such a display is the uniqueness of (C, D) (proof there).
-Called on their own, collapse_side and reduce_to_two re-display their
-input once by a partition search, and relax_entry by a basis check.
+Called on their own, collapse_side and reduce_to_two display their
+input by the same partition search as zero_out, without its zeroing,
+and relax_entry by a basis check.
 
 Field growth: collapsing a side of size s needs s coordinates linearly
 independent over the current field, hence a degree max(1, s) extension
@@ -62,7 +63,7 @@ from .fragility import (
 )
 from .galois import DEGREE_CAP_DEFAULT, extend_field, is_in_subfield, subfield_basis
 from .matrices import LabeledMatrix
-from .matroids import MinorSpec, ReprMatroid, isolated
+from .matroids import ReprMatroid, isolated
 
 
 def _fresh_label(stem: str, used: set[str]) -> str:
@@ -72,18 +73,6 @@ def _fresh_label(stem: str, used: set[str]) -> str:
     while f"{stem}{i}" in used:
         i += 1
     return f"{stem}{i}"
-
-
-def _sole_partition(
-    M: ReprMatroid, N: ReprMatroid, cap: int, message: str
-) -> MinorSpec:
-    """The one partition realising N in M, else NotFragile(message) with
-    the number of realising partitions filled in for {n}."""
-    parts = fragile_partitions(M, N, cap=cap)
-    if len(parts) != 1:
-        raise NotFragile(message.format(n=len(parts)))
-    (part,) = parts
-    return part
 
 
 # ---------------------------------------------------------------------------
@@ -100,18 +89,25 @@ def zero_out(M: ReprMatroid, N: ReprMatroid) -> tuple[ReprMatroid, LabeledMatrix
     return _zero_out(M, N, PARTITION_CAP_DEFAULT)
 
 
+def _display(M: ReprMatroid, N: ReprMatroid, cap: int) -> ReprMatroid:
+    """M re-displayed on the basis of the one partition realising N,
+    else NotFragile."""
+    parts = fragile_partitions(M, N, cap=cap)
+    if len(parts) != 1:
+        raise NotFragile(f"{len(parts)} partitions realise the minor; need exactly one")
+    return M.rebase(partition_basis(M, N, next(iter(parts))))
+
+
 def _zero_out(
     M: ReprMatroid, N: ReprMatroid, cap: int
 ) -> tuple[ReprMatroid, LabeledMatrix]:
     """zero_out under the partition cap `cap`; the partition found in M
     is (rows - E(N), cols - E(N)) in the returned representation."""
-    part = _sole_partition(M, N, cap, "{n} partitions realise the minor; need exactly one")
-    B = partition_basis(M, N, part)
-    A = M.rebase(B).rep
-    block_rows = sorted(B & N.ground)
-    block_cols = sorted(N.ground - B)
+    A = _display(M, N, cap).rep
+    BN = N.ground & frozenset(A.rows)
+    block_cols = sorted(N.ground - BN)
     data = [list(row) for row in A._data]
-    for r in block_rows:
+    for r in sorted(BN):
         i = A._row_pos[r]
         for c in block_cols:
             data[i][A._col_pos[c]] = 0
@@ -121,7 +117,6 @@ def _zero_out(
     fail = x_fragile_failure(A2, N.ground, cap=cap)
     if fail is not None:
         raise PostconditionViolation(f"zeroed representation not block-fragile: {fail}")
-    BN = B & N.ground
     if not M2.minor(contract=BN).equals(M.minor(contract=BN)):
         raise PostconditionViolation(
             "zeroing the block changed the contraction by the displayed minor basis"
@@ -208,29 +203,17 @@ def collapse_side(
     Requires M fragile with respect to the all-loops-and-coloops minor
     with coloop set X1 and loop set X2.  Adds d freely on the span of
     X2, deletes X2, and certifies the result fragile for the collapsed
-    isolated minor.
+    isolated minor.  M is displayed by the partition search of
+    zero_out, on the isolated minor.
     """
     X1f, X2f = frozenset(X1), frozenset(X2)
     if X1f & X2f:
         raise InvalidArgs(f"sides overlap: {sorted(X1f & X2f)}")
     if d in M.ground:
         raise LabelCollision(f"label {d!r} already in the ground set")
-    return _collapse_side(
-        _isolated_display(M, X1f, X2f), X1f, X2f, d, None,
-        DEGREE_CAP_DEFAULT, PARTITION_CAP_DEFAULT,
-    )
-
-
-def _isolated_display(M: ReprMatroid, X1: frozenset[str], X2: frozenset[str]) -> ReprMatroid:
-    """M re-displayed by the one partition (C, D) realising
-    isolated(X1, X1 + X2): rows C + X1, columns D + X2."""
-    N = isolated(X1, X1 | X2)
-    part = _sole_partition(
-        M, N, PARTITION_CAP_DEFAULT,
-        "{n} partitions realise the isolated minor; need exactly one",
-    )
-    # the basis meets E(N) in the unique basis X1 of N
-    return M.rebase(partition_basis(M, N, part))
+    # the display basis meets E(N) in the unique basis X1 of N
+    Md = _display(M, isolated(X1f, X1f | X2f), PARTITION_CAP_DEFAULT)
+    return _collapse_side(Md, X1f, X2f, d, None, DEGREE_CAP_DEFAULT, PARTITION_CAP_DEFAULT)
 
 
 def _collapse_side(
@@ -258,14 +241,13 @@ def reduce_to_two(
 ) -> ReprMatroid:
     """Collapse both sides of an isolated minor to fresh elements c, d.
 
-    M is re-displayed once by its one realising partition; the loop
-    side X2 is collapsed on that display, the coloop side X1 on its
-    dual, where rows and columns swap.  The result is
-    fragile for the two-element isolated minor (coloop c, loop d), as
-    the dual collapse certifies for its dual, agrees with M off the
-    minor (contracting c and deleting d matches contracting X1 and
-    deleting X2), and lives over an extension of total degree
-    max(1,|X1|) * max(1,|X2|).
+    collapse_side displays M and collapses the loop side X2; the coloop
+    side X1 is collapsed on the dual of that display, where rows and
+    columns swap.  The result is fragile for the two-element isolated
+    minor (coloop c, loop d), as the dual collapse certifies for its
+    dual, agrees with M off the minor (contracting c and deleting d
+    matches contracting X1 and deleting X2), and lives over an
+    extension of total degree max(1,|X1|) * max(1,|X2|).
     """
     X1f, X2f = frozenset(X1), frozenset(X2)
     if c == d:
@@ -275,9 +257,10 @@ def reduce_to_two(
             raise LabelCollision(f"label {lab!r} already in the ground set")
     if X1f & X2f:
         raise InvalidArgs(f"sides overlap: {sorted(X1f & X2f)}")
-    dcap, cap = DEGREE_CAP_DEFAULT, PARTITION_CAP_DEFAULT
-    Ma = _collapse_side(_isolated_display(M, X1f, X2f), X1f, X2f, d, None, dcap, cap)
-    out = _collapse_side(Ma.dual(), frozenset({d}), X1f, c, None, dcap, cap).dual()
+    Ma = collapse_side(M, X1f, X2f, d)
+    out = _collapse_side(
+        Ma.dual(), frozenset({d}), X1f, c, None, DEGREE_CAP_DEFAULT, PARTITION_CAP_DEFAULT
+    ).dual()
     if not out.minor({c}, {d}).equals(M.minor(X1f, X2f)):
         raise PostconditionViolation(
             "contracting c and deleting d does not match the original minor"
@@ -427,15 +410,14 @@ def pipeline(
     final field has degree 2 * max(1,|B|) * max(1,|E(N)|-|B|) over the
     input field, with B the displayed basis of N.  Conformance mode
     always collapses both sides at degree k = |E(N)|, landing on total
-    degree exactly 2*k*k (the degree cap is raised to fit that tower).
+    degree exactly 2*k*k.  In both modes the degree cap is raised to
+    2*k*k over the input field, the bound either tower stays within.
     """
     k = len(N.ground)
     base_field = M.field
     if conformance and k == 0:
         raise InvalidArgs("conformance mode needs a nonempty minor")
-    dcap = DEGREE_CAP_DEFAULT
-    if conformance:
-        dcap = max(dcap, base_field.degree * 2 * k * k)
+    dcap = max(DEGREE_CAP_DEFAULT, base_field.degree * 2 * k * k)
 
     # the one partition search; every later stage keeps its display
     Mz, Az = _zero_out(M, N, cap)

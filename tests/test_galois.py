@@ -1,5 +1,6 @@
 """Field tower tests with independently derived expected values."""
 
+import time
 from itertools import product
 
 import pytest
@@ -15,12 +16,14 @@ from matroidfrag import (
     extend_field,
     field_from_tower,
     field_of_order,
+    gen_random,
     is_in_subfield,
     is_irreducible,
     is_tower_prefix,
     make_prime_field,
     subfield_basis,
 )
+from matroidfrag.galois import PRIME_LIMIT
 
 GF2 = make_prime_field(2)
 GF3 = make_prime_field(3)
@@ -311,6 +314,23 @@ def test_field_of_order():
     for bad in (0, 1, 6, 12):
         with pytest.raises(InvalidField):
             field_of_order(bad)
+
+
+def test_field_of_order_stops_trial_division_at_the_prime_limit():
+    # a characteristic above PRIME_LIMIT is refused without dividing by
+    # every integer below q; 2^61 - 1 is prime
+    for q in (PRIME_LIMIT + 1, 10000019, 2**61 - 1):
+        t0 = time.perf_counter()
+        with pytest.raises(InvalidField, match="no prime factor up to 65536"):
+            field_of_order(q)
+        assert time.perf_counter() - t0 < 0.5
+    t0 = time.perf_counter()
+    with pytest.raises(InvalidField):
+        gen_random("relax", seed=0, q=2**61 - 1)
+    assert time.perf_counter() - t0 < 0.5
+    assert field_of_order(65521).p == 65521  # the largest prime below the limit
+    with pytest.raises(InvalidField, match="not a prime power"):
+        field_of_order(2 * (2**61 - 1))
 
 
 def test_interning():

@@ -19,6 +19,7 @@ from matroidfrag import (
     NotFragile,
     PostconditionViolation,
     ReprMatroid,
+    ToolkitError,
     UnknownLabel,
     collapse_side,
     display_basis,
@@ -37,6 +38,7 @@ from matroidfrag import (
     zero_out,
 )
 from matroidfrag import fragility, matrices, matroids, reductions
+from matroidfrag.fragility import PARTITION_CAP_DEFAULT
 from matroidfrag.galois import DEGREE_CAP_DEFAULT, subfield_basis
 
 GF2 = make_prime_field(2)
@@ -409,6 +411,121 @@ def test_reduce_to_two_relabels_pair():
         reduce_to_two(isolated({"c"}, {"c", "d", "e"}), {"c"}, {"d"}, "c2", "d2")
 
 
+def test_reduce_to_two_checks_arguments_in_order():
+    # c == d, then c or d in the ground set, then overlapping sides: an
+    # input breaking several rules raises for the first of them
+    M = pair_matroid()
+    with pytest.raises(LabelCollision, match="distinct"):
+        reduce_to_two(M, {"c"}, {"c"}, "e", "e")
+    with pytest.raises(LabelCollision, match="already in the ground set"):
+        reduce_to_two(M, {"c"}, {"c"}, "e", "d2")
+    with pytest.raises(LabelCollision, match="already in the ground set"):
+        reduce_to_two(isolated({"c"}, {"c", "d", "e"}), {"c"}, {"d"}, "c2", "e")
+    with pytest.raises(InvalidArgs, match="sides overlap"):
+        reduce_to_two(isolated({"c"}, {"c", "d", "e"}), {"c", "d"}, {"d"}, "c2", "d2")
+
+
+def display_by_partition_search(M, X1, X2):
+    """M re-displayed by the one partition (C, D) realising the isolated
+    minor on X1 + X2, rows C + X1: a partition search, the basis read
+    off it and a rebase, without zeroing anything."""
+    N = isolated(X1, X1 | X2)
+    parts = fragility.fragile_partitions(M, N)
+    if len(parts) != 1:
+        raise NotFragile(f"{len(parts)} partitions realise the isolated minor")
+    return M.rebase(fragility.partition_basis(M, N, next(iter(parts))))
+
+
+def collapse_by_partition_search(M, X1, X2, d):
+    """collapse_side on the display above, and reduce_to_two below on
+    it, with their argument checks in order and no zero_out."""
+    X1, X2 = frozenset(X1), frozenset(X2)
+    if X1 & X2:
+        raise InvalidArgs("sides overlap")
+    if d in M.ground:
+        raise LabelCollision(d)
+    return reductions._collapse_side(display_by_partition_search(M, X1, X2), X1, X2, d,
+                                     None, DEGREE_CAP_DEFAULT, PARTITION_CAP_DEFAULT)
+
+
+def reduce_by_partition_search(M, X1, X2, c, d):
+    X1, X2 = frozenset(X1), frozenset(X2)
+    if c == d or c in M.ground or d in M.ground:
+        raise LabelCollision(c)
+    if X1 & X2:
+        raise InvalidArgs("sides overlap")
+    Ma = collapse_by_partition_search(M, X1, X2, d)
+    return reductions._collapse_side(Ma.dual(), frozenset({d}), X1, c,
+                                     None, DEGREE_CAP_DEFAULT, PARTITION_CAP_DEFAULT).dual()
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).rep
+    except ToolkitError as exc:
+        return type(exc)
+
+
+def test_public_collapses_match_the_partition_search_display():
+    # collapse_side and reduce_to_two display their input by the search
+    # zero_out shares: on displayed and on re-based inputs, with sides
+    # that are and are not a fragile isolated minor, both build and
+    # refuse as the reference does
+    rng = Random(10)
+    outcomes = Counter()
+    for t in range(480):
+        F = (GF2, GF3)[t % 2]
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+        rows = [f"r{i}" for i in range(nrows)]
+        cols = [f"c{j}" for j in range(ncols)]
+        X1 = frozenset(x for x in rows if rng.random() < 0.5)
+        X2 = frozenset(x for x in cols if rng.random() < 0.5)
+        density = rng.random()
+        data = [[0 if r in X1 and c in X2 else
+                 rng.randrange(1, F.order) if rng.random() < density else 0
+                 for c in cols] for r in rows]
+        M = ReprMatroid(LabeledMatrix(F, rows, cols, data))
+        if t % 4 >= 2:
+            order = sorted(M.ground)
+            rng.shuffle(order)
+            B = set()
+            for e in order:
+                if M.rank(B | {e}) > len(B):
+                    B.add(e)
+            M = M.rebase(B)
+        if t % 13 == 0:
+            X2 = X2 | set(rng.sample(sorted(M.ground), 1))  # may overlap X1
+        c, d = ("c", "d") if t % 11 else (rng.choice(sorted(M.ground)), "d")
+        for got, want in (
+            (_outcome(collapse_side, M, X1, X2, d),
+             _outcome(collapse_by_partition_search, M, X1, X2, d)),
+            (_outcome(reduce_to_two, M, X1, X2, c, d),
+             _outcome(reduce_by_partition_search, M, X1, X2, c, d)),
+        ):
+            assert got == want
+            outcomes[F.order, want if isinstance(want, type) else "built"] += 1
+    for q in (2, 3):
+        assert outcomes[q, "built"] >= 40
+        assert outcomes[q, NotFragile] >= 40
+    assert outcomes[2, InvalidArgs] + outcomes[3, InvalidArgs] >= 1
+    assert outcomes[2, LabelCollision] + outcomes[3, LabelCollision] >= 1
+
+
+def test_public_collapses_run_above_the_equals_cap():
+    # 12 elements outside the minor and |X2| = 5: the partition search
+    # admits it, and zero_out's contraction check, which refuses more
+    # than 16 elements, does not run on the public collapses, so both
+    # build what the reference builds
+    gi = gen_random("xfragile", seed=0, q=2, rows=7, cols=11, x_rows=1, x_cols=5)
+    M = ReprMatroid(gi.instance.matrix)
+    X1, X2 = {"r0"}, {f"c{j}" for j in range(5)}
+    assert len(M.ground) == 18
+    assert collapse_side(M, X1, X2, "d").rep == \
+        collapse_by_partition_search(M, X1, X2, "d").rep
+    assert reduce_to_two(M, X1, X2, "c", "d").rep == \
+        reduce_by_partition_search(M, X1, X2, "c", "d").rep
+
+
 def test_reduce_to_two_forwards_the_dual_certificate(monkeypatch):
     # one partition search for the input; each collapse certifies its
     # output by X-fragility, the dual one for the two-element minor by
@@ -574,7 +691,6 @@ def test_pipeline_forwards_the_partition(monkeypatch, instance, conformance, col
         monkeypatch.setattr(fragility, name, wrapped)
         monkeypatch.setattr(reductions, name, wrapped, raising=False)
     monkeypatch.setattr(ReprMatroid, "rebase", counted("rebase", ReprMatroid.rebase))
-    monkeypatch.setattr(reductions, "MinorSpec", counted("MinorSpec", matroids.MinorSpec))
     zero_out_ = reductions._zero_out
     monkeypatch.setattr(reductions, "_zero_out", zero_out_core)
     tr = pipeline(M, N, conformance=conformance)
@@ -596,6 +712,20 @@ def test_pipeline_seeded_conformance_exact_bound():
     assert tr.degree_bound == 18  # k = 3
     assert tr.final_degree_over_input == 18
     assert [s.degree_over_input for s in tr.stages] == [1, 3, 9, 18]
+
+
+def test_pipeline_degree_cap_is_2k2_in_both_modes():
+    # k = 6 with sides 3 + 3: default mode reaches degree 2 * 3 * 3 = 18,
+    # above the plain extension cap of 16, under the cap 2k^2 = 72 that
+    # conformance mode reaches
+    gi = gen_random("pipeline", seed=0, q=2, rows=5, cols=5, minor_size=6)
+    M, N = ReprMatroid(gi.instance.matrix), gi.instance.task.minor
+    for conformance, degrees in ((False, [1, 3, 9, 18]), (True, [1, 6, 36, 72])):
+        tr = pipeline(M, N, conformance=conformance)
+        assert (len(tr.coloop_side), len(tr.loop_side)) == (3, 3)
+        assert [s.degree_over_input for s in tr.stages] == degrees
+        assert tr.final_degree_over_input == degrees[-1] <= tr.degree_bound == 72
+        assert is_relaxation(tr.relaxed, tr.relaxation, tr.hyperplane)
 
 
 def test_pipeline_empty_minor():
