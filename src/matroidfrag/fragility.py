@@ -2,10 +2,14 @@
 
 A matroid M is fragile with respect to a fixed minor N on a fixed label
 set when exactly one partition (C, D) of E(M) - E(N) realises N as
-M contract C delete D.  `fragile_partitions` checks every partition
-against the rank table of M (`matrices.rank_table`, one byte per
-subset of E(M)) and that of N, so the certificate is the whole search
-space, not a heuristic.
+M contract C delete D.  `fragile_partitions` decides every partition:
+a depth-first search contracts and deletes the elements outside E(N)
+by pivots, prunes a branch only by a rule proved exact (too few rows or
+columns left, or an element of E(N) turned into a loop or coloop that
+it is not in N), and compares each leaf with N by rank tables over
+E(N) (`matrices.rank_table`, one byte per subset of E(N)).  So the
+certificate is the whole search space, not a heuristic, and no table
+grows with E(M).
 
 The matrix-side notion: a labeled matrix A is X-fragile when the block
 A[X] vanishes and adjoining X to any nonempty disjoint Y strictly
@@ -54,31 +58,151 @@ def fragile_partitions(
     cap: int = PARTITION_CAP_DEFAULT,
 ) -> frozenset[MinorSpec]:
     """Every partition (C, D) of E(M) - E(N) with M/C\\D equal to N as a
-    labeled matroid (same labels, same rank function)."""
+    labeled matroid (same labels, same rank function).
+
+    A depth-first search over the elements of E(M) - E(N) in label
+    order.  A node holds a display [I | A] of K = M/C'\\D', with
+    (C', D') the elements placed so far; each child deletes or contracts
+    the next element, by the pivots of `ReprMatroid.minor`, on a copy of
+    that display (the last child on the display itself).  The last
+    element is placed by the leaf enumeration `partitions_of`, so the
+    partitions it yields are the leaves tested.  A leaf displays M/C\\D
+    on E(N), and it is N exactly when its rank table over sorted E(N) is
+    N's, a test that is exact over every field.  Two cheaper tests come
+    first.  A leaf whose display is N's (the same field, the same rows,
+    the same entries label by label; leaf and N have the same ground
+    set and rank) is N, as one representation has one matroid.  A leaf
+    equal to N has exactly N's loops (zero columns) and coloops (zero
+    rows), so only a leaf that has them builds its table.  No table has
+    more than 2^|E(N)| entries.
+
+    A node is pruned, with every leaf below it, when one of these holds
+    (rule 1 is also read before a step, from whether the element is a
+    loop or coloop, so a child it prunes is never built):
+    1. rows < r(N) or columns < |E(N)| - r(N);
+    2. an element of E(N) is a loop of K (a zero column) but not of N,
+       or a coloop of K (a zero row) but not of N.
+
+    Proof of rule 1.  The display of K has r(K) rows and |E(K)| - r(K)
+    columns.  Contracting e lowers r(K) by one unless e is a loop, when
+    it lowers |E(K)| - r(K) instead; deleting e lowers |E(K)| - r(K) by
+    one unless e is a coloop, when it lowers r(K) instead.  So each step
+    lowers exactly one count by one, and every leaf below the node has at
+    most as many rows and columns as the node.  A leaf equal to N has
+    r(N) rows and |E(N)| - r(N) columns.
+
+    Proof of rule 2.  If e is a loop of K and f != e, then
+    r_{K/f}({e}) = r_K({e, f}) - r_K({f}) = 0 by submodularity, and
+    r_{K\\f}({e}) = r_K({e}) = 0: loops persist under minors, and so do
+    coloops, the loops of the dual, as (K/f)* = K*\\f and
+    (K\\f)* = K*/f.  So e is a loop (coloop) of every leaf below the
+    node, and a leaf equal to N needs e to be a loop (coloop) of N.  In
+    [I | A] a row element is never a loop, and is a coloop exactly when
+    its row of A is zero, as no other vector has a nonzero coordinate
+    there; a column element is never a coloop, as the rows are a basis
+    without it, and is a loop exactly when its column is zero.
+    """
     if not N.ground <= M.ground:
         raise GroundSetMismatch(
             f"minor ground {sorted(N.ground)} not inside {sorted(M.ground)}"
         )
-    rest = M.ground - N.ground
+    rest = sorted(M.ground - N.ground)
     if len(rest) > cap:
         raise CapExceeded(
             f"|E(M)-E(N)| = {len(rest)} exceeds partition cap {cap}"
         )
-    # M/C\D has ground set E(N) for every partition, and its rank of X
-    # is r_M(X | C) - r_M(C).  With E(N) on the low n bits of T, the
-    # ranks of X | C over every X are the slice of T from the mask of C
-    n = len(N.ground)
-    order = sorted(N.ground) + sorted(rest)
-    bit = {v: 1 << i for i, v in enumerate(order)}
-    T = rank_table(M.rep, order)
-    TN = rank_table(N.rep, order[:n])
-    # the offset T[cm] is a rank of M, at most T[-1] = r(M)
-    targets = [bytes(t + o for t in TN) for o in range(T[-1] + 1)]
+    labels = sorted(N.ground)
+    TN = rank_table(N.rep, labels)
+    r, n = TN[-1], len(labels)
+    full = len(TN) - 1
+    # the elements of E(N) that no node may show as a loop, or as a coloop
+    nonloops = frozenset(e for i, e in enumerate(labels) if TN[1 << i])
+    noncoloops = frozenset(e for i, e in enumerate(labels) if TN[full ^ 1 << i] == r)
+    field = M.field
+    contract, delete = ReprMatroid._contract_one, ReprMatroid._delete_one
+    inner, tail = rest[:-1], rest[-1:]
+    outside = frozenset(rest)
     found = []
-    for C, D in partitions_of(rest):
-        cm = sum(bit[v] for v in C)
-        if T[cm : cm + (1 << n)] == targets[T[cm]]:
-            found.append(MinorSpec(C, D))
+
+    def columns(cols, data):
+        return zip(*data) if data else [()] * len(cols)
+
+    def alive(rows, cols, data) -> bool:
+        # rules 1 and 2
+        if len(rows) < r or len(cols) < n - r:
+            return False
+        for e, row in zip(rows, data):
+            if e in noncoloops and not any(row):
+                return False
+        for e, col in zip(cols, columns(cols, data)):
+            if e in nonloops and not any(col):
+                return False
+        return True
+
+    def ways(rows, cols, data, e) -> tuple[bool, ...]:
+        # the steps on e that keep rule 1, deletion (False) first:
+        # deleting e lowers the rows only when e is a coloop (a zero row),
+        # contracting e lowers them unless e is a loop (a zero column)
+        spare_rows, spare_cols = len(rows) > r, len(cols) > n - r
+        if spare_rows and spare_cols:
+            return (False, True)
+        if e in rows:
+            deleting = spare_rows if not any(data[rows.index(e)]) else spare_cols
+            contracting = spare_rows
+        else:
+            j = cols.index(e)
+            deleting = spare_cols
+            contracting = spare_rows if any(row[j] for row in data) else spare_cols
+        return (False,) * deleting + (True,) * contracting
+
+    def is_N(rows, cols, data) -> bool:
+        # a leaf that is N's display over N's field is N; any leaf equal
+        # to N has exactly N's loops and coloops, which subsumes rule 2
+        # there, and N's rank table
+        if N.field == field and N.basis.issuperset(rows) and all(
+            x == N.rep.enc(e, f) for e, row in zip(rows, data) for f, x in zip(cols, row)
+        ):
+            return True
+        for e, row in zip(rows, data):
+            if any(row) != (e in noncoloops):
+                return False
+        for e, col in zip(cols, columns(cols, data)):
+            if any(col) != (e in nonloops):
+                return False
+        return rank_table(LabeledMatrix._of_display(field, rows, cols, data), labels) == TN
+
+    def step(node, e, contracting, last):
+        # the step on e, on a copy of the node while a sibling still
+        # needs the node, and on the node itself for the last sibling
+        if not last:
+            rows, cols, data = node
+            node = rows[:], cols[:], [row[:] for row in data]
+        (contract if contracting else delete)(field, *node, e)
+        return node
+
+    def walk(i, C, node) -> None:
+        # node displays M/C\(inner[:i] - C) and is not pruned
+        if i < len(inner):
+            e = inner[i]
+            allowed = ways(*node, e)
+            for contracting in allowed:
+                child = step(node, e, contracting, contracting == allowed[-1])
+                if alive(*child):
+                    walk(i + 1, C | {e} if contracting else C, child)
+            return
+        # the leaf enumeration places the last element, deletion first
+        allowed = ways(*node, tail[0]) if tail else (False,)
+        for c, d in partitions_of(tail):
+            contracting = bool(c)
+            if contracting in allowed:
+                last = contracting == allowed[-1]
+                leaf = step(node, tail[0], contracting, last) if tail else node
+                if is_N(*leaf):
+                    found.append(MinorSpec(C | c, outside - C - c))
+
+    root = list(M.rep.rows), list(M.rep.cols), [list(row) for row in M.rep._data]
+    if alive(*root):
+        walk(0, frozenset(), root)
     return frozenset(found)
 
 

@@ -70,13 +70,27 @@ class LabeledMatrix:
                 else:
                     raise InvalidArgs(f"entry {v!r} is neither FieldElem nor encoding")
             data.append(tuple(enc_row))
+        self._set(field, rows, cols, tuple(data))
+
+    def _set(self, field: FieldSpec, rows: tuple, cols: tuple, data: tuple) -> None:
         self.field = field
         self.rows = rows
         self.cols = cols
-        self._data = tuple(data)
+        self._data = data
         self._row_pos = {r: i for i, r in enumerate(rows)}
         self._col_pos = {c: j for j, c in enumerate(cols)}
         self._gf2_cols: tuple[int, ...] | None = None
+
+    @classmethod
+    def _of_display(
+        cls, field: FieldSpec, rows: list[str], cols: list[str], data: list[list[int]]
+    ) -> "LabeledMatrix":
+        """A matrix from the lists that `ReprMatroid` pivots in place,
+        taken as they are: labels and encodings were checked when the
+        matrix they were pivoted from was built."""
+        A = cls.__new__(cls)
+        A._set(field, tuple(rows), tuple(cols), tuple(map(tuple, data)))
+        return A
 
     # -- access -----------------------------------------------------------
 

@@ -12,14 +12,19 @@ Minors are computed by pivoting: contracting a column element first
 pivots it onto the row side, deleting a row element first pivots it out
 (coloops and loops degenerate to plain drops).  Pivot positions are
 chosen as the first nonzero entry in label order, which keeps every
-derived representation deterministic.  Duality transposes and negates
-the representing block.
+derived representation deterministic.  The single-element steps
+`_contract_one` and `_delete_one` are also the nodes of the partition
+search `fragility.fragile_partitions`, so the certificate of every
+input rests on them.  Duality transposes and negates the representing
+block.
 
 Everything here is exact and exponential where it says it is: `equals`
 compares the rank tables of the two matroids (`matrices.rank_table`,
 one byte per subset) and `bases` reads one.  Both refuse ground sets of
 more than EQUALS_CAP_DEFAULT (16) elements before they start; the cap
-cannot be overridden.
+cannot be overridden.  They serve `is_relaxation` and the suites'
+independent checks; the reduction stages check their contractions on
+the entries of their displays instead.
 """
 
 from __future__ import annotations

@@ -23,7 +23,10 @@ PostconditionViolation with a witness when one fails, so a completed
 ReductionTrace is itself a certificate.  The free placement and the
 relaxation are not swept over subsets: each follows by a short proof,
 given in the docstring of `free_extension` and of `relax_entry`, from
-polynomial checks that the stage runs.
+polynomial checks that the stage runs.  So do the contraction that the
+zeroing keeps (`_zero_out`) and the common minor that the collapses
+keep (`_keeps_minor`): both are literal comparisons of entries, and no
+stage compares two matroids by `equals`.
 
 One partition search per pipeline, in zero_out, finds the partition
 (C, D) realising N; from then on the display is the certificate.  Each
@@ -75,6 +78,13 @@ def _fresh_label(stem: str, used: set[str]) -> str:
     return f"{stem}{i}"
 
 
+def _same_block(A: LabeledMatrix, B: LabeledMatrix, rows, cols) -> bool:
+    """A and B hold the same encoding at every (row, col) label pair.
+    Lifting a matrix to a taller tower keeps its encodings, so this also
+    compares a matrix with its image over an extension field."""
+    return all(A.enc(r, c) == B.enc(r, c) for r in rows for c in cols)
+
+
 # ---------------------------------------------------------------------------
 # stage 1: zero the displayed block
 
@@ -102,7 +112,16 @@ def _zero_out(
     M: ReprMatroid, N: ReprMatroid, cap: int
 ) -> tuple[ReprMatroid, LabeledMatrix]:
     """zero_out under the partition cap `cap`; the partition found in M
-    is (rows - E(N), cols - E(N)) in the returned representation."""
+    is (rows - E(N), cols - E(N)) in the returned representation.
+
+    The contraction by BN, the rows of the display in E(N), is checked
+    literally: the zeroed A2 must equal the display A on every row
+    outside BN, label by label.  Proof that this gives M2/BN = M/BN.
+    In [I | A], contracting a row element e deletes row e: the other
+    vectors keep their coordinates but e's, and the other rows stay a
+    basis (`ReprMatroid.minor`).  So M/BN is represented by A without
+    the rows BN, and M2/BN by A2 without them, the same matrix.
+    """
     A = _display(M, N, cap).rep
     BN = N.ground & frozenset(A.rows)
     block_cols = sorted(N.ground - BN)
@@ -112,16 +131,14 @@ def _zero_out(
         for c in block_cols:
             data[i][A._col_pos[c]] = 0
     A2 = LabeledMatrix(A.field, A.rows, A.cols, data)
-    M2 = ReprMatroid(A2)
-
-    fail = x_fragile_failure(A2, N.ground, cap=cap)
-    if fail is not None:
-        raise PostconditionViolation(f"zeroed representation not block-fragile: {fail}")
-    if not M2.minor(contract=BN).equals(M.minor(contract=BN)):
+    if not _same_block(A2, A, frozenset(A.rows) - BN, A.cols):
         raise PostconditionViolation(
             "zeroing the block changed the contraction by the displayed minor basis"
         )
-    return M2, A2
+    fail = x_fragile_failure(A2, N.ground, cap=cap)
+    if fail is not None:
+        raise PostconditionViolation(f"zeroed representation not block-fragile: {fail}")
+    return ReprMatroid(A2), A2
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +249,35 @@ def _collapse_side(
     return out
 
 
+def _keeps_minor(
+    A: LabeledMatrix, X1: frozenset[str], X2: frozenset[str],
+    A1: LabeledMatrix, c: str, d: str,
+) -> bool:
+    """The literal common-minor check: with A displaying M with X1 on
+    its rows and X2 on its columns, C = rows - X1 and D = cols - X2, the
+    display A1 has rows C + {c} and columns D + {d}, and A1 equals A on
+    (C, D), label by label.  Then M1/c\\d = M/X1\\X2 for the matroid M1
+    of A1.
+
+    Proof.  Contracting a row element deletes its row and deleting a
+    column element deletes its column (`ReprMatroid.minor`), so M/X1\\X2
+    is represented by A on (C, D) and M1/c\\d by A1 on (C, D).  Equal
+    encodings are equal entries once A is lifted to A1's field, and a
+    matrix over F has the same rank over every extension of F, so the
+    two matroids are one.  The check is what the collapses promise: each
+    adds a column (`free_extension`) and deletes column elements, in the
+    primal or in the dual, whose display is -A^T, and two duals cancel,
+    since -(-A^T)^T = A; no step rewrites an entry on (C, D).
+    """
+    C = frozenset(A.rows) - X1
+    D = frozenset(A.cols) - X2
+    return (
+        frozenset(A1.rows) == C | {c}
+        and frozenset(A1.cols) == D | {d}
+        and _same_block(A1, A, C, D)
+    )
+
+
 def reduce_to_two(
     M: ReprMatroid,
     X1: Iterable[str],
@@ -261,7 +307,8 @@ def reduce_to_two(
     out = _collapse_side(
         Ma.dual(), frozenset({d}), X1f, c, None, DEGREE_CAP_DEFAULT, PARTITION_CAP_DEFAULT
     ).dual()
-    if not out.minor({c}, {d}).equals(M.minor(X1f, X2f)):
+    # the display collapse_side built is M on the rows it kept
+    if not _keeps_minor(M.rebase(Ma.rep.rows).rep, X1f, X2f, out.rep, c, d):
         raise PostconditionViolation(
             "contracting c and deleting d does not match the original minor"
         )
@@ -412,6 +459,11 @@ def pipeline(
     always collapses both sides at degree k = |E(N)|, landing on total
     degree exactly 2*k*k.  In both modes the degree cap is raised to
     2*k*k over the input field, the bound either tower stays within.
+
+    The common minor M1/c\\d = M/X1\\X2 is checked literally on the
+    zeroed display Az (`_keeps_minor`): X1 is the row set BN of
+    `_zero_out`, whose check gives Mz/X1 = M/X1.  So `pipeline` makes no
+    `equals` call and is bounded by the partition and degree caps alone.
     """
     k = len(N.ground)
     base_field = M.field
@@ -496,7 +548,7 @@ def pipeline(
         )
     )
 
-    if not M.minor(X1, X2).equals(M1.minor({c_label}, {d_label})):
+    if not _keeps_minor(Az, X1, X2, M1.rep, c_label, d_label):
         raise PostconditionViolation(
             "pipeline lost the common minor: contracting the displayed basis "
             "of the input minor disagrees with contracting c and deleting d"

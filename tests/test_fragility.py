@@ -6,6 +6,7 @@ the matrix one (the X block vanishes and X raises the rank of every
 disjoint nonempty Y).
 """
 
+from collections import Counter
 from itertools import combinations
 from random import Random
 
@@ -23,6 +24,7 @@ from matroidfrag import (
     display_basis,
     extend_field,
     fragile_partitions,
+    gen_random,
     is_N_fragile,
     is_X_fragile_matrix,
     isolated,
@@ -227,6 +229,24 @@ def fragile_partitions_loop(M, N):
     return found
 
 
+def fragile_partitions_table(M, N):
+    """Every realising partition, read off one rank table of M over
+    sorted E(N) + sorted(E(M) - E(N)): (C, D) realises N iff the slice of
+    the table at C's mask is N's table offset by r(C)."""
+    rest = M.ground - N.ground
+    n = len(N.ground)
+    order = sorted(N.ground) + sorted(rest)
+    bit = {v: 1 << i for i, v in enumerate(order)}
+    T = matrices.rank_table(M.rep, order)
+    TN = matrices.rank_table(N.rep, order[:n])
+    found = set()
+    for C, D in partitions_of(rest):
+        cm = sum(bit[v] for v in C)
+        if T[cm : cm + (1 << n)] == bytes(t + T[cm] for t in TN):
+            found.add(MinorSpec(C, D))
+    return found
+
+
 def x_fragile_failure_loop(A, X):
     """x_fragile_failure by two submatrix ranks per nonempty Y."""
     Xf = frozenset(X)
@@ -276,6 +296,108 @@ def test_fragile_partitions_match_the_loop():
         else:
             seen[("none", "one")[len(got)] if len(got) < 2 else "several"] += 1
     assert min(seen.values()) >= 20, seen
+
+
+GF5 = make_prime_field(5)
+SEARCH_FIELDS = (GF2, GF3, GF4, GF5)
+
+
+@st.composite
+def minor_pairs(draw):
+    """A matrix of at most 4 x 5 over GF(2), GF(3), GF(4) or GF(5), a side
+    for each label ("C" to contract, "D" to delete, "N" to keep, drawn
+    twice as often), how N is made from the cut minor (kept, an isolated
+    matroid on its labels, or its display with one entry changed) and a
+    number that picks the coloops or the entry."""
+    F = draw(st.sampled_from(range(len(SEARCH_FIELDS))))
+    m = draw(st.integers(0, 4))
+    n = draw(st.integers(0, 5))
+    entries = st.integers(0, SEARCH_FIELDS[F].order - 1)
+    data = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    sides = draw(st.lists(st.sampled_from("CDNN"), min_size=m + n, max_size=m + n))
+    how = draw(st.sampled_from(("cut", "isolated", "changed")))
+    return F, data, n, sides, how, draw(st.integers(0, 511))
+
+
+def build_minor_pair(F, data, n, sides, how, pick):
+    field = SEARCH_FIELDS[F]
+    rows = [f"r{i}" for i in range(len(data))]
+    cols = [f"c{j}" for j in range(n)]
+    M = ReprMatroid(LabeledMatrix(field, rows, cols, data))
+    side = dict(zip(rows + cols, sides))
+    N = M.minor({e for e in side if side[e] == "C"}, {e for e in side if side[e] == "D"})
+    labels = sorted(N.ground)
+    if how == "isolated":
+        N = isolated({e for i, e in enumerate(labels) if pick >> i & 1}, labels, field)
+    elif how == "changed" and N.rep.rows and N.rep.cols:
+        A = N.rep
+        r = A.rows[pick % len(A.rows)]
+        c = A.cols[pick // len(A.rows) % len(A.cols)]
+        N = ReprMatroid(A.set_entry(r, c, field.add_enc(A.enc(r, c), 1)))
+    return M, N
+
+
+def test_pruned_search_matches_the_table_search():
+    # the pruned pivot search against the 2^|E(M)| table search it
+    # replaced, partition set for partition set, with none, one and
+    # several realising partitions over each field
+    seen = Counter()
+
+    @settings(max_examples=600, derandomize=True, deadline=None, database=None)
+    @given(minor_pairs())
+    @example((0, [], 0, [], "cut", 0))
+    @example((3, [[0, 1], [0, 0]], 2, list("NDNC"), "isolated", 1))
+    def check(case):
+        M, N = build_minor_pair(*case)
+        got = fragile_partitions(M, N)
+        assert got == fragile_partitions_table(M, N)
+        seen[SEARCH_FIELDS[case[0]].order, min(len(got), 2)] += 1
+
+    check()
+    for q in (2, 3, 4, 5):
+        for count in (0, 1, 2):
+            assert seen[q, count] >= 10, seen
+
+
+def test_leaf_displaying_n_over_another_field_is_decided_by_tables():
+    # the same encodings over GF(3) and GF(4): the block [[1, 2], [2, 1]]
+    # is singular over GF(3), and over GF(4), where 2 encodes a root x of
+    # x^2 + x + 1, its determinant 1 + x^2 = x is not zero; a leaf with
+    # N's display over another field goes to the tables
+    A = LabeledMatrix(GF3, ["a", "b"], ["c", "d"], [[1, 2], [2, 1]])
+    M, N = ReprMatroid(A), ReprMatroid(LabeledMatrix(GF4, A.rows, A.cols, A._data))
+    assert fragile_partitions(M, N) == fragile_partitions_table(M, N) == set()
+    assert fragile_partitions(M, M) == {MinorSpec(set(), set())}
+
+
+def test_search_tables_span_the_minor_only(monkeypatch):
+    # every rank table the search builds is over E(N): N's own and one
+    # per leaf that needs one, never one over E(M)
+    spans = []
+
+    def recorded(A, labels):
+        spans.append(len(labels))
+        return matrices.rank_table(A, labels)
+
+    monkeypatch.setattr(fragility, "rank_table", recorded)
+    rng = Random(14)
+    for t in range(80):
+        M = ReprMatroid(random_matrix(rng, FIELDS[t % len(FIELDS)], max_rows=5, max_cols=6))
+        E = sorted(M.ground)
+        keep = set(rng.sample(E, min(len(E), rng.randint(1, 3))))
+        C = {e for e in M.ground - keep if rng.random() < 0.5}
+        N = M.minor(C, M.ground - keep - C)
+        spans.clear()
+        assert fragile_partitions(M, N) == fragile_partitions_table(M, N)
+        assert spans and max(spans) <= len(N.ground), (spans, len(M.ground))
+    # an 18-element pair: N on 6 labels, so no table above 2^6 entries
+    gi = gen_random("xfragile", seed=0, q=2, rows=7, cols=11, x_rows=1, x_cols=5)
+    M = ReprMatroid(gi.instance.matrix)
+    N = isolated({"r0"}, {"r0"} | {f"c{j}" for j in range(5)})
+    spans.clear()
+    assert len(fragile_partitions(M, N)) == 1
+    assert spans and max(spans) == 6
 
 
 def test_x_fragile_failure_matches_the_loop():

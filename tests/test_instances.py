@@ -318,9 +318,11 @@ def test_witness_rejected_draws_build_no_minor_and_no_table(
     starts = [i for i, e in enumerate(events) if not isinstance(e, str)]
     assert len(starts) == rejections + 1
     draws = [events[i:j] for i, j in zip(starts, starts[1:] + [len(events)])]
-    # a zeroed block is accepted by x_fragile_failure, which builds the
-    # two minors M/Xc\\Xr and M/Xr\\Xc and a table of each
-    full = ["minor", "rank_table", "rank_table"] if kind == "pipeline" else [
+    # a cut minor N goes to the pruned partition search, which builds N's
+    # table and no other at this seed: its one surviving leaf displays N
+    # literally; a zeroed block is accepted by x_fragile_failure, which
+    # builds the two minors M/Xc\\Xr and M/Xr\\Xc and a table of each
+    full = ["minor", "rank_table"] if kind == "pipeline" else [
         "minor", "rank_table", "minor", "rank_table"]
     for draw in draws:
         assert draw[1:] == ([] if draw[0] else full)

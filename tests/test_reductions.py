@@ -513,9 +513,8 @@ def test_public_collapses_match_the_partition_search_display():
 
 def test_public_collapses_run_above_the_equals_cap():
     # 12 elements outside the minor and |X2| = 5: the partition search
-    # admits it, and zero_out's contraction check, which refuses more
-    # than 16 elements, does not run on the public collapses, so both
-    # build what the reference builds
+    # admits it, and no stage compares matroids by equals, which refuses
+    # more than 16 elements, so both build what the reference builds
     gi = gen_random("xfragile", seed=0, q=2, rows=7, cols=11, x_rows=1, x_cols=5)
     M = ReprMatroid(gi.instance.matrix)
     X1, X2 = {"r0"}, {f"c{j}" for j in range(5)}
@@ -751,3 +750,110 @@ def test_pipeline_respects_partition_cap():
     M = pair_matroid()
     with pytest.raises(CapExceeded):
         pipeline(M, isolated({"c"}, {"c", "d"}), cap=0)
+
+
+# -- literal contraction checks ----------------------------------------------
+
+
+def four_element_pair():
+    # displayed with rows r0, r1, c1, c2 and BN = {r0, c1}; both sides
+    # collapse, and C = {r1, c2}, D = {c0, c3}
+    gi = gen_random("pipeline", seed=1, q=2, rows=4, cols=4, minor_size=4)
+    return ReprMatroid(gi.instance.matrix), gi.instance.task.minor
+
+
+def test_zeroing_outside_the_minor_basis_is_refused(monkeypatch):
+    # the zeroing may write only into the rows BN, which contracting BN
+    # deletes: one entry changed in another row fails the literal check
+    M, N = four_element_pair()
+    zero_out(M, N)
+    build = reductions.LabeledMatrix
+
+    def leaky(field, rows, cols, data):
+        data = [list(row) for row in data]
+        i = next(i for i, r in enumerate(rows) if r not in N.ground)
+        data[i][0] = field.add_enc(data[i][0], 1)
+        return build(field, rows, cols, data)
+
+    monkeypatch.setattr(reductions, "LabeledMatrix", leaky)
+    for run in (zero_out, pipeline):
+        with pytest.raises(PostconditionViolation, match="changed the contraction"):
+            run(M, N)
+
+
+@pytest.mark.parametrize("stage", ["pipeline", "reduce_to_two"])
+@pytest.mark.parametrize("which", [1, 2])
+def test_a_changed_entry_on_the_common_minor_is_refused(monkeypatch, stage, which):
+    # one collapse returns its certified output with one entry changed
+    # off the collapsed side and the new element: on (C, D) for the loop
+    # side, with rows C + X1 and columns D + {d}, and on (D, C) for the
+    # coloop side in the dual, with rows D + {d} and columns C + {c}.
+    # Either way M1 differs from the input display in one entry on (C, D),
+    # and the literal common-minor check fails
+    M, N = four_element_pair()
+    if stage == "pipeline":
+        def run():
+            return pipeline(M, N)
+        message = "lost the common minor"
+    else:
+        Mz, Az = zero_out(M, N)
+        B = frozenset(Az.rows)
+
+        def run():
+            return reduce_to_two(Mz, B & N.ground, N.ground - B, "c", "d")
+        message = "does not match the original minor"
+    run()
+    collapse = reductions._collapse_side
+    calls = []
+
+    def changed(M, X1, X2, d, *args):
+        out = collapse(M, X1, X2, d, *args)
+        calls.append(d)
+        if len(calls) == which:
+            A = out.rep
+            r = next(x for x in A.rows if x not in X1)
+            c = next(x for x in A.cols if x != d)
+            out = ReprMatroid(A.set_entry(r, c, A.field.add_enc(A.enc(r, c), 1)))
+        return out
+
+    monkeypatch.setattr(reductions, "_collapse_side", changed)
+    with pytest.raises(PostconditionViolation, match=message):
+        run()
+    assert len(calls) == 2
+
+
+def test_pipeline_runs_above_the_equals_cap():
+    # 12 elements outside the minor and |E| - |BN| = 17: the zeroing and
+    # the common minor are checked literally, not by equals, which
+    # refuses more than 16 elements
+    gi = gen_random("xfragile", seed=0, q=2, rows=7, cols=11, x_rows=1, x_cols=5)
+    M = ReprMatroid(gi.instance.matrix)
+    N = isolated({"r0"}, {"r0"} | {f"c{j}" for j in range(5)})
+    assert len(M.ground) == 18
+    tr = pipeline(M, N)
+    assert (tr.coloop_side, len(tr.loop_side)) == ({"r0"}, 5)
+    assert tr.final_degree_over_input == 10
+    assert M.minor(tr.coloop_side, tr.loop_side).equals(
+        tr.relaxed.minor({tr.c_label}, {tr.d_label}))
+    assert is_relaxation(tr.relaxed, tr.relaxation, tr.hyperplane)
+
+
+def test_pipeline_and_reduce_to_two_make_no_equals_call(monkeypatch):
+    calls = 0
+    equals = ReprMatroid.equals
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return equals(self, other)
+
+    monkeypatch.setattr(ReprMatroid, "equals", counted)
+    M, N = four_element_pair()
+    for conformance in (False, True):
+        pipeline(M, N, conformance=conformance)
+    pipeline(pair_matroid(), isolated({"c"}, {"c", "d"}))
+    Mz, Az = zero_out(M, N)
+    B = frozenset(Az.rows)
+    reduce_to_two(Mz, B & N.ground, N.ground - B, "c", "d")
+    reduce_to_two(pair_matroid(), {"c"}, {"d"}, "c2", "d2")
+    assert calls == 0
