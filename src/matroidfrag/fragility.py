@@ -14,7 +14,8 @@ grows with E(M).
 The matrix-side notion: a labeled matrix A is X-fragile when the block
 A[X] vanishes and adjoining X to any nonempty disjoint Y strictly
 increases rank.  `x_fragile_failure` reads that condition off two rank
-tables over the labels outside X.  The two notions are one: A is
+tables over the labels outside X, read straight off A by contracting
+X's columns, or its rows (`rank_table`).  The two notions are one: A is
 X-fragile exactly when (rows - X, cols - X) is the only partition
 realising the isolated minor on X (coloops X & rows) in the matroid of
 [I | A] (proof in `x_fragile_failure`).  So `reductions` searches
@@ -270,6 +271,7 @@ def x_fragile_failure(
     X: Iterable[str],
     *,
     cap: int = PARTITION_CAP_DEFAULT,
+    rows_table: bytearray | None = None,
 ):
     """First reason A is not X-fragile, or None if it is.
 
@@ -291,6 +293,11 @@ def x_fragile_failure(
     block being zero.  So the result is None exactly when (R - X, C - X) is
     the only realising partition.  The verdict is the same on
     `M.dual().rep` = -A^T, whose submatrices have the same ranks.
+
+    The sides are the tables of M/Xc and M/Xr over the sorted labels
+    outside X: Tc[W] = r(W | Xc) - r(Xc), Tr[W] = r(W | Xr) - |Xr|.  With
+    the X block zero, Xc lies in the span of W0 = R - X, so r(Xc) =
+    |W0| - Tc[W0].  A caller that holds Tr passes it as `rows_table`.
     """
     Xf = frozenset(X)
     unknown = Xf - A.labels()
@@ -306,14 +313,11 @@ def x_fragile_failure(
     rest = sorted(A.labels() - Xf)
     if len(rest) > cap:
         raise CapExceeded(f"|labels - X| = {len(rest)} exceeds partition cap {cap}")
-    # Y fails iff r(W | Xc) <= r(W | Xr) - |Xr| (proof above), and the
-    # two sides are tables of M/Xc\Xr and M/Xr\Xc over the labels
-    # outside X, the first offset by r(Xc).
-    M = ReprMatroid(A)
-    Tc = rank_table(M.minor(xc, xr).rep, rest)
-    Tr = rank_table(M.minor(xr, xc).rep, rest)
-    rc = M.rank(xc)
+    # Y fails iff Tc[W] + r(Xc) <= Tr[W] (proof above)
+    Tc = rank_table(A, rest, contract=xc)
+    Tr = rank_table(A, rest, contract=xr) if rows_table is None else rows_table
     rmask = sum(1 << i for i, v in enumerate(rest) if v in R)
+    rc = len(R) - len(xr) - Tc[rmask]
     fails = [y for y in range(1, len(Tc)) if Tc[y ^ rmask] + rc <= Tr[y ^ rmask]]
     if fails:
         return ("rank_not_increased", frozenset(first_by_size(fails, rest)))

@@ -301,7 +301,7 @@ def _random_matrix(
     rng: random.Random, field: FieldSpec, rows: list[str], cols: list[str]
 ) -> LabeledMatrix:
     data = [[rng.randrange(field.order) for _ in cols] for _ in rows]
-    return LabeledMatrix(field, rows, cols, data)
+    return LabeledMatrix._of_display(field, rows, cols, data)
 
 
 def gen_random(
@@ -403,7 +403,7 @@ def gen_random(
         A = _random_matrix(rng, field, row_labels, col_labels)
         data = [[0 if i < x_rows and j < x_cols else v for j, v in enumerate(row)]
                 for i, row in enumerate(A._data)]
-        A = LabeledMatrix(field, row_labels, col_labels, data)
+        A = LabeledMatrix._of_display(field, row_labels, col_labels, data)
         if one_move_partition(ReprMatroid(A), part) is None and x_fragile_failure(A, x) is None:
             task = XFragileTask(x) if kind == "xfragile" else RelaxTask(part.contract, part.delete)
             return GeneratedInstance(InstanceFile(field, A, task, seed), attempt)

@@ -13,8 +13,9 @@ encodings elsewhere).  The step has two callers.  `block_rank` answers
 single queries, the rank of A with some rows dropped, on some columns:
 each nonzero vector in turn becomes a pivot.  Matrix rank,
 `submatrix_rank` and the matroid rank oracle call it.  `rank_table`
-answers complete sweeps: the matroid rank of every subset of a label
-list, in one depth-first walk that reduces by the step at each node.
+answers complete sweeps: the rank of every subset of a label list, in
+the matroid or a contraction of it, in one depth-first walk that
+reduces by the step at each node.
 Every exhaustive certificate in the package reads such a table.  Over
 GF(2) both read each column packed into an int once per matrix (rows
 are dropped by masking).
@@ -83,11 +84,11 @@ class LabeledMatrix:
 
     @classmethod
     def _of_display(
-        cls, field: FieldSpec, rows: list[str], cols: list[str], data: list[list[int]]
+        cls, field: FieldSpec, rows: Sequence[str], cols: Sequence[str], data: Sequence
     ) -> "LabeledMatrix":
-        """A matrix from the lists that `ReprMatroid` pivots in place,
-        taken as they are: labels and encodings were checked when the
-        matrix they were pivoted from was built."""
+        """A matrix from labels and encodings taken as they are, unchecked:
+        those of a checked matrix, pivoted, lifted or rearranged (the
+        lists `ReprMatroid` pivots in place), or drawn in range."""
         A = cls.__new__(cls)
         A._set(field, tuple(rows), tuple(cols), tuple(map(tuple, data)))
         return A
@@ -164,7 +165,7 @@ class LabeledMatrix:
         the stored data moves verbatim."""
         if not is_tower_prefix(self.field, target):
             raise NotASubfield(f"{self.field!r} is not a tower prefix of {target!r}")
-        return LabeledMatrix(target, self.rows, self.cols, self._data)
+        return LabeledMatrix._of_display(target, self.rows, self.cols, self._data)
 
     def set_entry(self, row: str, col: str, value: "FieldElem | int") -> "LabeledMatrix":
         if isinstance(value, FieldElem):
@@ -184,15 +185,18 @@ class LabeledMatrix:
         i, j = self._row_pos[row], self._col_pos[col]
         data = [list(r) for r in self._data]
         data[i][j] = enc
-        return LabeledMatrix(self.field, self.rows, self.cols, data)
+        return LabeledMatrix._of_display(self.field, self.rows, self.cols, data)
 
     def with_column(self, label: str, encs: Sequence[int]) -> "LabeledMatrix":
         if label in self._row_pos or label in self._col_pos:
             raise LabelCollision(f"label {label!r} already used")
         if len(encs) != len(self.rows):
             raise InvalidArgs("column length does not match row count")
-        data = [list(r) + [e] for r, e in zip(self._data, encs)]
-        return LabeledMatrix(self.field, self.rows, self.cols + (label,), data)
+        for e in encs:
+            if not isinstance(e, int) or not 0 <= e < self.field.order:
+                raise InvalidArgs(f"encoding {e!r} out of range for {self.field!r}")
+        data = [r + (e,) for r, e in zip(self._data, encs)]
+        return LabeledMatrix._of_display(self.field, self.rows, self.cols + (label,), data)
 
     def drop_columns(self, labels: Iterable[str]) -> "LabeledMatrix":
         gone = set(labels)
@@ -244,9 +248,21 @@ def submatrix_rank(A: LabeledMatrix, labels: Iterable[str]) -> int:
     return block_rank(A, drop, [j for j, c in enumerate(A.cols) if c in want])
 
 
-def rank_table(A: LabeledMatrix, labels: Sequence[str]) -> bytearray:
-    """The rank, in the matroid of [I | A], of every subset of `labels`,
-    as a bytearray indexed by bitmask: bit i stands for labels[i].
+def rank_table(
+    A: LabeledMatrix, labels: Sequence[str], *, contract: Iterable[str] = ()
+) -> bytearray:
+    """The rank table of M/S, with M the matroid of [I | A] and S =
+    `contract`: r(W | S) - r(S) for every subset W of `labels`, as a
+    bytearray indexed by bitmask: bit i stands for labels[i].
+
+    Each nonzero vector of S in turn becomes a pivot that reduces the
+    vectors after it, the labels' included (`_eliminate`); a row's unit
+    vector only clears its coordinate.  Reducing adds multiples of S's
+    vectors, so W's reduced vectors and S span W | S.  Each pivot, and
+    every reduced vector, is zero at the leading coordinates of the
+    pivots before it; so a nonzero combination of pivots is nonzero at
+    the leading coordinate of its first pivot, where W's reduced vectors
+    all vanish.  Hence r(W | S) = r(S) + the rank of W's reduced vectors.
 
     One depth-first walk fills the table.  A node is an independent
     subset; it holds the vectors of the labels after its highest bit,
@@ -257,30 +273,34 @@ def rank_table(A: LabeledMatrix, labels: Sequence[str]) -> bytearray:
     the node's span, so every superset ranks as it does without the
     label, and the child's subtree is copied from the node's subtree
     over the later labels, which the walk has filled already since it
-    takes children from the last label down.  A child of full row rank
-    fills its subtree with that rank.  So the walk visits only the
-    independent sets that are not spanning; every other entry is
-    written by a slice.
+    takes children from the last label down.  A child of full rank
+    r(E) - r(S) fills its subtree with that rank.  So the walk visits
+    only the independent sets that are not spanning; every other entry
+    is written by a slice.
     """
     n = len(labels)
-    if len(set(labels)) != n:
-        raise InvalidArgs(f"duplicate label in {list(labels)}")
-    unknown = set(labels) - A.labels()
+    S = list(contract)
+    every = S + list(labels)
+    if len(set(every)) != len(every):
+        raise InvalidArgs(f"a label repeats in contract {S} + labels {list(labels)}")
+    unknown = set(every) - A.labels()
     if unknown:
         raise UnknownLabel(f"labels not in matrix: {sorted(unknown)}")
     m = len(A.rows)
     row_pos, col_pos = A._row_pos, A._col_pos
     if A.field.order == 2:
         packed = _gf2_columns(A)
-        vecs = [1 << row_pos[v] if v in row_pos else packed[col_pos[v]] for v in labels]
+        vecs = [1 << row_pos[v] if v in row_pos else packed[col_pos[v]] for v in every]
         reduce = _reduce_gf2
     else:
         vecs = _nonzero_or_empty(
             tuple(int(i == row_pos[v]) for i in range(m)) if v in row_pos
             else A.column_encs(v)
-            for v in labels
+            for v in every
         )
         reduce = _generic_reducer(A.field)
+    full = m - _eliminate(reduce, vecs, len(S))
+    vecs = vecs[len(S):]
 
     table = bytearray(1 << n)
 
@@ -293,8 +313,8 @@ def rank_table(A: LabeledMatrix, labels: Sequence[str]) -> bytearray:
             v = red[j - lo]
             if not v:
                 table[child::step] = table[mask::step]
-            elif r + 1 == m:
-                table[child::step] = bytes((m,)) * (1 << (n - j - 1))
+            elif r + 1 == full:
+                table[child::step] = bytes((full,)) * (1 << (n - j - 1))
             else:
                 table[child] = r + 1
                 walk(child, r + 1, j + 1, reduce(v, red[j - lo + 1 :]))
@@ -338,11 +358,12 @@ def _nonzero_or_empty(vectors: Iterable[Sequence[int]]) -> list:
     return [tuple(v) if any(v) else () for v in vectors]
 
 
-def _eliminate(reduce, vecs: list) -> int:
-    """Rank of `vecs`: each nonzero vector in turn becomes a pivot, and
-    the vectors after it are reduced by it."""
+def _eliminate(reduce, vecs: list, stop: int | None = None) -> int:
+    """Rank of `vecs[:stop]`, in place: each nonzero vector there in turn
+    becomes a pivot, and every vector after it, up to the end of the
+    list, is reduced by it."""
     rank = 0
-    for i in range(len(vecs)):
+    for i in range(len(vecs) if stop is None else stop):
         if vecs[i]:
             rank += 1
             vecs[i + 1 :] = reduce(vecs[i], vecs[i + 1 :])

@@ -174,7 +174,7 @@ class ReprMatroid:
             self._contract_one(field, rows, cols, data, e)
         for e in sorted(spec.delete):
             self._delete_one(field, rows, cols, data, e)
-        return ReprMatroid(LabeledMatrix(field, rows, cols, data))
+        return ReprMatroid(LabeledMatrix._of_display(field, rows, cols, data))
 
     @staticmethod
     def _contract_one(field, rows, cols, data, e) -> None:
@@ -247,7 +247,7 @@ class ReprMatroid:
                     pick, best = i, rows[i]
             # B independent guarantees a pivot row outside B exists
             _pivot_inplace(field, rows, cols, data, pick, j)
-        return ReprMatroid(LabeledMatrix(field, rows, cols, data))
+        return ReprMatroid(LabeledMatrix._of_display(field, rows, cols, data))
 
     # -- duality -----------------------------------------------------------------
 
@@ -256,7 +256,7 @@ class ReprMatroid:
         neg = rep.field.neg_enc
         m, n = rep.shape
         data = [[neg(rep._data[i][j]) for i in range(m)] for j in range(n)]
-        return ReprMatroid(LabeledMatrix(rep.field, rep.cols, rep.rows, data))
+        return ReprMatroid(LabeledMatrix._of_display(rep.field, rep.cols, rep.rows, data))
 
     # -- matroid predicates ---------------------------------------------------------
 

@@ -33,6 +33,8 @@ One partition search per pipeline, in zero_out, finds the partition
 stage shows its isolated minor on X with C on the rows, D on the
 columns and a zero block on X, and certifies it by `x_fragile_failure`,
 which for such a display is the uniqueness of (C, D) (proof there).
+In a pipeline, one of the two tables each check reads, that of the
+common minor on C + D, is built once and handed on.
 Called on their own, collapse_side and reduce_to_two display their
 input by the same partition search as zero_out, without its zeroing,
 and relax_entry by a basis check.
@@ -65,7 +67,7 @@ from .fragility import (
     x_fragile_failure,
 )
 from .galois import DEGREE_CAP_DEFAULT, extend_field, is_in_subfield, subfield_basis
-from .matrices import LabeledMatrix
+from .matrices import LabeledMatrix, rank_table
 from .matroids import ReprMatroid, isolated
 
 
@@ -96,7 +98,7 @@ def zero_out(M: ReprMatroid, N: ReprMatroid) -> tuple[ReprMatroid, LabeledMatrix
     partition).  Returns the rewritten matroid and its representation,
     whose row-label set is the displaying basis.
     """
-    return _zero_out(M, N, PARTITION_CAP_DEFAULT)
+    return _zero_out(M, N, PARTITION_CAP_DEFAULT)[:2]
 
 
 def _display(M: ReprMatroid, N: ReprMatroid, cap: int) -> ReprMatroid:
@@ -110,9 +112,11 @@ def _display(M: ReprMatroid, N: ReprMatroid, cap: int) -> ReprMatroid:
 
 def _zero_out(
     M: ReprMatroid, N: ReprMatroid, cap: int
-) -> tuple[ReprMatroid, LabeledMatrix]:
+) -> tuple[ReprMatroid, LabeledMatrix, bytearray]:
     """zero_out under the partition cap `cap`; the partition found in M
-    is (rows - E(N), cols - E(N)) in the returned representation.
+    is (rows - E(N), cols - E(N)) in the returned representation.  Also
+    returns T, the table of M/BN over sorted(E(M) - E(N)): the Tr of this
+    stage's X-fragility check, which `pipeline` hands to the collapses.
 
     The contraction by BN, the rows of the display in E(N), is checked
     literally: the zeroed A2 must equal the display A on every row
@@ -135,10 +139,11 @@ def _zero_out(
         raise PostconditionViolation(
             "zeroing the block changed the contraction by the displayed minor basis"
         )
-    fail = x_fragile_failure(A2, N.ground, cap=cap)
+    T = rank_table(A2, sorted(A2.labels() - N.ground), contract=sorted(BN))
+    fail = x_fragile_failure(A2, N.ground, cap=cap, rows_table=T)
     if fail is not None:
         raise PostconditionViolation(f"zeroed representation not block-fragile: {fail}")
-    return ReprMatroid(A2), A2
+    return ReprMatroid(A2), A2, T
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +240,21 @@ def collapse_side(
 
 def _collapse_side(
     M: ReprMatroid, X1: frozenset[str], X2: frozenset[str], d: str,
-    degree: int | None, degree_cap: int, cap: int,
+    degree: int | None, degree_cap: int, cap: int, table: bytearray | None = None,
 ) -> ReprMatroid:
     """collapse_side on M displayed with X1 on the rows and X2 on the
-    columns; only columns change, so the output keeps the rows of M."""
+    columns.  Only columns change, so the output keeps M's rows and its
+    block on (C, D) = (rows - X1, cols - X2), checked literally before
+    the output is certified.  `table`, if given, is that block's rank
+    table over sorted(C | D), the table of M/X1\\X2 and, once the check
+    passes, of out/X1: the Tr of the output's X-fragility check, which
+    then builds only Tc, its one table over the extension field.
+    """
     A2 = free_extension(M.rep, X2, d, degree=degree, degree_cap=degree_cap)
     out = ReprMatroid(A2).minor(delete=X2)
-    fail = x_fragile_failure(out.rep, X1 | {d}, cap=cap)
+    if not _keeps_minor(M.rep, X1, X2, out.rep, X1, {d}):
+        raise PostconditionViolation("the collapse changed the common minor on (C, D)")
+    fail = x_fragile_failure(out.rep, X1 | {d}, cap=cap, rows_table=table)
     if fail is not None:
         raise PostconditionViolation(
             f"collapsed matroid is not fragile for the collapsed isolated minor: {fail}"
@@ -249,19 +262,26 @@ def _collapse_side(
     return out
 
 
+def _dual_table(T: bytearray) -> bytearray:
+    """The rank table of K* from the table T of K on the same labels,
+    by the dual rank function: T*[W] = |W| + T[E ^ W] - r(K)."""
+    full = len(T) - 1
+    return bytearray(w.bit_count() + T[full ^ w] - T[full] for w in range(len(T)))
+
+
 def _keeps_minor(
     A: LabeledMatrix, X1: frozenset[str], X2: frozenset[str],
-    A1: LabeledMatrix, c: str, d: str,
+    A1: LabeledMatrix, Y1: Iterable[str], Y2: Iterable[str],
 ) -> bool:
     """The literal common-minor check: with A displaying M with X1 on
     its rows and X2 on its columns, C = rows - X1 and D = cols - X2, the
-    display A1 has rows C + {c} and columns D + {d}, and A1 equals A on
-    (C, D), label by label.  Then M1/c\\d = M/X1\\X2 for the matroid M1
-    of A1.
+    display A1 has rows C + Y1 and columns D + Y2, and A1 equals A on
+    (C, D), label by label.  Then M1/Y1\\Y2 = M/X1\\X2 for the matroid
+    M1 of A1.
 
     Proof.  Contracting a row element deletes its row and deleting a
     column element deletes its column (`ReprMatroid.minor`), so M/X1\\X2
-    is represented by A on (C, D) and M1/c\\d by A1 on (C, D).  Equal
+    is represented by A on (C, D) and M1/Y1\\Y2 by A1 on (C, D).  Equal
     encodings are equal entries once A is lifted to A1's field, and a
     matrix over F has the same rank over every extension of F, so the
     two matroids are one.  The check is what the collapses promise: each
@@ -272,8 +292,8 @@ def _keeps_minor(
     C = frozenset(A.rows) - X1
     D = frozenset(A.cols) - X2
     return (
-        frozenset(A1.rows) == C | {c}
-        and frozenset(A1.cols) == D | {d}
+        frozenset(A1.rows) == C | frozenset(Y1)
+        and frozenset(A1.cols) == D | frozenset(Y2)
         and _same_block(A1, A, C, D)
     )
 
@@ -308,7 +328,7 @@ def reduce_to_two(
         Ma.dual(), frozenset({d}), X1f, c, None, DEGREE_CAP_DEFAULT, PARTITION_CAP_DEFAULT
     ).dual()
     # the display collapse_side built is M on the rows it kept
-    if not _keeps_minor(M.rebase(Ma.rep.rows).rep, X1f, X2f, out.rep, c, d):
+    if not _keeps_minor(M.rebase(Ma.rep.rows).rep, X1f, X2f, out.rep, {c}, {d}):
         raise PostconditionViolation(
             "contracting c and deleting d does not match the original minor"
         )
@@ -464,6 +484,14 @@ def pipeline(
     zeroed display Az (`_keeps_minor`): X1 is the row set BN of
     `_zero_out`, whose check gives Mz/X1 = M/X1.  So `pipeline` makes no
     `equals` call and is bounded by the partition and degree caps alone.
+
+    The table T of that minor K, displayed by Az's block B on (C, D), is
+    built once, by `_zero_out`, and handed on: as it is to the loop
+    collapse, and as T* (`_dual_table`) to the coloop collapse, whose
+    dual display has the block -B^T on (D, C), a display of K*.  Each
+    collapse checks that its output keeps its input's block, and the
+    final check ties the last display to Az; so when `pipeline` returns,
+    every handed-on table is the one its check would have built.
     """
     k = len(N.ground)
     base_field = M.field
@@ -472,7 +500,7 @@ def pipeline(
     dcap = max(DEGREE_CAP_DEFAULT, base_field.degree * 2 * k * k)
 
     # the one partition search; every later stage keeps its display
-    Mz, Az = _zero_out(M, N, cap)
+    Mz, Az, T = _zero_out(M, N, cap)
     B = frozenset(Az.rows)
     X1 = B & N.ground
     X2 = N.ground - B
@@ -515,10 +543,11 @@ def pipeline(
             used.add(labels[key])
             degree = k if conformance else None
             if key == "d":
-                cur = _collapse_side(cur, X1, X2, labels["d"], degree, dcap, cap)
+                cur = _collapse_side(cur, X1, X2, labels["d"], degree, dcap, cap, T)
             else:
                 cur = _collapse_side(
-                    cur.dual(), frozenset({labels["d"]}), X1, labels["c"], degree, dcap, cap
+                    cur.dual(), frozenset({labels["d"]}), X1, labels["c"], degree, dcap,
+                    cap, _dual_table(T),
                 ).dual()
             verdicts = {
                 "unique_partition": True,
@@ -548,7 +577,7 @@ def pipeline(
         )
     )
 
-    if not _keeps_minor(Az, X1, X2, M1.rep, c_label, d_label):
+    if not _keeps_minor(Az, X1, X2, M1.rep, {c_label}, {d_label}):
         raise PostconditionViolation(
             "pipeline lost the common minor: contracting the displayed basis "
             "of the input minor disagrees with contracting c and deleting d"

@@ -2,9 +2,11 @@
 counting oracle: a matrix over GF(q) has rank r exactly when its rows
 span q^r distinct vectors."""
 
+from collections import Counter
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from matroidfrag import (
     FieldMismatch,
@@ -26,6 +28,7 @@ GF4 = extend_field(GF2, 2)
 GF8 = extend_field(GF2, 3)
 GF9 = extend_field(GF3, 2)
 GF16_OVER_GF4 = extend_field(GF4, 2)
+GF5 = make_prime_field(5)
 
 
 def rowspace_rank(A):
@@ -175,6 +178,28 @@ def test_with_column_and_drop_columns():
         A.drop_columns(["z"])
 
 
+def test_derived_matrices_validate_what_they_add():
+    # lift, set_entry and with_column build their results unchecked from
+    # checked data, after validating the field, value or column they add:
+    # the results equal the checked constructor's, and a bad encoding is
+    # refused as the constructor refuses it
+    A = LabeledMatrix(GF4, ["a", "b"], ["x"], [[1], [0]])
+    assert A.set_entry("b", "x", 3) == LabeledMatrix(GF4, ["a", "b"], ["x"], [[1], [3]])
+    assert A.with_column("y", (2, 3)) == LabeledMatrix(
+        GF4, ["a", "b"], ["x", "y"], [[1, 2], [0, 3]])
+    G = LabeledMatrix(GF2, ["a"], ["x"], [[1]])
+    assert G.lift(GF4) == LabeledMatrix(GF4, ["a"], ["x"], [[1]])
+    for bad in (4, -1):
+        with pytest.raises(InvalidArgs):
+            A.set_entry("a", "x", bad)
+        with pytest.raises(InvalidArgs):
+            A.with_column("y", (0, bad))
+    with pytest.raises(InvalidArgs):
+        A.with_column("y", (0, "1"))
+    with pytest.raises(InvalidArgs):
+        G.with_column("y", (2,))
+
+
 def test_equality_and_hash():
     A = LabeledMatrix(GF2, ["a"], ["x"], [[1]])
     B = LabeledMatrix(GF2, ["a"], ["x"], [[1]])
@@ -299,3 +324,70 @@ def test_rank_table_label_checks():
         rank_table(A, ["a", "q"])
     with pytest.raises(InvalidArgs):
         rank_table(A, ["a", "a"])
+
+
+# -- contraction by elimination against the pivoted minor ----------------------
+
+CONTRACT_FIELDS = (GF2, GF3, GF4, GF5, GF9)
+
+
+@st.composite
+def contraction_cases(draw):
+    """A matrix of at most 4 x 5 over one of CONTRACT_FIELDS, with some
+    columns zeroed (loops), and a role for each label: "S" contracted,
+    "L" in the table (each drawn twice as often as "-", neither)."""
+    F = draw(st.sampled_from(range(len(CONTRACT_FIELDS))))
+    m = draw(st.integers(0, 4))
+    n = draw(st.integers(0, 5))
+    entries = st.integers(0, CONTRACT_FIELDS[F].order - 1)
+    data = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    loops = draw(st.lists(st.sampled_from((True, False, False)), min_size=n, max_size=n))
+    roles = draw(st.lists(st.sampled_from("SSLL-"), min_size=m + n, max_size=m + n))
+    order = draw(st.permutations(range(m + n)))
+    return F, data, loops, roles, order
+
+
+def test_rank_table_contraction_matches_the_minor():
+    # rank_table(A, labels, contract=S) against the table of the minor
+    # M/S that ReprMatroid builds by pivots, over five fields, with S
+    # mixing rows and columns, holding loops, and dependent
+    seen = Counter()
+
+    @settings(max_examples=500, derandomize=True, deadline=None, database=None)
+    @given(contraction_cases())
+    @example((0, [], [], [], []))
+    @example((1, [[1, 0], [2, 0]], [False, True], list("SSLS"), [3, 0, 2, 1]))
+    def check(case):
+        F, data, loops, roles, order = case
+        field = CONTRACT_FIELDS[F]
+        rows = [f"r{i}" for i in range(len(data))]
+        cols = [f"c{j}" for j in range(len(loops))]
+        data = [[0 if loop else x for x, loop in zip(row, loops)] for row in data]
+        A = LabeledMatrix(field, rows, cols, data)
+        E = [(rows + cols)[i] for i in order]
+        S = [e for e, role in zip(E, roles) if role == "S"]
+        labels = [e for e, role in zip(E, roles) if role == "L"]
+        M = ReprMatroid(A)
+        assert rank_table(A, labels, contract=S) == rank_table(M.minor(S, ()).rep, labels)
+        q = field.order
+        seen[q, "rows and columns"] += bool(set(S) & set(rows)) and bool(set(S) & set(cols))
+        seen[q, "loop"] += any(M.rank({e}) == 0 for e in S)
+        seen[q, "dependent"] += M.rank(S) < len(S)
+
+    check()
+    for F in CONTRACT_FIELDS:
+        for kind in ("rows and columns", "loop", "dependent"):
+            assert seen[F.order, kind] >= 10, seen
+
+
+def test_rank_table_contraction_checks():
+    A = LabeledMatrix(GF3, ["a", "b"], ["x", "y"], [[1, 2], [0, 1]])
+    assert rank_table(A, ["x", "y"], contract=["a", "b"]) == bytearray(4)
+    assert rank_table(A, ["b", "y"], contract=["x"]) == bytearray([0, 1, 1, 1])
+    with pytest.raises(InvalidArgs):
+        rank_table(A, ["a", "x"], contract=["x"])
+    with pytest.raises(InvalidArgs):
+        rank_table(A, ["a"], contract=["x", "x"])
+    with pytest.raises(UnknownLabel):
+        rank_table(A, ["a"], contract=["q"])

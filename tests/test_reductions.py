@@ -820,6 +820,27 @@ def test_a_changed_entry_on_the_common_minor_is_refused(monkeypatch, stage, whic
     with pytest.raises(PostconditionViolation, match=message):
         run()
     assert len(calls) == 2
+    if which == 2:
+        return
+    # the same change made inside the loop-side collapse, to the column
+    # free_extension returns: that stage's own literal check refuses it,
+    # before its X-fragility check reads the handed-on table
+    monkeypatch.setattr(reductions, "_collapse_side", collapse)
+    extend = reductions.free_extension
+    checks = []
+
+    def changed_extension(A, X, e, **kwargs):
+        out = extend(A, X, e, **kwargs)
+        r = next(x for x in out.rows if x not in N.ground)
+        c = next(x for x in out.cols if x not in N.ground and x != e)
+        return out.set_entry(r, c, out.field.add_enc(out.enc(r, c), 1))
+
+    monkeypatch.setattr(reductions, "free_extension", changed_extension)
+    monkeypatch.setattr(reductions, "x_fragile_failure",
+                        lambda *a, **k: checks.append(a) or fragility.x_fragile_failure(*a, **k))
+    with pytest.raises(PostconditionViolation, match="changed the common minor"):
+        run()
+    assert len(checks) == (1 if stage == "pipeline" else 0)  # zero_out's own
 
 
 def test_pipeline_runs_above_the_equals_cap():
@@ -857,3 +878,86 @@ def test_pipeline_and_reduce_to_two_make_no_equals_call(monkeypatch):
     reduce_to_two(Mz, B & N.ground, N.ground - B, "c", "d")
     reduce_to_two(pair_matroid(), {"c"}, {"d"}, "c2", "d2")
     assert calls == 0
+
+
+# -- the common minor's table, handed on -------------------------------------
+
+
+def test_dual_table_is_the_dual_display_block_table():
+    # T* from T, the table of A/X1 on C + D, against the table of the
+    # dual display -A^T contracted by its rows X2 on the same labels
+    rng = Random(15)
+    for t in range(240):
+        F = (GF2, GF3, GF4)[t % 3]
+        rows = [f"r{i}" for i in range(rng.randint(0, 4))]
+        cols = [f"c{j}" for j in range(rng.randint(0, 4))]
+        density = rng.random()
+        A = LabeledMatrix(F, rows, cols, [
+            [rng.randrange(F.order) if rng.random() < density else 0 for _ in cols]
+            for _ in rows])
+        X1 = sorted(r for r in A.rows if rng.random() < 0.4)
+        X2 = sorted(c for c in A.cols if rng.random() < 0.4)
+        rest = sorted(A.labels() - set(X1) - set(X2))
+        T = matrices.rank_table(A, rest, contract=X1)
+        dual = ReprMatroid(A).dual().rep
+        assert reductions._dual_table(T) == matrices.rank_table(dual, rest, contract=X2)
+        # and the dual display's block alone, as a matrix of its own
+        block = dual.submatrix_sides([c for c in dual.rows if c not in X2],
+                                     [r for r in dual.cols if r not in X1])
+        assert reductions._dual_table(T) == matrices.rank_table(block, rest)
+
+
+def test_reference_pipeline_builds_the_common_minor_table_once(monkeypatch):
+    # the reference pair (seed 1, GF(2), 8 x 8, k = 5): the search reads
+    # tables over E(N) alone; _zero_out builds the common minor's table T
+    # (M/BN on C + D) once, and its own Tc (M/X2); each collapse builds
+    # only its Tc, the contraction by its new element, and is handed T or
+    # T*, each byte-equal to the table the check would have built
+    gi = gen_random("pipeline", seed=1, q=2, rows=8, cols=8, minor_size=5)
+    M, N = ReprMatroid(gi.instance.matrix), gi.instance.task.minor
+    rank_table = matrices.rank_table
+    stage = ["pipeline"]
+    calls = Counter()
+    handed = []
+
+    def recorded(A, labels, *, contract=()):
+        calls[stage[-1], len(labels), tuple(contract)] += 1
+        return rank_table(A, labels, contract=contract)
+
+    def staged(name, fn):
+        def wrapper(*args, **kwargs):
+            stage.append(name(args))
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stage.pop()
+
+        return wrapper
+
+    def checked(A, X, *, rows_table=None, **kwargs):
+        if rows_table is not None:
+            rest = sorted(A.labels() - set(X))
+            handed.append(rows_table == rank_table(A, rest, contract=sorted(set(X) & set(A.rows))))
+        return fragility.x_fragile_failure(A, X, rows_table=rows_table, **kwargs)
+
+    for module in (fragility, reductions):
+        monkeypatch.setattr(module, "rank_table", recorded)
+    monkeypatch.setattr(reductions, "x_fragile_failure", checked)
+    monkeypatch.setattr(reductions, "fragile_partitions",
+                        staged(lambda a: "search", fragility.fragile_partitions))
+    monkeypatch.setattr(reductions, "_zero_out", staged(lambda a: "zero_out", reductions._zero_out))
+    monkeypatch.setattr(reductions, "_collapse_side",
+                        staged(lambda a: f"collapse {a[3]}", reductions._collapse_side))
+    monkeypatch.setattr(reductions, "_relax_entry",
+                        staged(lambda a: "relax", reductions._relax_entry))
+    tr = pipeline(M, N)
+    assert (sorted(tr.coloop_side), sorted(tr.loop_side)) == (["c0", "c3"], ["c4", "c6", "r7"])
+    assert dict(calls) == {
+        # N's table, and one per leaf neither pruned nor literally N's display
+        ("search", 5, ()): 212,
+        ("zero_out", 11, ("c0", "c3")): 1,
+        ("zero_out", 11, ("c4", "c6", "r7")): 1,
+        ("collapse d", 11, ("d",)): 1,
+        ("collapse c", 11, ("c",)): 1,
+    }
+    assert handed == [True] * 3
