@@ -24,9 +24,10 @@ partitions once, and each stage certifies its output by
 
 A realising partition also gives a cheap test of non-fragility:
 `one_move_partition` looks for a second realising partition one
-element away from it by single rank queries, and any it returns is a
-witness that M is not N-fragile.  Finding none proves nothing, so the
-fragility verdict itself is always the full search.
+element away from it by at most two eliminations, for the closure of C
+in M and of D in M*, and any it returns is a witness that M is not
+N-fragile.  Finding none proves nothing, so the fragility verdict
+itself is always the full search.
 
 A realising partition (C, D) also names the bases that display N
 through it: the bases of M made of C and elements of E(N).
@@ -45,7 +46,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import CapExceeded, GroundSetMismatch, UnknownLabel
-from .matrices import LabeledMatrix, rank_table
+from .matrices import LabeledMatrix, _element_vectors, _eliminate, rank_table
 from .matroids import MinorSpec, ReprMatroid
 from .subsets import first_by_size, partitions_of
 
@@ -72,10 +73,15 @@ def fragile_partitions(
     N's, a test that is exact over every field.  Two cheaper tests come
     first.  A leaf whose display is N's (the same field, the same rows,
     the same entries label by label; leaf and N have the same ground
-    set and rank) is N, as one representation has one matroid.  A leaf
-    equal to N has exactly N's loops (zero columns) and coloops (zero
-    rows), so only a leaf that has them builds its table.  No table has
-    more than 2^|E(N)| entries.
+    set and rank) is N, as one representation has one matroid.  Over
+    GF(2) a leaf on N's rows whose display is not N's is not N: in a
+    display on a basis B, the column of f is nonzero exactly on the
+    fundamental circuit of f with respect to B, so the matroid fixes
+    where a display on B is nonzero, and over GF(2) that is every entry
+    (one standard representation per basis; Oxley, Matroid Theory,
+    ch. 6).  A leaf equal to N has exactly N's loops (zero columns) and
+    coloops (zero rows), so only a leaf that has them builds its table.
+    No table has more than 2^|E(N)| entries.
 
     A node is pruned, with every leaf below it, when one of these holds
     (rule 1 is also read before a step, from whether the element is a
@@ -157,13 +163,14 @@ def fragile_partitions(
         return (False,) * deleting + (True,) * contracting
 
     def is_N(rows, cols, data) -> bool:
-        # a leaf that is N's display over N's field is N; any leaf equal
-        # to N has exactly N's loops and coloops, which subsumes rule 2
-        # there, and N's rank table
-        if N.field == field and N.basis.issuperset(rows) and all(
-            x == N.rep.enc(e, f) for e, row in zip(rows, data) for f, x in zip(cols, row)
-        ):
-            return True
+        # a leaf on N's basis over N's field is N if its display is N's,
+        # and over GF(2) only then; any leaf equal to N has exactly N's
+        # loops and coloops, which subsumes rule 2 there, and N's table
+        if N.field == field and N.basis.issuperset(rows):
+            same = all(x == N.rep.enc(e, f)
+                       for e, row in zip(rows, data) for f, x in zip(cols, row))
+            if same or field.order == 2:
+                return same
         for e, row in zip(rows, data):
             if any(row) != (e in noncoloops):
                 return False
@@ -223,46 +230,46 @@ def one_move_partition(M: ReprMatroid, part: MinorSpec) -> MinorSpec | None:
     """A second partition realising the same minor as `part`, one
     element away from it, or None if no single move keeps the minor.
 
-    `part` = (C0, D0) realises N = M/C0\\D0.  Moving e from C0 to D
-    gives (C0 - e, D0 + e), which realises N exactly when:
-        r(C0 - e) = r(C0)  or  r(E - D0 - e) = r(E - D0) - 1.
-    Moving e from D0 to C gives (C0 + e, D0 - e), which realises N
-    exactly when:
-        r(C0 + e) = r(C0)  or  r(E - D0 + e) = r(E - D0) + 1.
-    Elements are tried in label order, C0 first, and the first move
-    that keeps N is returned.  Each element costs at most two rank
-    queries of M beyond the two shared ones r(C0) and r(E - D0), so at
-    most 4|C0 + D0| in all; no rank table is built.
+    `part` = (C0, D0) realises N = M/C0\\D0.  With cl* the closure in
+    M*, e in C0 can move to the delete side iff e is in cl(C0 - e) or
+    cl*(D0), and e in D0 can move to the contract side iff e is in
+    cl(C0) or cl*(D0 - e).  So a neighbour exists iff C0 is dependent,
+    D0 meets cl(C0), D0 is dependent in M*, or C0 meets cl*(D0).
+
+    Two eliminations (`matrices._eliminate`) decide the four.  The first
+    runs in M on the vectors of C0 and then of D0, each in label order,
+    with C0's vectors as pivots: a vector of C0 that reduces to zero lies
+    in the span of the C0 vectors before it, and one of D0 in cl(C0).
+    The second, run only when the first finds none, does the same in M*
+    (displayed by -A^T) on D0 and then C0: a vector of D0 that reduces to zero lies in
+    cl*(D0 - e), and one of C0 in cl*(D0).  A dependent set always has a
+    vector that reduces to zero, so None is exact.  The element moved is
+    the first, in the order of the elimination that finds one, whose
+    vector is zero.  No rank query is made and no rank table is built.
 
     Proof.  For any matroid K and element e, K/e = K\\e iff e is a
     loop or a coloop of K: otherwise r(K/e) = r(K) - 1 < r(K\\e)
     (Oxley, Matroid Theory, 2nd ed., ch. 3).  For e in C0 take
     K = M/(C0 - e)\\D0, so N = K/e and the moved partition gives K\\e.
-    In K, r_K(X) = r(X + C0 - e) - r(C0 - e) on E(K) = E - D0 - C0 + e.
-    So e is a loop of K iff r(C0) = r(C0 - e), and a coloop iff
-    r_K(E(K) - e) = r_K(E(K)) - 1, that is r(E - D0 - e) =
-    r(E - D0) - 1.  For e in D0 take K = M/C0\\(D0 - e): N = K\\e,
-    the moved partition gives K/e, e is a loop of K iff
-    r(C0 + e) = r(C0), and a coloop iff r(E - D0) = r(E - D0 + e) - 1.
+    Deletion keeps loops and contraction keeps coloops, so e is a loop
+    of K iff e is in cl(C0 - e), and a coloop iff it is a coloop of
+    M\\D0, which is e in cl*(D0).  For e in D0 take
+    K = M/C0\\(D0 - e): N = K\\e, the moved partition gives K/e, e is a
+    loop of K iff e is in cl(C0), and a coloop iff it is a coloop of
+    M\\(D0 - e), which is e in cl*(D0 - e).
 
     A returned partition is therefore a witness that M is not N-fragile.
     None proves nothing: two realising partitions may differ in more
     than one element, so fragility still needs `fragile_partitions`.
     """
     part.validate(M)
-    C0, D0 = part.contract, part.delete
-    if not C0 and not D0:
-        return None
-    rank = M.rank
-    rc = rank(C0)
-    kept = M.ground - D0
-    rk = rank(kept)
-    for e in sorted(C0):
-        if rank(C0 - {e}) == rc or rank(kept - {e}) == rk - 1:
-            return MinorSpec(C0 - {e}, D0 | {e})
-    for e in sorted(D0):
-        if rank(C0 | {e}) == rc or rank(kept | {e}) == rk + 1:
-            return MinorSpec(C0 | {e}, D0 - {e})
+    C0, D0 = sorted(part.contract), sorted(part.delete)
+    for dual, first, then in ((False, C0, D0), (True, D0, C0)):
+        vecs, reduce = _element_vectors(M.rep, first + then, dual=dual)
+        _eliminate(reduce, vecs, len(first))
+        for e, v in zip(first + then, vecs):
+            if not v:
+                return MinorSpec(part.contract ^ {e}, part.delete ^ {e})
     return None
 
 
@@ -300,17 +307,17 @@ def x_fragile_failure(
     |W0| - Tc[W0].  A caller that holds Tr passes it as `rows_table`.
     """
     Xf = frozenset(X)
-    unknown = Xf - A.labels()
+    R, C = A._row_pos, A._col_pos
+    unknown = [v for v in Xf if v not in R and v not in C]
     if unknown:
         raise UnknownLabel(f"labels not in matrix: {sorted(unknown)}")
-    R = frozenset(A.rows)
-    xr = sorted(Xf & R)
-    xc = sorted(Xf & frozenset(A.cols))
+    xr = sorted(v for v in Xf if v in R)
+    xc = sorted(v for v in Xf if v in C)
     for r in xr:
         for c in xc:
             if A.enc(r, c):
                 return ("block_nonzero", (r, c))
-    rest = sorted(A.labels() - Xf)
+    rest = sorted(v for v in A.rows + A.cols if v not in Xf)
     if len(rest) > cap:
         raise CapExceeded(f"|labels - X| = {len(rest)} exceeds partition cap {cap}")
     # Y fails iff Tc[W] + r(Xc) <= Tr[W] (proof above)

@@ -23,9 +23,10 @@ exactly.
 loops: one cuts a minor out of a random matroid ("nfragile",
 "pipeline"), the other zeroes a block X ("xfragile", and "relax" with
 X = {r0, c0}).  Both know one realising partition of every draw, so
-most rejections are proved by `fragility.one_move_partition` with a
-few rank queries; a draw is accepted only by the full partition
-search, or by `fragility.x_fragile_failure`, which decides the same.
+most rejections are proved by `fragility.one_move_partition` with at
+most two eliminations and no rank query; a draw is accepted only by
+the full partition search, or by `fragility.x_fragile_failure`, which
+decides the same.
 """
 
 from __future__ import annotations
@@ -333,9 +334,9 @@ def gen_random(
     Every draw comes with one partition realising its minor: the
     sampled one, or (rows - X, cols - X), which realises the isolated
     minor on X as its block is zero.  A second realising partition one
-    move from it (`one_move_partition`) proves the draw is not fragile,
-    so it is rejected before the minor is built or any rank table is
-    read.  The witness only rejects: a draw is accepted only when the
+    move from it (`one_move_partition`, two eliminations at most)
+    proves the draw is not fragile, so it is rejected before the minor
+    is built or any rank table is read.  The witness only rejects: a draw is accepted only when the
     full search `is_N_fragile` finds a unique partition, or when
     `x_fragile_failure` passes, which holds exactly when (rows - X,
     cols - X) is the only one.  So the accepted instances and rejection

@@ -9,16 +9,19 @@ accessor hands back FieldElem values.
 Rank is exact Gaussian elimination by one step per field kind: a
 pivot vector clears its leading coordinate from the vectors after it
 (XOR on packed ints over GF(2), field operations on tuples of
-encodings elsewhere).  The step has two callers.  `block_rank` answers
+encodings elsewhere).  The step has three callers.  `block_rank` answers
 single queries, the rank of A with some rows dropped, on some columns:
 each nonzero vector in turn becomes a pivot.  Matrix rank,
 `submatrix_rank` and the matroid rank oracle call it.  `rank_table`
 answers complete sweeps: the rank of every subset of a label list, in
 the matroid or a contraction of it, in one depth-first walk that
 reduces by the step at each node.
-Every exhaustive certificate in the package reads such a table.  Over
-GF(2) both read each column packed into an int once per matrix (rows
-are dropped by masking).
+Every exhaustive certificate in the package reads such a table.  The
+one-move witness `fragility.one_move_partition` reads closures off one
+elimination of element vectors in the matroid and one in its dual
+(`_element_vectors`).  Over GF(2) each column is packed into an int
+once per matrix (rows are dropped by masking), and a row of A, a
+vector of the dual, when it is needed.
 """
 
 from __future__ import annotations
@@ -217,10 +220,22 @@ def _gf2_columns(A: LabeledMatrix) -> tuple[int, ...]:
     has bit i set iff A[i][j] is one."""
     packed = A._gf2_cols
     if packed is None:
-        packed = A._gf2_cols = tuple(
-            sum(1 << i for i, row in enumerate(A._data) if row[j])
-            for j in range(len(A.cols))
-        )
+        cols = [0] * len(A.cols)
+        bit = 1
+        for row in A._data:
+            for j, x in enumerate(row):
+                if x:
+                    cols[j] |= bit
+            bit <<= 1
+        packed = A._gf2_cols = tuple(cols)
+    return packed
+
+
+def _gf2_row(row: Sequence[int]) -> int:
+    """A row of a GF(2) matrix packed into an int: bit j is entry j."""
+    packed = 0
+    for x in reversed(row):
+        packed = packed << 1 | x
     return packed
 
 
@@ -283,23 +298,11 @@ def rank_table(
     every = S + list(labels)
     if len(set(every)) != len(every):
         raise InvalidArgs(f"a label repeats in contract {S} + labels {list(labels)}")
-    unknown = set(every) - A.labels()
+    unknown = [v for v in every if v not in A._row_pos and v not in A._col_pos]
     if unknown:
         raise UnknownLabel(f"labels not in matrix: {sorted(unknown)}")
-    m = len(A.rows)
-    row_pos, col_pos = A._row_pos, A._col_pos
-    if A.field.order == 2:
-        packed = _gf2_columns(A)
-        vecs = [1 << row_pos[v] if v in row_pos else packed[col_pos[v]] for v in every]
-        reduce = _reduce_gf2
-    else:
-        vecs = _nonzero_or_empty(
-            tuple(int(i == row_pos[v]) for i in range(m)) if v in row_pos
-            else A.column_encs(v)
-            for v in every
-        )
-        reduce = _generic_reducer(A.field)
-    full = m - _eliminate(reduce, vecs, len(S))
+    vecs, reduce = _element_vectors(A, every)
+    full = len(A.rows) - _eliminate(reduce, vecs, len(S))
     vecs = vecs[len(S):]
 
     table = bytearray(1 << n)
@@ -321,6 +324,32 @@ def rank_table(
 
     walk(0, 0, 0, vecs)
     return table
+
+
+def _element_vectors(A: LabeledMatrix, labels: Sequence[str], *, dual: bool = False):
+    """The vectors of `labels` (checked by the caller) in the matroid of
+    [I | A], over A's row coordinates, and the elimination step that
+    reduces them: a row label's vector is its unit vector, a column
+    label's its column of A.  With `dual`, the vectors in the dual,
+    displayed by -A^T, over A's column coordinates: a column label's is
+    its unit vector, a row label's its row of A, as no span depends on
+    the sign.  Over GF(2) a vector is an int with bit i for coordinate i,
+    elsewhere a tuple of encodings, and () when it is zero."""
+    unit, other = (A._col_pos, A._row_pos) if dual else (A._row_pos, A._col_pos)
+    if A.field.order == 2:
+        if dual:
+            vecs = [1 << unit[v] if v in unit else _gf2_row(A._data[other[v]])
+                    for v in labels]
+        else:
+            packed = _gf2_columns(A)
+            vecs = [1 << unit[v] if v in unit else packed[other[v]] for v in labels]
+        return vecs, _reduce_gf2
+    vecs = _nonzero_or_empty(
+        tuple(int(i == unit[v]) for i in range(len(unit))) if v in unit
+        else A._data[other[v]] if dual else A.column_encs(v)
+        for v in labels
+    )
+    return vecs, _generic_reducer(A.field)
 
 
 def _reduce_gf2(pivot: int, rest: list) -> list:

@@ -395,6 +395,23 @@ def test_leaf_displaying_n_over_another_field_is_decided_by_tables():
     assert fragile_partitions(M, M) == {MinorSpec(set(), set())}
 
 
+def test_gf2_leaf_on_the_minors_basis_is_decided_by_its_display(monkeypatch):
+    # over GF(2) a leaf on N's basis is N exactly when its display is
+    # N's, so only N's table is built; over GF(3) a scaled entry keeps
+    # the matroid, and that leaf goes to its table
+    tables = []
+    monkeypatch.setattr(fragility, "rank_table",
+                        lambda *a, **k: tables.append(a) or matrices.rank_table(*a, **k))
+    A = LabeledMatrix(GF2, ["a", "b"], ["c", "d"], [[1, 1], [0, 1]])
+    M, N = ReprMatroid(A), ReprMatroid(A.set_entry("a", "d", 0))
+    assert fragile_partitions(M, N) == fragile_partitions_table(M, N) == set()
+    assert len(tables) == 1
+    A = LabeledMatrix(GF3, ["a", "b"], ["c", "d"], [[1, 1], [0, 1]])
+    M, N = ReprMatroid(A), ReprMatroid(A.set_entry("a", "c", 2))
+    assert fragile_partitions(M, N) == {MinorSpec(set(), set())}
+    assert len(tables) == 3
+
+
 def test_search_tables_span_the_minor_only(monkeypatch):
     # every rank table the search builds is over E(N): N's own and one
     # per leaf that needs one, never one over E(M)
@@ -584,6 +601,24 @@ def test_searches_and_bases_make_no_rank_queries(monkeypatch):
 # -- one-move witness against the full search ----------------------------------
 
 
+def one_move_partition_queries(M, part):
+    """The one-move witness by single rank queries: e in C0 moves iff
+    r(C0 - e) = r(C0) or r(E - D0 - e) = r(E - D0) - 1, e in D0 iff
+    r(C0 + e) = r(C0) or r(E - D0 + e) = r(E - D0) + 1; the first such e
+    in label order, C0 first."""
+    C0, D0 = part.contract, part.delete
+    rc = M.rank(C0)
+    kept = M.ground - D0
+    rk = M.rank(kept)
+    for e in sorted(C0):
+        if M.rank(C0 - {e}) == rc or M.rank(kept - {e}) == rk - 1:
+            return MinorSpec(C0 - {e}, D0 | {e})
+    for e in sorted(D0):
+        if M.rank(C0 | {e}) == rc or M.rank(kept | {e}) == rk + 1:
+            return MinorSpec(C0 | {e}, D0 - {e})
+    return None
+
+
 class CountingMatroid(ReprMatroid):
     """A ReprMatroid that counts its rank queries of subsets."""
 
@@ -597,16 +632,17 @@ class CountingMatroid(ReprMatroid):
         return super().rank(X)
 
 
-WITNESS_FIELDS = (GF2, GF3, GF4)
+WITNESS_FIELDS = (GF2, GF3, GF4, GF5)
 
 
 @st.composite
-def pairs_with_partition(draw):
-    """A matrix over GF(2), GF(3) or GF(4) of at most 4 x 4, and a side
-    for each label: "C" to contract, "D" to delete, "N" to keep."""
-    F = draw(st.sampled_from(range(len(WITNESS_FIELDS))))
-    m = draw(st.integers(0, 4))
-    n = draw(st.integers(0, 4))
+def pairs_with_partition(draw, fields=3, size=4):
+    """A matrix over one of the first `fields` WITNESS_FIELDS of at most
+    `size` x `size`, and a side for each label: "C" to contract, "D" to
+    delete, "N" to keep."""
+    F = draw(st.sampled_from(range(fields)))
+    m = draw(st.integers(0, size))
+    n = draw(st.integers(0, size))
     order = WITNESS_FIELDS[F].order
     entries = st.integers(0, order - 1)
     data = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
@@ -625,6 +661,13 @@ def build_pair(F, data, n, sides):
     return M, part
 
 
+def one_move_neighbours(M, part):
+    """The realising partitions one move from `part`, by the full search."""
+    parts = fragile_partitions(M, M.minor_of(part))
+    assert part in parts
+    return {p for p in parts if len(p.contract ^ part.contract) == 1}, parts
+
+
 @settings(max_examples=400, derandomize=True, deadline=None, database=None)
 @given(pairs_with_partition())
 # no C; no D; an empty minor; a loop and a coloop that may move either way
@@ -634,14 +677,10 @@ def build_pair(F, data, n, sides):
 @example((0, [[0, 1], [0, 0]], 2, "CNDN"))
 def test_one_move_witness_matches_the_full_search(case):
     M, part = build_pair(*case)
-    N = M.minor_of(part)
-    parts = fragile_partitions(M, N)
-    assert part in parts
+    neighbours, parts = one_move_neighbours(M, part)
     M.queries = 0
     got = one_move_partition(M, part)
-    rest = part.contract | part.delete
-    assert M.queries <= 4 * len(rest)
-    neighbours = {p for p in parts if len(p.contract ^ part.contract) == 1}
+    assert M.queries == 0
     if got is None:
         assert not neighbours
     else:
@@ -650,10 +689,41 @@ def test_one_move_witness_matches_the_full_search(case):
         assert got is None
 
 
+def test_one_move_witness_matches_the_query_reference():
+    # the two eliminations against the per-query witness they replaced:
+    # the same verdict, and a returned partition is a one-move neighbour
+    # by the full search; over each field, draws with a neighbour,
+    # without one, and with one that only the elimination in M* finds
+    # (C0 independent and D0 off cl(C0))
+    seen = Counter()
+
+    @settings(max_examples=1000, derandomize=True, deadline=None, database=None)
+    @given(pairs_with_partition(len(WITNESS_FIELDS), 5))
+    def check(case):
+        M, part = build_pair(*case)
+        got = one_move_partition(M, part)
+        want = one_move_partition_queries(M, part)
+        assert (got is None) == (want is None)
+        neighbours, _ = one_move_neighbours(M, part)
+        assert got is None or got in neighbours
+        C0, D0 = part.contract, part.delete
+        in_M = M.rank(C0) < len(C0) or any(M.rank(C0 | {e}) == M.rank(C0) for e in D0)
+        kind = "none" if got is None else "M" if in_M else "M* only"
+        seen[WITNESS_FIELDS[case[0]].order, kind] += 1
+
+    check()
+    for q in (2, 3, 4, 5):
+        for kind in ("none", "M", "M* only"):
+            assert seen[q, kind] >= 10, seen
+
+
 def test_one_move_witness_reads_no_rank_table(monkeypatch):
-    tables = []
+    tables, ranks = [], []
     monkeypatch.setattr(fragility, "rank_table",
                         lambda *a: tables.append(a) or matrices.rank_table(*a))
+    rank = ReprMatroid.rank
+    monkeypatch.setattr(ReprMatroid, "rank",
+                        lambda self, X=None: ranks.append(X) or rank(self, X))
     # e parallel to the coloop-side c: contracting it is the only choice
     M = one_coloop_one_loop_one_parallel()
     assert one_move_partition(M, MinorSpec({"e"}, set())) is None
@@ -661,4 +731,6 @@ def test_one_move_witness_reads_no_rank_table(monkeypatch):
     M = isolated({"c"}, {"c", "d", "e"})
     assert one_move_partition(M, MinorSpec(set(), {"e"})) == MinorSpec({"e"}, set())
     assert one_move_partition(M, MinorSpec(set(), set())) is None
-    assert tables == []
+    # the coloop c may be deleted: only the elimination in M* sees it
+    assert one_move_partition(M, MinorSpec({"c"}, set())) == MinorSpec(set(), {"c"})
+    assert tables == [] and ranks == []

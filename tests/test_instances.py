@@ -329,3 +329,26 @@ def test_witness_rejected_draws_build_no_minor_and_no_table(
         assert draw[1:] == ([] if draw[0] else full)
     caught = sum(1 for draw in draws if draw[0])
     assert caught >= rejections * 3 // 4, caught
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("kind,shape", [
+    ("xfragile", {"rows": 4, "cols": 4, "x_rows": 1, "x_cols": 2}),
+    ("relax", {"rows": 3, "cols": 4}),
+    ("nfragile", {"rows": 4, "cols": 4, "minor_size": 3}),
+    ("pipeline", {"rows": 3, "cols": 4, "minor_size": 3}),
+])
+def test_witness_rejects_only_what_the_full_search_rejects(monkeypatch, kind, shape, q):
+    # with the witness switched off every draw goes to the full search;
+    # the same instance and rejection count show that each draw the
+    # witness rejects is one the full search rejects too
+    rejected = 0
+    for seed in range(4):
+        with_witness = gen_random(kind, seed=seed, q=q, **shape)
+        monkeypatch.setattr(instances, "one_move_partition", lambda M, part: None)
+        without = gen_random(kind, seed=seed, q=q, **shape)
+        monkeypatch.undo()
+        assert without.rejections == with_witness.rejections
+        assert serialize_instance(without.instance) == serialize_instance(with_witness.instance)
+        rejected += with_witness.rejections
+    assert rejected > 0
