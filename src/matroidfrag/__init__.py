@@ -4,8 +4,10 @@ Build towers of finite fields, represent matroids by labelled matrices
 over them, certify fragility of a matroid with respect to a minor, and
 run the reduction chain that turns a fragile pair into a circuit-
 hyperplane relaxation over a controlled field extension.  Everything is
-exact (no floating point) and every reduction stage re-verifies its own
-guarantees by exhaustive oracle before returning.
+exact (no floating point) and every reduction stage certifies its own
+output before returning: fragility by the exact partition search or by
+rank tables read off the stage's display, free placement and the
+relaxation by the proofs in their docstrings, from polynomial checks.
 """
 
 from .errors import (

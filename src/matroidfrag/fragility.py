@@ -70,18 +70,22 @@ def fragile_partitions(
     element is placed by the leaf enumeration `partitions_of`, so the
     partitions it yields are the leaves tested.  A leaf displays M/C\\D
     on E(N), and it is N exactly when its rank table over sorted E(N) is
-    N's, a test that is exact over every field.  Two cheaper tests come
-    first.  A leaf whose display is N's (the same field, the same rows,
-    the same entries label by label; leaf and N have the same ground
-    set and rank) is N, as one representation has one matroid.  Over
-    GF(2) a leaf on N's rows whose display is not N's is not N: in a
-    display on a basis B, the column of f is nonzero exactly on the
-    fundamental circuit of f with respect to B, so the matroid fixes
-    where a display on B is nonzero, and over GF(2) that is every entry
-    (one standard representation per basis; Oxley, Matroid Theory,
-    ch. 6).  A leaf equal to N has exactly N's loops (zero columns) and
-    coloops (zero rows), so only a leaf that has them builds its table.
-    No table has more than 2^|E(N)| entries.
+    N's, a test that is exact over every field.  Cheaper tests come
+    first.  A leaf on N's rows whose zero pattern is not N's is not N,
+    over every field: in a display [I | A] on a basis B, the vector of
+    f outside B is the sum of A[b][f] times the unit vector of b, so
+    f + {b : A[b][f] != 0} is the unique circuit in B + f, the
+    fundamental circuit of f.  The matroid alone therefore fixes where a
+    display on B is nonzero, and a leaf equal to N has N's fundamental
+    circuits, so N's zero pattern.  A leaf whose display is N's (the
+    same field, the same rows, the same entries label by label; leaf and
+    N have the same ground set and rank) is N, as one representation has
+    one matroid.  Over GF(2) the zero pattern is every entry, so there a
+    leaf on N's rows is N exactly when its display is N's (one standard
+    representation per basis; Oxley, Matroid Theory, ch. 6).  A leaf
+    equal to N has exactly N's loops (zero columns) and coloops (zero
+    rows), so of the leaves on other rows only one that has them builds
+    its table.  No table has more than 2^|E(N)| entries.
 
     A node is pruned, with every leaf below it, when one of these holds
     (rule 1 is also read before a step, from whether the element is a
@@ -163,20 +167,24 @@ def fragile_partitions(
         return (False,) * deleting + (True,) * contracting
 
     def is_N(rows, cols, data) -> bool:
-        # a leaf on N's basis over N's field is N if its display is N's,
-        # and over GF(2) only then; any leaf equal to N has exactly N's
-        # loops and coloops, which subsumes rule 2 there, and N's table
-        if N.field == field and N.basis.issuperset(rows):
-            same = all(x == N.rep.enc(e, f)
-                       for e, row in zip(rows, data) for f, x in zip(cols, row))
-            if same or field.order == 2:
-                return same
-        for e, row in zip(rows, data):
-            if any(row) != (e in noncoloops):
+        # a leaf on N's basis (rule 1 leaves it no fewer rows) is not N
+        # unless its zero pattern is N's, and is N if its display is N's
+        # over N's field; a leaf on other rows equal to N has exactly N's
+        # loops and coloops, which subsumes rule 2 there; then N's table
+        if N.basis.issuperset(rows):
+            entries = [(x, N.rep.enc(e, f))
+                       for e, row in zip(rows, data) for f, x in zip(cols, row)]
+            if any((x == 0) != (y == 0) for x, y in entries):
                 return False
-        for e, col in zip(cols, columns(cols, data)):
-            if any(col) != (e in nonloops):
-                return False
+            if N.field == field and all(x == y for x, y in entries):
+                return True
+        else:
+            for e, row in zip(rows, data):
+                if any(row) != (e in noncoloops):
+                    return False
+            for e, col in zip(cols, columns(cols, data)):
+                if any(col) != (e in nonloops):
+                    return False
         return rank_table(LabeledMatrix._of_display(field, rows, cols, data), labels) == TN
 
     def step(node, e, contracting, last):

@@ -33,8 +33,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
-from typing import ClassVar, NamedTuple, Optional, Union
+from typing import NamedTuple, Union
 
 from .errors import (
     CapExceeded,
@@ -54,42 +53,59 @@ from .fragility import (
 from .galois import FieldSpec, field_from_tower, field_of_order
 from .matrices import LabeledMatrix
 from .matroids import MinorSpec, ReprMatroid
+from .records import FrozenRecord
 
 
-@dataclass(frozen=True)
-class XFragileTask:
-    kind: ClassVar[str] = "xfragile"
-    x: frozenset[str]
+class XFragileTask(FrozenRecord):
+    kind = "xfragile"
+    __slots__ = ("x",)
+
+    def __init__(self, x: frozenset[str]):
+        object.__setattr__(self, "x", x)
 
 
-@dataclass(frozen=True)
-class NFragileTask:
-    kind: ClassVar[str] = "nfragile"
-    minor: ReprMatroid
+class NFragileTask(FrozenRecord):
+    kind = "nfragile"
+    __slots__ = ("minor",)
+
+    def __init__(self, minor: ReprMatroid):
+        object.__setattr__(self, "minor", minor)
 
 
-@dataclass(frozen=True)
-class RelaxTask:
-    kind: ClassVar[str] = "relax"
-    contract: frozenset[str]
-    delete: frozenset[str]
+class RelaxTask(FrozenRecord):
+    kind = "relax"
+    __slots__ = ("contract", "delete")
+
+    def __init__(self, contract: frozenset[str], delete: frozenset[str]):
+        object.__setattr__(self, "contract", contract)
+        object.__setattr__(self, "delete", delete)
 
 
-@dataclass(frozen=True)
-class PipelineTask:
-    kind: ClassVar[str] = "pipeline"
-    minor: ReprMatroid
+class PipelineTask(FrozenRecord):
+    kind = "pipeline"
+    __slots__ = ("minor",)
+
+    def __init__(self, minor: ReprMatroid):
+        object.__setattr__(self, "minor", minor)
 
 
 Task = Union[XFragileTask, NFragileTask, RelaxTask, PipelineTask]
 
 
-@dataclass(frozen=True)
-class InstanceFile:
-    field: FieldSpec
-    matrix: LabeledMatrix
-    task: Optional[Task] = None
-    seed: Optional[int] = None
+class InstanceFile(FrozenRecord):
+    __slots__ = ("field", "matrix", "task", "seed")
+
+    def __init__(
+        self,
+        field: FieldSpec,
+        matrix: LabeledMatrix,
+        task: Task | None = None,
+        seed: int | None = None,
+    ):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "task", task)
+        object.__setattr__(self, "seed", seed)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ the entries of their displays instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import (
@@ -41,24 +40,22 @@ from .errors import (
 )
 from .galois import FieldSpec, make_prime_field
 from .matrices import LabeledMatrix, block_rank, rank_table
+from .records import FrozenRecord
 
 EQUALS_CAP_DEFAULT = 16
 
 
-@dataclass(frozen=True)
-class MinorSpec:
+class MinorSpec(FrozenRecord):
     """A partition certificate: contract the first set, delete the second."""
 
-    contract: frozenset[str]
-    delete: frozenset[str]
+    __slots__ = ("contract", "delete")
 
-    def __post_init__(self):
-        object.__setattr__(self, "contract", frozenset(self.contract))
-        object.__setattr__(self, "delete", frozenset(self.delete))
-        if self.contract & self.delete:
-            raise InvalidMinorSpec(
-                f"contract and delete overlap: {sorted(self.contract & self.delete)}"
-            )
+    def __init__(self, contract: Iterable[str], delete: Iterable[str]):
+        contract, delete = frozenset(contract), frozenset(delete)
+        if contract & delete:
+            raise InvalidMinorSpec(f"contract and delete overlap: {sorted(contract & delete)}")
+        object.__setattr__(self, "contract", contract)
+        object.__setattr__(self, "delete", delete)
 
     def validate(self, matroid: "ReprMatroid") -> None:
         outside = (self.contract | self.delete) - matroid.ground

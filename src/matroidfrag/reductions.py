@@ -50,7 +50,6 @@ embedding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
 from typing import Iterable
 
 from .errors import (
@@ -69,6 +68,7 @@ from .fragility import (
 from .galois import DEGREE_CAP_DEFAULT, extend_field, is_in_subfield, subfield_basis
 from .matrices import LabeledMatrix, rank_table
 from .matroids import ReprMatroid, isolated
+from .records import Record
 
 
 def _fresh_label(stem: str, used: set[str]) -> str:
@@ -435,31 +435,73 @@ def _relax_entry(
 # the full pipeline
 
 
-@dataclass
-class StageRecord:
-    name: str
-    degree_over_input: int
-    matroid: ReprMatroid
-    verdicts: dict[str, bool]
-    details: dict = dataclass_field(default_factory=dict)
+class StageRecord(Record):
+    __slots__ = ("name", "degree_over_input", "matroid", "verdicts", "details")
+
+    def __init__(
+        self,
+        name: str,
+        degree_over_input: int,
+        matroid: ReprMatroid,
+        verdicts: dict[str, bool],
+        details: dict | None = None,
+    ):
+        self.name = name
+        self.degree_over_input = degree_over_input
+        self.matroid = matroid
+        self.verdicts = verdicts
+        self.details = {} if details is None else details
 
 
-@dataclass
-class ReductionTrace:
-    input_matroid: ReprMatroid
-    minor_matroid: ReprMatroid
-    displayed_basis: frozenset[str]
-    coloop_side: frozenset[str]
-    loop_side: frozenset[str]
-    c_label: str
-    d_label: str
-    stages: list[StageRecord]
-    relaxed: ReprMatroid          # M1
-    relaxation: ReprMatroid       # M2
-    hyperplane: frozenset[str]
-    conformance: bool
-    degree_bound: int             # 2 k^2 over the input field
-    final_degree_over_input: int
+class ReductionTrace(Record):
+    __slots__ = (
+        "input_matroid",
+        "minor_matroid",
+        "displayed_basis",
+        "coloop_side",
+        "loop_side",
+        "c_label",
+        "d_label",
+        "stages",
+        "relaxed",
+        "relaxation",
+        "hyperplane",
+        "conformance",
+        "degree_bound",
+        "final_degree_over_input",
+    )
+
+    def __init__(
+        self,
+        input_matroid: ReprMatroid,
+        minor_matroid: ReprMatroid,
+        displayed_basis: frozenset[str],
+        coloop_side: frozenset[str],
+        loop_side: frozenset[str],
+        c_label: str,
+        d_label: str,
+        stages: list[StageRecord],
+        relaxed: ReprMatroid,                 # M1
+        relaxation: ReprMatroid,              # M2
+        hyperplane: frozenset[str],
+        conformance: bool,
+        degree_bound: int,                    # 2 k^2 over the input field
+        final_degree_over_input: int,
+    ):
+        self.input_matroid = input_matroid
+        self.minor_matroid = minor_matroid
+        self.displayed_basis = displayed_basis
+        self.coloop_side = coloop_side
+        self.loop_side = loop_side
+        self.c_label = c_label
+        self.d_label = d_label
+        self.stages = stages
+        self.relaxed = relaxed
+        self.relaxation = relaxation
+        self.hyperplane = hyperplane
+        self.conformance = conformance
+        self.degree_bound = degree_bound
+        self.final_degree_over_input = final_degree_over_input
 
 
 def pipeline(

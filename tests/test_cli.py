@@ -6,6 +6,10 @@ property failed, 2 invalid input.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -259,3 +263,71 @@ def test_unknown_suite_exits_two(capsys):
     report, code = run("verify-suite", None, suite="nope")
     assert code == 2
     assert report["error"]["type"] == "InvalidArgs"
+
+
+def test_suite_names_are_the_suites():
+    # argument parsing reads the names without importing the suites
+    from matroidfrag import cli
+
+    assert cli.SUITE_NAMES == tuple(suites.SUITES)
+
+
+def test_cli_import_loads_no_suites_dataclasses_or_inspect():
+    # a fresh interpreter without site packages, so that nothing but
+    # the import of the front end can load them
+    src = Path(__file__).resolve().parent.parent / "src"
+    watched = ("dataclasses", "inspect", "matroidfrag.suites")
+    code = ("import sys, matroidfrag.cli; "
+            f"print([m for m in {watched!r} if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+USAGE = """\
+usage: matroidfrag [-h] [--input PATH] [--seed SEED] [--max-ground MAX_GROUND]
+                   [--conformance] [--report PATH]
+                   [--suite {all,field-core,isolated-minor,zeroed-block,free-placement,entry-relaxation,pipeline,structural,determinism}]
+                   {check-xfragile,check-nfragile,relax,pipeline,verify-suite}
+"""
+
+HELP = USAGE + """
+Certified reductions for fragile represented matroids.
+
+positional arguments:
+  {check-xfragile,check-nfragile,relax,pipeline,verify-suite}
+
+options:
+  -h, --help            show this help message and exit
+  --input PATH          instance JSON file
+  --seed SEED           suite seed (default 0)
+  --max-ground MAX_GROUND
+                        largest allowed ground set and enumeration cap
+                        (default 16)
+  --conformance         pipeline only: build the uniform-degree tower to
+                        exactly 2k^2
+  --report PATH         also write the report here
+  --suite {all,field-core,isolated-minor,zeroed-block,free-placement,entry-relaxation,pipeline,structural,determinism}
+                        verify-suite only: which suite to run (default all)
+"""
+
+
+def test_help_text(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (HELP, "")
+
+
+def test_invalid_suite_message_and_exit_code(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-suite", "--suite", "nope"])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", USAGE + (
+        "matroidfrag: error: argument --suite: invalid choice: 'nope' (choose from "
+        "'all', 'field-core', 'isolated-minor', 'zeroed-block', 'free-placement', "
+        "'entry-relaxation', 'pipeline', 'structural', 'determinism')\n"))

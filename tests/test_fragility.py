@@ -412,6 +412,90 @@ def test_gf2_leaf_on_the_minors_basis_is_decided_by_its_display(monkeypatch):
     assert len(tables) == 3
 
 
+@st.composite
+def pattern_pairs(draw):
+    """A matrix of at most 4 x 5 over GF(3), GF(4) or GF(5), a side for
+    each label as in `minor_pairs`, how N's display is made from the cut
+    minor's (kept, a row or column scaled by a nonzero factor, which
+    keeps the matroid, or one entry's zero pattern flipped, which does
+    not) and a number that picks the line, the entry and the factor."""
+    F = draw(st.sampled_from(range(1, len(SEARCH_FIELDS))))
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 5))
+    entries = st.integers(0, SEARCH_FIELDS[F].order - 1)
+    data = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    sides = draw(st.lists(st.sampled_from("CDNN"), min_size=m + n, max_size=m + n))
+    how = draw(st.sampled_from(("cut", "scaled", "flipped")))
+    return F, data, n, sides, how, draw(st.integers(0, 4095))
+
+
+def build_pattern_pair(F, data, n, sides, how, pick):
+    M, N = build_minor_pair(F, data, n, sides, "cut", 0)
+    A = N.rep
+    if how == "cut" or not (A.rows and A.cols):
+        return M, N
+    field = A.field
+    r = A.rows[pick % len(A.rows)]
+    c = A.cols[pick // len(A.rows) % len(A.cols)]
+    if how == "flipped":
+        return M, ReprMatroid(A.set_entry(r, c, 0 if A.enc(r, c) else 1 + pick % (field.order - 1)))
+    # scale row r, or column c, by a nonzero factor other than 1
+    factor = 2 + pick // 64 % (field.order - 2)
+    line = [(r, f) for f in A.cols] if pick // 32 % 2 else [(e, c) for e in A.rows]
+    for e, f in line:
+        A = A.set_entry(e, f, field.mul_enc(factor, A.enc(e, f)))
+    return M, ReprMatroid(A)
+
+
+def test_leaf_zero_pattern_rule_matches_the_table_search():
+    # a leaf on N's rows with another zero pattern is rejected with no
+    # table over every field; one with N's pattern and other entries
+    # (a scaled line) goes to its table, so it is still found
+    seen = Counter()
+
+    @settings(max_examples=600, derandomize=True, deadline=None, database=None)
+    @given(pattern_pairs())
+    @example((1, [[1, 2], [0, 1]], 2, list("NNNN"), "scaled", 0))
+    @example((3, [[1, 4], [3, 0]], 2, list("NNNN"), "flipped", 1))
+    def check(case):
+        M, N = build_pattern_pair(*case)
+        got = fragile_partitions(M, N)
+        assert got == fragile_partitions_table(M, N)
+        seen[SEARCH_FIELDS[case[0]].order, case[4], min(len(got), 2)] += 1
+
+    check()
+    for q in (3, 4, 5):
+        for how in ("cut", "scaled"):
+            assert seen[q, how, 1] + seen[q, how, 2] >= 10, seen
+        assert seen[q, "flipped", 0] >= 10, seen
+
+
+def test_leaf_off_the_minors_zero_pattern_builds_no_table(monkeypatch):
+    # N on its own rows with its display scaled or flipped: the leaf
+    # (C, D) = (∅, ∅) is on N's rows, so only a pattern equal to N's
+    # reaches a table; and on a GF(3) pipeline pair the search builds 9
+    # tables, N's and 8 leaves', where deciding the leaves on N's rows
+    # by their entries over GF(2) only built 31
+    tables = []
+    monkeypatch.setattr(fragility, "rank_table",
+                        lambda *a, **k: tables.append(a) or matrices.rank_table(*a, **k))
+    for F in (GF3, GF4, GF5):
+        A = LabeledMatrix(F, ["a", "b"], ["c", "d"], [[1, 1], [0, 1]])
+        tables.clear()
+        assert fragile_partitions(ReprMatroid(A), ReprMatroid(A.set_entry("b", "c", 1))) == set()
+        assert len(tables) == 1
+        tables.clear()
+        N = ReprMatroid(A.set_entry("a", "c", 2).set_entry("b", "c", 0))
+        assert fragile_partitions(ReprMatroid(A), N) == {MinorSpec(set(), set())}
+        assert len(tables) == 2
+    gi = gen_random("pipeline", seed=2, q=3, rows=6, cols=6, minor_size=5)
+    M, N = ReprMatroid(gi.instance.matrix), gi.instance.task.minor
+    tables.clear()
+    assert len(fragile_partitions(M, N)) == 1
+    assert len(tables) == 9
+
+
 def test_search_tables_span_the_minor_only(monkeypatch):
     # every rank table the search builds is over E(N): N's own and one
     # per leaf that needs one, never one over E(M)
