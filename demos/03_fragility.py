@@ -1,11 +1,12 @@
 """Fragility: the minor sits in the matroid in exactly one way.
 
-The certificate is exhaustive.  fragile_partitions tries every
-partition (C, D) of E(M) - E(N) and keeps the ones with M/C\\D = N, so
-"fragile" means the returned set has exactly one element.  On the
-matrix side, X-fragility asks the X block to vanish while X raises the
-rank of every disjoint nonempty Y; a failed check names the first
-offending entry or subset.
+The certificate is exhaustive.  fragile_partitions decides every
+partition (C, D) of E(M) - E(N), by a depth-first search that prunes
+only what provably cannot realise N, and keeps the ones with
+M/C\\D = N, so "fragile" means the returned set has exactly one
+element.  On the matrix side, X-fragility asks the X block to vanish
+while X raises the rank of every disjoint nonempty Y; a failed check
+names the first offending entry or subset.
 """
 
 from matroidfrag import (

@@ -6,7 +6,9 @@ M contract C delete D.  `fragile_partitions` decides every partition:
 a depth-first search contracts and deletes the elements outside E(N)
 by pivots, prunes a branch only by a rule proved exact (too few rows or
 columns left, or an element of E(N) turned into a loop or coloop that
-it is not in N), and compares each leaf with N by rank tables over
+it is not in N), and decides each leaf by one rule: re-displayed on N's
+basis by `rebase`'s pivots, it is compared with N's display, and only a
+leaf with N's zero pattern and other entries compares rank tables over
 E(N) (`matrices.rank_table`, one byte per subset of E(N)).  So the
 certificate is the whole search space, not a heuristic, and no table
 grows with E(M).
@@ -47,7 +49,7 @@ from typing import Iterable
 
 from .errors import CapExceeded, GroundSetMismatch, UnknownLabel
 from .matrices import LabeledMatrix, _element_vectors, _eliminate, rank_table
-from .matroids import MinorSpec, ReprMatroid
+from .matroids import EQUALS_CAP_DEFAULT, MinorSpec, ReprMatroid
 from .subsets import first_by_size, partitions_of
 
 PARTITION_CAP_DEFAULT = 12
@@ -68,24 +70,28 @@ def fragile_partitions(
     the next element, by the pivots of `ReprMatroid.minor`, on a copy of
     that display (the last child on the display itself).  The last
     element is placed by the leaf enumeration `partitions_of`, so the
-    partitions it yields are the leaves tested.  A leaf displays M/C\\D
-    on E(N), and it is N exactly when its rank table over sorted E(N) is
-    N's, a test that is exact over every field.  Cheaper tests come
-    first.  A leaf on N's rows whose zero pattern is not N's is not N,
-    over every field: in a display [I | A] on a basis B, the vector of
-    f outside B is the sum of A[b][f] times the unit vector of b, so
-    f + {b : A[b][f] != 0} is the unique circuit in B + f, the
-    fundamental circuit of f.  The matroid alone therefore fixes where a
-    display on B is nonzero, and a leaf equal to N has N's fundamental
-    circuits, so N's zero pattern.  A leaf whose display is N's (the
-    same field, the same rows, the same entries label by label; leaf and
-    N have the same ground set and rank) is N, as one representation has
-    one matroid.  Over GF(2) the zero pattern is every entry, so there a
-    leaf on N's rows is N exactly when its display is N's (one standard
-    representation per basis; Oxley, Matroid Theory, ch. 6).  A leaf
-    equal to N has exactly N's loops (zero columns) and coloops (zero
-    rows), so of the leaves on other rows only one that has them builds
-    its table.  No table has more than 2^|E(N)| entries.
+    partitions it yields are the leaves tested.  A leaf displays
+    L = M/C\\D on E(N), and one rule decides it, in four steps:
+    (a) Re-display it on N's basis B by the pivots of `ReprMatroid.rebase`
+        (`_pivot_onto`).  If they fail, B is dependent in L but not in N,
+        so L is not N.  Else the rows hold B, and are B: a leaf has |E(N)|
+        elements, and pruning rule 1 leaves it at least r(N) rows and at
+        least |E(N)| - r(N) columns, so exactly r(N) rows; no row count
+        is checked.
+    (b) A zero pattern that is not N's is not N, over every field: in a
+        display [I | A] on B, the vector of f outside B is the sum of
+        A[b][f] times the unit vector of b, so f + {b : A[b][f] != 0} is
+        the unique circuit in B + f, the fundamental circuit of f.  The
+        matroid alone fixes where a display on B is nonzero.
+    (c) N's own display over N's field (the same entries label by label)
+        is N, as one representation has one matroid.  Over GF(2) the zero
+        pattern is every entry, so with M and N over GF(2) no leaf gets
+        past here (one standard representation per basis; Oxley, Matroid
+        Theory, ch. 6).
+    (d) Otherwise L is N exactly when its rank table over sorted E(N) is
+        N's, a test exact over every field.  N's table is built when a
+        leaf first needs it, and refused above EQUALS_CAP_DEFAULT (16)
+        elements before it is built.
 
     A node is pruned, with every leaf below it, when one of these holds
     (rule 1 is also read before a step, from whether the element is a
@@ -111,7 +117,8 @@ def fragile_partitions(
     [I | A] a row element is never a loop, and is a coloop exactly when
     its row of A is zero, as no other vector has a nonzero coordinate
     there; a column element is never a coloop, as the rows are a basis
-    without it, and is a loop exactly when its column is zero.
+    without it, and is a loop exactly when its column is zero; so N's
+    loops and coloops are read off N's display.
     """
     if not N.ground <= M.ground:
         raise GroundSetMismatch(
@@ -123,20 +130,19 @@ def fragile_partitions(
             f"|E(M)-E(N)| = {len(rest)} exceeds partition cap {cap}"
         )
     labels = sorted(N.ground)
-    TN = rank_table(N.rep, labels)
-    r, n = TN[-1], len(labels)
-    full = len(TN) - 1
-    # the elements of E(N) that no node may show as a loop, or as a coloop
-    nonloops = frozenset(e for i, e in enumerate(labels) if TN[1 << i])
-    noncoloops = frozenset(e for i, e in enumerate(labels) if TN[full ^ 1 << i] == r)
+    A = N.rep
+    r, n = len(A.rows), len(labels)
+    # the elements of E(N) that no node may show as a loop (N's loops are
+    # its zero columns), or as a coloop (its zero rows)
+    nonloops = N.ground - {f for j, f in enumerate(A.cols) if not any(row[j] for row in A._data)}
+    noncoloops = N.ground - {e for e, row in zip(A.rows, A._data) if not any(row)}
     field = M.field
+    same_field = N.field == field
     contract, delete = ReprMatroid._contract_one, ReprMatroid._delete_one
     inner, tail = rest[:-1], rest[-1:]
     outside = frozenset(rest)
     found = []
-
-    def columns(cols, data):
-        return zip(*data) if data else [()] * len(cols)
+    TN = []  # N's rank table, built when a leaf first needs it
 
     def alive(rows, cols, data) -> bool:
         # rules 1 and 2
@@ -145,7 +151,7 @@ def fragile_partitions(
         for e, row in zip(rows, data):
             if e in noncoloops and not any(row):
                 return False
-        for e, col in zip(cols, columns(cols, data)):
+        for e, col in zip(cols, zip(*data) if data else [()] * len(cols)):
             if e in nonloops and not any(col):
                 return False
         return True
@@ -167,25 +173,20 @@ def fragile_partitions(
         return (False,) * deleting + (True,) * contracting
 
     def is_N(rows, cols, data) -> bool:
-        # a leaf on N's basis (rule 1 leaves it no fewer rows) is not N
-        # unless its zero pattern is N's, and is N if its display is N's
-        # over N's field; a leaf on other rows equal to N has exactly N's
-        # loops and coloops, which subsumes rule 2 there; then N's table
-        if N.basis.issuperset(rows):
-            entries = [(x, N.rep.enc(e, f))
-                       for e, row in zip(rows, data) for f, x in zip(cols, row)]
-            if any((x == 0) != (y == 0) for x, y in entries):
-                return False
-            if N.field == field and all(x == y for x, y in entries):
-                return True
-        else:
-            for e, row in zip(rows, data):
-                if any(row) != (e in noncoloops):
-                    return False
-            for e, col in zip(cols, columns(cols, data)):
-                if any(col) != (e in nonloops):
-                    return False
-        return rank_table(LabeledMatrix._of_display(field, rows, cols, data), labels) == TN
+        # the leaf rule: re-display the leaf on N's basis, compare zero
+        # patterns, then displays over N's field, and only then tables
+        if not ReprMatroid._pivot_onto(field, rows, cols, data, N.basis):
+            return False
+        entries = [(x, A.enc(e, f)) for e, row in zip(rows, data) for f, x in zip(cols, row)]
+        if any((x == 0) != (y == 0) for x, y in entries):
+            return False
+        if same_field and all(x == y for x, y in entries):
+            return True
+        if not TN:
+            if n > EQUALS_CAP_DEFAULT:
+                raise CapExceeded(f"|E(N)| = {n} exceeds rank table cap {EQUALS_CAP_DEFAULT}")
+            TN.append(rank_table(A, labels))
+        return rank_table(LabeledMatrix._of_display(field, rows, cols, data), labels) == TN[0]
 
     def step(node, e, contracting, last):
         # the step on e, on a copy of the node while a sibling still
@@ -216,7 +217,7 @@ def fragile_partitions(
                 if is_N(*leaf):
                     found.append(MinorSpec(C | c, outside - C - c))
 
-    root = list(M.rep.rows), list(M.rep.cols), [list(row) for row in M.rep._data]
+    root = M._display_lists()
     if alive(*root):
         walk(0, frozenset(), root)
     return frozenset(found)

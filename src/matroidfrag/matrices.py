@@ -42,6 +42,21 @@ def _check_labels(rows: Sequence[str], cols: Sequence[str]) -> None:
         raise LabelCollision(f"labels on both sides: {sorted(clash)}")
 
 
+def _encoding(field: FieldSpec, v: "FieldElem | int") -> int:
+    """The encoding of an entry: a FieldElem of `field`, or an int
+    encoding in range.  A bool is refused, as the instance parser
+    refuses it, so that every matrix round-trips through its JSON."""
+    if isinstance(v, FieldElem):
+        if v.spec != field:
+            raise FieldMismatch(f"entry from {v.spec!r} in {field!r} matrix")
+        return v.enc
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise InvalidArgs(f"entry {v!r} is neither FieldElem nor encoding")
+    if not 0 <= v < field.order:
+        raise InvalidArgs(f"encoding {v} out of range for {field!r}")
+    return v
+
+
 class LabeledMatrix:
     __slots__ = ("field", "rows", "cols", "_data", "_row_pos", "_col_pos", "_gf2_cols")
 
@@ -61,19 +76,7 @@ class LabeledMatrix:
         for r, entry_row in zip(rows, entries):
             if len(entry_row) != len(cols):
                 raise InvalidArgs(f"row {r!r}: expected {len(cols)} entries")
-            enc_row = []
-            for v in entry_row:
-                if isinstance(v, FieldElem):
-                    if v.spec != field:
-                        raise FieldMismatch(f"entry from {v.spec!r} in {field!r} matrix")
-                    enc_row.append(v.enc)
-                elif isinstance(v, int):
-                    if not 0 <= v < field.order:
-                        raise InvalidArgs(f"encoding {v} out of range for {field!r}")
-                    enc_row.append(v)
-                else:
-                    raise InvalidArgs(f"entry {v!r} is neither FieldElem nor encoding")
-            data.append(tuple(enc_row))
+            data.append(tuple(_encoding(field, v) for v in entry_row))
         self._set(field, rows, cols, tuple(data))
 
     def _set(self, field: FieldSpec, rows: tuple, cols: tuple, data: tuple) -> None:
@@ -171,16 +174,7 @@ class LabeledMatrix:
         return LabeledMatrix._of_display(target, self.rows, self.cols, self._data)
 
     def set_entry(self, row: str, col: str, value: "FieldElem | int") -> "LabeledMatrix":
-        if isinstance(value, FieldElem):
-            if value.spec != self.field:
-                raise FieldMismatch(f"value from {value.spec!r}, matrix over {self.field!r}")
-            enc = value.enc
-        elif isinstance(value, int):
-            if not 0 <= value < self.field.order:
-                raise InvalidArgs(f"encoding {value} out of range")
-            enc = value
-        else:
-            raise InvalidArgs(f"value {value!r} is neither FieldElem nor encoding")
+        enc = _encoding(self.field, value)
         if row not in self._row_pos:
             raise UnknownLabel(f"no row {row!r}")
         if col not in self._col_pos:
@@ -195,9 +189,7 @@ class LabeledMatrix:
             raise LabelCollision(f"label {label!r} already used")
         if len(encs) != len(self.rows):
             raise InvalidArgs("column length does not match row count")
-        for e in encs:
-            if not isinstance(e, int) or not 0 <= e < self.field.order:
-                raise InvalidArgs(f"encoding {e!r} out of range for {self.field!r}")
+        encs = [_encoding(self.field, e) for e in encs]
         data = [r + (e,) for r, e in zip(self._data, encs)]
         return LabeledMatrix._of_display(self.field, self.rows, self.cols + (label,), data)
 

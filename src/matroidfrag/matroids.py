@@ -12,11 +12,14 @@ Minors are computed by pivoting: contracting a column element first
 pivots it onto the row side, deleting a row element first pivots it out
 (coloops and loops degenerate to plain drops).  Pivot positions are
 chosen as the first nonzero entry in label order, which keeps every
-derived representation deterministic.  The single-element steps
+derived representation deterministic.  `rebase` re-displays on a
+basis B by the step `_pivot_onto`, which pivots B's elements onto the
+rows and so checks B by its own pivots, with no rank query; contracting
+a column element is that step on one element.  The steps
 `_contract_one` and `_delete_one` are also the nodes of the partition
-search `fragility.fragile_partitions`, so the certificate of every
-input rests on them.  Duality transposes and negates the representing
-block.
+search `fragility.fragile_partitions`, and `_pivot_onto` decides its
+leaves, so the certificate of every input rests on them.  Duality
+transposes and negates the representing block.
 
 Everything here is exact and exponential where it says it is: `equals`
 compares the rank tables of the two matroids (`matrices.rank_table`,
@@ -163,38 +166,32 @@ class ReprMatroid:
     ) -> "ReprMatroid":
         spec = MinorSpec(frozenset(contract), frozenset(delete))
         spec.validate(self)
-        rows = list(self.rep.rows)
-        cols = list(self.rep.cols)
-        data = [list(r) for r in self.rep._data]
+        rows, cols, data = display = self._display_lists()
         field = self.field
         for e in sorted(spec.contract):
-            self._contract_one(field, rows, cols, data, e)
+            self._contract_one(field, *display, e)
         for e in sorted(spec.delete):
-            self._delete_one(field, rows, cols, data, e)
+            self._delete_one(field, *display, e)
         return ReprMatroid(LabeledMatrix._of_display(field, rows, cols, data))
+
+    def _display_lists(self) -> tuple[list, list, list]:
+        """Fresh lists of the row labels, the column labels and the rows
+        of encodings: a display the steps below rewrite in place."""
+        return list(self.rep.rows), list(self.rep.cols), [list(r) for r in self.rep._data]
 
     @staticmethod
     def _contract_one(field, rows, cols, data, e) -> None:
-        if e in rows:
-            i = rows.index(e)
-            del rows[i]
-            del data[i]
-            return
-        j = cols.index(e)
-        pick = -1
-        best = None
-        for i in range(len(rows)):
-            if data[i][j] and (best is None or rows[i] < best):
-                pick, best = i, rows[i]
-        if pick < 0:
+        # pivot a column element onto the rows, then drop e's row
+        if e in cols and not ReprMatroid._pivot_onto(field, rows, cols, data, frozenset((e,))):
             # zero column: contracting a loop is the same as deleting it
+            j = cols.index(e)
             del cols[j]
             for row in data:
                 del row[j]
             return
-        _pivot_inplace(field, rows, cols, data, pick, j)
-        del rows[pick]
-        del data[pick]
+        i = rows.index(e)
+        del rows[i]
+        del data[i]
 
     @staticmethod
     def _delete_one(field, rows, cols, data, e) -> None:
@@ -223,28 +220,37 @@ class ReprMatroid:
     def minor_of(self, spec: MinorSpec) -> "ReprMatroid":
         return self.minor(spec.contract, spec.delete)
 
-    def rebase(self, B: Iterable[str]) -> "ReprMatroid":
-        """The same matroid re-displayed with basis B on the row side."""
-        Bf = frozenset(B)
-        unknown = Bf - self.ground
-        if unknown:
-            raise UnknownLabel(f"labels not in ground set: {sorted(unknown)}")
-        if len(Bf) != self.rank() or self.rank(Bf) != len(Bf):
-            raise InvalidArgs(f"{sorted(Bf)} is not a basis")
-        rows = list(self.rep.rows)
-        cols = list(self.rep.cols)
-        data = [list(r) for r in self.rep._data]
-        field = self.field
-        for v in sorted(Bf - self._rowset):
+    @staticmethod
+    def _pivot_onto(field, rows, cols, data, B: frozenset) -> bool:
+        """Pivot each element of B not on the row side onto it, in label
+        order, for the least row label outside B whose entry in its
+        column is nonzero.  False, part way, when there is no such row:
+        that column is then a combination of the unit vectors of B's
+        rows, so B is dependent, and an independent B never gets False."""
+        for v in sorted(B.difference(rows)):
             j = cols.index(v)
             pick = -1
             best = None
             for i in range(len(rows)):
-                if rows[i] not in Bf and data[i][j] and (best is None or rows[i] < best):
+                if rows[i] not in B and data[i][j] and (best is None or rows[i] < best):
                     pick, best = i, rows[i]
-            # B independent guarantees a pivot row outside B exists
+            if pick < 0:
+                return False
             _pivot_inplace(field, rows, cols, data, pick, j)
-        return ReprMatroid(LabeledMatrix._of_display(field, rows, cols, data))
+        return True
+
+    def rebase(self, B: Iterable[str]) -> "ReprMatroid":
+        """The same matroid re-displayed with basis B on the row side.
+        B is checked by the pivots themselves (`_pivot_onto`): a set of
+        r(M) elements is a basis exactly when they all succeed."""
+        Bf = frozenset(B)
+        unknown = Bf - self.ground
+        if unknown:
+            raise UnknownLabel(f"labels not in ground set: {sorted(unknown)}")
+        rows, cols, data = display = self._display_lists()
+        if len(Bf) != len(rows) or not self._pivot_onto(self.field, *display, Bf):
+            raise InvalidArgs(f"{sorted(Bf)} is not a basis")
+        return ReprMatroid(LabeledMatrix._of_display(self.field, rows, cols, data))
 
     # -- duality -----------------------------------------------------------------
 

@@ -6,6 +6,7 @@ the matrix one (the X block vanishes and X raises the rank of every
 disjoint nonempty Y).
 """
 
+import time
 from collections import Counter
 from itertools import combinations
 from random import Random
@@ -88,6 +89,39 @@ def test_fragile_partitions_validation():
     with pytest.raises(CapExceeded):
         fragile_partitions(big, N)
     assert len(fragile_partitions(big, N, cap=13)) != 1
+
+
+def test_minor_table_is_capped_before_it_is_built(monkeypatch):
+    # a 17-element GF(3) matroid against itself with a row scaled by 2:
+    # the leaf (∅, ∅) has N's zero pattern and other entries, so it needs
+    # N's table, which is refused before any table is built
+    def no_table(*args, **kwargs):
+        raise AssertionError("rank table built before the cap check")
+
+    monkeypatch.setattr(fragility, "rank_table", no_table)
+    rows, cols = [f"r{i}" for i in range(8)], [f"c{j}" for j in range(9)]
+    A = LabeledMatrix(GF3, rows, cols, [[1] * len(cols)] * len(rows))
+    N = A
+    for f in cols:
+        N = N.set_entry("r0", f, 2)
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="cap 16"):
+        fragile_partitions(ReprMatroid(A), ReprMatroid(N))
+    assert time.perf_counter() - start < 0.5
+
+
+def test_minor_equal_to_a_large_matroid_builds_no_table(monkeypatch):
+    # 22 elements over GF(2), N = M: the one leaf is N's own display, so
+    # it is accepted with no table, however large E(N) is
+    def no_table(*args, **kwargs):
+        raise AssertionError("rank table built")
+
+    monkeypatch.setattr(fragility, "rank_table", no_table)
+    rows, cols = [f"r{i}" for i in range(11)], [f"c{j}" for j in range(11)]
+    rng = Random(22)
+    data = [[rng.randint(0, 1) for _ in cols] for _ in rows]
+    M = ReprMatroid(LabeledMatrix(GF2, rows, cols, data))
+    assert fragile_partitions(M, M) == {MinorSpec(set(), set())}
 
 
 def test_matrix_side_positive():
@@ -396,20 +430,20 @@ def test_leaf_displaying_n_over_another_field_is_decided_by_tables():
 
 
 def test_gf2_leaf_on_the_minors_basis_is_decided_by_its_display(monkeypatch):
-    # over GF(2) a leaf on N's basis is N exactly when its display is
-    # N's, so only N's table is built; over GF(3) a scaled entry keeps
-    # the matroid, and that leaf goes to its table
+    # over GF(2) a leaf re-displayed on N's basis is N exactly when its
+    # display is N's, so no table is built; over GF(3) a scaled entry
+    # keeps the matroid, and that leaf goes to its table and N's
     tables = []
     monkeypatch.setattr(fragility, "rank_table",
                         lambda *a, **k: tables.append(a) or matrices.rank_table(*a, **k))
     A = LabeledMatrix(GF2, ["a", "b"], ["c", "d"], [[1, 1], [0, 1]])
     M, N = ReprMatroid(A), ReprMatroid(A.set_entry("a", "d", 0))
     assert fragile_partitions(M, N) == fragile_partitions_table(M, N) == set()
-    assert len(tables) == 1
+    assert len(tables) == 0
     A = LabeledMatrix(GF3, ["a", "b"], ["c", "d"], [[1, 1], [0, 1]])
     M, N = ReprMatroid(A), ReprMatroid(A.set_entry("a", "c", 2))
     assert fragile_partitions(M, N) == {MinorSpec(set(), set())}
-    assert len(tables) == 3
+    assert len(tables) == 2
 
 
 @st.composite
@@ -474,9 +508,10 @@ def test_leaf_zero_pattern_rule_matches_the_table_search():
 def test_leaf_off_the_minors_zero_pattern_builds_no_table(monkeypatch):
     # N on its own rows with its display scaled or flipped: the leaf
     # (C, D) = (∅, ∅) is on N's rows, so only a pattern equal to N's
-    # reaches a table; and on a GF(3) pipeline pair the search builds 9
-    # tables, N's and 8 leaves', where deciding the leaves on N's rows
-    # by their entries over GF(2) only built 31
+    # reaches a table, and then N's is built too; on a GF(3) pipeline
+    # pair every leaf re-displayed on N's basis is decided by its
+    # display, where comparing only the leaves already on N's rows built
+    # 9 tables
     tables = []
     monkeypatch.setattr(fragility, "rank_table",
                         lambda *a, **k: tables.append(a) or matrices.rank_table(*a, **k))
@@ -484,7 +519,7 @@ def test_leaf_off_the_minors_zero_pattern_builds_no_table(monkeypatch):
         A = LabeledMatrix(F, ["a", "b"], ["c", "d"], [[1, 1], [0, 1]])
         tables.clear()
         assert fragile_partitions(ReprMatroid(A), ReprMatroid(A.set_entry("b", "c", 1))) == set()
-        assert len(tables) == 1
+        assert len(tables) == 0
         tables.clear()
         N = ReprMatroid(A.set_entry("a", "c", 2).set_entry("b", "c", 0))
         assert fragile_partitions(ReprMatroid(A), N) == {MinorSpec(set(), set())}
@@ -493,12 +528,13 @@ def test_leaf_off_the_minors_zero_pattern_builds_no_table(monkeypatch):
     M, N = ReprMatroid(gi.instance.matrix), gi.instance.task.minor
     tables.clear()
     assert len(fragile_partitions(M, N)) == 1
-    assert len(tables) == 9
+    assert len(tables) == 0
 
 
 def test_search_tables_span_the_minor_only(monkeypatch):
     # every rank table the search builds is over E(N): N's own and one
-    # per leaf that needs one, never one over E(M)
+    # per leaf with N's zero pattern and other entries, never one over
+    # E(M); a scaled N sends its realising leaf, and N, to tables
     spans = []
 
     def recorded(A, labels, *, contract=()):
@@ -507,22 +543,31 @@ def test_search_tables_span_the_minor_only(monkeypatch):
 
     monkeypatch.setattr(fragility, "rank_table", recorded)
     rng = Random(14)
+    built = 0
     for t in range(80):
         M = ReprMatroid(random_matrix(rng, FIELDS[t % len(FIELDS)], max_rows=5, max_cols=6))
         E = sorted(M.ground)
         keep = set(rng.sample(E, min(len(E), rng.randint(1, 3))))
-        C = {e for e in M.ground - keep if rng.random() < 0.5}
+        C = {e for e in sorted(M.ground - keep) if rng.random() < 0.5}
         N = M.minor(C, M.ground - keep - C)
+        if t % 2 and N.field.order > 2 and N.rep.rows:
+            # N's first row scaled by 2: the same matroid, another display
+            A, e = N.rep, N.rep.rows[0]
+            for f in A.cols:
+                A = A.set_entry(e, f, A.field.mul_enc(2, A.enc(e, f)))
+            N = ReprMatroid(A)
         spans.clear()
         assert fragile_partitions(M, N) == fragile_partitions_table(M, N)
-        assert spans and max(spans) <= len(N.ground), (spans, len(M.ground))
-    # an 18-element pair: N on 6 labels, so no table above 2^6 entries
+        assert max(spans, default=0) <= len(N.ground), (spans, len(M.ground))
+        built += len(spans)
+    assert built == 31
+    # an 18-element GF(2) pair, N on 6 labels: no table at all
     gi = gen_random("xfragile", seed=0, q=2, rows=7, cols=11, x_rows=1, x_cols=5)
     M = ReprMatroid(gi.instance.matrix)
     N = isolated({"r0"}, {"r0"} | {f"c{j}" for j in range(5)})
     spans.clear()
     assert len(fragile_partitions(M, N)) == 1
-    assert spans and max(spans) == 6
+    assert spans == []
 
 
 def test_x_fragile_failure_matches_the_loop():

@@ -318,13 +318,12 @@ def test_witness_rejected_draws_build_no_minor_and_no_table(
     starts = [i for i, e in enumerate(events) if not isinstance(e, str)]
     assert len(starts) == rejections + 1
     draws = [events[i:j] for i, j in zip(starts, starts[1:] + [len(events)])]
-    # a cut minor N goes to the pruned partition search, which builds N's
-    # table and no other at this seed: its one surviving leaf displays N
-    # literally; a zeroed block is accepted by x_fragile_failure, which
+    # a cut minor N goes to the pruned partition search, which builds no
+    # table over GF(2): each leaf re-displayed on N's basis is decided by
+    # its display; a zeroed block is accepted by x_fragile_failure, which
     # reads the tables of M/Xc and M/Xr straight off the display and
     # builds no minor
-    full = ["minor", "rank_table"] if kind == "pipeline" else [
-        "rank_table", "rank_table"]
+    full = ["minor"] if kind == "pipeline" else ["rank_table", "rank_table"]
     for draw in draws:
         assert draw[1:] == ([] if draw[0] else full)
     caught = sum(1 for draw in draws if draw[0])

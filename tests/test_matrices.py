@@ -200,6 +200,20 @@ def test_derived_matrices_validate_what_they_add():
         G.with_column("y", (2,))
 
 
+def test_bool_entries_are_refused():
+    # a bool is an int, but the instance parser refuses it, so a matrix
+    # holding one would not round-trip: the constructor, set_entry and
+    # with_column refuse it too
+    for value in (True, False):
+        with pytest.raises(InvalidArgs):
+            LabeledMatrix(GF2, ["a"], ["b", "c"], [[value, 0]])
+        A = LabeledMatrix(GF2, ["a"], ["b"], [[1]])
+        with pytest.raises(InvalidArgs):
+            A.set_entry("a", "b", value)
+        with pytest.raises(InvalidArgs):
+            A.with_column("c", (value,))
+
+
 def test_equality_and_hash():
     A = LabeledMatrix(GF2, ["a"], ["x"], [[1]])
     B = LabeledMatrix(GF2, ["a"], ["x"], [[1]])

@@ -6,7 +6,11 @@ a = (1,0), b = (0,1), c = (1,1), d = (1,0), so d is parallel to a and
 every other pair is independent.
 """
 
+from collections import Counter
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matroidfrag import (
     CapExceeded,
@@ -22,10 +26,12 @@ from matroidfrag import (
     isolated_rn,
     make_prime_field,
 )
+from matroidfrag.matroids import _pivot_inplace
 
 GF2 = make_prime_field(2)
 GF3 = make_prime_field(3)
 GF4 = extend_field(GF2, 2)
+GF5 = make_prime_field(5)
 
 
 def running_example():
@@ -335,3 +341,77 @@ def test_equals_matches_subset_sweep():
         assert M.equals(other) == want
         verdicts.append(want)
     assert 10 <= verdicts.count(False) <= 50
+
+
+def rebase_by_rank_queries(M, B):
+    """Reference: `rebase` as it was before it checked B by its own
+    pivots, with two rank queries up front and the same pivots after."""
+    Bf = frozenset(B)
+    unknown = Bf - M.ground
+    if unknown:
+        raise UnknownLabel(f"labels not in ground set: {sorted(unknown)}")
+    if len(Bf) != M.rank() or M.rank(Bf) != len(Bf):
+        raise InvalidArgs(f"{sorted(Bf)} is not a basis")
+    rows, cols = list(M.rep.rows), list(M.rep.cols)
+    data = [list(r) for r in M.rep._data]
+    for v in sorted(Bf - M.basis):
+        j = cols.index(v)
+        pick = -1
+        best = None
+        for i in range(len(rows)):
+            if rows[i] not in Bf and data[i][j] and (best is None or rows[i] < best):
+                pick, best = i, rows[i]
+        _pivot_inplace(M.field, rows, cols, data, pick, j)
+    return ReprMatroid(LabeledMatrix(M.field, rows, cols, data))
+
+
+REBASE_FIELDS = (GF2, GF3, GF4, GF5)
+
+
+@st.composite
+def rebase_cases(draw):
+    """A matrix of at most 4 x 5 over one of REBASE_FIELDS, what kind of
+    set B to try (a basis, a dependent set of size r(M), or a set of
+    another size) and a number that picks it among those of its kind."""
+    F = REBASE_FIELDS[draw(st.integers(0, len(REBASE_FIELDS) - 1))]
+    m, n = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+    data = draw(st.lists(st.lists(st.integers(0, F.order - 1), min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    kind = draw(st.sampled_from(("basis", "dependent", "size")))
+    return F, data, n, kind, draw(st.integers(0, 4095))
+
+
+def test_rebase_by_pivots_matches_rank_queries():
+    # the same display, or the same exception type and message, for each
+    # kind of B; the kind counted is the one B turned out to be
+    seen = Counter()
+
+    @settings(max_examples=500, derandomize=True, deadline=None, database=None)
+    @given(rebase_cases())
+    def check(case):
+        F, data, n, kind, pick = case
+        rows = [f"r{i}" for i in range(len(data))]
+        M = ReprMatroid(LabeledMatrix(F, rows, [f"c{j}" for j in range(n)], data))
+        r, E, bases = M.rank(), sorted(M.ground), M.bases()
+        sized = [frozenset(S) for k in range(len(E) + 1) for S in combinations(E, k)]
+        pool = {
+            "basis": [S for S in sized if S in bases],
+            "dependent": [S for S in sized if len(S) == r and S not in bases],
+            "size": [S for S in sized if len(S) != r],
+        }[kind]
+        if not pool:
+            return
+        B = pool[pick % len(pool)]
+        outcomes = []
+        for rebase in (ReprMatroid.rebase, rebase_by_rank_queries):
+            try:
+                outcomes.append(rebase(ReprMatroid(M.rep), B).rep)
+            except (InvalidArgs, UnknownLabel) as e:
+                outcomes.append((type(e), str(e)))
+        assert outcomes[0] == outcomes[1]
+        seen[F.order, kind] += 1
+
+    check()
+    for F in REBASE_FIELDS:
+        for kind in ("basis", "dependent", "size"):
+            assert seen[F.order, kind] >= 10, seen
