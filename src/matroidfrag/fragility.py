@@ -20,9 +20,9 @@ tables over the labels outside X, read straight off A by contracting
 X's columns, or its rows (`rank_table`).  The two notions are one: A is
 X-fragile exactly when (rows - X, cols - X) is the only partition
 realising the isolated minor on X (coloops X & rows) in the matroid of
-[I | A] (proof in `x_fragile_failure`).  So `reductions` searches
-partitions once, and each stage certifies its output by
-`x_fragile_failure` on its own representation.
+[I | A] (proof in `x_fragile_failure`).  So `relax_entry`, the
+`xfragile` draws of `gen_random` and `check-xfragile` decide fragility
+on one display, with no partition search.
 
 A realising partition also gives a cheap test of non-fragility:
 `one_move_partition` looks for a second realising partition one
@@ -287,7 +287,6 @@ def x_fragile_failure(
     X: Iterable[str],
     *,
     cap: int = PARTITION_CAP_DEFAULT,
-    rows_table: bytearray | None = None,
 ):
     """First reason A is not X-fragile, or None if it is.
 
@@ -313,7 +312,7 @@ def x_fragile_failure(
     The sides are the tables of M/Xc and M/Xr over the sorted labels
     outside X: Tc[W] = r(W | Xc) - r(Xc), Tr[W] = r(W | Xr) - |Xr|.  With
     the X block zero, Xc lies in the span of W0 = R - X, so r(Xc) =
-    |W0| - Tc[W0].  A caller that holds Tr passes it as `rows_table`.
+    |W0| - Tc[W0].
     """
     Xf = frozenset(X)
     R, C = A._row_pos, A._col_pos
@@ -331,7 +330,7 @@ def x_fragile_failure(
         raise CapExceeded(f"|labels - X| = {len(rest)} exceeds partition cap {cap}")
     # Y fails iff Tc[W] + r(Xc) <= Tr[W] (proof above)
     Tc = rank_table(A, rest, contract=xc)
-    Tr = rank_table(A, rest, contract=xr) if rows_table is None else rows_table
+    Tr = rank_table(A, rest, contract=xr)
     rmask = sum(1 << i for i, v in enumerate(rest) if v in R)
     rc = len(R) - len(xr) - Tc[rmask]
     fails = [y for y in range(1, len(Tc)) if Tc[y ^ rmask] + rc <= Tr[y ^ rmask]]

@@ -20,24 +20,23 @@ H, while the part of M outside E(N) survives as a common minor:
 
 Every stage re-verifies its own guarantees before returning and raises
 PostconditionViolation with a witness when one fails, so a completed
-ReductionTrace is itself a certificate.  The free placement and the
-relaxation are not swept over subsets: each follows by a short proof,
-given in the docstring of `free_extension` and of `relax_entry`, from
-polynomial checks that the stage runs.  So do the contraction that the
-zeroing keeps (`_zero_out`) and the common minor that the collapses
-keep (`_keeps_minor`): both are literal comparisons of entries, and no
-stage compares two matroids by `equals`.
+ReductionTrace is itself a certificate.  After the one partition search
+no stage sweeps subsets or reads a rank table: each guarantee follows
+by a short proof, in the docstrings of `_zero_out` (the zeroing lemma),
+`free_extension` (free placement), `_collapse_side` (the collapse
+lemma) and `relax_entry`, from polynomial checks that compare entries
+literally; no stage compares two matroids by `equals`.
 
 One partition search per pipeline, in zero_out, finds the partition
 (C, D) realising N; from then on the display is the certificate.  Each
 stage shows its isolated minor on X with C on the rows, D on the
-columns and a zero block on X, and certifies it by `x_fragile_failure`,
-which for such a display is the uniqueness of (C, D) (proof there).
-In a pipeline, one of the two tables each check reads, that of the
-common minor on C + D, is built once and handed on.
-Called on their own, collapse_side and reduce_to_two display their
-input by the same partition search as zero_out, without its zeroing,
-and relax_entry by a basis check.
+columns and a zero block on X.  By the zeroing lemma (C, D) is the only
+partition realising the zeroed display's isolated minor, and by the
+collapse lemma each collapse keeps the set of realising partitions, so
+the display that reaches the relaxation is pair-fragile.  Called on
+their own, collapse_side and reduce_to_two display their input by the
+same partition search as zero_out, without its zeroing, and
+relax_entry by a basis check and `x_fragile_failure`.
 
 Field growth: collapsing a side of size s needs s coordinates linearly
 independent over the current field, hence a degree max(1, s) extension
@@ -66,7 +65,7 @@ from .fragility import (
     x_fragile_failure,
 )
 from .galois import DEGREE_CAP_DEFAULT, extend_field, is_in_subfield, subfield_basis
-from .matrices import LabeledMatrix, rank_table
+from .matrices import LabeledMatrix
 from .matroids import ReprMatroid, isolated
 from .records import Record
 
@@ -80,13 +79,6 @@ def _fresh_label(stem: str, used: set[str]) -> str:
     return f"{stem}{i}"
 
 
-def _same_block(A: LabeledMatrix, B: LabeledMatrix, rows, cols) -> bool:
-    """A and B hold the same encoding at every (row, col) label pair.
-    Lifting a matrix to a taller tower keeps its encodings, so this also
-    compares a matrix with its image over an extension field."""
-    return all(A.enc(r, c) == B.enc(r, c) for r in rows for c in cols)
-
-
 # ---------------------------------------------------------------------------
 # stage 1: zero the displayed block
 
@@ -98,7 +90,7 @@ def zero_out(M: ReprMatroid, N: ReprMatroid) -> tuple[ReprMatroid, LabeledMatrix
     partition).  Returns the rewritten matroid and its representation,
     whose row-label set is the displaying basis.
     """
-    return _zero_out(M, N, PARTITION_CAP_DEFAULT)[:2]
+    return _zero_out(M, N, PARTITION_CAP_DEFAULT)
 
 
 def _display(M: ReprMatroid, N: ReprMatroid, cap: int) -> ReprMatroid:
@@ -110,40 +102,41 @@ def _display(M: ReprMatroid, N: ReprMatroid, cap: int) -> ReprMatroid:
     return M.rebase(partition_basis(M, N, next(iter(parts))))
 
 
-def _zero_out(
-    M: ReprMatroid, N: ReprMatroid, cap: int
-) -> tuple[ReprMatroid, LabeledMatrix, bytearray]:
-    """zero_out under the partition cap `cap`; the partition found in M
-    is (rows - E(N), cols - E(N)) in the returned representation.  Also
-    returns T, the table of M/BN over sorted(E(M) - E(N)): the Tr of this
-    stage's X-fragility check, which `pipeline` hands to the collapses.
+def _zero_out(M: ReprMatroid, N: ReprMatroid, cap: int) -> tuple[ReprMatroid, LabeledMatrix]:
+    """zero_out under the partition cap `cap`.  With BN the rows of the
+    display A in E(N), the partition found in M, (rows - E(N),
+    cols - E(N)), is the only one realising isolated(BN, E(N)) in M2.
 
-    The contraction by BN, the rows of the display in E(N), is checked
-    literally: the zeroed A2 must equal the display A on every row
-    outside BN, label by label.  Proof that this gives M2/BN = M/BN.
-    In [I | A], contracting a row element e deletes row e: the other
-    vectors keep their coordinates but e's, and the other rows stay a
-    basis (`ReprMatroid.minor`).  So M/BN is represented by A without
-    the rows BN, and M2/BN by A2 without them, the same matrix.
+    The zeroing is checked literally: A2 must be A with the block
+    (BN, E(N) - BN) zero and every other entry unchanged, label by label.
+    So M2/BN = M/BN, as contracting a row element of [I | A] deletes its
+    row (`ReprMatroid.minor`): both are represented by A without BN.
+
+    Zeroing lemma: every partition (W, Z) of E(M) - E(N) that realises
+    isolated(BN, E(N)) in M2 realises N in M.  Proof.  W, Z and BN keep
+    their vectors, as only the block changes; the vector of g in
+    E(N) - BN in M is its vector in M2 plus the sum of A[b][g] times the
+    unit vector e_b over b in BN.  As (W, Z) realises the isolated
+    minor, the M2 vector of each such g lies in span(W), and the e_b stay
+    independent modulo span(W).  So modulo span(W) the vectors of M on
+    E(N) are the columns of [I | A[BN, E(N) - BN]], and M/W\\Z is the
+    matroid of that matrix, which is N, as A displays N on its rows BN.
+    The partition found realises the isolated minor in M2, as the block
+    is zero, and it is the only one realising N in M; so it is the only
+    one in M2, certified with no rank table.
     """
     A = _display(M, N, cap).rep
     BN = N.ground & frozenset(A.rows)
-    block_cols = sorted(N.ground - BN)
+    block = N.ground - BN
     data = [list(row) for row in A._data]
-    for r in sorted(BN):
-        i = A._row_pos[r]
-        for c in block_cols:
-            data[i][A._col_pos[c]] = 0
+    for r in BN:
+        for c in block:
+            data[A._row_pos[r]][A._col_pos[c]] = 0
     A2 = LabeledMatrix(A.field, A.rows, A.cols, data)
-    if not _same_block(A2, A, frozenset(A.rows) - BN, A.cols):
-        raise PostconditionViolation(
-            "zeroing the block changed the contraction by the displayed minor basis"
-        )
-    T = rank_table(A2, sorted(A2.labels() - N.ground), contract=sorted(BN))
-    fail = x_fragile_failure(A2, N.ground, cap=cap, rows_table=T)
-    if fail is not None:
-        raise PostconditionViolation(f"zeroed representation not block-fragile: {fail}")
-    return ReprMatroid(A2), A2, T
+    if any(A2.enc(r, c) != (0 if r in BN and c in block else A.enc(r, c))
+           for r in A.rows for c in A.cols):
+        raise PostconditionViolation("the zeroed display is not the display with its block zeroed")
+    return ReprMatroid(A2), A2
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +159,10 @@ def free_extension(
     of a field extension F' of the entry field F.  The extension degree
     defaults to max(1, |X|) and may be raised (never lowered) with
     `degree`.  Before returning, the alpha_v are checked independent
-    over F: their coordinates over F must have rank |X|.
+    over F: their coordinates over F must have rank |X|.  Each entry of
+    the returned column is read back in coordinates over F: with X
+    sorted as x_0, x_1, ..., coordinate j must be x_j's entry in that
+    row for j < |X|, and 0 above, so the column is sum(alpha_j * x_j).
 
     Proof that this certifies a free placement, i.e. that X spans e and
     every set S of old elements spanning e spans all of X.  X spans e by
@@ -193,9 +189,12 @@ def free_extension(
     F2 = extend_field(F, d, degree_cap=degree_cap)
     lifted = A.lift(F2) if F2 != F else A
     alphas = subfield_basis(F2, F)[:k]
-    coords = [[c.enc for c in a.coeffs] if F2 != F else [a.enc] for a in alphas]
+
+    def over_F(x):
+        return [c.enc for c in x.coeffs] if F2 != F else [x.enc]
+
     names = [str(i) for i in range(k + d)]
-    if LabeledMatrix(F, names[:k], names[k:], coords).rank() != k:
+    if LabeledMatrix(F, names[:k], names[k:], [over_F(a) for a in alphas]).rank() != k:
         raise PostconditionViolation(
             "coefficients of the new column are dependent over the entry field"
         )
@@ -207,7 +206,13 @@ def free_extension(
         for a, v in zip(alphas, xs):
             acc = add(acc, mul(a.enc, lifted.enc(A.rows[i], v)))
         col_encs.append(acc)
-    return lifted.with_column(e, col_encs)
+    out = lifted.with_column(e, col_encs)
+    for r in A.rows:
+        if over_F(F2.elem(out.enc(r, e))) != [A.enc(r, v) for v in xs] + [0] * (d - k):
+            raise PostconditionViolation(
+                f"entry ({r!r}, {e!r}) of the new column is not the combination of X's columns"
+            )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +229,9 @@ def collapse_side(
 
     Requires M fragile with respect to the all-loops-and-coloops minor
     with coloop set X1 and loop set X2.  Adds d freely on the span of
-    X2, deletes X2, and certifies the result fragile for the collapsed
-    isolated minor.  M is displayed by the partition search of
-    zero_out, on the isolated minor.
+    X2 and deletes X2; the result is fragile for the collapsed isolated
+    minor by the collapse lemma (`_collapse_side`).  M is displayed by
+    the partition search of zero_out, on the isolated minor.
     """
     X1f, X2f = frozenset(X1), frozenset(X2)
     if X1f & X2f:
@@ -235,38 +240,34 @@ def collapse_side(
         raise LabelCollision(f"label {d!r} already in the ground set")
     # the display basis meets E(N) in the unique basis X1 of N
     Md = _display(M, isolated(X1f, X1f | X2f), PARTITION_CAP_DEFAULT)
-    return _collapse_side(Md, X1f, X2f, d, None, DEGREE_CAP_DEFAULT, PARTITION_CAP_DEFAULT)
+    return _collapse_side(Md, X1f, X2f, d, None, DEGREE_CAP_DEFAULT)
 
 
 def _collapse_side(
     M: ReprMatroid, X1: frozenset[str], X2: frozenset[str], d: str,
-    degree: int | None, degree_cap: int, cap: int, table: bytearray | None = None,
+    degree: int | None, degree_cap: int,
 ) -> ReprMatroid:
     """collapse_side on M displayed with X1 on the rows and X2 on the
     columns.  Only columns change, so the output keeps M's rows and its
-    block on (C, D) = (rows - X1, cols - X2), checked literally before
-    the output is certified.  `table`, if given, is that block's rank
-    table over sorted(C | D), the table of M/X1\\X2 and, once the check
-    passes, of out/X1: the Tr of the output's X-fragility check, which
-    then builds only Tc, its one table over the extension field.
+    block on (C, D) = (rows - X1, cols - X2), checked literally
+    (`_keeps_minor`).
+
+    Collapse lemma: a partition (W, Z) of E(M) - X1 - X2 realises
+    isolated(X1, X1 + X2) in M iff it realises isolated(X1, X1 + {d}) in
+    the output, so the set of realising partitions is kept.  Proof.
+    (W, Z) realises isolated(X1, X) in a matroid K iff X - X1 lies in
+    cl(W) and r(W + X1) = r(W) + |X1|, as then for S inside X,
+    r(W + S) = r(W + (S & X1)) = r(W) + |S & X1|.  The output and M
+    agree on sets without d, hence on the second condition, and W spans
+    d iff it spans X2, as d lies freely on the flat of X2
+    (`free_extension`).  The coloop side is the same statement in the
+    dual: (K/W\\Z)* = K*/Z\\W, and isolated(X1, X)* = isolated(X - X1, X).
     """
     A2 = free_extension(M.rep, X2, d, degree=degree, degree_cap=degree_cap)
     out = ReprMatroid(A2).minor(delete=X2)
     if not _keeps_minor(M.rep, X1, X2, out.rep, X1, {d}):
         raise PostconditionViolation("the collapse changed the common minor on (C, D)")
-    fail = x_fragile_failure(out.rep, X1 | {d}, cap=cap, rows_table=table)
-    if fail is not None:
-        raise PostconditionViolation(
-            f"collapsed matroid is not fragile for the collapsed isolated minor: {fail}"
-        )
     return out
-
-
-def _dual_table(T: bytearray) -> bytearray:
-    """The rank table of K* from the table T of K on the same labels,
-    by the dual rank function: T*[W] = |W| + T[E ^ W] - r(K)."""
-    full = len(T) - 1
-    return bytearray(w.bit_count() + T[full ^ w] - T[full] for w in range(len(T)))
 
 
 def _keeps_minor(
@@ -294,7 +295,7 @@ def _keeps_minor(
     return (
         frozenset(A1.rows) == C | frozenset(Y1)
         and frozenset(A1.cols) == D | frozenset(Y2)
-        and _same_block(A1, A, C, D)
+        and all(A1.enc(r, c) == A.enc(r, c) for r in C for c in D)
     )
 
 
@@ -310,10 +311,11 @@ def reduce_to_two(
     collapse_side displays M and collapses the loop side X2; the coloop
     side X1 is collapsed on the dual of that display, where rows and
     columns swap.  The result is fragile for the two-element isolated
-    minor (coloop c, loop d), as the dual collapse certifies for its
-    dual, agrees with M off the minor (contracting c and deleting d
-    matches contracting X1 and deleting X2), and lives over an
-    extension of total degree max(1,|X1|) * max(1,|X2|).
+    minor (coloop c, loop d) by the collapse lemma (`_collapse_side`),
+    in the primal and then in the dual, agrees with M off the minor
+    (contracting c and deleting d matches contracting X1 and deleting
+    X2), and lives over an extension of total degree
+    max(1,|X1|) * max(1,|X2|).
     """
     X1f, X2f = frozenset(X1), frozenset(X2)
     if c == d:
@@ -324,9 +326,7 @@ def reduce_to_two(
     if X1f & X2f:
         raise InvalidArgs(f"sides overlap: {sorted(X1f & X2f)}")
     Ma = collapse_side(M, X1f, X2f, d)
-    out = _collapse_side(
-        Ma.dual(), frozenset({d}), X1f, c, None, DEGREE_CAP_DEFAULT, PARTITION_CAP_DEFAULT
-    ).dual()
+    out = _collapse_side(Ma.dual(), frozenset({d}), X1f, c, None, DEGREE_CAP_DEFAULT).dual()
     # the display collapse_side built is M on the rows it kept
     if not _keeps_minor(M.rebase(Ma.rep.rows).rep, X1f, X2f, out.rep, {c}, {d}):
         raise PostconditionViolation(
@@ -527,13 +527,12 @@ def pipeline(
     `_zero_out`, whose check gives Mz/X1 = M/X1.  So `pipeline` makes no
     `equals` call and is bounded by the partition and degree caps alone.
 
-    The table T of that minor K, displayed by Az's block B on (C, D), is
-    built once, by `_zero_out`, and handed on: as it is to the loop
-    collapse, and as T* (`_dual_table`) to the coloop collapse, whose
-    dual display has the block -B^T on (D, C), a display of K*.  Each
-    collapse checks that its output keeps its input's block, and the
-    final check ties the last display to Az; so when `pipeline` returns,
-    every handed-on table is the one its check would have built.
+    After the one partition search no stage reads a rank table.  By the
+    zeroing lemma (`_zero_out`) the zeroed display's partition (C, D) is
+    the only one realising its isolated minor on E(N), and each collapse
+    keeps the set of realising partitions (the collapse lemma,
+    `_collapse_side`), so the last display is pair-fragile with its
+    (c, d) entry zero, as `_relax_entry` requires.
     """
     k = len(N.ground)
     base_field = M.field
@@ -542,7 +541,7 @@ def pipeline(
     dcap = max(DEGREE_CAP_DEFAULT, base_field.degree * 2 * k * k)
 
     # the one partition search; every later stage keeps its display
-    Mz, Az, T = _zero_out(M, N, cap)
+    Mz, Az = _zero_out(M, N, cap)
     B = frozenset(Az.rows)
     X1 = B & N.ground
     X2 = N.ground - B
@@ -585,11 +584,10 @@ def pipeline(
             used.add(labels[key])
             degree = k if conformance else None
             if key == "d":
-                cur = _collapse_side(cur, X1, X2, labels["d"], degree, dcap, cap, T)
+                cur = _collapse_side(cur, X1, X2, labels["d"], degree, dcap)
             else:
                 cur = _collapse_side(
-                    cur.dual(), frozenset({labels["d"]}), X1, labels["c"], degree, dcap,
-                    cap, _dual_table(T),
+                    cur.dual(), frozenset({labels["d"]}), X1, labels["c"], degree, dcap
                 ).dual()
             verdicts = {
                 "unique_partition": True,

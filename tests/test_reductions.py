@@ -10,6 +10,7 @@ from collections import Counter
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matroidfrag import (
     CapExceeded,
@@ -44,6 +45,7 @@ from matroidfrag.galois import DEGREE_CAP_DEFAULT, subfield_basis
 GF2 = make_prime_field(2)
 GF3 = make_prime_field(3)
 GF4 = extend_field(GF2, 2)
+GF5 = make_prime_field(5)
 
 
 # -- references: the subset sweeps that the stages' proofs replace -----------
@@ -186,6 +188,28 @@ def test_free_extension_failures_match_the_reference(monkeypatch):
         out = free_extension(A, X, "e")
         assert out == _placed(A, X, subfield_basis(F2, A.field)[:len(X)])
         assert free_placement_failure(out, X, "e") is None
+
+
+@pytest.mark.parametrize("field, X", [
+    (GF2, ()), (GF3, ("a",)), (GF2, ("a", "b")), (GF5, ("a", "x")), (GF4, ("a", "b", "x")),
+], ids=["gf2-empty", "gf3-a", "gf2-ab", "gf5-ax", "gf4-abx"])
+def test_a_changed_entry_of_the_new_column_is_refused(monkeypatch, field, X):
+    # the column is read back in coordinates over the entry field: one
+    # entry off by one, in the extension field or in the entry field
+    # itself, is refused inside free_extension
+    A = LabeledMatrix(field, ["r1", "r2", "r3"], ["a", "b", "x"],
+                      [[1, 0, 1], [0, 1, 1], [1, 1, 0]])
+    free_extension(A, X, "e")
+    with_column = LabeledMatrix.with_column
+
+    def off_by_one(self, label, encs):
+        encs = list(encs)
+        encs[1] = self.field.add_enc(encs[1], 1)
+        return with_column(self, label, encs)
+
+    monkeypatch.setattr(reductions.LabeledMatrix, "with_column", off_by_one)
+    with pytest.raises(PostconditionViolation, match=r"entry \('r2', 'e'\) of the new column"):
+        free_extension(A, X, "e")
 
 
 def test_relax_and_free_extension_run_above_sixteen_elements():
@@ -445,7 +469,7 @@ def collapse_by_partition_search(M, X1, X2, d):
     if d in M.ground:
         raise LabelCollision(d)
     return reductions._collapse_side(display_by_partition_search(M, X1, X2), X1, X2, d,
-                                     None, DEGREE_CAP_DEFAULT, PARTITION_CAP_DEFAULT)
+                                     None, DEGREE_CAP_DEFAULT)
 
 
 def reduce_by_partition_search(M, X1, X2, c, d):
@@ -456,7 +480,7 @@ def reduce_by_partition_search(M, X1, X2, c, d):
         raise InvalidArgs("sides overlap")
     Ma = collapse_by_partition_search(M, X1, X2, d)
     return reductions._collapse_side(Ma.dual(), frozenset({d}), X1, c,
-                                     None, DEGREE_CAP_DEFAULT, PARTITION_CAP_DEFAULT).dual()
+                                     None, DEGREE_CAP_DEFAULT).dual()
 
 
 def _outcome(fn, *args):
@@ -526,9 +550,9 @@ def test_public_collapses_run_above_the_equals_cap():
 
 
 def test_reduce_to_two_forwards_the_dual_certificate(monkeypatch):
-    # one partition search for the input; each collapse certifies its
-    # output by X-fragility, the dual one for the two-element minor by
-    # duality, so no search follows either
+    # one partition search for the input; each collapse keeps the set of
+    # realising partitions (the collapse lemma), the dual one in the dual,
+    # so no search follows either
     from matroidfrag import fragility, reductions
 
     gi = gen_random("pipeline", seed=1, q=2, rows=4, cols=4, minor_size=4)
@@ -655,8 +679,9 @@ def test_pipeline_seeded_split_sides():
 )
 def test_pipeline_forwards_the_partition(monkeypatch, instance, conformance, collapsed):
     # one partition search, one basis read off it and one re-display, all
-    # for the input inside _zero_out; each stage that changes the display
-    # certifies it by X-fragility, and no partition is built after
+    # for the input inside _zero_out; the stages after it are certified by
+    # the zeroing and collapse lemmas, so no X-fragility check runs and no
+    # partition is built after
     from matroidfrag import fragility, reductions
 
     names = ("fragile_partitions", "display_basis", "partition_basis", "x_fragile_failure")
@@ -698,8 +723,6 @@ def test_pipeline_forwards_the_partition(monkeypatch, instance, conformance, col
         ("fragile_partitions", True): 1,
         ("partition_basis", True): 1,
         ("rebase", True): 1,
-        ("x_fragile_failure", True): 1,
-        **({("x_fragile_failure", False): collapsed} if collapsed else {}),
     }
 
 
@@ -763,22 +786,26 @@ def four_element_pair():
 
 
 def test_zeroing_outside_the_minor_basis_is_refused(monkeypatch):
-    # the zeroing may write only into the rows BN, which contracting BN
-    # deletes: one entry changed in another row fails the literal check
+    # the zeroing may write only into the block on (BN, E(N) - BN): one
+    # entry changed in a row outside BN fails the literal check, and so
+    # does one in a row of BN at a column outside E(N), which leaves
+    # M2/BN unchanged but breaks the zeroing lemma's hypothesis
     M, N = four_element_pair()
     zero_out(M, N)
     build = reductions.LabeledMatrix
+    for in_bn in (False, True):
+        def leaky(field, rows, cols, data):
+            data = [list(row) for row in data]
+            i = next(i for i, r in enumerate(rows) if (r in N.ground) == in_bn)
+            j = next(j for j, c in enumerate(cols) if c not in N.ground)
+            data[i][j] = field.add_enc(data[i][j], 1)
+            return build(field, rows, cols, data)
 
-    def leaky(field, rows, cols, data):
-        data = [list(row) for row in data]
-        i = next(i for i, r in enumerate(rows) if r not in N.ground)
-        data[i][0] = field.add_enc(data[i][0], 1)
-        return build(field, rows, cols, data)
-
-    monkeypatch.setattr(reductions, "LabeledMatrix", leaky)
-    for run in (zero_out, pipeline):
-        with pytest.raises(PostconditionViolation, match="changed the contraction"):
-            run(M, N)
+        monkeypatch.setattr(reductions, "LabeledMatrix", leaky)
+        for run in (zero_out, pipeline):
+            with pytest.raises(PostconditionViolation,
+                               match="not the display with its block zeroed"):
+                run(M, N)
 
 
 @pytest.mark.parametrize("stage", ["pipeline", "reduce_to_two"])
@@ -824,7 +851,7 @@ def test_a_changed_entry_on_the_common_minor_is_refused(monkeypatch, stage, whic
         return
     # the same change made inside the loop-side collapse, to the column
     # free_extension returns: that stage's own literal check refuses it,
-    # before its X-fragility check reads the handed-on table
+    # and no X-fragility check runs, in zero_out or after it
     monkeypatch.setattr(reductions, "_collapse_side", collapse)
     extend = reductions.free_extension
     checks = []
@@ -840,7 +867,7 @@ def test_a_changed_entry_on_the_common_minor_is_refused(monkeypatch, stage, whic
                         lambda *a, **k: checks.append(a) or fragility.x_fragile_failure(*a, **k))
     with pytest.raises(PostconditionViolation, match="changed the common minor"):
         run()
-    assert len(checks) == (1 if stage == "pipeline" else 0)  # zero_out's own
+    assert checks == []
 
 
 def test_pipeline_runs_above_the_equals_cap():
@@ -880,83 +907,137 @@ def test_pipeline_and_reduce_to_two_make_no_equals_call(monkeypatch):
     assert calls == 0
 
 
-# -- the common minor's table, handed on -------------------------------------
+# -- no rank table after the partition search -------------------------------
 
 
-def test_dual_table_is_the_dual_display_block_table():
-    # T* from T, the table of A/X1 on C + D, against the table of the
-    # dual display -A^T contracted by its rows X2 on the same labels
-    rng = Random(15)
-    for t in range(240):
-        F = (GF2, GF3, GF4)[t % 3]
-        rows = [f"r{i}" for i in range(rng.randint(0, 4))]
-        cols = [f"c{j}" for j in range(rng.randint(0, 4))]
-        density = rng.random()
-        A = LabeledMatrix(F, rows, cols, [
-            [rng.randrange(F.order) if rng.random() < density else 0 for _ in cols]
-            for _ in rows])
-        X1 = sorted(r for r in A.rows if rng.random() < 0.4)
-        X2 = sorted(c for c in A.cols if rng.random() < 0.4)
-        rest = sorted(A.labels() - set(X1) - set(X2))
-        T = matrices.rank_table(A, rest, contract=X1)
-        dual = ReprMatroid(A).dual().rep
-        assert reductions._dual_table(T) == matrices.rank_table(dual, rest, contract=X2)
-        # and the dual display's block alone, as a matrix of its own
-        block = dual.submatrix_sides([c for c in dual.rows if c not in X2],
-                                     [r for r in dual.cols if r not in X1])
-        assert reductions._dual_table(T) == matrices.rank_table(block, rest)
-
-
-def test_reference_pipeline_builds_the_common_minor_table_once(monkeypatch):
+def test_reference_pipeline_builds_no_rank_table(monkeypatch):
     # the reference pair (seed 1, GF(2), 8 x 8, k = 5): the search builds
     # no table, as over GF(2) each leaf re-displayed on N's basis is
-    # decided by its display; _zero_out builds the common minor's table T
-    # (M/BN on C + D) once, and its own Tc (M/X2); each collapse builds
-    # only its Tc, the contraction by its new element, and is handed T or
-    # T*, each byte-equal to the table the check would have built
+    # decided by its display, and the zeroing and both collapses are
+    # certified by their lemmas, so no stage builds one or runs an
+    # X-fragility check
     gi = gen_random("pipeline", seed=1, q=2, rows=8, cols=8, minor_size=5)
     M, N = ReprMatroid(gi.instance.matrix), gi.instance.task.minor
     rank_table = matrices.rank_table
-    stage = ["pipeline"]
-    calls = Counter()
-    handed = []
+    tables, checks = [], []
 
     def recorded(A, labels, *, contract=()):
-        calls[stage[-1], len(labels), tuple(contract)] += 1
+        tables.append((len(labels), tuple(contract)))
         return rank_table(A, labels, contract=contract)
 
-    def staged(name, fn):
-        def wrapper(*args, **kwargs):
-            stage.append(name(args))
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                stage.pop()
-
-        return wrapper
-
-    def checked(A, X, *, rows_table=None, **kwargs):
-        if rows_table is not None:
-            rest = sorted(A.labels() - set(X))
-            handed.append(rows_table == rank_table(A, rest, contract=sorted(set(X) & set(A.rows))))
-        return fragility.x_fragile_failure(A, X, rows_table=rows_table, **kwargs)
-
-    for module in (fragility, reductions):
+    for module in (fragility, matroids):
         monkeypatch.setattr(module, "rank_table", recorded)
-    monkeypatch.setattr(reductions, "x_fragile_failure", checked)
-    monkeypatch.setattr(reductions, "fragile_partitions",
-                        staged(lambda a: "search", fragility.fragile_partitions))
-    monkeypatch.setattr(reductions, "_zero_out", staged(lambda a: "zero_out", reductions._zero_out))
-    monkeypatch.setattr(reductions, "_collapse_side",
-                        staged(lambda a: f"collapse {a[3]}", reductions._collapse_side))
-    monkeypatch.setattr(reductions, "_relax_entry",
-                        staged(lambda a: "relax", reductions._relax_entry))
+    monkeypatch.setattr(reductions, "x_fragile_failure",
+                        lambda *a, **k: checks.append(a) or fragility.x_fragile_failure(*a, **k))
     tr = pipeline(M, N)
     assert (sorted(tr.coloop_side), sorted(tr.loop_side)) == (["c0", "c3"], ["c4", "c6", "r7"])
-    assert dict(calls) == {
-        ("zero_out", 11, ("c0", "c3")): 1,
-        ("zero_out", 11, ("c4", "c6", "r7")): 1,
-        ("collapse d", 11, ("d",)): 1,
-        ("collapse c", 11, ("c",)): 1,
-    }
-    assert handed == [True] * 3
+    assert (tables, checks) == ([], [])
+
+
+# -- the lemmas that replace the stage checks ---------------------------------
+
+
+@pytest.mark.parametrize("conformance", [False, True])
+def test_every_stage_output_passes_the_full_check(conformance):
+    # x_fragile_failure as the reference for what the zeroing and
+    # collapse lemmas certify: over GF(2) to GF(5), the zeroed display is
+    # fragile on E(N), each collapse output on its isolated minor (the
+    # coloop side read on the dual) and M1 on {c, d}
+    for q in (2, 3, 4, 5):
+        for seed in range(6):
+            k = 3 + seed % 2
+            gi = gen_random("pipeline", seed=seed, q=q, rows=4, cols=4, minor_size=k)
+            M, N = ReprMatroid(gi.instance.matrix), gi.instance.task.minor
+            tr = pipeline(M, N, conformance=conformance)
+            c, d = tr.c_label, tr.d_label
+            zeroed, loop, coloop, _ = (s.matroid for s in tr.stages)
+            assert fragility.x_fragile_failure(zeroed.rep, N.ground) is None
+            assert fragility.x_fragile_failure(loop.rep, tr.coloop_side | {d}) is None
+            assert fragility.x_fragile_failure(coloop.dual().rep, {c, d}) is None
+            assert fragility.x_fragile_failure(tr.relaxed.rep, {c, d}) is None
+
+
+LEMMA_FIELDS = (GF2, GF3, GF4, GF5)
+
+
+@st.composite
+def zero_block_displays(draw):
+    """A matrix of at most 4 x 5 over GF(2), GF(3), GF(4) or GF(5) and a
+    flag for each label: whether it lies in X, the labels of the minor."""
+    F = draw(st.sampled_from(range(len(LEMMA_FIELDS))))
+    m = draw(st.integers(0, 4))
+    n = draw(st.integers(0, 5))
+    entries = st.integers(0, LEMMA_FIELDS[F].order - 1)
+    data = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    return F, data, n, draw(st.lists(st.booleans(), min_size=m + n, max_size=m + n))
+
+
+def build_display(F, data, n, inside):
+    """The matroid of the drawn matrix, with X1 the rows and X2 the
+    columns flagged as inside X."""
+    rows = [f"r{i}" for i in range(len(data))]
+    cols = [f"c{j}" for j in range(n)]
+    flagged = {e for e, f in zip(rows + cols, inside) if f}
+    M = ReprMatroid(LabeledMatrix(LEMMA_FIELDS[F], rows, cols, data))
+    return M, flagged & set(rows), flagged & set(cols)
+
+
+def test_the_collapses_keep_the_partition_set():
+    # collapse lemma: on a display with a zero block on (X1, X2), fragile
+    # or not, the loop collapse and then the coloop collapse, run on the
+    # dual, keep the set of partitions realising the isolated minor
+    seen = Counter()
+
+    @settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @given(zero_block_displays())
+    def check(case):
+        M, X1, X2 = build_display(*case)
+        X1, X2 = frozenset(sorted(X1)[:2]), frozenset(sorted(X2)[:2])
+        A = M.rep
+        for r in X1:
+            for c in X2:
+                A = A.set_entry(r, c, 0)
+        M = ReprMatroid(A)
+        before = fragility.fragile_partitions(M, isolated(X1, X1 | X2))
+        assert matroids.MinorSpec(set(A.rows) - X1, set(A.cols) - X2) in before
+        loop = reductions._collapse_side(M, X1, X2, "d", None, DEGREE_CAP_DEFAULT)
+        assert fragility.fragile_partitions(loop, isolated(X1, X1 | {"d"})) == before
+        both = reductions._collapse_side(
+            loop.dual(), frozenset({"d"}), X1, "c", None, DEGREE_CAP_DEFAULT).dual()
+        assert fragility.fragile_partitions(both, isolated({"c"}, {"c", "d"})) == before
+        seen[A.field.order, min(len(before), 2)] += 1
+
+    check()
+    for q in (2, 3, 4, 5):
+        assert seen[q, 1] >= 10 and seen[q, 2] >= 10, seen
+
+
+def test_zeroing_keeps_only_partitions_realising_the_minor(monkeypatch):
+    # zeroing lemma: with A displaying M on C0 + BN and N = M/C0\D0, every
+    # partition realising isolated(BN, E(N)) after the zeroing realises N
+    # in M, fragile or not; the zeroing may drop some, never add one, so a
+    # fragile M zeroes to a fragile display
+    seen = Counter()
+
+    @settings(max_examples=600, derandomize=True, deadline=None, database=None)
+    @given(zero_block_displays())
+    def check(case):
+        M, BN, cols = build_display(*case)
+        EN = BN | cols
+        C0, D0 = set(M.rep.rows) - EN, set(M.rep.cols) - EN
+        N = M.minor(C0, D0)
+        want = fragility.fragile_partitions(M, N)
+        with monkeypatch.context() as m:
+            # the drawn display stands for the one the search finds
+            m.setattr(reductions, "_display", lambda M, N, cap: M)
+            M2, _ = reductions._zero_out(M, N, PARTITION_CAP_DEFAULT)
+        got = fragility.fragile_partitions(M2, isolated(BN, EN))
+        assert matroids.MinorSpec(C0, D0) in got <= want
+        seen["fragile"] += len(want) == 1
+        seen["several", bool(EN)] += len(want) > 1
+        seen["proper"] += got < want
+
+    check()
+    assert seen["fragile"] >= 100 and seen["several", True] >= 100, seen
+    assert seen["proper"] >= 15, seen

@@ -5,9 +5,13 @@ For every module of src/matroidfrag except __init__.py:
   annotations count as uses);
 - every module-level private function, class or constant (one leading
   underscore) is referenced somewhere in src/ outside its own
-  definition.
-Nothing is imported or run, so a left-over helper or import fails here
-rather than lingering unnoticed.
+  definition;
+- every parameter of every function (lambdas and methods included) is
+  read in its body, apart from a method's self or cls and the
+  parameters of protocol signatures in PROTOCOL_PARAMETERS, which the
+  caller fixes.
+Nothing is imported or run, so a left-over helper, import or parameter
+fails here rather than lingering unnoticed.
 """
 
 import ast
@@ -19,6 +23,8 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "matroidfrag"
 TREES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
 MODULES = sorted(name for name in TREES if name != "__init__.py")
+# (module, qualified function, parameter) read by no body on purpose
+PROTOCOL_PARAMETERS = {("records.py", "FrozenRecord.__setattr__", "value")}
 
 
 def _references(tree):
@@ -87,3 +93,42 @@ def test_every_private_definition_is_referenced(module):
         if REFERENCES[name] == sum(ref == name for ref in _references(node))
     ]
     assert unused == []
+
+
+def _functions(tree, prefix="", in_class=False):
+    """(qualified name, node, receiver) for each function and lambda in
+    the tree, nested ones included; receiver is the name of a method's
+    self or cls, which the call binds, else None."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            yield from _functions(node, f"{prefix}{node.name}.", in_class=True)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in node.decorator_list)
+            positional = node.args.posonlyargs + node.args.args
+            receiver = positional[0].arg if in_class and not static and positional else None
+            yield prefix + node.name, node, receiver
+            yield from _functions(node, f"{prefix}{node.name}.")
+        else:
+            if isinstance(node, ast.Lambda):
+                yield prefix + "<lambda>", node, None
+            yield from _functions(node, prefix, in_class)
+
+
+def _unread_parameters(node, receiver):
+    args = node.args
+    params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+    body = node.body if isinstance(node.body, list) else [node.body]
+    read = {sub.id for stmt in body for sub in ast.walk(stmt)
+            if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store)}
+    return [p.arg for p in params if p is not None and p.arg not in read | {receiver}]
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_every_parameter_is_read(module):
+    unread = [
+        (module, name, param)
+        for name, node, receiver in _functions(TREES[module])
+        for param in _unread_parameters(node, receiver)
+    ]
+    assert sorted(set(unread) - PROTOCOL_PARAMETERS) == []
