@@ -4,12 +4,14 @@ A matroid M is fragile with respect to a fixed minor N on a fixed label
 set when exactly one partition (C, D) of E(M) - E(N) realises N as
 M contract C delete D.  `fragile_partitions` decides every partition:
 a depth-first search contracts and deletes the elements outside E(N)
-by pivots, prunes a branch only by a rule proved exact (too few rows or
-columns left, or an element of E(N) turned into a loop or coloop that
-it is not in N), and decides each leaf by one rule: re-displayed on N's
-basis by `rebase`'s pivots, it is compared with N's display, and only a
-leaf with N's zero pattern and other entries compares rank tables over
-E(N) (`matrices.rank_table`, one byte per subset of E(N)).  So the
+by pivots chosen so that N's basis stays on the rows of every display
+and N's cobasis on its columns.  A step with no such pivot would leave
+N's basis dependent, or its cobasis codependent, in every minor below
+it, so it is not taken: the one pruning rule, proved exact.  Each leaf
+is then displayed on N's basis and decided by one rule: a zero pattern
+other than N's is not N, N's own display is N, and only a leaf with
+N's zero pattern and other entries compares rank tables over E(N)
+(`matrices.rank_table`, one byte per subset of E(N)).  So the
 certificate is the whole search space, not a heuristic, and no table
 grows with E(M).
 
@@ -70,55 +72,47 @@ def fragile_partitions(
     the next element, by the pivots of `ReprMatroid.minor`, on a copy of
     that display (the last child on the display itself).  The last
     element is placed by the leaf enumeration `partitions_of`, so the
-    partitions it yields are the leaves tested.  A leaf displays
-    L = M/C\\D on E(N), and one rule decides it, in four steps:
-    (a) Re-display it on N's basis B by the pivots of `ReprMatroid.rebase`
-        (`_pivot_onto`).  If they fail, B is dependent in L but not in N,
-        so L is not N.  Else the rows hold B, and are B: a leaf has |E(N)|
-        elements, and pruning rule 1 leaves it at least r(N) rows and at
-        least |E(N)| - r(N) columns, so exactly r(N) rows; no row count
-        is checked.
-    (b) A zero pattern that is not N's is not N, over every field: in a
+    partitions it yields are the leaves tested.
+
+    The invariant: every display holds N's basis BN on its rows and N's
+    cobasis coN = E(N) - BN on its columns.  The root display of M is
+    set up by pivoting BN onto the rows (`_pivot_onto`), then every
+    element of coN still on the rows onto a column outside coN
+    (`_pivot_off`).  Each step keeps it: contracting a column element
+    pivots it onto a row outside BN, deleting a row element pivots it
+    onto a column outside coN (`keep`), and a step that has no such
+    pivot is not taken.  That is the only pruning, and it is exact.
+    If the first root step fails, BN is dependent in M; if the
+    second fails, coN is dependent in M*.  A contraction with no pivot
+    outside BN is of a nonzero column whose nonzero entries all lie in
+    BN's rows: e is spanned by BN and is not a loop, so BN is dependent
+    in K/e.  A deletion with no pivot outside coN is of a nonzero row
+    whose nonzero entries all lie in coN's columns, which is the same
+    statement in the dual display -A^T, so coN is dependent in
+    (K\\e)* = K*/e.  A set dependent in K stays dependent in every minor
+    of K that keeps it, as r_{K/f}(X) = r_K(X + f) - r_K(f) <= r_K(X)
+    and r_{K\\f}(X) = r_K(X), and a set codependent in K stays
+    codependent, as (K/f)* = K*\\f and (K\\f)* = K*/f; so no leaf below
+    a pruned node or a failed root has BN independent and coN
+    coindependent, as N has.
+
+    A leaf displays L = M/C\\D on E(N), |E(N)| elements with BN on the
+    rows and coN on the columns, so it is displayed on N's basis, and
+    one rule decides it, in three steps:
+    (a) A zero pattern that is not N's is not N, over every field: in a
         display [I | A] on B, the vector of f outside B is the sum of
         A[b][f] times the unit vector of b, so f + {b : A[b][f] != 0} is
         the unique circuit in B + f, the fundamental circuit of f.  The
         matroid alone fixes where a display on B is nonzero.
-    (c) N's own display over N's field (the same entries label by label)
+    (b) N's own display over N's field (the same entries label by label)
         is N, as one representation has one matroid.  Over GF(2) the zero
         pattern is every entry, so with M and N over GF(2) no leaf gets
         past here (one standard representation per basis; Oxley, Matroid
         Theory, ch. 6).
-    (d) Otherwise L is N exactly when its rank table over sorted E(N) is
+    (c) Otherwise L is N exactly when its rank table over sorted E(N) is
         N's, a test exact over every field.  N's table is built when a
         leaf first needs it, and refused above EQUALS_CAP_DEFAULT (16)
         elements before it is built.
-
-    A node is pruned, with every leaf below it, when one of these holds
-    (rule 1 is also read before a step, from whether the element is a
-    loop or coloop, so a child it prunes is never built):
-    1. rows < r(N) or columns < |E(N)| - r(N);
-    2. an element of E(N) is a loop of K (a zero column) but not of N,
-       or a coloop of K (a zero row) but not of N.
-
-    Proof of rule 1.  The display of K has r(K) rows and |E(K)| - r(K)
-    columns.  Contracting e lowers r(K) by one unless e is a loop, when
-    it lowers |E(K)| - r(K) instead; deleting e lowers |E(K)| - r(K) by
-    one unless e is a coloop, when it lowers r(K) instead.  So each step
-    lowers exactly one count by one, and every leaf below the node has at
-    most as many rows and columns as the node.  A leaf equal to N has
-    r(N) rows and |E(N)| - r(N) columns.
-
-    Proof of rule 2.  If e is a loop of K and f != e, then
-    r_{K/f}({e}) = r_K({e, f}) - r_K({f}) = 0 by submodularity, and
-    r_{K\\f}({e}) = r_K({e}) = 0: loops persist under minors, and so do
-    coloops, the loops of the dual, as (K/f)* = K*\\f and
-    (K\\f)* = K*/f.  So e is a loop (coloop) of every leaf below the
-    node, and a leaf equal to N needs e to be a loop (coloop) of N.  In
-    [I | A] a row element is never a loop, and is a coloop exactly when
-    its row of A is zero, as no other vector has a nonzero coordinate
-    there; a column element is never a coloop, as the rows are a basis
-    without it, and is a loop exactly when its column is zero; so N's
-    loops and coloops are read off N's display.
     """
     if not N.ground <= M.ground:
         raise GroundSetMismatch(
@@ -130,12 +124,8 @@ def fragile_partitions(
             f"|E(M)-E(N)| = {len(rest)} exceeds partition cap {cap}"
         )
     labels = sorted(N.ground)
-    A = N.rep
-    r, n = len(A.rows), len(labels)
-    # the elements of E(N) that no node may show as a loop (N's loops are
-    # its zero columns), or as a coloop (its zero rows)
-    nonloops = N.ground - {f for j, f in enumerate(A.cols) if not any(row[j] for row in A._data)}
-    noncoloops = N.ground - {e for e, row in zip(A.rows, A._data) if not any(row)}
+    A, n = N.rep, len(labels)
+    BN, coN = N.basis, N.ground - N.basis
     field = M.field
     same_field = N.field == field
     contract, delete = ReprMatroid._contract_one, ReprMatroid._delete_one
@@ -144,39 +134,23 @@ def fragile_partitions(
     found = []
     TN = []  # N's rank table, built when a leaf first needs it
 
-    def alive(rows, cols, data) -> bool:
-        # rules 1 and 2
-        if len(rows) < r or len(cols) < n - r:
-            return False
-        for e, row in zip(rows, data):
-            if e in noncoloops and not any(row):
-                return False
-        for e, col in zip(cols, zip(*data) if data else [()] * len(cols)):
-            if e in nonloops and not any(col):
-                return False
-        return True
-
     def ways(rows, cols, data, e) -> tuple[bool, ...]:
-        # the steps on e that keep rule 1, deletion (False) first:
-        # deleting e lowers the rows only when e is a coloop (a zero row),
-        # contracting e lowers them unless e is a loop (a zero column)
-        spare_rows, spare_cols = len(rows) > r, len(cols) > n - r
-        if spare_rows and spare_cols:
-            return (False, True)
+        # the steps on e that keep the invariant, deletion (False) first:
+        # a row e is deleted, or a column e contracted, by a pivot on its
+        # line, which none has when its nonzero entries all lie in coN's
+        # columns, or in BN's rows
         if e in rows:
-            deleting = spare_rows if not any(data[rows.index(e)]) else spare_cols
-            contracting = spare_rows
+            line, across, kept = data[rows.index(e)], cols, coN
         else:
             j = cols.index(e)
-            deleting = spare_cols
-            contracting = spare_rows if any(row[j] for row in data) else spare_cols
-        return (False,) * deleting + (True,) * contracting
+            line, across, kept = [row[j] for row in data], rows, BN
+        if any(line) and all(f in kept for f, x in zip(across, line) if x):
+            return (e in rows,)
+        return (False, True)
 
     def is_N(rows, cols, data) -> bool:
-        # the leaf rule: re-display the leaf on N's basis, compare zero
-        # patterns, then displays over N's field, and only then tables
-        if not ReprMatroid._pivot_onto(field, rows, cols, data, N.basis):
-            return False
+        # the leaf rule: compare zero patterns, then displays over N's
+        # field, and only then tables
         entries = [(x, A.enc(e, f)) for e, row in zip(rows, data) for f, x in zip(cols, row)]
         if any((x == 0) != (y == 0) for x, y in entries):
             return False
@@ -194,18 +168,17 @@ def fragile_partitions(
         if not last:
             rows, cols, data = node
             node = rows[:], cols[:], [row[:] for row in data]
-        (contract if contracting else delete)(field, *node, e)
+        (contract if contracting else delete)(field, *node, e, BN if contracting else coN)
         return node
 
     def walk(i, C, node) -> None:
-        # node displays M/C\(inner[:i] - C) and is not pruned
+        # node displays M/C\(inner[:i] - C), BN on its rows, coN on its columns
         if i < len(inner):
             e = inner[i]
             allowed = ways(*node, e)
             for contracting in allowed:
                 child = step(node, e, contracting, contracting == allowed[-1])
-                if alive(*child):
-                    walk(i + 1, C | {e} if contracting else C, child)
+                walk(i + 1, C | {e} if contracting else C, child)
             return
         # the leaf enumeration places the last element, deletion first
         allowed = ways(*node, tail[0]) if tail else (False,)
@@ -218,7 +191,7 @@ def fragile_partitions(
                     found.append(MinorSpec(C | c, outside - C - c))
 
     root = M._display_lists()
-    if alive(*root):
+    if ReprMatroid._pivot_onto(field, *root, BN) and ReprMatroid._pivot_off(field, *root, coN):
         walk(0, frozenset(), root)
     return frozenset(found)
 

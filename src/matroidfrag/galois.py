@@ -273,7 +273,7 @@ class FieldElem:
     __slots__ = ("spec", "enc")
 
     def __init__(self, spec: FieldSpec, enc: int):
-        if not 0 <= enc < spec.order:
+        if isinstance(enc, bool) or not isinstance(enc, int) or not 0 <= enc < spec.order:
             raise InvalidArgs(f"encoding {enc} out of range for {spec!r}")
         self.spec = spec
         self.enc = enc
@@ -533,7 +533,7 @@ def extend_field(
 ) -> FieldSpec:
     """Degree-k extension of `base` using the canonical (lex-least
     monic irreducible) modulus.  k == 1 returns `base` unchanged."""
-    if not isinstance(k, int) or k < 1:
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise InvalidArgs(f"extension degree must be a positive int, got {k!r}")
     if k == 1:
         return base
@@ -558,13 +558,14 @@ def field_from_tower(
     spec = make_prime_field(p)
     for i, (deg, coeffs) in enumerate(tower):
         coeffs = tuple(coeffs)
-        if not isinstance(deg, int) or deg < 1:
+        if isinstance(deg, bool) or not isinstance(deg, int) or deg < 1:
             raise InvalidField(f"tower step {i}: degree {deg!r} invalid")
         if len(coeffs) != deg + 1:
             raise InvalidField(
                 f"tower step {i}: modulus needs {deg + 1} coefficients, got {len(coeffs)}"
             )
-        if any(not isinstance(c, int) or not 0 <= c < spec.order for c in coeffs):
+        if any(isinstance(c, bool) or not isinstance(c, int) or not 0 <= c < spec.order
+               for c in coeffs):
             raise InvalidField(f"tower step {i}: modulus coefficients out of range")
         if coeffs[-1] != 1:
             raise InvalidField(f"tower step {i}: modulus {list(coeffs)} is not monic")

@@ -37,6 +37,7 @@ from typing import NamedTuple, Union
 
 from .errors import (
     CapExceeded,
+    DegreeCap,
     Exhausted,
     InvalidArgs,
     InvalidField,
@@ -148,8 +149,8 @@ def _field_from_json(obj, path: str) -> FieldSpec:
         tower.append((deg, tuple(coeffs)))
     try:
         return field_from_tower(p, tower)
-    except InvalidField as exc:
-        raise InvalidField(f"{path}: {exc}") from None
+    except (InvalidField, DegreeCap) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def field_to_json(spec: FieldSpec) -> dict:
@@ -259,7 +260,8 @@ def parse_instance(text: str) -> InstanceFile:
 
     Raises MalformedJson when the text is not JSON, SchemaViolation
     (with a $.path diagnostic) when the shape is wrong, and InvalidField
-    when the field description does not define a field.
+    when the field description does not define a field, or DegreeCap
+    when its tower exceeds the degree cap (both with the $.field path).
     """
     try:
         obj = json.loads(text)

@@ -185,6 +185,7 @@ class LabeledMatrix:
         return LabeledMatrix._of_display(self.field, self.rows, self.cols, data)
 
     def with_column(self, label: str, encs: Sequence[int]) -> "LabeledMatrix":
+        label = str(label)
         if label in self._row_pos or label in self._col_pos:
             raise LabelCollision(f"label {label!r} already used")
         if len(encs) != len(self.rows):

@@ -14,12 +14,16 @@ pivots it onto the row side, deleting a row element first pivots it out
 chosen as the first nonzero entry in label order, which keeps every
 derived representation deterministic.  `rebase` re-displays on a
 basis B by the step `_pivot_onto`, which pivots B's elements onto the
-rows and so checks B by its own pivots, with no rank query; contracting
-a column element is that step on one element.  The steps
-`_contract_one` and `_delete_one` are also the nodes of the partition
-search `fragility.fragile_partitions`, and `_pivot_onto` decides its
-leaves, so the certificate of every input rests on them.  Duality
-transposes and negates the representing block.
+rows and so checks B by its own pivots, with no rank query; its mirror
+`_pivot_off` pivots B's elements off the rows and so checks that B is
+coindependent.  Contracting a column element is `_pivot_onto` on one
+element, and deleting a row element is `_pivot_off` on one.  Each step
+takes a set `keep` it must not pivot into: the rows of `keep` for a
+contraction, its columns for a deletion.  `minor` passes none.  The
+partition search `fragility.fragile_partitions` passes N's basis, or
+N's cobasis, so that they stay where its root display put them.  Its
+nodes are these steps, so the certificate of every input rests on
+them.  Duality transposes and negates the representing block.
 
 Everything here is exact and exponential where it says it is: `equals`
 compares the rank tables of the two matroids (`matrices.rank_table`,
@@ -180,9 +184,11 @@ class ReprMatroid:
         return list(self.rep.rows), list(self.rep.cols), [list(r) for r in self.rep._data]
 
     @staticmethod
-    def _contract_one(field, rows, cols, data, e) -> None:
-        # pivot a column element onto the rows, then drop e's row
-        if e in cols and not ReprMatroid._pivot_onto(field, rows, cols, data, frozenset((e,))):
+    def _contract_one(field, rows, cols, data, e, keep=frozenset()) -> None:
+        # pivot a column element onto a row outside keep, then drop e's
+        # row; keep lies on the rows, and e's column must be zero or
+        # nonzero in a row outside keep
+        if e in cols and not ReprMatroid._pivot_onto(field, rows, cols, data, keep | {e}):
             # zero column: contracting a loop is the same as deleting it
             j = cols.index(e)
             del cols[j]
@@ -194,28 +200,20 @@ class ReprMatroid:
         del data[i]
 
     @staticmethod
-    def _delete_one(field, rows, cols, data, e) -> None:
-        if e in cols:
-            j = cols.index(e)
-            del cols[j]
-            for row in data:
-                del row[j]
-            return
-        i = rows.index(e)
-        pick = -1
-        best = None
-        for j in range(len(cols)):
-            if data[i][j] and (best is None or cols[j] < best):
-                pick, best = j, cols[j]
-        if pick < 0:
+    def _delete_one(field, rows, cols, data, e, keep=frozenset()) -> None:
+        # pivot a row element onto a column outside keep, then drop e's
+        # column; keep lies on the columns, and e's row must be zero or
+        # nonzero in a column outside keep
+        if e in rows and not ReprMatroid._pivot_off(field, rows, cols, data, keep | {e}):
             # zero row: e is a coloop, dropping the row deletes it
+            i = rows.index(e)
             del rows[i]
             del data[i]
             return
-        _pivot_inplace(field, rows, cols, data, i, pick)
-        del cols[pick]
+        j = cols.index(e)
+        del cols[j]
         for row in data:
-            del row[pick]
+            del row[j]
 
     def minor_of(self, spec: MinorSpec) -> "ReprMatroid":
         return self.minor(spec.contract, spec.delete)
@@ -237,6 +235,27 @@ class ReprMatroid:
             if pick < 0:
                 return False
             _pivot_inplace(field, rows, cols, data, pick, j)
+        return True
+
+    @staticmethod
+    def _pivot_off(field, rows, cols, data, B: frozenset) -> bool:
+        """The mirror of `_pivot_onto`: pivot each element of B on the row
+        side off it, in label order, for the least column label outside B
+        whose entry in its row is nonzero.  False, part way, when there is
+        no such column: that row, negated, is the element's vector in the
+        display -A^T of the dual, a combination of the unit vectors of B's
+        columns, so B is dependent in M* (codependent), and a
+        coindependent B never gets False."""
+        for v in sorted(B.intersection(rows)):
+            i = rows.index(v)
+            pick = -1
+            best = None
+            for j in range(len(cols)):
+                if cols[j] not in B and data[i][j] and (best is None or cols[j] < best):
+                    pick, best = j, cols[j]
+            if pick < 0:
+                return False
+            _pivot_inplace(field, rows, cols, data, i, pick)
         return True
 
     def rebase(self, B: Iterable[str]) -> "ReprMatroid":

@@ -14,7 +14,7 @@ from random import Random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from matroidfrag import fragility, matrices
+from matroidfrag import fragility, matrices, matroids
 from matroidfrag.subsets import first_by_size
 from matroidfrag import (
     CapExceeded,
@@ -25,6 +25,7 @@ from matroidfrag import (
     UnknownLabel,
     display_basis,
     extend_field,
+    field_of_order,
     fragile_partitions,
     gen_random,
     is_N_fragile,
@@ -568,6 +569,98 @@ def test_search_tables_span_the_minor_only(monkeypatch):
     spans.clear()
     assert len(fragile_partitions(M, N)) == 1
     assert spans == []
+
+
+def counted_search(monkeypatch, M, N):
+    """fragile_partitions(M, N), with the number of display steps
+    (`_contract_one` and `_delete_one` calls) and of `_pivot_inplace`
+    calls it made."""
+    counts = Counter()
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    with monkeypatch.context() as mp:
+        for name in ("_contract_one", "_delete_one"):
+            mp.setattr(ReprMatroid, name, staticmethod(counting("steps", getattr(ReprMatroid, name))))
+        mp.setattr(matroids, "_pivot_inplace", counting("pivots", matroids._pivot_inplace))
+        return fragile_partitions(M, N), counts["steps"], counts["pivots"]
+
+
+def test_dependent_basis_or_codependent_cobasis_ends_the_search_at_the_root(monkeypatch):
+    # N's basis {a, b} is a parallel pair of M, and N's cobasis {c} is a
+    # coloop of M: either holds in every minor, so no partition realises
+    # N and the search takes no step
+    M = ReprMatroid(LabeledMatrix(GF3, ["a", "c", "x"], ["b", "y"],
+                                  [[1, 1], [0, 0], [0, 1]]))
+    for N in (isolated({"a", "b"}, {"a", "b"}, GF3), isolated(set(), {"c"}, GF3),
+              isolated({"a"}, {"a", "c"}, GF3)):
+        assert fragile_partitions_table(M, N) == set()
+        assert counted_search(monkeypatch, M, N) == (frozenset(), 0, 0)
+    # a minor of M on the same labels: the search steps and finds it
+    N = M.minor({"x"}, {"b", "y"})
+    got, steps, _ = counted_search(monkeypatch, M, N)
+    assert got == fragile_partitions_table(M, N) != set()
+    assert steps > 0
+
+
+def ladder_draw(n, q):
+    """The ladder draw of size n over GF(q): an n x n matrix with X the
+    first n // 2 row and column labels, drawn as `gen_random`'s xfragile
+    loop draws, from seed 0, and N = isolated(X & rows, X)."""
+    field = field_of_order(q)
+    rows, cols = [f"r{i}" for i in range(n)], [f"c{j}" for j in range(n)]
+    h = n // 2
+    X = frozenset(rows[:h] + cols[:h])
+    part = MinorSpec(rows[h:], cols[h:])
+    rng = Random(0)
+    while True:
+        data = [[rng.randrange(q) for _ in cols] for _ in rows]
+        for row in data[:h]:
+            row[:h] = [0] * h
+        A = LabeledMatrix(field, rows, cols, data)
+        if one_move_partition(ReprMatroid(A), part) is None and x_fragile_failure(A, X, cap=40) is None:
+            return ReprMatroid(A), isolated(X & set(rows), X)
+
+
+@pytest.mark.parametrize("pair, steps, pivots", [
+    # before N's basis was kept on the rows: 1179 steps, 491 pivots
+    ("pipeline", 1006, 181),
+    # before: 864 steps, 770 pivots
+    ("ladder", 324, 71),
+])
+def test_search_step_and_pivot_counts_are_pinned(monkeypatch, pair, steps, pivots):
+    # the GF(2) reference pair and the GF(2) ladder draw of size 10
+    if pair == "pipeline":
+        gi = gen_random("pipeline", seed=1, q=2, rows=8, cols=8, minor_size=5)
+        M, N = ReprMatroid(gi.instance.matrix), gi.instance.task.minor
+    else:
+        M, N = ladder_draw(10, 2)
+    got = counted_search(monkeypatch, M, N)
+    assert (len(got[0]), got[1:]) == (1, (steps, pivots))
+
+
+def test_search_matches_the_table_search_on_rebased_minors():
+    # N re-displayed by `rebase` on each of its bases: its basis is then
+    # not the one its cut left it on, and the root display and every
+    # step keep that basis on the rows instead
+    rng = Random(17)
+    seen = Counter()
+    for t in range(400):
+        F = SEARCH_FIELDS[t % len(SEARCH_FIELDS)]
+        M = ReprMatroid(random_matrix(rng, F, max_rows=4, max_cols=5))
+        C = {e for e in sorted(M.ground) if rng.random() < 0.2}
+        N = M.minor(C, {e for e in sorted(M.ground - C) if rng.random() < 0.3})
+        want = fragile_partitions_table(M, N)
+        for B in sorted(map(sorted, N.bases())):
+            assert fragile_partitions(M, N.rebase(B)) == want, (t, B)
+            seen[F.order, min(len(want), 2), B != sorted(N.basis)] += 1
+    for q in (2, 3, 4, 5):
+        for count in (1, 2):
+            assert seen[q, count, True] >= 10, seen
 
 
 def test_x_fragile_failure_matches_the_loop():

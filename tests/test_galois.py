@@ -1,13 +1,18 @@
 """Field tower tests with independently derived expected values."""
 
+import os
+import subprocess
+import sys
 import time
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from matroidfrag import (
     DegreeCap,
     DivisionByZero,
+    FieldElem,
     FieldMismatch,
     InvalidArgs,
     InvalidField,
@@ -348,6 +353,50 @@ def test_tower_validation():
         field_from_tower(2, [(2, (0, 0, 1))])  # x^2 is reducible
     with pytest.raises(InvalidField):
         make_prime_field(4)
+
+
+def test_bools_in_field_data_are_refused():
+    # a bool is an int, but the instance parser refuses it: an element,
+    # a modulus coefficient, a tower degree or an extension degree
+    # holding one would not round-trip through JSON
+    for value in (True, False):
+        with pytest.raises(InvalidArgs):
+            FieldElem(GF3, value)
+        with pytest.raises(InvalidArgs):
+            GF4.elem(value)
+        with pytest.raises(InvalidArgs):
+            extend_field(GF3, value)
+        with pytest.raises(InvalidField):
+            field_from_tower(3, [(2, (value, 0, True))])
+        with pytest.raises(InvalidField):
+            field_from_tower(3, [(2, (1, 0, 1)), (value, (0, 1))])
+    with pytest.raises(InvalidArgs):
+        FieldElem(GF3, 1.0)
+
+
+def test_refused_bool_tower_leaves_gf9_round_tripping():
+    # in a fresh interpreter, where nothing has built GF(9) yet: the
+    # refused tower is not interned, so the canonical GF(9) built next
+    # is written with ints and parses back
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = """if True:
+        import json
+        from matroidfrag import InvalidField, extend_field, field_from_tower, make_prime_field
+        from matroidfrag.instances import field_to_json, parse_instance
+        try:
+            field_from_tower(3, [(2, (True, 0, True))])
+        except InvalidField:
+            pass
+        F = extend_field(make_prime_field(3), 2)
+        field = field_to_json(F)
+        text = json.dumps({"field": field, "matrix": {"rows": [], "cols": [], "entries": []}})
+        print(field, parse_instance(text).field is F)
+    """
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "{'p': 3, 'tower': [{'deg': 2, 'modulus': [1, 0, 1]}]} True"
 
 
 def test_degree_and_characteristic_caps():

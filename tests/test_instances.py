@@ -9,6 +9,7 @@ import pytest
 from matroidfrag import instances, matrices
 from matroidfrag import (
     CapExceeded,
+    DegreeCap,
     Exhausted,
     GeneratedInstance,
     InstanceFile,
@@ -140,6 +141,15 @@ def test_reducible_modulus_named_in_error():
             '{"field": {"p": 2, "tower": [{"deg": 2, "modulus": [0, 0, 1]}]},'
             ' "matrix": {"rows": [], "cols": [], "entries": []}}'
         )
+
+
+def test_degree_cap_in_a_tower_is_reported_with_its_path():
+    # GF(2^4) then a degree-5 step over it: total degree 20 > 16
+    tower = [{"deg": 4, "modulus": [1, 1, 0, 0, 1]}, {"deg": 5, "modulus": [1, 0, 0, 0, 0, 1]}]
+    text = json.dumps({"field": {"p": 2, "tower": tower},
+                       "matrix": {"rows": [], "cols": [], "entries": []}})
+    with pytest.raises(DegreeCap, match=r"^\$\.field: tower step 1: total degree exceeds cap 16$"):
+        parse_instance(text)
 
 
 def test_relax_sets_must_be_disjoint():

@@ -2,6 +2,7 @@
 counting oracle: a matrix over GF(q) has rank r exactly when its rows
 span q^r distinct vectors."""
 
+import json
 from collections import Counter
 from itertools import product
 
@@ -20,6 +21,7 @@ from matroidfrag import (
     make_prime_field,
     submatrix_rank,
 )
+from matroidfrag.instances import field_to_json, matrix_to_json, parse_instance
 from matroidfrag.matrices import rank_table
 
 GF2 = make_prime_field(2)
@@ -198,6 +200,17 @@ def test_derived_matrices_validate_what_they_add():
         A.with_column("y", (0, "1"))
     with pytest.raises(InvalidArgs):
         G.with_column("y", (2,))
+
+
+def test_with_column_label_is_a_string_and_round_trips():
+    # the constructor turns labels into strings, and so does with_column,
+    # so the matrix serializes with a string label and parses back
+    A = LabeledMatrix(GF2, [1], [2], [[1]]).with_column(5, [1])
+    assert A.cols == ("2", "5")
+    with pytest.raises(LabelCollision):
+        A.with_column(1, [0])
+    text = json.dumps({"field": field_to_json(GF2), "matrix": matrix_to_json(A)})
+    assert parse_instance(text).matrix == A
 
 
 def test_bool_entries_are_refused():

@@ -5,8 +5,8 @@ reads `ReprMatroid._rank_cache` in a hook.  A renamed or deleted binding
 would only show in a traced benchmark run, which the test suite does
 not make.  This test installs the tracer in-process, runs one
 generation of each instance kind, one pipeline and one reduce_to_two,
-and checks that the calls were counted and that uninstalling restores
-every patched attribute.  bench/ is put on sys.path for the import
+and checks that the calls and the partition search's leaves were
+counted and that uninstalling restores every patched attribute.  bench/ is put on sys.path for the import
 only.
 """
 
@@ -37,6 +37,8 @@ def test_tracer_counts_and_restores(monkeypatch):
     assert tr.calls["reductions.pipeline"] == 1
     assert tr.calls["reductions.collapse_side"] == 1
     assert tr.counts["instances.accepted"] == 4
+    # the search's leaf enumeration, counted through `partitions_of`
+    assert tr.counts["fragility.fragile_partitions.partitions_computed"] > 0
     assert patched
     for owner, attr, original in patched:
         assert vars(owner)[attr] is original, (owner, attr)
