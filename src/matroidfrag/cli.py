@@ -19,8 +19,9 @@ The report is JSON on stdout.  Exit code 0 means the command ran and
 every property it asserts held (a false check verdict still exits 0:
 the answer is the output); 1 means a verified property failed, which is
 a counterexample candidate and is dumped in full; 2 means the input was
-invalid.  Reports are canonical up to the timing fields: identical
-instance, seed and flags reproduce them byte for byte.
+invalid, and the report names the command and the error.  Reports are
+canonical up to the timing fields: identical instance, seed and flags
+reproduce them byte for byte.
 """
 
 from __future__ import annotations
@@ -208,27 +209,25 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.max_ground < 1:
-        print(json.dumps({"error": {"type": "InvalidArgs",
-                                    "message": "--max-ground must be positive"}}))
+    def refuse(kind: str, message: str) -> int:
+        print(json.dumps({"command": args.command,
+                          "error": {"type": kind, "message": message}}))
         return 2
+
+    if args.max_ground < 1:
+        return refuse("InvalidArgs", "--max-ground must be positive")
 
     instance = None
     if args.input is not None:
         try:
             with open(args.input, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            print(json.dumps({"error": {"type": "MalformedJson",
-                                        "message": f"cannot read {args.input}: {exc}"}}))
-            return 2
+        except (OSError, UnicodeDecodeError) as exc:
+            return refuse("MalformedJson", f"cannot read {args.input}: {exc}")
         try:
             instance = parse_instance(text)
         except ToolkitError as exc:
-            print(json.dumps({"command": args.command,
-                              "error": {"type": type(exc).__name__,
-                                        "message": str(exc)}}))
-            return 2
+            return refuse(type(exc).__name__, str(exc))
 
     # opened before the run: an unwritable path is invalid input
     out = None
@@ -236,9 +235,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             out = open(args.report, "w", encoding="utf-8")
         except OSError as exc:
-            print(json.dumps({"error": {"type": "InvalidArgs",
-                                        "message": f"cannot write {args.report}: {exc}"}}))
-            return 2
+            return refuse("InvalidArgs", f"cannot write {args.report}: {exc}")
 
     report, code = run(
         args.command,

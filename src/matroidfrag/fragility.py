@@ -7,13 +7,15 @@ a depth-first search contracts and deletes the elements outside E(N)
 by pivots chosen so that N's basis stays on the rows of every display
 and N's cobasis on its columns.  A step with no such pivot would leave
 N's basis dependent, or its cobasis codependent, in every minor below
-it, so it is not taken: the one pruning rule, proved exact.  Each leaf
-is then displayed on N's basis and decided by one rule: a zero pattern
-other than N's is not N, N's own display is N, and only a leaf with
-N's zero pattern and other entries compares rank tables over E(N)
-(`matrices.rank_table`, one byte per subset of E(N)).  So the
-certificate is the whole search space, not a heuristic, and no table
-grows with E(M).
+it, so it is not taken: the one pruning rule, proved exact.  One rule
+places every element, and a leaf is tested only once all are placed.
+No pivot moves a line of N's basis or cobasis, so every leaf lists them
+in the root's order, and N's display is read once, in that order.  Each
+leaf is decided by one rule: a zero pattern other than N's is not N,
+N's own display is N, and only a leaf with N's zero pattern and other
+entries compares rank tables over E(N) (`matrices.rank_table`, one byte
+per subset of E(N)).  So the certificate is the whole search space, not
+a heuristic, and no table grows with E(M).
 
 The matrix-side notion: a labeled matrix A is X-fragile when the block
 A[X] vanishes and adjoining X to any nonempty disjoint Y strictly
@@ -70,9 +72,11 @@ def fragile_partitions(
     order.  A node holds a display [I | A] of K = M/C'\\D', with
     (C', D') the elements placed so far; each child deletes or contracts
     the next element, by the pivots of `ReprMatroid.minor`, on a copy of
-    that display (the last child on the display itself).  The last
-    element is placed by the leaf enumeration `partitions_of`, so the
-    partitions it yields are the leaves tested.
+    that display (the last child on the display itself).  Every element
+    is placed by that one rule; a leaf is a node with all of them
+    placed, tested once in a loop over `partitions_of(())`, the single
+    colouring of the empty remainder, so that its items count the
+    leaves tested (`bench/tracer.py`).
 
     The invariant: every display holds N's basis BN on its rows and N's
     cobasis coN = E(N) - BN on its columns.  The root display of M is
@@ -96,19 +100,26 @@ def fragile_partitions(
     a pruned node or a failed root has BN independent and coN
     coindependent, as N has.
 
+    No pivot moves a row of BN or a column of coN: a contraction pivots
+    onto a row outside BN, a deletion onto a column outside coN, and
+    dropping a line keeps the order of the rest.  So every leaf lists BN
+    on its rows and coN on its columns in the root's order, and N's
+    display is read once, at the root, with its rows and columns in that
+    order (NA); a leaf is compared with NA row by row.
+
     A leaf displays L = M/C\\D on E(N), |E(N)| elements with BN on the
     rows and coN on the columns, so it is displayed on N's basis, and
     one rule decides it, in three steps:
-    (a) A zero pattern that is not N's is not N, over every field: in a
+    (a) A zero pattern that is not NA's is not N, over every field: in a
         display [I | A] on B, the vector of f outside B is the sum of
         A[b][f] times the unit vector of b, so f + {b : A[b][f] != 0} is
         the unique circuit in B + f, the fundamental circuit of f.  The
         matroid alone fixes where a display on B is nonzero.
-    (b) N's own display over N's field (the same entries label by label)
-        is N, as one representation has one matroid.  Over GF(2) the zero
-        pattern is every entry, so with M and N over GF(2) no leaf gets
-        past here (one standard representation per basis; Oxley, Matroid
-        Theory, ch. 6).
+    (b) N's own display over N's field (the same entries as NA, in that
+        order) is N, as one representation has one matroid.  Over GF(2)
+        the zero pattern is every entry, so with M and N over GF(2) no
+        leaf gets past here (one standard representation per basis;
+        Oxley, Matroid Theory, ch. 6).
     (c) Otherwise L is N exactly when its rank table over sorted E(N) is
         N's, a test exact over every field.  N's table is built when a
         leaf first needs it, and refused above EQUALS_CAP_DEFAULT (16)
@@ -129,7 +140,6 @@ def fragile_partitions(
     field = M.field
     same_field = N.field == field
     contract, delete = ReprMatroid._contract_one, ReprMatroid._delete_one
-    inner, tail = rest[:-1], rest[-1:]
     outside = frozenset(rest)
     found = []
     TN = []  # N's rank table, built when a leaf first needs it
@@ -151,10 +161,9 @@ def fragile_partitions(
     def is_N(rows, cols, data) -> bool:
         # the leaf rule: compare zero patterns, then displays over N's
         # field, and only then tables
-        entries = [(x, A.enc(e, f)) for e, row in zip(rows, data) for f, x in zip(cols, row)]
-        if any((x == 0) != (y == 0) for x, y in entries):
+        if any((x == 0) != (y == 0) for row, nrow in zip(data, NA) for x, y in zip(row, nrow)):
             return False
-        if same_field and all(x == y for x, y in entries):
+        if same_field and data == NA:
             return True
         if not TN:
             if n > EQUALS_CAP_DEFAULT:
@@ -172,26 +181,23 @@ def fragile_partitions(
         return node
 
     def walk(i, C, node) -> None:
-        # node displays M/C\(inner[:i] - C), BN on its rows, coN on its columns
-        if i < len(inner):
-            e = inner[i]
+        # node displays M/C\(rest[:i] - C), BN on its rows, coN on its columns
+        if i < len(rest):
+            e = rest[i]
             allowed = ways(*node, e)
             for contracting in allowed:
                 child = step(node, e, contracting, contracting == allowed[-1])
                 walk(i + 1, C | {e} if contracting else C, child)
             return
-        # the leaf enumeration places the last element, deletion first
-        allowed = ways(*node, tail[0]) if tail else (False,)
-        for c, d in partitions_of(tail):
-            contracting = bool(c)
-            if contracting in allowed:
-                last = contracting == allowed[-1]
-                leaf = step(node, tail[0], contracting, last) if tail else node
-                if is_N(*leaf):
-                    found.append(MinorSpec(C | c, outside - C - c))
+        for _ in partitions_of(()):  # the one colouring of the empty remainder
+            if is_N(*node):
+                found.append(MinorSpec(C, outside - C))
 
     root = M._display_lists()
     if ReprMatroid._pivot_onto(field, *root, BN) and ReprMatroid._pivot_off(field, *root, coN):
+        # N's display with its rows and columns in the root's order, the
+        # order of every leaf's
+        NA = [[A.enc(b, f) for f in root[1] if f in coN] for b in root[0] if b in BN]
         walk(0, frozenset(), root)
     return frozenset(found)
 

@@ -39,6 +39,7 @@ from .errors import (
     CapExceeded,
     DegreeCap,
     Exhausted,
+    FieldMismatch,
     InvalidArgs,
     InvalidField,
     LabelCollision,
@@ -103,6 +104,9 @@ class InstanceFile(FrozenRecord):
         task: Task | None = None,
         seed: int | None = None,
     ):
+        for what, part in (("matrix", matrix), ("task minor", getattr(task, "minor", None))):
+            if part is not None and part.field != field:
+                raise FieldMismatch(f"{what} over {part.field!r} in a {field!r} instance")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "task", task)
@@ -258,7 +262,7 @@ def _task_from_json(obj, path: str, field: FieldSpec, matrix: LabeledMatrix) -> 
 def parse_instance(text: str) -> InstanceFile:
     """Parse a JSON instance file.
 
-    Raises MalformedJson when the text is not JSON, SchemaViolation
+    Raises MalformedJson when `json.loads` refuses the text, SchemaViolation
     (with a $.path diagnostic) when the shape is wrong, and InvalidField
     when the field description does not define a field, or DegreeCap
     when its tower exceeds the degree cap (both with the $.field path).
@@ -267,6 +271,8 @@ def parse_instance(text: str) -> InstanceFile:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedJson(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except (RecursionError, ValueError) as exc:  # too deep, or too many digits
+        raise MalformedJson(str(exc)) from None
     _expect(obj, dict, "$", "object")
     _check_keys(obj, {"field", "matrix", "task", "seed"}, "$")
     field = _field_from_json(_get(obj, "field", "$"), "$.field")

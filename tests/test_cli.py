@@ -140,6 +140,47 @@ def test_missing_file_exits_two(tmp_path, capsys):
     assert report["error"]["type"] == "MalformedJson"
 
 
+@pytest.mark.parametrize("data", [
+    b"\xff\xfe{",  # not UTF-8
+    b"[" * 200000 + b"]" * 200000,  # deeper than json.loads recurses
+    b'{"seed": ' + b"9" * 5000 + b"}",  # past Python's 4300-digit limit
+], ids=["not-utf8", "too-deep", "too-many-digits"])
+def test_unreadable_json_exits_two(tmp_path, capsys, data):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    code, report = run_main(capsys, ["pipeline", "--input", str(path)])
+    assert code == 2
+    assert report["error"]["type"] == "MalformedJson"
+
+
+def test_every_refusal_before_the_run_names_the_command_and_error(tmp_path, capsys):
+    good, bad = tmp_path / "inst.json", tmp_path / "bad.json"
+    good.write_text(PAIR_PIPELINE)
+    bad.write_text("{nope")
+    for argv, kind in (
+        (["--max-ground", "0"], "InvalidArgs"),
+        (["--input", str(tmp_path / "nope.json")], "MalformedJson"),
+        (["--input", str(bad)], "MalformedJson"),
+        (["--input", str(good), "--report", str(tmp_path / "no" / "r.json")], "InvalidArgs"),
+    ):
+        code, report = run_main(capsys, ["check-nfragile", *argv])
+        assert code == 2
+        assert set(report) == {"command", "error"}
+        assert report["command"] == "check-nfragile"
+        assert report["error"]["type"] == kind and report["error"]["message"]
+
+
+def test_non_utf8_file_exits_two_from_a_fresh_process(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-m", "matroidfrag", "pipeline", "--input", str(path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (2, "")
+    assert json.loads(proc.stdout)["error"]["type"] == "MalformedJson"
+
+
 def test_missing_input_flag_exits_two(capsys):
     code, report = run_main(capsys, ["pipeline"])
     assert code == 2

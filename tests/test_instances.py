@@ -1,27 +1,34 @@
 """Instance file codec and random generation tests."""
 
+import copy
 import hashlib
 import json
+import pickle
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matroidfrag import instances, matrices
 from matroidfrag import (
     CapExceeded,
     DegreeCap,
     Exhausted,
+    FieldMismatch,
     GeneratedInstance,
     InstanceFile,
     InvalidArgs,
     InvalidField,
+    LabeledMatrix,
     MalformedJson,
     NFragileTask,
     PipelineTask,
     RelaxTask,
     ReprMatroid,
     SchemaViolation,
+    ToolkitError,
     XFragileTask,
+    field_of_order,
     gen_random,
     is_N_fragile,
     is_X_fragile_matrix,
@@ -97,6 +104,101 @@ def test_malformed_json():
     with pytest.raises(MalformedJson) as e:
         parse_instance("{bad")
     assert "line 1" in str(e.value)
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 200000 + "]" * 200000,  # deeper than json.loads recurses
+    '{"seed": ' + "9" * 5000 + "}",  # past Python's 4300-digit limit
+], ids=["too-deep", "too-many-digits"])
+def test_json_loads_refusals_are_malformed_json(text):
+    with pytest.raises(MalformedJson):
+        parse_instance(text)
+
+
+# documents built from the schema's own keys, values and nesting: a
+# well-formed document, then up to three edits, each at a random place,
+# that replace a value by any schema value, drop a key or add one
+KINDS = ("xfragile", "nfragile", "pipeline", "relax")
+KEYS = ("field", "matrix", "task", "seed", "p", "tower", "deg", "modulus",
+        "rows", "cols", "entries", "kind", "x", "minor", "contract", "delete")
+ANY = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.just(1.5)
+    | st.sampled_from(("a", "b", "") + KINDS),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.sampled_from(KEYS), kids, max_size=3),
+    max_leaves=8,
+)
+FIELDS_JSON = ({"p": 2, "tower": []}, {"p": 3, "tower": []},
+               {"p": 2, "tower": [{"deg": 2, "modulus": [1, 1, 1]}]})
+
+
+@st.composite
+def matrix_json(draw, labels):
+    m = draw(st.integers(0, min(2, len(labels))))
+    n = draw(st.integers(0, min(2, len(labels) - m)))
+    entries = st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=m, max_size=m)
+    return {"rows": labels[:m], "cols": labels[m:m + n], "entries": draw(entries)}
+
+
+@st.composite
+def documents(draw):
+    doc = {"field": copy.deepcopy(draw(st.sampled_from(FIELDS_JSON))),
+           "matrix": draw(matrix_json(draw(st.permutations("abcd"))))}
+    ground = doc["matrix"]["rows"] + doc["matrix"]["cols"]
+    labels = st.lists(st.sampled_from(ground), unique=True) if ground else st.just([])
+    kind = draw(st.sampled_from((None,) + KINDS))
+    if kind == "xfragile":
+        doc["task"] = {"kind": kind, "x": draw(labels)}
+    elif kind == "relax":
+        contract = draw(labels)
+        doc["task"] = {"kind": kind, "contract": contract,
+                       "delete": [e for e in draw(labels) if e not in contract]}
+    elif kind:
+        doc["task"] = {"kind": kind, "minor": draw(matrix_json(draw(st.permutations(ground))))}
+    if draw(st.booleans()):
+        doc["seed"] = draw(st.integers(-1, 1))
+    for _ in range(draw(st.integers(0, 3))):
+        node = doc
+        while True:
+            inner = [v for v in (node.values() if isinstance(node, dict) else node)
+                     if isinstance(v, (dict, list))]
+            if not inner or draw(st.booleans()):
+                break
+            node = draw(st.sampled_from(inner))
+        places = list(node) if isinstance(node, dict) else list(range(len(node)))
+        edit = draw(st.sampled_from(("replace", "drop", "add")))
+        if edit == "add" or not places:
+            if isinstance(node, dict):
+                node[draw(st.sampled_from(KEYS))] = draw(ANY)
+            else:
+                node.append(draw(ANY))
+        elif edit == "drop":
+            del node[draw(st.sampled_from(places))]
+        else:
+            node[draw(st.sampled_from(places))] = draw(ANY)
+    return doc
+
+
+@settings(max_examples=600, derandomize=True, deadline=None, database=None)
+@given(documents())
+def test_parse_refuses_only_with_toolkit_errors(doc):
+    try:
+        parse_instance(json.dumps(doc))
+    except ToolkitError:
+        pass
+
+
+def test_instance_over_another_field_is_refused():
+    GF2, GF3 = field_of_order(2), field_of_order(3)
+    A2 = LabeledMatrix(GF2, ["c"], ["d"], [[1]])
+    A3 = LabeledMatrix(GF3, ["c"], ["d"], [[2]])
+    with pytest.raises(FieldMismatch, match="matrix over GF.3. in a GF.2. instance"):
+        InstanceFile(GF2, A3)
+    with pytest.raises(FieldMismatch, match="task minor over GF.3. in a GF.2. instance"):
+        InstanceFile(GF2, A2, PipelineTask(ReprMatroid(A3)))
+    # copies and pickles rebuild the record by its checked `__init__`
+    inst = InstanceFile(GF3, A3, NFragileTask(ReprMatroid(A3)), 1)
+    for twin in (copy.copy(inst), pickle.loads(pickle.dumps(inst))):
+        assert serialize_instance(twin) == serialize_instance(inst)
 
 
 def test_schema_paths_in_messages():
