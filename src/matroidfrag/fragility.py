@@ -37,9 +37,9 @@ itself is always the full search.
 
 A realising partition (C, D) also names the bases that display N
 through it: the bases of M made of C and elements of E(N).
-`partition_basis` reads the least one off a partition with rank
-queries, and `display_basis` is the least of those over all realising
-partitions.
+`partition_basis` reads the least one off a partition, C plus N's least
+basis by one elimination, and `display_basis` is the least of those
+over all realising partitions.
 
 Enumeration order is fixed (size, then lexicographic), so the witness a
 failed check returns is minimal in that order.  Every search refuses
@@ -337,20 +337,27 @@ def partition_basis(
     by the rest of C, or of D outside the span of E(M) - D, could move
     to the other side.
 
-    Proof of the scan: B displays N through (C, D) exactly when B = C + X
-    with X inside E(N) and C + X a basis of M.  All such B share C, so
-    their lex order is that of X, and the greedy scan of E(N) in label
-    order yields the lex-least X.
+    It is C + L, with L the least basis of N in label order, when C is
+    independent in M (one rank query) and r(N) = r(M) - |C| (the row
+    counts of the two displays), and None otherwise.  Proof: B displays
+    N through (C, D) exactly when B = C + X with X inside E(N) and
+    C + X a basis of M.  C + X is independent iff C is and X is
+    independent in M/C, hence in M/C\\D = N, as deleting D keeps the
+    independent sets that avoid it.  With C independent,
+    r(M) - |C| = r(M/C) >= r(N) >= |X|, so C + X is a basis iff X is a
+    basis of N and r(N) = r(M) - |C|.  All such B share C, so their lex
+    order is that of X, and the least X is N's greedy basis in label
+    order: one elimination of N's element vectors in that order
+    (`_eliminate`) leaves a vector nonzero exactly when the elements
+    before it do not span it.
     """
-    B = set(part.contract)
-    r = M.rank(B)
-    if r != len(B):
+    C = part.contract
+    if len(N.rep.rows) != len(M.rep.rows) - len(C) or M.rank(C) != len(C):
         return None
-    for e in sorted(N.ground):
-        if M.rank(B | {e}) > r:
-            B.add(e)
-            r += 1
-    return frozenset(B) if r == M.rank() else None
+    labels = sorted(N.ground)
+    vecs, reduce = _element_vectors(N.rep, labels)
+    _eliminate(reduce, vecs)
+    return C | frozenset(e for e, v in zip(labels, vecs) if v)
 
 
 def display_basis(M: ReprMatroid, N: ReprMatroid) -> frozenset[str] | None:

@@ -9,7 +9,7 @@ accessor hands back FieldElem values.
 Rank is exact Gaussian elimination by one step per field kind: a
 pivot vector clears its leading coordinate from the vectors after it
 (XOR on packed ints over GF(2), field operations on tuples of
-encodings elsewhere).  The step has three callers.  `block_rank` answers
+encodings elsewhere).  The step has four callers.  `block_rank` answers
 single queries, the rank of A with some rows dropped, on some columns:
 each nonzero vector in turn becomes a pivot.  Matrix rank,
 `submatrix_rank` and the matroid rank oracle call it.  `rank_table`
@@ -19,7 +19,8 @@ reduces by the step at each node.
 Every exhaustive certificate in the package reads such a table.  The
 one-move witness `fragility.one_move_partition` reads closures off one
 elimination of element vectors in the matroid and one in its dual
-(`_element_vectors`).  Over GF(2) each column is packed into an int
+(`_element_vectors`), and `fragility.partition_basis` reads a minor's
+least basis off one.  Over GF(2) each column is packed into an int
 once per matrix (rows are dropped by masking), and a row of A, a
 vector of the dual, when it is needed.
 """
@@ -153,6 +154,10 @@ class LabeledMatrix:
         return self.submatrix_sides(keep_rows, keep_cols)
 
     def submatrix_sides(self, rows: Sequence[str], cols: Sequence[str]) -> "LabeledMatrix":
+        unknown = [r for r in rows if r not in self._row_pos]
+        unknown += [c for c in cols if c not in self._col_pos]
+        if unknown:
+            raise UnknownLabel(f"labels not on their side of the matrix: {unknown}")
         ri = [self._row_pos[r] for r in rows]
         ci = [self._col_pos[c] for c in cols]
         data = [[self._data[i][j] for j in ci] for i in ri]

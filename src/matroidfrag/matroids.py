@@ -25,6 +25,12 @@ N's cobasis, so that they stay where its root display put them.  Its
 nodes are these steps, so the certificate of every input rests on
 them.  Duality transposes and negates the representing block.
 
+Two ReprMatroids are `==` when their displays (`rep`) are: the same
+field, labels in the same order and entries.  So a pickled or copied
+matroid equals its original, and records holding one compare field by
+field.  Matroid equality, the same rank function on the same labels,
+stays `equals`.
+
 Everything here is exact and exponential where it says it is: `equals`
 compares the rank tables of the two matroids (`matrices.rank_table`,
 one byte per subset) and `bases` reads one.  Both refuse ground sets of
@@ -126,6 +132,12 @@ class ReprMatroid:
     def basis(self) -> frozenset[str]:
         """The displayed basis (the row-label set)."""
         return self._rowset
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, ReprMatroid) and self.rep == other.rep
+
+    def __hash__(self) -> int:
+        return hash(self.rep)
 
     def __repr__(self) -> str:
         return (

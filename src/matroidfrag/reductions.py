@@ -154,25 +154,26 @@ def free_extension(
     """Append a column for a new element lying freely on the flat
     spanned by the columns X of the standard representation [I | A].
 
-    The new column is sum(alpha_v * x_v) over v in X, where x_v is the
-    column of v and the alpha_v are the first |X| power-basis elements
-    of a field extension F' of the entry field F.  The extension degree
-    defaults to max(1, |X|) and may be raised (never lowered) with
-    `degree`.  Before returning, the alpha_v are checked independent
-    over F: their coordinates over F must have rank |X|.  Each entry of
-    the returned column is read back in coordinates over F: with X
-    sorted as x_0, x_1, ..., coordinate j must be x_j's entry in that
-    row for j < |X|, and 0 above, so the column is sum(alpha_j * x_j).
+    The new column is sum(t^j * x_j), with x_0, x_1, ... the columns of
+    X in label order and 1, t, ..., t^(d-1) the power basis
+    (`subfield_basis`) of a degree d extension F' of the entry field F.
+    The degree d defaults to max(1, |X|) and may be raised (never
+    lowered) with `degree`.  Before returning, each entry of the column
+    is read back in its coordinates in that power basis, and coordinate
+    j must be x_j's entry in that row for j < |X|, and 0 above; that
+    read-back is the one check.
 
-    Proof that this certifies a free placement, i.e. that X spans e and
-    every set S of old elements spanning e spans all of X.  X spans e by
-    construction.  Every old element's vector lies in F^m.  As the
-    check passed, the alpha_v extend to an F-basis (beta_i) of F', and
-    each vector w of F'^m is uniquely sum(beta_i * w_i) with every w_i
-    in F^m.  If e = sum(lambda_s * y_s) over s in S, with lambda_s in
-    F', expand each lambda_s in the basis and compare the parts at
-    beta_i = alpha_v: x_v is an F-combination of the y_s.  So S spans
-    every x_v; the converse holds trivially, and S spans e iff S spans X.
+    Proof that the read-back certifies a free placement, i.e. that X
+    spans e and every set S of old elements spanning e spans all of X.
+    The power basis is an F-basis (beta_i) of F', as the tower step has
+    degree d, so the read-back says the column is sum(t^j * x_j) with
+    t^0, ..., t^(|X|-1) among the beta_i.  So X spans e.  Every old
+    element's vector lies in F^m, and each vector w of F'^m is uniquely
+    sum(beta_i * w_i) with every w_i in F^m.  If e = sum(lambda_s * y_s)
+    over s in S, with lambda_s in F', expand each lambda_s in the basis
+    and compare the parts at beta_i = t^j: x_j is an F-combination of
+    the y_s.  So S spans every x_j; the converse holds trivially, and S
+    spans e iff S spans X.
     """
     Xf = frozenset(X)
     not_cols = Xf - frozenset(A.cols)
@@ -188,22 +189,17 @@ def free_extension(
     F = A.field
     F2 = extend_field(F, d, degree_cap=degree_cap)
     lifted = A.lift(F2) if F2 != F else A
-    alphas = subfield_basis(F2, F)[:k]
+    powers = subfield_basis(F2, F)[:k]
 
     def over_F(x):
         return [c.enc for c in x.coeffs] if F2 != F else [x.enc]
 
-    names = [str(i) for i in range(k + d)]
-    if LabeledMatrix(F, names[:k], names[k:], [over_F(a) for a in alphas]).rank() != k:
-        raise PostconditionViolation(
-            "coefficients of the new column are dependent over the entry field"
-        )
     xs = sorted(Xf)
     mul, add = F2.mul_enc, F2.add_enc
     col_encs = []
     for i in range(len(A.rows)):
         acc = 0
-        for a, v in zip(alphas, xs):
+        for a, v in zip(powers, xs):
             acc = add(acc, mul(a.enc, lifted.enc(A.rows[i], v)))
         col_encs.append(acc)
     out = lifted.with_column(e, col_encs)
@@ -397,7 +393,7 @@ def relax_entry(
     if len(rest) != 2:
         raise NotFragile(f"displayed minor has {len(rest)} elements; need exactly 2")
     Mn = M.minor(Cf, Df)
-    by_rank = {x: Mn.rank({x}) for x in rest}
+    by_rank = {x: Mn.rank({x}) for x in sorted(rest)}
     coloops = [x for x, r in by_rank.items() if r == 1]
     loops = [x for x, r in by_rank.items() if r == 0]
     if len(coloops) != 1 or len(loops) != 1:

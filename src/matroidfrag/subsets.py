@@ -12,9 +12,9 @@ from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 
-def subsets_by_size(labels: Iterable[str], *, min_size: int = 0) -> Iterator[frozenset[str]]:
+def subsets_by_size(labels: Iterable[str]) -> Iterator[frozenset[str]]:
     items = sorted(labels)
-    for r in range(min_size, len(items) + 1):
+    for r in range(len(items) + 1):
         for combo in combinations(items, r):
             yield frozenset(combo)
 

@@ -297,6 +297,51 @@ def test_reports_are_canonical_across_runs(tmp_path, capsys):
     assert reports[0] == reports[1]
 
 
+RELAX_REFUSED = {
+    "field": {"p": 2, "tower": []},
+    "matrix": {"rows": ["a", "b"], "cols": ["c", "d"], "entries": [[1, 1], [1, 0]]},
+    "task": {"kind": "relax", "contract": [], "delete": ["d", "b"]},
+}
+
+
+def test_reports_do_not_depend_on_string_hashing(tmp_path):
+    # every command, in fresh processes under two hash seeds, prints the
+    # same report up to its timing fields; the relax refusal names the
+    # ranks of the pair in label order
+    def instance(kind, **kw):
+        return serialize_instance(gen_random(kind, seed=3, q=3, **kw).instance)
+
+    runs = [
+        ("check-xfragile", instance("xfragile", rows=3, cols=4, x_rows=1, x_cols=2), []),
+        ("check-nfragile", instance("nfragile", rows=3, cols=4, minor_size=3), []),
+        ("relax", instance("relax", rows=3, cols=3), []),
+        ("relax", RELAX_REFUSED, []),
+        ("pipeline", instance("pipeline", rows=3, cols=3, minor_size=3), []),
+        ("pipeline", instance("pipeline", rows=3, cols=3, minor_size=3), ["--conformance"]),
+    ]
+    src = Path(__file__).resolve().parent.parent / "src"
+    for i, (command, inst, flags) in enumerate(runs):
+        path = tmp_path / f"inst{i}.json"
+        path.write_text(json.dumps(inst))
+        reports = set()
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": hash_seed}
+            proc = subprocess.run(
+                [sys.executable, "-m", "matroidfrag", command, "--input", str(path), *flags],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert proc.stderr == "", proc.stderr
+            reports.add((proc.returncode, suites.canonical_report(json.loads(proc.stdout))))
+        assert len(reports) == 1, (command, flags, reports)
+        code, report = reports.pop()
+        if inst is RELAX_REFUSED:
+            assert code == 2
+            assert json.loads(report)["error"] == {
+                "type": "NotFragile",
+                "message": "minor is not one coloop plus one loop: ranks {'a': 1, 'c': 1}"}
+        else:
+            assert code == 0 and json.loads(report)["verdict"] is True, report
+
+
 def test_unknown_suite_exits_two(capsys):
     with pytest.raises(SystemExit):
         main(["verify-suite", "--suite", "nope"])  # argparse rejects the choice

@@ -256,7 +256,7 @@ def test_display_basis_matches_exhaustive_sweep():
 
 def fragile_partitions_loop(M, N):
     """Every realising partition, by one rank query of M per X | C."""
-    rN = [(X, N.rank(X)) for X in subsets_by_size(N.ground, min_size=1)]
+    rN = [(X, N.rank(X)) for X in subsets_by_size(N.ground) if X]
     found = set()
     for C, D in partitions_of(M.ground - N.ground):
         rc = M.rank(C)
@@ -290,8 +290,8 @@ def x_fragile_failure_loop(A, X):
         for c in sorted(Xf & frozenset(A.cols)):
             if A.enc(r, c):
                 return ("block_nonzero", (r, c))
-    for Y in subsets_by_size(A.labels() - Xf, min_size=1):
-        if submatrix_rank(A, Xf | Y) <= submatrix_rank(A, Y):
+    for Y in subsets_by_size(A.labels() - Xf):
+        if Y and submatrix_rank(A, Xf | Y) <= submatrix_rank(A, Y):
             return ("rank_not_increased", Y)
     return None
 
@@ -661,6 +661,50 @@ def test_search_matches_the_table_search_on_rebased_minors():
     for q in (2, 3, 4, 5):
         for count in (1, 2):
             assert seen[q, count, True] >= 10, seen
+
+
+def partition_basis_scan(M, N, part):
+    """Reference: C, then a greedy scan of E(N) in label order that keeps
+    each element raising the rank in M, one rank query per element; the
+    result if it is a basis of M."""
+    B = set(part.contract)
+    r = M.rank(B)
+    if r != len(B):
+        return None
+    for e in sorted(N.ground):
+        if M.rank(B | {e}) > r:
+            B.add(e)
+            r += 1
+    return frozenset(B) if r == M.rank() else None
+
+
+def test_partition_basis_matches_the_greedy_scan():
+    # C plus N's least basis, read off one elimination, against the scan
+    # of rank queries it replaced, on every realising partition of
+    # seeded pairs over GF(2) to GF(5): N cut from M, re-displayed on a
+    # random basis, or an isolated matroid on its labels over GF(2) or
+    # M's field, whose realising partitions often leave C dependent
+    rng = Random(23)
+    seen = Counter()
+    for t in range(800):
+        F = SEARCH_FIELDS[t % len(SEARCH_FIELDS)]
+        M = ReprMatroid(random_matrix(rng, F, max_rows=4, max_cols=5))
+        C = {e for e in sorted(M.ground) if rng.random() < 0.3}
+        N = M.minor(C, {e for e in sorted(M.ground - C) if rng.random() < 0.4})
+        how = ("cut", "rebased", "isolated")[t // len(SEARCH_FIELDS) % 3]
+        if how == "rebased":
+            N = N.rebase(rng.choice(sorted(map(sorted, N.bases()))))
+        elif how == "isolated":
+            coloops = [e for e in sorted(N.ground) if rng.random() < 0.5]
+            N = isolated(coloops, N.ground, rng.choice((GF2, F)))
+        for part in fragile_partitions(M, N):
+            got = fragility.partition_basis(M, N, part)
+            assert got == partition_basis_scan(M, N, part), (t, part)
+            seen[F.order, how, got is None] += 1
+    assert sum(seen.values()) >= 4000, seen
+    for q in (2, 3, 4, 5):
+        for how in ("cut", "rebased", "isolated"):
+            assert seen[q, how, False] >= 25 and seen[q, how, True] >= 100, seen
 
 
 def test_x_fragile_failure_matches_the_loop():

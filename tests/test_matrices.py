@@ -142,6 +142,17 @@ def test_transpose():
     assert T.transpose() == A
 
 
+def test_submatrix_sides_refuses_unknown_labels():
+    # an unknown label, or a label asked for on the other side, is an
+    # UnknownLabel as in submatrix, not a bare KeyError
+    A = LabeledMatrix(GF3, ["a", "b"], ["x", "y"], [[1, 2], [0, 1]])
+    assert A.submatrix_sides(["b"], ["y", "x"]).enc("b", "x") == 0
+    with pytest.raises(UnknownLabel, match=r"\['zz'\]"):
+        A.submatrix_sides(["zz"], [])
+    with pytest.raises(UnknownLabel, match=r"\['x', 'a'\]"):
+        A.submatrix_sides(["x"], ["a"])
+
+
 def test_lift():
     A = LabeledMatrix(GF2, ["a"], ["x", "y"], [[1, 0]])
     L = A.lift(GF4)

@@ -150,11 +150,11 @@ def _placed(A, X, alphas):
 
 
 def test_free_extension_failures_match_the_reference(monkeypatch):
-    # no false accept: dependent coefficients (all one) put e on a proper
-    # subflat of X's span whenever |X| >= 2; free_extension must refuse
-    # every draw whose column the reference rejects, and the coefficient
-    # check refuses every |X| >= 2.  With the real power basis the same
-    # draws are accepted and the reference finds no failing subset.
+    # the read-back is the one check, and it admits no false accept.  With
+    # the real power basis every draw is accepted and the reference finds
+    # no failing subset.  With dependent coefficients (all one, which put
+    # e on a proper subflat of X's span) every draw is either refused by
+    # the read-back or returns exactly the real column; most are refused
     rng = Random(11)
     draws = []
     for t in range(600):
@@ -166,28 +166,26 @@ def test_free_extension_failures_match_the_reference(monkeypatch):
                           [[rng.randrange(F.order) for _ in cols] for _ in rows])
         draws.append((A, sorted(c for c in cols if rng.random() < 0.8)))
 
-    refused = 0
-    with monkeypatch.context() as m:
-        m.setattr(reductions, "subfield_basis", lambda ext, over: [ext.one] * 8)
-        for A, X in draws:
-            F2 = extend_field(A.field, max(1, len(X)))
-            out = _placed(A, X, [F2.one] * len(X))
-            want = free_placement_failure(out, X, "e")
-            if len(X) < 2:
-                assert want is None
-                assert free_extension(A, X, "e") == out
-                continue
-            refused += want is not None
-            with pytest.raises(PostconditionViolation,
-                               match="coefficients of the new column are dependent"):
-                free_extension(A, X, "e")
-    assert refused >= 300
-
+    real = []
     for A, X in draws:
         F2 = extend_field(A.field, max(1, len(X)))
         out = free_extension(A, X, "e")
         assert out == _placed(A, X, subfield_basis(F2, A.field)[:len(X)])
         assert free_placement_failure(out, X, "e") is None
+        real.append(out)
+
+    refused = 0
+    with monkeypatch.context() as m:
+        m.setattr(reductions, "subfield_basis", lambda ext, over: [ext.one] * 8)
+        for (A, X), want in zip(draws, real):
+            try:
+                got = free_extension(A, X, "e")
+            except PostconditionViolation as err:
+                assert "of the new column is not the combination of X's columns" in str(err)
+                refused += 1
+            else:
+                assert got == want
+    assert refused >= 300
 
 
 @pytest.mark.parametrize("field, X", [
@@ -932,6 +930,25 @@ def test_reference_pipeline_builds_no_rank_table(monkeypatch):
     tr = pipeline(M, N)
     assert (sorted(tr.coloop_side), sorted(tr.loop_side)) == (["c0", "c3"], ["c4", "c6", "r7"])
     assert (tables, checks) == ([], [])
+
+
+@pytest.mark.parametrize("conformance", [False, True])
+def test_reference_pipeline_makes_one_rank_query(monkeypatch, conformance):
+    # the reference pair again: the one subset rank query of a pipeline
+    # is partition_basis's test that C is independent (the greedy scan of
+    # E(N) it replaced made 6 here)
+    gi = gen_random("pipeline", seed=1, q=2, rows=8, cols=8, minor_size=5)
+    M, N = ReprMatroid(gi.instance.matrix), gi.instance.task.minor
+    rank, queries = ReprMatroid.rank, []
+
+    def recorded(self, X=None):
+        if X is not None:
+            queries.append(sorted(X))
+        return rank(self, X)
+
+    monkeypatch.setattr(ReprMatroid, "rank", recorded)
+    tr = pipeline(M, N, conformance=conformance)
+    assert queries == [sorted(tr.displayed_basis - N.ground)]
 
 
 # -- the lemmas that replace the stage checks ---------------------------------
