@@ -14,8 +14,11 @@ in the root's order, and N's display is read once, in that order.  Each
 leaf is decided by one rule: a zero pattern other than N's is not N,
 N's own display is N, and only a leaf with N's zero pattern and other
 entries compares rank tables over E(N) (`matrices.rank_table`, one byte
-per subset of E(N)).  So the certificate is the whole search space, not
-a heuristic, and no table grows with E(M).
+per subset of E(N)).  Over GF(2) the same search runs on packed rows, a
+pivot XORs ints, and when N is over GF(2) too a node is skipped unless
+two span tests, proved exact, leave room for N below it.  So the
+certificate is the whole search space, not a heuristic, and no table
+grows with E(M).
 
 The matrix-side notion: a labeled matrix A is X-fragile when the block
 A[X] vanishes and adjoining X to any nonempty disjoint Y strictly
@@ -52,7 +55,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import CapExceeded, GroundSetMismatch, UnknownLabel
-from .matrices import LabeledMatrix, _element_vectors, _eliminate, rank_table
+from .matrices import LabeledMatrix, _element_vectors, _eliminate, _gf2_row, rank_table
 from .matroids import EQUALS_CAP_DEFAULT, MinorSpec, ReprMatroid
 from .subsets import first_by_size, partitions_of
 
@@ -124,6 +127,43 @@ def fragile_partitions(
         N's, a test exact over every field.  N's table is built when a
         leaf first needs it, and refused above EQUALS_CAP_DEFAULT (16)
         elements before it is built.
+
+    Over GF(2), chosen by M's field alone, the same walk runs on a
+    packed display: the root is set up as above, then each row becomes
+    an int with bit j for its entry in column position j
+    (`matrices._gf2_row`), BN's rows first.  A pivot at (i, j) XORs
+    data[i] ^ (1 << j) into every other row with bit j (`_pivot_gf2`).
+    Column positions stay fixed: a deleted column keeps its position,
+    with its bit cleared in every row (`_step_gf2`).  A contraction
+    pivots onto a row after BN's and a deletion onto a column outside
+    coN, so BN's rows stay first in the root's order and coN's columns
+    keep their root positions; a leaf's rows are BN's and its only
+    columns coN's.  NA is packed once in those positions, by its zero
+    pattern, so (a) and (b) are the one test data == NA, and with N
+    over another field such a leaf goes on to (c).  A packed node holds
+    r(M) ints and two label lists.
+
+    When N is over GF(2) too, a node K whose undecided elements are
+    U = E(K) - E(N) is skipped unless two span tests pass, each one
+    elimination over at most r(K) ints (`_spans`):
+    - primal: on BN's rows, each coN column minus NA's column lies in
+      the span of U's columns;
+    - dual: on coN's columns, each BN row minus NA's row lies in the
+      span of U's rows.
+    Proof.  Let a completion contract C'' and delete U - C'' and give
+    a leaf L equal to N.  L is represented by the vectors of K modulo
+    span(C''), BN is a basis of L, and L's display on BN is NA, as a
+    binary matroid has one display per basis; so for each g in coN,
+    w_g = g - sum_b NA[b][g] b lies in span(C''), inside span(U).  The
+    rows of U give every unit vector outside BN's coordinates, so w_g
+    lies in span(U) exactly when its part on BN's rows, g's column
+    minus NA's, lies in the span of the parts there of U's columns:
+    the primal test.  K* is displayed by A^T, with coN on its rows, BN
+    on its columns and NA^T as N*'s display, and K/C''\\D'' = N exactly
+    when K*/D''\\C'' = N*; the primal test on K* is the dual test.  So
+    no leaf below a node that fails either test is N, and skipping it
+    keeps the search exact.  A leaf is left to the leaf rule: there U
+    is empty, and the primal test is data == NA.
     """
     if not N.ground <= M.ground:
         raise GroundSetMismatch(
@@ -134,55 +174,115 @@ def fragile_partitions(
         raise CapExceeded(
             f"|E(M)-E(N)| = {len(rest)} exceeds partition cap {cap}"
         )
-    labels = sorted(N.ground)
-    A, n = N.rep, len(labels)
-    BN, coN = N.basis, N.ground - N.basis
+    A, BN, coN = N.rep, N.basis, N.ground - N.basis
     field = M.field
     same_field = N.field == field
-    contract, delete = ReprMatroid._contract_one, ReprMatroid._delete_one
     outside = frozenset(rest)
     found = []
     TN = []  # N's rank table, built when a leaf first needs it
 
-    def ways(rows, cols, data, e) -> tuple[bool, ...]:
-        # the steps on e that keep the invariant, deletion (False) first:
-        # a row e is deleted, or a column e contracted, by a pivot on its
-        # line, which none has when its nonzero entries all lie in coN's
-        # columns, or in BN's rows
-        if e in rows:
-            line, across, kept = data[rows.index(e)], cols, coN
-        else:
-            j = cols.index(e)
-            line, across, kept = [row[j] for row in data], rows, BN
-        if any(line) and all(f in kept for f, x in zip(across, line) if x):
-            return (e in rows,)
-        return (False, True)
-
-    def is_N(rows, cols, data) -> bool:
-        # the leaf rule: compare zero patterns, then displays over N's
-        # field, and only then tables
-        if any((x == 0) != (y == 0) for row, nrow in zip(data, NA) for x, y in zip(row, nrow)):
-            return False
-        if same_field and data == NA:
-            return True
+    def tables_agree(rows, cols, data) -> bool:
+        # step (c) of the leaf rule
+        labels = sorted(N.ground)
         if not TN:
-            if n > EQUALS_CAP_DEFAULT:
-                raise CapExceeded(f"|E(N)| = {n} exceeds rank table cap {EQUALS_CAP_DEFAULT}")
+            if len(labels) > EQUALS_CAP_DEFAULT:
+                raise CapExceeded(
+                    f"|E(N)| = {len(labels)} exceeds rank table cap {EQUALS_CAP_DEFAULT}")
             TN.append(rank_table(A, labels))
         return rank_table(LabeledMatrix._of_display(field, rows, cols, data), labels) == TN[0]
 
-    def step(node, e, contracting, last):
-        # the step on e, on a copy of the node while a sibling still
-        # needs the node, and on the node itself for the last sibling
-        if not last:
-            rows, cols, data = node
-            node = rows[:], cols[:], [row[:] for row in data]
-        (contract if contracting else delete)(field, *node, e, BN if contracting else coN)
-        return node
+    root = M._display_lists()
+    if not (ReprMatroid._pivot_onto(field, *root, BN)
+            and ReprMatroid._pivot_off(field, *root, coN)):
+        return frozenset()
+    rows, cols, data = root
+    fits = None  # the node test, when M and N are over GF(2)
+    if field.order == 2:
+        # packed rows, BN's first, over fixed column positions, and N's
+        # display (NA) packed in the same positions by its zero pattern;
+        # coN's columns are the bits of mask
+        order = [i for i, b in enumerate(rows) if b in BN]
+        order += [i for i, b in enumerate(rows) if b not in BN]
+        rows, data = [rows[i] for i in order], [_gf2_row(data[i]) for i in order]
+        nb, root = len(BN), (rows, cols, data)
+        NA = [_gf2_row([f in coN and A.enc(b, f) != 0 for f in cols]) for b in rows[:nb]]
+        mask = _gf2_row([f in coN for f in cols])
+
+        def ways(rows, cols, data, e) -> tuple[bool, ...]:
+            # the generic rule below, on bits
+            if e in rows:
+                x = data[rows.index(e)]
+                return (True,) if x and not x & ~mask else (False, True)
+            bit = 1 << cols.index(e)
+            if any(x & bit for x in data[:nb]) and not any(x & bit for x in data[nb:]):
+                return (False,)
+            return (False, True)
+
+        def step(node, e, contracting, last):
+            if not last:
+                node = node[0][:], node[1][:], node[2][:]
+            _step_gf2(*node, e, contracting, nb, mask)
+            return node
+
+        def is_N(rows, cols, data) -> bool:
+            # the columns left at a leaf are coN's
+            return data == NA and (same_field or tables_agree(
+                rows, [f for f in cols if f is not None],
+                [[x >> j & 1 for j, f in enumerate(cols) if f is not None] for x in data]))
+
+        if same_field:
+            def fits(node) -> bool:
+                # the primal and the dual span test, passed at once when
+                # there is nothing to span
+                data = node[2]
+                if data[:nb] == NA:
+                    return True
+                xs = [x ^ y for x, y in zip(data, NA)]
+                if not _spans(xs, ~mask, nb):
+                    return False
+                ts = [x & mask for x in xs]
+                return not any(ts) or _spans([x & mask for x in data[nb:]] + ts, -1, len(data) - nb)
+    else:
+        # N's display with its rows and columns in the root's order, the
+        # order of every leaf's
+        NA = [[A.enc(b, f) for f in cols if f in coN] for b in rows if b in BN]
+        contract, delete = ReprMatroid._contract_one, ReprMatroid._delete_one
+
+        def ways(rows, cols, data, e) -> tuple[bool, ...]:
+            # the steps on e that keep the invariant, deletion (False)
+            # first: a row e is deleted, or a column e contracted, by a
+            # pivot on its line, which none has when its nonzero entries
+            # all lie in coN's columns, or in BN's rows
+            if e in rows:
+                line, across, kept = data[rows.index(e)], cols, coN
+            else:
+                j = cols.index(e)
+                line, across, kept = [row[j] for row in data], rows, BN
+            if any(line) and all(f in kept for f, x in zip(across, line) if x):
+                return (e in rows,)
+            return (False, True)
+
+        def step(node, e, contracting, last):
+            # the step on e, on a copy of the node while a sibling still
+            # needs the node, and on the node itself for the last sibling
+            if not last:
+                rows, cols, data = node
+                node = rows[:], cols[:], [row[:] for row in data]
+            (contract if contracting else delete)(field, *node, e, BN if contracting else coN)
+            return node
+
+        def is_N(rows, cols, data) -> bool:
+            # the leaf rule: compare zero patterns, then displays over
+            # N's field, and only then tables
+            if any((x == 0) != (y == 0) for row, nrow in zip(data, NA) for x, y in zip(row, nrow)):
+                return False
+            return same_field and data == NA or tables_agree(rows, cols, data)
 
     def walk(i, C, node) -> None:
         # node displays M/C\(rest[:i] - C), BN on its rows, coN on its columns
         if i < len(rest):
+            if fits and not fits(node):
+                return
             e = rest[i]
             allowed = ways(*node, e)
             for contracting in allowed:
@@ -193,13 +293,64 @@ def fragile_partitions(
             if is_N(*node):
                 found.append(MinorSpec(C, outside - C))
 
-    root = M._display_lists()
-    if ReprMatroid._pivot_onto(field, *root, BN) and ReprMatroid._pivot_off(field, *root, coN):
-        # N's display with its rows and columns in the root's order, the
-        # order of every leaf's
-        NA = [[A.enc(b, f) for f in root[1] if f in coN] for b in root[0] if b in BN]
-        walk(0, frozenset(), root)
+    walk(0, frozenset(), root)
     return frozenset(found)
+
+
+def _pivot_gf2(rows, cols, data, i, j) -> None:
+    """`_pivot_inplace` on packed GF(2) rows: data[i] has bit j set, and
+    every other row with bit j gets data[i] with bit j cleared XORed in,
+    which leaves its bit j set, as -1 = 1."""
+    p = data[i] ^ 1 << j
+    for r, x in enumerate(data):
+        if x >> j & 1 and r != i:
+            data[r] = x ^ p
+    rows[i], cols[j] = cols[j], rows[i]
+
+
+def _step_gf2(rows, cols, data, e, contracting, nb, mask) -> None:
+    """Contract or delete e on packed GF(2) rows whose first nb are BN's,
+    with coN's columns at the bits of `mask`: `_contract_one` and
+    `_delete_one` with their `keep`, pivoting onto the first row after
+    BN's, or onto the lowest column outside coN.  A deleted column keeps
+    its position, with label None and its bit clear in every row."""
+    if e in rows:
+        i = rows.index(e)
+        x = 0 if contracting else data[i] & ~mask
+        if x:  # e moves to the lowest column outside coN with its bit
+            j = (x & -x).bit_length() - 1
+            _pivot_gf2(rows, cols, data, i, j)
+    else:
+        j = cols.index(e)
+        # e moves to the first row after BN's with bit j, unless a loop
+        i = next((i for i in range(nb, len(data)) if data[i] >> j & 1), -1) if contracting else -1
+        if i >= 0:
+            _pivot_gf2(rows, cols, data, i, j)
+    if e in rows:  # contracted, or a deleted coloop
+        del rows[i], data[i]
+    else:  # deleted, or a contracted loop
+        cols[j] = None
+        data[:] = [x & ~(1 << j) for x in data]
+
+
+def _spans(vecs: list[int], mask: int, k: int) -> bool:
+    """One GF(2) elimination on packed vectors: each is reduced by the
+    pivots before it; one of the first k with a bit in `mask` becomes a
+    pivot on its lowest such bit, and any other must reduce to zero.
+    True when all do: the columns at the bits outside `mask` lie in the
+    span of those inside it, when k = len(vecs), and the vectors after
+    the first k lie in the span of the first k, when mask = -1."""
+    pivots = []
+    for i, x in enumerate(vecs):
+        for p, h in pivots:
+            if x & h:
+                x ^= p
+        u = x & mask if i < k else 0
+        if u:
+            pivots.append((x, u & -u))
+        elif x:
+            return False
+    return True
 
 
 def is_N_fragile(

@@ -323,9 +323,14 @@ class GeneratedInstance(NamedTuple):
 
 
 def _random_matrix(
-    rng: random.Random, field: FieldSpec, rows: list[str], cols: list[str]
+    rng: random.Random, field: FieldSpec, rows: list[str], cols: list[str],
+    x_rows: int = 0, x_cols: int = 0,
 ) -> LabeledMatrix:
+    """A drawn matrix, its block on the first x_rows rows and x_cols
+    columns then set to zero: every entry is drawn either way."""
     data = [[rng.randrange(field.order) for _ in cols] for _ in rows]
+    for row in data[:x_rows]:
+        row[:x_cols] = [0] * x_cols
     return LabeledMatrix._of_display(field, rows, cols, data)
 
 
@@ -425,10 +430,7 @@ def gen_random(
     # with the X block zero this partition realises the isolated minor on X
     part = MinorSpec(row_labels[x_rows:], col_labels[x_cols:])
     for attempt in range(max_attempts):
-        A = _random_matrix(rng, field, row_labels, col_labels)
-        data = [[0 if i < x_rows and j < x_cols else v for j, v in enumerate(row)]
-                for i, row in enumerate(A._data)]
-        A = LabeledMatrix._of_display(field, row_labels, col_labels, data)
+        A = _random_matrix(rng, field, row_labels, col_labels, x_rows, x_cols)
         if one_move_partition(ReprMatroid(A), part) is None and x_fragile_failure(A, x) is None:
             task = XFragileTask(x) if kind == "xfragile" else RelaxTask(part.contract, part.delete)
             return GeneratedInstance(InstanceFile(field, A, task, seed), attempt)

@@ -400,9 +400,11 @@ def relax_entry(
         raise NotFragile(f"minor is not one coloop plus one loop: ranks {by_rank}")
     c, d = coloops[0], loops[0]
     # with c rank 1 and d a loop, Mn is the pair isolated({c}, {c, d})
-    B = Cf | {c}
-    if M.rank(B) == len(B) == M.rank():
-        M1 = M.rebase(B)
+    try:
+        M1 = M.rebase(Cf | {c})  # its pivots refuse a set that is no basis
+    except InvalidArgs:
+        pass
+    else:
         if x_fragile_failure(M1.rep, {c, d}, cap=cap) is None:
             return _relax_entry(M1, c, d, DEGREE_CAP_DEFAULT)
     raise NotFragile(

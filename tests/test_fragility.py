@@ -283,6 +283,55 @@ def fragile_partitions_table(M, N):
     return found
 
 
+def fragile_partitions_generic(M, N):
+    """The partition search with the generic pivot steps of
+    `ReprMatroid` over every field, GF(2) included: the search before
+    its GF(2) steps moved to packed rows and gained the two span tests.
+    The same walk, root and leaf rule, with no node test."""
+    rest = sorted(M.ground - N.ground)
+    labels = sorted(N.ground)
+    BN, coN = N.basis, N.ground - N.basis
+    field = M.field
+    found = []
+
+    def ways(rows, cols, data, e):
+        if e in rows:
+            line, across, kept = data[rows.index(e)], cols, coN
+        else:
+            j = cols.index(e)
+            line, across, kept = [row[j] for row in data], rows, BN
+        if any(line) and all(f in kept for f, x in zip(across, line) if x):
+            return (e in rows,)
+        return (False, True)
+
+    def is_N(rows, cols, data):
+        if any((x == 0) != (y == 0) for row, nrow in zip(data, NA) for x, y in zip(row, nrow)):
+            return False
+        if N.field == field and data == NA:
+            return True
+        A = LabeledMatrix._of_display(field, rows, cols, data)
+        return matrices.rank_table(A, labels) == matrices.rank_table(N.rep, labels)
+
+    def walk(i, C, node):
+        if i == len(rest):
+            if is_N(*node):
+                found.append(MinorSpec(C, set(rest) - C))
+            return
+        e = rest[i]
+        for contracting in ways(*node, e):
+            rows, cols, data = node
+            child = rows[:], cols[:], [row[:] for row in data]
+            step = ReprMatroid._contract_one if contracting else ReprMatroid._delete_one
+            step(field, *child, e, BN if contracting else coN)
+            walk(i + 1, C | {e} if contracting else C, child)
+
+    root = M._display_lists()
+    if ReprMatroid._pivot_onto(field, *root, BN) and ReprMatroid._pivot_off(field, *root, coN):
+        NA = [[N.rep.enc(b, f) for f in root[1] if f in coN] for b in root[0] if b in BN]
+        walk(0, frozenset(), root)
+    return frozenset(found)
+
+
 def x_fragile_failure_loop(A, X):
     """x_fragile_failure by two submatrix ranks per nonempty Y."""
     Xf = frozenset(X)
@@ -573,8 +622,9 @@ def test_search_tables_span_the_minor_only(monkeypatch):
 
 def counted_search(monkeypatch, M, N):
     """fragile_partitions(M, N), with the number of display steps
-    (`_contract_one` and `_delete_one` calls) and of `_pivot_inplace`
-    calls it made."""
+    (`_contract_one` and `_delete_one` calls, or `_step_gf2` calls on
+    packed GF(2) rows) and of pivots (`_pivot_inplace` calls, the root's
+    included, and `_pivot_gf2` calls) it made."""
     counts = Counter()
 
     def counting(key, fn):
@@ -587,6 +637,8 @@ def counted_search(monkeypatch, M, N):
         for name in ("_contract_one", "_delete_one"):
             mp.setattr(ReprMatroid, name, staticmethod(counting("steps", getattr(ReprMatroid, name))))
         mp.setattr(matroids, "_pivot_inplace", counting("pivots", matroids._pivot_inplace))
+        mp.setattr(fragility, "_step_gf2", counting("steps", fragility._step_gf2))
+        mp.setattr(fragility, "_pivot_gf2", counting("pivots", fragility._pivot_gf2))
         return fragile_partitions(M, N), counts["steps"], counts["pivots"]
 
 
@@ -627,10 +679,11 @@ def ladder_draw(n, q):
 
 
 @pytest.mark.parametrize("pair, steps, pivots", [
-    # before N's basis was kept on the rows: 1179 steps, 491 pivots
-    ("pipeline", 1006, 181),
-    # before: 864 steps, 770 pivots
-    ("ladder", 324, 71),
+    # before N's basis was kept on the rows: 1179 steps, 491 pivots;
+    # before packed rows and the span tests: 1006 steps, 181 pivots
+    ("pipeline", 106, 49),
+    # before: 864 steps, 770 pivots; then 324 steps, 71 pivots
+    ("ladder", 15, 5),
 ])
 def test_search_step_and_pivot_counts_are_pinned(monkeypatch, pair, steps, pivots):
     # the GF(2) reference pair and the GF(2) ladder draw of size 10
@@ -641,6 +694,93 @@ def test_search_step_and_pivot_counts_are_pinned(monkeypatch, pair, steps, pivot
         M, N = ladder_draw(10, 2)
     got = counted_search(monkeypatch, M, N)
     assert (len(got[0]), got[1:]) == (1, (steps, pivots))
+
+
+def test_gf2_frontier_search_tests_one_leaf(monkeypatch):
+    # the GF(2) ladder draw of size 20 (|E| = 40) has one realising
+    # partition, and the span tests leave only its leaf; the generic
+    # steps with no node test reach 53411 leaves of it
+    leaves = []
+    monkeypatch.setattr(fragility, "partitions_of", lambda S: leaves.append(S) or partitions_of(S))
+    M, N = ladder_draw(20, 2)
+    got = fragile_partitions(M, N, cap=40)
+    assert got == {MinorSpec({f"r{i}" for i in range(10, 20)}, {f"c{j}" for j in range(10, 20)})}
+    assert len(leaves) == 1
+
+
+GF2_HOWS = ("cut", "rebased", "flipped", "isolated", "gf4")
+
+
+@st.composite
+def gf2_pairs(draw):
+    """A GF(2) matrix of at most 5 x 5, a side for each label as in
+    `minor_pairs`, how N is made from the cut minor (kept, re-displayed
+    on another of its bases, one entry flipped, an isolated matroid on
+    its labels, or lifted to GF(4) with one nonzero entry possibly moved
+    off GF(2)) and a number that picks the basis, the coloops or the
+    entry."""
+    m = draw(st.integers(0, 5))
+    n = draw(st.integers(0, 5))
+    data = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    sides = draw(st.lists(st.sampled_from("CDNN"), min_size=m + n, max_size=m + n))
+    return data, n, sides, draw(st.sampled_from(GF2_HOWS)), draw(st.integers(0, 4095))
+
+
+def build_gf2_pair(data, n, sides, how, pick):
+    M, N = build_minor_pair(0, data, n, sides, "cut", 0)
+    A = N.rep
+    if how == "isolated":
+        # no coloop, every label a coloop, or the coloops pick's bits name
+        labels = sorted(N.ground)
+        named = {e for i, e in enumerate(labels) if pick >> i + 2 & 1}
+        return M, isolated((set(), labels, named)[pick % 3], labels, GF2)
+    if how == "rebased":
+        bases = sorted(map(sorted, N.bases()))
+        return M, N.rebase(bases[pick % len(bases)])
+    if how == "gf4":
+        A = A.lift(GF4)
+    if how in ("flipped", "gf4") and A.rows and A.cols:
+        r = A.rows[pick % len(A.rows)]
+        c = A.cols[pick // len(A.rows) % len(A.cols)]
+        x = A.enc(r, c)
+        A = A.set_entry(r, c, 1 - x if how == "flipped" else x * (1 + pick // 64 % 3))
+    return M, ReprMatroid(A)
+
+
+def test_packed_search_matches_the_generic_steps():
+    # the packed GF(2) search, with its span tests, against the generic
+    # steps it replaced over GF(2), partition set for partition set
+    seen = Counter()
+
+    @settings(max_examples=800, derandomize=True, deadline=None, database=None)
+    @given(gf2_pairs())
+    @example(([[1, 1], [0, 1]], 2, list("CNNN"), "cut", 0))
+    @example(([[1, 0], [1, 1]], 2, list("NDNN"), "gf4", 65))
+    # N = [[x, 1], [1, 1]] over GF(4) is U(2, 4), with M's zero pattern
+    @example(([[1, 1], [1, 1]], 2, list("NNNN"), "gf4", 64))
+    def check(case):
+        M, N = build_gf2_pair(*case)
+        got = fragile_partitions(M, N)
+        assert got == fragile_partitions_generic(M, N), case
+        count = min(len(got), 2)
+        seen[count] += 1
+        seen[case[3], count > 0] += 1
+        seen["empty BN", count > 0] += not N.basis
+        seen["empty coN", count > 0] += not N.ground - N.basis
+
+    check()
+    for n in range(10, 17, 2):
+        M, N = ladder_draw(n, 2)
+        got = fragile_partitions(M, N, cap=40)
+        assert got == fragile_partitions_generic(M, N) and len(got) == 1
+    # none, one and several partitions; every way of making N realised,
+    # and the flipped and isolated ones also not; an empty BN or coN
+    # both ways
+    for key in (0, 1, 2, *((how, True) for how in GF2_HOWS), ("flipped", False),
+                ("isolated", False), *((side, b) for side in ("empty BN", "empty coN")
+                                       for b in (False, True))):
+        assert seen[key] >= 10, seen
 
 
 def test_search_matches_the_table_search_on_rebased_minors():

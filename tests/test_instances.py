@@ -331,6 +331,21 @@ def test_empty_minor_of_nonempty_ground_is_refused(monkeypatch):
     assert gi.instance.task.minor.ground == frozenset()
 
 
+def test_xfragile_and_relax_draws_build_one_matrix_each(monkeypatch):
+    # each draw's X block is zeroed in the drawn lists, so the loop
+    # builds one LabeledMatrix per draw and the checks build none
+    built = []
+    of_display = LabeledMatrix._of_display.__func__
+    monkeypatch.setattr(LabeledMatrix, "_of_display",
+                        classmethod(lambda cls, *a: built.append(a) or of_display(cls, *a)))
+    for kind, shape in (("xfragile", dict(rows=4, cols=5, x_rows=2, x_cols=2)),
+                        ("relax", dict(rows=3, cols=3))):
+        built.clear()
+        gi = gen_random(kind, seed=5, q=2, **shape)
+        assert gi.rejections > 0
+        assert len(built) == gi.rejections + 1
+
+
 def test_serialized_sets_are_sorted_lists():
     gi = gen_random("xfragile", seed=1, q=2, rows=2, cols=2, x_rows=1, x_cols=1)
     obj = serialize_instance(gi.instance)

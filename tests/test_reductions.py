@@ -614,6 +614,31 @@ def test_relax_entry_rejections():
         relax_entry(isolated({"c"}, {"c", "d", "e"}), (), {"e"})  # two partitions
     with pytest.raises(InvalidArgs):
         relax_entry(M, {"e"}, {"e"})
+    # C + {c} is not a basis: too large, or of the right size with C a
+    # loop; `rebase` refuses both and relax_entry says so as NotFragile
+    for M, D in ((isolated({"c"}, {"c", "d", "e"}), set()),
+                 (isolated({"c", "x"}, {"c", "d", "e", "x"}), {"x"})):
+        with pytest.raises(NotFragile, match="not fragile for the pair"):
+            relax_entry(M, {"e"}, D)
+
+
+def test_relax_entry_makes_no_subset_query_on_the_matroid(monkeypatch):
+    # the two singleton queries are on the minor M/C\D; whether C + {c}
+    # is a basis of M is left to the pivots of `rebase`
+    queries = []
+    rank = ReprMatroid.rank
+
+    def recorded(self, X=None):
+        queries.append((self, sorted(X) if X is not None else None))
+        return rank(self, X)
+
+    monkeypatch.setattr(ReprMatroid, "rank", recorded)
+    gi = gen_random("relax", seed=3, q=3, rows=3, cols=3)
+    M, t = ReprMatroid(gi.instance.matrix), gi.instance.task
+    queries.clear()
+    relax_entry(M, t.contract, t.delete)
+    assert [X for _, X in queries] == [["c0"], ["r0"]]
+    assert all(K is not M for K, _ in queries)
 
 
 # -- pipeline -----------------------------------------------------------------

@@ -38,8 +38,9 @@ def test_tracer_counts_and_restores(monkeypatch):
     assert tr.calls["reductions.collapse_side"] == 1
     assert tr.counts["instances.accepted"] == 4
     # the search's leaves, counted through the leaf's `partitions_of`
-    # loop (19 when that loop also placed the last element)
-    assert tr.counts["fragility.fragile_partitions.partitions_computed"] == 13
+    # loop (19 when that loop also placed the last element, 13 before
+    # the GF(2) span tests skipped nodes)
+    assert tr.counts["fragility.fragile_partitions.partitions_computed"] == 4
     assert patched
     for owner, attr, original in patched:
         assert vars(owner)[attr] is original, (owner, attr)
