@@ -12,13 +12,13 @@ places every element, and a leaf is tested only once all are placed.
 No pivot moves a line of N's basis or cobasis, so every leaf lists them
 in the root's order, and N's display is read once, in that order.  Each
 leaf is decided by one rule: a zero pattern other than N's is not N,
-N's own display is N, and only a leaf with N's zero pattern and other
-entries compares rank tables over E(N) (`matrices.rank_table`, one byte
-per subset of E(N)).  Over GF(2) the same search runs on packed rows, a
-pivot XORs ints, and when N is over GF(2) too a node is skipped unless
-two span tests, proved exact, leave room for N below it.  So the
-certificate is the whole search space, not a heuristic, and no table
-grows with E(M).
+N's own display, or an all-zero display over any field, is N, and
+only a leaf with N's zero pattern and other entries compares rank
+tables over E(N) (`matrices.rank_table`, one byte per subset of E(N)).
+When M and N are over GF(2) the same search runs on packed rows, a
+pivot XORs ints, and a node is skipped unless two span tests, proved
+exact, leave room for N below it.  So the certificate is the whole
+search space, not a heuristic, and no table grows with E(M).
 
 The matrix-side notion: a labeled matrix A is X-fragile when the block
 A[X] vanishes and adjoining X to any nonempty disjoint Y strictly
@@ -122,14 +122,17 @@ def fragile_partitions(
         order) is N, as one representation has one matroid.  Over GF(2)
         the zero pattern is every entry, so with M and N over GF(2) no
         leaf gets past here (one standard representation per basis;
-        Oxley, Matroid Theory, ch. 6).
+        Oxley, Matroid Theory, ch. 6).  An all-zero NA is N over any
+        field: [I | 0] on BN makes BN coloops and coN loops whatever
+        the field, and a leaf with NA's zero pattern is all zero too,
+        so it is N.
     (c) Otherwise L is N exactly when its rank table over sorted E(N) is
         N's, a test exact over every field.  N's table is built when a
         leaf first needs it, and refused above EQUALS_CAP_DEFAULT (16)
         elements before it is built.
 
-    Over GF(2), chosen by M's field alone, the same walk runs on a
-    packed display: the root is set up as above, then each row becomes
+    When M and N are both over GF(2), the same walk runs on a packed
+    display: the root is set up as above, then each row becomes
     an int with bit j for its entry in column position j
     (`matrices._gf2_row`), BN's rows first.  A pivot at (i, j) XORs
     data[i] ^ (1 << j) into every other row with bit j (`_pivot_gf2`).
@@ -139,11 +142,11 @@ def fragile_partitions(
     coN, so BN's rows stay first in the root's order and coN's columns
     keep their root positions; a leaf's rows are BN's and its only
     columns coN's.  NA is packed once in those positions, by its zero
-    pattern, so (a) and (b) are the one test data == NA, and with N
-    over another field such a leaf goes on to (c).  A packed node holds
-    r(M) ints and two label lists.
+    pattern, so (a) and (b) are the one test data == NA, and no leaf
+    reaches (c).  A packed node holds r(M) ints and two label lists.
+    Every other pair of fields takes the generic steps.
 
-    When N is over GF(2) too, a node K whose undecided elements are
+    On packed rows a node K whose undecided elements are
     U = E(K) - E(N) is skipped unless two span tests pass, each one
     elimination over at most r(K) ints (`_spans`):
     - primal: on BN's rows, each coN column minus NA's column lies in
@@ -176,28 +179,15 @@ def fragile_partitions(
         )
     A, BN, coN = N.rep, N.basis, N.ground - N.basis
     field = M.field
-    same_field = N.field == field
     outside = frozenset(rest)
     found = []
-    TN = []  # N's rank table, built when a leaf first needs it
-
-    def tables_agree(rows, cols, data) -> bool:
-        # step (c) of the leaf rule
-        labels = sorted(N.ground)
-        if not TN:
-            if len(labels) > EQUALS_CAP_DEFAULT:
-                raise CapExceeded(
-                    f"|E(N)| = {len(labels)} exceeds rank table cap {EQUALS_CAP_DEFAULT}")
-            TN.append(rank_table(A, labels))
-        return rank_table(LabeledMatrix._of_display(field, rows, cols, data), labels) == TN[0]
-
     root = M._display_lists()
     if not (ReprMatroid._pivot_onto(field, *root, BN)
             and ReprMatroid._pivot_off(field, *root, coN)):
         return frozenset()
     rows, cols, data = root
-    fits = None  # the node test, when M and N are over GF(2)
-    if field.order == 2:
+    fits = None  # the node test, on packed rows
+    if field.order == 2 and N.field == field:
         # packed rows, BN's first, over fixed column positions, and N's
         # display (NA) packed in the same positions by its zero pattern;
         # coN's columns are the bits of mask
@@ -224,28 +214,27 @@ def fragile_partitions(
             _step_gf2(*node, e, contracting, nb, mask)
             return node
 
-        def is_N(rows, cols, data) -> bool:
-            # the columns left at a leaf are coN's
-            return data == NA and (same_field or tables_agree(
-                rows, [f for f in cols if f is not None],
-                [[x >> j & 1 for j, f in enumerate(cols) if f is not None] for x in data]))
+        def is_N(node) -> bool:
+            # (a) and (b) at once: the columns left at a leaf are coN's
+            return node[2] == NA
 
-        if same_field:
-            def fits(node) -> bool:
-                # the primal and the dual span test, passed at once when
-                # there is nothing to span
-                data = node[2]
-                if data[:nb] == NA:
-                    return True
-                xs = [x ^ y for x, y in zip(data, NA)]
-                if not _spans(xs, ~mask, nb):
-                    return False
-                ts = [x & mask for x in xs]
-                return not any(ts) or _spans([x & mask for x in data[nb:]] + ts, -1, len(data) - nb)
+        def fits(node) -> bool:
+            # the primal and the dual span test, passed at once when
+            # there is nothing to span
+            data = node[2]
+            if data[:nb] == NA:
+                return True
+            xs = [x ^ y for x, y in zip(data, NA)]
+            if not _spans(xs, ~mask, nb):
+                return False
+            ts = [x & mask for x in xs]
+            return not any(ts) or _spans([x & mask for x in data[nb:]] + ts, -1, len(data) - nb)
     else:
         # N's display with its rows and columns in the root's order, the
-        # order of every leaf's
+        # order of every leaf's; a zero one is N over every field
         NA = [[A.enc(b, f) for f in cols if f in coN] for b in rows if b in BN]
+        shown = N.field == field or not any(map(any, NA))
+        TN = []  # N's rank table, built when a leaf first needs it
         contract, delete = ReprMatroid._contract_one, ReprMatroid._delete_one
 
         def ways(rows, cols, data, e) -> tuple[bool, ...]:
@@ -271,12 +260,21 @@ def fragile_partitions(
             (contract if contracting else delete)(field, *node, e, BN if contracting else coN)
             return node
 
-        def is_N(rows, cols, data) -> bool:
+        def is_N(node) -> bool:
             # the leaf rule: compare zero patterns, then displays over
-            # N's field, and only then tables
+            # N's field or zero ones, and only then tables
+            rows, cols, data = node
             if any((x == 0) != (y == 0) for row, nrow in zip(data, NA) for x, y in zip(row, nrow)):
                 return False
-            return same_field and data == NA or tables_agree(rows, cols, data)
+            if shown and data == NA:
+                return True
+            labels = sorted(N.ground)
+            if not TN:
+                if len(labels) > EQUALS_CAP_DEFAULT:
+                    raise CapExceeded(
+                        f"|E(N)| = {len(labels)} exceeds rank table cap {EQUALS_CAP_DEFAULT}")
+                TN.append(rank_table(A, labels))
+            return rank_table(LabeledMatrix._of_display(field, rows, cols, data), labels) == TN[0]
 
     def walk(i, C, node) -> None:
         # node displays M/C\(rest[:i] - C), BN on its rows, coN on its columns
@@ -290,7 +288,7 @@ def fragile_partitions(
                 walk(i + 1, C | {e} if contracting else C, child)
             return
         for _ in partitions_of(()):  # the one colouring of the empty remainder
-            if is_N(*node):
+            if is_N(node):
                 found.append(MinorSpec(C, outside - C))
 
     walk(0, frozenset(), root)

@@ -6,7 +6,7 @@ irreducible polynomial over the level below it, so a spec with steps of
 degree 2 then 3 describes GF(p) -> GF(p^2) -> GF(p^6).  Keeping the
 tower explicit (instead of flattening everything to one big extension)
 gives every level a power basis over the level below, which is exactly
-what the free-column construction in `reductions` consumes.
+what the free-column construction in `reductions` writes its entries in.
 
 Elements are stored by integer encoding.  An element with coefficient
 vector (a_0, ..., a_{k-1}) over the previous level encodes as
@@ -25,8 +25,9 @@ precomputed; each canonical modulus is memoised once found.
 
 Towers are interned: building the same (p, steps) twice returns the
 same FieldSpec object, so the per-field multiplication/inverse memo
-tables stay warm across calls.  All mutation is append-only cache
-filling, safe under the usual CPython execution model.
+tables stay warm across calls; only fields of order at most 2^20 keep
+them, so each is bounded.  All mutation is append-only cache filling,
+safe under the usual CPython execution model.
 """
 
 from __future__ import annotations
@@ -48,9 +49,9 @@ DEGREE_CAP_DEFAULT = 16
 CHAR_CAP_DEFAULT = 13
 PRIME_LIMIT = 2**16
 
-# Memo size guard: fields at or below this order get unbounded (a,b)
-# product memo dicts; larger fields compute products directly.
-_MUL_MEMO_ORDER_LIMIT = 2**20
+# Memo size guard: fields at or below this order memoise products by
+# (a, b) and inverses by a; larger fields compute both directly.
+_MEMO_ORDER_LIMIT = 2**20
 
 Step = tuple[int, tuple[int, ...]]  # (degree, modulus coeffs, constant term first, monic)
 
@@ -175,36 +176,31 @@ class FieldSpec:
             return a ^ b
         if not self.steps:
             return (a + b) % self.p
-        B = self._base_order
-        badd = self.base.add_enc
-        out, shift = 0, 1
-        while a or b:
-            out += badd(a % B, b % B) * shift
-            a //= B
-            b //= B
-            shift *= B
-        return out
-
-    def neg_enc(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        if not self.steps:
-            return (-a) % self.p
-        B = self._base_order
-        bneg = self.base.neg_enc
-        out, shift = 0, 1
-        while a:
-            out += bneg(a % B) * shift
-            a //= B
-            shift *= B
-        return out
+        return self._digitwise(a, b, 1)
 
     def sub_enc(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
         if not self.steps:
             return (a - b) % self.p
-        return self.add_enc(a, self.neg_enc(b))
+        return self._digitwise(a, b, -1)
+
+    def neg_enc(self, a: int) -> int:
+        return self.sub_enc(0, a)
+
+    def _digitwise(self, a: int, b: int, sign: int) -> int:
+        """a + sign * b in a tower of odd characteristic.  Every level
+        adds coefficientwise, so an encoding is the base-p digits of its
+        prime-field coefficients, and a sum or a difference goes digit
+        by digit, without carries."""
+        p = self.p
+        out, shift = 0, 1
+        while a or b:
+            a, x = divmod(a, p)
+            b, y = divmod(b, p)
+            out += (x + sign * y) % p * shift
+            shift *= p
+        return out
 
     def mul_enc(self, a: int, b: int) -> int:
         if not self.steps:
@@ -220,7 +216,7 @@ class FieldSpec:
         r = cache.get(key)
         if r is None:
             r = self._mul_raw(a, b)
-            if self.order <= _MUL_MEMO_ORDER_LIMIT:
+            if self.order <= _MEMO_ORDER_LIMIT:
                 cache[key] = r
         return r
 
@@ -252,7 +248,8 @@ class FieldSpec:
             g, s = _poly_xgcd(self.base, self._digits(a), self._modulus)
             c = self.base.inv_enc(g[0])
             r = self._undigits([self.base.mul_enc(c, x) for x in s])
-            cache[a] = r
+            if self.order <= _MEMO_ORDER_LIMIT:
+                cache[a] = r
         return r
 
     def pow_enc(self, a: int, n: int) -> int:

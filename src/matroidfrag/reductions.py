@@ -64,7 +64,7 @@ from .fragility import (
     partition_basis,
     x_fragile_failure,
 )
-from .galois import DEGREE_CAP_DEFAULT, extend_field, is_in_subfield, subfield_basis
+from .galois import DEGREE_CAP_DEFAULT, extend_field, is_in_subfield
 from .matrices import LabeledMatrix
 from .matroids import ReprMatroid, isolated
 from .records import Record
@@ -155,11 +155,15 @@ def free_extension(
     spanned by the columns X of the standard representation [I | A].
 
     The new column is sum(t^j * x_j), with x_0, x_1, ... the columns of
-    X in label order and 1, t, ..., t^(d-1) the power basis
-    (`subfield_basis`) of a degree d extension F' of the entry field F.
-    The degree d defaults to max(1, |X|) and may be raised (never
-    lowered) with `degree`.  Before returning, each entry of the column
-    is read back in its coordinates in that power basis, and coordinate
+    X in label order and 1, t, ..., t^(d-1) the power basis of a degree
+    d extension F' of the entry field F.  The degree d defaults to
+    max(1, |X|) and may be raised (never lowered) with `degree`.  Each
+    entry is written from its coordinates in that power basis: X's
+    entries in its row, in label order, then zeros up to d.  An element
+    of F' with coordinates (a_0, ..., a_(d-1)) over F is encoded as its
+    base-|F| digits enc(a_j) (`galois`), so no arithmetic in F' is done;
+    for d = 1 an entry is its own coordinate.  Before returning, each
+    entry of the column is read back in its coordinates, and coordinate
     j must be x_j's entry in that row for j < |X|, and 0 above; that
     read-back is the one check.
 
@@ -188,23 +192,15 @@ def free_extension(
         raise InvalidArgs(f"degree {d} below the minimum {need} for |X| = {k}")
     F = A.field
     F2 = extend_field(F, d, degree_cap=degree_cap)
-    lifted = A.lift(F2) if F2 != F else A
-    powers = subfield_basis(F2, F)[:k]
-
-    def over_F(x):
-        return [c.enc for c in x.coeffs] if F2 != F else [x.enc]
-
     xs = sorted(Xf)
-    mul, add = F2.mul_enc, F2.add_enc
-    col_encs = []
-    for i in range(len(A.rows)):
-        acc = 0
-        for a, v in zip(powers, xs):
-            acc = add(acc, mul(a.enc, lifted.enc(A.rows[i], v)))
-        col_encs.append(acc)
-    out = lifted.with_column(e, col_encs)
-    for r in A.rows:
-        if over_F(F2.elem(out.enc(r, e))) != [A.enc(r, v) for v in xs] + [0] * (d - k):
+    coords = [[A.enc(r, v) for v in xs] + [0] * (d - k) for r in A.rows]
+    if d == 1:
+        out = A.with_column(e, [c[0] for c in coords])
+    else:
+        out = A.lift(F2).with_column(e, [F2._undigits(c) for c in coords])
+    for r, want in zip(A.rows, coords):
+        got = F2._digits(out.enc(r, e)) if d > 1 else [out.enc(r, e)]
+        if got + [0] * (d - len(got)) != want:
             raise PostconditionViolation(
                 f"entry ({r!r}, {e!r}) of the new column is not the combination of X's columns"
             )

@@ -125,6 +125,28 @@ def test_minor_equal_to_a_large_matroid_builds_no_table(monkeypatch):
     assert fragile_partitions(M, M) == {MinorSpec(set(), set())}
 
 
+def test_isolated_minor_over_another_field_builds_no_table(monkeypatch):
+    # 19 elements over GF(3): zero but for column c9 and row r8, all one,
+    # with A[r8][c9] = 2, and N isolated on the other 17 labels over
+    # GF(2); the leaf with N's all-zero display is N over every field, so
+    # no table is built (N's would be refused above 16 elements)
+    tables = []
+    monkeypatch.setattr(fragility, "rank_table",
+                        lambda *a, **k: tables.append(a) or matrices.rank_table(*a, **k))
+    rows, cols = [f"r{i}" for i in range(9)], [f"c{j}" for j in range(10)]
+    data = [[0] * 9 + [1] for _ in rows[:8]] + [[1] * 9 + [2]]
+    A = LabeledMatrix(GF3, rows, cols, data)
+    X = frozenset(rows[:8] + cols[:9])
+    assert x_fragile_failure(A, X) is None
+    tables.clear()  # x_fragile_failure's two, over the labels outside X
+    want = {MinorSpec({"r8"}, {"c9"})}
+    for F in (GF2, GF3):
+        N = isolated(rows[:8], X, F)
+        assert fragile_partitions(ReprMatroid(A), N) == want
+        assert is_N_fragile(ReprMatroid(A), N)
+    assert tables == []
+
+
 def test_matrix_side_positive():
     A = LabeledMatrix(GF2, ["c"], ["d", "e"], [[0, 1]])
     assert x_fragile_failure(A, {"c", "d"}) is None
@@ -750,7 +772,9 @@ def build_gf2_pair(data, n, sides, how, pick):
 
 def test_packed_search_matches_the_generic_steps():
     # the packed GF(2) search, with its span tests, against the generic
-    # steps it replaced over GF(2), partition set for partition set
+    # steps it replaced over GF(2), partition set for partition set; N
+    # lifted to GF(4) takes the generic steps, so those cases check the
+    # generic steps against themselves
     seen = Counter()
 
     @settings(max_examples=800, derandomize=True, deadline=None, database=None)

@@ -28,6 +28,7 @@ from matroidfrag import (
     make_prime_field,
     subfield_basis,
 )
+from matroidfrag import galois
 from matroidfrag.galois import PRIME_LIMIT
 
 GF2 = make_prime_field(2)
@@ -485,6 +486,59 @@ def test_sub_enc_matches_add_of_negation():
         for a in range(F.order):
             for b in range(F.order):
                 assert F.sub_enc(a, b) == F.add_enc(a, F.neg_enc(b))
+
+
+def _add_levels(F, a, b):
+    """add_enc as it was: level by level, each digit over the level
+    below added by that level's add_enc."""
+    if F.p == 2:
+        return a ^ b
+    if not F.steps:
+        return (a + b) % F.p
+    B, out, shift = F._base_order, 0, 1
+    while a or b:
+        out += _add_levels(F.base, a % B, b % B) * shift
+        a, b, shift = a // B, b // B, shift * B
+    return out
+
+
+def _neg_levels(F, a):
+    """neg_enc as it was, level by level."""
+    if F.p == 2:
+        return a
+    if not F.steps:
+        return (-a) % F.p
+    B, out, shift = F._base_order, 0, 1
+    while a:
+        out += _neg_levels(F.base, a % B) * shift
+        a, shift = a // B, shift * B
+    return out
+
+
+def test_digitwise_sums_match_the_level_by_level_loops():
+    # one loop over base-p digits against the recursive loops it
+    # replaced, on every pair of encodings; sub_enc was add after neg
+    GF25 = extend_field(GF5, 2)
+    for F in (GF9, GF25, GF27, extend_field(GF9, 2)):
+        for a in range(F.order):
+            assert F.neg_enc(a) == _neg_levels(F, a)
+            for b in range(F.order):
+                assert F.add_enc(a, b) == _add_levels(F, a, b)
+                assert F.sub_enc(a, b) == _add_levels(F, a, _neg_levels(F, b))
+
+
+def test_inverse_memo_is_bounded():
+    # like products, inverses are memoised only up to the memo limit,
+    # GF(2^20)
+    F = extend_field(GF2, 21, degree_cap=21)
+    assert F.order > galois._MEMO_ORDER_LIMIT
+    for a in (2, 3, 12345, F.order - 1):
+        assert F.mul_enc(a, F.inv_enc(a)) == 1
+    assert F._inv_cache == {}
+    F = extend_field(GF2, 20, degree_cap=20)
+    F._inv_cache.clear()
+    F.inv_enc(12345)
+    assert list(F._inv_cache) == [12345]
 
 
 def _check_inverse(F, elems):

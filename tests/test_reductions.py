@@ -40,12 +40,13 @@ from matroidfrag import (
 )
 from matroidfrag import fragility, matrices, matroids, reductions
 from matroidfrag.fragility import PARTITION_CAP_DEFAULT
-from matroidfrag.galois import DEGREE_CAP_DEFAULT, subfield_basis
+from matroidfrag.galois import DEGREE_CAP_DEFAULT, FieldSpec, subfield_basis
 
 GF2 = make_prime_field(2)
 GF3 = make_prime_field(3)
 GF4 = extend_field(GF2, 2)
 GF5 = make_prime_field(5)
+GF9 = extend_field(GF3, 2)
 
 
 # -- references: the subset sweeps that the stages' proofs replace -----------
@@ -150,11 +151,12 @@ def _placed(A, X, alphas):
 
 
 def test_free_extension_failures_match_the_reference(monkeypatch):
-    # the read-back is the one check, and it admits no false accept.  With
-    # the real power basis every draw is accepted and the reference finds
-    # no failing subset.  With dependent coefficients (all one, which put
-    # e on a proper subflat of X's span) every draw is either refused by
-    # the read-back or returns exactly the real column; most are refused
+    # the read-back is the one check, and it admits no false accept.  The
+    # column is the arithmetic one over the power basis on every draw,
+    # and the reference finds no failing subset.  With the column written
+    # by dependent coefficients (all one, which put e on a proper subflat
+    # of X's span) every draw is either refused by the read-back or
+    # returns exactly the real column; most are refused
     rng = Random(11)
     draws = []
     for t in range(600):
@@ -175,9 +177,12 @@ def test_free_extension_failures_match_the_reference(monkeypatch):
         real.append(out)
 
     refused = 0
-    with monkeypatch.context() as m:
-        m.setattr(reductions, "subfield_basis", lambda ext, over: [ext.one] * 8)
-        for (A, X), want in zip(draws, real):
+    with_column = LabeledMatrix.with_column
+    for (A, X), want in zip(draws, real):
+        dependent = _placed(A.lift(want.field), X, [want.field.one] * len(X)).column_encs("e")
+        with monkeypatch.context() as m:
+            m.setattr(LabeledMatrix, "with_column",
+                      lambda self, label, encs: with_column(self, label, dependent))
             try:
                 got = free_extension(A, X, "e")
             except PostconditionViolation as err:
@@ -186,6 +191,52 @@ def test_free_extension_failures_match_the_reference(monkeypatch):
             else:
                 assert got == want
     assert refused >= 300
+
+
+@pytest.mark.parametrize("F", [GF2, GF3, GF4, GF5, GF9], ids=str)
+def test_free_extension_matches_the_arithmetic_reference(F):
+    # the column written from its coordinates against sum(t^j * x_j)
+    # computed in the extension field, with |X| = 0 and 1 and degrees
+    # raised above |X|, as in conformance mode
+    rng = Random(F.order)
+    seen = Counter()
+    for _ in range(120):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+        rows = [f"r{i}" for i in range(nrows)]
+        cols = [f"c{j}" for j in range(ncols)]
+        A = LabeledMatrix(F, rows, cols,
+                          [[rng.randrange(F.order) for _ in cols] for _ in rows])
+        X = sorted(rng.sample(cols, rng.randint(0, min(ncols, 3))))
+        need = max(1, len(X))
+        d = need + rng.choice((0, 0, 1, 2)) if F.degree * (need + 2) <= DEGREE_CAP_DEFAULT else need
+        F2 = extend_field(F, d)
+        out = free_extension(A, X, "e", degree=d)
+        assert out.field is F2
+        assert out == _placed(A.lift(F2), X, subfield_basis(F2, F)[:len(X)])
+        seen[min(len(X), 2), d > need] += 1
+    for key in ((0, False), (0, True), (1, False), (1, True), (2, False), (2, True)):
+        assert seen[key] >= 3, seen
+
+
+def test_free_extension_does_no_arithmetic_in_the_extension(monkeypatch):
+    # the column is written from its coordinates: once the tower is
+    # interned (its modulus searched), free_extension multiplies and adds
+    # nothing in it
+    A = LabeledMatrix(GF3, ["r1", "r2"], ["a", "b", "x"], [[1, 2, 0], [2, 1, 1]])
+    calls = Counter()
+    for name in ("mul_enc", "add_enc"):
+        op = getattr(FieldSpec, name)
+
+        def counted(self, a, b, op=op, name=name):
+            calls[self, name] += 1
+            return op(self, a, b)
+
+        monkeypatch.setattr(FieldSpec, name, counted)
+    for X, d in ((("a", "b", "x"), None), (("a",), 3), ((), 2)):
+        F2 = extend_field(GF3, d or len(X))
+        calls.clear()
+        assert free_extension(A, X, "e", degree=d).field is F2
+        assert calls[F2, "mul_enc"] == calls[F2, "add_enc"] == 0, calls
 
 
 @pytest.mark.parametrize("field, X", [
