@@ -132,7 +132,7 @@ def _zero_out(M: ReprMatroid, N: ReprMatroid, cap: int) -> tuple[ReprMatroid, La
     for r in BN:
         for c in block:
             data[A._row_pos[r]][A._col_pos[c]] = 0
-    A2 = LabeledMatrix(A.field, A.rows, A.cols, data)
+    A2 = LabeledMatrix._of_display(A.field, A.rows, A.cols, data)
     if any(A2.enc(r, c) != (0 if r in BN and c in block else A.enc(r, c))
            for r in A.rows for c in A.cols):
         raise PostconditionViolation("the zeroed display is not the display with its block zeroed")

@@ -2,11 +2,14 @@
 
 Each suite draws instances deterministically from a master seed, runs
 one property of the toolkit against an independent in-suite check, and
-returns a JSON-ready report: suite name, seed, number checked, the
-failures (instance plus the first witness in enumeration order), an
-overall ok flag, and a timing.  canonical_report() strips the timing
-fields and renders the rest with sorted keys and fixed separators, so
-re-running a suite with the same seed must reproduce it byte for byte.
+returns a JSON-ready report.  A count-based suite is one case per draw:
+the case draws its instance and returns its first failure record or
+None, and `_cases` runs the cases in order on one master generator.
+The report holds the suite name, seed, number checked, the failures
+(instance plus the first witness in enumeration order), an overall ok
+flag, and a timing.  canonical_report() strips the timing fields and
+renders the rest with sorted keys and fixed separators, so re-running a
+suite with the same seed must reproduce it byte for byte.
 """
 
 from __future__ import annotations
@@ -49,6 +52,17 @@ def _finish(name: str, seed, checked: int, failures: list, t0: float) -> dict:
         "ok": not failures,
         "timing_ms": round((time.perf_counter() - t0) * 1000.0, 3),
     }
+
+
+def _cases(name: str, seed, count: int, case) -> dict:
+    """The report of `case(i, master)` for i = 0, ..., count - 1, one
+    master generator seeded with `seed` shared by all: each case draws
+    its instance from `master` and returns its first failure record, or
+    None; the records are kept in case order."""
+    t0 = time.perf_counter()
+    master = random.Random(seed)
+    failures = [record for i in range(count) if (record := case(i, master)) is not None]
+    return _finish(name, seed, count, failures, t0)
 
 
 def _gen_with_retry(kind: str, master: random.Random, shape_fn):
@@ -162,25 +176,21 @@ def isolated_minor_equivalence(seed: int = 0, count: int = 200) -> dict:
     """Accepted X-fragile matrices, viewed as standard representations,
     give matroids fragile for the isolated minor with coloop set X cap
     rows and ground set X."""
-    t0 = time.perf_counter()
-    failures = []
-    master = random.Random(seed)
-    for i in range(count):
+
+    def case(i: int, master: random.Random) -> dict | None:
         inst = _gen_with_retry("xfragile", master, _xfragile_shape)
         A, X = inst.matrix, inst.task.x
         M = ReprMatroid(A)
         N = isolated(X & frozenset(A.rows), X)
-        if not is_N_fragile(M, N):
-            parts = sorted(
-                (sorted(p.contract), sorted(p.delete))
-                for p in fragile_partitions(M, N)
-            )
-            failures.append(
-                {"index": i, "instance": serialize_instance(inst),
-                 "partitions": parts,
-                 "reason": "matrix accepted but matroid not fragile for the isolated minor"}
-            )
-    return _finish("isolated-minor", seed, count, failures, t0)
+        if is_N_fragile(M, N):
+            return None
+        parts = sorted(
+            (sorted(p.contract), sorted(p.delete)) for p in fragile_partitions(M, N)
+        )
+        return {"index": i, "instance": serialize_instance(inst), "partitions": parts,
+                "reason": "matrix accepted but matroid not fragile for the isolated minor"}
+
+    return _cases("isolated-minor", seed, count, case)
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +228,8 @@ def zeroed_block(seed: int = 0, count: int = 100) -> dict:
     coloops, by a partition search, and contracting that basis gives
     the same matroid before and after, by rank queries; both re-checked
     here rather than trusted from the operation."""
-    t0 = time.perf_counter()
-    failures = []
-    master = random.Random(seed)
-    for i in range(count):
+
+    def case(i: int, master: random.Random) -> dict | None:
         inst = _gen_with_retry(
             "nfragile", master, lambda rng: _nfragile_shape(rng, 7, 3)
         )
@@ -231,20 +239,16 @@ def zeroed_block(seed: int = 0, count: int = 100) -> dict:
         try:
             M2, A2 = zero_out(M, N)
         except Exception as exc:
-            failures.append({**record, "reason": f"{type(exc).__name__}: {exc}"})
-            continue
+            return {**record, "reason": f"{type(exc).__name__}: {exc}"}
         BN = frozenset(A2.rows) & N.ground
         if not is_N_fragile(M2, isolated(BN, N.ground)):
-            failures.append(
-                {**record, "reason": "zeroed matroid is not fragile for the isolated minor"}
-            )
-            continue
+            return {**record, "reason": "zeroed matroid is not fragile for the isolated minor"}
         if not _minors_agree(M, BN, frozenset(), M2, BN, frozenset()):
-            failures.append(
-                {**record, "basis": sorted(BN),
-                 "reason": "contraction by the displayed minor basis changed"}
-            )
-    return _finish("zeroed-block", seed, count, failures, t0)
+            return {**record, "basis": sorted(BN),
+                    "reason": "contraction by the displayed minor basis changed"}
+        return None
+
+    return _cases("zeroed-block", seed, count, case)
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +259,8 @@ def free_placement(seed: int = 0, count: int = 100) -> dict:
     """free_extension on random matrices and column sets: re-derive the
     flat condition from scratch on the result (every old subset spanning
     the new element spans all of X, and X spans it)."""
-    t0 = time.perf_counter()
-    failures = []
-    master = random.Random(seed)
-    for i in range(count):
+
+    def case(i: int, master: random.Random) -> dict | None:
         q = master.choice((2, 3))
         rows = master.randint(1, 4)
         cols = master.randint(1, min(5, 7 - rows))
@@ -277,22 +279,19 @@ def free_placement(seed: int = 0, count: int = 100) -> dict:
         try:
             A2 = free_extension(A, X, "e")
         except Exception as exc:
-            failures.append({**record, "reason": f"{type(exc).__name__}: {exc}"})
-            continue
+            return {**record, "reason": f"{type(exc).__name__}: {exc}"}
         Mn = ReprMatroid(A2)
         old = frozenset(A.rows) | frozenset(A.cols)
         if Mn.rank(X | {"e"}) != Mn.rank(X):
-            failures.append({**record, "reason": "X does not span the new element"})
-            continue
+            return {**record, "reason": "X does not span the new element"}
         for S in subsets_by_size(old):
             rs = Mn.rank(S)
             if Mn.rank(S | {"e"}) == rs and Mn.rank(S | X) != rs:
-                failures.append(
-                    {**record, "witness": sorted(S),
-                     "reason": "subset spans the new element but not X"}
-                )
-                break
-    return _finish("free-placement", seed, count, failures, t0)
+                return {**record, "witness": sorted(S),
+                        "reason": "subset spans the new element but not X"}
+        return None
+
+    return _cases("free-placement", seed, count, case)
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +303,8 @@ def entry_relaxation(seed: int = 0, count: int = 100) -> dict:
     scratch: ranks of label subsets differ exactly at {c,d}; H is a
     circuit-hyperplane of the first matroid and its complement a
     cocircuit; the second matroid is the relaxation at H."""
-    t0 = time.perf_counter()
-    failures = []
-    master = random.Random(seed)
-    for i in range(count):
+
+    def case(i: int, master: random.Random) -> dict | None:
         inst = _gen_with_retry(
             "relax", master,
             lambda rng: {
@@ -322,40 +319,26 @@ def entry_relaxation(seed: int = 0, count: int = 100) -> dict:
         try:
             M1, M2, H = relax_entry(M, task.contract, task.delete)
         except Exception as exc:
-            failures.append({**record, "reason": f"{type(exc).__name__}: {exc}"})
-            continue
+            return {**record, "reason": f"{type(exc).__name__}: {exc}"}
         A1, A2 = M1.rep, M2.rep
         rest = M.ground - task.contract - task.delete
         c = next(iter(rest & frozenset(A1.rows)))
         d = next(iter(rest - {c}))
         pair = frozenset({c, d})
-        bad = None
         for Z in subsets_by_size(A1.labels()):
             if (submatrix_rank(A1, Z) != submatrix_rank(A2, Z)) != (Z == pair):
-                bad = Z
-                break
-        if bad is not None:
-            failures.append(
-                {**record, "witness": sorted(bad),
-                 "reason": "rank difference not confined to the pair"}
-            )
-            continue
+                return {**record, "witness": sorted(Z),
+                        "reason": "rank difference not confined to the pair"}
+        record["h"] = sorted(H)
         if not M1.is_circuit_hyperplane(H):
-            failures.append(
-                {**record, "h": sorted(H), "reason": "H is not a circuit-hyperplane"}
-            )
-            continue
+            return {**record, "reason": "H is not a circuit-hyperplane"}
         if not M1.dual().is_circuit(M1.ground - H):
-            failures.append(
-                {**record, "h": sorted(H),
-                 "reason": "complement of H is not a cocircuit"}
-            )
-            continue
+            return {**record, "reason": "complement of H is not a cocircuit"}
         if not is_relaxation(M1, M2, H):
-            failures.append(
-                {**record, "h": sorted(H), "reason": "second matroid is not the relaxation"}
-            )
-    return _finish("entry-relaxation", seed, count, failures, t0)
+            return {**record, "reason": "second matroid is not the relaxation"}
+        return None
+
+    return _cases("entry-relaxation", seed, count, case)
 
 
 # ---------------------------------------------------------------------------
@@ -367,31 +350,26 @@ def full_pipeline(seed: int = 0, count: int = 50) -> dict:
     GF(2): every stage completes, the common minor survives, the output
     is a relaxation, and the final extension degree equals the 2k^2
     bound."""
-    t0 = time.perf_counter()
-    failures = []
-    master = random.Random(seed)
-    for i in range(count):
-        k = 2 if i % 2 == 0 else 3
 
-        def shape(rng: random.Random, k: int = k) -> dict:
+    def case(i: int, master: random.Random) -> dict | None:
+        k = 2 + i % 2
+
+        def shape(rng: random.Random) -> dict:
             rows = rng.randint(1, 4)
             cols = rng.randint(max(1, k + 1 - rows), min(4, 8 - rows))
             return {"q": 2, "rows": rows, "cols": cols, "minor_size": k}
 
-        record: dict = {"index": i}
         try:
             inst = _gen_with_retry("pipeline", master, shape)
         except Exception as exc:
-            failures.append({**record, "reason": f"generation: {type(exc).__name__}: {exc}"})
-            continue
+            return {"index": i, "reason": f"generation: {type(exc).__name__}: {exc}"}
         M = ReprMatroid(inst.matrix)
         N = inst.task.minor
-        record["instance"] = serialize_instance(inst)
+        record = {"index": i, "instance": serialize_instance(inst)}
         try:
             tr = pipeline(M, N, conformance=True)
         except Exception as exc:
-            failures.append({**record, "reason": f"{type(exc).__name__}: {exc}"})
-            continue
+            return {**record, "reason": f"{type(exc).__name__}: {exc}"}
         reasons = []
         c, d = frozenset({tr.c_label}), frozenset({tr.d_label})
         if not _minors_agree(M, tr.coloop_side, tr.loop_side, tr.relaxed, c, d):
@@ -400,12 +378,10 @@ def full_pipeline(seed: int = 0, count: int = 50) -> dict:
             reasons.append("output is not a relaxation")
         bound = 2 * len(N.ground) ** 2
         if tr.final_degree_over_input != bound:
-            reasons.append(
-                f"conformance degree {tr.final_degree_over_input} != {bound}"
-            )
-        if reasons:
-            failures.append({**record, "reason": "; ".join(reasons)})
-    return _finish("pipeline", seed, count, failures, t0)
+            reasons.append(f"conformance degree {tr.final_degree_over_input} != {bound}")
+        return {**record, "reason": "; ".join(reasons)} if reasons else None
+
+    return _cases("pipeline", seed, count, case)
 
 
 # ---------------------------------------------------------------------------
@@ -430,14 +406,57 @@ def _sample_partitions(rng: random.Random, ground: frozenset[str], extra: int):
     return parts
 
 
+def _structural_failure(M: ReprMatroid, master: random.Random) -> str | None:
+    """The first structural invariant M fails, or None.  In turn: the
+    rank axioms, dual involution and the corank formula, then on each
+    sampled partition the minor-rank identity, minor/dual commutation
+    and transport of fragility to the dual.  The partitions are drawn
+    from `master` only once the checks before them pass."""
+    E = M.ground
+    subsets = list(subsets_by_size(E))
+    ranks = {S: M.rank(S) for S in subsets}
+    if ranks[frozenset()] != 0:
+        return "rank of the empty set is not 0"
+    for S in subsets:
+        if not 0 <= ranks[S] <= len(S):
+            return f"rank out of bounds at {sorted(S)}"
+        for x in E - S:
+            r2 = ranks[S | {x}]
+            if not ranks[S] <= r2 <= ranks[S] + 1:
+                return f"unit increase fails at {sorted(S)} + {x}"
+    for S in subsets:
+        for T in subsets:
+            if ranks[S | T] + ranks[S & T] > ranks[S] + ranks[T]:
+                return f"submodularity fails at {sorted(S)}, {sorted(T)}"
+    Md = M.dual()
+    if Md.dual().rep != M.rep:
+        return "dual of the dual is not the original representation"
+    rE = ranks[E]
+    for S in subsets:
+        if Md.rank(S) != len(S) + ranks[E - S] - rE:
+            return f"corank formula fails at {sorted(S)}"
+    for C, D in _sample_partitions(master, E, 5):
+        Mm = M.minor(C, D)
+        rC = ranks[C]
+        for X in subsets_by_size(Mm.ground):
+            if Mm.rank(X) != ranks[X | C] - rC:
+                return f"minor-rank identity fails at C={sorted(C)}, X={sorted(X)}"
+        if not Mm.dual().equals(M.dual().minor(D, C)):
+            return f"minor/dual commutation fails at C={sorted(C)}, D={sorted(D)}"
+        if len(C) + len(D) <= 5:
+            parts = fragile_partitions(M, Mm)
+            dparts = fragile_partitions(M.dual(), Mm.dual())
+            if {MinorSpec(p.delete, p.contract) for p in parts} != set(dparts):
+                return f"fragility does not transport to the dual at C={sorted(C)}, D={sorted(D)}"
+    return None
+
+
 def structural_invariants(seed: int = 0, count: int = 50) -> dict:
     """Rank axioms, the minor-rank identity, dual involution and the
     corank formula, minor/dual commutation, and transport of fragility
     to the dual, on random matroids with at most 7 elements."""
-    t0 = time.perf_counter()
-    failures = []
-    master = random.Random(seed)
-    for i in range(count):
+
+    def case(i: int, master: random.Random) -> dict | None:
         q = master.choice((2, 3, 4))
         rows = master.randint(1, 4)
         cols = master.randint(0, min(5, 7 - rows))
@@ -446,74 +465,13 @@ def structural_invariants(seed: int = 0, count: int = 50) -> dict:
         A = _random_matrix(
             rng, field, [f"r{j}" for j in range(rows)], [f"c{j}" for j in range(cols)]
         )
-        M = ReprMatroid(A)
-        E = M.ground
-        record = {
-            "index": i,
-            "instance": serialize_instance(InstanceFile(field, A, None, seed)),
-        }
-        reason = None
-
-        subsets = list(subsets_by_size(E))
-        ranks = {S: M.rank(S) for S in subsets}
-        if ranks[frozenset()] != 0:
-            reason = "rank of the empty set is not 0"
+        reason = _structural_failure(ReprMatroid(A), master)
         if reason is None:
-            for S in subsets:
-                if not 0 <= ranks[S] <= len(S):
-                    reason = f"rank out of bounds at {sorted(S)}"
-                    break
-                for x in E - S:
-                    r2 = ranks[S | {x}]
-                    if not ranks[S] <= r2 <= ranks[S] + 1:
-                        reason = f"unit increase fails at {sorted(S)} + {x}"
-                        break
-                if reason:
-                    break
-        if reason is None:
-            for S in subsets:
-                for T in subsets:
-                    if ranks[S | T] + ranks[S & T] > ranks[S] + ranks[T]:
-                        reason = f"submodularity fails at {sorted(S)}, {sorted(T)}"
-                        break
-                if reason:
-                    break
+            return None
+        return {"index": i, "instance": serialize_instance(InstanceFile(field, A, None, seed)),
+                "reason": reason}
 
-        if reason is None:
-            Md = M.dual()
-            if Md.dual().rep != M.rep:
-                reason = "dual of the dual is not the original representation"
-            else:
-                rE = ranks[E]
-                for S in subsets:
-                    if Md.rank(S) != len(S) + ranks[E - S] - rE:
-                        reason = f"corank formula fails at {sorted(S)}"
-                        break
-
-        if reason is None:
-            for C, D in _sample_partitions(master, E, 5):
-                Mm = M.minor(C, D)
-                rC = ranks[C]
-                for X in subsets_by_size(Mm.ground):
-                    if Mm.rank(X) != ranks[X | C] - rC:
-                        reason = f"minor-rank identity fails at C={sorted(C)}, X={sorted(X)}"
-                        break
-                if reason is None and not Mm.dual().equals(M.dual().minor(D, C)):
-                    reason = f"minor/dual commutation fails at C={sorted(C)}, D={sorted(D)}"
-                if reason is None and len(C) + len(D) <= 5:
-                    parts = fragile_partitions(M, Mm)
-                    dparts = fragile_partitions(M.dual(), Mm.dual())
-                    if {MinorSpec(p.delete, p.contract) for p in parts} != set(dparts):
-                        reason = (
-                            f"fragility does not transport to the dual at "
-                            f"C={sorted(C)}, D={sorted(D)}"
-                        )
-                if reason:
-                    break
-
-        if reason:
-            failures.append({**record, "reason": reason})
-    return _finish("structural", seed, count, failures, t0)
+    return _cases("structural", seed, count, case)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ certificate; the assertions below pin the concrete outputs.
 
 from collections import Counter
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -863,19 +864,20 @@ def test_zeroing_outside_the_minor_basis_is_refused(monkeypatch):
     # the zeroing may write only into the block on (BN, E(N) - BN): one
     # entry changed in a row outside BN fails the literal check, and so
     # does one in a row of BN at a column outside E(N), which leaves
-    # M2/BN unchanged but breaks the zeroing lemma's hypothesis
+    # M2/BN unchanged but breaks the zeroing lemma's hypothesis.  The
+    # zeroed display is built unchecked, by `_of_display`, so the leak is
+    # injected there; `reductions.LabeledMatrix` offers nothing else
     M, N = four_element_pair()
     zero_out(M, N)
-    build = reductions.LabeledMatrix
     for in_bn in (False, True):
         def leaky(field, rows, cols, data):
             data = [list(row) for row in data]
             i = next(i for i, r in enumerate(rows) if (r in N.ground) == in_bn)
             j = next(j for j, c in enumerate(cols) if c not in N.ground)
             data[i][j] = field.add_enc(data[i][j], 1)
-            return build(field, rows, cols, data)
+            return LabeledMatrix._of_display(field, rows, cols, data)
 
-        monkeypatch.setattr(reductions, "LabeledMatrix", leaky)
+        monkeypatch.setattr(reductions, "LabeledMatrix", SimpleNamespace(_of_display=leaky))
         for run in (zero_out, pipeline):
             with pytest.raises(PostconditionViolation,
                                match="not the display with its block zeroed"):
