@@ -398,15 +398,25 @@ def one_move_partition(M: ReprMatroid, part: MinorSpec) -> MinorSpec | None:
     A returned partition is therefore a witness that M is not N-fragile.
     None proves nothing: two realising partitions may differ in more
     than one element, so fragility still needs `fragile_partitions`.
+    The two eliminations are `_one_move`, on M's display.
     """
     part.validate(M)
-    C0, D0 = sorted(part.contract), sorted(part.delete)
+    e = _one_move(M.rep, sorted(part.contract), sorted(part.delete))
+    return None if e is None else MinorSpec(part.contract ^ {e}, part.delete ^ {e})
+
+
+def _one_move(A: LabeledMatrix, C0: list[str], D0: list[str]) -> str | None:
+    """The element that moves in `one_move_partition`, or None: its two
+    eliminations on the display A of M, with the sides C0 and D0 sorted
+    and inside A's labels (checked by the caller).  It builds no
+    matroid, so a caller holding only a drawn matrix pays for the
+    eliminations alone."""
     for dual, first, then in ((False, C0, D0), (True, D0, C0)):
-        vecs, reduce = _element_vectors(M.rep, first + then, dual=dual)
+        vecs, reduce = _element_vectors(A, first + then, dual=dual)
         _eliminate(reduce, vecs, len(first))
         for e, v in zip(first + then, vecs):
             if not v:
-                return MinorSpec(part.contract ^ {e}, part.delete ^ {e})
+                return e
     return None
 
 

@@ -23,16 +23,17 @@ exactly.
 loops: one cuts a minor out of a random matroid ("nfragile",
 "pipeline"), the other zeroes a block X ("xfragile", and "relax" with
 X = {r0, c0}).  Both know one realising partition of every draw, so
-most rejections are proved by `fragility.one_move_partition` with at
-most two eliminations and no rank query; a draw is accepted only by
-the full partition search, or by `fragility.x_fragile_failure`, which
-decides the same.
+most rejections are proved by the two eliminations of
+`fragility.one_move_partition`, run on the drawn matrix alone; a draw
+is accepted only by the full partition search, or by
+`fragility.x_fragile_failure`, which decides the same.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from itertools import islice, repeat
 from typing import NamedTuple, Union
 
 from .errors import (
@@ -46,12 +47,7 @@ from .errors import (
     MalformedJson,
     SchemaViolation,
 )
-from .fragility import (
-    PARTITION_CAP_DEFAULT,
-    is_N_fragile,
-    one_move_partition,
-    x_fragile_failure,
-)
+from .fragility import PARTITION_CAP_DEFAULT, _one_move, is_N_fragile, x_fragile_failure
 from .galois import FieldSpec, field_from_tower, field_of_order
 from .matrices import LabeledMatrix
 from .matroids import MinorSpec, ReprMatroid
@@ -327,8 +323,18 @@ def _random_matrix(
     x_rows: int = 0, x_cols: int = 0,
 ) -> LabeledMatrix:
     """A drawn matrix, its block on the first x_rows rows and x_cols
-    columns then set to zero: every entry is drawn either way."""
-    data = [[rng.randrange(field.order) for _ in cols] for _ in rows]
+    columns then set to zero: every entry is drawn either way.
+
+    The entries are drawn in row-major order as `rng.randrange(q)` draws
+    them (CPython's `_randbelow_with_getrandbits`): getrandbits of q's
+    bit length, drawn again while it is q or more.  So the entries, and
+    the generator's state after them, are those of one randrange(q) per
+    entry, which `PINNED_DRAWS` in the tests depends on; the loop runs
+    in C, with no Python call per entry."""
+    q, n = field.order, len(cols)
+    draws = filter(q.__gt__, map(rng.getrandbits, repeat(q.bit_length())))
+    flat = list(islice(draws, len(rows) * n))
+    data = [flat[i * n:(i + 1) * n] for i in range(len(rows))]
     for row in data[:x_rows]:
         row[:x_cols] = [0] * x_cols
     return LabeledMatrix._of_display(field, rows, cols, data)
@@ -363,13 +369,14 @@ def gen_random(
     Every draw comes with one partition realising its minor: the
     sampled one, or (rows - X, cols - X), which realises the isolated
     minor on X as its block is zero.  A second realising partition one
-    move from it (`one_move_partition`, two eliminations at most)
-    proves the draw is not fragile, so it is rejected before the minor
-    is built or any rank table is read.  The witness only rejects: a draw is accepted only when the
-    full search `is_N_fragile` finds a unique partition, or when
-    `x_fragile_failure` passes, which holds exactly when (rows - X,
-    cols - X) is the only one.  So the accepted instances and rejection
-    counts are those of the full search alone.
+    move from it (`fragility._one_move`, the two eliminations of
+    `one_move_partition`, run on the drawn matrix) proves the draw is
+    not fragile.  A rejected draw builds only its matrix: no matroid, no
+    minor and no rank table.  The witness only rejects: a draw is
+    accepted only when the full search `is_N_fragile` finds a unique
+    partition, or when `x_fragile_failure` passes, which holds exactly
+    when (rows - X, cols - X) is the only one.  So the accepted
+    instances and rejection counts are those of the full search alone.
 
     Returns the instance plus the number of rejected draws.  Raises
     Exhausted when max_attempts samples all fail the acceptance oracle,
@@ -400,14 +407,14 @@ def gen_random(
         ground = sorted(row_labels + col_labels)
         for attempt in range(max_attempts):
             A = _random_matrix(rng, field, row_labels, col_labels)
-            M = ReprMatroid(A)
             keep = frozenset(rng.sample(ground, minor_size))
-            outside = sorted(M.ground - keep)
-            contract = frozenset(e for e in outside if rng.random() < 0.5)
-            part = MinorSpec(contract, frozenset(outside) - contract)
-            if one_move_partition(M, part) is not None:
+            outside = [e for e in ground if e not in keep]
+            contract = [e for e in outside if rng.random() < 0.5]
+            delete = [e for e in outside if e not in contract]
+            if _one_move(A, contract, delete) is not None:
                 continue
-            N = M.minor_of(part)
+            M = ReprMatroid(A)
+            N = M.minor_of(MinorSpec(contract, delete))
             if is_N_fragile(M, N):
                 task = NFragileTask(N) if kind == "nfragile" else PipelineTask(N)
                 inst = InstanceFile(field, A, task, seed)
@@ -429,9 +436,10 @@ def gen_random(
     x = frozenset(row_labels[:x_rows]) | frozenset(col_labels[:x_cols])
     # with the X block zero this partition realises the isolated minor on X
     part = MinorSpec(row_labels[x_rows:], col_labels[x_cols:])
+    sides = sorted(part.contract), sorted(part.delete)
     for attempt in range(max_attempts):
         A = _random_matrix(rng, field, row_labels, col_labels, x_rows, x_cols)
-        if one_move_partition(ReprMatroid(A), part) is None and x_fragile_failure(A, x) is None:
+        if _one_move(A, *sides) is None and x_fragile_failure(A, x) is None:
             task = XFragileTask(x) if kind == "xfragile" else RelaxTask(part.contract, part.delete)
             return GeneratedInstance(InstanceFile(field, A, task, seed), attempt)
     what = "X-fragile matrix" if kind == "xfragile" else "relaxable pair"

@@ -19,6 +19,7 @@ from matroidfrag.subsets import first_by_size
 from matroidfrag import (
     CapExceeded,
     GroundSetMismatch,
+    InvalidMinorSpec,
     LabeledMatrix,
     MinorSpec,
     ReprMatroid,
@@ -1164,3 +1165,12 @@ def test_one_move_witness_reads_no_rank_table(monkeypatch):
     # the coloop c may be deleted: only the elimination in M* sees it
     assert one_move_partition(M, MinorSpec({"c"}, set())) == MinorSpec(set(), {"c"})
     assert tables == [] and ranks == []
+
+
+def test_one_move_witness_refuses_a_label_outside_the_ground_set():
+    # the public witness checks its partition before the eliminations
+    # (`_one_move`, which trusts its caller) run
+    M = isolated({"c"}, {"c", "d"})
+    for part in (MinorSpec({"x"}, set()), MinorSpec({"c"}, {"d", "x"})):
+        with pytest.raises(InvalidMinorSpec, match="outside the ground set"):
+            one_move_partition(M, part)

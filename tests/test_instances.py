@@ -4,6 +4,7 @@ import copy
 import hashlib
 import json
 import pickle
+import random
 import sys
 
 import pytest
@@ -21,6 +22,7 @@ from matroidfrag import (
     InvalidField,
     LabeledMatrix,
     MalformedJson,
+    MinorSpec,
     NFragileTask,
     PipelineTask,
     RelaxTask,
@@ -32,6 +34,7 @@ from matroidfrag import (
     gen_random,
     is_N_fragile,
     is_X_fragile_matrix,
+    one_move_partition,
     parse_instance,
     serialize_instance,
 )
@@ -420,8 +423,9 @@ def test_pinned_draws_are_unchanged(kind, shape, seed, rejections, digest):
 ])
 def test_witness_rejected_draws_build_no_minor_and_no_table(
         monkeypatch, kind, shape, seed, rejections):
-    # one event list: each draw starts with the witness's verdict, and
-    # only a draw it cannot reject goes on to build tables (and a minor)
+    # one event list: each draw starts with the witness's verdict, a
+    # ("witness", moved label or None) pair, and only a draw it cannot
+    # reject goes on to build a matroid, tables (and a minor)
     events = []
 
     def logged(name, fn):
@@ -436,24 +440,31 @@ def test_witness_rejected_draws_build_no_minor_and_no_table(
         if name.startswith("matroidfrag") and hasattr(module, "rank_table"):
             monkeypatch.setattr(module, "rank_table", table)
     monkeypatch.setattr(ReprMatroid, "minor", logged("minor", ReprMatroid.minor))
-    witness = instances.one_move_partition
-    monkeypatch.setattr(
-        instances, "one_move_partition",
-        lambda M, part: events.append(w := witness(M, part)) or w)
+    monkeypatch.setattr(ReprMatroid, "__init__", logged("matroid", ReprMatroid.__init__))
+    witness = instances._one_move
+
+    def logged_witness(A, C0, D0):
+        moved = witness(A, C0, D0)
+        events.append(("witness", moved))
+        return moved
+
+    monkeypatch.setattr(instances, "_one_move", logged_witness)
     gi = gen_random(kind, seed=seed, **shape)
     assert gi.rejections == rejections
-    starts = [i for i, e in enumerate(events) if not isinstance(e, str)]
-    assert len(starts) == rejections + 1
+    # the witness runs once per draw, first
+    starts = [i for i, e in enumerate(events) if isinstance(e, tuple)]
+    assert starts[:1] == [0] and len(starts) == rejections + 1
     draws = [events[i:j] for i, j in zip(starts, starts[1:] + [len(events)])]
-    # a cut minor N goes to the pruned partition search, which builds no
-    # table over GF(2): each leaf re-displayed on N's basis is decided by
-    # its display; a zeroed block is accepted by x_fragile_failure, which
-    # reads the tables of M/Xc and M/Xr straight off the display and
-    # builds no minor
-    full = ["minor"] if kind == "pipeline" else ["rank_table", "rank_table"]
-    for draw in draws:
-        assert draw[1:] == ([] if draw[0] else full)
-    caught = sum(1 for draw in draws if draw[0])
+    # a cut minor N (the matroid M, then `minor` building N) goes to the
+    # pruned partition search, which builds no table over GF(2): each
+    # leaf re-displayed on N's basis is decided by its display; a zeroed
+    # block is accepted by x_fragile_failure, which reads the tables of
+    # M/Xc and M/Xr straight off the display and builds no matroid
+    full = (["matroid", "minor", "matroid"] if kind == "pipeline"
+            else ["rank_table", "rank_table"])
+    for (_, moved), *rest in draws:
+        assert rest == ([] if moved else full)
+    caught = sum(1 for draw in draws if draw[0][1])
     assert caught >= rejections * 3 // 4, caught
 
 
@@ -471,10 +482,108 @@ def test_witness_rejects_only_what_the_full_search_rejects(monkeypatch, kind, sh
     rejected = 0
     for seed in range(4):
         with_witness = gen_random(kind, seed=seed, q=q, **shape)
-        monkeypatch.setattr(instances, "one_move_partition", lambda M, part: None)
+        calls = []
+
+        def no_witness(A, C0, D0):
+            calls.append(A)
+            return None
+
+        monkeypatch.setattr(instances, "_one_move", no_witness)
         without = gen_random(kind, seed=seed, q=q, **shape)
         monkeypatch.undo()
+        assert len(calls) == without.rejections + 1
         assert without.rejections == with_witness.rejections
         assert serialize_instance(without.instance) == serialize_instance(with_witness.instance)
         rejected += with_witness.rejections
     assert rejected > 0
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 27])
+def test_random_matrix_draws_one_randrange_per_entry(q):
+    # the same entries in row-major order and the same generator state
+    # after them as one randrange(q) per entry, the X block drawn and
+    # then zeroed; empty shapes draw nothing
+    field = field_of_order(q)
+    shapes = [(0, 0, 0, 0), (0, 3, 0, 0), (3, 0, 0, 0), (3, 0, 2, 0), (1, 1, 0, 0),
+              (1, 1, 1, 1), (3, 4, 0, 0), (3, 4, 2, 3), (4, 2, 4, 2), (2, 5, 1, 0),
+              (5, 5, 1, 1)]
+    for seed, (m, n, x_rows, x_cols) in enumerate(shapes):
+        rows, cols = [f"r{i}" for i in range(m)], [f"c{j}" for j in range(n)]
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(3):  # one generator across several draws
+            A = instances._random_matrix(rng, field, rows, cols, x_rows, x_cols)
+            want = [[ref.randrange(q) for _ in cols] for _ in rows]
+            for row in want[:x_rows]:
+                row[:x_cols] = [0] * x_cols
+            assert instances.matrix_to_json(A) == {"rows": rows, "cols": cols, "entries": want}
+            assert rng.getstate() == ref.getstate()
+
+
+def reference_gen_random(kind, *, seed, q, rows, cols, x_rows=1, x_cols=1,
+                         minor_size=2, max_attempts=10000):
+    """`gen_random`'s rejection loops by the public API, one randrange
+    per entry: each draw builds its ReprMatroid and MinorSpec, is
+    rejected by the public `one_move_partition`, and is otherwise
+    decided by `is_N_fragile` or `x_fragile_failure`, with the random
+    choices in the same order.  Returns (instance, rejections), or None
+    when the draws run out."""
+    field = field_of_order(q)
+    row_labels = [f"r{i}" for i in range(rows)]
+    col_labels = [f"c{j}" for j in range(cols)]
+    rng = random.Random(seed)
+    if kind == "relax":
+        x_rows = x_cols = 1
+
+    def draw(x_rows, x_cols):
+        data = [[rng.randrange(q) for _ in col_labels] for _ in row_labels]
+        for row in data[:x_rows]:
+            row[:x_cols] = [0] * x_cols
+        return LabeledMatrix(field, row_labels, col_labels, data)
+
+    for attempt in range(max_attempts):
+        if kind in ("nfragile", "pipeline"):
+            A = draw(0, 0)
+            M = ReprMatroid(A)
+            keep = frozenset(rng.sample(sorted(M.ground), minor_size))
+            outside = sorted(M.ground - keep)
+            contract = frozenset(e for e in outside if rng.random() < 0.5)
+            part = MinorSpec(contract, frozenset(outside) - contract)
+            if one_move_partition(M, part) is not None:
+                continue
+            N = M.minor_of(part)
+            if is_N_fragile(M, N):
+                task = NFragileTask(N) if kind == "nfragile" else PipelineTask(N)
+                return InstanceFile(field, A, task, seed), attempt
+        else:
+            A = draw(x_rows, x_cols)
+            x = frozenset(row_labels[:x_rows]) | frozenset(col_labels[:x_cols])
+            part = MinorSpec(row_labels[x_rows:], col_labels[x_cols:])
+            if (one_move_partition(ReprMatroid(A), part) is None
+                    and instances.x_fragile_failure(A, x) is None):
+                task = (XFragileTask(x) if kind == "xfragile"
+                        else RelaxTask(part.contract, part.delete))
+                return InstanceFile(field, A, task, seed), attempt
+    return None
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("kind,shape", [
+    ("xfragile", {"rows": 3, "cols": 3, "x_rows": 1, "x_cols": 1}),
+    ("xfragile", {"rows": 2, "cols": 4, "x_rows": 2, "x_cols": 0}),
+    ("relax", {"rows": 3, "cols": 3}),
+    ("nfragile", {"rows": 3, "cols": 3, "minor_size": 2}),
+    ("pipeline", {"rows": 3, "cols": 4, "minor_size": 3}),
+])
+def test_gen_random_matches_the_reference_rejection_loop(kind, shape, q):
+    # the same serialized instance and rejection count at every seed,
+    # and the same seeds running out of draws
+    for seed in range(30):
+        want = reference_gen_random(kind, seed=seed, q=q, max_attempts=300, **shape)
+        try:
+            gi = gen_random(kind, seed=seed, q=q, max_attempts=300, **shape)
+        except Exhausted:
+            assert want is None
+            continue
+        assert want is not None
+        assert (serialize_instance(gi.instance), gi.rejections) == (
+            serialize_instance(want[0]), want[1])
