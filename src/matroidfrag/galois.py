@@ -444,17 +444,27 @@ def _poly_xgcd(field: FieldSpec, a: list[int], f: tuple[int, ...]) -> tuple[list
     return r0, s0
 
 
+def _are_encodings(base: FieldSpec, coeffs: tuple[int, ...]) -> bool:
+    """Whether every coefficient is an int, not a bool, in 0 .. |base| - 1."""
+    return all(not isinstance(c, bool) and isinstance(c, int) and 0 <= c < base.order
+               for c in coeffs)
+
+
 def is_irreducible(base: FieldSpec, coeffs: tuple[int, ...]) -> bool:
     """Rabin's irreducibility test for a monic polynomial over `base`.
 
     Coefficients are integer encodings, constant term first, leading
-    coefficient included and equal to 1.  A monic f of degree n over
+    coefficient included and equal to 1; any other value (a bool, a
+    non-int, or an int outside 0 .. |base| - 1) raises InvalidArgs, as
+    `field_from_tower` refuses it.  A monic f of degree n over
     GF(Q) is irreducible iff x^(Q^n) = x mod f and
     gcd(x^(Q^(n/r)) - x, f) = 1 for every prime r dividing n (Rabin,
     SIAM J. Comput. 9, 1980).  The powers x^(Q^i) mod f come from n
     repeated Q-th powerings by square-and-multiply, so the cost is
     polynomial in n and log Q: O(n^3 log Q) base-field operations.
     """
+    if not _are_encodings(base, coeffs):
+        raise InvalidArgs(f"coefficients {list(coeffs)!r} are not encodings in {base!r}")
     if len(coeffs) < 2 or coeffs[-1] != 1:
         raise InvalidArgs("expected a monic polynomial of degree >= 1")
     n = len(coeffs) - 1
@@ -561,8 +571,7 @@ def field_from_tower(
             raise InvalidField(
                 f"tower step {i}: modulus needs {deg + 1} coefficients, got {len(coeffs)}"
             )
-        if any(isinstance(c, bool) or not isinstance(c, int) or not 0 <= c < spec.order
-               for c in coeffs):
+        if not _are_encodings(spec, coeffs):
             raise InvalidField(f"tower step {i}: modulus coefficients out of range")
         if coeffs[-1] != 1:
             raise InvalidField(f"tower step {i}: modulus {list(coeffs)} is not monic")

@@ -14,10 +14,12 @@ coefficient, always 1, is the last entry).
 Matrix entries are integer encodings, row-major.  The matrix is read as
 a standard representation: row labels are a basis, the ground set is
 rows + cols.  Task kinds are "xfragile" {x}, "nfragile" {minor},
-"pipeline" {minor}, and "relax" {contract, delete}; a minor is another
-matrix block over the same field.  Parsing reports the JSON path of the
-first offending value, so a bad entry in a large file is located
-exactly.
+"pipeline" {minor}, and "relax" {contract, delete}.  Each kind is one
+task class, and its block's keys are "kind" and the class's slots, read
+and written in slot order: a minor is another matrix block over the
+same field, any other slot a set of labels, written sorted.  Parsing
+reports the JSON path of the first offending value, so a bad entry in a
+large file is located exactly.
 
 `gen_random` draws seeded instances by rejection sampling in two
 loops: one cuts a minor out of a random matroid ("nfragile",
@@ -58,36 +60,25 @@ class XFragileTask(FrozenRecord):
     kind = "xfragile"
     __slots__ = ("x",)
 
-    def __init__(self, x: frozenset[str]):
-        object.__setattr__(self, "x", x)
-
 
 class NFragileTask(FrozenRecord):
     kind = "nfragile"
     __slots__ = ("minor",)
-
-    def __init__(self, minor: ReprMatroid):
-        object.__setattr__(self, "minor", minor)
 
 
 class RelaxTask(FrozenRecord):
     kind = "relax"
     __slots__ = ("contract", "delete")
 
-    def __init__(self, contract: frozenset[str], delete: frozenset[str]):
-        object.__setattr__(self, "contract", contract)
-        object.__setattr__(self, "delete", delete)
-
 
 class PipelineTask(FrozenRecord):
     kind = "pipeline"
     __slots__ = ("minor",)
 
-    def __init__(self, minor: ReprMatroid):
-        object.__setattr__(self, "minor", minor)
-
 
 Task = Union[XFragileTask, NFragileTask, RelaxTask, PipelineTask]
+# a task block is {"kind": cls.kind} plus one key per slot of cls
+_TASKS = {cls.kind: cls for cls in (XFragileTask, NFragileTask, RelaxTask, PipelineTask)}
 
 
 class InstanceFile(FrozenRecord):
@@ -103,10 +94,7 @@ class InstanceFile(FrozenRecord):
         for what, part in (("matrix", matrix), ("task minor", getattr(task, "minor", None))):
             if part is not None and part.field != field:
                 raise FieldMismatch(f"{what} over {part.field!r} in a {field!r} instance")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "task", task)
-        object.__setattr__(self, "seed", seed)
+        super().__init__(field, matrix, task, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -218,37 +206,33 @@ def _label_set(obj, path: str, known: frozenset[str]) -> frozenset[str]:
 
 
 def _task_from_json(obj, path: str, field: FieldSpec, matrix: LabeledMatrix) -> Task:
+    """A task block: "kind" names the task class, whose slots are read
+    in order, a `minor` as a matrix block over the instance's field and
+    inside its ground set, any other slot as a set of its labels."""
     _expect(obj, dict, path, "object")
     kind = _expect(_get(obj, "kind", path), str, f"{path}.kind", "string")
+    cls = _TASKS.get(kind)
+    if cls is None:
+        raise SchemaViolation(f"{path}.kind: unknown kind {kind!r}")
+    _check_keys(obj, {"kind", *cls.__slots__}, path)
     ground = frozenset(matrix.rows) | frozenset(matrix.cols)
-
-    if kind == "xfragile":
-        _check_keys(obj, {"kind", "x"}, path)
-        return XFragileTask(_label_set(_get(obj, "x", path), f"{path}.x", ground))
-
-    if kind in ("nfragile", "pipeline"):
-        _check_keys(obj, {"kind", "minor"}, path)
-        mm = _matrix_from_json(_get(obj, "minor", path), f"{path}.minor", field)
+    values = []
+    for slot in cls.__slots__:
+        sp, value = f"{path}.{slot}", _get(obj, slot, path)
+        if slot != "minor":
+            values.append(_label_set(value, sp, ground))
+            continue
+        mm = _matrix_from_json(value, sp, field)
         off = (frozenset(mm.rows) | frozenset(mm.cols)) - ground
         if off:
-            raise SchemaViolation(
-                f"{path}.minor: label {sorted(off)[0]!r} not in the matrix"
-            )
-        minor = ReprMatroid(mm)
-        return NFragileTask(minor) if kind == "nfragile" else PipelineTask(minor)
-
-    if kind == "relax":
-        _check_keys(obj, {"kind", "contract", "delete"}, path)
-        contract = _label_set(_get(obj, "contract", path), f"{path}.contract", ground)
-        delete = _label_set(_get(obj, "delete", path), f"{path}.delete", ground)
-        both = contract & delete
-        if both:
-            raise SchemaViolation(
-                f"{path}.delete: label {sorted(both)[0]!r} also appears in {path}.contract"
-            )
-        return RelaxTask(contract, delete)
-
-    raise SchemaViolation(f"{path}.kind: unknown kind {kind!r}")
+            raise SchemaViolation(f"{sp}: label {sorted(off)[0]!r} not in the matrix")
+        values.append(ReprMatroid(mm))
+    if cls is RelaxTask and values[0] & values[1]:
+        raise SchemaViolation(
+            f"{path}.delete: label {sorted(values[0] & values[1])[0]!r} "
+            f"also appears in {path}.contract"
+        )
+    return cls(*values)
 
 
 # ---------------------------------------------------------------------------
@@ -290,20 +274,15 @@ def serialize_instance(inst: InstanceFile) -> dict:
         "matrix": matrix_to_json(inst.matrix),
     }
     t = inst.task
-    if isinstance(t, XFragileTask):
-        out["task"] = {"kind": "xfragile", "x": sorted(t.x)}
-    elif isinstance(t, NFragileTask):
-        out["task"] = {"kind": "nfragile", "minor": matrix_to_json(t.minor.rep)}
-    elif isinstance(t, PipelineTask):
-        out["task"] = {"kind": "pipeline", "minor": matrix_to_json(t.minor.rep)}
-    elif isinstance(t, RelaxTask):
-        out["task"] = {
-            "kind": "relax",
-            "contract": sorted(t.contract),
-            "delete": sorted(t.delete),
-        }
-    elif t is not None:
-        raise InvalidArgs(f"not a task object: {t!r}")
+    if t is not None:
+        if not isinstance(t, tuple(_TASKS.values())):
+            raise InvalidArgs(f"not a task object: {t!r}")
+        out["task"] = {"kind": t.kind}
+        for slot in t.__slots__:
+            value = getattr(t, slot)
+            out["task"][slot] = (
+                matrix_to_json(value.rep) if isinstance(value, ReprMatroid) else sorted(value)
+            )
     if inst.seed is not None:
         out["seed"] = inst.seed
     return out
@@ -382,7 +361,7 @@ def gen_random(
     Exhausted when max_attempts samples all fail the acceptance oracle,
     which signals improbable parameters rather than a bug.
     """
-    if kind not in ("xfragile", "nfragile", "relax", "pipeline"):
+    if kind not in _TASKS:
         raise InvalidArgs(f"unknown instance kind {kind!r}")
     if rows < 0 or cols < 0:
         raise InvalidArgs("matrix sizes must be nonnegative")
@@ -416,8 +395,7 @@ def gen_random(
             M = ReprMatroid(A)
             N = M.minor_of(MinorSpec(contract, delete))
             if is_N_fragile(M, N):
-                task = NFragileTask(N) if kind == "nfragile" else PipelineTask(N)
-                inst = InstanceFile(field, A, task, seed)
+                inst = InstanceFile(field, A, _TASKS[kind](N), seed)
                 return GeneratedInstance(inst, attempt)
         raise Exhausted(f"no fragile pair in {max_attempts} attempts")
 

@@ -67,8 +67,7 @@ class MinorSpec(FrozenRecord):
         contract, delete = frozenset(contract), frozenset(delete)
         if contract & delete:
             raise InvalidMinorSpec(f"contract and delete overlap: {sorted(contract & delete)}")
-        object.__setattr__(self, "contract", contract)
-        object.__setattr__(self, "delete", delete)
+        super().__init__(contract, delete)
 
     def validate(self, matroid: "ReprMatroid") -> None:
         outside = (self.contract | self.delete) - matroid.ground

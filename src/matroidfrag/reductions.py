@@ -440,11 +440,8 @@ class StageRecord(Record):
         verdicts: dict[str, bool],
         details: dict | None = None,
     ):
-        self.name = name
-        self.degree_over_input = degree_over_input
-        self.matroid = matroid
-        self.verdicts = verdicts
-        self.details = {} if details is None else details
+        super().__init__(name, degree_over_input, matroid, verdicts,
+                         {} if details is None else details)
 
 
 class ReductionTrace(Record):
@@ -457,45 +454,13 @@ class ReductionTrace(Record):
         "c_label",
         "d_label",
         "stages",
-        "relaxed",
-        "relaxation",
+        "relaxed",                  # M1
+        "relaxation",               # M2
         "hyperplane",
         "conformance",
-        "degree_bound",
+        "degree_bound",             # 2 k^2 over the input field
         "final_degree_over_input",
     )
-
-    def __init__(
-        self,
-        input_matroid: ReprMatroid,
-        minor_matroid: ReprMatroid,
-        displayed_basis: frozenset[str],
-        coloop_side: frozenset[str],
-        loop_side: frozenset[str],
-        c_label: str,
-        d_label: str,
-        stages: list[StageRecord],
-        relaxed: ReprMatroid,                 # M1
-        relaxation: ReprMatroid,              # M2
-        hyperplane: frozenset[str],
-        conformance: bool,
-        degree_bound: int,                    # 2 k^2 over the input field
-        final_degree_over_input: int,
-    ):
-        self.input_matroid = input_matroid
-        self.minor_matroid = minor_matroid
-        self.displayed_basis = displayed_basis
-        self.coloop_side = coloop_side
-        self.loop_side = loop_side
-        self.c_label = c_label
-        self.d_label = d_label
-        self.stages = stages
-        self.relaxed = relaxed
-        self.relaxation = relaxation
-        self.hyperplane = hyperplane
-        self.conformance = conformance
-        self.degree_bound = degree_bound
-        self.final_degree_over_input = final_degree_over_input
 
 
 def pipeline(

@@ -425,6 +425,14 @@ def test_is_irreducible_input_validation():
         is_irreducible(GF2, (1,))
     with pytest.raises(InvalidArgs):
         is_irreducible(GF3, (1, 1, 2))  # not monic
+    # a coefficient that is not an encoding in the base field is refused,
+    # as field_from_tower refuses it, not read as some other polynomial
+    for base, coeffs in [(GF2, (1, 3, 1)), (GF2, (-1, 1, 1)), (GF2, (1, 1, True)),
+                         (GF2, (True, 1)), (GF2, (1, 1.0, 1)), (GF2, (1, "1", 1)),
+                         (GF4, (1, 7, 1)), (GF4, (1, 4, 1)), (GF3, (1, 3))]:
+        with pytest.raises(InvalidArgs, match="not encodings"):
+            is_irreducible(base, coeffs)
+    assert is_irreducible(GF4, (2, 1, 1)) and is_irreducible(GF4, (3, 3, 1))
 
 
 # (q, k) -> steps of the conformance tower GF(q) -> degree k -> degree k

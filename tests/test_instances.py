@@ -72,6 +72,63 @@ def test_round_trip_is_identity_on_canonical_form():
         assert first == second
 
 
+# two task blocks per kind over the GF(3) matrix of `task_doc`, minors
+# with an empty row side and with an empty column side among them
+TASK_BLOCKS = [
+    {"kind": "xfragile", "x": ["c", "a"]},
+    {"kind": "xfragile", "x": []},
+    {"kind": "nfragile", "minor": {"rows": ["b"], "cols": ["d", "c"], "entries": [[2, 0]]}},
+    {"kind": "nfragile", "minor": {"rows": [], "cols": ["c"], "entries": []}},
+    {"kind": "pipeline", "minor": {"rows": ["d", "a"], "cols": [], "entries": [[], []]}},
+    {"kind": "pipeline", "minor": {"rows": ["a"], "cols": ["b"], "entries": [[1]]}},
+    {"kind": "relax", "contract": ["b", "a"], "delete": ["d"]},
+    {"kind": "relax", "contract": [], "delete": ["c"]},
+]
+
+
+def task_doc(task):
+    return json.dumps({"field": {"p": 3, "tower": []},
+                       "matrix": {"rows": ["a", "b"], "cols": ["c", "d"],
+                                  "entries": [[1, 2], [0, 1]]},
+                       "task": task, "seed": 4})
+
+
+@pytest.mark.parametrize("task", TASK_BLOCKS, ids=lambda t: t["kind"])
+def test_every_task_kind_round_trips(task):
+    inst = parse_instance(task_doc(task))
+    assert inst.task.kind == task["kind"]
+    obj = serialize_instance(inst)
+    assert parse_instance(json.dumps(obj)) == inst
+    # the block comes back with its keys in slot order and its sets sorted
+    cls = type(inst.task)
+    assert list(obj["task"]) == ["kind", *cls.__slots__]
+    assert obj["task"] == {k: sorted(v) if k in ("x", "contract", "delete") else v
+                           for k, v in task.items()}
+
+
+@pytest.mark.parametrize("task", TASK_BLOCKS[::2], ids=lambda t: t["kind"])
+def test_task_block_names_an_unexpected_or_missing_key(task):
+    for stray in ("stray", *(k for k in ("x", "minor", "delete") if k not in task)):
+        with pytest.raises(SchemaViolation, match=rf"^\$\.task: unexpected key '{stray}'$"):
+            parse_instance(task_doc({**task, stray: []}))
+    last = list(task)[-1]
+    with pytest.raises(SchemaViolation, match=rf"^\$\.task: missing key '{last}'$"):
+        parse_instance(task_doc({k: v for k, v in task.items() if k != last}))
+
+
+@pytest.mark.parametrize("kind", ["bogus", "", "Relax", "kind", "minor"])
+def test_unknown_task_kind_is_refused(kind):
+    with pytest.raises(SchemaViolation, match=rf"^\$\.task\.kind: unknown kind '{kind}'$"):
+        parse_instance(task_doc({"kind": kind, "x": []}))
+
+
+def test_serialize_refuses_what_is_not_a_task():
+    GF2 = field_of_order(2)
+    A = LabeledMatrix(GF2, ["a"], ["b"], [[1]])
+    with pytest.raises(InvalidArgs, match="not a task object: MinorSpec"):
+        serialize_instance(InstanceFile(GF2, A, MinorSpec({"a"}, set())))
+
+
 def test_tower_field_instance():
     inst = parse_instance(
         '{"field": {"p": 2, "tower": [{"deg": 2, "modulus": [1, 1, 1]}]},'

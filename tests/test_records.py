@@ -19,6 +19,7 @@ from matroidfrag import (
     MinorSpec,
     NFragileTask,
     PipelineTask,
+    ReductionTrace,
     RelaxTask,
     ReprMatroid,
     StageRecord,
@@ -158,3 +159,37 @@ def test_stage_and_trace_records_are_mutable_and_unhashable():
     assert twin != tr
     with pytest.raises(TypeError):
         hash(tr)
+
+
+# the one constructor, on a frozen record and on a mutable one whose
+# classes define no `__init__` of their own
+TRACE_FIELDS = ReductionTrace.__slots__
+TRACE_VALUES = tuple(frozenset({name}) for name in TRACE_FIELDS)
+
+
+@pytest.mark.parametrize("cls,values", [
+    (RelaxTask, (frozenset({"c"}), frozenset({"d"}))),
+    (ReductionTrace, TRACE_VALUES),
+], ids=["frozen", "mutable"])
+def test_one_constructor_binds_values_then_names_in_slot_order(cls, values):
+    names = cls.__slots__
+    positional = cls(*values)
+    assert tuple(getattr(positional, name) for name in names) == values
+    for split in range(len(names) + 1):
+        mixed = cls(*values[:split], **dict(zip(names[split:], values[split:])))
+        assert mixed == positional
+    assert cls(**dict(reversed(list(zip(names, values))))) == positional
+    for twin in (pickle.loads(pickle.dumps(positional)), copy.copy(positional),
+                 copy.deepcopy(positional)):
+        assert twin == positional and twin is not positional
+    what = cls.__qualname__
+    with pytest.raises(TypeError, match=rf"^{what}: missing field '{names[-1]}'$"):
+        cls(*values[:-1])
+    with pytest.raises(TypeError, match=rf"^{what}: missing field '{names[0]}'$"):
+        cls(**dict(zip(names[1:], values[1:])))
+    with pytest.raises(TypeError, match=rf"^{what}: field 'other' unknown$"):
+        cls(*values, other=1)
+    with pytest.raises(TypeError, match=rf"^{what}: field '{names[0]}' given twice$"):
+        cls(*values, **{names[0]: values[0]})
+    with pytest.raises(TypeError, match=rf"^{what}: {len(values) + 1} values for "):
+        cls(*values, None)

@@ -132,3 +132,58 @@ def test_every_parameter_is_read(module):
         for param in _unread_parameters(node, receiver)
     ]
     assert sorted(set(unread) - PROTOCOL_PARAMETERS) == []
+
+
+def _record_classes():
+    """(module, class node) for each class of src/ that derives, directly
+    or through another class of src/, from Record or FrozenRecord."""
+    classes = [(module, node) for module, tree in TREES.items()
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    records, grew = {"Record", "FrozenRecord"}, True
+    while grew:
+        found = {node.name for _, node in classes
+                 if any(isinstance(b, ast.Name) and b.id in records for b in node.bases)}
+        grew = not found <= records
+        records |= found
+    return [(module, node) for module, node in classes
+            if node.name in records - {"Record", "FrozenRecord"}]
+
+
+def _only_stores_parameters(init):
+    """Whether every statement of `init`, its docstring aside, sets a
+    field to a parameter unchanged: `self.f = p` or
+    `object.__setattr__(self, "f", p)`."""
+    args = init.args
+    receiver, *params = [a.arg for a in args.posonlyargs + args.args]
+    params += [a.arg for a in args.kwonlyargs]
+    body = init.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+
+    def stores(stmt):
+        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+            target, value = stmt.targets[0], stmt.value
+            return (isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name)
+                    and target.value.id == receiver
+                    and isinstance(value, ast.Name) and value.id in params)
+        call = stmt.value if isinstance(stmt, ast.Expr) else None
+        return (isinstance(call, ast.Call) and ast.unparse(call.func) == "object.__setattr__"
+                and len(call.args) == 3 and not call.keywords
+                and isinstance(call.args[0], ast.Name) and call.args[0].id == receiver
+                and isinstance(call.args[1], ast.Constant)
+                and isinstance(call.args[2], ast.Name) and call.args[2].id in params)
+
+    return bool(body) and all(map(stores, body))
+
+
+def test_records_declare_their_fields_once():
+    # `Record.__init__` binds values to the fields in `__slots__` order,
+    # so an `__init__` that only stores its parameters repeats the slots
+    repeated = [
+        (module, node.name)
+        for module, node in _record_classes()
+        for init in node.body
+        if isinstance(init, ast.FunctionDef) and init.name == "__init__"
+        and _only_stores_parameters(init)
+    ]
+    assert repeated == []
