@@ -52,10 +52,11 @@ X, by default; pass a larger cap explicitly to override.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import CapExceeded, GroundSetMismatch, UnknownLabel
-from .matrices import LabeledMatrix, _element_vectors, _eliminate, _gf2_row, rank_table
+from .galois import FieldSpec
+from .matrices import LabeledMatrix, _element_vectors, _gf2_row, _sift, rank_table
 from .matroids import EQUALS_CAP_DEFAULT, MinorSpec, ReprMatroid
 from .subsets import first_by_size, partitions_of
 
@@ -373,7 +374,7 @@ def one_move_partition(M: ReprMatroid, part: MinorSpec) -> MinorSpec | None:
     cl(C0) or cl*(D0 - e).  So a neighbour exists iff C0 is dependent,
     D0 meets cl(C0), D0 is dependent in M*, or C0 meets cl*(D0).
 
-    Two eliminations (`matrices._eliminate`) decide the four.  The first
+    Two eliminations (`matrices._sift`) decide the four.  The first
     runs in M on the vectors of C0 and then of D0, each in label order,
     with C0's vectors as pivots: a vector of C0 that reduces to zero lies
     in the span of the C0 vectors before it, and one of D0 in cl(C0).
@@ -401,20 +402,24 @@ def one_move_partition(M: ReprMatroid, part: MinorSpec) -> MinorSpec | None:
     The two eliminations are `_one_move`, on M's display.
     """
     part.validate(M)
-    e = _one_move(M.rep, sorted(part.contract), sorted(part.delete))
+    A = M.rep
+    e = _one_move(A.field, A._row_pos, A._col_pos, A._data,
+                  sorted(part.contract), sorted(part.delete))
     return None if e is None else MinorSpec(part.contract ^ {e}, part.delete ^ {e})
 
 
-def _one_move(A: LabeledMatrix, C0: list[str], D0: list[str]) -> str | None:
+def _one_move(field: FieldSpec, row_pos: dict, col_pos: dict, data: Sequence, C0: list[str],
+              D0: list[str]) -> str | None:
     """The element that moves in `one_move_partition`, or None: its two
-    eliminations on the display A of M, with the sides C0 and D0 sorted
-    and inside A's labels (checked by the caller).  It builds no
-    matroid, so a caller holding only a drawn matrix pays for the
-    eliminations alone."""
+    eliminations on a display of M, given as its position maps and its
+    rows of encodings, with the sides C0 and D0 sorted and inside the
+    display's labels (checked by the caller).  It builds no matroid and
+    no matrix, so a caller holding only drawn rows pays for the sifts
+    alone, each stopped at its first zero vector."""
     for dual, first, then in ((False, C0, D0), (True, D0, C0)):
-        vecs, reduce = _element_vectors(A, first + then, dual=dual)
-        _eliminate(reduce, vecs, len(first))
-        for e, v in zip(first + then, vecs):
+        labels = first + then
+        vecs = _element_vectors(field, row_pos, col_pos, data, labels, dual=dual)
+        for e, v in zip(labels, _sift(field, vecs, len(first))):
             if not v:
                 return e
     return None
@@ -506,16 +511,15 @@ def partition_basis(
     r(M) - |C| = r(M/C) >= r(N) >= |X|, so C + X is a basis iff X is a
     basis of N and r(N) = r(M) - |C|.  All such B share C, so their lex
     order is that of X, and the least X is N's greedy basis in label
-    order: one elimination of N's element vectors in that order
-    (`_eliminate`) leaves a vector nonzero exactly when the elements
-    before it do not span it.
+    order: one sift of N's element vectors in that order (`_sift`)
+    leaves a vector nonzero exactly when the elements before it do not
+    span it.
     """
     C = part.contract
     if len(N.rep.rows) != len(M.rep.rows) - len(C) or M.rank(C) != len(C):
         return None
-    labels = sorted(N.ground)
-    vecs, reduce = _element_vectors(N.rep, labels)
-    _eliminate(reduce, vecs)
+    labels, A = sorted(N.ground), N.rep
+    vecs = _sift(A.field, _element_vectors(A.field, A._row_pos, A._col_pos, A._data, labels))
     return C | frozenset(e for e, v in zip(labels, vecs) if v)
 
 

@@ -297,12 +297,11 @@ class GeneratedInstance(NamedTuple):
     rejections: int
 
 
-def _random_matrix(
-    rng: random.Random, field: FieldSpec, rows: list[str], cols: list[str],
-    x_rows: int = 0, x_cols: int = 0,
-) -> LabeledMatrix:
-    """A drawn matrix, its block on the first x_rows rows and x_cols
-    columns then set to zero: every entry is drawn either way.
+def _draw_rows(rng: random.Random, q: int, m: int, n: int, x_rows: int = 0,
+               x_cols: int = 0) -> list[list[int]]:
+    """The rows of a drawn m x n matrix over the field of order q, its
+    block on the first x_rows rows and x_cols columns then set to zero:
+    every entry is drawn either way.
 
     The entries are drawn in row-major order as `rng.randrange(q)` draws
     them (CPython's `_randbelow_with_getrandbits`): getrandbits of q's
@@ -310,12 +309,18 @@ def _random_matrix(
     the generator's state after them, are those of one randrange(q) per
     entry, which `PINNED_DRAWS` in the tests depends on; the loop runs
     in C, with no Python call per entry."""
-    q, n = field.order, len(cols)
     draws = filter(q.__gt__, map(rng.getrandbits, repeat(q.bit_length())))
-    flat = list(islice(draws, len(rows) * n))
-    data = [flat[i * n:(i + 1) * n] for i in range(len(rows))]
+    flat = list(islice(draws, m * n))
+    data = [flat[i * n:(i + 1) * n] for i in range(m)]
     for row in data[:x_rows]:
         row[:x_cols] = [0] * x_cols
+    return data
+
+
+def _random_matrix(rng: random.Random, field: FieldSpec, rows: list[str], cols: list[str],
+                   x_rows: int = 0, x_cols: int = 0) -> LabeledMatrix:
+    """A drawn matrix with labels `rows` and `cols`: `_draw_rows`."""
+    data = _draw_rows(rng, field.order, len(rows), len(cols), x_rows, x_cols)
     return LabeledMatrix._of_display(field, rows, cols, data)
 
 
@@ -349,8 +354,10 @@ def gen_random(
     sampled one, or (rows - X, cols - X), which realises the isolated
     minor on X as its block is zero.  A second realising partition one
     move from it (`fragility._one_move`, the two eliminations of
-    `one_move_partition`, run on the drawn matrix) proves the draw is
-    not fragile.  A rejected draw builds only its matrix: no matroid, no
+    `one_move_partition`, run on the drawn rows with label positions
+    computed once per call) proves the draw is not fragile.  A rejected
+    draw costs its entries, its partition draw and one sift (two when
+    the first finds no move): it builds no LabeledMatrix, no matroid, no
     minor and no rank table.  The witness only rejects: a draw is
     accepted only when the full search `is_N_fragile` finds a unique
     partition, or when `x_fragile_failure` passes, which holds exactly
@@ -370,6 +377,8 @@ def gen_random(
     field = field_of_order(q)
     row_labels = [f"r{i}" for i in range(rows)]
     col_labels = [f"c{j}" for j in range(cols)]
+    row_pos = {r: i for i, r in enumerate(row_labels)}
+    col_pos = {c: j for j, c in enumerate(col_labels)}
     rng = random.Random(seed)
 
     if kind in ("nfragile", "pipeline"):
@@ -385,13 +394,14 @@ def gen_random(
             )
         ground = sorted(row_labels + col_labels)
         for attempt in range(max_attempts):
-            A = _random_matrix(rng, field, row_labels, col_labels)
+            data = _draw_rows(rng, field.order, rows, cols)
             keep = frozenset(rng.sample(ground, minor_size))
             outside = [e for e in ground if e not in keep]
             contract = [e for e in outside if rng.random() < 0.5]
             delete = [e for e in outside if e not in contract]
-            if _one_move(A, contract, delete) is not None:
+            if _one_move(field, row_pos, col_pos, data, contract, delete) is not None:
                 continue
+            A = LabeledMatrix._of_display(field, row_labels, col_labels, data)
             M = ReprMatroid(A)
             N = M.minor_of(MinorSpec(contract, delete))
             if is_N_fragile(M, N):
@@ -416,8 +426,11 @@ def gen_random(
     part = MinorSpec(row_labels[x_rows:], col_labels[x_cols:])
     sides = sorted(part.contract), sorted(part.delete)
     for attempt in range(max_attempts):
-        A = _random_matrix(rng, field, row_labels, col_labels, x_rows, x_cols)
-        if _one_move(A, *sides) is None and x_fragile_failure(A, x) is None:
+        data = _draw_rows(rng, field.order, rows, cols, x_rows, x_cols)
+        if _one_move(field, row_pos, col_pos, data, *sides) is not None:
+            continue
+        A = LabeledMatrix._of_display(field, row_labels, col_labels, data)
+        if x_fragile_failure(A, x) is None:
             task = XFragileTask(x) if kind == "xfragile" else RelaxTask(part.contract, part.delete)
             return GeneratedInstance(InstanceFile(field, A, task, seed), attempt)
     what = "X-fragile matrix" if kind == "xfragile" else "relaxable pair"

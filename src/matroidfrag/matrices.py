@@ -6,23 +6,33 @@ elements are the row labels, and in that reading every label names one
 matroid element.  Entries are stored as integer encodings; the public
 accessor hands back FieldElem values.
 
-Rank is exact Gaussian elimination by one step per field kind: a
-pivot vector clears its leading coordinate from the vectors after it
-(XOR on packed ints over GF(2), field operations on tuples of
-encodings elsewhere).  The step has four callers.  `block_rank` answers
-single queries, the rank of A with some rows dropped, on some columns:
-each nonzero vector in turn becomes a pivot.  Matrix rank,
-`submatrix_rank` and the matroid rank oracle call it.  `rank_table`
-answers complete sweeps: the rank of every subset of a label list, in
-the matroid or a contraction of it, in one depth-first walk that
-reduces by the step at each node.
-Every exhaustive certificate in the package reads such a table.  The
-one-move witness `fragility.one_move_partition` reads closures off one
-elimination of element vectors in the matroid and one in its dual
-(`_element_vectors`), and `fragility.partition_basis` reads a minor's
-least basis off one.  Over GF(2) each column is packed into an int
-once per matrix (rows are dropped by masking), and a row of A, a
-vector of the dual, when it is needed.
+Rank is exact Gaussian elimination by one sift per field kind
+(`_sift`): each vector in turn is reduced by the pivots kept so far,
+each clearing its leading coordinate, and a nonzero one among the first
+k becomes the next pivot (XOR on packed ints over GF(2), field
+operations on sequences of encodings elsewhere).  It computes the same
+reduced vectors, in the same order, as letting each pivot reduce every
+vector after it, and it allocates no list per pivot; a caller may stop
+at the first vector it wants.  The sift has four callers.  `block_rank`
+answers single queries, the rank of A with some rows dropped, on some
+columns; matrix rank, `submatrix_rank` and the matroid rank oracle call
+it, through `rank_gf2` and `_rank_generic`.  `rank_table` answers
+complete sweeps, the rank of every subset of a label list in the
+matroid or a contraction of it, and sifts the contracted set's vectors
+and then the labels' once to set up.  The one-move witness
+`fragility._one_move` reads closures off one sift of element vectors
+(`_element_vectors`) in the matroid and one in its dual, on a display
+given as position maps and rows, so the generator runs it on drawn rows
+before any matrix is built; `fragility.partition_basis` reads a minor's
+least basis off one.
+`rank_table`'s depth-first walk keeps the batch step (`_reduce_gf2`,
+`_generic_reducer`): a child reduces its parent's list of vectors by
+its one new pivot, and that list is shared by the child's whole
+subtree, where a sift would reduce each vector again by every pivot of
+the node.  Every exhaustive certificate in the package reads such a
+table.  Over GF(2) each column is packed into an int once per matrix
+for the rank queries (rows are dropped by masking); an element vector
+is packed when it is needed.
 """
 
 from __future__ import annotations
@@ -268,14 +278,15 @@ def rank_table(
     `contract`: r(W | S) - r(S) for every subset W of `labels`, as a
     bytearray indexed by bitmask: bit i stands for labels[i].
 
-    Each nonzero vector of S in turn becomes a pivot that reduces the
-    vectors after it, the labels' included (`_eliminate`); a row's unit
-    vector only clears its coordinate.  Reducing adds multiples of S's
-    vectors, so W's reduced vectors and S span W | S.  Each pivot, and
-    every reduced vector, is zero at the leading coordinates of the
-    pivots before it; so a nonzero combination of pivots is nonzero at
-    the leading coordinate of its first pivot, where W's reduced vectors
-    all vanish.  Hence r(W | S) = r(S) + the rank of W's reduced vectors.
+    One sift (`_sift`) of S's vectors and then the labels', with only
+    S's vectors as pivots, reduces each label's vector by S's pivots; a
+    row's unit vector only clears its coordinate.  Reducing adds
+    multiples of S's vectors, so W's reduced vectors and S span W | S.
+    Each pivot, and every reduced vector, is zero at the leading
+    coordinates of the pivots before it; so a nonzero combination of
+    pivots is nonzero at the leading coordinate of its first pivot,
+    where W's reduced vectors all vanish.  Hence r(W | S) = r(S) + the
+    rank of W's reduced vectors.
 
     One depth-first walk fills the table.  A node is an independent
     subset; it holds the vectors of the labels after its highest bit,
@@ -299,9 +310,12 @@ def rank_table(
     unknown = [v for v in every if v not in A._row_pos and v not in A._col_pos]
     if unknown:
         raise UnknownLabel(f"labels not in matrix: {sorted(unknown)}")
-    vecs, reduce = _element_vectors(A, every)
-    full = len(A.rows) - _eliminate(reduce, vecs, len(S))
+    field = A.field
+    vecs = _element_vectors(field, A._row_pos, A._col_pos, A._data, every)
+    vecs = list(_sift(field, vecs, len(S)))
+    full = len(A.rows) - sum(1 for w in vecs[:len(S)] if w)
     vecs = vecs[len(S):]
+    reduce = _reduce_gf2 if field.order == 2 else _generic_reducer(field)
 
     table = bytearray(1 << n)
 
@@ -324,46 +338,96 @@ def rank_table(
     return table
 
 
-def _element_vectors(A: LabeledMatrix, labels: Sequence[str], *, dual: bool = False):
+def _element_vectors(field: FieldSpec, row_pos: dict, col_pos: dict, data: Sequence,
+                     labels: Iterable[str], *, dual: bool = False) -> list:
     """The vectors of `labels` (checked by the caller) in the matroid of
-    [I | A], over A's row coordinates, and the elimination step that
-    reduces them: a row label's vector is its unit vector, a column
-    label's its column of A.  With `dual`, the vectors in the dual,
-    displayed by -A^T, over A's column coordinates: a column label's is
-    its unit vector, a row label's its row of A, as no span depends on
-    the sign.  Over GF(2) a vector is an int with bit i for coordinate i,
-    elsewhere a tuple of encodings, and () when it is zero."""
-    unit, other = (A._col_pos, A._row_pos) if dual else (A._row_pos, A._col_pos)
-    if A.field.order == 2:
-        if dual:
-            vecs = [1 << unit[v] if v in unit else _gf2_row(A._data[other[v]])
-                    for v in labels]
+    the display [I | A], given as its position maps and its rows of
+    encodings, over A's row coordinates: a row label's vector is its
+    unit vector, a column label's its column of A.  With `dual`, the
+    vectors in the dual, displayed by -A^T, over A's column coordinates:
+    a column label's is its unit vector, a row label's its row of A, as
+    no span depends on the sign.  Over GF(2) a vector is an int with
+    bit i for coordinate i, elsewhere a sequence of encodings."""
+    unit, other = (col_pos, row_pos) if dual else (row_pos, col_pos)
+    n, gf2 = len(unit), field.order == 2
+    vecs = []
+    for v in labels:
+        if v in unit:
+            i = unit[v]
+            vecs.append(1 << i if gf2 else (0,) * i + (1,) + (0,) * (n - 1 - i))
+        elif dual:
+            vecs.append(_gf2_row(data[other[v]]) if gf2 else data[other[v]])
+        elif gf2:
+            j, w = other[v], 0
+            for row in reversed(data):
+                w = w << 1 | row[j]
+            vecs.append(w)
         else:
-            packed = _gf2_columns(A)
-            vecs = [1 << unit[v] if v in unit else packed[other[v]] for v in labels]
-        return vecs, _reduce_gf2
-    vecs = _nonzero_or_empty(
-        tuple(int(i == unit[v]) for i in range(len(unit))) if v in unit
-        else A._data[other[v]] if dual else A.column_encs(v)
-        for v in labels
-    )
-    return vecs, _generic_reducer(A.field)
+            vecs.append([row[other[v]] for row in data])
+    return vecs
+
+
+def _sift(field: FieldSpec, vecs: Iterable, k: int | None = None):
+    """The elimination of `vecs` in insertion form, one vector at a time:
+    each is reduced by the pivots kept so far, in the order they were
+    kept, and yielded; a nonzero one among the first `k` (all, when k is
+    None) is kept as the next pivot.  Reducing by a pivot clears its
+    leading coordinate.  A vector is yielded as soon as it is reduced,
+    so a caller may stop at the first that is zero.  Over GF(2) the
+    vectors are ints with bit i for coordinate i, reduced by XOR;
+    elsewhere sequences of encodings, yielded as lists, and () when
+    zero."""
+    if field.order == 2:
+        return _sift_gf2(vecs, k)
+    return _sift_enc(field, vecs, k)
+
+
+def _sift_gf2(vecs: Iterable[int], k: int | None = None):
+    pivots = []
+    for i, w in enumerate(vecs):
+        for top, p in pivots:
+            if w & top:
+                w ^= p
+        if w and (k is None or i < k):
+            pivots.append((1 << w.bit_length() - 1, w))
+        yield w
+
+
+def _sift_enc(field: FieldSpec, vecs: Iterable[Sequence[int]], k: int | None = None):
+    mul, sub, inv = field.mul_enc, field.sub_enc, field.inv_enc
+    pivots = []
+    for i, w in enumerate(vecs):
+        w = list(w)
+        for h, lead, support in pivots:
+            if w[h]:
+                f = mul(w[h], lead)
+                for j, x in support:
+                    w[j] = sub(w[j], mul(f, x))
+        if not any(w):
+            yield ()
+            continue
+        if k is None or i < k:
+            support = [(j, x) for j, x in enumerate(w) if x]
+            pivots.append((support[0][0], inv(support[0][1]), support))
+        yield w
 
 
 def _reduce_gf2(pivot: int, rest: list) -> list:
-    """The elimination step over GF(2), on ints with bit i for coordinate
-    i: `rest` with the leading coordinate of the nonzero `pivot` cleared."""
+    """The batch step of `rank_table`'s walk over GF(2), on ints with
+    bit i for coordinate i: `rest` with the leading coordinate of the
+    nonzero `pivot` cleared."""
     h = pivot.bit_length() - 1
     return [w ^ pivot if w >> h & 1 else w for w in rest]
 
 
 def _generic_reducer(field: FieldSpec):
-    """The elimination step over `field`: `reduce(pivot, rest)` is `rest`
-    with the leading coordinate of the nonzero `pivot` cleared from each
-    vector.  A vector is a tuple of encodings, and () when it is zero."""
+    """The batch step of `rank_table`'s walk over `field`:
+    `reduce(pivot, rest)` is `rest` with the leading coordinate of the
+    nonzero `pivot` cleared from each vector.  A vector is a sequence of
+    encodings, and () when it is zero."""
     mul, sub, inv = field.mul_enc, field.sub_enc, field.inv_enc
 
-    def reduce(pivot: tuple, rest: list) -> list:
+    def reduce(pivot: Sequence[int], rest: list) -> list:
         support = [(i, x) for i, x in enumerate(pivot) if x]
         h, lead = support[0]
         lead = inv(lead)
@@ -381,27 +445,11 @@ def _generic_reducer(field: FieldSpec):
     return reduce
 
 
-def _nonzero_or_empty(vectors: Iterable[Sequence[int]]) -> list:
-    return [tuple(v) if any(v) else () for v in vectors]
-
-
-def _eliminate(reduce, vecs: list, stop: int | None = None) -> int:
-    """Rank of `vecs[:stop]`, in place: each nonzero vector there in turn
-    becomes a pivot, and every vector after it, up to the end of the
-    list, is reduced by it."""
-    rank = 0
-    for i in range(len(vecs) if stop is None else stop):
-        if vecs[i]:
-            rank += 1
-            vecs[i + 1 :] = reduce(vecs[i], vecs[i + 1 :])
-    return rank
-
-
 def rank_gf2(masks: Iterable[int]) -> int:
     """Rank of GF(2) vectors packed as ints."""
-    return _eliminate(_reduce_gf2, list(masks))
+    return sum(1 for w in _sift_gf2(masks) if w)
 
 
 def _rank_generic(field: FieldSpec, vectors: Iterable[Sequence[int]]) -> int:
     """Rank of vectors of encodings over `field`."""
-    return _eliminate(_generic_reducer(field), _nonzero_or_empty(vectors))
+    return sum(1 for w in _sift_enc(field, vectors) if w)

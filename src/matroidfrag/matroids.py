@@ -157,7 +157,8 @@ class ReprMatroid:
         if unknown:
             raise UnknownLabel(f"labels not in ground set: {sorted(unknown)}")
         # unit columns of the row-side elements pivot immediately; what
-        # remains is the block of A on the other rows against X's columns
+        # remains is the block of A on the other rows against X's columns,
+        # eliminated in display order whatever the set's iteration order
         rep = self.rep
         row_pos, col_pos = rep._row_pos, rep._col_pos
         drop = 0
@@ -168,6 +169,7 @@ class ReprMatroid:
                 drop |= 1 << row_pos[v]
             else:
                 cols.append(j)
+        cols.sort()
         r = len(Xf) - len(cols) + block_rank(rep, drop, cols)
         self._rank_cache[Xf] = r
         return r

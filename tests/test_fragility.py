@@ -1063,7 +1063,7 @@ class CountingMatroid(ReprMatroid):
         return super().rank(X)
 
 
-WITNESS_FIELDS = (GF2, GF3, GF4, GF5)
+WITNESS_FIELDS = (GF2, GF3, GF4, GF5, GF8, GF9)
 
 
 @st.composite
@@ -1120,15 +1120,66 @@ def test_one_move_witness_matches_the_full_search(case):
         assert got is None
 
 
+def textbook_rank(field, vecs):
+    """Rank of equal-length vectors of encodings by elimination on one
+    coordinate at a time, the first vector nonzero there its pivot: a
+    reference that shares no code with the package's sifts."""
+    vecs = [list(v) for v in vecs]
+    rank = 0
+    for i in range(len(vecs[0]) if vecs else 0):
+        pivot = next((v for v in vecs if v[i]), None)
+        if pivot is None:
+            continue
+        vecs.remove(pivot)
+        rank += 1
+        lead = field.inv_enc(pivot[i])
+        vecs = [[field.sub_enc(x, field.mul_enc(field.mul_enc(v[i], lead), p))
+                 for x, p in zip(v, pivot)] for v in vecs]
+    return rank
+
+
+def assert_sift_callers_match_the_reference(M, part):
+    """`block_rank`, `rank_table(..., contract=C0)` and `partition_basis`
+    against `textbook_rank` on the matroid of M's display."""
+    A, F, m = M.rep, M.field, len(M.rep.rows)
+
+    def r(X):
+        return textbook_rank(F, [[int(i == A._row_pos[e]) for i in range(m)]
+                                 if e in A._row_pos else A.column_encs(e) for e in X])
+
+    C0, D0 = part.contract, part.delete
+    drop = sum(1 << i for i, e in enumerate(A.rows) if e in C0)
+    cols = [j for j, e in enumerate(A.cols) if e not in D0]
+    block = [[A._data[i][j] for i in range(m) if not drop >> i & 1] for j in cols]
+    assert matrices.block_rank(A, drop, cols) == textbook_rank(F, block)
+    # the table of M/C0: the empty set, each label, all, and all but one
+    labels = sorted(M.ground - C0)
+    table = matrices.rank_table(A, labels, contract=sorted(C0))
+    full = (1 << len(labels)) - 1
+    for W in {0, full, *(1 << i for i in range(len(labels))),
+              *(full ^ 1 << i for i in range(len(labels)))}:
+        S = {e for i, e in enumerate(labels) if W >> i & 1}
+        assert table[W] == r(S | C0) - r(C0), sorted(S)
+    # C0 plus the greedy basis of E(N) over it, if C0 is independent and
+    # that is a basis of M
+    B = sorted(C0)
+    for e in sorted(M.ground - C0 - D0):
+        if r(B + [e]) > len(B):
+            B.append(e)
+    want = frozenset(B) if r(C0) == len(C0) and len(B) == m else None
+    assert fragility.partition_basis(M, M.minor_of(part), part) == want
+
+
 def test_one_move_witness_matches_the_query_reference():
     # the two eliminations against the per-query witness they replaced:
     # the same verdict, and a returned partition is a one-move neighbour
     # by the full search; over each field, draws with a neighbour,
     # without one, and with one that only the elimination in M* finds
-    # (C0 independent and D0 off cl(C0))
+    # (C0 independent and D0 off cl(C0)); on the same draws, the other
+    # callers of the sift against a textbook elimination
     seen = Counter()
 
-    @settings(max_examples=1000, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=1500, derandomize=True, deadline=None, database=None)
     @given(pairs_with_partition(len(WITNESS_FIELDS), 5))
     def check(case):
         M, part = build_pair(*case)
@@ -1141,11 +1192,12 @@ def test_one_move_witness_matches_the_query_reference():
         in_M = M.rank(C0) < len(C0) or any(M.rank(C0 | {e}) == M.rank(C0) for e in D0)
         kind = "none" if got is None else "M" if in_M else "M* only"
         seen[WITNESS_FIELDS[case[0]].order, kind] += 1
+        assert_sift_callers_match_the_reference(M, part)
 
     check()
-    for q in (2, 3, 4, 5):
+    for F in WITNESS_FIELDS:
         for kind in ("none", "M", "M* only"):
-            assert seen[q, kind] >= 10, seen
+            assert seen[F.order, kind] >= 10, seen
 
 
 def test_one_move_witness_reads_no_rank_table(monkeypatch):

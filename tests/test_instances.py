@@ -391,19 +391,40 @@ def test_empty_minor_of_nonempty_ground_is_refused(monkeypatch):
     assert gi.instance.task.minor.ground == frozenset()
 
 
-def test_xfragile_and_relax_draws_build_one_matrix_each(monkeypatch):
-    # each draw's X block is zeroed in the drawn lists, so the loop
-    # builds one LabeledMatrix per draw and the checks build none
-    built = []
+def test_rejected_draws_build_no_matrix(monkeypatch):
+    # the witness runs on each draw's rows, before anything is built; a
+    # draw it rejects builds no LabeledMatrix, and one it passes is built
+    # once and then checked: by x_fragile_failure, which builds none, or
+    # by the partition search, which builds minors and displays
+    events = []
     of_display = LabeledMatrix._of_display.__func__
-    monkeypatch.setattr(LabeledMatrix, "_of_display",
-                        classmethod(lambda cls, *a: built.append(a) or of_display(cls, *a)))
+    built = classmethod(lambda cls, *a: events.append("matrix") or of_display(cls, *a))
+    monkeypatch.setattr(LabeledMatrix, "_of_display", built)
+    witness = instances._one_move
+
+    def logged_witness(*display_and_sides):
+        moved = witness(*display_and_sides)
+        events.append(("witness", moved))
+        return moved
+
+    monkeypatch.setattr(instances, "_one_move", logged_witness)
     for kind, shape in (("xfragile", dict(rows=4, cols=5, x_rows=2, x_cols=2)),
-                        ("relax", dict(rows=3, cols=3))):
-        built.clear()
+                        ("relax", dict(rows=3, cols=3)),
+                        ("nfragile", dict(rows=4, cols=4, minor_size=3)),
+                        ("pipeline", dict(rows=3, cols=4, minor_size=3))):
+        events.clear()
         gi = gen_random(kind, seed=5, q=2, **shape)
-        assert gi.rejections > 0
-        assert len(built) == gi.rejections + 1
+        starts = [i for i, e in enumerate(events) if isinstance(e, tuple)]
+        assert starts[:1] == [0] and len(starts) == gi.rejections + 1
+        draws = [events[i:j] for i, j in zip(starts, starts[1:] + [len(events)])]
+        for (_, moved), *rest in draws:
+            if moved is not None:
+                assert rest == []
+            elif kind in ("xfragile", "relax"):
+                assert rest == ["matrix"]
+            else:
+                assert rest[:1] == ["matrix"]
+        assert sum(1 for (_, moved), *_ in draws if moved) > 0, kind
 
 
 def test_serialized_sets_are_sorted_lists():
@@ -461,7 +482,224 @@ PINNED_DRAWS = [
 ]
 
 
-@pytest.mark.parametrize("kind,shape,seed,rejections,digest", PINNED_DRAWS)
+# Every distinct shape of one block of the generate benchmark's
+# catalogue, the suites' shapes with at most four elements outside the
+# minor, copied here as data: each at its own seed, with its rejection
+# count and the sha256 of the sorted-key JSON of serialize_instance,
+# recorded while the witness still ran on a built LabeledMatrix.
+CATALOGUE_DRAWS = [
+    ("relax", {"q": 2, "rows": 2, "cols": 2}, 1000, 5,
+     "f8d88b6b91da79111182d726a05188fd093a7abc1764b2bda3a4ebab90ee024d"),
+    ("relax", {"q": 2, "rows": 2, "cols": 3}, 1001, 19,
+     "06d14866b3c84d5fd3b569bef9256a023ae10b7d7b8db10a1e2eb575cd8174ee"),
+    ("relax", {"q": 2, "rows": 2, "cols": 4}, 1002, 7,
+     "edb5cb04a0ed9235d2cc211890614f33325b9130823df60686d79b27290957d0"),
+    ("relax", {"q": 2, "rows": 3, "cols": 2}, 1003, 10,
+     "acce0217a5b7e56ef7d2f9068af66bf68b01a8f30d5a5933da065dbbf3476ce0"),
+    ("relax", {"q": 2, "rows": 3, "cols": 3}, 1004, 6,
+     "8acccc375af861c16e0f4b973bab27d256c233b2031d59994e35e835a1692b90"),
+    ("relax", {"q": 2, "rows": 4, "cols": 2}, 1005, 0,
+     "f0ed46560d5218ff1e190e1d3ce543faee6b65dc5bdeaa50e88162999ed2ad4f"),
+    ("relax", {"q": 3, "rows": 2, "cols": 2}, 1006, 9,
+     "5fd35eea17c4796f21fba6a88dbd20beebf1bf9508bc8be65b05cb2eadf8d99d"),
+    ("relax", {"q": 3, "rows": 2, "cols": 3}, 1007, 5,
+     "4d1164f3614922108d0c2a75a2173c2a3d6d58ee3806a1fe018bcc520b965020"),
+    ("relax", {"q": 3, "rows": 2, "cols": 4}, 1008, 5,
+     "06df0e7eb387733e45bbe7fc0c9f74e69a15962471741f5f1ad9aeb2c3a5455e"),
+    ("relax", {"q": 3, "rows": 3, "cols": 2}, 1009, 4,
+     "f1f077d67fcea789ef239fb89d02387351f0ce4fd23de683ea110eba128c6324"),
+    ("relax", {"q": 3, "rows": 3, "cols": 3}, 1010, 2,
+     "d83e15fd2a31d3dfc030839fa67b84c135bafdca31750b142e5f3288916b6385"),
+    ("relax", {"q": 3, "rows": 4, "cols": 2}, 1011, 4,
+     "7cbc5ed1f40a2949f3e335d8c97482b4e5028ff73176fcdfbf6add05bb004996"),
+    ("nfragile", {"q": 2, "rows": 1, "cols": 1, "minor_size": 1}, 1012, 0,
+     "850f0fd3678aebc2b288783bf3d835cd660ec76f0cc37c14afbacf81116ecf99"),
+    ("nfragile", {"q": 2, "rows": 1, "cols": 1, "minor_size": 2}, 1013, 0,
+     "195108f83a8de3f3024c6c4495fefcf019a76715952889f2f44180149d31b5ef"),
+    ("nfragile", {"q": 2, "rows": 1, "cols": 2, "minor_size": 1}, 1014, 53,
+     "fa704899f4a0769c847561d3272d482443cf3a0ee28bfaa40c36b3fbabe61d8b"),
+    ("nfragile", {"q": 2, "rows": 1, "cols": 2, "minor_size": 2}, 1015, 1,
+     "99535f5401ff633f0d8cb039ed0b46445d9e899920234a88e8387a1b881b2c87"),
+    ("nfragile", {"q": 2, "rows": 1, "cols": 2, "minor_size": 3}, 1016, 0,
+     "17bebdf7541ea39922f241b2b0f3b0adec3acfd71573f9061730cd1890bca6ca"),
+    ("nfragile", {"q": 2, "rows": 1, "cols": 3, "minor_size": 1}, 1017, 112,
+     "5c6e8c3770649e13925dffb0d7cdc2f210443353b6fdf2dd710aae5c154e64bb"),
+    ("nfragile", {"q": 2, "rows": 1, "cols": 3, "minor_size": 2}, 1018, 4,
+     "f13a690cf37e7984899645daaa6cc99e6d235852707230c5a9067f90978bf451"),
+    ("nfragile", {"q": 2, "rows": 1, "cols": 3, "minor_size": 3}, 1019, 2,
+     "c30d40c6e8d76ff4e8a05dc10cde923b3533f4f60b976a6c641ca664e37013fa"),
+    ("nfragile", {"q": 2, "rows": 1, "cols": 4, "minor_size": 1}, 1020, 207,
+     "e9b015c3fe42b7e416e401d27d0df2224ac834941fd8469f44f167c950c0b1ae"),
+    ("nfragile", {"q": 2, "rows": 1, "cols": 4, "minor_size": 2}, 1021, 127,
+     "3cc987248da80defcb1f40ef216558453f359d0c8ca5f93b149634e844d4ea0c"),
+    ("nfragile", {"q": 2, "rows": 1, "cols": 4, "minor_size": 3}, 1022, 22,
+     "f733ec1c29202ad236c2169085ed13dfb1cf10c7151f985aeda1cf3ccd24b4ea"),
+    ("nfragile", {"q": 2, "rows": 2, "cols": 1, "minor_size": 1}, 1023, 12,
+     "f3ce1e2e1bdb439209d049bb1e0bde93be317249a7cec32cc767fae19df2ea37"),
+    ("nfragile", {"q": 2, "rows": 2, "cols": 1, "minor_size": 2}, 1024, 0,
+     "c3c20c2a734d1880650626c2c3edb3ac21bc2297cbe638c0076ef1e9112f3c4e"),
+    ("nfragile", {"q": 2, "rows": 2, "cols": 1, "minor_size": 3}, 1025, 0,
+     "eddaa90642c9b35eea5bbe3cc01bd6d040a7ec9238ad839001c2a9549657298a"),
+    ("nfragile", {"q": 2, "rows": 2, "cols": 2, "minor_size": 2}, 1026, 0,
+     "d0c87202e3adc9cba05b8c8d3d0a8016299e65386a49d896365d738115c8eeb6"),
+    ("nfragile", {"q": 2, "rows": 2, "cols": 2, "minor_size": 3}, 1027, 1,
+     "629396adc4a0949e9d93f155db1b4689801b165cabef27c7bc10f760e9c92a53"),
+    ("nfragile", {"q": 2, "rows": 2, "cols": 3, "minor_size": 2}, 1028, 36,
+     "92ce943395a1a601df6fcba0fe899a2f4862ae986c4e22ff2bea5ab594d174b0"),
+    ("nfragile", {"q": 2, "rows": 2, "cols": 3, "minor_size": 3}, 1029, 0,
+     "dc5b514b2f71e6177653d0740d530c4cdac53738b961d7dab553f105d8632f0f"),
+    ("nfragile", {"q": 2, "rows": 2, "cols": 4, "minor_size": 2}, 1030, 7,
+     "6a828885494b3d099b316859fce4eb163ed1d3e9e1ff98766b4fd54f8a1ee696"),
+    ("nfragile", {"q": 2, "rows": 2, "cols": 4, "minor_size": 3}, 1031, 4,
+     "21dab0de0af2388b447e775e5132b28602d6cc4d9abf8a335f7f39d5e68c5625"),
+    ("nfragile", {"q": 2, "rows": 3, "cols": 1, "minor_size": 1}, 1032, 123,
+     "c99497359003d4e335ceb54543d485d3ebba746bc28a35166e3a79e82c795300"),
+    ("nfragile", {"q": 2, "rows": 3, "cols": 1, "minor_size": 2}, 1033, 4,
+     "1dfe01ea46b81a4836cd2afd8b7cccbf2920d121b7a91f59246986ea3fb4bd24"),
+    ("nfragile", {"q": 2, "rows": 3, "cols": 1, "minor_size": 3}, 1034, 2,
+     "43d954f1df7f9aeb7fb37fe8c256e4fe628ddff073492ab029faefd59826c14b"),
+    ("nfragile", {"q": 2, "rows": 3, "cols": 2, "minor_size": 2}, 1035, 44,
+     "ef9dfc4b80c8e49a89473cf5ffc32c9a518f5788b2bbc06aee126af2663e799f"),
+    ("nfragile", {"q": 2, "rows": 3, "cols": 2, "minor_size": 3}, 1036, 0,
+     "87aaeaeb58dcc38578c1f33ea3ef508bd27abc9f220d60d03534360100d9b5ee"),
+    ("nfragile", {"q": 2, "rows": 3, "cols": 3, "minor_size": 2}, 1037, 15,
+     "adbcc72c5db7f7c80e9d952ecf071200cad2e298579fd4d07db7479b30869458"),
+    ("nfragile", {"q": 2, "rows": 3, "cols": 3, "minor_size": 3}, 1038, 1,
+     "89b368497815a48ad0df4f27da1c8ed8be1ea76d1f8ba94a7743e9cb561193de"),
+    ("nfragile", {"q": 2, "rows": 3, "cols": 4, "minor_size": 3}, 1039, 20,
+     "acc1f67493609ed613b3e6e45bc4649cd8af5e638983020ca543b1e468eae041"),
+    ("nfragile", {"q": 2, "rows": 4, "cols": 1, "minor_size": 1}, 1040, 132,
+     "650c7c6b22494b652a026d0392f115bbd41a1eb713bb92b093ef54643f66dfcd"),
+    ("nfragile", {"q": 2, "rows": 4, "cols": 1, "minor_size": 2}, 1041, 61,
+     "9dd5192a6d5f9e8345e5a84b4d32b2f55f8080d6661ba432e952ab275638a5ab"),
+    ("nfragile", {"q": 2, "rows": 4, "cols": 1, "minor_size": 3}, 1042, 9,
+     "73c8b8902b3391c1b84cee0b349aa4dab7464f60b596721ef375b9f871a55eaa"),
+    ("nfragile", {"q": 2, "rows": 4, "cols": 2, "minor_size": 2}, 1043, 80,
+     "05cd691ccaf4e18fa2ab9dc036a6c4bcb899ed62d9227dda7766fec9d73e9ddd"),
+    ("nfragile", {"q": 2, "rows": 4, "cols": 2, "minor_size": 3}, 1044, 5,
+     "43a5fc0ac248543d68dc8b9b59a3a7c60ef5eac32655f1f105b45f83282998e8"),
+    ("nfragile", {"q": 2, "rows": 4, "cols": 3, "minor_size": 3}, 1045, 3,
+     "a0c5aedc0763aba5d5958479ae636519c50e205261b5d5c1bafb95071cc1240f"),
+    ("nfragile", {"q": 3, "rows": 1, "cols": 1, "minor_size": 1}, 1046, 0,
+     "a239ff86f039d77f2f1ee7fcadc3b9bea0ae5fec01f48a3ed8047b35c5ed297a"),
+    ("nfragile", {"q": 3, "rows": 1, "cols": 1, "minor_size": 2}, 1047, 0,
+     "66b0add188ad45885330c238f643fc5d5965abe881e6431e4bd230c6474858e6"),
+    ("nfragile", {"q": 3, "rows": 1, "cols": 2, "minor_size": 1}, 1048, 15,
+     "989a9b264c3681f5c5119c0c4f9ff3f7b40981d147408795bf4ab2dbb102e070"),
+    ("nfragile", {"q": 3, "rows": 1, "cols": 2, "minor_size": 2}, 1049, 0,
+     "45dc87ed58d5b333a108fb39ef5774974c4004cc9e25467ee01a1c24c706e387"),
+    ("nfragile", {"q": 3, "rows": 1, "cols": 2, "minor_size": 3}, 1050, 0,
+     "3e09e445b6da7b4f2e6225adcd91a9251236294e5904cf009eb46fd592642f94"),
+    ("nfragile", {"q": 3, "rows": 1, "cols": 3, "minor_size": 1}, 1051, 85,
+     "239ded208ea680fcd7c020caa463357dbf4922ce1344b58c8db49c7b91633109"),
+    ("nfragile", {"q": 3, "rows": 1, "cols": 3, "minor_size": 2}, 1052, 15,
+     "549d11091d1fb3bb2eae089367561c609de55f7f1a8bb417a5ec4dcded81542d"),
+    ("nfragile", {"q": 3, "rows": 1, "cols": 3, "minor_size": 3}, 1053, 0,
+     "2292879f1a090524226f54bf4fd119dab1179af1cc9be7433205a9259f2f717f"),
+    ("nfragile", {"q": 3, "rows": 1, "cols": 4, "minor_size": 1}, 1054, 141,
+     "443100080f3117accba4dda7129ec2d2b4cd2162688c3c06f65bc2c3bd25aef3"),
+    ("nfragile", {"q": 3, "rows": 1, "cols": 4, "minor_size": 2}, 1055, 4,
+     "19763f96c1ea4f67952ee1a8129c8916bce10984ef0000990104f6d5231599da"),
+    ("nfragile", {"q": 3, "rows": 1, "cols": 4, "minor_size": 3}, 1056, 1,
+     "169dd3ca0517bd408d961fde636200f1ca478030b7f4aa4dcd7811dee0fad5c0"),
+    ("nfragile", {"q": 3, "rows": 2, "cols": 1, "minor_size": 1}, 1057, 3,
+     "3c972147452fd3a97509f8115b8108ff5e280c40b6136df9314a808d900fb4e0"),
+    ("nfragile", {"q": 3, "rows": 2, "cols": 1, "minor_size": 2}, 1058, 0,
+     "3ae2ec4c7f0012e7dc4c64a4e189d8a2239756f14408c9add1b6971a0afc754f"),
+    ("nfragile", {"q": 3, "rows": 2, "cols": 1, "minor_size": 3}, 1059, 0,
+     "ccdea025d96bc49803b1c3ce8306b2f115303b83e753aed31c9774658fbe5273"),
+    ("nfragile", {"q": 3, "rows": 2, "cols": 2, "minor_size": 2}, 1060, 1,
+     "64e4df215b4b3aa5a2b1ed033ce1de6496a0045991f3acbb96301bf3e31d7e70"),
+    ("nfragile", {"q": 3, "rows": 2, "cols": 2, "minor_size": 3}, 1061, 0,
+     "4a1864fd1adb69331a0ea9c22a7353f56b14546c9aaa3db8d2e3656ceb1b280a"),
+    ("nfragile", {"q": 3, "rows": 2, "cols": 3, "minor_size": 2}, 1062, 0,
+     "24133b8174c0a1c0713834319c0df80406b631fffcf2aec9c323c652b5aea3a8"),
+    ("nfragile", {"q": 3, "rows": 2, "cols": 3, "minor_size": 3}, 1063, 0,
+     "0494a7f1c6e6f489e602d7f6370a1f4e80a37c6595cc93c20556177fe5263515"),
+    ("nfragile", {"q": 3, "rows": 2, "cols": 4, "minor_size": 2}, 1064, 18,
+     "5333d6399abd5e2ad61435bab037d78f0f65971e92a3bb91bad3ca192e903f41"),
+    ("nfragile", {"q": 3, "rows": 2, "cols": 4, "minor_size": 3}, 1065, 3,
+     "f960acda2eb16322965cc0c3c423b5a6c154e9fb73868c986dede99b0f33874d"),
+    ("nfragile", {"q": 3, "rows": 3, "cols": 1, "minor_size": 1}, 1066, 9,
+     "0b11c6f2b1bf246be16f70f13c55461cf685388beb1edd919295d6b44cc2682c"),
+    ("nfragile", {"q": 3, "rows": 3, "cols": 1, "minor_size": 2}, 1067, 13,
+     "a8c2fa3c6bdb4c9d83a5a3920ea2c56ce36a1b7281e93d9ccdf7925be2a3ebed"),
+    ("nfragile", {"q": 3, "rows": 3, "cols": 1, "minor_size": 3}, 1068, 0,
+     "6360f93416ae5a7f8f6201c3af8f04a898a2a83e9f112c40bc68dba7fb218e01"),
+    ("nfragile", {"q": 3, "rows": 3, "cols": 2, "minor_size": 2}, 1069, 1,
+     "05232906fe798512b6a764d228edd8d2fe57b2899420cc8cd574fe45a10e91e2"),
+    ("nfragile", {"q": 3, "rows": 3, "cols": 2, "minor_size": 3}, 1070, 0,
+     "29a9d2e47ee222cf80a2827ecd5301bd43bb9558c8b4ea11931d8297e65a6b69"),
+    ("nfragile", {"q": 3, "rows": 3, "cols": 3, "minor_size": 2}, 1071, 29,
+     "660b678ef1becb58ef71b72c403fe4d4b4e72af288f7444277e1daaee1e587cd"),
+    ("nfragile", {"q": 3, "rows": 3, "cols": 3, "minor_size": 3}, 1072, 0,
+     "ea0b33ed10c4e6b4759ccfc1505a3aa71504d472a017feb1e1515b9395e7f6bd"),
+    ("nfragile", {"q": 3, "rows": 3, "cols": 4, "minor_size": 3}, 1073, 3,
+     "3adafb39542af199879973c2a3d36c31301e0c20a8dd9b0957c2113effe99d0c"),
+    ("nfragile", {"q": 3, "rows": 4, "cols": 1, "minor_size": 1}, 1074, 56,
+     "b8e4dfc51428512e9d7ce0aa67d94fd65b8a07e00fff50e8a919ecf6588b3f32"),
+    ("nfragile", {"q": 3, "rows": 4, "cols": 1, "minor_size": 2}, 1075, 31,
+     "efd8d6770dbe9fa50fc32909936e41290d63c0aee120f58ae9b0502144a7113b"),
+    ("nfragile", {"q": 3, "rows": 4, "cols": 1, "minor_size": 3}, 1076, 1,
+     "b3532fe79beb821325a22ff3b60874a3da6791afe46ed4a7663185f3bed212fa"),
+    ("nfragile", {"q": 3, "rows": 4, "cols": 2, "minor_size": 2}, 1077, 0,
+     "ac4ad5dbc54632093f6fba46107cd2251594940271fb6c00b7d73c7d5145b5b9"),
+    ("nfragile", {"q": 3, "rows": 4, "cols": 2, "minor_size": 3}, 1078, 4,
+     "9d2c4df24355209ea9b1dbf40e63430bffc7a033e57f86d0d7bd81ac3fd92b46"),
+    ("nfragile", {"q": 3, "rows": 4, "cols": 3, "minor_size": 3}, 1079, 0,
+     "49d5a86d50f98f175778297e5c366a461dc78ab38453e0840fb36bb912453cfc"),
+    ("pipeline", {"q": 2, "rows": 1, "cols": 2, "minor_size": 2}, 1080, 0,
+     "f2d9ff214a564edffe615af1217642352acf578263006f83a3d398d06b9300fd"),
+    ("pipeline", {"q": 2, "rows": 1, "cols": 3, "minor_size": 2}, 1081, 4,
+     "3e1d6aba8d6c35945d76b5b800afbdcf1150ae58b5a22ba0e089cd62f352569a"),
+    ("pipeline", {"q": 2, "rows": 1, "cols": 4, "minor_size": 2}, 1082, 107,
+     "fadcd131bcd1d537e1e46f2417eaa59d8d6a7f5a691bb36d9e51427f4106d1c3"),
+    ("pipeline", {"q": 2, "rows": 2, "cols": 1, "minor_size": 2}, 1083, 0,
+     "77445d7b2d33e3100f43b55b266c00698041bbb2ab2c3962496dcdf639c3dc3e"),
+    ("pipeline", {"q": 2, "rows": 2, "cols": 2, "minor_size": 2}, 1084, 1,
+     "1b58eb8108781016484b8f19246a47bcb731c275413e98527246548b88b64d02"),
+    ("pipeline", {"q": 2, "rows": 2, "cols": 3, "minor_size": 2}, 1085, 14,
+     "829328809be385ec49f9a32d2fc11ff20aa065ee521881eed9f5c294cd80b522"),
+    ("pipeline", {"q": 2, "rows": 2, "cols": 4, "minor_size": 2}, 1086, 11,
+     "82ecebfbf9332c5fe70534aef4a521dc2870c4bd79ffbf2afbad600100f3d731"),
+    ("pipeline", {"q": 2, "rows": 3, "cols": 1, "minor_size": 2}, 1087, 8,
+     "b888d45ae7f37010e6004b540110c103ce99c0c4825a727d7a4526c60275418f"),
+    ("pipeline", {"q": 2, "rows": 3, "cols": 2, "minor_size": 2}, 1088, 3,
+     "7d2e5e3b4aa6e8a9e6bf6829f27bb3149541544afcdd5f6c31fc26a911c3fb5f"),
+    ("pipeline", {"q": 2, "rows": 3, "cols": 3, "minor_size": 2}, 1089, 37,
+     "d6454f80ead4c72bc89182e80eee00f9fef770ccabab74de6d47422bd28e9f76"),
+    ("pipeline", {"q": 2, "rows": 4, "cols": 1, "minor_size": 2}, 1090, 8,
+     "82a83ae1069d0cbcac4a4096fdafd8858da16fbaff733844b86ba6064f9b0947"),
+    ("pipeline", {"q": 2, "rows": 4, "cols": 2, "minor_size": 2}, 1091, 10,
+     "d161461522643883e5d02af9b52a02a5957374af220e4071b9ef9f44ee3c8635"),
+    ("pipeline", {"q": 2, "rows": 1, "cols": 3, "minor_size": 3}, 1092, 0,
+     "caa7c934af5e244caa2a0bbff3a4cf0bc33cf1f278bab55b6889e11a2a39d585"),
+    ("pipeline", {"q": 2, "rows": 1, "cols": 4, "minor_size": 3}, 1093, 0,
+     "e02398480369176dc7c4bbb88c5fbf3fd8cb731f47c9faeab8b17079a9a7a0f0"),
+    ("pipeline", {"q": 2, "rows": 2, "cols": 2, "minor_size": 3}, 1094, 0,
+     "0135f022afb4870bba21cfb9519b49b6b86fe15b77e8dc0c2581580b6bf00ab2"),
+    ("pipeline", {"q": 2, "rows": 2, "cols": 3, "minor_size": 3}, 1095, 1,
+     "d6f393b6e26d5f3dfc7f169799d619f9c2d0fadfa96d17124a40c8329ca73e5d"),
+    ("pipeline", {"q": 2, "rows": 2, "cols": 4, "minor_size": 3}, 1096, 8,
+     "17a412de9816dcd9e3a69bd8f06df2c1dd36f13bf17470d35172e25a578e1cb5"),
+    ("pipeline", {"q": 2, "rows": 3, "cols": 1, "minor_size": 3}, 1097, 0,
+     "02d1e46ac552147ad9ce2aa6c5b7b2de3eb513ab813f01d94e72244b8e249af6"),
+    ("pipeline", {"q": 2, "rows": 3, "cols": 2, "minor_size": 3}, 1098, 3,
+     "df000f6013fa7a9a043595cb9be8d8d1f50936c04b7f41541e87beb08883d61e"),
+    ("pipeline", {"q": 2, "rows": 3, "cols": 3, "minor_size": 3}, 1099, 1,
+     "5c026a21796ca4f67f4d47e0dfd69aa90fcbb2405292ad9679d4d240d1cfb781"),
+    ("pipeline", {"q": 2, "rows": 3, "cols": 4, "minor_size": 3}, 1100, 10,
+     "5b3798d936514886a3c4cad0b1b9b9c92914d1d6791862f3aa2b689c6457c26c"),
+    ("pipeline", {"q": 2, "rows": 4, "cols": 1, "minor_size": 3}, 1101, 6,
+     "bbd89cfb5c564c7268d892ebe7720e8c41c7c31cd45fc3ceecfea64ea5ebb214"),
+    ("pipeline", {"q": 2, "rows": 4, "cols": 2, "minor_size": 3}, 1102, 4,
+     "2aad9e884605968feee377126cce99c44b9b15e1aed13d6c0ea82f2dafdfc4a7"),
+    ("pipeline", {"q": 2, "rows": 4, "cols": 3, "minor_size": 3}, 1103, 0,
+     "ba511334280f654977b11b8ba5da81294bfe51bba482cc16136fc5de8decfa37"),
+]
+
+
+@pytest.mark.parametrize("kind,shape,seed,rejections,digest", PINNED_DRAWS + CATALOGUE_DRAWS)
 def test_pinned_draws_are_unchanged(kind, shape, seed, rejections, digest):
     if rejections is None:
         with pytest.raises(Exhausted):
@@ -500,8 +738,8 @@ def test_witness_rejected_draws_build_no_minor_and_no_table(
     monkeypatch.setattr(ReprMatroid, "__init__", logged("matroid", ReprMatroid.__init__))
     witness = instances._one_move
 
-    def logged_witness(A, C0, D0):
-        moved = witness(A, C0, D0)
+    def logged_witness(*display_and_sides):
+        moved = witness(*display_and_sides)
         events.append(("witness", moved))
         return moved
 
@@ -541,8 +779,8 @@ def test_witness_rejects_only_what_the_full_search_rejects(monkeypatch, kind, sh
         with_witness = gen_random(kind, seed=seed, q=q, **shape)
         calls = []
 
-        def no_witness(A, C0, D0):
-            calls.append(A)
+        def no_witness(*display_and_sides):
+            calls.append(display_and_sides)
             return None
 
         monkeypatch.setattr(instances, "_one_move", no_witness)

@@ -278,34 +278,33 @@ def test_gf2_bitmask_rank_matches_generic_elimination():
 
 
 def test_one_elimination_step_per_field_kind(monkeypatch):
-    # rank_table and block_rank reduce by the same step: the packed-int
-    # one over GF(2), the one on encodings over every other field
+    # every elimination runs the one sift of its field kind, the
+    # packed-int one over GF(2) and the one on encodings elsewhere;
+    # rank_table's walk reduces by the batch step of the same kind
     from matroidfrag import matrices
 
     used = []
-    reduce_gf2, generic_reducer = matrices._reduce_gf2, matrices._generic_reducer
 
-    def counted_gf2(pivot, rest):
-        used.append(GF2)
-        return reduce_gf2(pivot, rest)
+    def counted(name, fn, order=None):
+        # the generic routines take the field first
+        def wrapper(*args):
+            used.append((name, order or args[0].order))
+            return fn(*args)
 
-    def counted_generic(field):
-        step = generic_reducer(field)
+        return wrapper
 
-        def reduce(pivot, rest):
-            used.append(field)
-            return step(pivot, rest)
-
-        return reduce
-
-    monkeypatch.setattr(matrices, "_reduce_gf2", counted_gf2)
-    monkeypatch.setattr(matrices, "_generic_reducer", counted_generic)
+    for name, order in (("_sift_gf2", 2), ("_sift_enc", None), ("_reduce_gf2", 2),
+                        ("_generic_reducer", None)):
+        monkeypatch.setattr(matrices, name, counted(name, getattr(matrices, name), order))
     for F in (GF2, GF3, GF4):
         A = LabeledMatrix(F, ["a", "b"], ["x", "y"], [[1, 1], [0, 1]])
-        for rank in (lambda: rank_table(A, ["x", "y", "a"])[0b111], A.rank):
+        sift, step = ("_sift_gf2", "_reduce_gf2") if F is GF2 else ("_sift_enc",
+                                                                      "_generic_reducer")
+        for rank, names in ((lambda: rank_table(A, ["x", "y", "a"])[0b111], {sift, step}),
+                            (A.rank, {sift})):
             used.clear()
             assert rank() == 2
-            assert used and set(used) == {F}
+            assert set(used) == {(name, F.order) for name in names}
 
 
 def assert_table_matches_rank(A, labels):

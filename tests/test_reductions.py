@@ -6,7 +6,11 @@ PostconditionViolation on failure, so a clean return is itself a
 certificate; the assertions below pin the concrete outputs.
 """
 
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 from random import Random
 from types import SimpleNamespace
 
@@ -1136,3 +1140,38 @@ def test_zeroing_keeps_only_partitions_realising_the_minor(monkeypatch):
     check()
     assert seen["fragile"] >= 100 and seen["several", True] >= 100, seen
     assert seen["proper"] >= 15, seen
+
+
+def test_pipeline_field_work_does_not_depend_on_string_hashing():
+    # the rank oracle eliminates a set's columns in display order, not in
+    # the set's iteration order, so 30 GF(3) pipelines make the same
+    # number of field multiplications in fresh processes under every
+    # hash seed
+    code = """if True:
+        from matroidfrag import ReprMatroid, gen_random, pipeline
+        from matroidfrag.galois import FieldSpec
+        pairs = []
+        for seed in range(30):
+            inst = gen_random("pipeline", seed=seed, q=3, rows=4, cols=5, minor_size=3).instance
+            pairs.append((ReprMatroid(inst.matrix), inst.task.minor))
+        calls = [0]
+        mul = FieldSpec.mul_enc
+
+        def counted(self, a, b):
+            calls[0] += 1
+            return mul(self, a, b)
+
+        FieldSpec.mul_enc = counted
+        for M, N in pairs:
+            pipeline(M, N)
+        print(calls[0])
+    """
+    src = Path(__file__).resolve().parent.parent / "src"
+    counts = set()
+    for hash_seed in ("1", "2", "3"):
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": hash_seed}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        counts.add(int(proc.stdout))
+    assert len(counts) == 1 and counts.pop() > 0, counts
