@@ -56,7 +56,7 @@ from typing import Iterable, Sequence
 
 from .errors import CapExceeded, GroundSetMismatch, UnknownLabel
 from .galois import FieldSpec
-from .matrices import LabeledMatrix, _element_vectors, _gf2_row, _sift, rank_table
+from .matrices import LabeledMatrix, _gf2_row, _sift, rank_table
 from .matroids import EQUALS_CAP_DEFAULT, MinorSpec, ReprMatroid
 from .subsets import first_by_size, partitions_of
 
@@ -413,16 +413,19 @@ def _one_move(field: FieldSpec, row_pos: dict, col_pos: dict, data: Sequence, C0
     """The element that moves in `one_move_partition`, or None: its two
     eliminations on a display of M, given as its position maps and its
     rows of encodings, with the sides C0 and D0 sorted and inside the
-    display's labels (checked by the caller).  It builds no matroid and
-    no matrix, so a caller holding only drawn rows pays for the sifts
-    alone, each stopped at its first zero vector."""
-    for dual, first, then in ((False, C0, D0), (True, D0, C0)):
-        labels = first + then
-        vecs = _element_vectors(field, row_pos, col_pos, data, labels, dual=dual)
-        for e, v in zip(labels, _sift(field, vecs, len(first))):
-            if not v:
-                return e
-    return None
+    display's labels (checked by the caller).  Each is one call of
+    `matrices._sift`, which reads the vectors off the display as it
+    reaches them and stops at the first that reduces to zero, the last
+    it returns; the witness has no elimination of its own.  It builds no
+    matroid and no matrix, so a caller holding only drawn rows pays for
+    the sifts alone."""
+    labels = C0 + D0
+    red = _sift(field, row_pos, col_pos, data, labels, len(C0), stop=True)
+    if red and not red[-1]:
+        return labels[len(red) - 1]
+    labels = D0 + C0
+    red = _sift(field, row_pos, col_pos, data, labels, len(D0), dual=True, stop=True)
+    return labels[len(red) - 1] if red and not red[-1] else None
 
 
 def x_fragile_failure(
@@ -511,15 +514,15 @@ def partition_basis(
     r(M) - |C| = r(M/C) >= r(N) >= |X|, so C + X is a basis iff X is a
     basis of N and r(N) = r(M) - |C|.  All such B share C, so their lex
     order is that of X, and the least X is N's greedy basis in label
-    order: one sift of N's element vectors in that order (`_sift`)
-    leaves a vector nonzero exactly when the elements before it do not
-    span it.
+    order: one sift of N's element vectors in that order (`_sift`, read
+    off N's display) leaves a vector nonzero exactly when the elements
+    before it do not span it.
     """
     C = part.contract
     if len(N.rep.rows) != len(M.rep.rows) - len(C) or M.rank(C) != len(C):
         return None
     labels, A = sorted(N.ground), N.rep
-    vecs = _sift(A.field, _element_vectors(A.field, A._row_pos, A._col_pos, A._data, labels))
+    vecs = _sift(A.field, A._row_pos, A._col_pos, A._data, labels, len(labels))
     return C | frozenset(e for e, v in zip(labels, vecs) if v)
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from itertools import islice, repeat
 from typing import NamedTuple, Union
 
@@ -81,6 +82,24 @@ Task = Union[XFragileTask, NFragileTask, RelaxTask, PipelineTask]
 _TASKS = {cls.kind: cls for cls in (XFragileTask, NFragileTask, RelaxTask, PipelineTask)}
 
 
+def _check_int(name: str, value) -> None:
+    """Refuse an argument that is not an int, or is a bool, which would
+    pass for 0 or 1 and serialize as JSON true or false."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidArgs(f"{name} must be an int, got {value!r}")
+
+
+def _check_seed(seed) -> None:
+    """A seed is written to the instance document, so it is an int with
+    no more digits than the interpreter converts to and from a string
+    (`sys.get_int_max_str_digits()`, when that limit is set)."""
+    _check_int("seed", seed)
+    limit = sys.get_int_max_str_digits()
+    # |seed| < 2^(3 limit) < 10^limit needs no power of ten
+    if limit and seed.bit_length() > 3 * limit and abs(seed) >= 10 ** limit:
+        raise InvalidArgs(f"seed has more than {limit} digits")
+
+
 class InstanceFile(FrozenRecord):
     __slots__ = ("field", "matrix", "task", "seed")
 
@@ -94,6 +113,8 @@ class InstanceFile(FrozenRecord):
         for what, part in (("matrix", matrix), ("task minor", getattr(task, "minor", None))):
             if part is not None and part.field != field:
                 raise FieldMismatch(f"{what} over {part.field!r} in a {field!r} instance")
+        if seed is not None:
+            _check_seed(seed)
         super().__init__(field, matrix, task, seed)
 
 
@@ -357,12 +378,20 @@ def gen_random(
     `one_move_partition`, run on the drawn rows with label positions
     computed once per call) proves the draw is not fragile.  A rejected
     draw costs its entries, its partition draw and one sift (two when
-    the first finds no move): it builds no LabeledMatrix, no matroid, no
-    minor and no rank table.  The witness only rejects: a draw is
+    the first finds no move), which reads each element vector off the
+    drawn rows when it reaches it and stops at the first zero one: it
+    builds no vector list, no generator, no LabeledMatrix, no matroid,
+    no minor and no rank table.  The witness only rejects: a draw is
     accepted only when the full search `is_N_fragile` finds a unique
     partition, or when `x_fragile_failure` passes, which holds exactly
     when (rows - X, cols - X) is the only one.  So the accepted
     instances and rejection counts are those of the full search alone.
+
+    seed, rows, cols, x_rows, x_cols, minor_size and max_attempts must
+    be ints, and not bools, and the seed no longer than the interpreter
+    writes as a string; anything else raises InvalidArgs before any
+    draw, so every returned instance serializes to a document that
+    `parse_instance` reads back.
 
     Returns the instance plus the number of rejected draws.  Raises
     Exhausted when max_attempts samples all fail the acceptance oracle,
@@ -370,6 +399,10 @@ def gen_random(
     """
     if kind not in _TASKS:
         raise InvalidArgs(f"unknown instance kind {kind!r}")
+    _check_seed(seed)
+    for name, value in (("rows", rows), ("cols", cols), ("x_rows", x_rows), ("x_cols", x_cols),
+                        ("minor_size", minor_size), ("max_attempts", max_attempts)):
+        _check_int(name, value)
     if rows < 0 or cols < 0:
         raise InvalidArgs("matrix sizes must be nonnegative")
     if max_attempts < 1:

@@ -6,33 +6,41 @@ elements are the row labels, and in that reading every label names one
 matroid element.  Entries are stored as integer encodings; the public
 accessor hands back FieldElem values.
 
-Rank is exact Gaussian elimination by one sift per field kind
-(`_sift`): each vector in turn is reduced by the pivots kept so far,
-each clearing its leading coordinate, and a nonzero one among the first
-k becomes the next pivot (XOR on packed ints over GF(2), field
-operations on sequences of encodings elsewhere).  It computes the same
-reduced vectors, in the same order, as letting each pivot reduce every
-vector after it, and it allocates no list per pivot; a caller may stop
-at the first vector it wants.  The sift has four callers.  `block_rank`
-answers single queries, the rank of A with some rows dropped, on some
-columns; matrix rank, `submatrix_rank` and the matroid rank oracle call
-it, through `rank_gf2` and `_rank_generic`.  `rank_table` answers
-complete sweeps, the rank of every subset of a label list in the
-matroid or a contraction of it, and sifts the contracted set's vectors
-and then the labels' once to set up.  The one-move witness
-`fragility._one_move` reads closures off one sift of element vectors
-(`_element_vectors`) in the matroid and one in its dual, on a display
-given as position maps and rows, so the generator runs it on drawn rows
-before any matrix is built; `fragility.partition_basis` reads a minor's
-least basis off one.
-`rank_table`'s depth-first walk keeps the batch step (`_reduce_gf2`,
+Rank is exact Gaussian elimination in insertion form: each vector in
+turn is reduced by the pivots kept so far, each clearing its leading
+coordinate, and a nonzero one among the first k becomes the next pivot
+(XOR on packed ints over GF(2), field operations on lists of encodings
+elsewhere).  It computes the same reduced vectors, in the same order, as
+letting each pivot reduce every vector after it, and it allocates no
+list per pivot.
+
+Element vectors go through `_sift`, one plain loop per field kind
+(`_sift_gf2`, `_sift_enc`), on a display given as its position maps and
+its rows.  The loop reads a label's vector off the display when it
+reaches the label (a unit vector, a column, or in the dual the row
+itself, each packed into an int over GF(2)), so a sift stopped at its
+first zero vector builds no vector after it.  It has three callers: the
+one-move witness `fragility._one_move`, one sift in the matroid and one
+in its dual, each stopped at its first zero vector, which the generator
+runs on drawn rows before any matrix is built;
+`fragility.partition_basis`, which reads a minor's least basis off one;
+and `rank_table`, which sifts the contracted set's vectors and then the
+labels' once to set up.
+
+`block_rank` answers single queries, the rank of A with some rows
+dropped, on some columns; matrix rank, `submatrix_rank` and the matroid
+rank oracle call it.  It counts with its own loops (`rank_gf2`,
+`_rank_generic`) on vectors cut from the stored rows, or over GF(2) on
+the columns packed into ints once per matrix, rows dropped by masking:
+reading a query's vectors through labels, as the sift does, made it
+about 2.5 times slower.  `rank_table` answers complete sweeps, the rank
+of every subset of a label list in the matroid or a contraction of it.
+Its depth-first walk keeps the batch step (`_reduce_gf2`,
 `_generic_reducer`): a child reduces its parent's list of vectors by
 its one new pivot, and that list is shared by the child's whole
 subtree, where a sift would reduce each vector again by every pivot of
 the node.  Every exhaustive certificate in the package reads such a
-table.  Over GF(2) each column is packed into an int once per matrix
-for the rank queries (rows are dropped by masking); an element vector
-is packed when it is needed.
+table.
 """
 
 from __future__ import annotations
@@ -279,8 +287,9 @@ def rank_table(
     bytearray indexed by bitmask: bit i stands for labels[i].
 
     One sift (`_sift`) of S's vectors and then the labels', with only
-    S's vectors as pivots, reduces each label's vector by S's pivots; a
-    row's unit vector only clears its coordinate.  Reducing adds
+    S's vectors as pivots, reads each vector off the display and reduces
+    each label's vector by S's pivots; a row's unit vector only clears
+    its coordinate.  Reducing adds
     multiples of S's vectors, so W's reduced vectors and S span W | S.
     Each pivot, and every reduced vector, is zero at the leading
     coordinates of the pivots before it; so a nonzero combination of
@@ -311,8 +320,7 @@ def rank_table(
     if unknown:
         raise UnknownLabel(f"labels not in matrix: {sorted(unknown)}")
     field = A.field
-    vecs = _element_vectors(field, A._row_pos, A._col_pos, A._data, every)
-    vecs = list(_sift(field, vecs, len(S)))
+    vecs = _sift(field, A._row_pos, A._col_pos, A._data, every, len(S))
     full = len(A.rows) - sum(1 for w in vecs[:len(S)] if w)
     vecs = vecs[len(S):]
     reduce = _reduce_gf2 if field.order == 2 else _generic_reducer(field)
@@ -338,78 +346,81 @@ def rank_table(
     return table
 
 
-def _element_vectors(field: FieldSpec, row_pos: dict, col_pos: dict, data: Sequence,
-                     labels: Iterable[str], *, dual: bool = False) -> list:
-    """The vectors of `labels` (checked by the caller) in the matroid of
-    the display [I | A], given as its position maps and its rows of
-    encodings, over A's row coordinates: a row label's vector is its
-    unit vector, a column label's its column of A.  With `dual`, the
-    vectors in the dual, displayed by -A^T, over A's column coordinates:
-    a column label's is its unit vector, a row label's its row of A, as
-    no span depends on the sign.  Over GF(2) a vector is an int with
-    bit i for coordinate i, elsewhere a sequence of encodings."""
+def _sift(field: FieldSpec, row_pos: dict, col_pos: dict, data: Sequence, labels: Sequence[str],
+          k: int, *, dual: bool = False, stop: bool = False) -> list:
+    """The elimination of the element vectors of `labels` (checked by
+    the caller) in the matroid of the display [I | A], given as its
+    position maps and its rows of encodings, in insertion form: each
+    vector in turn is reduced by the pivots kept so far, in the order
+    they were kept, each clearing its leading coordinate, and a nonzero
+    one among the first k is kept as the next pivot.  Returns the
+    reduced vectors in label order; with `stop`, it returns as soon as
+    one is zero, which is then the last.
+
+    A label's vector is read off the display when the loop reaches it,
+    over A's row coordinates: a row label's is its unit vector, a column
+    label's its column of A.  With `dual`, it is the vector in the dual,
+    displayed by -A^T, over A's column coordinates: a column label's is
+    its unit vector, a row label's its row of A, as no span depends on
+    the sign.  Over GF(2) (`_sift_gf2`) a vector is an int with bit i
+    for coordinate i, reduced by XOR; elsewhere (`_sift_enc`) a list of
+    encodings, and () when it is zero."""
     unit, other = (col_pos, row_pos) if dual else (row_pos, col_pos)
-    n, gf2 = len(unit), field.order == 2
-    vecs = []
-    for v in labels:
-        if v in unit:
-            i = unit[v]
-            vecs.append(1 << i if gf2 else (0,) * i + (1,) + (0,) * (n - 1 - i))
+    if field.order == 2:
+        return _sift_gf2(unit, other, data, labels, k, dual, stop)
+    return _sift_enc(field, unit, other, data, labels, k, dual, stop)
+
+
+def _sift_gf2(unit: dict, other: dict, data: Sequence, labels: Sequence[str], k: int,
+              dual: bool, stop: bool) -> list:
+    out, pivots = [], []
+    for i, e in enumerate(labels):
+        if e in unit:
+            w = 1 << unit[e]
         elif dual:
-            vecs.append(_gf2_row(data[other[v]]) if gf2 else data[other[v]])
-        elif gf2:
-            j, w = other[v], 0
+            w = _gf2_row(data[other[e]])
+        else:
+            j, w = other[e], 0
             for row in reversed(data):
                 w = w << 1 | row[j]
-            vecs.append(w)
-        else:
-            vecs.append([row[other[v]] for row in data])
-    return vecs
-
-
-def _sift(field: FieldSpec, vecs: Iterable, k: int | None = None):
-    """The elimination of `vecs` in insertion form, one vector at a time:
-    each is reduced by the pivots kept so far, in the order they were
-    kept, and yielded; a nonzero one among the first `k` (all, when k is
-    None) is kept as the next pivot.  Reducing by a pivot clears its
-    leading coordinate.  A vector is yielded as soon as it is reduced,
-    so a caller may stop at the first that is zero.  Over GF(2) the
-    vectors are ints with bit i for coordinate i, reduced by XOR;
-    elsewhere sequences of encodings, yielded as lists, and () when
-    zero."""
-    if field.order == 2:
-        return _sift_gf2(vecs, k)
-    return _sift_enc(field, vecs, k)
-
-
-def _sift_gf2(vecs: Iterable[int], k: int | None = None):
-    pivots = []
-    for i, w in enumerate(vecs):
         for top, p in pivots:
             if w & top:
                 w ^= p
-        if w and (k is None or i < k):
+        if w and i < k:
             pivots.append((1 << w.bit_length() - 1, w))
-        yield w
+        out.append(w)
+        if stop and not w:
+            return out
+    return out
 
 
-def _sift_enc(field: FieldSpec, vecs: Iterable[Sequence[int]], k: int | None = None):
+def _sift_enc(field: FieldSpec, unit: dict, other: dict, data: Sequence, labels: Sequence[str],
+              k: int, dual: bool, stop: bool) -> list:
     mul, sub, inv = field.mul_enc, field.sub_enc, field.inv_enc
-    pivots = []
-    for i, w in enumerate(vecs):
-        w = list(w)
+    out, pivots = [], []
+    for i, e in enumerate(labels):
+        if e in unit:
+            w = [0] * len(unit)
+            w[unit[e]] = 1
+        elif dual:
+            w = list(data[other[e]])
+        else:
+            j = other[e]
+            w = [row[j] for row in data]
         for h, lead, support in pivots:
             if w[h]:
                 f = mul(w[h], lead)
                 for j, x in support:
                     w[j] = sub(w[j], mul(f, x))
         if not any(w):
-            yield ()
-            continue
-        if k is None or i < k:
+            w = ()
+        elif i < k:
             support = [(j, x) for j, x in enumerate(w) if x]
             pivots.append((support[0][0], inv(support[0][1]), support))
-        yield w
+        out.append(w)
+        if stop and not w:
+            return out
+    return out
 
 
 def _reduce_gf2(pivot: int, rest: list) -> list:
@@ -446,10 +457,31 @@ def _generic_reducer(field: FieldSpec):
 
 
 def rank_gf2(masks: Iterable[int]) -> int:
-    """Rank of GF(2) vectors packed as ints."""
-    return sum(1 for w in _sift_gf2(masks) if w)
+    """Rank of GF(2) vectors packed as ints: each is reduced by the
+    pivots kept so far, as in `_sift_gf2`, and kept if it is nonzero."""
+    pivots = []
+    for w in masks:
+        for top, p in pivots:
+            if w & top:
+                w ^= p
+        if w:
+            pivots.append((1 << w.bit_length() - 1, w))
+    return len(pivots)
 
 
 def _rank_generic(field: FieldSpec, vectors: Iterable[Sequence[int]]) -> int:
-    """Rank of vectors of encodings over `field`."""
-    return sum(1 for w in _sift_enc(field, vectors) if w)
+    """Rank of vectors of encodings over `field`: each is reduced by the
+    pivots kept so far, as in `_sift_enc`, and kept if it is nonzero."""
+    mul, sub, inv = field.mul_enc, field.sub_enc, field.inv_enc
+    pivots = []
+    for w in vectors:
+        w = list(w)
+        for h, lead, support in pivots:
+            if w[h]:
+                f = mul(w[h], lead)
+                for j, x in support:
+                    w[j] = sub(w[j], mul(f, x))
+        support = [(j, x) for j, x in enumerate(w) if x]
+        if support:
+            pivots.append((support[0][0], inv(support[0][1]), support))
+    return len(pivots)

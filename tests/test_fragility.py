@@ -1200,6 +1200,135 @@ def test_one_move_witness_matches_the_query_reference():
             assert seen[F.order, kind] >= 10, seen
 
 
+# The reference for `matrices._sift`: the elimination it replaced, which
+# built every element vector up front and then reduced them one at a
+# time in a generator.  It computes the same reduced vectors.
+def reference_element_vectors(field, row_pos, col_pos, data, labels, dual=False):
+    unit, other = (col_pos, row_pos) if dual else (row_pos, col_pos)
+    n, gf2 = len(unit), field.order == 2
+    vecs = []
+    for v in labels:
+        if v in unit:
+            i = unit[v]
+            vecs.append(1 << i if gf2 else (0,) * i + (1,) + (0,) * (n - 1 - i))
+        elif dual:
+            row = data[other[v]]
+            vecs.append(sum(x << j for j, x in enumerate(row)) if gf2 else row)
+        elif gf2:
+            vecs.append(sum(row[other[v]] << i for i, row in enumerate(data)))
+        else:
+            vecs.append([row[other[v]] for row in data])
+    return vecs
+
+
+def reference_sift(field, vecs, k):
+    pivots = []
+    for i, w in enumerate(vecs):
+        if field.order == 2:
+            for top, p in pivots:
+                if w & top:
+                    w ^= p
+            if w and i < k:
+                pivots.append((1 << w.bit_length() - 1, w))
+            yield w
+            continue
+        w = list(w)
+        for h, lead, support in pivots:
+            if w[h]:
+                f = field.mul_enc(w[h], lead)
+                for j, x in support:
+                    w[j] = field.sub_enc(w[j], field.mul_enc(f, x))
+        if not any(w):
+            yield ()
+            continue
+        if i < k:
+            support = [(j, x) for j, x in enumerate(w) if x]
+            pivots.append((support[0][0], field.inv_enc(support[0][1]), support))
+        yield w
+
+
+def reference_one_move(field, row_pos, col_pos, data, C0, D0):
+    for dual, first, then in ((False, C0, D0), (True, D0, C0)):
+        labels = first + then
+        vecs = reference_element_vectors(field, row_pos, col_pos, data, labels, dual)
+        for e, v in zip(labels, reference_sift(field, vecs, len(first))):
+            if not v:
+                return e
+    return None
+
+
+@st.composite
+def sift_cases(draw, size=4):
+    """A display over one of WITNESS_FIELDS of at most `size` x `size`
+    (zero rows or columns allowed), a list of some of its labels in a
+    drawn order (perhaps none), a pivot count k and a side."""
+    F = draw(st.sampled_from(range(len(WITNESS_FIELDS))))
+    m, n = draw(st.integers(0, size)), draw(st.integers(0, size))
+    entries = st.integers(0, WITNESS_FIELDS[F].order - 1)
+    data = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    labels = draw(st.permutations([f"r{i}" for i in range(m)] + [f"c{j}" for j in range(n)]))
+    labels = labels[:draw(st.integers(0, len(labels)))]
+    return F, data, n, labels, draw(st.integers(0, len(labels))), draw(st.booleans())
+
+
+def test_sift_and_its_callers_match_the_reference_elimination():
+    # the label-reading sift against the elimination it replaced, vector
+    # for vector, stopped and not, and against textbook_rank: a reduced
+    # vector is zero iff its label's vector lies in the span of the
+    # vectors of the pivoting labels before it; on the same cases the
+    # one-move witness returns the element the old elimination returned,
+    # with C0 the first k labels and D0 the rest, and the other callers
+    # of the sift agree with textbook_rank
+    seen = Counter()
+
+    @settings(max_examples=1500, derandomize=True, deadline=None, database=None)
+    @given(sift_cases())
+    # zero rows; zero columns; no labels at all; k = 0 and k = all
+    @example((0, [], 3, ["c2", "c0"], 1, False))
+    @example((1, [[], []], 0, ["r1", "r0"], 2, True))
+    @example((2, [[0]], 1, [], 0, False))
+    @example((3, [[1, 2], [2, 4]], 2, ["c1", "c0", "r0", "r1"], 0, True))
+    @example((4, [[1, 3], [2, 6]], 2, ["c1", "c0", "r0", "r1"], 4, False))
+    def check(case):
+        F, data, n, labels, k, dual = case
+        field, m = WITNESS_FIELDS[F], len(data)
+        rows, cols = [f"r{i}" for i in range(m)], [f"c{j}" for j in range(n)]
+        row_pos = {r: i for i, r in enumerate(rows)}
+        col_pos = {c: j for j, c in enumerate(cols)}
+        display = field, row_pos, col_pos, data
+        want = list(reference_sift(
+            field, reference_element_vectors(*display, labels, dual), k))
+        got = matrices._sift(*display, labels, k, dual=dual)
+        assert got == want
+        zero = next((i for i, v in enumerate(want) if not v), len(want))
+        assert matrices._sift(*display, labels, k, dual=dual, stop=True) == want[:zero + 1]
+
+        def vector(e):
+            if e in (col_pos if dual else row_pos):
+                size, at = (n, col_pos[e]) if dual else (m, row_pos[e])
+                return [int(i == at) for i in range(size)]
+            return list(data[row_pos[e]]) if dual else [row[col_pos[e]] for row in data]
+
+        vecs = [vector(e) for e in labels]
+        for i, v in enumerate(got):
+            before = vecs[:min(i, k)]
+            in_span = textbook_rank(field, before + [vecs[i]]) == textbook_rank(field, before)
+            assert (not v) == in_span, (labels[i], i)
+
+        C0, D0 = sorted(labels[:k]), sorted(labels[k:])
+        assert fragility._one_move(*display, C0, D0) == reference_one_move(*display, C0, D0)
+        M = ReprMatroid(LabeledMatrix(field, rows, cols, data))
+        assert_sift_callers_match_the_reference(M, MinorSpec(C0, D0))
+        kind = "none" if not labels else "0" if k == 0 else "all" if k == len(labels) else "some"
+        seen[field.order, dual, kind] += 1
+
+    check()
+    for F in WITNESS_FIELDS:
+        for dual in (False, True):
+            for kind in ("none", "0", "some", "all"):
+                assert seen[F.order, dual, kind] >= 3, seen
+
+
 def test_one_move_witness_reads_no_rank_table(monkeypatch):
     tables, ranks = [], []
     monkeypatch.setattr(fragility, "rank_table",

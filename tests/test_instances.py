@@ -8,7 +8,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from matroidfrag import instances, matrices
 from matroidfrag import (
@@ -375,6 +375,56 @@ def test_gen_validates_before_sampling():
         gen_random("nfragile", seed=0, rows=8, cols=8, minor_size=2)
     with pytest.raises(InvalidArgs):
         gen_random("nope", seed=0)
+
+
+NOT_INTS = ["a", True, False, 1.5, 2.0, None]
+
+
+@pytest.mark.parametrize("value", NOT_INTS, ids=repr)
+@pytest.mark.parametrize("kind,arg", [
+    ("relax", "seed"), ("nfragile", "seed"), ("nfragile", "rows"), ("xfragile", "cols"),
+    ("xfragile", "x_rows"), ("xfragile", "x_cols"), ("pipeline", "minor_size"),
+    ("relax", "max_attempts"),
+])
+def test_gen_refuses_an_argument_that_is_not_an_int(monkeypatch, kind, arg, value):
+    # a bool passes for 0 or 1 and a float or a string for a seed, and
+    # each would reach the document as something parse_instance refuses;
+    # the refusal comes before the first draw
+    monkeypatch.setattr(instances, "_draw_rows", None)
+    with pytest.raises(InvalidArgs, match=f"{arg} must be an int"):
+        gen_random(kind, **{"seed": 0, arg: value})
+
+
+@pytest.mark.parametrize("seed", NOT_INTS[:-1], ids=repr)
+def test_instance_file_refuses_a_seed_that_is_not_an_int(seed):
+    A = LabeledMatrix(field_of_order(2), ["a"], ["b"], [[1]])
+    with pytest.raises(InvalidArgs, match="seed must be an int"):
+        InstanceFile(A.field, A, None, seed)
+    assert InstanceFile(A.field, A, None, None).seed is None
+
+
+LONGEST_SEED = 10 ** sys.get_int_max_str_digits() - 1
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(st.one_of(st.integers(), st.integers(-2**200, 2**200)))
+@example(LONGEST_SEED)
+@example(-LONGEST_SEED)
+def test_every_accepted_seed_round_trips(seed):
+    inst = gen_random("relax", seed=seed, rows=2, cols=2).instance
+    assert inst.seed == seed
+    assert parse_instance(json.dumps(serialize_instance(inst))) == inst
+
+
+@pytest.mark.parametrize("seed", [LONGEST_SEED + 1, -LONGEST_SEED - 1], ids=["+", "-"])
+def test_a_seed_json_cannot_carry_is_refused(seed):
+    # one digit more than the interpreter converts: its document could
+    # be neither written nor parsed
+    with pytest.raises(InvalidArgs, match="digits"):
+        gen_random("relax", seed=seed)
+    A = LabeledMatrix(field_of_order(2), ["a"], ["b"], [[1]])
+    with pytest.raises(InvalidArgs, match="digits"):
+        InstanceFile(A.field, A, None, seed)
 
 
 def test_empty_minor_of_nonempty_ground_is_refused(monkeypatch):

@@ -278,9 +278,10 @@ def test_gf2_bitmask_rank_matches_generic_elimination():
 
 
 def test_one_elimination_step_per_field_kind(monkeypatch):
-    # every elimination runs the one sift of its field kind, the
-    # packed-int one over GF(2) and the one on encodings elsewhere;
-    # rank_table's walk reduces by the batch step of the same kind
+    # every elimination runs the one routine of its field kind: the
+    # label-reading sift and the rank loop on packed ints over GF(2),
+    # the ones on encodings elsewhere; rank_table's walk reduces by the
+    # batch step of the same kind
     from matroidfrag import matrices
 
     used = []
@@ -293,15 +294,16 @@ def test_one_elimination_step_per_field_kind(monkeypatch):
 
         return wrapper
 
-    for name, order in (("_sift_gf2", 2), ("_sift_enc", None), ("_reduce_gf2", 2),
+    for name, order in (("_sift_gf2", 2), ("_sift_enc", None), ("rank_gf2", 2),
+                        ("_rank_generic", None), ("_reduce_gf2", 2),
                         ("_generic_reducer", None)):
         monkeypatch.setattr(matrices, name, counted(name, getattr(matrices, name), order))
     for F in (GF2, GF3, GF4):
         A = LabeledMatrix(F, ["a", "b"], ["x", "y"], [[1, 1], [0, 1]])
-        sift, step = ("_sift_gf2", "_reduce_gf2") if F is GF2 else ("_sift_enc",
-                                                                      "_generic_reducer")
+        sift, rank_loop, step = (("_sift_gf2", "rank_gf2", "_reduce_gf2") if F is GF2 else
+                                 ("_sift_enc", "_rank_generic", "_generic_reducer"))
         for rank, names in ((lambda: rank_table(A, ["x", "y", "a"])[0b111], {sift, step}),
-                            (A.rank, {sift})):
+                            (A.rank, {rank_loop})):
             used.clear()
             assert rank() == 2
             assert set(used) == {(name, F.order) for name in names}

@@ -187,3 +187,38 @@ def test_records_declare_their_fields_once():
         and _only_stores_parameters(init)
     ]
     assert repeated == []
+
+
+def _function(module, name):
+    return next(node for node in ast.walk(TREES[module])
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def _reduces_vectors(node):
+    """Whether a function clears coordinates: XOR on packed ints, or a
+    field subtraction on encodings."""
+    return any(isinstance(sub, (ast.AugAssign, ast.BinOp)) and isinstance(sub.op, ast.BitXor)
+               or isinstance(sub, ast.Attribute) and sub.attr == "sub_enc"
+               for sub in ast.walk(node))
+
+
+def test_no_elimination_in_matrices_is_a_generator():
+    # the sifts and rank loops are plain loops: a generator per
+    # elimination costs a frame switch per vector
+    reducers = [node for node in ast.walk(TREES["matrices.py"])
+                if isinstance(node, ast.FunctionDef) and _reduces_vectors(node)]
+    assert {"_sift_gf2", "_sift_enc", "rank_gf2", "_rank_generic"} <= {f.name for f in reducers}
+    generators = [f.name for f in reducers
+                  if any(isinstance(sub, (ast.Yield, ast.YieldFrom)) for sub in ast.walk(f))]
+    assert generators == []
+
+
+def test_one_move_witness_has_no_elimination_of_its_own():
+    # `fragility._one_move` reads its closures off `matrices._sift`; a
+    # loop, an XOR or a field operation in it would be a second
+    # elimination beside the sift
+    own = [ast.unparse(sub) for sub in ast.walk(_function("fragility.py", "_one_move"))
+           if isinstance(sub, (ast.For, ast.While, ast.comprehension))
+           or isinstance(sub, ast.AugAssign) and isinstance(sub.op, ast.BitXor)
+           or isinstance(sub, ast.Attribute) and sub.attr in ("mul_enc", "sub_enc")]
+    assert own == []
