@@ -86,23 +86,36 @@ def _pivot_inplace(
     """Exchange rows[i] and cols[j] in the standard representation.
 
     Requires data[i][j] != 0.  Rewrites every element vector in the new
-    basis (rows - rows[i] + cols[j]) and swaps the two labels.
+    basis (rows - rows[i] + cols[j]) and swaps the two labels: row i is
+    scaled by a = data[i][j]^-1, with a at j, and every other row with
+    f = data[r][j] nonzero has f times that row subtracted, with -f * a
+    at j.  Over a prime field (no tower steps) an encoding is its
+    residue mod p, so each entry is one residue, (x - f * s) % p, taken
+    at every entry of such a row, as x - f * 0 = x; a tower calls the
+    field's methods, on the entries where the scaled row is nonzero.
     """
-    mul, sub, neg, inv = field.mul_enc, field.sub_enc, field.neg_enc, field.inv_enc
-    ainv = inv(data[i][j])
-    old = data[i]
-    srow = [mul(x, ainv) for x in old]
-    srow[j] = ainv
-    for r in range(len(data)):
-        if r == i:
-            continue
-        f = data[r][j]
-        if f:
-            row = data[r]
-            for u in range(len(row)):
-                if u != j and srow[u]:
-                    row[u] = sub(row[u], mul(f, srow[u]))
-            row[j] = neg(mul(f, ainv))
+    if not field.steps:
+        p = field.p
+        ainv = pow(data[i][j], p - 2, p)
+        srow = [x * ainv % p for x in data[i]]
+        srow[j] = ainv
+        for r, row in enumerate(data):
+            f = row[j]
+            if f and r != i:
+                data[r] = row = [(x - f * s) % p for x, s in zip(row, srow)]
+                row[j] = -f * ainv % p
+    else:
+        mul, sub, neg = field.mul_enc, field.sub_enc, field.neg_enc
+        ainv = field.inv_enc(data[i][j])
+        srow = [mul(x, ainv) for x in data[i]]
+        srow[j] = ainv
+        for r, row in enumerate(data):
+            f = row[j]
+            if f and r != i:
+                for u, s in enumerate(srow):
+                    if s and u != j:
+                        row[u] = sub(row[u], mul(f, s))
+                row[j] = neg(mul(f, ainv))
     data[i] = srow
     rows[i], cols[j] = cols[j], rows[i]
 
@@ -287,11 +300,15 @@ class ReprMatroid:
     # -- duality -----------------------------------------------------------------
 
     def dual(self) -> "ReprMatroid":
+        """The dual, displayed by -A^T: the columns of A, read off by
+        `zip`, become rows, negated unless the field has characteristic
+        2, where -x = x; each distinct entry is negated once."""
         rep = self.rep
-        neg = rep.field.neg_enc
-        m, n = rep.shape
-        data = [[neg(rep._data[i][j]) for i in range(m)] for j in range(n)]
-        return ReprMatroid(LabeledMatrix._of_display(rep.field, rep.cols, rep.rows, data))
+        cols = list(zip(*rep._data)) if rep.rows else [()] * len(rep.cols)
+        if rep.field.p != 2:
+            neg = {x: rep.field.neg_enc(x) for x in set().union(*cols)}.__getitem__
+            cols = [list(map(neg, col)) for col in cols]
+        return ReprMatroid(LabeledMatrix._of_display(rep.field, rep.cols, rep.rows, cols))
 
     # -- matroid predicates ---------------------------------------------------------
 

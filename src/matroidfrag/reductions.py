@@ -25,7 +25,13 @@ no stage sweeps subsets or reads a rank table: each guarantee follows
 by a short proof, in the docstrings of `_zero_out` (the zeroing lemma),
 `free_extension` (free placement), `_collapse_side` (the collapse
 lemma) and `relax_entry`, from polynomial checks that compare entries
-literally; no stage compares two matroids by `equals`.
+literally; no stage compares two matroids by `equals`.  Each stage
+builds its displays from the rows of the display before it: the zeroing
+rewrites BN's rows, a collapse appends a column and then drops columns,
+the relaxation rewrites one row, and the coloop collapse runs on the
+dual, whose display is the transposed rows.  No stage goes through
+`lift`, `with_column`, `set_entry` or `ReprMatroid.minor`, and each
+check reads the rows by position once it has matched the labels.
 
 One partition search per pipeline, in zero_out, finds the partition
 (C, D) realising N; from then on the display is the certificate.  Each
@@ -107,8 +113,9 @@ def _zero_out(M: ReprMatroid, N: ReprMatroid, cap: int) -> tuple[ReprMatroid, La
     display A in E(N), the partition found in M, (rows - E(N),
     cols - E(N)), is the only one realising isolated(BN, E(N)) in M2.
 
-    The zeroing is checked literally: A2 must be A with the block
-    (BN, E(N) - BN) zero and every other entry unchanged, label by label.
+    The zeroing is checked literally: A2 must have A's labels in A's
+    order, and each of its rows must be A's row with the block
+    (BN, E(N) - BN) zero, every other entry unchanged.
     So M2/BN = M/BN, as contracting a row element of [I | A] deletes its
     row (`ReprMatroid.minor`): both are represented by A without BN.
 
@@ -127,14 +134,17 @@ def _zero_out(M: ReprMatroid, N: ReprMatroid, cap: int) -> tuple[ReprMatroid, La
     """
     A = _display(M, N, cap).rep
     BN = N.ground & frozenset(A.rows)
-    block = N.ground - BN
-    data = [list(row) for row in A._data]
-    for r in BN:
-        for c in block:
-            data[A._row_pos[r]][A._col_pos[c]] = 0
-    A2 = LabeledMatrix._of_display(A.field, A.rows, A.cols, data)
-    if any(A2.enc(r, c) != (0 if r in BN and c in block else A.enc(r, c))
-           for r in A.rows for c in A.cols):
+    bn = {A._row_pos[r] for r in BN}
+    block = {A._col_pos[c] for c in N.ground - BN}
+
+    def zeroed(row):
+        # a row of BN with its entries in the block zero
+        return tuple(0 if j in block else x for j, x in enumerate(row))
+
+    A2 = LabeledMatrix._of_display(A.field, A.rows, A.cols,
+                                   [zeroed(a) if i in bn else a for i, a in enumerate(A._data)])
+    if (A2.rows, A2.cols) != (A.rows, A.cols) or any(
+            row != (zeroed(a) if i in bn else a) for i, (a, row) in enumerate(zip(A._data, A2._data))):
         raise PostconditionViolation("the zeroed display is not the display with its block zeroed")
     return ReprMatroid(A2), A2
 
@@ -162,10 +172,13 @@ def free_extension(
     entries in its row, in label order, then zeros up to d.  An element
     of F' with coordinates (a_0, ..., a_(d-1)) over F is encoded as its
     base-|F| digits enc(a_j) (`galois`), so no arithmetic in F' is done;
-    for d = 1 an entry is its own coordinate.  Before returning, each
-    entry of the column is read back in its coordinates, and coordinate
-    j must be x_j's entry in that row for j < |X|, and 0 above; that
-    read-back is the one check.
+    for d = 1 an entry is its own coordinate.  The output is built once,
+    over F', from A's rows with the entry appended: an encoding of F is
+    the same element of F' (`LabeledMatrix.lift`).  Before returning, its
+    labels must be A's with e appended and its rows A's with one more
+    entry; each entry of the column is then read back, by position, in
+    its coordinates, and coordinate j must be x_j's entry in that row for
+    j < |X|, and 0 above.  That read-back is the check of the column.
 
     Proof that the read-back certifies a free placement, i.e. that X
     spans e and every set S of old elements spanning e spans all of X.
@@ -179,6 +192,7 @@ def free_extension(
     the y_s.  So S spans every x_j; the converse holds trivially, and S
     spans e iff S spans X.
     """
+    e = str(e)
     Xf = frozenset(X)
     not_cols = Xf - frozenset(A.cols)
     if not_cols:
@@ -190,16 +204,17 @@ def free_extension(
     d = need if degree is None else degree
     if d < need:
         raise InvalidArgs(f"degree {d} below the minimum {need} for |X| = {k}")
-    F = A.field
-    F2 = extend_field(F, d, degree_cap=degree_cap)
-    xs = sorted(Xf)
-    coords = [[A.enc(r, v) for v in xs] + [0] * (d - k) for r in A.rows]
-    if d == 1:
-        out = A.with_column(e, [c[0] for c in coords])
-    else:
-        out = A.lift(F2).with_column(e, [F2._undigits(c) for c in coords])
-    for r, want in zip(A.rows, coords):
-        got = F2._digits(out.enc(r, e)) if d > 1 else [out.enc(r, e)]
+    F2 = extend_field(A.field, d, degree_cap=degree_cap)
+    js = [A._col_pos[v] for v in sorted(Xf)]
+    coords = [[row[j] for j in js] + [0] * (d - k) for row in A._data]
+    column = [c[0] for c in coords] if d == 1 else map(F2._undigits, coords)
+    out = LabeledMatrix._of_display(F2, A.rows, A.cols + (e,),
+                                    [row + (x,) for row, x in zip(A._data, column)])
+    if (out.rows, out.cols) != (A.rows, A.cols + (e,)) or any(
+            row[:-1] != a for row, a in zip(out._data, A._data)):
+        raise PostconditionViolation(f"the display with column {e!r} is not the display extended")
+    for r, row, want in zip(A.rows, out._data, coords):
+        got = F2._digits(row[-1]) if d > 1 else [row[-1]]
         if got + [0] * (d - len(got)) != want:
             raise PostconditionViolation(
                 f"entry ({r!r}, {e!r}) of the new column is not the combination of X's columns"
@@ -225,7 +240,7 @@ def collapse_side(
     minor by the collapse lemma (`_collapse_side`).  M is displayed by
     the partition search of zero_out, on the isolated minor.
     """
-    X1f, X2f = frozenset(X1), frozenset(X2)
+    X1f, X2f, d = frozenset(X1), frozenset(X2), str(d)
     if X1f & X2f:
         raise InvalidArgs(f"sides overlap: {sorted(X1f & X2f)}")
     if d in M.ground:
@@ -240,9 +255,11 @@ def _collapse_side(
     degree: int | None, degree_cap: int,
 ) -> ReprMatroid:
     """collapse_side on M displayed with X1 on the rows and X2 on the
-    columns.  Only columns change, so the output keeps M's rows and its
-    block on (C, D) = (rows - X1, cols - X2), checked literally
-    (`_keeps_minor`).
+    columns.  `free_extension` appends d's column, and X2's columns are
+    then dropped from its rows, which deletes X2, as deleting a column
+    element drops its column (`ReprMatroid.minor`); no pivot is needed.
+    Only columns change, so the output keeps M's rows and its block on
+    (C, D) = (rows - X1, cols - X2), checked literally (`_keeps_minor`).
 
     Collapse lemma: a partition (W, Z) of E(M) - X1 - X2 realises
     isolated(X1, X1 + X2) in M iff it realises isolated(X1, X1 + {d}) in
@@ -255,8 +272,10 @@ def _collapse_side(
     (`free_extension`).  The coloop side is the same statement in the
     dual: (K/W\\Z)* = K*/Z\\W, and isolated(X1, X)* = isolated(X - X1, X).
     """
-    A2 = free_extension(M.rep, X2, d, degree=degree, degree_cap=degree_cap)
-    out = ReprMatroid(A2).minor(delete=X2)
+    A = free_extension(M.rep, X2, d, degree=degree, degree_cap=degree_cap)
+    keep = [j for j, v in enumerate(A.cols) if v not in X2]
+    out = ReprMatroid(LabeledMatrix._of_display(
+        A.field, A.rows, [A.cols[j] for j in keep], [[row[j] for j in keep] for row in A._data]))
     if not _keeps_minor(M.rep, X1, X2, out.rep, X1, {d}):
         raise PostconditionViolation("the collapse changed the common minor on (C, D)")
     return out
@@ -269,8 +288,9 @@ def _keeps_minor(
     """The literal common-minor check: with A displaying M with X1 on
     its rows and X2 on its columns, C = rows - X1 and D = cols - X2, the
     display A1 has rows C + Y1 and columns D + Y2, and A1 equals A on
-    (C, D), label by label.  Then M1/Y1\\Y2 = M/X1\\X2 for the matroid
-    M1 of A1.
+    (C, D): each row of C, found in each display by its label, agrees at
+    the positions of D's labels.  Then M1/Y1\\Y2 = M/X1\\X2 for the
+    matroid M1 of A1.
 
     Proof.  Contracting a row element deletes its row and deleting a
     column element deletes its column (`ReprMatroid.minor`), so M/X1\\X2
@@ -284,11 +304,15 @@ def _keeps_minor(
     """
     C = frozenset(A.rows) - X1
     D = frozenset(A.cols) - X2
-    return (
-        frozenset(A1.rows) == C | frozenset(Y1)
-        and frozenset(A1.cols) == D | frozenset(Y2)
-        and all(A1.enc(r, c) == A.enc(r, c) for r in C for c in D)
-    )
+    if frozenset(A1.rows) != C | frozenset(Y1) or frozenset(A1.cols) != D | frozenset(Y2):
+        return False
+    js = [(A._col_pos[c], A1._col_pos[c]) for c in D]
+    for r in C:
+        row, row1 = A._data[A._row_pos[r]], A1._data[A1._row_pos[r]]
+        for j, j1 in js:
+            if row[j] != row1[j1]:
+                return False
+    return True
 
 
 def reduce_to_two(
@@ -309,7 +333,7 @@ def reduce_to_two(
     X2), and lives over an extension of total degree
     max(1,|X1|) * max(1,|X2|).
     """
-    X1f, X2f = frozenset(X1), frozenset(X2)
+    X1f, X2f, c, d = frozenset(X1), frozenset(X2), str(c), str(d)
     if c == d:
         raise LabelCollision("c and d must be distinct")
     for lab in (c, d):
@@ -412,7 +436,9 @@ def _relax_entry(
     M1: ReprMatroid, c: str, d: str, degree_cap: int
 ) -> tuple[ReprMatroid, ReprMatroid, frozenset[str]]:
     """relax_entry on M1 displayed with basis C + {c}, a display
-    certified {c, d}-fragile; H = rows - {c} + {d}."""
+    certified {c, d}-fragile; H = rows - {c} + {d}.  M2 is built once,
+    over F2, from A1's rows with row c rebuilt to hold theta at d: an
+    encoding of F is the same element of F2 (`LabeledMatrix.lift`)."""
     A1 = M1.rep
     F = A1.field
     F2 = extend_field(F, 2, degree_cap=degree_cap)
@@ -421,7 +447,10 @@ def _relax_entry(
         raise PostconditionViolation("extension generator lies in the entry field")
     # with the caller's pair fragility this certifies the relaxation
     # (proof in relax_entry)
-    M2 = ReprMatroid(A1.lift(F2).set_entry(c, d, theta))
+    i, j = A1._row_pos[c], A1._col_pos[d]
+    data = list(A1._data)
+    data[i] = data[i][:j] + (theta.enc,) + data[i][j + 1:]
+    M2 = ReprMatroid(LabeledMatrix._of_display(F2, A1.rows, A1.cols, data))
     return M1, M2, frozenset(A1.rows) - {c} | {d}
 
 

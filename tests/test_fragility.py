@@ -771,6 +771,56 @@ def build_gf2_pair(data, n, sides, how, pick):
     return M, ReprMatroid(A)
 
 
+def test_packed_root_matches_the_list_root(monkeypatch):
+    # the packed GF(2) root, set up on ints, against the root set up on
+    # lists of encodings by `_pivot_onto` and `_pivot_off` and packed
+    # after: the same root display, labels and packed rows, the same
+    # partition sets and the same leaves tested, on seeded pairs with no,
+    # one and several realising partitions and on roots that fail
+    root_gf2 = fragility._root_gf2
+
+    def packed_root(rows, cols, data, BN, coN):
+        ok = root_gf2(rows, cols, data, BN, coN)
+        roots.append((ok, rows[:], cols[:], data[:]))
+        return ok
+
+    def list_root(rows, cols, data, BN, coN):
+        lists = [[x >> j & 1 for j in range(len(cols))] for x in data]
+        ok = (ReprMatroid._pivot_onto(GF2, rows, cols, lists, BN)
+              and ReprMatroid._pivot_off(GF2, rows, cols, lists, coN))
+        data[:] = map(matrices._gf2_row, lists)
+        roots.append((ok, rows[:], cols[:], data[:]))
+        return ok
+
+    def search(M, N, root):
+        leaves.clear()
+        with monkeypatch.context() as m:
+            m.setattr(fragility, "_root_gf2", root)
+            return fragile_partitions(M, N), len(leaves)
+
+    leaves, roots, seen = [], [], Counter()
+    monkeypatch.setattr(fragility, "partitions_of", lambda S: leaves.append(S) or partitions_of(S))
+    rng = Random(7)
+    pairs = []
+    for seed in range(40):
+        gi = gen_random("pipeline", seed=seed, q=2, rows=3 + seed % 3, cols=4, minor_size=3)
+        pairs.append((ReprMatroid(gi.instance.matrix), gi.instance.task.minor))
+    for _ in range(400):
+        m, n = rng.randint(0, 5), rng.randint(0, 5)
+        data = [[rng.randint(0, 1) for _ in range(n)] for _ in range(m)]
+        sides = [rng.choice("CDNN") for _ in range(m + n)]
+        how = rng.choice(("cut", "rebased", "flipped", "isolated"))
+        pairs.append(build_gf2_pair(data, n, sides, how, rng.randrange(4096)))
+    for M, N in pairs:
+        roots.clear()
+        want = search(M, N, packed_root)
+        assert search(M, N, list_root) == want
+        assert len(roots) == 2 and roots[0] == roots[1]
+        seen[min(len(want[0]), 2), roots[0][0]] += 1
+    for key in ((0, False), (0, True), (1, True), (2, True)):
+        assert seen[key] >= 10, seen
+
+
 def test_packed_search_matches_the_generic_steps():
     # the packed GF(2) search, with its span tests, against the generic
     # steps it replaced over GF(2), partition set for partition set; N

@@ -415,3 +415,92 @@ def test_rebase_by_pivots_matches_rank_queries():
     for F in REBASE_FIELDS:
         for kind in ("basis", "dependent", "size"):
             assert seen[F.order, kind] >= 10, seen
+
+
+# -- the pivot's residue path and the dual's transposition ------------------
+
+
+def pivot_by_field_methods(field, rows, cols, data, i, j):
+    """Reference: `_pivot_inplace` with every entry computed by the
+    field's methods, as it is over every field with tower steps."""
+    mul, sub, neg, inv = field.mul_enc, field.sub_enc, field.neg_enc, field.inv_enc
+    ainv = inv(data[i][j])
+    srow = [mul(x, ainv) for x in data[i]]
+    srow[j] = ainv
+    for r in range(len(data)):
+        f = data[r][j]
+        if r != i and f:
+            row = data[r]
+            for u in range(len(row)):
+                if u != j and srow[u]:
+                    row[u] = sub(row[u], mul(f, srow[u]))
+            row[j] = neg(mul(f, ainv))
+    data[i] = srow
+    rows[i], cols[j] = cols[j], rows[i]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_prime_field_pivot_matches_the_field_methods(p):
+    # every nonzero position of random displays up to 6 x 6, sparse and
+    # dense: the residue path gives the reference's rows and labels
+    from random import Random
+
+    F, rng, pivots = make_prime_field(p), Random(p), 0
+    for t in range(60):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        density = (0.3, 0.7, 1.0)[t % 3]
+        data = [[rng.randrange(1, p) if rng.random() < density else 0 for _ in range(n)]
+                for _ in range(m)]
+        rows, cols = [f"r{i}" for i in range(m)], [f"c{j}" for j in range(n)]
+        for i in range(m):
+            for j in range(n):
+                if data[i][j]:
+                    got = rows[:], cols[:], [row[:] for row in data]
+                    want = rows[:], cols[:], [row[:] for row in data]
+                    _pivot_inplace(F, *got, i, j)
+                    pivot_by_field_methods(F, *want, i, j)
+                    assert got == want
+                    pivots += 1
+    assert pivots >= 300
+
+
+@pytest.mark.parametrize("F", [GF4, extend_field(GF3, 2)], ids=["gf4", "gf9"])
+def test_tower_pivot_takes_the_field_methods(monkeypatch, F):
+    # a field with tower steps keeps the method path, which the residue
+    # path would get wrong: its encodings are not residues mod p
+    calls = Counter()
+    for name in ("mul_enc", "sub_enc"):
+        op = getattr(type(F), name)
+
+        def counted(self, a, b, op=op, name=name):
+            calls[name] += 1
+            return op(self, a, b)
+
+        monkeypatch.setattr(type(F), name, counted)
+    data = [[1, F.order - 1, 2], [3, 1, F.order - 2]]
+    want = [row[:] for row in data]
+    rows, cols = ["a", "b"], ["c", "d", "e"]
+    pivot_by_field_methods(F, rows[:], cols[:], want, 0, 0)
+    calls.clear()
+    _pivot_inplace(F, rows, cols, data, 0, 0)
+    assert data == want
+    assert calls["mul_enc"] > 0 and calls["sub_enc"] > 0
+
+
+@pytest.mark.parametrize("F", [GF2, GF3, GF4, GF5, extend_field(GF3, 2)], ids=str)
+def test_dual_is_the_negated_transpose(F):
+    # dual() against -A^T entry by entry, over characteristic 2, where it
+    # skips the negation, and odd characteristic, zero rows or columns
+    # included
+    from random import Random
+
+    rng = Random(F.order)
+    for m, n in [(0, 0), (0, 3), (3, 0)] + [(rng.randint(1, 5), rng.randint(1, 5))
+                                           for _ in range(20)]:
+        rows, cols = [f"r{i}" for i in range(m)], [f"c{j}" for j in range(n)]
+        A = LabeledMatrix(F, rows, cols, [[rng.randrange(F.order) for _ in cols] for _ in rows])
+        want = LabeledMatrix(F, cols, rows,
+                             [[F.neg_enc(A.enc(r, c)) for r in rows] for c in cols])
+        D = ReprMatroid(A).dual()
+        assert D.rep == want
+        assert D.dual().rep == A

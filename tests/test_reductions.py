@@ -141,7 +141,7 @@ def test_free_extension_label_checks():
         free_extension(A, {"a"}, "a")
 
 
-def _placed(A, X, alphas):
+def _placed(A, X, alphas, e="e"):
     """[I | A] lifted to the field of `alphas`, with a column e equal to
     the sum of alpha_v times the column of v over the sorted X."""
     F2 = alphas[0].spec if alphas else A.field
@@ -152,7 +152,20 @@ def _placed(A, X, alphas):
         for a, v in zip(alphas, sorted(X)):
             acc = F2.add_enc(acc, F2.mul_enc(a.enc, lifted.enc(r, v)))
         column.append(acc)
-    return lifted.with_column("e", column)
+    return lifted.with_column(e, column)
+
+
+def written_column(change):
+    """A stand-in for `reductions.LabeledMatrix` that injects a fault
+    where free_extension writes its new column, the last one, in its one
+    `_of_display` call: `change(field, column)` rewrites that column."""
+    def of_display(field, rows, cols, data):
+        data = [tuple(row) for row in data]
+        column = change(field, [row[-1] for row in data])
+        return LabeledMatrix._of_display(
+            field, rows, cols, [row[:-1] + (x,) for row, x in zip(data, column)])
+
+    return SimpleNamespace(_of_display=of_display)
 
 
 def test_free_extension_failures_match_the_reference(monkeypatch):
@@ -182,12 +195,11 @@ def test_free_extension_failures_match_the_reference(monkeypatch):
         real.append(out)
 
     refused = 0
-    with_column = LabeledMatrix.with_column
     for (A, X), want in zip(draws, real):
         dependent = _placed(A.lift(want.field), X, [want.field.one] * len(X)).column_encs("e")
         with monkeypatch.context() as m:
-            m.setattr(LabeledMatrix, "with_column",
-                      lambda self, label, encs: with_column(self, label, dependent))
+            m.setattr(reductions, "LabeledMatrix",
+                      written_column(lambda field, column: dependent))
             try:
                 got = free_extension(A, X, "e")
             except PostconditionViolation as err:
@@ -254,16 +266,35 @@ def test_a_changed_entry_of_the_new_column_is_refused(monkeypatch, field, X):
     A = LabeledMatrix(field, ["r1", "r2", "r3"], ["a", "b", "x"],
                       [[1, 0, 1], [0, 1, 1], [1, 1, 0]])
     free_extension(A, X, "e")
-    with_column = LabeledMatrix.with_column
 
-    def off_by_one(self, label, encs):
-        encs = list(encs)
-        encs[1] = self.field.add_enc(encs[1], 1)
-        return with_column(self, label, encs)
+    def off_by_one(field, encs):
+        encs[1] = field.add_enc(encs[1], 1)
+        return encs
 
-    monkeypatch.setattr(reductions.LabeledMatrix, "with_column", off_by_one)
+    monkeypatch.setattr(reductions, "LabeledMatrix", written_column(off_by_one))
     with pytest.raises(PostconditionViolation, match=r"entry \('r2', 'e'\) of the new column"):
         free_extension(A, X, "e")
+
+
+def test_a_changed_old_entry_or_row_order_of_the_extension_is_refused(monkeypatch):
+    # the read-back reads the new column by position, so the extended
+    # display must keep A's labels in order and A's entries: one old
+    # entry changed, or the rows reordered with their labels, is refused
+    A = LabeledMatrix(GF3, ["r1", "r2"], ["a", "b"], [[1, 2], [0, 1]])
+
+    def changed(field, rows, cols, data):
+        data = [list(row) for row in data]
+        data[0][0] = field.add_enc(data[0][0], 1)
+        return LabeledMatrix._of_display(field, rows, cols, data)
+
+    def reordered(field, rows, cols, data):
+        return LabeledMatrix._of_display(field, rows[::-1], cols, data[::-1])
+
+    free_extension(A, ["a", "b"], "e")
+    for fake in (changed, reordered):
+        monkeypatch.setattr(reductions, "LabeledMatrix", SimpleNamespace(_of_display=fake))
+        with pytest.raises(PostconditionViolation, match="is not the display extended"):
+            free_extension(A, ["a", "b"], "e")
 
 
 def test_relax_and_free_extension_run_above_sixteen_elements():
@@ -501,6 +532,28 @@ def test_reduce_to_two_checks_arguments_in_order():
         reduce_to_two(isolated({"c"}, {"c", "d", "e"}), {"c"}, {"d"}, "c2", "e")
     with pytest.raises(InvalidArgs, match="sides overlap"):
         reduce_to_two(isolated({"c"}, {"c", "d", "e"}), {"c", "d"}, {"d"}, "c2", "d2")
+
+
+def test_a_new_label_that_is_not_a_string_is_converted_once():
+    # a new label is made a str at each public entry point, as
+    # LabeledMatrix does with its labels, before the collision checks and
+    # the read-back; an int label works end to end
+    A = LabeledMatrix(GF2, ["r1", "r2"], ["a", "b"], [[1, 0], [1, 1]])
+    out = free_extension(A, ["a"], 5)
+    assert out.cols == ("a", "b", "5")
+    assert out.column_encs("5") == A.column_encs("a")
+    with pytest.raises(LabelCollision):
+        free_extension(out, ["a"], 5)
+    M = pair_matroid()
+    assert collapse_side(M, {"c"}, {"d"}, 7) == collapse_side(M, {"c"}, {"d"}, "7")
+    out = reduce_to_two(M, {"c"}, {"d"}, 1, 2)
+    assert out == reduce_to_two(M, {"c"}, {"d"}, "1", "2")
+    assert out.ground == {"1", "2", "e"}
+    with pytest.raises(LabelCollision, match="distinct"):
+        reduce_to_two(M, {"c"}, {"d"}, 1, "1")
+    with pytest.raises(LabelCollision, match="already in the ground set"):
+        collapse_side(ReprMatroid(LabeledMatrix(GF2, ["c"], ["d", "7"], [[0, 1]])),
+                      {"c"}, {"d"}, 7)
 
 
 def display_by_partition_search(M, X1, X2):
@@ -888,6 +941,83 @@ def test_zeroing_outside_the_minor_basis_is_refused(monkeypatch):
                 run(M, N)
 
 
+def test_a_zeroed_block_entry_left_nonzero_is_refused(monkeypatch):
+    # the zeroed display built with one entry of the block (BN, E(N) - BN)
+    # set to one: the literal check of the zeroing refuses it
+    M, N = four_element_pair()
+    BN = N.ground & frozenset(zero_out(M, N)[1].rows)
+
+    def unzeroed(field, rows, cols, data):
+        data = [list(row) for row in data]
+        i = next(i for i, r in enumerate(rows) if r in BN)
+        j = next(j for j, c in enumerate(cols) if c in N.ground)
+        data[i][j] = 1
+        return LabeledMatrix._of_display(field, rows, cols, data)
+
+    monkeypatch.setattr(reductions, "LabeledMatrix", SimpleNamespace(_of_display=unzeroed))
+    for run in (zero_out, pipeline):
+        with pytest.raises(PostconditionViolation, match="not the display with its block zeroed"):
+            run(M, N)
+
+
+@pytest.mark.parametrize("stage", ["pipeline", "reduce_to_two"])
+@pytest.mark.parametrize("which", [1, 2])
+def test_a_changed_entry_after_each_collapse_is_refused_by_its_check(monkeypatch, stage, which):
+    # the extended display of the loop-side collapse (which = 1), or of
+    # the coloop-side collapse on the dual (which = 2), returned with one
+    # entry changed on (C, D), or on (D, C) in the dual, off the new
+    # column: that collapse's own literal check refuses it
+    M, N = four_element_pair()
+    if stage == "pipeline":
+        def run():
+            return pipeline(M, N)
+    else:
+        Mz, Az = zero_out(M, N)
+        B = frozenset(Az.rows)
+
+        def run():
+            return reduce_to_two(Mz, B & N.ground, N.ground - B, "c", "d")
+    run()
+    extend = reductions.free_extension
+    calls = []
+
+    def changed_extension(A, X, e, **kwargs):
+        out = extend(A, X, e, **kwargs)
+        calls.append(e)
+        if len(calls) == which:
+            r = next(x for x in out.rows if x not in N.ground | {"c", "d"})
+            c = next(x for x in out.cols if x not in N.ground | {"c", "d"})
+            out = out.set_entry(r, c, out.field.add_enc(out.enc(r, c), 1))
+        return out
+
+    monkeypatch.setattr(reductions, "free_extension", changed_extension)
+    with pytest.raises(PostconditionViolation, match="the collapse changed the common minor"):
+        run()
+    assert calls == ["d", "c"][:which]
+
+
+def test_a_generator_inside_the_entry_field_is_refused(monkeypatch):
+    # the relaxation's quadratic extension replaced by the entry field
+    # itself, which has tower steps here, so that theta is the entry
+    # field's own generator: the check that theta lies outside refuses it,
+    # in relax_entry and at the end of a pipeline, whose third extension
+    # is the relaxation's, after one per collapse
+    extend = reductions.extend_field
+    M, N = four_element_pair()
+    pair = ReprMatroid(LabeledMatrix(GF4, ["c"], ["d", "e"], [[0, 1]]))
+    for run, at in ((lambda: pipeline(M, N), 3), (lambda: relax_entry(pair, (), {"e"}), 1)):
+        calls = []
+
+        def inside(F, k, **kwargs):
+            calls.append(k)
+            return F if len(calls) == at else extend(F, k, **kwargs)
+
+        monkeypatch.setattr(reductions, "extend_field", inside)
+        with pytest.raises(PostconditionViolation, match="generator lies in the entry field"):
+            run()
+        assert len(calls) == at and calls[-1] == 2
+
+
 @pytest.mark.parametrize("stage", ["pipeline", "reduce_to_two"])
 @pytest.mark.parametrize("which", [1, 2])
 def test_a_changed_entry_on_the_common_minor_is_refused(monkeypatch, stage, which):
@@ -1175,3 +1305,92 @@ def test_pipeline_field_work_does_not_depend_on_string_hashing():
         assert proc.returncode == 0, proc.stderr
         counts.add(int(proc.stdout))
     assert len(counts) == 1 and counts.pop() > 0, counts
+
+
+# -- the chain against a reference built from public operations -------------
+
+
+def _negated_transpose(K):
+    """K* displayed by -A^T, entry by entry from `transpose`."""
+    T, F = K.rep.transpose(), K.field
+    return ReprMatroid(LabeledMatrix(F, T.rows, T.cols,
+                                     [[F.neg_enc(T.enc(r, c)) for c in T.cols] for r in T.rows]))
+
+
+def _reference_collapse(K, X, e, d, dcap):
+    """The free extension by `lift` and `with_column`, with the column
+    computed in the extension, then X deleted by `ReprMatroid.minor`."""
+    F2 = extend_field(K.field, d, degree_cap=dcap)
+    alphas = subfield_basis(F2, K.field)[:len(X)]
+    return ReprMatroid(_placed(K.rep.lift(F2), X, alphas, e)).minor(delete=X)
+
+
+def reference_chain(M, N, conformance):
+    """`pipeline`'s displays, labels and details, rebuilt from public
+    operations: the display basis, `rebase` and `set_entry` for the
+    zeroing, `_reference_collapse` for the loop side, and for the coloop
+    side on the negated transpose, and `lift` and `set_entry` for the
+    relaxation.  Returns the stages as (matroid, details, degree), then
+    M1, M2, H, c and d."""
+    k, base = len(N.ground), M.field
+    dcap = max(DEGREE_CAP_DEFAULT, base.degree * 2 * k * k)
+    Mz = M.rebase(display_basis(M, N))
+    BN = N.ground & Mz.basis
+    A = Mz.rep
+    for r in sorted(BN):
+        for c in sorted(N.ground - BN):
+            A = A.set_entry(r, c, 0)
+    cur = ReprMatroid(A)
+    stages = [(cur, {"displayed_basis": sorted(Mz.basis)}, 1)]
+    used, labels = set(M.ground), {}
+    for key, side in (("d", N.ground - BN), ("c", BN)):
+        if not conformance and len(side) == 1:
+            labels[key], details = next(iter(side)), {"skipped": True}
+        else:
+            label, i = key, 0
+            while label in used:
+                i += 1
+                label = f"{key}{i}"
+            labels[key] = label
+            used.add(label)
+            d = k if conformance else max(1, len(side))
+            if key == "d":
+                cur = _reference_collapse(cur, side, label, d, dcap)
+            else:
+                cur = _negated_transpose(
+                    _reference_collapse(_negated_transpose(cur), side, label, d, dcap))
+            details = {"collapsed": sorted(side)}
+        details[key] = labels[key]
+        stages.append((cur, details, cur.field.degree // base.degree))
+    c, d = labels["c"], labels["d"]
+    F2 = extend_field(cur.field, 2, degree_cap=dcap)
+    M2 = ReprMatroid(cur.rep.lift(F2).set_entry(c, d, F2.gen))
+    H = cur.basis - {c} | {d}
+    stages.append((M2, {"hyperplane": sorted(H)}, stages[-1][2] * 2))
+    return stages, cur, M2, H, c, d
+
+
+def test_pipeline_matches_the_reference_chain_byte_for_byte():
+    # 208 seeded pairs over GF(2) to GF(5), in both degree modes: every
+    # stage's display (field, labels in order, entries), details and
+    # degree, and M1, M2, H, c and d, equal the reference chain's
+    seen = Counter()
+    for q in (2, 3, 4, 5):
+        for seed in range(52):
+            rows, cols, k = 3 + seed % 2, 3 + seed // 2 % 2, 3 + seed // 4 % 2
+            gi = gen_random("pipeline", seed=seed, q=q, rows=rows, cols=cols, minor_size=k)
+            M, N = ReprMatroid(gi.instance.matrix), gi.instance.task.minor
+            for conformance in (False, True):
+                tr = pipeline(M, N, conformance=conformance)
+                stages, M1, M2, H, c, d = reference_chain(M, N, conformance)
+                assert len(tr.stages) == len(stages) == 4
+                for got, (matroid, details, degree) in zip(tr.stages, stages):
+                    assert got.matroid == matroid
+                    assert (got.details, got.degree_over_input) == (details, degree)
+                assert (tr.relaxed, tr.relaxation, tr.hyperplane) == (M1, M2, H)
+                assert (tr.c_label, tr.d_label) == (c, d)
+                seen[q, conformance] += 1
+                seen["skipped"] += sum("skipped" in s.details for s in tr.stages)
+                seen["collapsed"] += sum("collapsed" in s.details for s in tr.stages)
+    assert all(seen[q, conf] == 52 for q in (2, 3, 4, 5) for conf in (False, True))
+    assert seen["skipped"] >= 50 and seen["collapsed"] >= 300, seen
