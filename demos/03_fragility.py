@@ -11,12 +11,13 @@ names the first offending entry or subset.
 
 from matroidfrag import (
     LabeledMatrix,
+    MinorSpec,
     ReprMatroid,
     display_basis,
     fragile_partitions,
-    is_X_fragile_matrix,
     isolated,
     make_prime_field,
+    one_move_partition,
     x_fragile_failure,
 )
 
@@ -36,7 +37,7 @@ print("displayed by basis:", sorted(display_basis(M, N)))
 
 print("\nmatrix view, X = {c, d}:")
 print("  x_fragile_failure:", x_fragile_failure(A, {"c", "d"}))
-print("  is_X_fragile_matrix:", is_X_fragile_matrix(A, {"c", "d"}))
+print("  X-fragile:", x_fragile_failure(A, {"c", "d"}) is None)
 
 # kill the parallel element and both definitions fail together:
 # the loop e can be contracted or deleted, two partitions each work
@@ -45,6 +46,9 @@ MB = ReprMatroid(B)
 print("\nafter zeroing the e column:")
 print("  failure witness:", x_fragile_failure(B, {"c", "d"}))
 print("  partitions now:", len(fragile_partitions(MB, N)))
+# the cheap witness: moving the loop e to the other side keeps the minor
+part = MinorSpec({"e"}, ())
+print("  one move from", part, "->", one_move_partition(MB, part))
 
 # a witness is minimal in size-then-lexicographic order
 C = LabeledMatrix(GF2, ["c"], ["d", "x", "y"], [[0, 0, 0]])

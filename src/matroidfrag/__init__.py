@@ -49,13 +49,11 @@ from .matroids import (
     ReprMatroid,
     is_relaxation,
     isolated,
-    isolated_rn,
 )
 from .fragility import (
     display_basis,
     fragile_partitions,
     is_N_fragile,
-    is_X_fragile_matrix,
     one_move_partition,
     x_fragile_failure,
 )
@@ -65,7 +63,6 @@ from .reductions import (
     collapse_side,
     free_extension,
     pipeline,
-    reduce_to_two,
     relax_entry,
     zero_out,
 )
@@ -120,11 +117,9 @@ __all__ = [
     "ReprMatroid",
     "is_relaxation",
     "isolated",
-    "isolated_rn",
     "display_basis",
     "fragile_partitions",
     "is_N_fragile",
-    "is_X_fragile_matrix",
     "one_move_partition",
     "x_fragile_failure",
     "ReductionTrace",
@@ -132,7 +127,6 @@ __all__ = [
     "collapse_side",
     "free_extension",
     "pipeline",
-    "reduce_to_two",
     "relax_entry",
     "zero_out",
     "GeneratedInstance",

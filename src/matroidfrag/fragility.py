@@ -47,7 +47,9 @@ over all realising partitions.
 Enumeration order is fixed (size, then lexicographic), so the witness a
 failed check returns is minimal in that order.  Every search refuses
 more than PARTITION_CAP_DEFAULT elements outside the minor, or outside
-X, by default; pass a larger cap explicitly to override.
+X, by default; `fragile_partitions` and `x_fragile_failure` take a
+larger cap explicitly, while `is_N_fragile` and `display_basis` take
+none.
 """
 
 from __future__ import annotations
@@ -382,16 +384,11 @@ def _spans(vecs: list[int], mask: int, k: int) -> bool:
     return True
 
 
-def is_N_fragile(
-    M: ReprMatroid,
-    N: ReprMatroid,
-    *,
-    cap: int = PARTITION_CAP_DEFAULT,
-) -> bool:
+def is_N_fragile(M: ReprMatroid, N: ReprMatroid) -> bool:
     """M is N-fragile: exactly one partition (C, D) of E(M) - E(N)
     realises N as M/C\\D.  Decided by the full `fragile_partitions`
     search, since only the whole search space certifies uniqueness."""
-    return len(fragile_partitions(M, N, cap=cap)) == 1
+    return len(fragile_partitions(M, N)) == 1
 
 
 def one_move_partition(M: ReprMatroid, part: MinorSpec) -> MinorSpec | None:
@@ -513,16 +510,6 @@ def x_fragile_failure(
     if fails:
         return ("rank_not_increased", frozenset(first_by_size(fails, rest)))
     return None
-
-
-def is_X_fragile_matrix(
-    A: LabeledMatrix,
-    X: Iterable[str],
-    *,
-    cap: int = PARTITION_CAP_DEFAULT,
-) -> bool:
-    """A[X] vanishes and every nonempty disjoint Y gains rank from X."""
-    return x_fragile_failure(A, X, cap=cap) is None
 
 
 def partition_basis(

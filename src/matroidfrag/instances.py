@@ -436,7 +436,7 @@ def gen_random(
                 continue
             A = LabeledMatrix._of_display(field, row_labels, col_labels, data)
             M = ReprMatroid(A)
-            N = M.minor_of(MinorSpec(contract, delete))
+            N = M.minor(contract, delete)
             if is_N_fragile(M, N):
                 inst = InstanceFile(field, A, _TASKS[kind](N), seed)
                 return GeneratedInstance(inst, attempt)

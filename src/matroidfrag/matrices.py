@@ -160,27 +160,6 @@ class LabeledMatrix:
 
     # -- structural operations ---------------------------------------------
 
-    def submatrix(self, labels: Iterable[str]) -> "LabeledMatrix":
-        """Rows and columns restricted to the given label set, original
-        ordering preserved on both axes."""
-        want = set(labels)
-        unknown = want - set(self.rows) - set(self.cols)
-        if unknown:
-            raise UnknownLabel(f"labels not in matrix: {sorted(unknown)}")
-        keep_rows = [r for r in self.rows if r in want]
-        keep_cols = [c for c in self.cols if c in want]
-        return self.submatrix_sides(keep_rows, keep_cols)
-
-    def submatrix_sides(self, rows: Sequence[str], cols: Sequence[str]) -> "LabeledMatrix":
-        unknown = [r for r in rows if r not in self._row_pos]
-        unknown += [c for c in cols if c not in self._col_pos]
-        if unknown:
-            raise UnknownLabel(f"labels not on their side of the matrix: {unknown}")
-        ri = [self._row_pos[r] for r in rows]
-        ci = [self._col_pos[c] for c in cols]
-        data = [[self._data[i][j] for j in ci] for i in ri]
-        return LabeledMatrix(self.field, rows, cols, data)
-
     def transpose(self) -> "LabeledMatrix":
         data = [
             [self._data[i][j] for i in range(len(self.rows))]
@@ -216,14 +195,6 @@ class LabeledMatrix:
         encs = [_encoding(self.field, e) for e in encs]
         data = [r + (e,) for r, e in zip(self._data, encs)]
         return LabeledMatrix._of_display(self.field, self.rows, self.cols + (label,), data)
-
-    def drop_columns(self, labels: Iterable[str]) -> "LabeledMatrix":
-        gone = set(labels)
-        unknown = gone - set(self.cols)
-        if unknown:
-            raise UnknownLabel(f"no columns {sorted(unknown)}")
-        keep = [c for c in self.cols if c not in gone]
-        return self.submatrix_sides(list(self.rows), keep)
 
     # -- rank ---------------------------------------------------------------
 

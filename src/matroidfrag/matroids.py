@@ -241,9 +241,6 @@ class ReprMatroid:
         for row in data:
             del row[j]
 
-    def minor_of(self, spec: MinorSpec) -> "ReprMatroid":
-        return self.minor(spec.contract, spec.delete)
-
     @staticmethod
     def _pivot_onto(field, rows, cols, data, B: frozenset) -> bool:
         """Pivot each element of B not on the row side onto it, in label
@@ -404,10 +401,3 @@ def isolated(
     zero = [[0] * len(cols) for _ in rows]
     return ReprMatroid(LabeledMatrix(field, rows, cols, zero))
 
-
-def isolated_rn(r: int, n: int, field: FieldSpec | None = None) -> ReprMatroid:
-    """Numeric shorthand: coloops 1..r, loops r+1..n."""
-    if not 0 <= r <= n:
-        raise InvalidArgs(f"need 0 <= r <= n, got r={r}, n={n}")
-    labels = [str(i) for i in range(1, n + 1)]
-    return isolated(labels[:r], labels, field)

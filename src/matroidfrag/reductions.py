@@ -39,10 +39,10 @@ stage shows its isolated minor on X with C on the rows, D on the
 columns and a zero block on X.  By the zeroing lemma (C, D) is the only
 partition realising the zeroed display's isolated minor, and by the
 collapse lemma each collapse keeps the set of realising partitions, so
-the display that reaches the relaxation is pair-fragile.  Called on
-their own, collapse_side and reduce_to_two display their input by the
-same partition search as zero_out, without its zeroing, and
-relax_entry by a basis check and `x_fragile_failure`.
+the display that reaches the relaxation is pair-fragile.  Called on its
+own, collapse_side displays its input by the same partition search as
+zero_out, without its zeroing, and relax_entry by a basis check and
+`x_fragile_failure`.
 
 Field growth: collapsing a side of size s needs s coordinates linearly
 independent over the current field, hence a degree max(1, s) extension
@@ -315,48 +315,6 @@ def _keeps_minor(
     return True
 
 
-def reduce_to_two(
-    M: ReprMatroid,
-    X1: Iterable[str],
-    X2: Iterable[str],
-    c: str,
-    d: str,
-) -> ReprMatroid:
-    """Collapse both sides of an isolated minor to fresh elements c, d.
-
-    collapse_side displays M and collapses the loop side X2; the coloop
-    side X1 is collapsed on the dual of that display, where rows and
-    columns swap.  The result is fragile for the two-element isolated
-    minor (coloop c, loop d) by the collapse lemma (`_collapse_side`),
-    in the primal and then in the dual, agrees with M off the minor
-    (contracting c and deleting d matches contracting X1 and deleting
-    X2), and lives over an extension of total degree
-    max(1,|X1|) * max(1,|X2|).
-    """
-    X1f, X2f, c, d = frozenset(X1), frozenset(X2), str(c), str(d)
-    if c == d:
-        raise LabelCollision("c and d must be distinct")
-    for lab in (c, d):
-        if lab in M.ground:
-            raise LabelCollision(f"label {lab!r} already in the ground set")
-    if X1f & X2f:
-        raise InvalidArgs(f"sides overlap: {sorted(X1f & X2f)}")
-    Ma = collapse_side(M, X1f, X2f, d)
-    out = _collapse_side(Ma.dual(), frozenset({d}), X1f, c, None, DEGREE_CAP_DEFAULT).dual()
-    # the display collapse_side built is M on the rows it kept
-    if not _keeps_minor(M.rebase(Ma.rep.rows).rep, X1f, X2f, out.rep, {c}, {d}):
-        raise PostconditionViolation(
-            "contracting c and deleting d does not match the original minor"
-        )
-    dd, rem = divmod(out.field.degree, M.field.degree)
-    want = max(1, len(X2f)) * max(1, len(X1f))
-    if rem or dd != want:
-        raise PostconditionViolation(
-            f"extension degree {out.field.degree}/{M.field.degree} != {want}"
-        )
-    return out
-
-
 # ---------------------------------------------------------------------------
 # stage 3: relax the displayed entry
 
@@ -460,17 +418,6 @@ def _relax_entry(
 
 class StageRecord(Record):
     __slots__ = ("name", "degree_over_input", "matroid", "verdicts", "details")
-
-    def __init__(
-        self,
-        name: str,
-        degree_over_input: int,
-        matroid: ReprMatroid,
-        verdicts: dict[str, bool],
-        details: dict | None = None,
-    ):
-        super().__init__(name, degree_over_input, matroid, verdicts,
-                         {} if details is None else details)
 
 
 class ReductionTrace(Record):

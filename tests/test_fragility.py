@@ -30,9 +30,7 @@ from matroidfrag import (
     fragile_partitions,
     gen_random,
     is_N_fragile,
-    is_X_fragile_matrix,
     isolated,
-    isolated_rn,
     make_prime_field,
     one_move_partition,
     partitions_of,
@@ -151,7 +149,6 @@ def test_isolated_minor_over_another_field_builds_no_table(monkeypatch):
 def test_matrix_side_positive():
     A = LabeledMatrix(GF2, ["c"], ["d", "e"], [[0, 1]])
     assert x_fragile_failure(A, {"c", "d"}) is None
-    assert is_X_fragile_matrix(A, {"c", "d"})
 
 
 def test_matrix_side_block_nonzero():
@@ -169,7 +166,7 @@ def test_matrix_side_rank_not_increased():
 def test_matrix_side_one_sided_x():
     # X all on the row side: every pure-column Y must still gain rank
     A = LabeledMatrix(GF2, ["a", "b"], ["x", "y"], [[1, 0], [0, 1]])
-    assert is_X_fragile_matrix(A, {"a", "b"})
+    assert x_fragile_failure(A, {"a", "b"}) is None
     B = LabeledMatrix(GF2, ["a", "b"], ["x", "y"], [[1, 0], [0, 0]])
     assert x_fragile_failure(B, {"a", "b"}) == ("rank_not_increased", frozenset({"y"}))
 
@@ -193,11 +190,11 @@ def test_failure_is_first_in_size_then_lex_order():
 def test_both_views_agree_on_fixed_instances():
     # positive instance
     A = LabeledMatrix(GF2, ["c"], ["d", "e"], [[0, 1]])
-    assert is_X_fragile_matrix(A, {"c", "d"})
+    assert x_fragile_failure(A, {"c", "d"}) is None
     assert is_N_fragile(ReprMatroid(A), isolated({"c"}, {"c", "d"}))
     # negative instance
     B = LabeledMatrix(GF2, ["c"], ["d", "e"], [[0, 0]])
-    assert not is_X_fragile_matrix(B, {"c", "d"})
+    assert x_fragile_failure(B, {"c", "d"}) is not None
     assert not is_N_fragile(ReprMatroid(B), isolated({"c"}, {"c", "d"}))
 
 
@@ -229,7 +226,7 @@ def test_display_basis_lex_least():
 def test_display_basis_checks_the_cap_first():
     # 13 elements outside the minor: refused before any basis is tried
     with pytest.raises(CapExceeded):
-        display_basis(isolated_rn(1, 15), isolated_rn(1, 2))
+        display_basis(isolated({1}, range(1, 16)), isolated({1}, range(1, 3)))
 
 
 def display_basis_sweep(M, N):
@@ -1144,7 +1141,7 @@ def build_pair(F, data, n, sides):
 
 def one_move_neighbours(M, part):
     """The realising partitions one move from `part`, by the full search."""
-    parts = fragile_partitions(M, M.minor_of(part))
+    parts = fragile_partitions(M, M.minor(part.contract, part.delete))
     assert part in parts
     return {p for p in parts if len(p.contract ^ part.contract) == 1}, parts
 
@@ -1217,7 +1214,7 @@ def assert_sift_callers_match_the_reference(M, part):
         if r(B + [e]) > len(B):
             B.append(e)
     want = frozenset(B) if r(C0) == len(C0) and len(B) == m else None
-    assert fragility.partition_basis(M, M.minor_of(part), part) == want
+    assert fragility.partition_basis(M, M.minor(part.contract, part.delete), part) == want
 
 
 def test_one_move_witness_matches_the_query_reference():

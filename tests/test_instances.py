@@ -33,10 +33,10 @@ from matroidfrag import (
     field_of_order,
     gen_random,
     is_N_fragile,
-    is_X_fragile_matrix,
     one_move_partition,
     parse_instance,
     serialize_instance,
+    x_fragile_failure,
 )
 
 MINIMAL = '{"field": {"p": 2, "tower": []}, "matrix": {"rows": ["a"], "cols": ["b"], "entries": [[1]]}}'
@@ -342,7 +342,7 @@ def test_gen_xfragile_satisfies_predicate():
     for seed in range(6):
         gi = gen_random("xfragile", seed=seed, q=2, rows=2, cols=3, x_rows=1, x_cols=1)
         inst = gi.instance
-        assert is_X_fragile_matrix(inst.matrix, inst.task.x)
+        assert x_fragile_failure(inst.matrix, inst.task.x) is None
         assert inst.seed == seed
 
 
@@ -895,7 +895,7 @@ def reference_gen_random(kind, *, seed, q, rows, cols, x_rows=1, x_cols=1,
             part = MinorSpec(contract, frozenset(outside) - contract)
             if one_move_partition(M, part) is not None:
                 continue
-            N = M.minor_of(part)
+            N = M.minor(part.contract, part.delete)
             if is_N_fragile(M, N):
                 task = NFragileTask(N) if kind == "nfragile" else PipelineTask(N)
                 return InstanceFile(field, A, task, seed), attempt

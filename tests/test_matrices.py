@@ -83,6 +83,10 @@ def test_rank_frozen_values():
     # over GF(3): det = 1*1 - 2*2 = 0
     assert LabeledMatrix(GF3, ["a", "b"], ["c", "d"], [[1, 2], [2, 1]]).rank() == 1
     assert LabeledMatrix(GF3, ["a", "b"], ["c", "d"], [[1, 2], [2, 2]]).rank() == 2
+    A = LabeledMatrix(GF3, ["a", "b"], ["x", "y"], [[1, 2], [0, 1]])
+    assert submatrix_rank(A, {"a", "b", "x", "y"}) == 2
+    assert submatrix_rank(A, {"b", "x"}) == 0
+    assert submatrix_rank(A, {"x", "y"}) == 0  # no rows selected
 
 
 def test_rank_invariant_under_label_permutation():
@@ -121,36 +125,12 @@ def test_entry_access():
         A.column_encs("a")
 
 
-def test_submatrix_and_sides():
-    A = LabeledMatrix(GF3, ["a", "b"], ["x", "y"], [[1, 2], [0, 1]])
-    S = A.submatrix(["a", "y"])
-    assert S.rows == ("a",) and S.cols == ("y",)
-    assert S.enc("a", "y") == 2
-    assert A.submatrix(["a", "b"]).shape == (2, 0)
-    with pytest.raises(UnknownLabel):
-        A.submatrix(["a", "q"])
-    assert submatrix_rank(A, {"a", "b", "x", "y"}) == 2
-    assert submatrix_rank(A, {"b", "x"}) == 0
-    assert submatrix_rank(A, {"x", "y"}) == 0  # no rows selected
-
-
 def test_transpose():
     A = LabeledMatrix(GF3, ["a", "b"], ["x"], [[1], [2]])
     T = A.transpose()
     assert T.rows == ("x",) and T.cols == ("a", "b")
     assert T.enc("x", "b") == 2
     assert T.transpose() == A
-
-
-def test_submatrix_sides_refuses_unknown_labels():
-    # an unknown label, or a label asked for on the other side, is an
-    # UnknownLabel as in submatrix, not a bare KeyError
-    A = LabeledMatrix(GF3, ["a", "b"], ["x", "y"], [[1, 2], [0, 1]])
-    assert A.submatrix_sides(["b"], ["y", "x"]).enc("b", "x") == 0
-    with pytest.raises(UnknownLabel, match=r"\['zz'\]"):
-        A.submatrix_sides(["zz"], [])
-    with pytest.raises(UnknownLabel, match=r"\['x', 'a'\]"):
-        A.submatrix_sides(["x"], ["a"])
 
 
 def test_lift():
@@ -177,18 +157,15 @@ def test_set_entry():
         A.set_entry("q", "x", 1)
 
 
-def test_with_column_and_drop_columns():
+def test_with_column():
     A = LabeledMatrix(GF2, ["a", "b"], ["x"], [[1], [0]])
     B = A.with_column("y", (1, 1))
     assert B.cols == ("x", "y")
     assert B.column_encs("y") == (1, 1)
-    assert B.drop_columns(["x"]).cols == ("y",)
     with pytest.raises(LabelCollision):
         A.with_column("a", (0, 0))
     with pytest.raises(InvalidArgs):
         A.with_column("y", (1,))
-    with pytest.raises(UnknownLabel):
-        A.drop_columns(["z"])
 
 
 def test_derived_matrices_validate_what_they_add():

@@ -144,11 +144,11 @@ def test_minor_spec_takes_sets_and_refuses_an_overlap():
 
 
 def test_stage_and_trace_records_are_mutable_and_unhashable():
-    stage = StageRecord("s", 1, N, {"ok": True})
-    assert stage.details == {} and StageRecord("t", 1, N, {}).details is not stage.details
+    stage = StageRecord("s", 1, N, {"ok": True}, {})
     assert repr(stage) == (f"StageRecord(name='s', degree_over_input=1, matroid={SHOWN_N}, "
                            "verdicts={'ok': True}, details={})")
-    assert stage == StageRecord(name="s", degree_over_input=1, matroid=N, verdicts={"ok": True})
+    assert stage == StageRecord(name="s", degree_over_input=1, matroid=N, verdicts={"ok": True},
+                                details={})
     with pytest.raises(TypeError):
         hash(stage)
     tr = pipeline(ReprMatroid(LabeledMatrix(GF2, ["c"], ["d", "e"], [[0, 1]])),

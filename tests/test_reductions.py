@@ -37,7 +37,6 @@ from matroidfrag import (
     isolated,
     make_prime_field,
     pipeline,
-    reduce_to_two,
     relax_entry,
     submatrix_rank,
     subsets_by_size,
@@ -484,7 +483,7 @@ def test_zero_out_rejects_non_fragile():
         zero_out(M, isolated({"c"}, {"c", "d"}))
 
 
-# -- collapse_side / reduce_to_two -------------------------------------------
+# -- collapse_side -----------------------------------------------------------
 
 
 def test_collapse_side_singleton():
@@ -506,34 +505,6 @@ def test_collapse_side_errors():
         collapse_side(isolated({"c"}, {"c", "d", "e"}), {"c"}, {"d"}, "d2")
 
 
-def test_reduce_to_two_relabels_pair():
-    M = pair_matroid()
-    out = reduce_to_two(M, {"c"}, {"d"}, "c2", "d2")
-    assert out.ground == {"c2", "d2", "e"}
-    assert out.field is GF2  # both sides singletons: degree 1 * 1
-    assert out.minor({"c2"}, {"d2"}).equals(M.minor({"c"}, {"d"}))
-    with pytest.raises(LabelCollision):
-        reduce_to_two(M, {"c"}, {"d"}, "x", "x")
-    with pytest.raises(LabelCollision):
-        reduce_to_two(M, {"c"}, {"d"}, "e", "d2")
-    with pytest.raises(NotFragile):
-        reduce_to_two(isolated({"c"}, {"c", "d", "e"}), {"c"}, {"d"}, "c2", "d2")
-
-
-def test_reduce_to_two_checks_arguments_in_order():
-    # c == d, then c or d in the ground set, then overlapping sides: an
-    # input breaking several rules raises for the first of them
-    M = pair_matroid()
-    with pytest.raises(LabelCollision, match="distinct"):
-        reduce_to_two(M, {"c"}, {"c"}, "e", "e")
-    with pytest.raises(LabelCollision, match="already in the ground set"):
-        reduce_to_two(M, {"c"}, {"c"}, "e", "d2")
-    with pytest.raises(LabelCollision, match="already in the ground set"):
-        reduce_to_two(isolated({"c"}, {"c", "d", "e"}), {"c"}, {"d"}, "c2", "e")
-    with pytest.raises(InvalidArgs, match="sides overlap"):
-        reduce_to_two(isolated({"c"}, {"c", "d", "e"}), {"c", "d"}, {"d"}, "c2", "d2")
-
-
 def test_a_new_label_that_is_not_a_string_is_converted_once():
     # a new label is made a str at each public entry point, as
     # LabeledMatrix does with its labels, before the collision checks and
@@ -546,11 +517,6 @@ def test_a_new_label_that_is_not_a_string_is_converted_once():
         free_extension(out, ["a"], 5)
     M = pair_matroid()
     assert collapse_side(M, {"c"}, {"d"}, 7) == collapse_side(M, {"c"}, {"d"}, "7")
-    out = reduce_to_two(M, {"c"}, {"d"}, 1, 2)
-    assert out == reduce_to_two(M, {"c"}, {"d"}, "1", "2")
-    assert out.ground == {"1", "2", "e"}
-    with pytest.raises(LabelCollision, match="distinct"):
-        reduce_to_two(M, {"c"}, {"d"}, 1, "1")
     with pytest.raises(LabelCollision, match="already in the ground set"):
         collapse_side(ReprMatroid(LabeledMatrix(GF2, ["c"], ["d", "7"], [[0, 1]])),
                       {"c"}, {"d"}, 7)
@@ -568,8 +534,8 @@ def display_by_partition_search(M, X1, X2):
 
 
 def collapse_by_partition_search(M, X1, X2, d):
-    """collapse_side on the display above, and reduce_to_two below on
-    it, with their argument checks in order and no zero_out."""
+    """collapse_side on the display above, with its argument checks in
+    order and no zero_out."""
     X1, X2 = frozenset(X1), frozenset(X2)
     if X1 & X2:
         raise InvalidArgs("sides overlap")
@@ -577,17 +543,6 @@ def collapse_by_partition_search(M, X1, X2, d):
         raise LabelCollision(d)
     return reductions._collapse_side(display_by_partition_search(M, X1, X2), X1, X2, d,
                                      None, DEGREE_CAP_DEFAULT)
-
-
-def reduce_by_partition_search(M, X1, X2, c, d):
-    X1, X2 = frozenset(X1), frozenset(X2)
-    if c == d or c in M.ground or d in M.ground:
-        raise LabelCollision(c)
-    if X1 & X2:
-        raise InvalidArgs("sides overlap")
-    Ma = collapse_by_partition_search(M, X1, X2, d)
-    return reductions._collapse_side(Ma.dual(), frozenset({d}), X1, c,
-                                     None, DEGREE_CAP_DEFAULT).dual()
 
 
 def _outcome(fn, *args):
@@ -598,10 +553,10 @@ def _outcome(fn, *args):
 
 
 def test_public_collapses_match_the_partition_search_display():
-    # collapse_side and reduce_to_two display their input by the search
-    # zero_out shares: on displayed and on re-based inputs, with sides
-    # that are and are not a fragile isolated minor, both build and
-    # refuse as the reference does
+    # collapse_side displays its input by the search zero_out shares:
+    # on displayed and on re-based inputs, with sides that are and are
+    # not a fragile isolated minor, and with a new label that may already
+    # be in the ground set, it builds and refuses as the reference does
     rng = Random(10)
     outcomes = Counter()
     for t in range(480):
@@ -626,15 +581,10 @@ def test_public_collapses_match_the_partition_search_display():
             M = M.rebase(B)
         if t % 13 == 0:
             X2 = X2 | set(rng.sample(sorted(M.ground), 1))  # may overlap X1
-        c, d = ("c", "d") if t % 11 else (rng.choice(sorted(M.ground)), "d")
-        for got, want in (
-            (_outcome(collapse_side, M, X1, X2, d),
-             _outcome(collapse_by_partition_search, M, X1, X2, d)),
-            (_outcome(reduce_to_two, M, X1, X2, c, d),
-             _outcome(reduce_by_partition_search, M, X1, X2, c, d)),
-        ):
-            assert got == want
-            outcomes[F.order, want if isinstance(want, type) else "built"] += 1
+        d = "d" if t % 11 else rng.choice(sorted(M.ground))
+        want = _outcome(collapse_by_partition_search, M, X1, X2, d)
+        assert _outcome(collapse_side, M, X1, X2, d) == want
+        outcomes[F.order, want if isinstance(want, type) else "built"] += 1
     for q in (2, 3):
         assert outcomes[q, "built"] >= 40
         assert outcomes[q, NotFragile] >= 40
@@ -645,46 +595,16 @@ def test_public_collapses_match_the_partition_search_display():
 def test_public_collapses_run_above_the_equals_cap():
     # 12 elements outside the minor and |X2| = 5: the partition search
     # admits it, and no stage compares matroids by equals, which refuses
-    # more than 16 elements, so both build what the reference builds
+    # more than 16 elements, so the collapse of the loop side, and then
+    # of the coloop side on the dual, build what the reference builds
     gi = gen_random("xfragile", seed=0, q=2, rows=7, cols=11, x_rows=1, x_cols=5)
     M = ReprMatroid(gi.instance.matrix)
     X1, X2 = {"r0"}, {f"c{j}" for j in range(5)}
     assert len(M.ground) == 18
-    assert collapse_side(M, X1, X2, "d").rep == \
-        collapse_by_partition_search(M, X1, X2, "d").rep
-    assert reduce_to_two(M, X1, X2, "c", "d").rep == \
-        reduce_by_partition_search(M, X1, X2, "c", "d").rep
-
-
-def test_reduce_to_two_forwards_the_dual_certificate(monkeypatch):
-    # one partition search for the input; each collapse keeps the set of
-    # realising partitions (the collapse lemma), the dual one in the dual,
-    # so no search follows either
-    from matroidfrag import fragility, reductions
-
-    gi = gen_random("pipeline", seed=1, q=2, rows=4, cols=4, minor_size=4)
-    M, N = ReprMatroid(gi.instance.matrix), gi.instance.task.minor
-    Mz, Az = zero_out(M, N)
-    B = frozenset(Az.rows)
-    X1, X2 = B & N.ground, N.ground - B
-    # the public stages, each searching afresh, give the same matroid
-    Ma = collapse_side(Mz, X1, X2, "d")
-    want = collapse_side(Ma.dual(), {"d"}, X1, "c").dual()
-
-    calls = 0
-    search = fragility.fragile_partitions
-
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return search(*args, **kwargs)
-
-    monkeypatch.setattr(fragility, "fragile_partitions", counted)
-    monkeypatch.setattr(reductions, "fragile_partitions", counted)
-    out = reduce_to_two(Mz, X1, X2, "c", "d")
-    assert calls == 1
-    assert out.rep == want.rep
-    assert is_N_fragile(out, isolated({"c"}, {"c", "d"}))
+    Ma = collapse_side(M, X1, X2, "d")
+    assert Ma.rep == collapse_by_partition_search(M, X1, X2, "d").rep
+    assert collapse_side(Ma.dual(), {"d"}, X1, "c").rep == \
+        collapse_by_partition_search(Ma.dual(), {"d"}, X1, "c").rep
 
 
 # -- relax_entry --------------------------------------------------------------
@@ -960,7 +880,7 @@ def test_a_zeroed_block_entry_left_nonzero_is_refused(monkeypatch):
             run(M, N)
 
 
-@pytest.mark.parametrize("stage", ["pipeline", "reduce_to_two"])
+@pytest.mark.parametrize("stage", [pipeline], ids=["pipeline"])
 @pytest.mark.parametrize("which", [1, 2])
 def test_a_changed_entry_after_each_collapse_is_refused_by_its_check(monkeypatch, stage, which):
     # the extended display of the loop-side collapse (which = 1), or of
@@ -968,16 +888,7 @@ def test_a_changed_entry_after_each_collapse_is_refused_by_its_check(monkeypatch
     # entry changed on (C, D), or on (D, C) in the dual, off the new
     # column: that collapse's own literal check refuses it
     M, N = four_element_pair()
-    if stage == "pipeline":
-        def run():
-            return pipeline(M, N)
-    else:
-        Mz, Az = zero_out(M, N)
-        B = frozenset(Az.rows)
-
-        def run():
-            return reduce_to_two(Mz, B & N.ground, N.ground - B, "c", "d")
-    run()
+    stage(M, N)
     extend = reductions.free_extension
     calls = []
 
@@ -992,7 +903,7 @@ def test_a_changed_entry_after_each_collapse_is_refused_by_its_check(monkeypatch
 
     monkeypatch.setattr(reductions, "free_extension", changed_extension)
     with pytest.raises(PostconditionViolation, match="the collapse changed the common minor"):
-        run()
+        stage(M, N)
     assert calls == ["d", "c"][:which]
 
 
@@ -1018,7 +929,7 @@ def test_a_generator_inside_the_entry_field_is_refused(monkeypatch):
         assert len(calls) == at and calls[-1] == 2
 
 
-@pytest.mark.parametrize("stage", ["pipeline", "reduce_to_two"])
+@pytest.mark.parametrize("stage", [pipeline], ids=["pipeline"])
 @pytest.mark.parametrize("which", [1, 2])
 def test_a_changed_entry_on_the_common_minor_is_refused(monkeypatch, stage, which):
     # one collapse returns its certified output with one entry changed
@@ -1028,18 +939,7 @@ def test_a_changed_entry_on_the_common_minor_is_refused(monkeypatch, stage, whic
     # Either way M1 differs from the input display in one entry on (C, D),
     # and the literal common-minor check fails
     M, N = four_element_pair()
-    if stage == "pipeline":
-        def run():
-            return pipeline(M, N)
-        message = "lost the common minor"
-    else:
-        Mz, Az = zero_out(M, N)
-        B = frozenset(Az.rows)
-
-        def run():
-            return reduce_to_two(Mz, B & N.ground, N.ground - B, "c", "d")
-        message = "does not match the original minor"
-    run()
+    stage(M, N)
     collapse = reductions._collapse_side
     calls = []
 
@@ -1054,8 +954,8 @@ def test_a_changed_entry_on_the_common_minor_is_refused(monkeypatch, stage, whic
         return out
 
     monkeypatch.setattr(reductions, "_collapse_side", changed)
-    with pytest.raises(PostconditionViolation, match=message):
-        run()
+    with pytest.raises(PostconditionViolation, match="lost the common minor"):
+        stage(M, N)
     assert len(calls) == 2
     if which == 2:
         return
@@ -1076,7 +976,7 @@ def test_a_changed_entry_on_the_common_minor_is_refused(monkeypatch, stage, whic
     monkeypatch.setattr(reductions, "x_fragile_failure",
                         lambda *a, **k: checks.append(a) or fragility.x_fragile_failure(*a, **k))
     with pytest.raises(PostconditionViolation, match="changed the common minor"):
-        run()
+        stage(M, N)
     assert checks == []
 
 
@@ -1096,7 +996,7 @@ def test_pipeline_runs_above_the_equals_cap():
     assert is_relaxation(tr.relaxed, tr.relaxation, tr.hyperplane)
 
 
-def test_pipeline_and_reduce_to_two_make_no_equals_call(monkeypatch):
+def test_pipeline_and_collapse_side_make_no_equals_call(monkeypatch):
     calls = 0
     equals = ReprMatroid.equals
 
@@ -1112,8 +1012,10 @@ def test_pipeline_and_reduce_to_two_make_no_equals_call(monkeypatch):
     pipeline(pair_matroid(), isolated({"c"}, {"c", "d"}))
     Mz, Az = zero_out(M, N)
     B = frozenset(Az.rows)
-    reduce_to_two(Mz, B & N.ground, N.ground - B, "c", "d")
-    reduce_to_two(pair_matroid(), {"c"}, {"d"}, "c2", "d2")
+    X1 = B & N.ground
+    Ma = collapse_side(Mz, X1, N.ground - B, "d")
+    collapse_side(Ma.dual(), {"d"}, X1, "c")
+    collapse_side(pair_matroid(), {"c"}, {"d"}, "d2")
     assert calls == 0
 
 

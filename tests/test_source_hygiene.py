@@ -10,8 +10,12 @@ For every module of src/matroidfrag except __init__.py:
   read in its body, apart from a method's self or cls and the
   parameters of protocol signatures in PROTOCOL_PARAMETERS, which the
   caller fixes.
-Nothing is imported or run, so a left-over helper, import or parameter
-fails here rather than lingering unnoticed.
+And every public name in the package's `__all__` is used outside
+tests/: read in src/ outside its own definition and __init__.py, or
+in demos/ or bench/, where bench/tracer.py also binds functions by
+their names as strings.
+Nothing is imported or run, so a left-over helper, import, parameter
+or export fails here rather than lingering unnoticed.
 """
 
 import ast
@@ -20,7 +24,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "matroidfrag"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "matroidfrag"
 TREES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
 MODULES = sorted(name for name in TREES if name != "__init__.py")
 # (module, qualified function, parameter) read by no body on purpose
@@ -222,3 +227,33 @@ def test_one_move_witness_has_no_elimination_of_its_own():
            or isinstance(sub, ast.AugAssign) and isinstance(sub.op, ast.BitXor)
            or isinstance(sub, ast.Attribute) and sub.attr in ("mul_enc", "sub_enc")]
     assert own == []
+
+
+def _exports():
+    """The names in the package's `__all__`, dunder names aside."""
+    for node in TREES["__init__.py"].body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return [name for name in ast.literal_eval(node.value) if not name.startswith("__")]
+    raise AssertionError("no __all__ in __init__.py")
+
+
+def _scripts(folder):
+    return [ast.parse(path.read_text(), str(path)) for path in sorted((ROOT / folder).glob("*.py"))]
+
+
+def test_every_export_is_used_outside_the_tests():
+    # a use is a name, an attribute or an imported name in src/ outside
+    # the export's own definition, or in demos/ or bench/, or a string
+    # in bench/ that is the name, as the tracer binds functions by
+    # getattr; docstrings and the README are not code, so they do not count
+    demos, bench = _scripts("demos"), _scripts("bench")
+    uses = Counter(ref for tree in demos + bench for ref in _references(tree))
+    uses.update(node.value for tree in bench for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str))
+    uses.update(ref for module in MODULES for ref in _references(TREES[module]))
+    for module in MODULES:
+        for node in TREES[module].body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                uses.subtract(ref for ref in _references(node) if ref == node.name)
+    assert [name for name in _exports() if uses[name] <= 0] == []

@@ -4,10 +4,10 @@ bench/tracer.py wraps functions and methods of matroidfrag by name, and
 reads `ReprMatroid._rank_cache` in a hook.  A renamed or deleted binding
 would only show in a traced benchmark run, which the test suite does
 not make.  This test installs the tracer in-process, runs one
-generation of each instance kind, one pipeline and one reduce_to_two,
-and checks that the calls and the partition search's leaves were
-counted and that uninstalling restores every patched attribute.  bench/ is put on sys.path for the import
-only.
+generation of each instance kind, one pipeline and one public
+collapse_side, and checks that the calls and the partition search's
+leaves were counted and that uninstalling restores every patched
+attribute.  bench/ is put on sys.path for the import only.
 """
 
 from pathlib import Path
@@ -28,9 +28,9 @@ def test_tracer_counts_and_restores(monkeypatch):
                for kind in ("xfragile", "nfragile", "relax", "pipeline")}
         inst = gis["pipeline"].instance
         reductions.pipeline(ReprMatroid(inst.matrix), inst.task.minor)
-        # the public collapse of the loop side, reached through reduce_to_two
+        # the public collapse of the loop side
         pair = isolated({"c"}, {"c", "d"})
-        reductions.reduce_to_two(pair, {"c"}, {"d"}, "c2", "d2")
+        reductions.collapse_side(pair, {"c"}, {"d"}, "d2")
     finally:
         tr.uninstall()
     assert tr.calls["instances.gen_random"] == 4
