@@ -161,11 +161,11 @@ class LabeledMatrix:
     # -- structural operations ---------------------------------------------
 
     def transpose(self) -> "LabeledMatrix":
-        data = [
-            [self._data[i][j] for i in range(len(self.rows))]
-            for j in range(len(self.cols))
-        ]
-        return LabeledMatrix(self.field, self.cols, self.rows, data)
+        """A^T: the columns, read off by `zip`, become rows.  The labels
+        and encodings are this matrix's, already checked, so nothing is
+        re-validated."""
+        data = list(zip(*self._data)) if self.rows else [()] * len(self.cols)
+        return LabeledMatrix._of_display(self.field, self.cols, self.rows, data)
 
     def lift(self, target: FieldSpec) -> "LabeledMatrix":
         """Reinterpret every entry in a taller tower.  Encodings of

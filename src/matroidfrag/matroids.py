@@ -16,10 +16,13 @@ derived representation deterministic.  `rebase` re-displays on a
 basis B by the step `_pivot_onto`, which pivots B's elements onto the
 rows and so checks B by its own pivots, with no rank query; its mirror
 `_pivot_off` pivots B's elements off the rows and so checks that B is
-coindependent.  Contracting a column element is `_pivot_onto` on one
-element, and deleting a row element is `_pivot_off` on one.  Each step
-takes a set `keep` it must not pivot into: the rows of `keep` for a
-contraction, its columns for a deletion.  `minor` passes none.  The
+coindependent.  Contracting a column element pivots it by the rule of
+`_pivot_onto`, onto the least row label with a nonzero entry in its
+column, and deleting a row element by the rule of `_pivot_off`, onto
+the least such column label; each step finds its one pivot directly,
+building no set.  Each step takes a set `keep` it must not pivot into:
+the rows of `keep` for a contraction, its columns for a deletion.
+`minor` passes none.  The
 partition search `fragility.fragile_partitions` passes N's basis, or
 N's cobasis, so that they stay where its root display put them.  Its
 nodes are these steps, so the certificate of every input rests on
@@ -211,35 +214,52 @@ class ReprMatroid:
 
     @staticmethod
     def _contract_one(field, rows, cols, data, e, keep=frozenset()) -> None:
-        # pivot a column element onto a row outside keep, then drop e's
-        # row; keep lies on the rows, and e's column must be zero or
-        # nonzero in a row outside keep
-        if e in cols and not ReprMatroid._pivot_onto(field, rows, cols, data, keep | {e}):
-            # zero column: contracting a loop is the same as deleting it
+        # `_pivot_onto` on e alone: a column e pivots onto the least row
+        # label outside keep with a nonzero entry in its column, and e's
+        # row is then dropped.  keep lies on the rows, and a column e
+        # with no such row must be zero: e is a loop, and contracting a
+        # loop is the same as deleting it
+        if e in cols:
             j = cols.index(e)
-            del cols[j]
-            for row in data:
-                del row[j]
-            return
-        i = rows.index(e)
-        del rows[i]
-        del data[i]
+            pick = -1
+            for i, r in enumerate(rows):
+                if data[i][j] and r not in keep and (pick < 0 or r < rows[pick]):
+                    pick = i
+            if pick < 0:
+                del cols[j]
+                for row in data:
+                    del row[j]
+                return
+            _pivot_inplace(field, rows, cols, data, pick, j)
+        else:
+            pick = rows.index(e)
+        del rows[pick]
+        del data[pick]
 
     @staticmethod
     def _delete_one(field, rows, cols, data, e, keep=frozenset()) -> None:
-        # pivot a row element onto a column outside keep, then drop e's
-        # column; keep lies on the columns, and e's row must be zero or
-        # nonzero in a column outside keep
-        if e in rows and not ReprMatroid._pivot_off(field, rows, cols, data, keep | {e}):
-            # zero row: e is a coloop, dropping the row deletes it
+        # `_pivot_off` on e alone: a row e pivots onto the least column
+        # label outside keep with a nonzero entry in its row, and e's
+        # column is then dropped.  keep lies on the columns, and a row e
+        # with no such column must be zero: e is a coloop, and dropping
+        # its row deletes it
+        if e in rows:
             i = rows.index(e)
-            del rows[i]
-            del data[i]
-            return
-        j = cols.index(e)
-        del cols[j]
+            row = data[i]
+            pick = -1
+            for j, c in enumerate(cols):
+                if row[j] and c not in keep and (pick < 0 or c < cols[pick]):
+                    pick = j
+            if pick < 0:
+                del rows[i]
+                del data[i]
+                return
+            _pivot_inplace(field, rows, cols, data, i, pick)
+        else:
+            pick = cols.index(e)
+        del cols[pick]
         for row in data:
-            del row[j]
+            del row[pick]
 
     @staticmethod
     def _pivot_onto(field, rows, cols, data, B: frozenset) -> bool:

@@ -43,8 +43,9 @@ class Record:
                 raise TypeError(f"{what}: missing field {missing[0]!r}" if missing else
                                 f"{what}: {len(values)} values for {len(names)} fields")
             values += tuple(map(named.__getitem__, rest))
+        set_field = object.__setattr__
         for name, value in zip(names, values):
-            object.__setattr__(self, name, value)
+            set_field(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

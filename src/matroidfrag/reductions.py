@@ -10,9 +10,9 @@ H, while the part of M outside E(N) survives as a common minor:
                     displayed basis of N is unchanged.
   2. collapse_side  add one element freely into the span of the loop
                     side of the isolated minor, then delete that side;
-                    run again in the dual for the coloop side.  After
-                    both, the minor is a single coloop c and a single
-                    loop d.
+                    run again on the transposed display, a display of
+                    the dual, for the coloop side.  After both, the
+                    minor is a single coloop c and a single loop d.
   3. relax_entry    the displayed (c, d) entry is forced to zero;
                     replacing it with a generator of a quadratic
                     extension adds exactly one basis, namely
@@ -29,7 +29,10 @@ literally; no stage compares two matroids by `equals`.  Each stage
 builds its displays from the rows of the display before it: the zeroing
 rewrites BN's rows, a collapse appends a column and then drops columns,
 the relaxation rewrites one row, and the coloop collapse runs on the
-dual, whose display is the transposed rows.  No stage goes through
+transposed display A^T and transposes its result back.  A^T displays
+the dual M*, which -A^T displays, up to scaling each column of A^T by
+-1, and scaling an element's vector keeps every rank; so no stage
+negates an entry.  No stage goes through
 `lift`, `with_column`, `set_entry` or `ReprMatroid.minor`, and each
 check reads the rows by position once it has matched the labels.
 
@@ -113,9 +116,10 @@ def _zero_out(M: ReprMatroid, N: ReprMatroid, cap: int) -> tuple[ReprMatroid, La
     display A in E(N), the partition found in M, (rows - E(N),
     cols - E(N)), is the only one realising isolated(BN, E(N)) in M2.
 
-    The zeroing is checked literally: A2 must have A's labels in A's
-    order, and each of its rows must be A's row with the block
-    (BN, E(N) - BN) zero, every other entry unchanged.
+    The zeroing rebuilds only BN's rows and is checked literally, in one
+    pass over the rows: A2 must have A's labels in A's order, each of
+    BN's rows must be zero on the block (BN, E(N) - BN) and equal to A's
+    row elsewhere, and every other row must be A's.
     So M2/BN = M/BN, as contracting a row element of [I | A] deletes its
     row (`ReprMatroid.minor`): both are represented by A without BN.
 
@@ -136,15 +140,16 @@ def _zero_out(M: ReprMatroid, N: ReprMatroid, cap: int) -> tuple[ReprMatroid, La
     BN = N.ground & frozenset(A.rows)
     bn = {A._row_pos[r] for r in BN}
     block = {A._col_pos[c] for c in N.ground - BN}
-
-    def zeroed(row):
-        # a row of BN with its entries in the block zero
-        return tuple(0 if j in block else x for j, x in enumerate(row))
-
-    A2 = LabeledMatrix._of_display(A.field, A.rows, A.cols,
-                                   [zeroed(a) if i in bn else a for i, a in enumerate(A._data)])
+    data = list(A._data)
+    for i in bn:
+        data[i] = tuple(0 if j in block else x for j, x in enumerate(data[i]))
+    A2 = LabeledMatrix._of_display(A.field, A.rows, A.cols, data)
     if (A2.rows, A2.cols) != (A.rows, A.cols) or any(
-            row != (zeroed(a) if i in bn else a) for i, (a, row) in enumerate(zip(A._data, A2._data))):
+            # a row of BN: zero on the block, A's entries elsewhere
+            len(row) != len(a) or any(y if j in block else y != x
+                                      for j, (x, y) in enumerate(zip(a, row)))
+            if i in bn else row != a
+            for i, (a, row) in enumerate(zip(A._data, A2._data))):
         raise PostconditionViolation("the zeroed display is not the display with its block zeroed")
     return ReprMatroid(A2), A2
 
@@ -194,7 +199,7 @@ def free_extension(
     """
     e = str(e)
     Xf = frozenset(X)
-    not_cols = Xf - frozenset(A.cols)
+    not_cols = Xf.difference(A._col_pos)
     if not_cols:
         raise UnknownLabel(f"not column labels of the matrix: {sorted(not_cols)}")
     if e in A._row_pos or e in A._col_pos:
@@ -247,19 +252,20 @@ def collapse_side(
         raise LabelCollision(f"label {d!r} already in the ground set")
     # the display basis meets E(N) in the unique basis X1 of N
     Md = _display(M, isolated(X1f, X1f | X2f), PARTITION_CAP_DEFAULT)
-    return _collapse_side(Md, X1f, X2f, d, None, DEGREE_CAP_DEFAULT)
+    return ReprMatroid(_collapse_side(Md.rep, X1f, X2f, d, None, DEGREE_CAP_DEFAULT))
 
 
 def _collapse_side(
-    M: ReprMatroid, X1: frozenset[str], X2: frozenset[str], d: str,
+    A: LabeledMatrix, X1: frozenset[str], X2: frozenset[str], d: str,
     degree: int | None, degree_cap: int,
-) -> ReprMatroid:
-    """collapse_side on M displayed with X1 on the rows and X2 on the
-    columns.  `free_extension` appends d's column, and X2's columns are
-    then dropped from its rows, which deletes X2, as deleting a column
-    element drops its column (`ReprMatroid.minor`); no pivot is needed.
-    Only columns change, so the output keeps M's rows and its block on
-    (C, D) = (rows - X1, cols - X2), checked literally (`_keeps_minor`).
+) -> LabeledMatrix:
+    """collapse_side on the display A of M with X1 on the rows and X2 on
+    the columns; returns the output's display.  `free_extension` appends
+    d's column, and X2's columns are then dropped from its rows, which
+    deletes X2, as deleting a column element drops its column
+    (`ReprMatroid.minor`); no pivot is needed.  Only columns change, so
+    the output keeps A's rows and its block on (C, D) =
+    (rows - X1, cols - X2), checked literally (`_keeps_minor`).
 
     Collapse lemma: a partition (W, Z) of E(M) - X1 - X2 realises
     isolated(X1, X1 + X2) in M iff it realises isolated(X1, X1 + {d}) in
@@ -271,12 +277,20 @@ def _collapse_side(
     d iff it spans X2, as d lies freely on the flat of X2
     (`free_extension`).  The coloop side is the same statement in the
     dual: (K/W\\Z)* = K*/Z\\W, and isolated(X1, X)* = isolated(X - X1, X).
+    It runs on A^T, which displays M* with the roles of rows and columns
+    swapped: M* is displayed by -A^T, whose columns scaled by -1 give
+    A^T, and scaling an element's vector changes no rank.  The lemma
+    holds on A^T unchanged, and transposing its output back displays
+    the dual of the collapsed M*, so no entry is negated.  Negation acts
+    on an entry's coordinates one by one, so the column built on A^T is
+    the negation of the one built on -A^T, and each other entry is
+    negated twice on that route: the two displays are equal.
     """
-    A = free_extension(M.rep, X2, d, degree=degree, degree_cap=degree_cap)
-    keep = [j for j, v in enumerate(A.cols) if v not in X2]
-    out = ReprMatroid(LabeledMatrix._of_display(
-        A.field, A.rows, [A.cols[j] for j in keep], [[row[j] for j in keep] for row in A._data]))
-    if not _keeps_minor(M.rep, X1, X2, out.rep, X1, {d}):
+    A1 = free_extension(A, X2, d, degree=degree, degree_cap=degree_cap)
+    keep = [j for j, v in enumerate(A1.cols) if v not in X2]
+    out = LabeledMatrix._of_display(A1.field, A1.rows, [A1.cols[j] for j in keep],
+                                    [tuple([row[j] for j in keep]) for row in A1._data])
+    if not _keeps_minor(A, X1, X2, out, X1, {d}):
         raise PostconditionViolation("the collapse changed the common minor on (C, D)")
     return out
 
@@ -298,13 +312,13 @@ def _keeps_minor(
     encodings are equal entries once A is lifted to A1's field, and a
     matrix over F has the same rank over every extension of F, so the
     two matroids are one.  The check is what the collapses promise: each
-    adds a column (`free_extension`) and deletes column elements, in the
-    primal or in the dual, whose display is -A^T, and two duals cancel,
-    since -(-A^T)^T = A; no step rewrites an entry on (C, D).
+    adds a column (`free_extension`) and deletes column elements, on A
+    or on the transposed display A^T, and two transposes cancel, since
+    (A^T)^T = A; no step rewrites an entry on (C, D).
     """
-    C = frozenset(A.rows) - X1
-    D = frozenset(A.cols) - X2
-    if frozenset(A1.rows) != C | frozenset(Y1) or frozenset(A1.cols) != D | frozenset(Y2):
+    C = [r for r in A.rows if r not in X1]
+    D = [c for c in A.cols if c not in X2]
+    if A1._row_pos.keys() != {*C, *Y1} or A1._col_pos.keys() != {*D, *Y2}:
         return False
     js = [(A._col_pos[c], A1._col_pos[c]) for c in D]
     for r in C:
@@ -480,18 +494,19 @@ def pipeline(
     B = frozenset(Az.rows)
     X1 = B & N.ground
     X2 = N.ground - B
+    # the records are built positionally, in slot order
     stages = [
         StageRecord(
-            name="zero_displayed_block",
-            degree_over_input=1,
-            matroid=Mz,
-            verdicts={
+            "zero_displayed_block",
+            1,
+            Mz,
+            {
                 "unique_partition": True,
                 "zero_block_fragile": True,
                 "contraction_unchanged": True,
                 "isolated_minor_fragile": True,
             },
-            details={"displayed_basis": sorted(B)},
+            {"displayed_basis": sorted(B)},
         )
     ]
 
@@ -504,8 +519,8 @@ def pipeline(
             raise PostconditionViolation("stage field is not a tower over the input field")
         return q
 
-    # the loop side, then the coloop side as the loop side of the dual,
-    # where rows and columns swap
+    # the loop side, then the coloop side as the loop side of the
+    # transposed display, where rows and columns swap
     labels = {}
     for name, key, side in (
         ("collapse_loop_side", "d", X2),
@@ -519,11 +534,12 @@ def pipeline(
             used.add(labels[key])
             degree = k if conformance else None
             if key == "d":
-                cur = _collapse_side(cur, X1, X2, labels["d"], degree, dcap)
+                A = _collapse_side(cur.rep, X1, X2, labels["d"], degree, dcap)
             else:
-                cur = _collapse_side(
-                    cur.dual(), frozenset({labels["d"]}), X1, labels["c"], degree, dcap
-                ).dual()
+                A = _collapse_side(
+                    cur.rep.transpose(), frozenset({labels["d"]}), X1, labels["c"], degree, dcap
+                ).transpose()
+            cur = ReprMatroid(A)
             verdicts = {
                 "unique_partition": True,
                 "free_flat_condition": True,
@@ -538,17 +554,17 @@ def pipeline(
     M1, M2, H = _relax_entry(cur, c_label, d_label, dcap)
     stages.append(
         StageRecord(
-            name="relax_entry",
-            degree_over_input=_deg(M1) * 2,
-            matroid=M2,
-            verdicts={
+            "relax_entry",
+            _deg(M1) * 2,
+            M2,
+            {
                 "displayed_block_zero": True,
                 "pair_fragile_matrix": True,
                 "generator_outside_base": True,
                 "rank_difference_only_at_pair": True,
                 "relaxation": True,
             },
-            details={"hyperplane": sorted(H)},
+            {"hyperplane": sorted(H)},
         )
     )
 
@@ -572,18 +588,5 @@ def pipeline(
         )
 
     return ReductionTrace(
-        input_matroid=M,
-        minor_matroid=N,
-        displayed_basis=B,
-        coloop_side=X1,
-        loop_side=X2,
-        c_label=c_label,
-        d_label=d_label,
-        stages=stages,
-        relaxed=M1,
-        relaxation=M2,
-        hyperplane=H,
-        conformance=conformance,
-        degree_bound=bound,
-        final_degree_over_input=final_degree,
+        M, N, B, X1, X2, c_label, d_label, stages, M1, M2, H, conformance, bound, final_degree
     )

@@ -131,6 +131,10 @@ def test_transpose():
     assert T.rows == ("x",) and T.cols == ("a", "b")
     assert T.enc("x", "b") == 2
     assert T.transpose() == A
+    # no rows or no columns: both label lists change sides
+    for rows, cols in (([], ["x", "y"]), (["a", "b"], [])):
+        E = LabeledMatrix(GF3, rows, cols, [[0] * len(cols) for _ in rows])
+        assert E.transpose() == LabeledMatrix(GF3, cols, rows, [[0] * len(rows) for _ in cols])
 
 
 def test_lift():

@@ -541,8 +541,8 @@ def collapse_by_partition_search(M, X1, X2, d):
         raise InvalidArgs("sides overlap")
     if d in M.ground:
         raise LabelCollision(d)
-    return reductions._collapse_side(display_by_partition_search(M, X1, X2), X1, X2, d,
-                                     None, DEGREE_CAP_DEFAULT)
+    return ReprMatroid(reductions._collapse_side(display_by_partition_search(M, X1, X2).rep,
+                                                 X1, X2, d, None, DEGREE_CAP_DEFAULT))
 
 
 def _outcome(fn, *args):
@@ -929,31 +929,41 @@ def test_a_generator_inside_the_entry_field_is_refused(monkeypatch):
         assert len(calls) == at and calls[-1] == 2
 
 
+def one_entry_changed(A, keep):
+    """A with one entry changed, at the first row and the first column
+    outside `keep`."""
+    r = next(x for x in A.rows if x not in keep)
+    c = next(x for x in A.cols if x not in keep)
+    return A.set_entry(r, c, A.field.add_enc(A.enc(r, c), 1))
+
+
 @pytest.mark.parametrize("stage", [pipeline], ids=["pipeline"])
 @pytest.mark.parametrize("which", [1, 2])
 def test_a_changed_entry_on_the_common_minor_is_refused(monkeypatch, stage, which):
-    # one collapse returns its certified output with one entry changed
-    # off the collapsed side and the new element: on (C, D) for the loop
-    # side, with rows C + X1 and columns D + {d}, and on (D, C) for the
-    # coloop side in the dual, with rows D + {d} and columns C + {c}.
-    # Either way M1 differs from the input display in one entry on (C, D),
-    # and the literal common-minor check fails
+    # one collapse's certified output reaches the chain with one entry
+    # changed off the collapsed side and the new element: the loop side's
+    # display as `_collapse_side` returns it (which = 1), with rows C + X1
+    # and columns D + {d}, or the coloop side's where the chain builds it,
+    # transposed back from A^T (which = 2), with rows C + {c} and columns
+    # D + {d}.  Either way M1 differs from the input display in one entry
+    # on (C, D), and the literal common-minor check fails
     M, N = four_element_pair()
     stage(M, N)
-    collapse = reductions._collapse_side
+    collapse, transpose = reductions._collapse_side, LabeledMatrix.transpose
     calls = []
 
-    def changed(M, X1, X2, d, *args):
-        out = collapse(M, X1, X2, d, *args)
+    def changed(A, X1, X2, d, *args):
+        out = collapse(A, X1, X2, d, *args)
         calls.append(d)
-        if len(calls) == which:
-            A = out.rep
-            r = next(x for x in A.rows if x not in X1)
-            c = next(x for x in A.cols if x != d)
-            out = ReprMatroid(A.set_entry(r, c, A.field.add_enc(A.enc(r, c), 1)))
-        return out
+        return one_entry_changed(out, X1 | {d}) if which == 1 and d == "d" else out
+
+    def changed_back(A):
+        # the transpose back is the one with the new coloop c on its rows
+        T = transpose(A)
+        return one_entry_changed(T, N.ground | {"c", "d"}) if which == 2 and "c" in T.rows else T
 
     monkeypatch.setattr(reductions, "_collapse_side", changed)
+    monkeypatch.setattr(LabeledMatrix, "transpose", changed_back)
     with pytest.raises(PostconditionViolation, match="lost the common minor"):
         stage(M, N)
     assert len(calls) == 2
@@ -978,6 +988,54 @@ def test_a_changed_entry_on_the_common_minor_is_refused(monkeypatch, stage, whic
     with pytest.raises(PostconditionViolation, match="changed the common minor"):
         stage(M, N)
     assert checks == []
+
+
+def test_a_changed_old_entry_of_the_transposed_display_is_refused(monkeypatch):
+    # the coloop side's extension of A^T, built with one old entry
+    # changed on (D, C): free_extension's own check refuses it, so no
+    # display that differs from A^T off the new column reaches the
+    # collapse's drop of X1's columns
+    M, N = four_element_pair()
+    pipeline(M, N)
+    built = []
+
+    def changed(field, rows, cols, data):
+        if cols[-1] == "c":
+            built.append(cols[-1])
+            data = [list(row) for row in data]
+            i = next(i for i, r in enumerate(rows) if r not in N.ground | {"d"})
+            j = next(j for j, c in enumerate(cols) if c not in N.ground | {"c"})
+            data[i][j] = field.add_enc(data[i][j], 1)
+        return LabeledMatrix._of_display(field, rows, cols, data)
+
+    monkeypatch.setattr(reductions, "LabeledMatrix", SimpleNamespace(_of_display=changed))
+    with pytest.raises(PostconditionViolation, match="is not the display extended"):
+        pipeline(M, N)
+    assert built == ["c"]
+
+
+def test_a_changed_entry_of_the_transpose_is_refused(monkeypatch):
+    # A^T, the coloop collapse's input, with one entry changed on (D, C):
+    # the collapse keeps the changed entry, as its check compares its
+    # output with its own input, and after the transpose back M1 differs
+    # from the zeroed display on (C, D), which the common-minor check
+    # refuses
+    M, N = four_element_pair()
+    pipeline(M, N)
+    transpose = LabeledMatrix.transpose
+    changed = []
+
+    def changed_transpose(A):
+        T = transpose(A)
+        if not changed:
+            changed.append(T.rows)
+            T = one_entry_changed(T, N.ground | {"c", "d"})
+        return T
+
+    monkeypatch.setattr(LabeledMatrix, "transpose", changed_transpose)
+    with pytest.raises(PostconditionViolation, match="lost the common minor"):
+        pipeline(M, N)
+    assert len(changed) == 1 and "d" in changed[0]
 
 
 def test_pipeline_runs_above_the_equals_cap():
@@ -1017,6 +1075,30 @@ def test_pipeline_and_collapse_side_make_no_equals_call(monkeypatch):
     collapse_side(Ma.dual(), {"d"}, X1, "c")
     collapse_side(pair_matroid(), {"c"}, {"d"}, "d2")
     assert calls == 0
+
+
+def test_pipeline_builds_no_dual(monkeypatch):
+    # the coloop side collapses on the transposed display: no pipeline
+    # calls `ReprMatroid.dual` or negates an entry of a field above the
+    # input field, and over the prime field GF(3), whose pivots take
+    # residues, no entry is negated at all.  Over GF(9) the input field's
+    # pivots still negate
+    duals, negs = Counter(), Counter()
+    dual, neg = ReprMatroid.dual, FieldSpec.neg_enc
+    monkeypatch.setattr(ReprMatroid, "dual", lambda self: duals.update([self.field]) or dual(self))
+    monkeypatch.setattr(FieldSpec, "neg_enc", lambda self, a: negs.update([self]) or neg(self, a))
+    collapsed = Counter()
+    for F, modes in ((GF3, (False, True)), (GF9, (False,))):
+        for seed in range(20):
+            rows, cols, k = 3 + seed % 2, 3 + seed // 2 % 2, 3 + seed // 4 % 2
+            gi = gen_random("pipeline", seed=seed, q=F.order, rows=rows, cols=cols, minor_size=k)
+            M, N = ReprMatroid(gi.instance.matrix), gi.instance.task.minor
+            for conformance in modes:
+                tr = pipeline(M, N, conformance=conformance)
+                collapsed[F] += "collapsed" in tr.stages[2].details
+    assert collapsed[GF3] >= 20 and collapsed[GF9] >= 10, collapsed
+    assert not duals, duals
+    assert set(negs) == {GF9} and negs[GF9] > 0, negs
 
 
 # -- no rank table after the partition search -------------------------------
@@ -1117,7 +1199,8 @@ def build_display(F, data, n, inside):
 def test_the_collapses_keep_the_partition_set():
     # collapse lemma: on a display with a zero block on (X1, X2), fragile
     # or not, the loop collapse and then the coloop collapse, run on the
-    # dual, keep the set of partitions realising the isolated minor
+    # transposed display and transposed back, keep the set of partitions
+    # realising the isolated minor
     seen = Counter()
 
     @settings(max_examples=400, derandomize=True, deadline=None, database=None)
@@ -1132,10 +1215,10 @@ def test_the_collapses_keep_the_partition_set():
         M = ReprMatroid(A)
         before = fragility.fragile_partitions(M, isolated(X1, X1 | X2))
         assert matroids.MinorSpec(set(A.rows) - X1, set(A.cols) - X2) in before
-        loop = reductions._collapse_side(M, X1, X2, "d", None, DEGREE_CAP_DEFAULT)
+        loop = ReprMatroid(reductions._collapse_side(A, X1, X2, "d", None, DEGREE_CAP_DEFAULT))
         assert fragility.fragile_partitions(loop, isolated(X1, X1 | {"d"})) == before
-        both = reductions._collapse_side(
-            loop.dual(), frozenset({"d"}), X1, "c", None, DEGREE_CAP_DEFAULT).dual()
+        both = ReprMatroid(reductions._collapse_side(
+            loop.rep.transpose(), frozenset({"d"}), X1, "c", None, DEGREE_CAP_DEFAULT).transpose())
         assert fragility.fragile_partitions(both, isolated({"c"}, {"c", "d"})) == before
         seen[A.field.order, min(len(before), 2)] += 1
 
@@ -1273,26 +1356,33 @@ def reference_chain(M, N, conformance):
 
 
 def test_pipeline_matches_the_reference_chain_byte_for_byte():
-    # 208 seeded pairs over GF(2) to GF(5), in both degree modes: every
-    # stage's display (field, labels in order, entries), details and
-    # degree, and M1, M2, H, c and d, equal the reference chain's
+    # 364 seeded pairs: over GF(2) to GF(5) in both degree modes, and in
+    # default mode over GF(7), GF(8) and GF(9), whose negation on the
+    # reference's coloop side acts digit by digit in GF(9) and its towers
+    # (conformance towers over q > 5 spend minutes finding a canonical
+    # modulus): every stage's display (field, labels in order, entries),
+    # details and degree, and M1, M2, H, c and d, equal the reference
+    # chain's, which collapses the coloop side on -A^T
     seen = Counter()
-    for q in (2, 3, 4, 5):
+    runs = [(q, conf) for q in (2, 3, 4, 5) for conf in (False, True)] + [
+        (q, False) for q in (7, 8, 9)]
+    for q, conformance in runs:
         for seed in range(52):
             rows, cols, k = 3 + seed % 2, 3 + seed // 2 % 2, 3 + seed // 4 % 2
             gi = gen_random("pipeline", seed=seed, q=q, rows=rows, cols=cols, minor_size=k)
             M, N = ReprMatroid(gi.instance.matrix), gi.instance.task.minor
-            for conformance in (False, True):
-                tr = pipeline(M, N, conformance=conformance)
-                stages, M1, M2, H, c, d = reference_chain(M, N, conformance)
-                assert len(tr.stages) == len(stages) == 4
-                for got, (matroid, details, degree) in zip(tr.stages, stages):
-                    assert got.matroid == matroid
-                    assert (got.details, got.degree_over_input) == (details, degree)
-                assert (tr.relaxed, tr.relaxation, tr.hyperplane) == (M1, M2, H)
-                assert (tr.c_label, tr.d_label) == (c, d)
-                seen[q, conformance] += 1
-                seen["skipped"] += sum("skipped" in s.details for s in tr.stages)
-                seen["collapsed"] += sum("collapsed" in s.details for s in tr.stages)
-    assert all(seen[q, conf] == 52 for q in (2, 3, 4, 5) for conf in (False, True))
+            tr = pipeline(M, N, conformance=conformance)
+            stages, M1, M2, H, c, d = reference_chain(M, N, conformance)
+            assert len(tr.stages) == len(stages) == 4
+            for got, (matroid, details, degree) in zip(tr.stages, stages):
+                assert got.matroid == matroid
+                assert (got.details, got.degree_over_input) == (details, degree)
+            assert (tr.relaxed, tr.relaxation, tr.hyperplane) == (M1, M2, H)
+            assert (tr.c_label, tr.d_label) == (c, d)
+            seen[q, conformance] += 1
+            seen[q, "coloop collapsed"] += "collapsed" in tr.stages[2].details
+            seen["skipped"] += sum("skipped" in s.details for s in tr.stages)
+            seen["collapsed"] += sum("collapsed" in s.details for s in tr.stages)
+    assert all(seen[run] == 52 for run in runs)
+    assert all(seen[q, "coloop collapsed"] >= 26 for q in (2, 3, 4, 5, 7, 8, 9)), seen
     assert seen["skipped"] >= 50 and seen["collapsed"] >= 300, seen

@@ -1,0 +1,160 @@
+"""In-process A/B timing of two source trees of matroidfrag.
+
+Usage: python3 tools/ab_inprocess.py PARENT_SRC CHANGE_SRC
+           --workload certify|generate [--seeds N ...] [--rounds R] [--ops K]
+
+Each `src/` tree is loaded under its own package name, so the two
+versions run side by side in one process on the same host state.  The
+pool of one seed is drawn by `bench/workloads.py`, imported read-only
+(no bytecode is written there) with PARENT_SRC's package as
+`matroidfrag`, and handed to each side as JSON: a `certify` op is one
+`pipeline` on a fragile pair, parsed by each side's `parse_instance`; a
+`generate` op is one `gen_random` draw with its retries, as the workload
+makes it.  `--ops K` keeps the first K ops of the pool.
+
+Every op runs once on each side untimed first, and the two sides must
+agree on its output.  Then each round times every op on both sides, the
+side that runs first alternating from op to op, and sums each side's
+times.  The round ratio is CHANGE / PARENT, so a ratio below 1 means the
+change is faster.  Per seed, the median round ratio and the rounds the
+change won are printed, then the median over all rounds.  A few-percent
+difference that separate processes cannot resolve on a busy host shows
+here.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib.util
+import json
+import statistics
+import sys
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+
+
+def load_package(src: Path, name: str):
+    """The package `matroidfrag` of the tree `src`, imported as `name`."""
+    pkg = Path(src).resolve() / "matroidfrag"
+    if not (pkg / "__init__.py").is_file():
+        sys.exit(f"no matroidfrag package under {src}")
+    spec = importlib.util.spec_from_file_location(
+        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def draw_pool(parent_src: Path, workload: str, seed: int) -> list[str]:
+    """The seed's ops, drawn by `bench/workloads.py`, as JSON texts."""
+    if "matroidfrag" not in sys.modules:
+        sys.path.insert(0, str(Path(parent_src).resolve()))
+        sys.path.insert(0, str(BENCH))
+        sys.dont_write_bytecode = True
+    import matroidfrag
+    import workloads
+
+    if workload == "certify":
+        w = workloads.Certify(seed)
+        w.setup()
+        return [json.dumps(matroidfrag.serialize_instance(inst)) for _, inst in w.ops()]
+    w = workloads.Generate(seed)
+    w.catalogue = workloads.generate_catalogue()
+    return [json.dumps(op) for op in w.ops()]
+
+
+def certify_side(pkg):
+    """Parse an op for this side, and run it: time of `pipeline` alone,
+    and the output the two sides must agree on."""
+    def prepare(text):
+        inst = pkg.parse_instance(text)
+        return inst.matrix, inst.task.minor.rep
+
+    def run(op):
+        M, N = pkg.ReprMatroid(op[0]), pkg.ReprMatroid(op[1])
+        t0 = perf_counter()
+        tr = pkg.pipeline(M, N)
+        t = perf_counter() - t0
+        return t, (tr.final_degree_over_input, sorted(tr.hyperplane), tr.relaxation.rep._data)
+    return prepare, run
+
+
+def generate_side(pkg):
+    import workloads  # on the path once `draw_pool` has run
+
+    retries, attempts = workloads.GEN_RETRIES, workloads.GEN_ATTEMPTS
+
+    def run(op):
+        kind, shape, sub = op
+        t0 = perf_counter()
+        for attempt in range(retries):
+            try:
+                g = pkg.gen_random(kind, seed=(sub + attempt) % 2**32,
+                                   max_attempts=attempts, **shape)
+                break
+            except pkg.Exhausted:
+                continue
+        else:
+            raise RuntimeError(f"{kind} {shape}: Exhausted {retries} times")
+        t = perf_counter() - t0
+        return t, (g.rejections, pkg.serialize_instance(g.instance))
+    return json.loads, run
+
+
+def ab_rounds(sides, rounds: int) -> list[float]:
+    """Each round's CHANGE / PARENT ratio of summed op times; `sides` is
+    [(ops, run)] for the parent, then the change."""
+    (ops_a, run_a), (ops_b, run_b) = sides
+    for i, (a, b) in enumerate(zip(ops_a, ops_b)):
+        if run_a(a)[1] != run_b(b)[1]:
+            raise SystemExit(f"op {i}: the two trees' outputs differ")
+    ratios = []
+    for r in range(rounds):
+        gc.collect()
+        ta = tb = 0.0
+        for i, (a, b) in enumerate(zip(ops_a, ops_b)):
+            if (i + r) % 2:
+                tb += run_b(b)[0]
+                ta += run_a(a)[0]
+            else:
+                ta += run_a(a)[0]
+                tb += run_b(b)[0]
+        ratios.append(tb / ta)
+    return ratios
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent_src", type=Path)
+    ap.add_argument("change_src", type=Path)
+    ap.add_argument("--workload", choices=("certify", "generate"), required=True)
+    ap.add_argument("--seeds", type=int, nargs="+", default=[0])
+    ap.add_argument("--rounds", type=int, default=8)
+    ap.add_argument("--ops", type=int, default=None, help="keep the first K ops of each pool")
+    args = ap.parse_args(argv)
+    side = certify_side if args.workload == "certify" else generate_side
+    pkgs = [load_package(args.parent_src, "ab_parent"), load_package(args.change_src, "ab_change")]
+    every = []
+    for seed in args.seeds:
+        pool = draw_pool(args.parent_src, args.workload, seed)[:args.ops]
+        sides = []
+        for pkg in pkgs:
+            prepare, run = side(pkg)
+            sides.append(([prepare(text) for text in pool], run))
+        ratios = ab_rounds(sides, args.rounds)
+        every += ratios
+        won = sum(x < 1 for x in ratios)
+        print(f"{args.workload} seed {seed}: {len(pool)} ops, median ratio "
+              f"{statistics.median(ratios):.3f}, change won {won}/{len(ratios)} rounds "
+              f"[{' '.join(f'{x:.3f}' for x in ratios)}]")
+    print(f"median ratio over {len(every)} rounds: {statistics.median(every):.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
