@@ -15,10 +15,11 @@ leaf is decided by one rule: a zero pattern other than N's is not N,
 N's own display, or an all-zero display over any field, is N, and
 only a leaf with N's zero pattern and other entries compares rank
 tables over E(N) (`matrices.rank_table`, one byte per subset of E(N)).
-When M and N are over GF(2) the same search runs on packed rows, a
-pivot XORs ints, and a node is skipped unless two span tests, proved
-exact, leave room for N below it.  So the certificate is the whole
-search space, not a heuristic, and no table grows with E(M).
+When M and N are over GF(2) the same search runs on packed rows from
+the same root display, a pivot XORs ints, and a node is skipped unless
+two span tests, proved exact, leave room for N below it.  So the
+certificate is the whole search space, not a heuristic, and no table
+grows with E(M).
 
 The matrix-side notion: a labeled matrix A is X-fragile when the block
 A[X] vanishes and adjoining X to any nonempty disjoint Y strictly
@@ -135,11 +136,11 @@ def fragile_partitions(
         elements before it is built.
 
     When M and N are both over GF(2), the same walk runs on a packed
-    display: each row of M's display becomes an int with bit j for its
-    entry in column position j (`matrices._gf2_row`), the root is set up
-    on those ints by the rule above, the same pivots in the same order
-    (`_root_gf2`), and then BN's rows are put first.  A pivot at (i, j) XORs
-    data[i] ^ (1 << j) into every other row with bit j (`_pivot_gf2`).
+    display: the root is set up on lists by `_pivot_onto` and
+    `_pivot_off` as above, BN's rows are put first, and each row becomes
+    an int with bit j for its entry in column position j
+    (`matrices._gf2_row`).  A pivot at (i, j) XORs data[i] ^ (1 << j)
+    into every other row with bit j (`_pivot_gf2`).
     Column positions stay fixed: a deleted column keeps its position,
     with its bit cleared in every row (`_step_gf2`).  A contraction
     pivots onto a row after BN's and a deletion onto a column outside
@@ -186,17 +187,17 @@ def fragile_partitions(
     outside = frozenset(rest)
     found = []
     fits = None  # the node test, on packed rows
+    root = rows, cols, data = M._display_lists()
+    if not (ReprMatroid._pivot_onto(field, *root, BN)
+            and ReprMatroid._pivot_off(field, *root, coN)):
+        return frozenset()
     if field.order == 2 and N.field == field:
-        # M's rows packed, the root's steps on them, then BN's rows first
-        # over fixed column positions, and N's display (NA) packed in the
-        # same positions by its zero pattern; coN's columns are the bits
-        # of mask
-        rows, cols, data = list(M.rep.rows), list(M.rep.cols), list(map(_gf2_row, M.rep._data))
-        if not _root_gf2(rows, cols, data, BN, coN):
-            return frozenset()
+        # the root's rows packed, BN's first over fixed column positions,
+        # and N's display (NA) packed in the same positions by its zero
+        # pattern; coN's columns are the bits of mask
         order = [i for i, b in enumerate(rows) if b in BN]
         order += [i for i, b in enumerate(rows) if b not in BN]
-        rows, data = [rows[i] for i in order], [data[i] for i in order]
+        rows, data = [rows[i] for i in order], [_gf2_row(data[i]) for i in order]
         nb, root = len(BN), (rows, cols, data)
         NA = [_gf2_row([f in coN and A.enc(b, f) != 0 for f in cols]) for b in rows[:nb]]
         mask = _gf2_row([f in coN for f in cols])
@@ -233,10 +234,6 @@ def fragile_partitions(
             ts = [x & mask for x in xs]
             return not any(ts) or _spans([x & mask for x in data[nb:]] + ts, -1, len(data) - nb)
     else:
-        root = rows, cols, data = M._display_lists()
-        if not (ReprMatroid._pivot_onto(field, *root, BN)
-                and ReprMatroid._pivot_off(field, *root, coN)):
-            return frozenset()
         # N's display with its rows and columns in the root's order, the
         # order of every leaf's; a zero one is N over every field
         NA = [[A.enc(b, f) for f in cols if f in coN] for b in rows if b in BN]
@@ -311,32 +308,6 @@ def _pivot_gf2(rows, cols, data, i, j) -> None:
         if x >> j & 1 and r != i:
             data[r] = x ^ p
     rows[i], cols[j] = cols[j], rows[i]
-
-
-def _root_gf2(rows, cols, data, BN, coN) -> bool:
-    """The root steps of `fragile_partitions` on packed GF(2) rows, by
-    the rule of `_pivot_onto` and then `_pivot_off`: each element of BN
-    on the columns, in label order, pivots onto the least row label
-    outside BN with a one in its column, then each element of coN on the
-    rows onto the least column label outside coN with a one in its row.
-    False, part way, when an element has no such line."""
-    for v in sorted(BN.difference(rows)):
-        j, pick = cols.index(v), None
-        for i, b in enumerate(rows):
-            if data[i] >> j & 1 and b not in BN and (pick is None or b < rows[pick]):
-                pick = i
-        if pick is None:
-            return False
-        _pivot_gf2(rows, cols, data, pick, j)
-    for v in sorted(coN.intersection(rows)):
-        i, pick = rows.index(v), None
-        for j, f in enumerate(cols):
-            if data[i] >> j & 1 and f not in coN and (pick is None or f < cols[pick]):
-                pick = j
-        if pick is None:
-            return False
-        _pivot_gf2(rows, cols, data, i, pick)
-    return True
 
 
 def _step_gf2(rows, cols, data, e, contracting, nb, mask) -> None:

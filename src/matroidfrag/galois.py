@@ -14,8 +14,9 @@ sum(enc(a_i) * B**i) where B is the order of the previous level; the
 ground case is the residue itself.  The encoding is bijective, makes
 equality and hashing cheap, and is stable under canonical tower
 embeddings: the image of a subfield element in any taller tower keeps
-the same integer.  That last fact is what lets `embed` and
-`LabeledMatrix.lift` reuse encodings verbatim.
+the same integer.  That last fact is what lets `embed`, and the
+reduction stages that rebuild a display over an extension field, reuse
+encodings verbatim.
 
 extend_field adjoins a root of the canonical modulus: the lex-least
 monic irreducible of the requested degree, found by walking candidates
@@ -274,18 +275,6 @@ class FieldElem:
             raise InvalidArgs(f"encoding {enc} out of range for {spec!r}")
         self.spec = spec
         self.enc = enc
-
-    @property
-    def coeffs(self) -> tuple["FieldElem", ...]:
-        """Coefficient vector over the previous tower level, constant
-        term first, padded to the top step's degree.  Empty for prime
-        fields (the encoding itself is the residue)."""
-        spec = self.spec
-        if not spec.steps:
-            return ()
-        digits = spec._digits(self.enc)
-        digits += [0] * (spec._top_deg - len(digits))
-        return tuple(FieldElem(spec.base, d) for d in digits)
 
     def _coerce(self, other) -> "FieldElem | None":
         if isinstance(other, FieldElem):

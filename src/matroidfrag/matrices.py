@@ -3,8 +3,8 @@
 Row and column label sets must be disjoint: a LabeledMatrix doubles as
 the standard representation [I | A] of a matroid whose basis-side
 elements are the row labels, and in that reading every label names one
-matroid element.  Entries are stored as integer encodings; the public
-accessor hands back FieldElem values.
+matroid element.  Entries are stored as integer encodings, and `enc`
+reads one back by its labels.
 
 Rank is exact Gaussian elimination in insertion form: each vector in
 turn is reduced by the pivots kept so far, each clearing its leading
@@ -29,26 +29,25 @@ labels' once to set up.
 
 `block_rank` answers single queries, the rank of A with some rows
 dropped, on some columns; matrix rank, `submatrix_rank` and the matroid
-rank oracle call it.  It counts with its own loops (`rank_gf2`,
-`_rank_generic`) on vectors cut from the stored rows, or over GF(2) on
-the columns packed into ints once per matrix, rows dropped by masking:
-reading a query's vectors through labels, as the sift does, made it
-about 2.5 times slower.  `rank_table` answers complete sweeps, the rank
-of every subset of a label list in the matroid or a contraction of it.
-Its depth-first walk keeps the batch step (`_reduce_gf2`,
-`_generic_reducer`): a child reduces its parent's list of vectors by
-its one new pivot, and that list is shared by the child's whole
-subtree, where a sift would reduce each vector again by every pivot of
-the node.  Every exhaustive certificate in the package reads such a
-table.
+rank oracle call it.  It cuts the block from the stored rows, the kept
+rows on the query's columns, and counts with its own loops: `rank_gf2`
+on the block's rows packed into ints over GF(2), `_rank_generic` on
+lists of encodings elsewhere.  `rank_table` answers complete sweeps,
+the rank of every subset of a label list in the matroid or a
+contraction of it.  Its depth-first walk keeps the batch step
+(`_reduce_gf2`, `_generic_reducer`): a child reduces its parent's list
+of vectors by its one new pivot, and that list is shared by the child's
+whole subtree, where a sift would reduce each vector again by every
+pivot of the node.  Every exhaustive certificate in the package reads
+such a table.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import FieldMismatch, InvalidArgs, LabelCollision, NotASubfield, UnknownLabel
-from .galois import FieldElem, FieldSpec, is_tower_prefix
+from .errors import FieldMismatch, InvalidArgs, LabelCollision, UnknownLabel
+from .galois import FieldElem, FieldSpec
 
 
 def _check_labels(rows: Sequence[str], cols: Sequence[str]) -> None:
@@ -77,7 +76,7 @@ def _encoding(field: FieldSpec, v: "FieldElem | int") -> int:
 
 
 class LabeledMatrix:
-    __slots__ = ("field", "rows", "cols", "_data", "_row_pos", "_col_pos", "_gf2_cols")
+    __slots__ = ("field", "rows", "cols", "_data", "_row_pos", "_col_pos")
 
     def __init__(
         self,
@@ -105,7 +104,6 @@ class LabeledMatrix:
         self._data = data
         self._row_pos = {r: i for i, r in enumerate(rows)}
         self._col_pos = {c: j for j, c in enumerate(cols)}
-        self._gf2_cols: tuple[int, ...] | None = None
 
     @classmethod
     def _of_display(
@@ -120,25 +118,11 @@ class LabeledMatrix:
 
     # -- access -----------------------------------------------------------
 
-    def entry(self, row: str, col: str) -> FieldElem:
-        return FieldElem(self.field, self.enc(row, col))
-
     def enc(self, row: str, col: str) -> int:
         try:
             return self._data[self._row_pos[row]][self._col_pos[col]]
         except KeyError as e:
             raise UnknownLabel(f"no entry at ({row!r}, {col!r})") from e
-
-    def column_encs(self, col: str) -> tuple[int, ...]:
-        try:
-            j = self._col_pos[col]
-        except KeyError as e:
-            raise UnknownLabel(f"no column {col!r}") from e
-        return tuple(row[j] for row in self._data)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.rows), len(self.cols)
 
     def labels(self) -> frozenset[str]:
         return frozenset(self.rows) | frozenset(self.cols)
@@ -167,55 +151,10 @@ class LabeledMatrix:
         data = list(zip(*self._data)) if self.rows else [()] * len(self.cols)
         return LabeledMatrix._of_display(self.field, self.cols, self.rows, data)
 
-    def lift(self, target: FieldSpec) -> "LabeledMatrix":
-        """Reinterpret every entry in a taller tower.  Encodings of
-        subfield elements are unchanged by the canonical embedding, so
-        the stored data moves verbatim."""
-        if not is_tower_prefix(self.field, target):
-            raise NotASubfield(f"{self.field!r} is not a tower prefix of {target!r}")
-        return LabeledMatrix._of_display(target, self.rows, self.cols, self._data)
-
-    def set_entry(self, row: str, col: str, value: "FieldElem | int") -> "LabeledMatrix":
-        enc = _encoding(self.field, value)
-        if row not in self._row_pos:
-            raise UnknownLabel(f"no row {row!r}")
-        if col not in self._col_pos:
-            raise UnknownLabel(f"no column {col!r}")
-        i, j = self._row_pos[row], self._col_pos[col]
-        data = [list(r) for r in self._data]
-        data[i][j] = enc
-        return LabeledMatrix._of_display(self.field, self.rows, self.cols, data)
-
-    def with_column(self, label: str, encs: Sequence[int]) -> "LabeledMatrix":
-        label = str(label)
-        if label in self._row_pos or label in self._col_pos:
-            raise LabelCollision(f"label {label!r} already used")
-        if len(encs) != len(self.rows):
-            raise InvalidArgs("column length does not match row count")
-        encs = [_encoding(self.field, e) for e in encs]
-        data = [r + (e,) for r, e in zip(self._data, encs)]
-        return LabeledMatrix._of_display(self.field, self.rows, self.cols + (label,), data)
-
     # -- rank ---------------------------------------------------------------
 
     def rank(self) -> int:
         return block_rank(self, 0, range(len(self.cols)))
-
-
-def _gf2_columns(A: LabeledMatrix) -> tuple[int, ...]:
-    """The columns of a GF(2) matrix packed once per matrix: column j
-    has bit i set iff A[i][j] is one."""
-    packed = A._gf2_cols
-    if packed is None:
-        cols = [0] * len(A.cols)
-        bit = 1
-        for row in A._data:
-            for j, x in enumerate(row):
-                if x:
-                    cols[j] |= bit
-            bit <<= 1
-        packed = A._gf2_cols = tuple(cols)
-    return packed
 
 
 def _gf2_row(row: Sequence[int]) -> int:
@@ -228,14 +167,14 @@ def _gf2_row(row: Sequence[int]) -> int:
 
 def block_rank(A: LabeledMatrix, drop: int, cols: Iterable[int]) -> int:
     """Rank of A without the rows whose bits are set in `drop`, on the
-    columns at positions `cols`.  The rank kernel for single queries."""
-    if A.field.order == 2:
-        packed = A._gf2_cols or _gf2_columns(A)
-        keep = ~drop
-        return rank_gf2(packed[j] & keep for j in cols)
+    columns at positions `cols`.  The rank kernel for single queries:
+    the block is cut from the stored rows, and over GF(2) each of its
+    rows is packed into an int (`_gf2_row`) for `rank_gf2`."""
     cols = list(cols)
-    rows = [row for i, row in enumerate(A._data) if not drop >> i & 1]
-    return _rank_generic(A.field, [[row[j] for j in cols] for row in rows])
+    block = [[row[j] for j in cols] for i, row in enumerate(A._data) if not drop >> i & 1]
+    if A.field.order == 2:
+        return rank_gf2(map(_gf2_row, block))
+    return _rank_generic(A.field, block)
 
 
 def submatrix_rank(A: LabeledMatrix, labels: Iterable[str]) -> int:

@@ -32,9 +32,8 @@ the relaxation rewrites one row, and the coloop collapse runs on the
 transposed display A^T and transposes its result back.  A^T displays
 the dual M*, which -A^T displays, up to scaling each column of A^T by
 -1, and scaling an element's vector keeps every rank; so no stage
-negates an entry.  No stage goes through
-`lift`, `with_column`, `set_entry` or `ReprMatroid.minor`, and each
-check reads the rows by position once it has matched the labels.
+negates an entry.  No stage goes through `ReprMatroid.minor`, and
+each check reads the rows by position once it has matched the labels.
 
 One partition search per pipeline, in zero_out, finds the partition
 (C, D) realising N; from then on the display is the certificate.  Each
@@ -179,7 +178,7 @@ def free_extension(
     base-|F| digits enc(a_j) (`galois`), so no arithmetic in F' is done;
     for d = 1 an entry is its own coordinate.  The output is built once,
     over F', from A's rows with the entry appended: an encoding of F is
-    the same element of F' (`LabeledMatrix.lift`).  Before returning, its
+    the same element of F' (`galois.embed`).  Before returning, its
     labels must be A's with e appended and its rows A's with one more
     entry; each entry of the column is then read back, by position, in
     its coordinates, and coordinate j must be x_j's entry in that row for
@@ -410,7 +409,7 @@ def _relax_entry(
     """relax_entry on M1 displayed with basis C + {c}, a display
     certified {c, d}-fragile; H = rows - {c} + {d}.  M2 is built once,
     over F2, from A1's rows with row c rebuilt to hold theta at d: an
-    encoding of F is the same element of F2 (`LabeledMatrix.lift`)."""
+    encoding of F is the same element of F2 (`galois.embed`)."""
     A1 = M1.rep
     F = A1.field
     F2 = extend_field(F, 2, degree_cap=degree_cap)

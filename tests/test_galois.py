@@ -410,13 +410,6 @@ def test_degree_and_characteristic_caps():
     assert extend_field(GF2, 17, degree_cap=17).degree == 17
 
 
-def test_coeffs_view():
-    # encoding 6 in GF(8) is t^2 + t
-    a = GF8.elem(6)
-    assert tuple(c.enc for c in a.coeffs) == (0, 1, 1)
-    assert GF2.one.coeffs == ()
-
-
 def test_is_irreducible_input_validation():
     assert is_irreducible(GF2, (1, 1, 1))
     assert not is_irreducible(GF2, (1, 0, 1))  # (x+1)^2

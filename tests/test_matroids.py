@@ -325,11 +325,12 @@ def test_equals_matches_subset_sweep():
         nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
         rows = [f"r{i}" for i in range(nrows)]
         cols = [f"c{j}" for j in range(ncols)]
-        A = LabeledMatrix(F, rows, cols, [[rng.randrange(F.order) for _ in cols] for _ in rows])
-        M = ReprMatroid(A)
+        data = [[rng.randrange(F.order) for _ in cols] for _ in rows]
+        M = ReprMatroid(LabeledMatrix(F, rows, cols, data))
         if t % 2:
-            other = ReprMatroid(A.set_entry(rng.choice(rows), rng.choice(cols),
-                                            rng.randrange(F.order)))
+            r, c, x = rng.choice(rows), rng.choice(cols), rng.randrange(F.order)
+            data[rows.index(r)][cols.index(c)] = x
+            other = ReprMatroid(LabeledMatrix(F, rows, cols, data))
         else:
             other = M.rebase(rng.choice(sorted(M.bases(), key=sorted)))
         want = all(M.rank(X) == other.rank(X) for X in subsets_by_size(M.ground))

@@ -53,6 +53,15 @@ GF5 = make_prime_field(5)
 GF9 = extend_field(GF3, 2)
 
 
+def with_entry(A, r, c, x, field=None):
+    """A over `field` (A's own by default; an encoding of a subfield is
+    the same element of a tower above it) with the entry at (r, c) set
+    to x, built by the checked constructor."""
+    return LabeledMatrix(field or A.field, A.rows, A.cols,
+                         [[x if (e, f) == (r, c) else y for f, y in zip(A.cols, row)]
+                          for e, row in zip(A.rows, A._data)])
+
+
 # -- references: the subset sweeps that the stages' proofs replace -----------
 
 
@@ -96,7 +105,7 @@ def test_free_extension_two_flat_frozen():
     out = free_extension(A, {"a", "b"}, "e")
     # coefficients are the power basis 1, w of GF(4)
     assert out.field is GF4
-    assert out.column_encs("e") == (1, 2)
+    assert [out.enc(r, "e") for r in out.rows] == [1, 2]
     assert out.cols == ("a", "b", "e")
     M = ReprMatroid(out)
     assert M.rank({"a", "b", "e"}) == 2
@@ -107,21 +116,21 @@ def test_free_extension_empty_flat_is_loop():
     A = LabeledMatrix(GF2, ["r1"], ["a"], [[1]])
     out = free_extension(A, (), "e")
     assert out.field is GF2
-    assert out.column_encs("e") == (0,)
+    assert [out.enc(r, "e") for r in out.rows] == [0]
 
 
 def test_free_extension_singleton_is_parallel_copy():
     A = LabeledMatrix(GF2, ["r1", "r2"], ["a", "b"], [[1, 0], [1, 1]])
     out = free_extension(A, {"a"}, "e")
     assert out.field is GF2
-    assert out.column_encs("e") == out.column_encs("a")
+    assert [out.enc(r, "e") for r in out.rows] == [out.enc(r, "a") for r in out.rows]
 
 
 def test_free_extension_degree_override():
     A = LabeledMatrix(GF2, ["r1"], ["a"], [[1]])
     out = free_extension(A, {"a"}, "e", degree=2)
     assert out.field is GF4
-    assert out.column_encs("e") == out.column_encs("a")
+    assert [out.enc(r, "e") for r in out.rows] == [out.enc(r, "a") for r in out.rows]
     with pytest.raises(InvalidArgs):
         free_extension(A, {"a"}, "e", degree=0)
 
@@ -144,14 +153,13 @@ def _placed(A, X, alphas, e="e"):
     """[I | A] lifted to the field of `alphas`, with a column e equal to
     the sum of alpha_v times the column of v over the sorted X."""
     F2 = alphas[0].spec if alphas else A.field
-    lifted = A.lift(F2)
-    column = []
-    for r in A.rows:
+    data = []
+    for r, row in zip(A.rows, A._data):
         acc = 0
         for a, v in zip(alphas, sorted(X)):
-            acc = F2.add_enc(acc, F2.mul_enc(a.enc, lifted.enc(r, v)))
-        column.append(acc)
-    return lifted.with_column(e, column)
+            acc = F2.add_enc(acc, F2.mul_enc(a.enc, A.enc(r, v)))
+        data.append(row + (acc,))
+    return LabeledMatrix(F2, A.rows, A.cols + (e,), data)
 
 
 def written_column(change):
@@ -195,7 +203,9 @@ def test_free_extension_failures_match_the_reference(monkeypatch):
 
     refused = 0
     for (A, X), want in zip(draws, real):
-        dependent = _placed(A.lift(want.field), X, [want.field.one] * len(X)).column_encs("e")
+        lifted = LabeledMatrix(want.field, A.rows, A.cols, A._data)
+        placed = _placed(lifted, X, [want.field.one] * len(X))
+        dependent = [placed.enc(r, "e") for r in placed.rows]
         with monkeypatch.context() as m:
             m.setattr(reductions, "LabeledMatrix",
                       written_column(lambda field, column: dependent))
@@ -228,7 +238,8 @@ def test_free_extension_matches_the_arithmetic_reference(F):
         F2 = extend_field(F, d)
         out = free_extension(A, X, "e", degree=d)
         assert out.field is F2
-        assert out == _placed(A.lift(F2), X, subfield_basis(F2, F)[:len(X)])
+        assert out == _placed(LabeledMatrix(F2, A.rows, A.cols, A._data), X,
+                              subfield_basis(F2, F)[:len(X)])
         seen[min(len(X), 2), d > need] += 1
     for key in ((0, False), (0, True), (1, False), (1, True), (2, False), (2, True)):
         assert seen[key] >= 3, seen
@@ -301,7 +312,7 @@ def test_relax_and_free_extension_run_above_sixteen_elements():
     A = LabeledMatrix(GF2, ["r"], [f"c{j:02d}" for j in range(16)], [[1] * 16])
     out = free_extension(A, {"c00", "c01"}, "e")
     assert out.field is GF4
-    assert out.column_encs("e") == (3,)  # 1 + w
+    assert [out.enc(r, "e") for r in out.rows] == [3]  # 1 + w
     # the pair (c, d) with fifteen copies of c is fragile; the relax stage
     # is bounded only by its partition cap on the labels outside the pair
     es = [f"e{j:02d}" for j in range(1, 16)]
@@ -311,7 +322,7 @@ def test_relax_and_free_extension_run_above_sixteen_elements():
     M1, M2, H = relax_entry(M, (), es, cap=15)
     assert H == {"d"}
     assert M1.rep == M.rep
-    assert M2.rep == M.rep.lift(GF4).set_entry("c", "d", GF4.gen)
+    assert M2.rep == with_entry(M.rep, "c", "d", GF4.gen, GF4)
 
 
 def test_pair_fragility_decides_the_relax_sweep():
@@ -332,7 +343,7 @@ def test_pair_fragility_decides_the_relax_sweep():
         data[rows.index(c)][cols.index(d)] = 0
         A1 = LabeledMatrix(F, rows, cols, data)
         F2 = extend_field(F, 2)
-        A2 = A1.lift(F2).set_entry(c, d, F2.gen)
+        A2 = with_entry(A1, c, d, F2.gen, F2)
         want = relax_sweep_failure(A1, A2, c, d)
         outcomes[F.order, want is None] += 1
         assert (fragility.x_fragile_failure(A1, {c, d}) is None) == (want is None)
@@ -368,7 +379,7 @@ def relax_by_partition_search(M, C, D):
         return NotFragile
     A1 = M.rebase(C | {c}).rep
     F2 = extend_field(A1.field, 2)
-    return A1, A1.lift(F2).set_entry(c, d, F2.gen), C | {d}
+    return A1, with_entry(A1, c, d, F2.gen, F2), C | {d}
 
 
 def test_relax_entry_matches_the_partition_search():
@@ -512,7 +523,7 @@ def test_a_new_label_that_is_not_a_string_is_converted_once():
     A = LabeledMatrix(GF2, ["r1", "r2"], ["a", "b"], [[1, 0], [1, 1]])
     out = free_extension(A, ["a"], 5)
     assert out.cols == ("a", "b", "5")
-    assert out.column_encs("5") == A.column_encs("a")
+    assert [out.enc(r, "5") for r in out.rows] == [A.enc(r, "a") for r in A.rows]
     with pytest.raises(LabelCollision):
         free_extension(out, ["a"], 5)
     M = pair_matroid()
@@ -898,7 +909,7 @@ def test_a_changed_entry_after_each_collapse_is_refused_by_its_check(monkeypatch
         if len(calls) == which:
             r = next(x for x in out.rows if x not in N.ground | {"c", "d"})
             c = next(x for x in out.cols if x not in N.ground | {"c", "d"})
-            out = out.set_entry(r, c, out.field.add_enc(out.enc(r, c), 1))
+            out = with_entry(out, r, c, out.field.add_enc(out.enc(r, c), 1))
         return out
 
     monkeypatch.setattr(reductions, "free_extension", changed_extension)
@@ -934,7 +945,7 @@ def one_entry_changed(A, keep):
     outside `keep`."""
     r = next(x for x in A.rows if x not in keep)
     c = next(x for x in A.cols if x not in keep)
-    return A.set_entry(r, c, A.field.add_enc(A.enc(r, c), 1))
+    return with_entry(A, r, c, A.field.add_enc(A.enc(r, c), 1))
 
 
 @pytest.mark.parametrize("stage", [pipeline], ids=["pipeline"])
@@ -980,7 +991,7 @@ def test_a_changed_entry_on_the_common_minor_is_refused(monkeypatch, stage, whic
         out = extend(A, X, e, **kwargs)
         r = next(x for x in out.rows if x not in N.ground)
         c = next(x for x in out.cols if x not in N.ground and x != e)
-        return out.set_entry(r, c, out.field.add_enc(out.enc(r, c), 1))
+        return with_entry(out, r, c, out.field.add_enc(out.enc(r, c), 1))
 
     monkeypatch.setattr(reductions, "free_extension", changed_extension)
     monkeypatch.setattr(reductions, "x_fragile_failure",
@@ -1211,7 +1222,7 @@ def test_the_collapses_keep_the_partition_set():
         A = M.rep
         for r in X1:
             for c in X2:
-                A = A.set_entry(r, c, 0)
+                A = with_entry(A, r, c, 0)
         M = ReprMatroid(A)
         before = fragility.fragile_partitions(M, isolated(X1, X1 | X2))
         assert matroids.MinorSpec(set(A.rows) - X1, set(A.cols) - X2) in before
@@ -1303,18 +1314,19 @@ def _negated_transpose(K):
 
 
 def _reference_collapse(K, X, e, d, dcap):
-    """The free extension by `lift` and `with_column`, with the column
-    computed in the extension, then X deleted by `ReprMatroid.minor`."""
+    """The free extension by `_placed`, with the column computed in the
+    extension, then X deleted by `ReprMatroid.minor`."""
     F2 = extend_field(K.field, d, degree_cap=dcap)
     alphas = subfield_basis(F2, K.field)[:len(X)]
-    return ReprMatroid(_placed(K.rep.lift(F2), X, alphas, e)).minor(delete=X)
+    lifted = LabeledMatrix(F2, K.rep.rows, K.rep.cols, K.rep._data)
+    return ReprMatroid(_placed(lifted, X, alphas, e)).minor(delete=X)
 
 
 def reference_chain(M, N, conformance):
     """`pipeline`'s displays, labels and details, rebuilt from public
-    operations: the display basis, `rebase` and `set_entry` for the
+    operations: the display basis, `rebase` and `with_entry` for the
     zeroing, `_reference_collapse` for the loop side, and for the coloop
-    side on the negated transpose, and `lift` and `set_entry` for the
+    side on the negated transpose, and `with_entry` over F2 for the
     relaxation.  Returns the stages as (matroid, details, degree), then
     M1, M2, H, c and d."""
     k, base = len(N.ground), M.field
@@ -1324,7 +1336,7 @@ def reference_chain(M, N, conformance):
     A = Mz.rep
     for r in sorted(BN):
         for c in sorted(N.ground - BN):
-            A = A.set_entry(r, c, 0)
+            A = with_entry(A, r, c, 0)
     cur = ReprMatroid(A)
     stages = [(cur, {"displayed_basis": sorted(Mz.basis)}, 1)]
     used, labels = set(M.ground), {}
@@ -1349,7 +1361,7 @@ def reference_chain(M, N, conformance):
         stages.append((cur, details, cur.field.degree // base.degree))
     c, d = labels["c"], labels["d"]
     F2 = extend_field(cur.field, 2, degree_cap=dcap)
-    M2 = ReprMatroid(cur.rep.lift(F2).set_entry(c, d, F2.gen))
+    M2 = ReprMatroid(with_entry(cur.rep, c, d, F2.gen, F2))
     H = cur.basis - {c} | {d}
     stages.append((M2, {"hyperplane": sorted(H)}, stages[-1][2] * 2))
     return stages, cur, M2, H, c, d

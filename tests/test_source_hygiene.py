@@ -13,7 +13,8 @@ For every module of src/matroidfrag except __init__.py:
 And every public name in the package's `__all__` is used outside
 tests/: read in src/ outside its own definition and __init__.py, or
 in demos/ or bench/, where bench/tracer.py also binds functions by
-their names as strings.
+their names as strings; and so is every public method and property of
+a class in `__all__`, read as an attribute.
 Nothing is imported or run, so a left-over helper, import, parameter
 or export fails here rather than lingering unnoticed.
 """
@@ -257,3 +258,36 @@ def test_every_export_is_used_outside_the_tests():
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 uses.subtract(ref for ref in _references(node) if ref == node.name)
     assert [name for name in _exports() if uses[name] <= 0] == []
+
+
+def _public_members():
+    """(class, member, definition) for each public method and property
+    of each class in the package's `__all__`; dunder methods, and every
+    name with a leading underscore, aside."""
+    exported = set(_exports())
+    for module in MODULES:
+        for node in TREES[module].body:
+            if isinstance(node, ast.ClassDef) and node.name in exported:
+                for member in node.body:
+                    if (isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not member.name.startswith("_")):
+                        yield node.name, member.name, member
+
+
+def test_every_public_method_is_used_outside_the_tests():
+    # the rule of test_every_export_is_used_outside_the_tests for the
+    # methods and properties of exported classes: a method is reached as
+    # an attribute, so a use is an attribute name in src/ outside the
+    # method's own definition, or in demos/ or bench/, or a string in
+    # bench/ that is the name
+    demos, bench = _scripts("demos"), _scripts("bench")
+    uses = Counter(node.attr for tree in demos + bench + [TREES[m] for m in MODULES]
+                   for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+    uses.update(node.value for tree in bench for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str))
+    unused = []
+    for cls, name, node in _public_members():
+        own = sum(isinstance(sub, ast.Attribute) and sub.attr == name for sub in ast.walk(node))
+        if uses[name] - own <= 0:
+            unused.append(f"{cls}.{name}")
+    assert unused == []

@@ -78,8 +78,9 @@ def test_zeroed_block_checks_do_not_trust_the_certifier(monkeypatch):
 def test_minors_agree_requires_one_ground_set():
     # a minor with an element the other lacks does not agree, although
     # every rank over the shared elements does
-    A = LabeledMatrix(make_prime_field(2), ["a", "b"], ["c"], [[1], [1]])
-    M, M2 = ReprMatroid(A), ReprMatroid(A.with_column("e", [0, 0]))
+    GF2 = make_prime_field(2)
+    M = ReprMatroid(LabeledMatrix(GF2, ["a", "b"], ["c"], [[1], [1]]))
+    M2 = ReprMatroid(LabeledMatrix(GF2, ["a", "b"], ["c", "e"], [[1, 0], [1, 0]]))
     none = frozenset()
     assert suites._minors_agree(M, frozenset("a"), none, M2, frozenset("a"), frozenset("e"))
     assert not suites._minors_agree(M, frozenset("a"), none, M2, frozenset("a"), none)
@@ -118,7 +119,9 @@ def _every(n, run, make_error):
 
 
 def _unit_column(A, X, e):
-    return A.with_column(e, [1] + [0] * (len(A.rows) - 1))
+    # A with a column e appended, one in the first row and zero below
+    return LabeledMatrix(A.field, A.rows, A.cols + (e,),
+                         [row + (int(i == 0),) for i, row in enumerate(A._data)])
 
 
 def _same_twice(relax):
