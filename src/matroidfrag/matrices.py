@@ -151,11 +151,6 @@ class LabeledMatrix:
         data = list(zip(*self._data)) if self.rows else [()] * len(self.cols)
         return LabeledMatrix._of_display(self.field, self.cols, self.rows, data)
 
-    # -- rank ---------------------------------------------------------------
-
-    def rank(self) -> int:
-        return block_rank(self, 0, range(len(self.cols)))
-
 
 def _gf2_row(row: Sequence[int]) -> int:
     """A row of a GF(2) matrix packed into an int: bit j is entry j."""

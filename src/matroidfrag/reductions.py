@@ -5,14 +5,17 @@ below transform M, certificate by certificate, into a pair (M1, M2)
 over an extension field such that M2 relaxes M1 at a circuit-hyperplane
 H, while the part of M outside E(N) survives as a common minor:
 
-  1. zero_out       display N by a basis B and zero the E(N) block of
-                    the standard representation; contraction by the
+  1. zero_out       find the one partition realising N, display N by
+                    the basis B it reads off and zero the E(N) block
+                    of the standard representation; contraction by the
                     displayed basis of N is unchanged.
-  2. collapse_side  add one element freely into the span of the loop
-                    side of the isolated minor, then delete that side;
-                    run again on the transposed display, a display of
-                    the dual, for the coloop side.  After both, the
-                    minor is a single coloop c and a single loop d.
+  2. collapse_side  on a display with the isolated minor's coloop side
+                    on the rows and its loop side on the columns, add
+                    one element freely into the span of the loop side,
+                    then delete that side; run again on the transposed
+                    display, a display of the dual, for the coloop
+                    side.  After both, the minor is a single coloop c
+                    and a single loop d.
   3. relax_entry    the displayed (c, d) entry is forced to zero;
                     replacing it with a generator of a quadratic
                     extension adds exactly one basis, namely
@@ -22,8 +25,8 @@ Every stage re-verifies its own guarantees before returning and raises
 PostconditionViolation with a witness when one fails, so a completed
 ReductionTrace is itself a certificate.  After the one partition search
 no stage sweeps subsets or reads a rank table: each guarantee follows
-by a short proof, in the docstrings of `_zero_out` (the zeroing lemma),
-`free_extension` (free placement), `_collapse_side` (the collapse
+by a short proof, in the docstrings of `zero_out` (the zeroing lemma),
+`free_extension` (free placement), `collapse_side` (the collapse
 lemma) and `relax_entry`, from polynomial checks that compare entries
 literally; no stage compares two matroids by `equals`.  Each stage
 builds its displays from the rows of the display before it: the zeroing
@@ -41,10 +44,13 @@ stage shows its isolated minor on X with C on the rows, D on the
 columns and a zero block on X.  By the zeroing lemma (C, D) is the only
 partition realising the zeroed display's isolated minor, and by the
 collapse lemma each collapse keeps the set of realising partitions, so
-the display that reaches the relaxation is pair-fragile.  Called on its
-own, collapse_side displays its input by the same partition search as
-zero_out, without its zeroing, and relax_entry by a basis check and
-`x_fragile_failure`.
+the display that reaches the relaxation is pair-fragile.  `pipeline`
+calls zero_out and collapse_side themselves, as each certifies its own
+output.  collapse_side runs no search: on any display it keeps the set
+of realising partitions, so its output is fragile exactly when its
+input is.  relax_entry, called on its own, certifies its input by a
+basis check and `x_fragile_failure`; `pipeline` runs its core
+`_relax_entry` on the display the two lemmas certified.
 
 Field growth: collapsing a side of size s needs s coordinates linearly
 independent over the current field, hence a degree max(1, s) extension
@@ -74,7 +80,7 @@ from .fragility import (
 )
 from .galois import DEGREE_CAP_DEFAULT, extend_field, is_in_subfield
 from .matrices import LabeledMatrix
-from .matroids import ReprMatroid, isolated
+from .matroids import ReprMatroid
 from .records import Record
 
 
@@ -91,34 +97,24 @@ def _fresh_label(stem: str, used: set[str]) -> str:
 # stage 1: zero the displayed block
 
 
-def zero_out(M: ReprMatroid, N: ReprMatroid) -> tuple[ReprMatroid, LabeledMatrix]:
+def zero_out(
+    M: ReprMatroid, N: ReprMatroid, *, cap: int = PARTITION_CAP_DEFAULT
+) -> tuple[ReprMatroid, LabeledMatrix]:
     """Zero the E(N) block of a representation of M displaying N.
 
-    Requires M fragile with respect to N (exactly one realising
-    partition).  Returns the rewritten matroid and its representation,
-    whose row-label set is the displaying basis.
-    """
-    return _zero_out(M, N, PARTITION_CAP_DEFAULT)
-
-
-def _display(M: ReprMatroid, N: ReprMatroid, cap: int) -> ReprMatroid:
-    """M re-displayed on the basis of the one partition realising N,
-    else NotFragile."""
-    parts = fragile_partitions(M, N, cap=cap)
-    if len(parts) != 1:
-        raise NotFragile(f"{len(parts)} partitions realise the minor; need exactly one")
-    return M.rebase(partition_basis(M, N, next(iter(parts))))
-
-
-def _zero_out(M: ReprMatroid, N: ReprMatroid, cap: int) -> tuple[ReprMatroid, LabeledMatrix]:
-    """zero_out under the partition cap `cap`.  With BN the rows of the
-    display A in E(N), the partition found in M, (rows - E(N),
-    cols - E(N)), is the only one realising isolated(BN, E(N)) in M2.
+    Requires M fragile with respect to N: one partition search, capped
+    by `cap`, must find exactly one realising partition, else NotFragile.
+    M is re-displayed on the basis that partition reads off
+    (`partition_basis`), whose rows BN in E(N) are the displayed basis
+    of N, and the block (BN, E(N) - BN) of that display A is zeroed.
+    Returns the rewritten matroid M2 and its display A2.  The partition
+    found, (rows - E(N), cols - E(N)), is then the only one realising
+    isolated(BN, E(N)) in M2.
 
     The zeroing rebuilds only BN's rows and is checked literally, in one
     pass over the rows: A2 must have A's labels in A's order, each of
-    BN's rows must be zero on the block (BN, E(N) - BN) and equal to A's
-    row elsewhere, and every other row must be A's.
+    BN's rows must be zero on the block and equal to A's row elsewhere,
+    and every other row must be A's.
     So M2/BN = M/BN, as contracting a row element of [I | A] deletes its
     row (`ReprMatroid.minor`): both are represented by A without BN.
 
@@ -135,7 +131,10 @@ def _zero_out(M: ReprMatroid, N: ReprMatroid, cap: int) -> tuple[ReprMatroid, La
     is zero, and it is the only one realising N in M; so it is the only
     one in M2, certified with no rank table.
     """
-    A = _display(M, N, cap).rep
+    parts = fragile_partitions(M, N, cap=cap)
+    if len(parts) != 1:
+        raise NotFragile(f"{len(parts)} partitions realise the minor; need exactly one")
+    A = M.rebase(partition_basis(M, N, next(iter(parts)))).rep
     BN = N.ground & frozenset(A.rows)
     bn = {A._row_pos[r] for r in BN}
     block = {A._col_pos[c] for c in N.ground - BN}
@@ -231,36 +230,19 @@ def free_extension(
 
 
 def collapse_side(
-    M: ReprMatroid,
-    X1: Iterable[str],
-    X2: Iterable[str],
-    d: str,
-) -> ReprMatroid:
-    """Collapse the loop side X2 of an isolated minor to one element d.
-
-    Requires M fragile with respect to the all-loops-and-coloops minor
-    with coloop set X1 and loop set X2.  Adds d freely on the span of
-    X2 and deletes X2; the result is fragile for the collapsed isolated
-    minor by the collapse lemma (`_collapse_side`).  M is displayed by
-    the partition search of zero_out, on the isolated minor.
-    """
-    X1f, X2f, d = frozenset(X1), frozenset(X2), str(d)
-    if X1f & X2f:
-        raise InvalidArgs(f"sides overlap: {sorted(X1f & X2f)}")
-    if d in M.ground:
-        raise LabelCollision(f"label {d!r} already in the ground set")
-    # the display basis meets E(N) in the unique basis X1 of N
-    Md = _display(M, isolated(X1f, X1f | X2f), PARTITION_CAP_DEFAULT)
-    return ReprMatroid(_collapse_side(Md.rep, X1f, X2f, d, None, DEGREE_CAP_DEFAULT))
-
-
-def _collapse_side(
-    A: LabeledMatrix, X1: frozenset[str], X2: frozenset[str], d: str,
-    degree: int | None, degree_cap: int,
+    A: LabeledMatrix, X1: Iterable[str], X2: Iterable[str], d: str, *,
+    degree: int | None = None, degree_cap: int = DEGREE_CAP_DEFAULT,
 ) -> LabeledMatrix:
-    """collapse_side on the display A of M with X1 on the rows and X2 on
-    the columns; returns the output's display.  `free_extension` appends
-    d's column, and X2's columns are then dropped from its rows, which
+    """Collapse the loop side X2 of the isolated minor on X1 + X2 to one
+    element d, on a display A of M with X1 on its rows and X2 on its
+    columns; returns the output's display.  No partition search is run.
+
+    Sides that overlap, an X1 outside A's rows, an X2 outside its
+    columns and a d already in use are refused (InvalidArgs,
+    UnknownLabel, LabelCollision) before any extension is built, so a
+    PostconditionViolation means a failed check, never a bad argument.
+    `free_extension` appends d's column, with `degree` and `degree_cap`
+    as there, and X2's columns are then dropped from its rows, which
     deletes X2, as deleting a column element drops its column
     (`ReprMatroid.minor`); no pivot is needed.  Only columns change, so
     the output keeps A's rows and its block on (C, D) =
@@ -268,7 +250,9 @@ def _collapse_side(
 
     Collapse lemma: a partition (W, Z) of E(M) - X1 - X2 realises
     isolated(X1, X1 + X2) in M iff it realises isolated(X1, X1 + {d}) in
-    the output, so the set of realising partitions is kept.  Proof.
+    the output, so the set of realising partitions is kept, whether it
+    has one member or several: a fragile display collapses to a fragile
+    one.  Proof.
     (W, Z) realises isolated(X1, X) in a matroid K iff X - X1 lies in
     cl(W) and r(W + X1) = r(W) + |X1|, as then for S inside X,
     r(W + S) = r(W + (S & X1)) = r(W) + |S & X1|.  The output and M
@@ -285,6 +269,13 @@ def _collapse_side(
     the negation of the one built on -A^T, and each other entry is
     negated twice on that route: the two displays are equal.
     """
+    X1, X2, d = frozenset(X1), frozenset(X2), str(d)
+    if X1 & X2:
+        raise InvalidArgs(f"sides overlap: {sorted(X1 & X2)}")
+    not_rows = X1.difference(A._row_pos)
+    if not_rows:
+        raise UnknownLabel(f"not row labels of the matrix: {sorted(not_rows)}")
+    # refuses an X2 off the columns and a used d before it extends
     A1 = free_extension(A, X2, d, degree=degree, degree_cap=degree_cap)
     keep = [j for j, v in enumerate(A1.cols) if v not in X2]
     out = LabeledMatrix._of_display(A1.field, A1.rows, [A1.cols[j] for j in keep],
@@ -472,15 +463,20 @@ def pipeline(
 
     The common minor M1/c\\d = M/X1\\X2 is checked literally on the
     zeroed display Az (`_keeps_minor`): X1 is the row set BN of
-    `_zero_out`, whose check gives Mz/X1 = M/X1.  So `pipeline` makes no
+    `zero_out`, whose check gives Mz/X1 = M/X1.  So `pipeline` makes no
     `equals` call and is bounded by the partition and degree caps alone.
 
-    After the one partition search no stage reads a rank table.  By the
-    zeroing lemma (`_zero_out`) the zeroed display's partition (C, D) is
-    the only one realising its isolated minor on E(N), and each collapse
-    keeps the set of realising partitions (the collapse lemma,
-    `_collapse_side`), so the last display is pair-fragile with its
-    (c, d) entry zero, as `_relax_entry` requires.
+    The stages are called by their module names: `zero_out` (the one
+    partition search, capped by `cap`), `collapse_side` on the zeroed
+    display for the loop side and on the transposed display for the
+    coloop side, then `_relax_entry`.  After the search no stage reads a
+    rank table.  By the zeroing lemma (`zero_out`) the zeroed display's
+    partition (C, D) is the only one realising its isolated minor on
+    E(N), and each collapse keeps the set of realising partitions (the
+    collapse lemma, `collapse_side`), so the last display is pair-fragile
+    with its (c, d) entry zero, as `_relax_entry` requires; relax_entry's
+    own `x_fragile_failure` check would build rank tables, which no
+    stage of a pipeline builds.
     """
     k = len(N.ground)
     base_field = M.field
@@ -489,7 +485,7 @@ def pipeline(
     dcap = max(DEGREE_CAP_DEFAULT, base_field.degree * 2 * k * k)
 
     # the one partition search; every later stage keeps its display
-    Mz, Az = _zero_out(M, N, cap)
+    Mz, Az = zero_out(M, N, cap=cap)
     B = frozenset(Az.rows)
     X1 = B & N.ground
     X2 = N.ground - B
@@ -533,11 +529,10 @@ def pipeline(
             used.add(labels[key])
             degree = k if conformance else None
             if key == "d":
-                A = _collapse_side(cur.rep, X1, X2, labels["d"], degree, dcap)
+                A = collapse_side(cur.rep, X1, X2, labels["d"], degree=degree, degree_cap=dcap)
             else:
-                A = _collapse_side(
-                    cur.rep.transpose(), frozenset({labels["d"]}), X1, labels["c"], degree, dcap
-                ).transpose()
+                A = collapse_side(cur.rep.transpose(), {labels["d"]}, X1, labels["c"],
+                                  degree=degree, degree_cap=dcap).transpose()
             cur = ReprMatroid(A)
             verdicts = {
                 "unique_partition": True,

@@ -25,7 +25,6 @@ from matroidfrag import (
     NotFragile,
     PostconditionViolation,
     ReprMatroid,
-    ToolkitError,
     UnknownLabel,
     collapse_side,
     display_basis,
@@ -43,7 +42,6 @@ from matroidfrag import (
     zero_out,
 )
 from matroidfrag import fragility, matrices, matroids, reductions
-from matroidfrag.fragility import PARTITION_CAP_DEFAULT
 from matroidfrag.galois import DEGREE_CAP_DEFAULT, FieldSpec, subfield_basis
 
 GF2 = make_prime_field(2)
@@ -499,24 +497,39 @@ def test_zero_out_rejects_non_fragile():
 
 def test_collapse_side_singleton():
     M = pair_matroid()
-    out = collapse_side(M, {"c"}, {"d"}, "d2")
+    out = ReprMatroid(collapse_side(M.rep, {"c"}, {"d"}, "d2"))
     assert out.ground == {"c", "d2", "e"}
     assert out.field is GF2
     assert out.rank({"d2"}) == 0
     assert is_N_fragile(out, isolated({"c"}, {"c", "d2"}))
 
 
-def test_collapse_side_errors():
-    M = pair_matroid()
-    with pytest.raises(LabelCollision):
-        collapse_side(M, {"c"}, {"d"}, "e")
-    with pytest.raises(InvalidArgs):
-        collapse_side(M, {"c"}, {"c"}, "d2")
-    with pytest.raises(NotFragile):
-        collapse_side(isolated({"c"}, {"c", "d", "e"}), {"c"}, {"d"}, "d2")
+def test_collapse_side_errors(monkeypatch):
+    # sides that overlap or leave the display's rows and columns, and a
+    # new label already in use, are input errors: each is refused before
+    # a field is extended or a display built, and never as a
+    # PostconditionViolation, which stands for a failed check alone
+    A = LabeledMatrix(GF3, ["r0", "r1"], ["c0", "c1", "c2"], [[0, 1, 2], [1, 1, 0]])
+    work = []
+    monkeypatch.setattr(reductions, "extend_field", lambda *a, **k: work.append(a))
+    monkeypatch.setattr(reductions, "LabeledMatrix",
+                        SimpleNamespace(_of_display=lambda *a: work.append(a)))
+    for X1, X2, d, error in (
+        ({"r0"}, {"c0", "r0"}, "d", InvalidArgs),    # the sides overlap
+        ({"r0", "c1"}, {"c0"}, "d", UnknownLabel),   # a column in X1
+        ({"r0", "q"}, {"c0"}, "d", UnknownLabel),    # a label of neither
+        ({"r0"}, {"c0", "r1"}, "d", UnknownLabel),   # a row in X2
+        ({"r0"}, {"c0", "q"}, "d", UnknownLabel),
+        ({"r0"}, {"c0"}, "c2", LabelCollision),      # d is a column
+        ({"r0"}, {"c0"}, "r1", LabelCollision),      # d is a row
+    ):
+        with pytest.raises(error) as info:
+            collapse_side(A, X1, X2, d)
+        assert not isinstance(info.value, PostconditionViolation)
+    assert work == []
 
 
-def test_a_new_label_that_is_not_a_string_is_converted_once():
+def test_a_new_label_that_is_not_a_string_is_converted_once(monkeypatch):
     # a new label is made a str at each public entry point, as
     # LabeledMatrix does with its labels, before the collision checks and
     # the read-back; an int label works end to end
@@ -526,96 +539,36 @@ def test_a_new_label_that_is_not_a_string_is_converted_once():
     assert [out.enc(r, "5") for r in out.rows] == [A.enc(r, "a") for r in A.rows]
     with pytest.raises(LabelCollision):
         free_extension(out, ["a"], 5)
-    M = pair_matroid()
-    assert collapse_side(M, {"c"}, {"d"}, 7) == collapse_side(M, {"c"}, {"d"}, "7")
-    with pytest.raises(LabelCollision, match="already in the ground set"):
-        collapse_side(ReprMatroid(LabeledMatrix(GF2, ["c"], ["d", "7"], [[0, 1]])),
-                      {"c"}, {"d"}, 7)
-
-
-def display_by_partition_search(M, X1, X2):
-    """M re-displayed by the one partition (C, D) realising the isolated
-    minor on X1 + X2, rows C + X1: a partition search, the basis read
-    off it and a rebase, without zeroing anything."""
-    N = isolated(X1, X1 | X2)
-    parts = fragility.fragile_partitions(M, N)
-    if len(parts) != 1:
-        raise NotFragile(f"{len(parts)} partitions realise the isolated minor")
-    return M.rebase(fragility.partition_basis(M, N, next(iter(parts))))
-
-
-def collapse_by_partition_search(M, X1, X2, d):
-    """collapse_side on the display above, with its argument checks in
-    order and no zero_out."""
-    X1, X2 = frozenset(X1), frozenset(X2)
-    if X1 & X2:
-        raise InvalidArgs("sides overlap")
-    if d in M.ground:
-        raise LabelCollision(d)
-    return ReprMatroid(reductions._collapse_side(display_by_partition_search(M, X1, X2).rep,
-                                                 X1, X2, d, None, DEGREE_CAP_DEFAULT))
-
-
-def _outcome(fn, *args):
-    try:
-        return fn(*args).rep
-    except ToolkitError as exc:
-        return type(exc)
-
-
-def test_public_collapses_match_the_partition_search_display():
-    # collapse_side displays its input by the search zero_out shares:
-    # on displayed and on re-based inputs, with sides that are and are
-    # not a fragile isolated minor, and with a new label that may already
-    # be in the ground set, it builds and refuses as the reference does
-    rng = Random(10)
-    outcomes = Counter()
-    for t in range(480):
-        F = (GF2, GF3)[t % 2]
-        nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
-        rows = [f"r{i}" for i in range(nrows)]
-        cols = [f"c{j}" for j in range(ncols)]
-        X1 = frozenset(x for x in rows if rng.random() < 0.5)
-        X2 = frozenset(x for x in cols if rng.random() < 0.5)
-        density = rng.random()
-        data = [[0 if r in X1 and c in X2 else
-                 rng.randrange(1, F.order) if rng.random() < density else 0
-                 for c in cols] for r in rows]
-        M = ReprMatroid(LabeledMatrix(F, rows, cols, data))
-        if t % 4 >= 2:
-            order = sorted(M.ground)
-            rng.shuffle(order)
-            B = set()
-            for e in order:
-                if M.rank(B | {e}) > len(B):
-                    B.add(e)
-            M = M.rebase(B)
-        if t % 13 == 0:
-            X2 = X2 | set(rng.sample(sorted(M.ground), 1))  # may overlap X1
-        d = "d" if t % 11 else rng.choice(sorted(M.ground))
-        want = _outcome(collapse_by_partition_search, M, X1, X2, d)
-        assert _outcome(collapse_side, M, X1, X2, d) == want
-        outcomes[F.order, want if isinstance(want, type) else "built"] += 1
-    for q in (2, 3):
-        assert outcomes[q, "built"] >= 40
-        assert outcomes[q, NotFragile] >= 40
-    assert outcomes[2, InvalidArgs] + outcomes[3, InvalidArgs] >= 1
-    assert outcomes[2, LabelCollision] + outcomes[3, LabelCollision] >= 1
+    # collapse_side converts it once, on entry: its extension gets the str
+    A = pair_matroid().rep
+    extend, labels = reductions.free_extension, []
+    monkeypatch.setattr(reductions, "free_extension",
+                        lambda A, X, e, **k: labels.append(e) or extend(A, X, e, **k))
+    out = collapse_side(A, {"c"}, {"d"}, 7)
+    assert out == collapse_side(A, {"c"}, {"d"}, "7")
+    assert out.cols == ("e", "7") and labels == ["7", "7"]
+    with pytest.raises(LabelCollision, match="already used"):
+        collapse_side(LabeledMatrix(GF2, ["c"], ["d", "7"], [[0, 1]]), {"c"}, {"d"}, 7)
 
 
 def test_public_collapses_run_above_the_equals_cap():
-    # 12 elements outside the minor and |X2| = 5: the partition search
-    # admits it, and no stage compares matroids by equals, which refuses
-    # more than 16 elements, so the collapse of the loop side, and then
-    # of the coloop side on the dual, build what the reference builds
+    # an 18-element display with a zero block on (X1, X2), 12 elements
+    # outside the minor and |X2| = 5: no collapse compares matroids by
+    # equals, which refuses more than 16 elements.  The loop collapse
+    # builds the pipeline's loop stage, as the pipeline's search displays
+    # A itself, and after the coloop collapse on the transposed display
+    # the one partition the search admits still realises the pair alone
     gi = gen_random("xfragile", seed=0, q=2, rows=7, cols=11, x_rows=1, x_cols=5)
-    M = ReprMatroid(gi.instance.matrix)
-    X1, X2 = {"r0"}, {f"c{j}" for j in range(5)}
-    assert len(M.ground) == 18
-    Ma = collapse_side(M, X1, X2, "d")
-    assert Ma.rep == collapse_by_partition_search(M, X1, X2, "d").rep
-    assert collapse_side(Ma.dual(), {"d"}, X1, "c").rep == \
-        collapse_by_partition_search(Ma.dual(), {"d"}, X1, "c").rep
+    A = gi.instance.matrix
+    X1, X2 = frozenset({"r0"}), frozenset(f"c{j}" for j in range(5))
+    assert len(A.rows) + len(A.cols) == 18
+    loop = collapse_side(A, X1, X2, "d")
+    both = collapse_side(loop.transpose(), {"d"}, X1, "c").transpose()
+    tr = pipeline(ReprMatroid(A), isolated(X1, X1 | X2))
+    assert [s.matroid.rep for s in tr.stages[:2]] == [A, loop]
+    before = fragility.fragile_partitions(ReprMatroid(A), isolated(X1, X1 | X2))
+    assert len(before) == 1
+    assert fragility.fragile_partitions(ReprMatroid(both), isolated({"c"}, {"c", "d"})) == before
 
 
 # -- relax_entry --------------------------------------------------------------
@@ -742,7 +695,7 @@ def test_pipeline_seeded_split_sides():
 )
 def test_pipeline_forwards_the_partition(monkeypatch, instance, conformance, collapsed):
     # one partition search, one basis read off it and one re-display, all
-    # for the input inside _zero_out; the stages after it are certified by
+    # for the input inside zero_out; the stages after it are certified by
     # the zeroing and collapse lemmas, so no X-fragility check runs and no
     # partition is built after
     from matroidfrag import fragility, reductions
@@ -778,8 +731,8 @@ def test_pipeline_forwards_the_partition(monkeypatch, instance, conformance, col
         monkeypatch.setattr(fragility, name, wrapped)
         monkeypatch.setattr(reductions, name, wrapped, raising=False)
     monkeypatch.setattr(ReprMatroid, "rebase", counted("rebase", ReprMatroid.rebase))
-    zero_out_ = reductions._zero_out
-    monkeypatch.setattr(reductions, "_zero_out", zero_out_core)
+    zero_out_ = reductions.zero_out
+    monkeypatch.setattr(reductions, "zero_out", zero_out_core)
     tr = pipeline(M, N, conformance=conformance)
     assert sum(not s.details.get("skipped") for s in tr.stages[1:3]) == collapsed
     assert dict(calls) == {
@@ -953,18 +906,18 @@ def one_entry_changed(A, keep):
 def test_a_changed_entry_on_the_common_minor_is_refused(monkeypatch, stage, which):
     # one collapse's certified output reaches the chain with one entry
     # changed off the collapsed side and the new element: the loop side's
-    # display as `_collapse_side` returns it (which = 1), with rows C + X1
+    # display as `collapse_side` returns it (which = 1), with rows C + X1
     # and columns D + {d}, or the coloop side's where the chain builds it,
     # transposed back from A^T (which = 2), with rows C + {c} and columns
     # D + {d}.  Either way M1 differs from the input display in one entry
     # on (C, D), and the literal common-minor check fails
     M, N = four_element_pair()
     stage(M, N)
-    collapse, transpose = reductions._collapse_side, LabeledMatrix.transpose
+    collapse, transpose = reductions.collapse_side, LabeledMatrix.transpose
     calls = []
 
-    def changed(A, X1, X2, d, *args):
-        out = collapse(A, X1, X2, d, *args)
+    def changed(A, X1, X2, d, **kwargs):
+        out = collapse(A, X1, X2, d, **kwargs)
         calls.append(d)
         return one_entry_changed(out, X1 | {d}) if which == 1 and d == "d" else out
 
@@ -973,7 +926,7 @@ def test_a_changed_entry_on_the_common_minor_is_refused(monkeypatch, stage, whic
         T = transpose(A)
         return one_entry_changed(T, N.ground | {"c", "d"}) if which == 2 and "c" in T.rows else T
 
-    monkeypatch.setattr(reductions, "_collapse_side", changed)
+    monkeypatch.setattr(reductions, "collapse_side", changed)
     monkeypatch.setattr(LabeledMatrix, "transpose", changed_back)
     with pytest.raises(PostconditionViolation, match="lost the common minor"):
         stage(M, N)
@@ -983,7 +936,7 @@ def test_a_changed_entry_on_the_common_minor_is_refused(monkeypatch, stage, whic
     # the same change made inside the loop-side collapse, to the column
     # free_extension returns: that stage's own literal check refuses it,
     # and no X-fragility check runs, in zero_out or after it
-    monkeypatch.setattr(reductions, "_collapse_side", collapse)
+    monkeypatch.setattr(reductions, "collapse_side", collapse)
     extend = reductions.free_extension
     checks = []
 
@@ -1082,9 +1035,9 @@ def test_pipeline_and_collapse_side_make_no_equals_call(monkeypatch):
     Mz, Az = zero_out(M, N)
     B = frozenset(Az.rows)
     X1 = B & N.ground
-    Ma = collapse_side(Mz, X1, N.ground - B, "d")
-    collapse_side(Ma.dual(), {"d"}, X1, "c")
-    collapse_side(pair_matroid(), {"c"}, {"d"}, "d2")
+    Aa = collapse_side(Az, X1, N.ground - B, "d")
+    collapse_side(Aa.transpose(), {"d"}, X1, "c")
+    collapse_side(pair_matroid().rep, {"c"}, {"d"}, "d2")
     assert calls == 0
 
 
@@ -1214,7 +1167,7 @@ def test_the_collapses_keep_the_partition_set():
     # realising the isolated minor
     seen = Counter()
 
-    @settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=600, derandomize=True, deadline=None, database=None)
     @given(zero_block_displays())
     def check(case):
         M, X1, X2 = build_display(*case)
@@ -1226,10 +1179,9 @@ def test_the_collapses_keep_the_partition_set():
         M = ReprMatroid(A)
         before = fragility.fragile_partitions(M, isolated(X1, X1 | X2))
         assert matroids.MinorSpec(set(A.rows) - X1, set(A.cols) - X2) in before
-        loop = ReprMatroid(reductions._collapse_side(A, X1, X2, "d", None, DEGREE_CAP_DEFAULT))
+        loop = ReprMatroid(collapse_side(A, X1, X2, "d"))
         assert fragility.fragile_partitions(loop, isolated(X1, X1 | {"d"})) == before
-        both = ReprMatroid(reductions._collapse_side(
-            loop.rep.transpose(), frozenset({"d"}), X1, "c", None, DEGREE_CAP_DEFAULT).transpose())
+        both = ReprMatroid(collapse_side(loop.rep.transpose(), {"d"}, X1, "c").transpose())
         assert fragility.fragile_partitions(both, isolated({"c"}, {"c", "d"})) == before
         seen[A.field.order, min(len(before), 2)] += 1
 
@@ -1254,9 +1206,13 @@ def test_zeroing_keeps_only_partitions_realising_the_minor(monkeypatch):
         N = M.minor(C0, D0)
         want = fragility.fragile_partitions(M, N)
         with monkeypatch.context() as m:
-            # the drawn display stands for the one the search finds
-            m.setattr(reductions, "_display", lambda M, N, cap: M)
-            M2, _ = reductions._zero_out(M, N, PARTITION_CAP_DEFAULT)
+            # the drawn display stands for the one the search finds: its
+            # partition, and its own rows as the basis read off it
+            m.setattr(reductions, "fragile_partitions",
+                      lambda M, N, cap: {matroids.MinorSpec(C0, D0)})
+            m.setattr(reductions, "partition_basis", lambda M, N, part: M.rep.rows)
+            M2, A2 = zero_out(M, N)
+        assert A2.rows == M.rep.rows
         got = fragility.fragile_partitions(M2, isolated(BN, EN))
         assert matroids.MinorSpec(C0, D0) in got <= want
         seen["fragile"] += len(want) == 1

@@ -275,11 +275,14 @@ def _public_members():
 
 
 def test_every_public_method_is_used_outside_the_tests():
-    # the rule of test_every_export_is_used_outside_the_tests for the
-    # methods and properties of exported classes: a method is reached as
-    # an attribute, so a use is an attribute name in src/ outside the
-    # method's own definition, or in demos/ or bench/, or a string in
-    # bench/ that is the name
+    """The rule of test_every_export_is_used_outside_the_tests for the
+    methods and properties of exported classes: a method is reached as
+    an attribute, so a use is an attribute name in src/ outside the
+    method's own definition, or in demos/ or bench/, or a string in
+    bench/ that is the name.  Members are matched by name alone, so a
+    member that shares its name with a member of another exported class
+    slips through on the other's uses, as `LabeledMatrix.rank` did on
+    `ReprMatroid.rank`'s."""
     demos, bench = _scripts("demos"), _scripts("bench")
     uses = Counter(node.attr for tree in demos + bench + [TREES[m] for m in MODULES]
                    for node in ast.walk(tree) if isinstance(node, ast.Attribute))
