@@ -550,12 +550,15 @@ def field_from_tower(
     degree_cap: int = DEGREE_CAP_DEFAULT,
 ) -> FieldSpec:
     """Build a FieldSpec from explicit tower data, validating every
-    modulus (monic, right length, irreducible over its level)."""
+    modulus (monic, right length, irreducible over its level).  Every
+    step has degree at least 2, as `extend_field` builds them: a
+    degree-1 step adds no element and would give its level a second
+    presentation, unequal to the first."""
     spec = make_prime_field(p)
     for i, (deg, coeffs) in enumerate(tower):
         coeffs = tuple(coeffs)
-        if isinstance(deg, bool) or not isinstance(deg, int) or deg < 1:
-            raise InvalidField(f"tower step {i}: degree {deg!r} invalid")
+        if isinstance(deg, bool) or not isinstance(deg, int) or deg < 2:
+            raise InvalidField(f"tower step {i}: degree {deg!r} invalid, must be at least 2")
         if len(coeffs) != deg + 1:
             raise InvalidField(
                 f"tower step {i}: modulus needs {deg + 1} coefficients, got {len(coeffs)}"
@@ -566,7 +569,7 @@ def field_from_tower(
             raise InvalidField(f"tower step {i}: modulus {list(coeffs)} is not monic")
         if spec.degree * deg > degree_cap:
             raise DegreeCap(f"tower step {i}: total degree exceeds cap {degree_cap}")
-        if deg > 1 and not is_irreducible(spec, coeffs):
+        if not is_irreducible(spec, coeffs):
             raise InvalidField(f"tower step {i}: modulus {list(coeffs)} is reducible")
         spec = _intern(p, spec.steps + ((deg, coeffs),))
     return spec

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from matroidfrag import gen_random, suites
+from matroidfrag import cli, gen_random, suites
 from matroidfrag.cli import main, run
 from matroidfrag.instances import parse_instance, serialize_instance
 
@@ -241,7 +241,6 @@ def test_verify_suite_failure_exits_one(monkeypatch):
 
 
 def test_postcondition_violation_exits_one(tmp_path, monkeypatch):
-    from matroidfrag import cli
     from matroidfrag.errors import PostconditionViolation
 
     def boom(M, C, D, *, cap=12):
@@ -270,8 +269,6 @@ def test_report_flag_writes_stdout_text(tmp_path, capsys):
 
 
 def test_unwritable_report_exits_two(tmp_path, capsys, monkeypatch):
-    from matroidfrag import cli
-
     def boom(*args, **kwargs):
         raise AssertionError("the command ran before the report path was checked")
 
@@ -353,8 +350,6 @@ def test_unknown_suite_exits_two(capsys):
 
 def test_suite_names_are_the_suites():
     # argument parsing reads the names without importing the suites
-    from matroidfrag import cli
-
     assert cli.SUITE_NAMES == tuple(suites.SUITES)
 
 

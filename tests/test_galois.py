@@ -30,14 +30,8 @@ from matroidfrag import (
 )
 from matroidfrag import galois
 from matroidfrag.galois import PRIME_LIMIT
+from reference import GF2, GF3, GF4, GF5, GF8, GF9, GF16_OVER_GF4
 
-GF2 = make_prime_field(2)
-GF3 = make_prime_field(3)
-GF4 = extend_field(GF2, 2)
-GF8 = extend_field(GF2, 3)
-GF9 = extend_field(GF3, 2)
-GF16_OVER_GF4 = extend_field(GF4, 2)
-GF5 = make_prime_field(5)
 GF16 = extend_field(GF2, 4)
 GF27 = extend_field(GF3, 3)
 GF256 = extend_field(GF2, 8)
@@ -236,9 +230,8 @@ def test_multiplicative_order():
 
 
 def test_from_int_vs_elem():
-    F5 = make_prime_field(5)
-    assert F5.from_int(7).enc == 2
-    assert F5.from_int(-1).enc == 4
+    assert GF5.from_int(7).enc == 2
+    assert GF5.from_int(-1).enc == 4
     # from_int reduces mod p even in extensions; elem takes raw encodings
     assert GF4.from_int(2).enc == 0
     assert GF4.elem(2).enc == 2
@@ -354,6 +347,10 @@ def test_tower_validation():
         field_from_tower(2, [(2, (0, 0, 1))])  # x^2 is reducible
     with pytest.raises(InvalidField):
         make_prime_field(4)
+    # a degree-1 step would give its level a second, unequal presentation
+    for tower in ([(1, (1, 1))], [(1, (0, 1))], [(2, (1, 0, 1)), (1, (1, 1))]):
+        with pytest.raises(InvalidField, match="degree 1 invalid"):
+            field_from_tower(3, tower)
 
 
 def test_bools_in_field_data_are_refused():

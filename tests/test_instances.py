@@ -33,11 +33,11 @@ from matroidfrag import (
     field_of_order,
     gen_random,
     is_N_fragile,
-    one_move_partition,
     parse_instance,
     serialize_instance,
     x_fragile_failure,
 )
+from reference import GF2, GF3, reference_gen_random
 
 MINIMAL = '{"field": {"p": 2, "tower": []}, "matrix": {"rows": ["a"], "cols": ["b"], "entries": [[1]]}}'
 
@@ -123,7 +123,6 @@ def test_unknown_task_kind_is_refused(kind):
 
 
 def test_serialize_refuses_what_is_not_a_task():
-    GF2 = field_of_order(2)
     A = LabeledMatrix(GF2, ["a"], ["b"], [[1]])
     with pytest.raises(InvalidArgs, match="not a task object: MinorSpec"):
         serialize_instance(InstanceFile(GF2, A, MinorSpec({"a"}, set())))
@@ -248,7 +247,6 @@ def test_parse_refuses_only_with_toolkit_errors(doc):
 
 
 def test_instance_over_another_field_is_refused():
-    GF2, GF3 = field_of_order(2), field_of_order(3)
     A2 = LabeledMatrix(GF2, ["c"], ["d"], [[1]])
     A3 = LabeledMatrix(GF3, ["c"], ["d"], [[2]])
     with pytest.raises(FieldMismatch, match="matrix over GF.3. in a GF.2. instance"):
@@ -303,6 +301,13 @@ def test_reducible_modulus_named_in_error():
             '{"field": {"p": 2, "tower": [{"deg": 2, "modulus": [0, 0, 1]}]},'
             ' "matrix": {"rows": [], "cols": [], "entries": []}}'
         )
+
+
+def test_degree_one_tower_step_is_refused_with_its_path():
+    text = json.dumps({"field": {"p": 3, "tower": [{"deg": 1, "modulus": [1, 1]}]},
+                       "matrix": {"rows": [], "cols": [], "entries": []}})
+    with pytest.raises(InvalidField, match=r"^\$\.field: tower step 0: degree 1 invalid"):
+        parse_instance(text)
 
 
 def test_degree_cap_in_a_tower_is_reported_with_its_path():
@@ -397,7 +402,7 @@ def test_gen_refuses_an_argument_that_is_not_an_int(monkeypatch, kind, arg, valu
 
 @pytest.mark.parametrize("seed", NOT_INTS[:-1], ids=repr)
 def test_instance_file_refuses_a_seed_that_is_not_an_int(seed):
-    A = LabeledMatrix(field_of_order(2), ["a"], ["b"], [[1]])
+    A = LabeledMatrix(GF2, ["a"], ["b"], [[1]])
     with pytest.raises(InvalidArgs, match="seed must be an int"):
         InstanceFile(A.field, A, None, seed)
     assert InstanceFile(A.field, A, None, None).seed is None
@@ -422,7 +427,7 @@ def test_a_seed_json_cannot_carry_is_refused(seed):
     # be neither written nor parsed
     with pytest.raises(InvalidArgs, match="digits"):
         gen_random("relax", seed=seed)
-    A = LabeledMatrix(field_of_order(2), ["a"], ["b"], [[1]])
+    A = LabeledMatrix(GF2, ["a"], ["b"], [[1]])
     with pytest.raises(InvalidArgs, match="digits"):
         InstanceFile(A.field, A, None, seed)
 
@@ -862,53 +867,6 @@ def test_random_matrix_draws_one_randrange_per_entry(q):
                 row[:x_cols] = [0] * x_cols
             assert instances.matrix_to_json(A) == {"rows": rows, "cols": cols, "entries": want}
             assert rng.getstate() == ref.getstate()
-
-
-def reference_gen_random(kind, *, seed, q, rows, cols, x_rows=1, x_cols=1,
-                         minor_size=2, max_attempts=10000):
-    """`gen_random`'s rejection loops by the public API, one randrange
-    per entry: each draw builds its ReprMatroid and MinorSpec, is
-    rejected by the public `one_move_partition`, and is otherwise
-    decided by `is_N_fragile` or `x_fragile_failure`, with the random
-    choices in the same order.  Returns (instance, rejections), or None
-    when the draws run out."""
-    field = field_of_order(q)
-    row_labels = [f"r{i}" for i in range(rows)]
-    col_labels = [f"c{j}" for j in range(cols)]
-    rng = random.Random(seed)
-    if kind == "relax":
-        x_rows = x_cols = 1
-
-    def draw(x_rows, x_cols):
-        data = [[rng.randrange(q) for _ in col_labels] for _ in row_labels]
-        for row in data[:x_rows]:
-            row[:x_cols] = [0] * x_cols
-        return LabeledMatrix(field, row_labels, col_labels, data)
-
-    for attempt in range(max_attempts):
-        if kind in ("nfragile", "pipeline"):
-            A = draw(0, 0)
-            M = ReprMatroid(A)
-            keep = frozenset(rng.sample(sorted(M.ground), minor_size))
-            outside = sorted(M.ground - keep)
-            contract = frozenset(e for e in outside if rng.random() < 0.5)
-            part = MinorSpec(contract, frozenset(outside) - contract)
-            if one_move_partition(M, part) is not None:
-                continue
-            N = M.minor(part.contract, part.delete)
-            if is_N_fragile(M, N):
-                task = NFragileTask(N) if kind == "nfragile" else PipelineTask(N)
-                return InstanceFile(field, A, task, seed), attempt
-        else:
-            A = draw(x_rows, x_cols)
-            x = frozenset(row_labels[:x_rows]) | frozenset(col_labels[:x_cols])
-            part = MinorSpec(row_labels[x_rows:], col_labels[x_cols:])
-            if (one_move_partition(ReprMatroid(A), part) is None
-                    and instances.x_fragile_failure(A, x) is None):
-                task = (XFragileTask(x) if kind == "xfragile"
-                        else RelaxTask(part.contract, part.delete))
-                return InstanceFile(field, A, task, seed), attempt
-    return None
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])

@@ -24,11 +24,10 @@ from matroidfrag import (
     ReprMatroid,
     StageRecord,
     XFragileTask,
-    make_prime_field,
     pipeline,
 )
+from reference import GF2, GF3
 
-GF2 = make_prime_field(2)
 A = LabeledMatrix(GF2, ["c"], ["d"], [[1]])
 N = ReprMatroid(A)
 SHOWN_N = "ReprMatroid(rows=['c'], cols=['d'], field=GF(2))"
@@ -112,7 +111,6 @@ def test_equality_is_field_wise_and_type_sensitive():
 def test_records_holding_a_matroid_round_trip_equal():
     # a task minor or a stage matroid compares by its display, so a
     # pickle or a deep copy of the record equals the original
-    GF3 = make_prime_field(3)
     A3 = LabeledMatrix(GF3, ["c"], ["d"], [[1]])
     tr = pipeline(ReprMatroid(LabeledMatrix(GF2, ["c"], ["d", "e"], [[0, 1]])),
                   ReprMatroid(LabeledMatrix(GF2, ["c"], ["d"], [[0]])))

@@ -15,7 +15,7 @@ from random import Random
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from matroidfrag import (
     CapExceeded,
@@ -34,60 +34,15 @@ from matroidfrag import (
     is_N_fragile,
     is_relaxation,
     isolated,
-    make_prime_field,
     pipeline,
     relax_entry,
-    submatrix_rank,
-    subsets_by_size,
     zero_out,
 )
 from matroidfrag import fragility, matrices, matroids, reductions
 from matroidfrag.galois import DEGREE_CAP_DEFAULT, FieldSpec, subfield_basis
-
-GF2 = make_prime_field(2)
-GF3 = make_prime_field(3)
-GF4 = extend_field(GF2, 2)
-GF5 = make_prime_field(5)
-GF9 = extend_field(GF3, 2)
-
-
-def with_entry(A, r, c, x, field=None):
-    """A over `field` (A's own by default; an encoding of a subfield is
-    the same element of a tower above it) with the entry at (r, c) set
-    to x, built by the checked constructor."""
-    return LabeledMatrix(field or A.field, A.rows, A.cols,
-                         [[x if (e, f) == (r, c) else y for f, y in zip(A.cols, row)]
-                          for e, row in zip(A.rows, A._data)])
-
-
-# -- references: the subset sweeps that the stages' proofs replace -----------
-
-
-def free_placement_failure(out, X, e):
-    """The first way the column e of `out` fails to lie freely on the
-    span of X, or None: the free-placement property as a loop of rank
-    queries over every subset of the old elements."""
-    Mn = ReprMatroid(out)
-    Xf = frozenset(X)
-    if Mn.rank(Xf | {e}) != Mn.rank(Xf):
-        return "new element does not lie on the span of X"
-    for S in subsets_by_size(out.labels() - {e}):
-        rs = Mn.rank(S)
-        if Mn.rank(S | {e}) == rs and Mn.rank(S | Xf) != rs:
-            return f"subset {sorted(S)} spans the new element but not all of X"
-    return None
-
-
-def relax_sweep_failure(A1, A2, c, d):
-    """The first subset breaking the rank-difference pattern that
-    relax_entry's proof derives, or None: the submatrix ranks of A1 and
-    A2 must differ at {c, d} alone."""
-    pair = frozenset({c, d})
-    for Z in subsets_by_size(A1.labels()):
-        differs = submatrix_rank(A1, Z) != submatrix_rank(A2, Z)
-        if differs != (Z == pair):
-            return f"rank difference pattern wrong at {sorted(Z)}"
-    return None
+from reference import (
+    GF2, GF3, GF4, GF5, GF9, free_placement_failure, relax_sweep_failure, with_entry,
+)
 
 
 def pair_matroid():
@@ -698,8 +653,6 @@ def test_pipeline_forwards_the_partition(monkeypatch, instance, conformance, col
     # for the input inside zero_out; the stages after it are certified by
     # the zeroing and collapse lemmas, so no X-fragility check runs and no
     # partition is built after
-    from matroidfrag import fragility, reductions
-
     names = ("fragile_partitions", "display_basis", "partition_basis", "x_fragile_failure")
     calls = Counter()
     inside = 0
@@ -784,8 +737,6 @@ def test_pipeline_rejects_non_fragile():
 
 
 def test_pipeline_respects_partition_cap():
-    from matroidfrag import CapExceeded
-
     M = pair_matroid()
     with pytest.raises(CapExceeded):
         pipeline(M, isolated({"c"}, {"c", "d"}), cap=0)
@@ -1167,6 +1118,7 @@ def test_the_collapses_keep_the_partition_set():
     # realising the isolated minor
     seen = Counter()
 
+    @seed(0)
     @settings(max_examples=600, derandomize=True, deadline=None, database=None)
     @given(zero_block_displays())
     def check(case):
@@ -1197,6 +1149,7 @@ def test_zeroing_keeps_only_partitions_realising_the_minor(monkeypatch):
     # fragile M zeroes to a fragile display
     seen = Counter()
 
+    @seed(0)
     @settings(max_examples=600, derandomize=True, deadline=None, database=None)
     @given(zero_block_displays())
     def check(case):

@@ -15,11 +15,17 @@ tests/: read in src/ outside its own definition and __init__.py, or
 in demos/ or bench/, where bench/tracer.py also binds functions by
 their names as strings; and so is every public method and property of
 a class in `__all__`, read as an attribute.
+The tests' reference module, tests/reference.py, imports from the
+package only names in `__all__` and from `matroidfrag.galois`, and
+otherwise only the standard library; it reads no attribute and imports
+no name with a leading underscore; it uses every import; and every
+function and constant it defines is read by some test module.
 Nothing is imported or run, so a left-over helper, import, parameter
 or export fails here rather than lingering unnoticed.
 """
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -29,6 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "matroidfrag"
 TREES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
 MODULES = sorted(name for name in TREES if name != "__init__.py")
+REFERENCE = ROOT / "tests" / "reference.py"
 # (module, qualified function, parameter) read by no body on purpose
 PROTOCOL_PARAMETERS = {("records.py", "FrozenRecord.__setattr__", "value")}
 
@@ -76,19 +83,19 @@ def _private_definitions(tree):
                 yield name, node
 
 
+def _reads(tree):
+    """The names a module reads outside its import statements."""
+    return {ref for node in tree.body if not isinstance(node, (ast.Import, ast.ImportFrom))
+            for ref in _references(node)}
+
+
 REFERENCES = Counter(ref for tree in TREES.values() for ref in _references(tree))
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_used(module):
     tree = TREES[module]
-    used = {
-        ref
-        for node in tree.body
-        if not isinstance(node, (ast.Import, ast.ImportFrom))
-        for ref in _references(node)
-    }
-    assert sorted(set(_bound_imports(tree)) - used) == []
+    assert sorted(set(_bound_imports(tree)) - _reads(tree)) == []
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -294,3 +301,34 @@ def test_every_public_method_is_used_outside_the_tests():
         if uses[name] - own <= 0:
             unused.append(f"{cls}.{name}")
     assert unused == []
+
+
+def test_the_reference_module_imports_only_the_public_api():
+    # an oracle that reaches a private helper of the code it checks may
+    # share that helper's fault
+    refused = []
+    for node in ast.walk(ast.parse(REFERENCE.read_text(), str(REFERENCE))):
+        if isinstance(node, ast.Import):
+            refused += [alias.name for alias in node.names
+                        if alias.name.split(".")[0] not in sys.stdlib_module_names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+            if node.module == "matroidfrag":
+                refused += sorted(set(names) - set(_exports()))
+            elif node.module == "matroidfrag.galois":
+                refused += [name for name in names if name.startswith("_")]
+            elif node.level or node.module.split(".")[0] not in sys.stdlib_module_names:
+                refused.append(node.module)
+        elif isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            refused.append(ast.unparse(node))
+    assert refused == []
+
+
+def test_the_reference_module_has_no_unused_import_or_reference():
+    tree = ast.parse(REFERENCE.read_text(), str(REFERENCE))
+    assert sorted(set(_bound_imports(tree)) - _reads(tree)) == []
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    defined |= {t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets}
+    read = set().union(*(_reads(ast.parse(path.read_text(), str(path)))
+                         for path in (ROOT / "tests").glob("test_*.py")))
+    assert sorted(defined - read) == []

@@ -15,10 +15,10 @@ from matroidfrag import (
     ReprMatroid,
     display_basis,
     fragility,
-    make_prime_field,
     suites,
 )
 from matroidfrag.suites import SUITES, canonical_report, field_core, run_suite
+from reference import GF2
 
 
 def test_report_shape():
@@ -78,7 +78,6 @@ def test_zeroed_block_checks_do_not_trust_the_certifier(monkeypatch):
 def test_minors_agree_requires_one_ground_set():
     # a minor with an element the other lacks does not agree, although
     # every rank over the shared elements does
-    GF2 = make_prime_field(2)
     M = ReprMatroid(LabeledMatrix(GF2, ["a", "b"], ["c"], [[1], [1]]))
     M2 = ReprMatroid(LabeledMatrix(GF2, ["a", "b"], ["c", "e"], [[1, 0], [1, 0]]))
     none = frozenset()
