@@ -28,8 +28,7 @@ GF2 = make_prime_field(2)
 
 def show(tr):
     for s in tr.stages:
-        flags = " ".join(k for k, v in s.verdicts.items() if v)
-        print(f"  {s.name:24s} degree {s.degree_over_input:3d}  [{flags}]")
+        print(f"  {s.name:24s} degree {s.degree_over_input:3d}  {s.details}")
     print("  hyperplane:", sorted(tr.hyperplane),
           " final degree:", tr.final_degree_over_input,
           " bound 2k^2 =", tr.degree_bound)

@@ -87,7 +87,6 @@ def _stage_json(stage) -> dict:
         "degree_over_input": stage.degree_over_input,
         "field": field_to_json(stage.matroid.field),
         "matroid": matrix_to_json(stage.matroid.rep),
-        "verdicts": stage.verdicts,
         "details": stage.details,
     }
 

@@ -89,7 +89,6 @@ class FieldSpec:
         "degree",
         "order",
         "base",
-        "zero",
         "one",
         "_top_deg",
         "_base_order",
@@ -115,7 +114,6 @@ class FieldSpec:
         self.order = p**self.degree
         self._mul_cache: dict[tuple[int, int], int] = {}
         self._inv_cache: dict[int, int] = {}
-        self.zero = FieldElem(self, 0)
         self.one = FieldElem(self, 1)
 
     # -- identity ------------------------------------------------------

@@ -37,7 +37,7 @@ import json
 import random
 import sys
 from itertools import islice, repeat
-from typing import NamedTuple, Union
+from typing import Iterable, NamedTuple, Union
 
 from .errors import (
     CapExceeded,
@@ -49,6 +49,7 @@ from .errors import (
     LabelCollision,
     MalformedJson,
     SchemaViolation,
+    UnknownLabel,
 )
 from .fragility import PARTITION_CAP_DEFAULT, _one_move, is_N_fragile, x_fragile_failure
 from .galois import FieldSpec, field_from_tower, field_of_order
@@ -61,6 +62,9 @@ class XFragileTask(FrozenRecord):
     kind = "xfragile"
     __slots__ = ("x",)
 
+    def __init__(self, x: Iterable[str]):
+        super().__init__(frozenset(x))
+
 
 class NFragileTask(FrozenRecord):
     kind = "nfragile"
@@ -70,6 +74,11 @@ class NFragileTask(FrozenRecord):
 class RelaxTask(FrozenRecord):
     kind = "relax"
     __slots__ = ("contract", "delete")
+
+    def __init__(self, contract: Iterable[str], delete: Iterable[str]):
+        # frozensets, and an overlap refused, as a partition certificate's
+        spec = MinorSpec(contract, delete)
+        super().__init__(spec.contract, spec.delete)
 
 
 class PipelineTask(FrozenRecord):
@@ -101,6 +110,10 @@ def _check_seed(seed) -> None:
 
 
 class InstanceFile(FrozenRecord):
+    """An instance as `serialize_instance` writes it: a task's minor is
+    over the instance's field, and its labels are the matrix's, so each
+    record is one that `parse_instance` reads back."""
+
     __slots__ = ("field", "matrix", "task", "seed")
 
     def __init__(
@@ -110,9 +123,22 @@ class InstanceFile(FrozenRecord):
         task: Task | None = None,
         seed: int | None = None,
     ):
-        for what, part in (("matrix", matrix), ("task minor", getattr(task, "minor", None))):
-            if part is not None and part.field != field:
-                raise FieldMismatch(f"{what} over {part.field!r} in a {field!r} instance")
+        if matrix.field != field:
+            raise FieldMismatch(f"matrix over {matrix.field!r} in a {field!r} instance")
+        if task is not None:
+            if not isinstance(task, tuple(_TASKS.values())):
+                raise InvalidArgs(f"not a task object: {task!r}")
+            ground = frozenset(matrix.rows) | frozenset(matrix.cols)
+            for slot in task.__slots__:
+                labels = getattr(task, slot)
+                if isinstance(labels, ReprMatroid):
+                    if labels.field != field:
+                        raise FieldMismatch(
+                            f"task minor over {labels.field!r} in a {field!r} instance")
+                    labels = labels.ground
+                if not labels <= ground:
+                    raise UnknownLabel(
+                        f"task {slot}: label {sorted(labels - ground)[0]!r} not in the matrix")
         if seed is not None:
             _check_seed(seed)
         super().__init__(field, matrix, task, seed)
@@ -296,8 +322,6 @@ def serialize_instance(inst: InstanceFile) -> dict:
     }
     t = inst.task
     if t is not None:
-        if not isinstance(t, tuple(_TASKS.values())):
-            raise InvalidArgs(f"not a task object: {t!r}")
         out["task"] = {"kind": t.kind}
         for slot in t.__slots__:
             value = getattr(t, slot)

@@ -421,7 +421,7 @@ def _relax_entry(
 
 
 class StageRecord(Record):
-    __slots__ = ("name", "degree_over_input", "matroid", "verdicts", "details")
+    __slots__ = ("name", "degree_over_input", "matroid", "details")
 
 
 class ReductionTrace(Record):
@@ -490,20 +490,7 @@ def pipeline(
     X1 = B & N.ground
     X2 = N.ground - B
     # the records are built positionally, in slot order
-    stages = [
-        StageRecord(
-            "zero_displayed_block",
-            1,
-            Mz,
-            {
-                "unique_partition": True,
-                "zero_block_fragile": True,
-                "contraction_unchanged": True,
-                "isolated_minor_fragile": True,
-            },
-            {"displayed_basis": sorted(B)},
-        )
-    ]
+    stages = [StageRecord("zero_displayed_block", 1, Mz, {"displayed_basis": sorted(B)})]
 
     used = set(M.ground)
     cur = Mz
@@ -523,7 +510,7 @@ def pipeline(
     ):
         if not conformance and len(side) == 1:
             labels[key] = next(iter(side))
-            verdicts, details = {"already_single": True}, {"skipped": True}
+            details = {"skipped": True}
         else:
             labels[key] = _fresh_label(key, used)
             used.add(labels[key])
@@ -534,33 +521,14 @@ def pipeline(
                 A = collapse_side(cur.rep.transpose(), {labels["d"]}, X1, labels["c"],
                                   degree=degree, degree_cap=dcap).transpose()
             cur = ReprMatroid(A)
-            verdicts = {
-                "unique_partition": True,
-                "free_flat_condition": True,
-                "collapsed_fragile": True,
-            }
             details = {"collapsed": sorted(side)}
         details[key] = labels[key]
-        stages.append(StageRecord(name, _deg(cur), cur, verdicts, details))
+        stages.append(StageRecord(name, _deg(cur), cur, details))
     c_label, d_label = labels["c"], labels["d"]
 
     # relax the entry of the display the last stage certified pair-fragile
     M1, M2, H = _relax_entry(cur, c_label, d_label, dcap)
-    stages.append(
-        StageRecord(
-            "relax_entry",
-            _deg(M1) * 2,
-            M2,
-            {
-                "displayed_block_zero": True,
-                "pair_fragile_matrix": True,
-                "generator_outside_base": True,
-                "rank_difference_only_at_pair": True,
-                "relaxation": True,
-            },
-            {"hyperplane": sorted(H)},
-        )
-    )
+    stages.append(StageRecord("relax_entry", _deg(M2), M2, {"hyperplane": sorted(H)}))
 
     if not _keeps_minor(Az, X1, X2, M1.rep, {c_label}, {d_label}):
         raise PostconditionViolation(

@@ -63,6 +63,17 @@ def textbook_rank(field, vecs):
     return rank
 
 
+def element_vector(A, e, *, dual=False):
+    """The vector of label e in the matroid of [I | A], read by `A.enc`:
+    a row label's unit vector, or a column label's column; with dual, in
+    the matroid of [A^T | I]: a column label's unit vector, or a row
+    label's row."""
+    unit = A.cols if dual else A.rows
+    if e in unit:
+        return [int(f == e) for f in unit]
+    return [A.enc(e, f) for f in A.cols] if dual else [A.enc(f, e) for f in A.rows]
+
+
 def rowspace_rank(A):
     """The rank of the matrix A by counting its row space: over GF(q)
     the rows span q^r distinct vectors exactly when the rank is r."""
@@ -188,6 +199,17 @@ def random_matrix(rng, F, max_rows=4, max_cols=4):
     return LabeledMatrix(F, rows, cols, data)
 
 
+def drawn_matrix(rng, field, rows, cols, x_rows=0, x_cols=0):
+    """The matrix over field with labels rows and cols that one
+    `rng.randrange(field.order)` per entry draws, in row-major order,
+    its block on the first x_rows rows and x_cols columns then set to
+    zero: every entry is drawn either way."""
+    data = [[rng.randrange(field.order) for _ in cols] for _ in rows]
+    for row in data[:x_rows]:
+        row[:x_cols] = [0] * x_cols
+    return LabeledMatrix(field, rows, cols, data)
+
+
 def reference_gen_random(kind, *, seed, q, rows, cols, x_rows=1, x_cols=1,
                          minor_size=2, max_attempts=10000):
     """`gen_random`'s rejection loops by the public API, one randrange
@@ -204,15 +226,9 @@ def reference_gen_random(kind, *, seed, q, rows, cols, x_rows=1, x_cols=1,
     if kind == "relax":
         x_rows = x_cols = 1
 
-    def draw(x_rows, x_cols):
-        data = [[rng.randrange(q) for _ in col_labels] for _ in row_labels]
-        for row in data[:x_rows]:
-            row[:x_cols] = [0] * x_cols
-        return LabeledMatrix(field, row_labels, col_labels, data)
-
     for attempt in range(max_attempts):
         if kind in ("nfragile", "pipeline"):
-            A = draw(0, 0)
+            A = drawn_matrix(rng, field, row_labels, col_labels)
             M = ReprMatroid(A)
             keep = frozenset(rng.sample(sorted(M.ground), minor_size))
             outside = sorted(M.ground - keep)
@@ -225,7 +241,7 @@ def reference_gen_random(kind, *, seed, q, rows, cols, x_rows=1, x_cols=1,
                 task = NFragileTask(N) if kind == "nfragile" else PipelineTask(N)
                 return InstanceFile(field, A, task, seed), attempt
         else:
-            A = draw(x_rows, x_cols)
+            A = drawn_matrix(rng, field, row_labels, col_labels, x_rows, x_cols)
             x = frozenset(row_labels[:x_rows]) | frozenset(col_labels[:x_cols])
             part = MinorSpec(row_labels[x_rows:], col_labels[x_cols:])
             if (one_move_partition(ReprMatroid(A), part) is None

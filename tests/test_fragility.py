@@ -34,9 +34,9 @@ from matroidfrag import (
     x_fragile_failure,
 )
 from reference import (
-    GF2, GF3, GF4, GF5, GF8, GF9, GF16_OVER_GF4, display_basis_sweep, fragile_partitions_loop,
-    ladder_draw, one_move_neighbours, partition_basis_scan, random_matrix, textbook_rank,
-    unzeroed_ladder_draw, with_entry, x_fragile_failure_loop,
+    GF2, GF3, GF4, GF5, GF8, GF9, GF16_OVER_GF4, display_basis_sweep, element_vector,
+    fragile_partitions_loop, ladder_draw, one_move_neighbours, partition_basis_scan,
+    random_matrix, textbook_rank, unzeroed_ladder_draw, with_entry, x_fragile_failure_loop,
 )
 
 
@@ -1053,9 +1053,7 @@ def assert_sift_callers_match_the_reference(M, part):
     A, F, m = M.rep, M.field, len(M.rep.rows)
 
     def r(X):
-        return textbook_rank(F, [[int(i == A._row_pos[e]) for i in range(m)]
-                                 if e in A._row_pos else [row[A._col_pos[e]] for row in A._data]
-                                 for e in X])
+        return textbook_rank(F, [element_vector(A, e) for e in X])
 
     C0, D0 = part.contract, part.delete
     drop = sum(1 << i for i, e in enumerate(A.rows) if e in C0)
@@ -1215,13 +1213,8 @@ def test_sift_and_its_callers_match_the_reference_elimination():
         zero = next((i for i, v in enumerate(want) if not v), len(want))
         assert matrices._sift(*display, labels, k, dual=dual, stop=True) == want[:zero + 1]
 
-        def vector(e):
-            if e in (col_pos if dual else row_pos):
-                size, at = (n, col_pos[e]) if dual else (m, row_pos[e])
-                return [int(i == at) for i in range(size)]
-            return list(data[row_pos[e]]) if dual else [row[col_pos[e]] for row in data]
-
-        vecs = [vector(e) for e in labels]
+        A = LabeledMatrix(field, rows, cols, data)
+        vecs = [element_vector(A, e, dual=dual) for e in labels]
         for i, v in enumerate(got):
             before = vecs[:min(i, k)]
             in_span = textbook_rank(field, before + [vecs[i]]) == textbook_rank(field, before)
@@ -1229,8 +1222,7 @@ def test_sift_and_its_callers_match_the_reference_elimination():
 
         C0, D0 = sorted(labels[:k]), sorted(labels[k:])
         assert fragility._one_move(*display, C0, D0) == reference_one_move(*display, C0, D0)
-        M = ReprMatroid(LabeledMatrix(field, rows, cols, data))
-        assert_sift_callers_match_the_reference(M, MinorSpec(C0, D0))
+        assert_sift_callers_match_the_reference(ReprMatroid(A), MinorSpec(C0, D0))
         kind = "none" if not labels else "0" if k == 0 else "all" if k == len(labels) else "some"
         seen[field.order, dual, kind] += 1
 

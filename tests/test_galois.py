@@ -258,7 +258,7 @@ def test_division_by_zero():
     with pytest.raises(DivisionByZero):
         GF4.inv_enc(0)
     with pytest.raises(ZeroDivisionError):
-        _ = GF4.one / GF4.zero
+        _ = GF4.one / GF4.elem(0)
 
 
 def test_embedding_image_matches_frobenius_fixed_points():

@@ -44,17 +44,17 @@ SUITE_HASHES = {
 # (or an empty one) in default mode; their conformance towers are left
 # out because building them dominates the run.
 PIPELINE_HASHES = {
-    ((2, 2, 3, 3, 3), False): "f983951d4bd503bbc4e738215b706decee3768f14108bbcd45f792e5e31fab39",
-    ((2, 2, 3, 3, 3), True): "98385200aaad367aa58de178c67f1d2b96e6e052f373f56d7e21034a9613bb67",
-    ((5, 3, 3, 3, 2), False): "37b5324f04c317b1ce4af06e3af3bad103515db4a8470225243f946ba3310b88",
-    ((5, 3, 3, 3, 2), True): "3e30071c24b70cd4fdad3011065d6f0e77e742afc955a20650a12dca6546da1f",
-    ((7, 2, 4, 3, 3), False): "260deaaed1a4a38b8efed4e30602b59b89fa5d8abb83cd4e377a9b0dee4fc75c",
-    ((7, 2, 4, 3, 3), True): "a2e199de80bcb6ee9053d45d9adb62d4b1f54d58a00c5d5cd37bd8ecfd4c8584",
-    ((3, 2, 3, 4, 2), False): "9745974e0a1ea03f560b682aafa7f7481719dc72d2dae19280ae072d4a930228",
-    ((3, 2, 3, 4, 2), True): "9daf36048c456883ed82830d02d36995a3a897e92fae689e7a1c70bbcb606d8a",
-    ((1, 2, 4, 4, 4), False): "8e218f90c532dd22c61b6a3004a643077f325b28c0eb92641dcd6085e6fb3cf2",
-    ((2, 3, 4, 4, 4), False): "3162a05f31b8a47dfabd28604bf2b3de2de30ec027ebb59fb913f32450b3f38d",
-    ((2, 3, 3, 4, 3), False): "a7be2d80671c6945bad756800a5a2bacd1d699302e6408fd06237346f608ce53",
+    ((2, 2, 3, 3, 3), False): "c7ae31fb39a18cc54168a9709d731c9994182594e48d83729d15e384d216635c",
+    ((2, 2, 3, 3, 3), True): "0e16d1951059197821af744f97f60471906f0c5fbf4ea0507c070e6625abc6f4",
+    ((5, 3, 3, 3, 2), False): "76cc83c9436853e94e4e7c70f1b06d717aef27108455eba8f0cd291c523b3e96",
+    ((5, 3, 3, 3, 2), True): "655d6cbc3a3c1c1e3f172372202c934f25c296a2338dc2a53801614fb75183ab",
+    ((7, 2, 4, 3, 3), False): "7940e555b59e6876534c3c7d5554e2950da818b29fd7d9986fcd2cd8f8300389",
+    ((7, 2, 4, 3, 3), True): "011cb33af752124516c8fab8a7da4d5cf4485d7840e2d8a23f6faa21e337f210",
+    ((3, 2, 3, 4, 2), False): "67a6e36d34155f5cac0b084ab04e56a7adc54543c5fb9f4533dad5e218e65765",
+    ((3, 2, 3, 4, 2), True): "d23ab8eacdfaf72b6f70265f2e7fea30d0220375569ea88713da927a7bd9f942",
+    ((1, 2, 4, 4, 4), False): "f51039d1e403034d42c9a38ecade78a33ced99298dbb77970b6fafbf3caa2eb3",
+    ((2, 3, 4, 4, 4), False): "5604f8743da18c115061b08c6bbe5a45585d920625a4245a773e09579b06d355",
+    ((2, 3, 3, 4, 3), False): "de95ce2d03f892bda3ef3f71e5897b785c6751a8c9ce9d17f399a9f20fd7fbf6",
 }
 
 

@@ -20,6 +20,7 @@ from matroidfrag import (
     InstanceFile,
     InvalidArgs,
     InvalidField,
+    InvalidMinorSpec,
     LabeledMatrix,
     MalformedJson,
     MinorSpec,
@@ -29,6 +30,7 @@ from matroidfrag import (
     ReprMatroid,
     SchemaViolation,
     ToolkitError,
+    UnknownLabel,
     XFragileTask,
     field_of_order,
     gen_random,
@@ -37,7 +39,7 @@ from matroidfrag import (
     serialize_instance,
     x_fragile_failure,
 )
-from reference import GF2, GF3, reference_gen_random
+from reference import GF2, GF3, drawn_matrix, reference_gen_random
 
 MINIMAL = '{"field": {"p": 2, "tower": []}, "matrix": {"rows": ["a"], "cols": ["b"], "entries": [[1]]}}'
 
@@ -123,6 +125,7 @@ def test_unknown_task_kind_is_refused(kind):
 
 
 def test_serialize_refuses_what_is_not_a_task():
+    # the record refuses it, so no instance serializes one
     A = LabeledMatrix(GF2, ["a"], ["b"], [[1]])
     with pytest.raises(InvalidArgs, match="not a task object: MinorSpec"):
         serialize_instance(InstanceFile(GF2, A, MinorSpec({"a"}, set())))
@@ -257,6 +260,28 @@ def test_instance_over_another_field_is_refused():
     inst = InstanceFile(GF3, A3, NFragileTask(ReprMatroid(A3)), 1)
     for twin in (copy.copy(inst), pickle.loads(pickle.dumps(inst))):
         assert serialize_instance(twin) == serialize_instance(inst)
+
+
+def test_task_records_hold_sets_and_refuse_what_parsing_refuses():
+    # a task record holds frozensets, so it hashes and equals its parsed
+    # copy; a task label outside the matrix, or a label both contracted
+    # and deleted, is refused by the record as by parse_instance, so
+    # serialize_instance writes only documents that parse back
+    A = LabeledMatrix(GF2, ["a", "b"], ["c"], [[1], [0]])
+    N = ReprMatroid(LabeledMatrix(GF2, ["a"], ["c"], [[1]]))
+    for task in (XFragileTask(["a", "c", "a"]), RelaxTask(["a"], iter(["b"])),
+                 NFragileTask(N), PipelineTask(N)):
+        inst = InstanceFile(GF2, A, task, 3)
+        assert parse_instance(json.dumps(serialize_instance(inst))) == inst
+        assert len({inst, copy.copy(inst)}) == 1
+    assert XFragileTask(["a", "c", "a"]).x == frozenset({"a", "c"})
+    with pytest.raises(InvalidMinorSpec, match=r"^contract and delete overlap: \['a'\]$"):
+        RelaxTask({"a"}, {"a"})
+    off = ReprMatroid(LabeledMatrix(GF2, ["a"], ["zz"], [[1]]))
+    for task, slot in ((XFragileTask({"zz"}), "x"), (RelaxTask({"a"}, {"zz"}), "delete"),
+                       (NFragileTask(off), "minor"), (PipelineTask(off), "minor")):
+        with pytest.raises(UnknownLabel, match=rf"^task {slot}: label 'zz' not in the matrix$"):
+            InstanceFile(GF2, A, task)
 
 
 def test_schema_paths_in_messages():
@@ -862,10 +887,7 @@ def test_random_matrix_draws_one_randrange_per_entry(q):
         rng, ref = random.Random(seed), random.Random(seed)
         for _ in range(3):  # one generator across several draws
             A = instances._random_matrix(rng, field, rows, cols, x_rows, x_cols)
-            want = [[ref.randrange(q) for _ in cols] for _ in rows]
-            for row in want[:x_rows]:
-                row[:x_cols] = [0] * x_cols
-            assert instances.matrix_to_json(A) == {"rows": rows, "cols": cols, "entries": want}
+            assert A == drawn_matrix(ref, field, rows, cols, x_rows, x_cols)
             assert rng.getstate() == ref.getstate()
 
 

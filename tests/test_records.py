@@ -142,11 +142,12 @@ def test_minor_spec_takes_sets_and_refuses_an_overlap():
 
 
 def test_stage_and_trace_records_are_mutable_and_unhashable():
-    stage = StageRecord("s", 1, N, {"ok": True}, {})
+    stage = StageRecord("s", 1, N, {"skipped": True})
+    assert StageRecord.__slots__ == ("name", "degree_over_input", "matroid", "details")
     assert repr(stage) == (f"StageRecord(name='s', degree_over_input=1, matroid={SHOWN_N}, "
-                           "verdicts={'ok': True}, details={})")
-    assert stage == StageRecord(name="s", degree_over_input=1, matroid=N, verdicts={"ok": True},
-                                details={})
+                           "details={'skipped': True})")
+    assert stage == StageRecord(name="s", degree_over_input=1, matroid=N,
+                                details={"skipped": True})
     with pytest.raises(TypeError):
         hash(stage)
     tr = pipeline(ReprMatroid(LabeledMatrix(GF2, ["c"], ["d", "e"], [[0, 1]])),
@@ -166,7 +167,7 @@ TRACE_VALUES = tuple(frozenset({name}) for name in TRACE_FIELDS)
 
 
 @pytest.mark.parametrize("cls,values", [
-    (RelaxTask, (frozenset({"c"}), frozenset({"d"}))),
+    (PipelineTask, (N,)),
     (ReductionTrace, TRACE_VALUES),
 ], ids=["frozen", "mutable"])
 def test_one_constructor_binds_values_then_names_in_slot_order(cls, values):

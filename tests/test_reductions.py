@@ -795,15 +795,14 @@ def test_a_zeroed_block_entry_left_nonzero_is_refused(monkeypatch):
             run(M, N)
 
 
-@pytest.mark.parametrize("stage", [pipeline], ids=["pipeline"])
 @pytest.mark.parametrize("which", [1, 2])
-def test_a_changed_entry_after_each_collapse_is_refused_by_its_check(monkeypatch, stage, which):
+def test_a_changed_entry_after_each_collapse_is_refused_by_its_check(monkeypatch, which):
     # the extended display of the loop-side collapse (which = 1), or of
     # the coloop-side collapse on the dual (which = 2), returned with one
     # entry changed on (C, D), or on (D, C) in the dual, off the new
     # column: that collapse's own literal check refuses it
     M, N = four_element_pair()
-    stage(M, N)
+    pipeline(M, N)
     extend = reductions.free_extension
     calls = []
 
@@ -818,7 +817,7 @@ def test_a_changed_entry_after_each_collapse_is_refused_by_its_check(monkeypatch
 
     monkeypatch.setattr(reductions, "free_extension", changed_extension)
     with pytest.raises(PostconditionViolation, match="the collapse changed the common minor"):
-        stage(M, N)
+        pipeline(M, N)
     assert calls == ["d", "c"][:which]
 
 
@@ -852,9 +851,8 @@ def one_entry_changed(A, keep):
     return with_entry(A, r, c, A.field.add_enc(A.enc(r, c), 1))
 
 
-@pytest.mark.parametrize("stage", [pipeline], ids=["pipeline"])
 @pytest.mark.parametrize("which", [1, 2])
-def test_a_changed_entry_on_the_common_minor_is_refused(monkeypatch, stage, which):
+def test_a_changed_entry_on_the_common_minor_is_refused(monkeypatch, which):
     # one collapse's certified output reaches the chain with one entry
     # changed off the collapsed side and the new element: the loop side's
     # display as `collapse_side` returns it (which = 1), with rows C + X1
@@ -863,7 +861,7 @@ def test_a_changed_entry_on_the_common_minor_is_refused(monkeypatch, stage, whic
     # D + {d}.  Either way M1 differs from the input display in one entry
     # on (C, D), and the literal common-minor check fails
     M, N = four_element_pair()
-    stage(M, N)
+    pipeline(M, N)
     collapse, transpose = reductions.collapse_side, LabeledMatrix.transpose
     calls = []
 
@@ -880,7 +878,7 @@ def test_a_changed_entry_on_the_common_minor_is_refused(monkeypatch, stage, whic
     monkeypatch.setattr(reductions, "collapse_side", changed)
     monkeypatch.setattr(LabeledMatrix, "transpose", changed_back)
     with pytest.raises(PostconditionViolation, match="lost the common minor"):
-        stage(M, N)
+        pipeline(M, N)
     assert len(calls) == 2
     if which == 2:
         return
@@ -901,7 +899,7 @@ def test_a_changed_entry_on_the_common_minor_is_refused(monkeypatch, stage, whic
     monkeypatch.setattr(reductions, "x_fragile_failure",
                         lambda *a, **k: checks.append(a) or fragility.x_fragile_failure(*a, **k))
     with pytest.raises(PostconditionViolation, match="changed the common minor"):
-        stage(M, N)
+        pipeline(M, N)
     assert checks == []
 
 

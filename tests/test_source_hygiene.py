@@ -14,7 +14,8 @@ And every public name in the package's `__all__` is used outside
 tests/: read in src/ outside its own definition and __init__.py, or
 in demos/ or bench/, where bench/tracer.py also binds functions by
 their names as strings; and so is every public method and property of
-a class in `__all__`, read as an attribute.
+a class in `__all__`, read as an attribute, and every public field in
+such a class's `__slots__`, loaded as an attribute.
 The tests' reference module, tests/reference.py, imports from the
 package only names in `__all__` and from `matroidfrag.galois`, and
 otherwise only the standard library; it reads no attribute and imports
@@ -267,6 +268,20 @@ def test_every_export_is_used_outside_the_tests():
     assert [name for name in _exports() if uses[name] <= 0] == []
 
 
+def _attribute_uses(loads_only=False):
+    """The attribute names in src/ (the modules, __init__.py aside), in
+    demos/ and in bench/, with the strings in bench/, as the tracer binds
+    functions by getattr; with loads_only, an attribute that is stored
+    or deleted is not counted."""
+    demos, bench = _scripts("demos"), _scripts("bench")
+    uses = Counter(node.attr for tree in demos + bench + [TREES[m] for m in MODULES]
+                   for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                   and (isinstance(node.ctx, ast.Load) or not loads_only))
+    uses.update(node.value for tree in bench for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str))
+    return uses
+
+
 def _public_members():
     """(class, member, definition) for each public method and property
     of each class in the package's `__all__`; dunder methods, and every
@@ -290,17 +305,37 @@ def test_every_public_method_is_used_outside_the_tests():
     member that shares its name with a member of another exported class
     slips through on the other's uses, as `LabeledMatrix.rank` did on
     `ReprMatroid.rank`'s."""
-    demos, bench = _scripts("demos"), _scripts("bench")
-    uses = Counter(node.attr for tree in demos + bench + [TREES[m] for m in MODULES]
-                   for node in ast.walk(tree) if isinstance(node, ast.Attribute))
-    uses.update(node.value for tree in bench for node in ast.walk(tree)
-                if isinstance(node, ast.Constant) and isinstance(node.value, str))
+    uses = _attribute_uses()
     unused = []
     for cls, name, node in _public_members():
         own = sum(isinstance(sub, ast.Attribute) and sub.attr == name for sub in ast.walk(node))
         if uses[name] - own <= 0:
             unused.append(f"{cls}.{name}")
     assert unused == []
+
+
+def _public_slots():
+    """(class, field) for each public name in the `__slots__` of each
+    class in the package's `__all__`."""
+    exported = set(_exports())
+    for module in MODULES:
+        for node in TREES[module].body:
+            if isinstance(node, ast.ClassDef) and node.name in exported:
+                for stmt in node.body:
+                    if isinstance(stmt, ast.Assign) and any(
+                            isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets):
+                        yield from ((node.name, name) for name in ast.literal_eval(stmt.value)
+                                    if not name.startswith("_"))
+
+
+def test_every_public_field_is_read_outside_the_tests():
+    """The rule of test_every_public_method_is_used_outside_the_tests for
+    the public fields in the `__slots__` of exported classes, counting
+    loads only: a constructor that sets a field nobody reads outside the
+    tests does not make it used.  Fields are matched by name alone, as
+    members are."""
+    uses = _attribute_uses(loads_only=True)
+    assert [f"{cls}.{name}" for cls, name in _public_slots() if uses[name] <= 0] == []
 
 
 def test_the_reference_module_imports_only_the_public_api():
