@@ -20,9 +20,10 @@ encodings verbatim.
 
 extend_field adjoins a root of the canonical modulus: the lex-least
 monic irreducible of the requested degree, found by walking candidates
-in lex order and testing each with Rabin's test, whose cost is
-polynomial in the degree and in log of the base order.  Nothing is
-precomputed; each canonical modulus is memoised once found.
+in lex order and testing each with Ben-Or's test, whose cost is
+polynomial in the degree and in log of the base order, and which
+refuses a candidate at the least degree of its irreducible factors.
+Nothing is precomputed; each canonical modulus is memoised once found.
 
 Towers are interned: building the same (p, steps) twice returns the
 same FieldSpec object, so the per-field multiplication/inverse memo
@@ -438,17 +439,22 @@ def _are_encodings(base: FieldSpec, coeffs: tuple[int, ...]) -> bool:
 
 
 def is_irreducible(base: FieldSpec, coeffs: tuple[int, ...]) -> bool:
-    """Rabin's irreducibility test for a monic polynomial over `base`.
+    """Ben-Or's irreducibility test for a monic polynomial over `base`.
 
     Coefficients are integer encodings, constant term first, leading
     coefficient included and equal to 1; any other value (a bool, a
     non-int, or an int outside 0 .. |base| - 1) raises InvalidArgs, as
-    `field_from_tower` refuses it.  A monic f of degree n over
-    GF(Q) is irreducible iff x^(Q^n) = x mod f and
-    gcd(x^(Q^(n/r)) - x, f) = 1 for every prime r dividing n (Rabin,
-    SIAM J. Comput. 9, 1980).  The powers x^(Q^i) mod f come from n
-    repeated Q-th powerings by square-and-multiply, so the cost is
-    polynomial in n and log Q: O(n^3 log Q) base-field operations.
+    `field_from_tower` refuses it.  A monic f of degree n over GF(Q) is
+    irreducible iff gcd(x^(Q^i) - x, f) = 1 for i = 1, ..., n // 2
+    (Ben-Or, FOCS 1981; Gao and Panario, 1997).  Proof: x^(Q^i) - x is
+    the product of the monic irreducibles over GF(Q) of degree dividing
+    i, so an irreducible f of degree n > i shares no factor with it; a
+    reducible f has an irreducible factor g of degree d <= n / 2, and g
+    divides x^(Q^d) - x and so the gcd at i = d.  The powers x^(Q^i)
+    mod f come from i repeated Q-th powerings by square-and-multiply,
+    and the test stops at the first i whose gcd is not 1, so it costs at
+    most n / 2 powerings and gcds: O(n^3 log Q) base-field operations,
+    and a polynomial with a root in GF(Q) is refused after one.
     """
     if not _are_encodings(base, coeffs):
         raise InvalidArgs(f"coefficients {list(coeffs)!r} are not encodings in {base!r}")
@@ -459,17 +465,14 @@ def is_irreducible(base: FieldSpec, coeffs: tuple[int, ...]) -> bool:
         return True
     if coeffs[0] == 0:
         return False  # divisible by x
-    x = [0, 1] + [0] * (n - 2)
-    gcd_at = {n // r for r in range(2, n + 1) if n % r == 0 and _is_prime(r)}
-    h = x
-    for i in range(1, n + 1):
+    h = [0, 1] + [0] * (n - 2)
+    for _ in range(n // 2):
         h = _poly_powmod(base, h, base.order, coeffs)
-        if i in gcd_at:
-            h_minus_x = list(h)
-            h_minus_x[1] = base.sub_enc(h[1], 1)
-            if len(_poly_xgcd(base, h_minus_x, coeffs)[0]) != 1:
-                return False  # a nonconstant common factor
-    return h == x
+        h_minus_x = list(h)
+        h_minus_x[1] = base.sub_enc(h[1], 1)
+        if len(_poly_xgcd(base, h_minus_x, coeffs)[0]) != 1:
+            return False  # a nonconstant common factor
+    return True
 
 
 def _canonical_modulus(base: FieldSpec, k: int) -> tuple[int, ...]:

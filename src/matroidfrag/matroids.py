@@ -10,23 +10,25 @@ serves single queries only: no exhaustive sweep goes through it.
 
 Minors are computed by pivoting: contracting a column element first
 pivots it onto the row side, deleting a row element first pivots it out
-(coloops and loops degenerate to plain drops).  Pivot positions are
-chosen as the first nonzero entry in label order, which keeps every
-derived representation deterministic.  `rebase` re-displays on a
-basis B by the step `_pivot_onto`, which pivots B's elements onto the
-rows and so checks B by its own pivots, with no rank query; its mirror
-`_pivot_off` pivots B's elements off the rows and so checks that B is
-coindependent.  Contracting a column element pivots it by the rule of
-`_pivot_onto`, onto the least row label with a nonzero entry in its
-column, and deleting a row element by the rule of `_pivot_off`, onto
-the least such column label; each step finds its one pivot directly,
-building no set.  Each step takes a set `keep` it must not pivot into:
+(coloops and loops degenerate to plain drops).  Two step rules make
+every pivot choice: `_pivot_in` pivots a column element onto the least
+row label, outside a set it must avoid, with a nonzero entry in its
+column, and its mirror `_pivot_out` pivots a row element onto the least
+such column label.  Taking the least label keeps every derived
+representation deterministic, and each rule finds its one pivot
+directly, building no set.  `rebase` re-displays on a basis B by
+`_pivot_onto`, which applies `_pivot_in` to B's elements and so checks
+B by its own pivots, with no rank query; its mirror `_pivot_off`
+applies `_pivot_out` to B's elements on the rows and so checks that B
+is coindependent.  Contracting a column element is `_pivot_in` and
+deleting a row element `_pivot_out`, each followed by dropping the
+element's line.  Each step takes a set `keep` it must not pivot into:
 the rows of `keep` for a contraction, its columns for a deletion.
-`minor` passes none.  The
-partition search `fragility.fragile_partitions` passes N's basis, or
-N's cobasis, so that they stay where its root display put them.  Its
-nodes are these steps, so the certificate of every input rests on
-them.  Duality transposes and negates the representing block.
+`minor` passes none.  The partition search
+`fragility.fragile_partitions` passes N's basis, or N's cobasis, so
+that they stay where its root display put them.  Its nodes are these
+steps, so the certificate of every input rests on them.  Duality
+transposes and negates the representing block.
 
 Two ReprMatroids are `==` when their displays (`rep`) are: the same
 field, labels in the same order and entries.  So a pickled or copied
@@ -213,92 +215,91 @@ class ReprMatroid:
         return list(self.rep.rows), list(self.rep.cols), [list(r) for r in self.rep._data]
 
     @staticmethod
+    def _pivot_in(field, rows, cols, data, v, avoid) -> bool:
+        """Pivot the column element v onto the least row label outside
+        `avoid` whose entry in v's column is nonzero.  False, changing
+        nothing, when there is no such row."""
+        j = cols.index(v)
+        pick = -1
+        for i, r in enumerate(rows):
+            if data[i][j] and r not in avoid and (pick < 0 or r < rows[pick]):
+                pick = i
+        if pick < 0:
+            return False
+        _pivot_inplace(field, rows, cols, data, pick, j)
+        return True
+
+    @staticmethod
+    def _pivot_out(field, rows, cols, data, v, avoid) -> bool:
+        """The mirror of `_pivot_in`: pivot the row element v onto the
+        least column label outside `avoid` whose entry in v's row is
+        nonzero.  False, changing nothing, when there is no such column."""
+        i = rows.index(v)
+        row = data[i]
+        pick = -1
+        for j, c in enumerate(cols):
+            if row[j] and c not in avoid and (pick < 0 or c < cols[pick]):
+                pick = j
+        if pick < 0:
+            return False
+        _pivot_inplace(field, rows, cols, data, i, pick)
+        return True
+
+    @staticmethod
     def _contract_one(field, rows, cols, data, e, keep=frozenset()) -> None:
-        # `_pivot_onto` on e alone: a column e pivots onto the least row
-        # label outside keep with a nonzero entry in its column, and e's
-        # row is then dropped.  keep lies on the rows, and a column e
-        # with no such row must be zero: e is a loop, and contracting a
+        # a column e pivots onto the rows by `_pivot_in`, and e's row is
+        # then dropped.  keep lies on the rows, and a column e with no
+        # row to pivot onto must be zero: e is a loop, and contracting a
         # loop is the same as deleting it
-        if e in cols:
+        if e in cols and not ReprMatroid._pivot_in(field, rows, cols, data, e, keep):
             j = cols.index(e)
-            pick = -1
-            for i, r in enumerate(rows):
-                if data[i][j] and r not in keep and (pick < 0 or r < rows[pick]):
-                    pick = i
-            if pick < 0:
-                del cols[j]
-                for row in data:
-                    del row[j]
-                return
-            _pivot_inplace(field, rows, cols, data, pick, j)
-        else:
-            pick = rows.index(e)
-        del rows[pick]
-        del data[pick]
+            del cols[j]
+            for row in data:
+                del row[j]
+            return
+        i = rows.index(e)
+        del rows[i]
+        del data[i]
 
     @staticmethod
     def _delete_one(field, rows, cols, data, e, keep=frozenset()) -> None:
-        # `_pivot_off` on e alone: a row e pivots onto the least column
-        # label outside keep with a nonzero entry in its row, and e's
-        # column is then dropped.  keep lies on the columns, and a row e
-        # with no such column must be zero: e is a coloop, and dropping
-        # its row deletes it
-        if e in rows:
+        # the mirror: a row e pivots off the rows by `_pivot_out`, and
+        # e's column is then dropped.  keep lies on the columns, and a
+        # row e with no column to pivot onto must be zero: e is a
+        # coloop, and dropping its row deletes it
+        if e in rows and not ReprMatroid._pivot_out(field, rows, cols, data, e, keep):
             i = rows.index(e)
-            row = data[i]
-            pick = -1
-            for j, c in enumerate(cols):
-                if row[j] and c not in keep and (pick < 0 or c < cols[pick]):
-                    pick = j
-            if pick < 0:
-                del rows[i]
-                del data[i]
-                return
-            _pivot_inplace(field, rows, cols, data, i, pick)
-        else:
-            pick = cols.index(e)
-        del cols[pick]
+            del rows[i]
+            del data[i]
+            return
+        j = cols.index(e)
+        del cols[j]
         for row in data:
-            del row[pick]
+            del row[j]
 
     @staticmethod
     def _pivot_onto(field, rows, cols, data, B: frozenset) -> bool:
-        """Pivot each element of B not on the row side onto it, in label
-        order, for the least row label outside B whose entry in its
-        column is nonzero.  False, part way, when there is no such row:
-        that column is then a combination of the unit vectors of B's
-        rows, so B is dependent, and an independent B never gets False."""
+        """`_pivot_in` on each element of B not on the row side, in label
+        order, avoiding B's rows.  False, part way, when one finds no
+        row: that column is then a combination of the unit vectors of
+        B's rows, so B is dependent, and an independent B never gets
+        False."""
         for v in sorted(B.difference(rows)):
-            j = cols.index(v)
-            pick = -1
-            best = None
-            for i in range(len(rows)):
-                if rows[i] not in B and data[i][j] and (best is None or rows[i] < best):
-                    pick, best = i, rows[i]
-            if pick < 0:
+            if not ReprMatroid._pivot_in(field, rows, cols, data, v, B):
                 return False
-            _pivot_inplace(field, rows, cols, data, pick, j)
         return True
 
     @staticmethod
     def _pivot_off(field, rows, cols, data, B: frozenset) -> bool:
-        """The mirror of `_pivot_onto`: pivot each element of B on the row
-        side off it, in label order, for the least column label outside B
-        whose entry in its row is nonzero.  False, part way, when there is
-        no such column: that row, negated, is the element's vector in the
-        display -A^T of the dual, a combination of the unit vectors of B's
-        columns, so B is dependent in M* (codependent), and a
-        coindependent B never gets False."""
+        """The mirror of `_pivot_onto`: `_pivot_out` on each element of B
+        on the row side, in label order, avoiding B's columns.  False,
+        part way, when one finds no column: that row, negated, is the
+        element's vector in the display -A^T of the dual, a combination
+        of the unit vectors of B's columns, so B is dependent in M*
+        (codependent), and a coindependent B never gets False."""
         for v in sorted(B.intersection(rows)):
-            i = rows.index(v)
-            pick = -1
-            best = None
-            for j in range(len(cols)):
-                if cols[j] not in B and data[i][j] and (best is None or cols[j] < best):
-                    pick, best = j, cols[j]
-            if pick < 0:
+            if not ReprMatroid._pivot_out(field, rows, cols, data, v, B):
                 return False
-            _pivot_inplace(field, rows, cols, data, i, pick)
         return True
 
     def rebase(self, B: Iterable[str]) -> "ReprMatroid":

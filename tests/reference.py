@@ -41,6 +41,68 @@ def with_entry(A, r, c, x, field=None):
                           for e in A.rows])
 
 
+# -- fields -------------------------------------------------------------------
+
+
+def rabin_irreducible(base, coeffs):
+    """Rabin's irreducibility test (SIAM J. Comput. 9, 1980), the
+    reference for Ben-Or's test in `is_irreducible`: a monic f of degree
+    n over GF(Q), given by its encodings constant term first, is
+    irreducible iff x^(Q^n) = x mod f and gcd(x^(Q^(n/r)) - x, f) = 1
+    for every prime r dividing n.  Its polynomial arithmetic is written
+    out on the field's element operations, on trimmed lists."""
+    add, sub, mul = base.add_enc, base.sub_enc, base.mul_enc
+
+    def trim(a):
+        while a and not a[-1]:
+            a.pop()
+        return a
+
+    def mod(a, m):
+        # the remainder of a by the nonzero trimmed m
+        a, d = list(a), len(m) - 1
+        lead = base.inv_enc(m[-1])
+        for i in range(len(a) - 1, d - 1, -1):
+            c = mul(a[i], lead)
+            for j, y in enumerate(m):
+                a[i - d + j] = sub(a[i - d + j], mul(c, y))
+        return trim(a[:d])
+
+    def mulmod(a, b):
+        prod = [0] * (len(a) + len(b))
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] = add(prod[i + j], mul(x, y))
+        return mod(prod, f)
+
+    def frobenius(h):
+        # h^Q mod f, by square-and-multiply
+        out, e = [1], base.order
+        while e:
+            if e & 1:
+                out = mulmod(out, h)
+            h, e = mulmod(h, h), e >> 1
+        return out
+
+    def coprime_to_f(h):
+        # gcd(h - x, f) = 1, by Euclid
+        a, b = list(f), list(h) + [0] * (2 - len(h))
+        b[1] = sub(b[1], 1)
+        b = trim(b)
+        while b:
+            a, b = b, mod(a, b)
+        return len(a) == 1
+
+    f = list(coeffs)
+    n = len(f) - 1
+    x = mod([0, 1], f)
+    powers = [x]  # x^(Q^i) mod f for i = 0, ..., n
+    for _ in range(n):
+        powers.append(frobenius(powers[-1]))
+    primes = [r for r in range(2, n + 1) if n % r == 0 and all(r % d for d in range(2, r))]
+    return powers[n] == x and all(coprime_to_f(powers[n // r]) for r in primes)
+
+
 # -- rank -------------------------------------------------------------------
 
 

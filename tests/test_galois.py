@@ -4,7 +4,8 @@ import os
 import subprocess
 import sys
 import time
-from itertools import product
+from collections import Counter
+from itertools import islice, product
 from pathlib import Path
 
 import pytest
@@ -30,7 +31,7 @@ from matroidfrag import (
 )
 from matroidfrag import galois
 from matroidfrag.galois import PRIME_LIMIT
-from reference import GF2, GF3, GF4, GF5, GF8, GF9, GF16_OVER_GF4
+from reference import GF2, GF3, GF4, GF5, GF8, GF9, GF16_OVER_GF4, rabin_irreducible
 
 GF16 = extend_field(GF2, 4)
 GF27 = extend_field(GF3, 3)
@@ -145,14 +146,39 @@ def _gauss_count(q, n):
     [(GF2, 6), (GF3, 5), (GF4, 3), (GF5, 3), (GF9, 2), (GF16_OVER_GF4, 2)],
     ids=["gf2", "gf3", "gf4", "gf5", "gf9", "gf16_over_gf4"],
 )
-def test_rabin_agrees_with_exhaustive(F, max_deg):
+def test_is_irreducible_agrees_with_exhaustive(F, max_deg):
     for deg in range(1, max_deg + 1):
         found = 0
         for f in _monic_polys(F, deg):
             want = is_irreducible_exhaustive(F, f)
-            assert is_irreducible(F, f) == want, f
+            assert is_irreducible(F, f) == want == rabin_irreducible(F, f), f
             found += want
         assert found == _gauss_count(F.order, deg)
+
+
+# walks too large for the exhaustive test: (base, degree)
+WALK_SHAPES = [(GF16, 4), (GF256, 2), (GF9, 4), (GF2, 8), (GF2, 9), (GF2, 10), (GF5, 5)]
+
+
+def test_is_irreducible_agrees_with_rabin_beyond_brute_force():
+    # the first candidates of each walk, all with constant term 1;
+    # Ben-Or's test refuses one with a root in the base at its first
+    # gcd and a root-free reducible one at a later gcd, and each outcome
+    # is counted, not left to the draw
+    outcomes = Counter()
+    for base, k in WALK_SHAPES:
+        tails = product(range(1, base.order), *[range(base.order)] * (k - 1))
+        for tail in islice(tails, 60):
+            f = (*tail, 1)
+            want = rabin_irreducible(base, f)
+            assert is_irreducible(base, f) == want, (base, f)
+            if want:
+                outcomes["irreducible"] += 1
+            elif any(_poly_eval(base, f, e) == 0 for e in range(base.order)):
+                outcomes["first gcd"] += 1
+            else:
+                outcomes["later gcd"] += 1
+    assert min(outcomes[key] for key in ("irreducible", "first gcd", "later gcd")) >= 10, outcomes
 
 
 def test_moduli_irreducible_by_brute_force():
@@ -465,8 +491,8 @@ def test_k5_conformance_tower():
 
 def test_gcd_branch_rejects_product_of_quadratics():
     # over GF(16), the product of two distinct irreducible quadratics has
-    # no root and divides x^(16^4) - x; only the gcd condition at r = 2
-    # shows it reducible
+    # no root, so the gcd at i = 1 is 1; only the gcd at i = 2, with
+    # x^(16^2) - x, shows it reducible
     g, h = [f for f in _monic_polys(GF16, 2) if is_irreducible_exhaustive(GF16, f)][:2]
     f = _poly_mul(GF16, g, h)
     assert all(_poly_eval(GF16, f, e) for e in range(GF16.order))

@@ -105,10 +105,20 @@ def test_contract_row_and_delete_col_fast_paths():
 
 
 def test_contract_loop_equals_delete_loop():
-    A = LabeledMatrix(GF2, ["a"], ["c", "d"], [[0, 1]])
-    M = ReprMatroid(A)
-    assert M.rank({"c"}) == 0  # c is a loop
-    assert M.minor(contract={"c"}).equals(M.minor(delete={"c"}))
+    # c is a loop (a zero column) and b a coloop (a zero row); the
+    # pivots on d and x run the residue branch of `_pivot_inplace` over a
+    # prime field and its tower branch over GF(4)
+    for F in (GF2, GF3, GF4):
+        top = F.order - 1
+        A = LabeledMatrix(F, ["a", "b", "x"], ["c", "d", "y"],
+                          [[0, top, 1], [0, 0, 0], [0, 1, top]])
+        M = ReprMatroid(A)
+        assert M.rank({"c"}) == 0 and M.rank(M.ground - {"b"}) == M.rank() - 1
+        assert M.minor(contract={"c"}) == M.minor(delete={"c"})
+        assert M.minor(contract={"c", "d"}).equals(M.minor(contract={"d"}, delete={"c"}))
+        # the dual case: deleting the coloop b is contracting it
+        assert M.minor(delete={"b"}) == M.minor(contract={"b"})
+        assert M.minor(delete={"b", "x"}).equals(M.minor(contract={"b"}, delete={"x"}))
 
 
 def test_minor_spec_validation():
