@@ -432,10 +432,11 @@ def _poly_xgcd(field: FieldSpec, a: list[int], f: tuple[int, ...]) -> tuple[list
     return r0, s0
 
 
-def _are_encodings(base: FieldSpec, coeffs: tuple[int, ...]) -> bool:
-    """Whether every coefficient is an int, not a bool, in 0 .. |base| - 1."""
-    return all(not isinstance(c, bool) and isinstance(c, int) and 0 <= c < base.order
-               for c in coeffs)
+def _non_encoding(base: FieldSpec, coeffs: tuple) -> int | None:
+    """The position of the first coefficient that is not an int, or is
+    a bool, or lies outside 0 .. |base| - 1; None when there is none."""
+    return next((j for j, c in enumerate(coeffs) if isinstance(c, bool)
+                 or not isinstance(c, int) or not 0 <= c < base.order), None)
 
 
 def is_irreducible(base: FieldSpec, coeffs: tuple[int, ...]) -> bool:
@@ -456,7 +457,7 @@ def is_irreducible(base: FieldSpec, coeffs: tuple[int, ...]) -> bool:
     most n / 2 powerings and gcds: O(n^3 log Q) base-field operations,
     and a polynomial with a root in GF(Q) is refused after one.
     """
-    if not _are_encodings(base, coeffs):
+    if _non_encoding(base, coeffs) is not None:
         raise InvalidArgs(f"coefficients {list(coeffs)!r} are not encodings in {base!r}")
     if len(coeffs) < 2 or coeffs[-1] != 1:
         raise InvalidArgs("expected a monic polynomial of degree >= 1")
@@ -516,7 +517,7 @@ def _intern(p: int, steps: tuple[Step, ...]) -> FieldSpec:
 def make_prime_field(p: int) -> FieldSpec:
     """GF(p) for a prime p <= 2^16."""
     if not isinstance(p, int) or not 2 <= p <= PRIME_LIMIT:
-        raise InvalidField(f"characteristic {p!r} out of range")
+        raise InvalidField(f"characteristic {p!r} is not an int in 2 .. {PRIME_LIMIT}")
     if not _is_prime(p):
         raise InvalidField(f"{p} is not prime")
     return _intern(p, ())
@@ -551,21 +552,26 @@ def field_from_tower(
     degree_cap: int = DEGREE_CAP_DEFAULT,
 ) -> FieldSpec:
     """Build a FieldSpec from explicit tower data, validating every
-    modulus (monic, right length, irreducible over its level).  Every
-    step has degree at least 2, as `extend_field` builds them: a
-    degree-1 step adds no element and would give its level a second
-    presentation, unequal to the first."""
+    value: p a prime, and each step's degree an int and its modulus
+    monic, of the right length, irreducible over its level, with
+    encodings in that level as coefficients.  A refusal names the
+    step, and a coefficient its position.  Every step has degree at
+    least 2, as `extend_field` builds them: a degree-1 step adds no
+    element and would give its level a second presentation, unequal to
+    the first."""
     spec = make_prime_field(p)
     for i, (deg, coeffs) in enumerate(tower):
         coeffs = tuple(coeffs)
         if isinstance(deg, bool) or not isinstance(deg, int) or deg < 2:
-            raise InvalidField(f"tower step {i}: degree {deg!r} invalid, must be at least 2")
+            raise InvalidField(f"tower step {i}: degree {deg!r} invalid, must be an int >= 2")
         if len(coeffs) != deg + 1:
             raise InvalidField(
                 f"tower step {i}: modulus needs {deg + 1} coefficients, got {len(coeffs)}"
             )
-        if not _are_encodings(spec, coeffs):
-            raise InvalidField(f"tower step {i}: modulus coefficients out of range")
+        j = _non_encoding(spec, coeffs)
+        if j is not None:
+            raise InvalidField(
+                f"tower step {i}: modulus[{j}] = {coeffs[j]!r} is not an encoding in {spec!r}")
         if coeffs[-1] != 1:
             raise InvalidField(f"tower step {i}: modulus {list(coeffs)} is not monic")
         if spec.degree * deg > degree_cap:

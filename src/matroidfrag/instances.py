@@ -17,9 +17,17 @@ rows + cols.  Task kinds are "xfragile" {x}, "nfragile" {minor},
 "pipeline" {minor}, and "relax" {contract, delete}.  Each kind is one
 task class, and its block's keys are "kind" and the class's slots, read
 and written in slot order: a minor is another matrix block over the
-same field, any other slot a set of labels, written sorted.  Parsing
-reports the JSON path of the first offending value, so a bad entry in a
-large file is located exactly.
+same field, any other slot a set of labels, written sorted.
+
+The reader checks only the document's shape (objects, arrays, key
+sets, the task kind, labels being strings, the seed an integer) and
+reports the JSON path of the first shape error.  Each value goes as it
+is to the one constructor that owns its rule, `field_from_tower`,
+`LabeledMatrix`, a task class or `InstanceFile`, and the reader
+prefixes a refusal with the block's path: `$.field` names the tower
+step and the coefficient's position, `$.matrix` and `$.task.minor` the
+entry's row and column labels, `$.task` the slot and the label.  So a
+bad value in a large file is located exactly.
 
 `gen_random` draws seeded instances by rejection sampling in two
 loops: one cuts a minor out of a random matroid ("nfragile",
@@ -46,6 +54,7 @@ from .errors import (
     FieldMismatch,
     InvalidArgs,
     InvalidField,
+    InvalidMinorSpec,
     LabelCollision,
     MalformedJson,
     SchemaViolation,
@@ -167,21 +176,19 @@ def _check_keys(obj: dict, allowed: set[str], path: str) -> None:
 
 
 def _field_from_json(obj, path: str) -> FieldSpec:
+    """A field block: its p and each step's degree and coefficients go
+    to `field_from_tower` as they are, which refuses a value."""
     _expect(obj, dict, path, "object")
     _check_keys(obj, {"p", "tower"}, path)
-    p = _expect(_get(obj, "p", path), int, f"{path}.p", "integer")
+    p = _get(obj, "p", path)
     tower_json = _expect(_get(obj, "tower", path), list, f"{path}.tower", "array")
     tower = []
     for i, step in enumerate(tower_json):
         sp = f"{path}.tower[{i}]"
         _expect(step, dict, sp, "object")
         _check_keys(step, {"deg", "modulus"}, sp)
-        deg = _expect(_get(step, "deg", sp), int, f"{sp}.deg", "integer")
-        mod = _expect(_get(step, "modulus", sp), list, f"{sp}.modulus", "array")
-        coeffs = []
-        for j, c in enumerate(mod):
-            coeffs.append(_expect(c, int, f"{sp}.modulus[{j}]", "integer"))
-        tower.append((deg, tuple(coeffs)))
+        deg = _get(step, "deg", sp)
+        tower.append((deg, _expect(_get(step, "modulus", sp), list, f"{sp}.modulus", "array")))
     try:
         return field_from_tower(p, tower)
     except (InvalidField, DegreeCap) as exc:
@@ -204,34 +211,17 @@ def _labels_from_json(obj, path: str) -> list[str]:
 
 
 def _matrix_from_json(obj, path: str, field: FieldSpec) -> LabeledMatrix:
+    """A matrix block: its labels and rows of entries go to
+    `LabeledMatrix`, which refuses a count or an entry."""
     _expect(obj, dict, path, "object")
     _check_keys(obj, {"rows", "cols", "entries"}, path)
     rows = _labels_from_json(_get(obj, "rows", path), f"{path}.rows")
     cols = _labels_from_json(_get(obj, "cols", path), f"{path}.cols")
     entries = _expect(_get(obj, "entries", path), list, f"{path}.entries", "array")
-    if len(entries) != len(rows):
-        raise SchemaViolation(
-            f"{path}.entries: {len(entries)} rows of entries for {len(rows)} row labels"
-        )
-    data = []
     for i, row in enumerate(entries):
-        rp = f"{path}.entries[{i}]"
-        _expect(row, list, rp, "array")
-        if len(row) != len(cols):
-            raise SchemaViolation(
-                f"{rp}: {len(row)} entries for {len(cols)} column labels"
-            )
-        vals = []
-        for j, v in enumerate(row):
-            v = _expect(v, int, f"{rp}[{j}]", "integer")
-            if not 0 <= v < field.order:
-                raise SchemaViolation(
-                    f"{rp}[{j}]: encoding {v} out of range for a field of order {field.order}"
-                )
-            vals.append(v)
-        data.append(vals)
+        _expect(row, list, f"{path}.entries[{i}]", "array")
     try:
-        return LabeledMatrix(field, rows, cols, data)
+        return LabeledMatrix(field, rows, cols, entries)
     except (InvalidArgs, LabelCollision) as exc:
         raise SchemaViolation(f"{path}: {exc}") from None
 
@@ -244,42 +234,27 @@ def matrix_to_json(A: LabeledMatrix) -> dict:
     }
 
 
-def _label_set(obj, path: str, known: frozenset[str]) -> frozenset[str]:
-    labs = _labels_from_json(obj, path)
-    for i, lab in enumerate(labs):
-        if lab not in known:
-            raise SchemaViolation(f"{path}[{i}]: label {lab!r} not in the matrix")
-    return frozenset(labs)
-
-
-def _task_from_json(obj, path: str, field: FieldSpec, matrix: LabeledMatrix) -> Task:
+def _task_from_json(obj, path: str, field: FieldSpec) -> Task:
     """A task block: "kind" names the task class, whose slots are read
-    in order, a `minor` as a matrix block over the instance's field and
-    inside its ground set, any other slot as a set of its labels."""
+    in order, a `minor` as a matrix block over the instance's field,
+    any other slot as an array of labels.  The class refuses an overlap
+    of a relax task's sides, and `InstanceFile` a label outside the
+    matrix."""
     _expect(obj, dict, path, "object")
     kind = _expect(_get(obj, "kind", path), str, f"{path}.kind", "string")
     cls = _TASKS.get(kind)
     if cls is None:
         raise SchemaViolation(f"{path}.kind: unknown kind {kind!r}")
     _check_keys(obj, {"kind", *cls.__slots__}, path)
-    ground = frozenset(matrix.rows) | frozenset(matrix.cols)
     values = []
     for slot in cls.__slots__:
         sp, value = f"{path}.{slot}", _get(obj, slot, path)
-        if slot != "minor":
-            values.append(_label_set(value, sp, ground))
-            continue
-        mm = _matrix_from_json(value, sp, field)
-        off = (frozenset(mm.rows) | frozenset(mm.cols)) - ground
-        if off:
-            raise SchemaViolation(f"{sp}: label {sorted(off)[0]!r} not in the matrix")
-        values.append(ReprMatroid(mm))
-    if cls is RelaxTask and values[0] & values[1]:
-        raise SchemaViolation(
-            f"{path}.delete: label {sorted(values[0] & values[1])[0]!r} "
-            f"also appears in {path}.contract"
-        )
-    return cls(*values)
+        values.append(ReprMatroid(_matrix_from_json(value, sp, field)) if slot == "minor"
+                      else _labels_from_json(value, sp))
+    try:
+        return cls(*values)
+    except InvalidMinorSpec as exc:
+        raise SchemaViolation(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +264,11 @@ def _task_from_json(obj, path: str, field: FieldSpec, matrix: LabeledMatrix) -> 
 def parse_instance(text: str) -> InstanceFile:
     """Parse a JSON instance file.
 
-    Raises MalformedJson when `json.loads` refuses the text, SchemaViolation
-    (with a $.path diagnostic) when the shape is wrong, and InvalidField
-    when the field description does not define a field, or DegreeCap
-    when its tower exceeds the degree cap (both with the $.field path).
+    Raises MalformedJson when `json.loads` refuses the text, and
+    otherwise an error whose message starts with a $.path: SchemaViolation
+    when the shape is wrong or a matrix or task value is refused, and
+    InvalidField when the field block's values do not define a field, or
+    DegreeCap when its tower exceeds the degree cap.
     """
     try:
         obj = json.loads(text)
@@ -306,11 +282,15 @@ def parse_instance(text: str) -> InstanceFile:
     matrix = _matrix_from_json(_get(obj, "matrix", "$"), "$.matrix", field)
     task = None
     if "task" in obj:
-        task = _task_from_json(obj["task"], "$.task", field, matrix)
+        task = _task_from_json(obj["task"], "$.task", field)
     seed = None
     if "seed" in obj:
+        # InstanceFile reads None as no seed, so only the reader refuses null
         seed = _expect(obj["seed"], int, "$.seed", "integer")
-    return InstanceFile(field, matrix, task, seed)
+    try:
+        return InstanceFile(field, matrix, task, seed)
+    except UnknownLabel as exc:
+        raise SchemaViolation(f"$.task: {exc}") from None
 
 
 def serialize_instance(inst: InstanceFile) -> dict:

@@ -60,18 +60,20 @@ def _check_labels(rows: Sequence[str], cols: Sequence[str]) -> None:
         raise LabelCollision(f"labels on both sides: {sorted(clash)}")
 
 
-def _encoding(field: FieldSpec, v: "FieldElem | int") -> int:
-    """The encoding of an entry: a FieldElem of `field`, or an int
-    encoding in range.  A bool is refused, as the instance parser
-    refuses it, so that every matrix round-trips through its JSON."""
+def _encoding(field: FieldSpec, row: str, col: str, v: "FieldElem | int") -> int:
+    """The encoding of the entry at (row, col): a FieldElem of `field`,
+    or an int encoding in range.  A bool is refused, as JSON's true and
+    false are not numbers, so that every matrix round-trips through its
+    JSON.  A refusal names the entry by its labels."""
     if isinstance(v, FieldElem):
         if v.spec != field:
-            raise FieldMismatch(f"entry from {v.spec!r} in {field!r} matrix")
+            raise FieldMismatch(f"entry ({row!r}, {col!r}): an element of {v.spec!r} "
+                                f"in a {field!r} matrix")
         return v.enc
     if isinstance(v, bool) or not isinstance(v, int):
-        raise InvalidArgs(f"entry {v!r} is neither FieldElem nor encoding")
+        raise InvalidArgs(f"entry ({row!r}, {col!r}): {v!r} is neither FieldElem nor encoding")
     if not 0 <= v < field.order:
-        raise InvalidArgs(f"encoding {v} out of range for {field!r}")
+        raise InvalidArgs(f"entry ({row!r}, {col!r}): encoding {v} out of range for {field!r}")
     return v
 
 
@@ -93,8 +95,8 @@ class LabeledMatrix:
         data = []
         for r, entry_row in zip(rows, entries):
             if len(entry_row) != len(cols):
-                raise InvalidArgs(f"row {r!r}: expected {len(cols)} entries")
-            data.append(tuple(_encoding(field, v) for v in entry_row))
+                raise InvalidArgs(f"row {r!r}: expected {len(cols)} entries, got {len(entry_row)}")
+            data.append(tuple(_encoding(field, r, c, v) for c, v in zip(cols, entry_row)))
         self._set(field, rows, cols, tuple(data))
 
     def _set(self, field: FieldSpec, rows: tuple, cols: tuple, data: tuple) -> None:

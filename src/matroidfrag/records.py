@@ -3,16 +3,17 @@
 A partition certificate, an instance file and its task, a pipeline
 stage and a pipeline trace are each a small class that lists its fields
 once, in `__slots__`.  `Record` gives them one constructor, which binds
-positional and then named values to the fields in slot order, equality
-field by field within one class, a `Name(field=value)` repr and copying
-by their constructor; `FrozenRecord` adds a hash field by field and
-refuses assignment once the constructor has set the fields through
+one positional value to each field in slot order, equality field by
+field within one class, a `Name(field=value)` repr and copying by their
+constructor; `FrozenRecord` adds a hash field by field and refuses
+assignment once the constructor has set the fields through
 `object.__setattr__`.  A record defines its own `__init__` only to
 validate, normalise or default a value, and then ends by calling
-`Record.__init__`.  These are the methods `dataclasses` would generate,
-written once: importing `dataclasses` loads `inspect` and builds its
-methods by `exec`, a cost every process of the command line front end
-would pay at start-up.
+`Record.__init__` with the values in slot order; only such an
+`__init__` takes its parameters by name.  These are the methods
+`dataclasses` would generate, written once: importing `dataclasses`
+loads `inspect` and builds its methods by `exec`, a cost every process
+of the command line front end would pay at start-up.
 """
 
 from __future__ import annotations
@@ -27,22 +28,13 @@ class Record:
     __slots__ = ()
     __hash__ = None
 
-    def __init__(self, *values, **named):
-        """Bind `values`, then `named`, to the fields in slot order; a
-        missing, unknown or twice-given field is a TypeError."""
+    def __init__(self, *values):
+        """Bind `values` to the fields in slot order; a wrong count is a
+        TypeError that names the class."""
         names = self.__slots__
-        if named or len(values) != len(names):
-            rest = names[len(values):]
-            if named.keys() != set(rest) or len(values) > len(names):
-                what = type(self).__qualname__
-                for name in named:
-                    if name not in rest:
-                        how = "given twice" if name in names else "unknown"
-                        raise TypeError(f"{what}: field {name!r} {how}")
-                missing = [name for name in rest if name not in named]
-                raise TypeError(f"{what}: missing field {missing[0]!r}" if missing else
-                                f"{what}: {len(values)} values for {len(names)} fields")
-            values += tuple(map(named.__getitem__, rest))
+        if len(values) != len(names):
+            raise TypeError(f"{type(self).__qualname__}: {len(values)} values for "
+                            f"{len(names)} fields")
         set_field = object.__setattr__
         for name, value in zip(names, values):
             set_field(self, name, value)

@@ -32,6 +32,7 @@ from matroidfrag import (
     ToolkitError,
     UnknownLabel,
     XFragileTask,
+    field_from_tower,
     field_of_order,
     gen_random,
     is_N_fragile,
@@ -243,10 +244,14 @@ def documents(draw):
 @settings(max_examples=600, derandomize=True, deadline=None, database=None)
 @given(documents())
 def test_parse_refuses_only_with_toolkit_errors(doc):
+    # a refusal of a parsed document locates what it refuses: its
+    # message starts with the JSON path of a block or a value
     try:
         parse_instance(json.dumps(doc))
-    except ToolkitError:
+    except MalformedJson:
         pass
+    except (SchemaViolation, InvalidField, DegreeCap) as exc:
+        assert str(exc).startswith("$"), exc
 
 
 def test_instance_over_another_field_is_refused():
@@ -265,8 +270,9 @@ def test_instance_over_another_field_is_refused():
 def test_task_records_hold_sets_and_refuse_what_parsing_refuses():
     # a task record holds frozensets, so it hashes and equals its parsed
     # copy; a task label outside the matrix, or a label both contracted
-    # and deleted, is refused by the record as by parse_instance, so
-    # serialize_instance writes only documents that parse back
+    # and deleted, is refused by the record, which is the check
+    # parse_instance reports, so serialize_instance writes only
+    # documents that parse back
     A = LabeledMatrix(GF2, ["a", "b"], ["c"], [[1], [0]])
     N = ReprMatroid(LabeledMatrix(GF2, ["a"], ["c"], [[1]]))
     for task in (XFragileTask(["a", "c", "a"]), RelaxTask(["a"], iter(["b"])),
@@ -289,17 +295,20 @@ def test_schema_paths_in_messages():
         parse_instance("[1]")
     with pytest.raises(SchemaViolation, match=r"\$: missing key 'matrix'"):
         parse_instance('{"field": {"p": 2, "tower": []}}')
-    with pytest.raises(SchemaViolation, match=r"\$\.matrix\.entries\[0\]\[0\]"):
+    with pytest.raises(SchemaViolation, match=r"^\$\.matrix: entry \('a', 'b'\): True is neither"):
         parse_instance(
             '{"field": {"p": 2, "tower": []},'
             ' "matrix": {"rows": ["a"], "cols": ["b"], "entries": [[true]]}}'
         )
     with pytest.raises(SchemaViolation, match=r"\$\.task\.kind"):
         parse_instance(with_task('{"kind": "bogus"}'))
-    with pytest.raises(SchemaViolation, match=r"\$\.task\.x\[0\]"):
+    with pytest.raises(SchemaViolation, match=r"^\$\.task: task x: label 'q' not in the matrix$"):
         parse_instance(with_task('{"kind": "xfragile", "x": ["q"]}'))
     with pytest.raises(SchemaViolation, match=r"\$\.seed"):
         parse_instance(MINIMAL[:-1] + ', "seed": "x"}')
+    # InstanceFile reads a seed of None as no seed, so the reader refuses null
+    with pytest.raises(SchemaViolation, match=r"^\$\.seed: expected integer, got NoneType$"):
+        parse_instance(MINIMAL[:-1] + ', "seed": null}')
     with pytest.raises(SchemaViolation, match=r"unexpected key 'extra'"):
         parse_instance(MINIMAL[:-1] + ', "extra": 1}')
 
@@ -345,15 +354,87 @@ def test_degree_cap_in_a_tower_is_reported_with_its_path():
 
 
 def test_relax_sets_must_be_disjoint():
-    with pytest.raises(SchemaViolation, match="also appears"):
+    with pytest.raises(SchemaViolation, match=r"^\$\.task: contract and delete overlap: \['a'\]$"):
         parse_instance(with_task('{"kind": "relax", "contract": ["a"], "delete": ["a"]}'))
 
 
 def test_minor_labels_must_be_inside_ground():
-    with pytest.raises(SchemaViolation, match=r"\$\.task\.minor"):
+    shown = r"^\$\.task: task minor: label 'q' not in the matrix$"
+    with pytest.raises(SchemaViolation, match=shown):
         parse_instance(with_task(
             '{"kind": "nfragile", "minor": {"rows": ["q"], "cols": [], "entries": [[]]}}'
         ))
+
+
+# One bad document per value rule the constructors own, with the same
+# content handed to the constructor directly: (document edits, the
+# block's JSON path, the constructor call, the part of its message that
+# locates the value).  The reader refuses with the block's path and the
+# constructor's message: SchemaViolation for a matrix or task block, the
+# constructor's InvalidField for the field block.
+AB = LabeledMatrix(GF2, ["a"], ["b"], [[1]])
+
+
+def over(p=2, tower=()):
+    return {"field": {"p": p, "tower": [{"deg": d, "modulus": m} for d, m in tower]}}
+
+
+def matrix(rows, cols, entries):
+    return {"matrix": {"rows": rows, "cols": cols, "entries": entries}}
+
+
+def minor(rows, cols, entries):
+    return {"task": {"kind": "nfragile", "minor": {"rows": rows, "cols": cols, "entries": entries}}}
+
+
+VALUE_RULES = {
+    "entry-out-of-range": (matrix(["a"], ["b"], [[2]]), "$.matrix",
+                           lambda: LabeledMatrix(GF2, ["a"], ["b"], [[2]]), "entry ('a', 'b')"),
+    "entry-not-an-int": (matrix(["a"], ["b"], [[1.5]]), "$.matrix",
+                         lambda: LabeledMatrix(GF2, ["a"], ["b"], [[1.5]]), "entry ('a', 'b')"),
+    "entry-true": (matrix(["a", "c"], ["b"], [[0], [True]]), "$.matrix",
+                   lambda: LabeledMatrix(GF2, ["a", "c"], ["b"], [[0], [True]]),
+                   "entry ('c', 'b')"),
+    "short-row": (matrix(["a", "c"], ["b", "d"], [[1, 0], [1]]), "$.matrix",
+                  lambda: LabeledMatrix(GF2, ["a", "c"], ["b", "d"], [[1, 0], [1]]), "row 'c'"),
+    "extra-row": (matrix(["a"], ["b"], [[1], [0]]), "$.matrix",
+                  lambda: LabeledMatrix(GF2, ["a"], ["b"], [[1], [0]]), "1 entry rows, got 2"),
+    "duplicate-label": (matrix(["a"], ["b", "a"], [[1, 0]]), "$.matrix",
+                        lambda: LabeledMatrix(GF2, ["a"], ["b", "a"], [[1, 0]]), "['a']"),
+    "minor-entry-out-of-range": (minor(["a"], ["b"], [[3]]), "$.task.minor",
+                                 lambda: LabeledMatrix(GF2, ["a"], ["b"], [[3]]),
+                                 "entry ('a', 'b')"),
+    "task-label-outside": ({"task": {"kind": "xfragile", "x": ["a", "q"]}}, "$.task",
+                           lambda: InstanceFile(GF2, AB, XFragileTask(["a", "q"])),
+                           "task x: label 'q'"),
+    "minor-label-outside": (minor(["q"], ["b"], [[0]]), "$.task",
+                            lambda: InstanceFile(GF2, AB, NFragileTask(ReprMatroid(
+                                LabeledMatrix(GF2, ["q"], ["b"], [[0]])))),
+                            "task minor: label 'q'"),
+    "contract-delete-overlap": ({"task": {"kind": "relax", "contract": ["a", "b"],
+                                          "delete": ["b"]}}, "$.task",
+                                lambda: RelaxTask(["a", "b"], ["b"]), "overlap: ['b']"),
+    "p-not-an-int": (over(p="2"), "$.field", lambda: field_from_tower("2", []),
+                     "characteristic '2'"),
+    "deg-not-an-int": (over(tower=[(2.0, [1, 1, 1])]), "$.field",
+                       lambda: field_from_tower(2, [(2.0, [1, 1, 1])]), "tower step 0: degree 2.0"),
+    "coefficient-not-an-int": (over(tower=[(2, [1, 1, 1]), (2, [2, "1", 1])]), "$.field",
+                               lambda: field_from_tower(2, [(2, [1, 1, 1]), (2, [2, "1", 1])]),
+                               "tower step 1: modulus[1] = '1'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALUE_RULES))
+def test_each_value_is_checked_once_by_its_constructor(case):
+    edits, path, build, where = VALUE_RULES[case]
+    doc = {**over(), **matrix(["a"], ["b"], [[1]]), **edits}
+    with pytest.raises(ToolkitError) as direct:
+        build()
+    parsed_type = InvalidField if path == "$.field" else SchemaViolation
+    with pytest.raises(parsed_type) as parsed:
+        parse_instance(json.dumps(doc))
+    assert str(parsed.value) == f"{path}: {direct.value}"
+    assert where in str(direct.value)
 
 
 # -- generation ---------------------------------------------------------------

@@ -128,8 +128,9 @@ def test_integer_labels_become_strings_and_round_trip():
 
 
 def test_bool_entries_are_refused():
-    # a bool is an int, but the instance parser refuses it, so a matrix
-    # holding one would not round-trip: the constructor refuses it too
+    # a bool is an int, but JSON's true and false are not numbers, so a
+    # matrix holding one would not round-trip: the constructor refuses
+    # it, for the instance parser too
     for value in (True, False):
         with pytest.raises(InvalidArgs):
             LabeledMatrix(GF2, ["a"], ["b", "c"], [[value, 0]])
