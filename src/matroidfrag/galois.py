@@ -264,6 +264,10 @@ class FieldSpec:
         return result
 
 
+def _div_enc(spec: FieldSpec, a: int, b: int) -> int:
+    return spec.mul_enc(a, spec.inv_enc(b))
+
+
 class FieldElem:
     """An element of a FieldSpec, identified by its integer encoding."""
 
@@ -275,57 +279,45 @@ class FieldElem:
         self.spec = spec
         self.enc = enc
 
-    def _coerce(self, other) -> "FieldElem | None":
+    def _apply(self, other, op, reflected=False):
+        """`op` on the encodings of self and other, or of other and self
+        when `reflected`: an int or a bool is the image of the integer
+        (`from_int`), an element of another field raises FieldMismatch
+        and any other operand is NotImplemented."""
         if isinstance(other, FieldElem):
             if other.spec != self.spec:
                 raise FieldMismatch(f"{self.spec!r} vs {other.spec!r}")
-            return other
-        if isinstance(other, int):
-            return self.spec.from_int(other)
-        return None
+        elif isinstance(other, int):
+            other = self.spec.from_int(other)
+        else:
+            return NotImplemented
+        a, b = (other.enc, self.enc) if reflected else (self.enc, other.enc)
+        return FieldElem(self.spec, op(self.spec, a, b))
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElem(self.spec, self.spec.add_enc(self.enc, o.enc))
+        return self._apply(other, FieldSpec.add_enc)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElem(self.spec, self.spec.sub_enc(self.enc, o.enc))
+        return self._apply(other, FieldSpec.sub_enc)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElem(self.spec, self.spec.sub_enc(o.enc, self.enc))
+        return self._apply(other, FieldSpec.sub_enc, reflected=True)
 
     def __neg__(self):
         return FieldElem(self.spec, self.spec.neg_enc(self.enc))
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElem(self.spec, self.spec.mul_enc(self.enc, o.enc))
+        return self._apply(other, FieldSpec.mul_enc)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElem(self.spec, self.spec.mul_enc(self.enc, self.spec.inv_enc(o.enc)))
+        return self._apply(other, _div_enc)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElem(self.spec, self.spec.mul_enc(o.enc, self.spec.inv_enc(self.enc)))
+        return self._apply(other, _div_enc, reflected=True)
 
     def __pow__(self, n: int):
         return FieldElem(self.spec, self.spec.pow_enc(self.enc, n))
@@ -455,17 +447,15 @@ def is_irreducible(base: FieldSpec, coeffs: tuple[int, ...]) -> bool:
     mod f come from i repeated Q-th powerings by square-and-multiply,
     and the test stops at the first i whose gcd is not 1, so it costs at
     most n / 2 powerings and gcds: O(n^3 log Q) base-field operations,
-    and a polynomial with a root in GF(Q) is refused after one.
+    and a polynomial with a root in GF(Q) is refused after one.  The
+    loop needs no special case: at n = 1 it runs zero times, and an f
+    divisible by x shares the factor x with x^Q - x at i = 1.
     """
     if _non_encoding(base, coeffs) is not None:
         raise InvalidArgs(f"coefficients {list(coeffs)!r} are not encodings in {base!r}")
     if len(coeffs) < 2 or coeffs[-1] != 1:
         raise InvalidArgs("expected a monic polynomial of degree >= 1")
     n = len(coeffs) - 1
-    if n == 1:
-        return True
-    if coeffs[0] == 0:
-        return False  # divisible by x
     h = [0, 1] + [0] * (n - 2)
     for _ in range(n // 2):
         h = _poly_powmod(base, h, base.order, coeffs)

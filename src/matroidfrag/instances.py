@@ -64,10 +64,10 @@ from .fragility import PARTITION_CAP_DEFAULT, _one_move, is_N_fragile, x_fragile
 from .galois import FieldSpec, field_from_tower, field_of_order
 from .matrices import LabeledMatrix
 from .matroids import MinorSpec, ReprMatroid
-from .records import FrozenRecord
+from .records import Record
 
 
-class XFragileTask(FrozenRecord):
+class XFragileTask(Record):
     kind = "xfragile"
     __slots__ = ("x",)
 
@@ -75,12 +75,12 @@ class XFragileTask(FrozenRecord):
         super().__init__(frozenset(x))
 
 
-class NFragileTask(FrozenRecord):
+class NFragileTask(Record):
     kind = "nfragile"
     __slots__ = ("minor",)
 
 
-class RelaxTask(FrozenRecord):
+class RelaxTask(Record):
     kind = "relax"
     __slots__ = ("contract", "delete")
 
@@ -90,7 +90,7 @@ class RelaxTask(FrozenRecord):
         super().__init__(spec.contract, spec.delete)
 
 
-class PipelineTask(FrozenRecord):
+class PipelineTask(Record):
     kind = "pipeline"
     __slots__ = ("minor",)
 
@@ -118,7 +118,7 @@ def _check_seed(seed) -> None:
         raise InvalidArgs(f"seed has more than {limit} digits")
 
 
-class InstanceFile(FrozenRecord):
+class InstanceFile(Record):
     """An instance as `serialize_instance` writes it: a task's minor is
     over the instance's field, and its labels are the matrix's, so each
     record is one that `parse_instance` reads back."""

@@ -28,7 +28,7 @@ the rows of `keep` for a contraction, its columns for a deletion.
 `fragility.fragile_partitions` passes N's basis, or N's cobasis, so
 that they stay where its root display put them.  Its nodes are these
 steps, so the certificate of every input rests on them.  Duality
-transposes and negates the representing block.
+negates the transposed display (`LabeledMatrix.transpose`).
 
 Two ReprMatroids are `==` when their displays (`rep`) are: the same
 field, labels in the same order and entries.  So a pickled or copied
@@ -58,12 +58,12 @@ from .errors import (
 )
 from .galois import FieldSpec, make_prime_field
 from .matrices import LabeledMatrix, block_rank, rank_table
-from .records import FrozenRecord
+from .records import Record
 
 EQUALS_CAP_DEFAULT = 16
 
 
-class MinorSpec(FrozenRecord):
+class MinorSpec(Record):
     """A partition certificate: contract the first set, delete the second."""
 
     __slots__ = ("contract", "delete")
@@ -126,19 +126,21 @@ def _pivot_inplace(
 
 
 class ReprMatroid:
+    """The matroid of [I | A] for the display `rep` = A: its basis is
+    the row labels (`basis`), its ground set the row and column labels
+    (`ground`), and its rank queries are cached per matroid."""
+
     __slots__ = (
         "rep",
         "ground",
         "_rowset",
-        "_colset",
         "_rank_cache",
     )
 
     def __init__(self, rep: LabeledMatrix):
         self.rep = rep
         self._rowset = frozenset(rep.rows)
-        self._colset = frozenset(rep.cols)
-        self.ground = self._rowset | self._colset
+        self.ground = self._rowset.union(rep.cols)
         self._rank_cache: dict[frozenset[str], int] = {}
 
     @property
@@ -159,7 +161,7 @@ class ReprMatroid:
     def __repr__(self) -> str:
         return (
             f"ReprMatroid(rows={sorted(self._rowset)}, "
-            f"cols={sorted(self._colset)}, field={self.field!r})"
+            f"cols={sorted(self.rep.cols)}, field={self.field!r})"
         )
 
     # -- rank ----------------------------------------------------------------
@@ -318,15 +320,15 @@ class ReprMatroid:
     # -- duality -----------------------------------------------------------------
 
     def dual(self) -> "ReprMatroid":
-        """The dual, displayed by -A^T: the columns of A, read off by
-        `zip`, become rows, negated unless the field has characteristic
-        2, where -x = x; each distinct entry is negated once."""
-        rep = self.rep
-        cols = list(zip(*rep._data)) if rep.rows else [()] * len(rep.cols)
-        if rep.field.p != 2:
-            neg = {x: rep.field.neg_enc(x) for x in set().union(*cols)}.__getitem__
-            cols = [list(map(neg, col)) for col in cols]
-        return ReprMatroid(LabeledMatrix._of_display(rep.field, rep.cols, rep.rows, cols))
+        """The dual, displayed by -A^T: `transpose`, negated unless the
+        field has characteristic 2, where -x = x; each distinct entry is
+        negated once."""
+        T = self.rep.transpose()
+        if T.field.p == 2:
+            return ReprMatroid(T)
+        neg = {x: T.field.neg_enc(x) for x in set().union(*T._data)}.__getitem__
+        return ReprMatroid(LabeledMatrix._of_display(
+            T.field, T.rows, T.cols, [map(neg, row) for row in T._data]))
 
     # -- matroid predicates ---------------------------------------------------------
 
@@ -389,15 +391,13 @@ class ReprMatroid:
 
 def is_relaxation(M1: ReprMatroid, M2: ReprMatroid, H: Iterable[str]) -> bool:
     """True iff M2's bases are exactly M1's bases plus the set H, and H
-    is a circuit-hyperplane of M1."""
+    is a circuit-hyperplane of M1.  A label of H outside the ground set
+    raises UnknownLabel from M1's first rank query."""
     if M1.ground != M2.ground:
         raise GroundSetMismatch(
             f"{sorted(M1.ground)} vs {sorted(M2.ground)}"
         )
     Hf = frozenset(H)
-    unknown = Hf - M1.ground
-    if unknown:
-        raise UnknownLabel(f"labels not in ground set: {sorted(unknown)}")
     if not M1.is_circuit_hyperplane(Hf):
         return False
     return M2.bases() == (M1.bases() | {Hf})

@@ -96,6 +96,24 @@ def test_check_xfragile_true_verdict(tmp_path, capsys):
     assert report["witness"] is None
 
 
+def test_check_xfragile_block_nonzero_witness(tmp_path, capsys):
+    inst = json.loads(ALL_ZERO_XFRAGILE)
+    inst["matrix"]["entries"] = [[1, 0]]
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(inst))
+    code, report = run_main(capsys, ["check-xfragile", "--input", str(path)])
+    assert code == 0
+    assert report["verdict"] is False
+    assert report["witness"] == {"kind": "block_nonzero", "row": "c", "col": "d"}
+
+
+def test_run_refuses_an_unknown_command():
+    report, code = run("nope", None)
+    assert code == 2
+    assert report["error"] == {"type": "ToolkitError", "message": "unknown command 'nope'"}
+    assert list(report) == ["command", "error", "timing_ms"]
+
+
 def test_check_nfragile_lists_partitions(tmp_path, capsys):
     inst = {
         "field": {"p": 2, "tower": []},

@@ -1,6 +1,7 @@
 """Field tower tests with independently derived expected values."""
 
 import os
+import re
 import subprocess
 import sys
 import time
@@ -278,6 +279,89 @@ def test_operator_coercion_and_mismatch():
     assert (a / a).enc == 1
     with pytest.raises(FieldMismatch):
         _ = a + GF3.one
+
+
+OPERATOR_FIELDS = [GF2, GF3, GF4, GF9]
+# ints and bools on either side of an operator are images under Z -> F
+INTS = [-4, -1, 0, 1, 2, 3, 7, True, False]
+
+
+def _quotient(F, a, b):
+    """The encoding of a / b by the `*_enc` methods, or the error type."""
+    try:
+        return F.mul_enc(a, F.inv_enc(b))
+    except DivisionByZero:
+        return DivisionByZero
+
+
+def _outcome(run):
+    """What an operation gives: an element's (spec, enc), or DivisionByZero."""
+    try:
+        x = run()
+    except DivisionByZero:
+        return DivisionByZero
+    return x.spec, x.enc
+
+
+@pytest.mark.parametrize("F", OPERATOR_FIELDS, ids=repr)
+def test_operators_on_two_elements_are_the_enc_methods(F):
+    for x, y in product(range(F.order), repeat=2):
+        a, b = F.elem(x), F.elem(y)
+        want = {"+": F.add_enc(x, y), "-": F.sub_enc(x, y), "*": F.mul_enc(x, y),
+                "/": _quotient(F, x, y)}
+        got = {"+": _outcome(lambda: a + b), "-": _outcome(lambda: a - b),
+               "*": _outcome(lambda: a * b), "/": _outcome(lambda: a / b)}
+        assert got == {op: w if w is DivisionByZero else (F, w) for op, w in want.items()}
+
+
+@pytest.mark.parametrize("F", OPERATOR_FIELDS, ids=repr)
+def test_ints_and_bools_on_either_side_map_through_from_int(F):
+    for x, n in product(range(F.order), INTS):
+        a, m = F.elem(x), n % F.p
+        assert F.from_int(n).enc == m
+        got = [_outcome(run) for run in (
+            lambda: a + n, lambda: n + a, lambda: a - n, lambda: n - a,
+            lambda: a * n, lambda: n * a, lambda: a / n, lambda: n / a)]
+        want = [F.add_enc(x, m), F.add_enc(m, x), F.sub_enc(x, m), F.sub_enc(m, x),
+                F.mul_enc(x, m), F.mul_enc(m, x), _quotient(F, x, m), _quotient(F, m, x)]
+        assert got == [w if w is DivisionByZero else (F, w) for w in want]
+
+
+@pytest.mark.parametrize("F", OPERATOR_FIELDS, ids=repr)
+def test_an_element_of_another_field_is_a_mismatch_on_either_side(F):
+    # the message names the left operand's field first
+    a, other = F.gen if F.steps else F.one, GF5.one
+    for run in (lambda: a + other, lambda: a - other, lambda: a * other, lambda: a / other):
+        with pytest.raises(FieldMismatch, match=rf"^{re.escape(f'{F!r} vs GF(5)')}$"):
+            run()
+    for run in (lambda: other + a, lambda: other - a, lambda: other * a, lambda: other / a):
+        with pytest.raises(FieldMismatch, match=rf"^{re.escape(f'GF(5) vs {F!r}')}$"):
+            run()
+
+
+@pytest.mark.parametrize("F", OPERATOR_FIELDS, ids=repr)
+@pytest.mark.parametrize("other", [1.0, 0.5, "1", None], ids=repr)
+def test_other_operands_are_not_implemented_on_either_side(F, other):
+    a = F.one
+    for run in (lambda: a + other, lambda: other + a, lambda: a - other, lambda: other - a,
+                lambda: a * other, lambda: other * a, lambda: a / other, lambda: other / a):
+        with pytest.raises(TypeError):
+            run()
+    assert a.__add__(other) is NotImplemented and a.__rsub__(other) is NotImplemented
+    assert a.__mul__(other) is NotImplemented and a.__rtruediv__(other) is NotImplemented
+
+
+@pytest.mark.parametrize("F", OPERATOR_FIELDS, ids=repr)
+def test_unary_operators_inverse_truth_hash_and_repr(F):
+    for x in range(F.order):
+        a = F.elem(x)
+        assert _outcome(lambda: -a) == (F, F.neg_enc(x))
+        assert _outcome(lambda: a ** -1) == _outcome(a.inv)
+        assert _outcome(a.inv) == (DivisionByZero if x == 0 else (F, F.inv_enc(x)))
+        assert _outcome(lambda: a ** 3) == (F, F.pow_enc(x, 3))
+        assert bool(a) is (x != 0)
+        assert hash(a) == hash((F, x)) == hash(F.elem(x))
+        assert repr(a) == f"<{x}:{F!r}>"
 
 
 def test_division_by_zero():

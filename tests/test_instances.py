@@ -488,6 +488,33 @@ def test_gen_validates_before_sampling():
         gen_random("nope", seed=0)
 
 
+@pytest.mark.parametrize("kind,args,error,message", [
+    ("xfragile", {"rows": -1}, InvalidArgs, "matrix sizes must be nonnegative"),
+    ("nfragile", {"cols": -1}, InvalidArgs, "matrix sizes must be nonnegative"),
+    ("relax", {"max_attempts": 0}, InvalidArgs, "max_attempts must be positive"),
+    ("nfragile", {"minor_size": 7}, InvalidArgs, "minor_size out of range for the ground set"),
+    ("pipeline", {"minor_size": -1}, InvalidArgs, "minor_size out of range for the ground set"),
+    ("relax", {"rows": 0}, InvalidArgs, "relax instances need at least one row and one column"),
+    ("relax", {"cols": 0}, InvalidArgs, "relax instances need at least one row and one column"),
+    ("xfragile", {"x_rows": 4}, InvalidArgs, "x_rows/x_cols out of range for the matrix shape"),
+    ("xfragile", {"x_cols": -1}, InvalidArgs,
+     "x_rows/x_cols out of range for the matrix shape"),
+    ("xfragile", {"rows": 7, "cols": 7, "x_cols": 0}, CapExceeded,
+     "13 elements outside X exceeds the partition cap 12"),
+])
+def test_gen_refuses_a_shape_before_the_first_draw(monkeypatch, kind, args, error, message):
+    monkeypatch.setattr(instances, "_draw_rows", None)
+    with pytest.raises(error, match=f"^{message}$"):
+        gen_random(kind, seed=0, **args)
+
+
+def test_gen_exhausted_on_an_nfragile_shape():
+    # a one-element minor of a 2 x 2 binary matroid: each of these three
+    # draws has a second realising partition
+    with pytest.raises(Exhausted, match="^no fragile pair in 3 attempts$"):
+        gen_random("nfragile", seed=0, q=2, rows=2, cols=2, minor_size=1, max_attempts=3)
+
+
 NOT_INTS = ["a", True, False, 1.5, 2.0, None]
 
 

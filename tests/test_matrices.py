@@ -77,6 +77,14 @@ def test_rank_invariant_under_label_permutation():
         assert submatrix_rank(A, S) == submatrix_rank(B, S)
 
 
+def test_duplicate_column_label_and_unknown_submatrix_label_are_refused():
+    with pytest.raises(LabelCollision, match=r"^duplicate column label in \('c', 'd', 'c'\)$"):
+        LabeledMatrix(GF2, ["a"], ["c", "d", "c"], [[1, 0, 1]])
+    A = LabeledMatrix(GF3, ["a", "b"], ["x", "y"], [[1, 2], [0, 1]])
+    with pytest.raises(UnknownLabel, match=r"^labels not in matrix: \['q', 'z'\]$"):
+        submatrix_rank(A, ["a", "z", "x", "q"])
+
+
 def test_constructor_validation():
     with pytest.raises(LabelCollision):
         LabeledMatrix(GF2, ["a", "a"], ["c"], [[1], [0]])

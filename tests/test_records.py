@@ -1,10 +1,10 @@
 """The package's value classes: partition certificates, instance files
 and their tasks, pipeline stages and traces.
 
-Each lists its fields in `__slots__`.  A frozen one compares and hashes
-field by field within its class, refuses assignment and shows its
-fields by name; the expected reprs are the ones the same objects had
-as dataclasses.
+Each lists its fields in `__slots__`, compares and hashes field by
+field within its class, refuses assignment and shows its fields by
+name; the expected reprs are the ones the same objects had as
+dataclasses.
 """
 
 import copy
@@ -141,26 +141,31 @@ def test_minor_spec_takes_sets_and_refuses_an_overlap():
         MinorSpec({"a", "c"}, {"a", "b"})
 
 
-def test_stage_and_trace_records_are_mutable_and_unhashable():
+def test_stage_and_trace_records_are_frozen_and_unhashable():
     stage = StageRecord("s", 1, N, {"skipped": True})
     assert StageRecord.__slots__ == ("name", "degree_over_input", "matroid", "details")
     assert repr(stage) == (f"StageRecord(name='s', degree_over_input=1, matroid={SHOWN_N}, "
                            "details={'skipped': True})")
     assert stage == StageRecord("s", 1, N, {"skipped": True})
-    with pytest.raises(TypeError):
-        hash(stage)
     tr = pipeline(ReprMatroid(LabeledMatrix(GF2, ["c"], ["d", "e"], [[0, 1]])),
                   ReprMatroid(LabeledMatrix(GF2, ["c"], ["d"], [[0]])))
     twin = copy.copy(tr)
     assert twin == tr and twin is not tr
-    twin.c_label = "x"
-    assert twin != tr
-    with pytest.raises(TypeError):
+    for rec, name in ((stage, "name"), (twin, "c_label")):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(rec, name, "x")
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(rec, name)
+    assert twin == tr and stage == StageRecord("s", 1, N, {"skipped": True})
+    # a stage holds a dict and a trace a list, so neither hashes
+    with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+        hash(stage)
+    with pytest.raises(TypeError, match="unhashable type: 'list'"):
         hash(tr)
 
 
-# the one constructor, on a frozen record and on a mutable one whose
-# classes define no `__init__` of their own
+# the one constructor, on a task and on a trace, whose classes define
+# no `__init__` of their own
 TRACE_FIELDS = ReductionTrace.__slots__
 TRACE_VALUES = tuple(frozenset({name}) for name in TRACE_FIELDS)
 

@@ -625,6 +625,24 @@ def test_pipeline_conformance_uniform_tower():
     assert tr.relaxation.ground == {tr.c_label, tr.d_label, "e"}
 
 
+def test_pipeline_counts_past_taken_fresh_labels():
+    # d and d1 are both in the ground set, so the collapsed loop side is d2
+    M = ReprMatroid(LabeledMatrix(GF2, ["c"], ["d", "d1"], [[0, 1]]))
+    tr = pipeline(M, isolated({"c"}, {"c", "d"}), conformance=True)
+    assert (tr.c_label, tr.d_label, tr.hyperplane) == ("c1", "d2", frozenset({"d2"}))
+    assert reductions._fresh_label("d", {"d", "d1", "d3"}) == "d2"
+
+
+def test_common_minor_check_refuses_other_labels():
+    # A on (C, D) = ({b}, {y}) against displays with other label sets
+    A = LabeledMatrix(GF2, ["a", "b"], ["x", "y"], [[1, 0], [1, 1]])
+    X1, X2 = frozenset({"a"}), frozenset({"x"})
+    A1 = LabeledMatrix(GF2, ["b", "c"], ["y", "d"], [[1, 0], [0, 1]])
+    assert reductions._keeps_minor(A, X1, X2, A1, {"c"}, {"d"})
+    assert not reductions._keeps_minor(A, X1, X2, A1, {"e"}, {"d"})
+    assert not reductions._keeps_minor(A, X1, X2, A1, {"c"}, {"d", "f"})
+
+
 def test_pipeline_seeded_split_sides():
     gi = gen_random("pipeline", seed=2, q=2, rows=3, cols=3, minor_size=3)
     M = ReprMatroid(gi.instance.matrix)

@@ -38,7 +38,7 @@ TREES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SR
 MODULES = sorted(name for name in TREES if name != "__init__.py")
 REFERENCE = ROOT / "tests" / "reference.py"
 # (module, qualified function, parameter) read by no body on purpose
-PROTOCOL_PARAMETERS = {("records.py", "FrozenRecord.__setattr__", "value")}
+PROTOCOL_PARAMETERS = {("records.py", "Record.__setattr__", "value")}
 
 
 def _references(tree):
@@ -150,17 +150,17 @@ def test_every_parameter_is_read(module):
 
 def _record_classes():
     """(module, class node) for each class of src/ that derives, directly
-    or through another class of src/, from Record or FrozenRecord."""
+    or through another class of src/, from Record."""
     classes = [(module, node) for module, tree in TREES.items()
                for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
-    records, grew = {"Record", "FrozenRecord"}, True
+    records, grew = {"Record"}, True
     while grew:
         found = {node.name for _, node in classes
                  if any(isinstance(b, ast.Name) and b.id in records for b in node.bases)}
         grew = not found <= records
         records |= found
     return [(module, node) for module, node in classes
-            if node.name in records - {"Record", "FrozenRecord"}]
+            if node.name in records - {"Record"}]
 
 
 def _only_stores_parameters(init):

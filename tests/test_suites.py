@@ -1,7 +1,6 @@
 """Suite runner plumbing.  The suites themselves run at full size in
 test_acceptance.py; here only the report shape and the dispatch."""
 
-import copy
 import hashlib
 import json
 
@@ -12,6 +11,7 @@ from matroidfrag import (
     InvalidArgs,
     LabeledMatrix,
     NotFragile,
+    ReductionTrace,
     ReprMatroid,
     display_basis,
     fragility,
@@ -89,9 +89,10 @@ def test_minors_agree_requires_one_ground_set():
 def _swapped(pipeline):
     # a pipeline whose trace names c and d the wrong way round
     def run(M, N, **kwargs):
-        tr = copy.copy(pipeline(M, N, **kwargs))
-        tr.c_label, tr.d_label = tr.d_label, tr.c_label
-        return tr
+        tr = pipeline(M, N, **kwargs)
+        fields = {name: getattr(tr, name) for name in ReductionTrace.__slots__}
+        fields["c_label"], fields["d_label"] = tr.d_label, tr.c_label
+        return ReductionTrace(*fields.values())
     return run
 
 
