@@ -11,8 +11,18 @@ method of the package and reads no private attribute, so a fault in a
 fast path cannot hide in its reference; the references that drive the
 package's internals on purpose stay beside their tests.  The field
 constants are the ones the test files share.
+
+`SCOPES` names the small scopes each fast-path differential runs on, in
+full: a `Scope` is every matrix of one shape over one field, with an X
+block zeroed or left free (`scope_matrices`), every side of each label,
+contracted, deleted or kept (`scope_cases`), and the minors N made from
+each cut minor (`minor_variants`).  A test checks every case of its
+scopes and pins the exact count of each class of case it reaches, so
+no case is sampled and no draw depends on a seed (Jackson's small-scope
+hypothesis, *Software Abstractions*, 2006).
 """
 
+from collections import namedtuple
 from itertools import combinations, product
 from random import Random
 
@@ -39,6 +49,11 @@ def with_entry(A, r, c, x, field=None):
     return LabeledMatrix(field or A.field, A.rows, A.cols,
                          [[x if (e, f) == (r, c) else A.enc(e, f) for f in A.cols]
                           for e in A.rows])
+
+
+def entries(A):
+    """A's encodings, row by row: how a failing case shows its matrices."""
+    return [[A.enc(r, c) for c in A.cols] for r in A.rows]
 
 
 # -- fields -------------------------------------------------------------------
@@ -334,8 +349,151 @@ def unzeroed_ladder_draw(n, q):
     on X, which (rows - X, cols - X) realises."""
     M, _ = ladder_draw(n, q)
     A, h, rng = M.rep, n // 2, Random(0)
-    data = [[A.enc(r, c) for c in A.cols] for r in A.rows]
+    data = entries(A)
     for row in data[:h]:
         row[:h] = [1 + rng.randrange(q - 1) if rng.random() < 0.5 else 0 for _ in range(h)]
     return (ReprMatroid(LabeledMatrix(A.field, A.rows, A.cols, data)),
             ReprMatroid(LabeledMatrix(A.field, A.rows[:h], A.cols[:h], [r[:h] for r in data[:h]])))
+
+
+# -- small scopes: every case up to a size --------------------------------------
+
+
+class Scope(namedtuple("Scope", "field rows cols x_rows x_cols zeroed hows",
+                       defaults=(0, 0, True, ()))):
+    """Every matrix over `field` with `rows` rows r0, r1, ... and `cols`
+    columns c0, c1, ...; X is the first x_rows row labels and the first
+    x_cols column labels, and its block is zero in every matrix when
+    `zeroed`, else free like every other entry.  `hows` names the minors
+    N that `minor_variants` makes from each cut minor of the scope."""
+
+    __slots__ = ()
+
+
+def scope_matrices(scope):
+    """Every matrix of the scope, its free entries in lexicographic
+    order: q^(mn - x_rows x_cols) of them when the X block is zeroed,
+    else q^(mn)."""
+    field, m, n, xr, xc, zeroed, _ = scope
+    rows, cols = [f"r{i}" for i in range(m)], [f"c{j}" for j in range(n)]
+    free = [(i, j) for i in range(m) for j in range(n) if not (zeroed and i < xr and j < xc)]
+    for values in product(range(field.order), repeat=len(free)):
+        data = [[0] * n for _ in rows]
+        for (i, j), x in zip(free, values):
+            data[i][j] = x
+        yield LabeledMatrix(field, rows, cols, data)
+
+
+def scope_x(scope):
+    """The scope's X as its row side and its column side."""
+    return (frozenset(f"r{i}" for i in range(scope.x_rows)),
+            frozenset(f"c{j}" for j in range(scope.x_cols)))
+
+
+def scope_cases(scope):
+    """(M, part) for every matrix of the scope and every side of each of
+    its labels, C contracted, D deleted or N kept: 3^(m + n) partitions
+    per matrix."""
+    for A in scope_matrices(scope):
+        M, labels = ReprMatroid(A), A.rows + A.cols
+        for sides in product("CDN", repeat=len(labels)):
+            yield M, MinorSpec([e for e, s in zip(labels, sides) if s == "C"],
+                               [e for e, s in zip(labels, sides) if s == "D"])
+
+
+def minor_variants(M, part, hows):
+    """(how, N) for each N that each of `hows` makes from the cut minor
+    N0 = M/C\\D, in this order:
+    - "cut": N0;
+    - "isolated" and "isolated GF(2)": isolated(B, E(N0)) over M's
+      field and over GF(2), with B the first i labels of E(N0) in label
+      order, for i = 0, ..., |E(N0)|;
+    - "flipped": N0's display with one entry's zero pattern flipped (a
+      nonzero entry set to 0, a zero one to 1), for every entry;
+    - "scaled": N0's display with one nonzero row or column times 2, for
+      every such line: the same matroid, another display;
+    - "rebased": N0 re-displayed on each of its bases, in label order;
+    - "gf4": N0's display lifted to GF(4) as it is, then with each of its
+      nonzero entries set to 2, a root of x^2 + x + 1, in turn."""
+    N0 = M.minor(part.contract, part.delete)
+    A, field, labels = N0.rep, M.field, sorted(N0.ground)
+    data = entries(A)
+    cells = [(i, j) for i in range(len(A.rows)) for j in range(len(A.cols))]
+
+    def display(over, edits):
+        edited = [row[:] for row in data]
+        for i, j, x in edits:
+            edited[i][j] = x
+        return ReprMatroid(LabeledMatrix(over, A.rows, A.cols, edited))
+
+    for how in hows:
+        if how == "cut":
+            yield how, N0
+        elif how.startswith("isolated"):
+            for i in range(len(labels) + 1):
+                yield how, isolated(labels[:i], labels, field if how == "isolated" else GF2)
+        elif how == "flipped":
+            for i, j in cells:
+                yield how, display(field, [(i, j, 0 if data[i][j] else 1)])
+        elif how == "scaled":
+            lines = [[(i, j) for j in range(len(A.cols))] for i in range(len(A.rows))]
+            lines += [[(i, j) for i in range(len(A.rows))] for j in range(len(A.cols))]
+            for line in lines:
+                if any(data[i][j] for i, j in line):
+                    yield how, display(field, [(i, j, field.mul_enc(2, data[i][j]))
+                                               for i, j in line])
+        elif how == "rebased":
+            for B in sorted(map(sorted, N0.bases())):
+                yield how, N0.rebase(B)
+        else:
+            yield how, display(GF4, [])
+            for i, j in cells:
+                if data[i][j]:
+                    yield how, display(GF4, [(i, j, 2)])
+
+
+# Each fast-path differential runs on every case of its scopes, chosen
+# against the tier-1 time budget; each test pins the exact count of
+# every class of case it reaches.
+SCOPES = {
+    # fragile_partitions against the table search
+    "search": (Scope(GF2, 2, 2, hows=("cut", "isolated", "flipped")),)
+    + tuple(Scope(F, m, n, hows=("cut", "isolated", "isolated GF(2)", "flipped"))
+            for F, m, n in ((GF3, 2, 1), (GF4, 1, 2), (GF5, 1, 2), (GF3, 0, 2), (GF3, 2, 0))),
+    # the leaf's zero-pattern rule against the table search
+    "pattern": tuple(Scope(F, m, n, hows=("cut", "scaled", "flipped"))
+                     for F, m, n in ((GF3, 2, 2), (GF4, 1, 2), (GF5, 1, 2))),
+    # the packed GF(2) search against the generic steps; 2 x 2 misses a
+    # contraction that pivots onto a row of N's basis, which 3 x 2 with
+    # a zero first row (a coloop) catches
+    "packed": (Scope(GF2, 2, 2, hows=("cut", "rebased", "flipped", "isolated", "gf4")),
+               Scope(GF2, 3, 2, 1, 2, hows=("cut",))),
+    # x_fragile_failure against the tables of the pivoted minors, on
+    # every X of every matrix
+    "x_fragile": (Scope(GF2, 2, 3), Scope(GF3, 2, 2), Scope(GF4, 2, 2), Scope(GF5, 1, 3),
+                  Scope(GF9, 1, 2), Scope(GF2, 0, 2), Scope(GF2, 2, 0)),
+    # the one-move witness against the full search
+    "one_move": (Scope(GF2, 2, 2), Scope(GF3, 2, 2), Scope(GF4, 1, 2)),
+    # the one-move witness against rank queries; the sift and its callers
+    "witness": (Scope(GF2, 2, 2), Scope(GF3, 2, 2), Scope(GF4, 1, 2), Scope(GF5, 1, 2),
+                Scope(GF8, 1, 2), Scope(GF9, 1, 2), Scope(GF2, 0, 2), Scope(GF3, 2, 0)),
+    # rank_table(..., contract=C) against the table of the minor M/C
+    "contract": (Scope(GF2, 2, 2), Scope(GF3, 2, 2), Scope(GF4, 1, 2), Scope(GF5, 1, 2),
+                 Scope(GF9, 1, 2)),
+    # rebase by its own pivots against rank queries, on every subset
+    "rebase": (Scope(GF2, 2, 3), Scope(GF3, 2, 2), Scope(GF4, 2, 2), Scope(GF5, 1, 3)),
+    # the collapse lemma, on every display with a zero X block, either
+    # side of X empty or not over GF(2) and GF(3)
+    "collapse": tuple(Scope(F, 2, 2, xr, xc) for F in (GF2, GF3)
+                      for xr in range(3) for xc in range(3))
+    + (Scope(GF4, 2, 2, 1, 1), Scope(GF5, 2, 2, 1, 1), Scope(GF2, 3, 3, 1, 1),
+       Scope(GF3, 2, 3, 1, 2), Scope(GF4, 2, 3, 1, 2)),
+    # the zeroing lemma, on every display of the minor on X, either side
+    # of X empty or not over GF(2) and GF(3)
+    "zeroing": tuple(Scope(F, 2, 2, xr, xc, False) for F in (GF2, GF3)
+                     for xr in range(3) for xc in range(3))
+    + (Scope(GF4, 2, 2, 1, 1, False), Scope(GF5, 2, 2, 1, 1, False),
+       Scope(GF2, 2, 3, 1, 2, False), Scope(GF3, 2, 3, 1, 1, False)),
+    # pipeline on every X-fragile matrix, N = isolated(X & rows, X)
+    "pipeline": (Scope(GF2, 3, 3, 1, 1), Scope(GF2, 3, 4, 2, 2), Scope(GF3, 3, 3, 1, 1)),
+}

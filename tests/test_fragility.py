@@ -8,11 +8,11 @@ disjoint nonempty Y).
 
 import time
 from collections import Counter
+from functools import cache
 from itertools import combinations
 from random import Random
 
 import pytest
-from hypothesis import example, given, seed, settings, strategies as st
 
 from matroidfrag import fragility, matrices, matroids
 from matroidfrag.subsets import first_by_size
@@ -31,12 +31,14 @@ from matroidfrag import (
     isolated,
     one_move_partition,
     partitions_of,
+    subsets_by_size,
     x_fragile_failure,
 )
 from reference import (
-    GF2, GF3, GF4, GF5, GF8, GF9, GF16_OVER_GF4, display_basis_sweep, element_vector,
-    fragile_partitions_loop, ladder_draw, one_move_neighbours, partition_basis_scan,
-    random_matrix, textbook_rank, unzeroed_ladder_draw, with_entry, x_fragile_failure_loop,
+    GF2, GF3, GF4, GF5, GF8, GF9, GF16_OVER_GF4, SCOPES, display_basis_sweep, element_vector,
+    entries, fragile_partitions_loop, ladder_draw, minor_variants, one_move_neighbours,
+    partition_basis_scan, random_matrix, scope_cases, scope_matrices, scope_x, textbook_rank,
+    unzeroed_ladder_draw, with_entry, x_fragile_failure_loop,
 )
 
 
@@ -378,63 +380,42 @@ def test_fragile_partitions_match_the_loop():
 SEARCH_FIELDS = (GF2, GF3, GF4, GF5)
 
 
-@st.composite
-def minor_pairs(draw):
-    """A matrix of at most 4 x 5 over GF(2), GF(3), GF(4) or GF(5), a side
-    for each label ("C" to contract, "D" to delete, "N" to keep, drawn
-    twice as often), how N is made from the cut minor (kept, an isolated
-    matroid on its labels, or its display with one entry changed) and a
-    number that picks the coloops or the entry."""
-    F = draw(st.sampled_from(range(len(SEARCH_FIELDS))))
-    m = draw(st.integers(0, 4))
-    n = draw(st.integers(0, 5))
-    entries = st.integers(0, SEARCH_FIELDS[F].order - 1)
-    data = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
-                         min_size=m, max_size=m))
-    sides = draw(st.lists(st.sampled_from("CDNN"), min_size=m + n, max_size=m + n))
-    how = draw(st.sampled_from(("cut", "isolated", "changed")))
-    return F, data, n, sides, how, draw(st.integers(0, 511))
-
-
-def build_minor_pair(F, data, n, sides, how, pick):
-    field = SEARCH_FIELDS[F]
-    rows = [f"r{i}" for i in range(len(data))]
-    cols = [f"c{j}" for j in range(n)]
-    M = ReprMatroid(LabeledMatrix(field, rows, cols, data))
-    side = dict(zip(rows + cols, sides))
-    N = M.minor({e for e in side if side[e] == "C"}, {e for e in side if side[e] == "D"})
-    labels = sorted(N.ground)
-    if how == "isolated":
-        N = isolated({e for i, e in enumerate(labels) if pick >> i & 1}, labels, field)
-    elif how == "changed" and N.rep.rows and N.rep.cols:
-        A = N.rep
-        r = A.rows[pick % len(A.rows)]
-        c = A.cols[pick // len(A.rows) % len(A.cols)]
-        N = ReprMatroid(with_entry(A, r, c, field.add_enc(A.enc(r, c), 1)))
-    return M, N
+def test_every_scope_holds_its_closed_form_count():
+    # q^(mn - x_rows x_cols) distinct matrices with a zero X block, or
+    # q^(mn) with a free one, and 3^(m + n) distinct partitions of each
+    # where a test reads partitions: an enumerator that drops or repeats
+    # a case, or a scope edited smaller, fails here
+    partitioned = {"search", "pattern", "packed", "one_move", "witness", "contract"}
+    for key, scopes in SCOPES.items():
+        for scope in scopes:
+            q, m, n = scope.field.order, scope.rows, scope.cols
+            X1, X2 = scope_x(scope)
+            size = q ** (m * n - scope.x_rows * scope.x_cols * scope.zeroed)
+            mats = list(scope_matrices(scope))
+            assert len(set(mats)) == len(mats) == size, scope
+            if scope.zeroed:
+                assert not any(A.enc(r, c) for A in mats for r in X1 for c in X2), scope
+            if key in partitioned:
+                cases = [(M.rep, part) for M, part in scope_cases(scope)]
+                assert len(set(cases)) == len(cases) == size * 3 ** (m + n), scope
 
 
 def test_pruned_search_matches_the_table_search():
     # the pruned pivot search against the 2^|E(M)| table search it
-    # replaced, partition set for partition set, with none, one and
-    # several realising partitions over each field
-    seen = Counter()
-
-    @seed(0)
-    @settings(max_examples=600, derandomize=True, deadline=None, database=None)
-    @given(minor_pairs())
-    @example((0, [], 0, [], "cut", 0))
-    @example((3, [[0, 1], [0, 0]], 2, list("NDNC"), "isolated", 1))
-    def check(case):
-        M, N = build_minor_pair(*case)
-        got = fragile_partitions(M, N)
-        assert got == fragile_partitions_table(M, N)
-        seen[SEARCH_FIELDS[case[0]].order, min(len(got), 2)] += 1
-
-    check()
-    for q in (2, 3, 4, 5):
-        for count in (0, 1, 2):
-            assert seen[q, count] >= 10, seen
+    # replaced, partition set for partition set, on every case of its
+    # scopes: none, one and several realising partitions over each field,
+    # and N over GF(2) with M over another field
+    reference, seen = cache(fragile_partitions_table), Counter()
+    for scope in SCOPES["search"]:
+        for M, part in scope_cases(scope):
+            for how, N in minor_variants(M, part, scope.hows):
+                got = fragile_partitions(M, N)
+                assert got == reference(M, N), (entries(M.rep), part, how, entries(N.rep))
+                seen[scope.field.order, min(len(got), 2)] += 1
+    assert seen == {
+        (2, 0): 1884, (2, 1): 652, (2, 2): 2346, (3, 0): 434, (3, 1): 251, (3, 2): 658, (4, 0): 691,
+        (4, 1): 505, (4, 2): 1051, (5, 0): 1046, (5, 1): 857, (5, 2): 1606,
+    }
 
 
 def test_leaf_displaying_n_over_another_field_is_decided_by_tables():
@@ -465,64 +446,23 @@ def test_gf2_leaf_on_the_minors_basis_is_decided_by_its_display(monkeypatch):
     assert len(tables) == 2
 
 
-@st.composite
-def pattern_pairs(draw):
-    """A matrix of at most 4 x 5 over GF(3), GF(4) or GF(5), a side for
-    each label as in `minor_pairs`, how N's display is made from the cut
-    minor's (kept, a row or column scaled by a nonzero factor, which
-    keeps the matroid, or one entry's zero pattern flipped, which does
-    not) and a number that picks the line, the entry and the factor."""
-    F = draw(st.sampled_from(range(1, len(SEARCH_FIELDS))))
-    m = draw(st.integers(1, 4))
-    n = draw(st.integers(1, 5))
-    entries = st.integers(0, SEARCH_FIELDS[F].order - 1)
-    data = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
-                         min_size=m, max_size=m))
-    sides = draw(st.lists(st.sampled_from("CDNN"), min_size=m + n, max_size=m + n))
-    how = draw(st.sampled_from(("cut", "scaled", "flipped")))
-    return F, data, n, sides, how, draw(st.integers(0, 4095))
-
-
-def build_pattern_pair(F, data, n, sides, how, pick):
-    M, N = build_minor_pair(F, data, n, sides, "cut", 0)
-    A = N.rep
-    if how == "cut" or not (A.rows and A.cols):
-        return M, N
-    field = A.field
-    r = A.rows[pick % len(A.rows)]
-    c = A.cols[pick // len(A.rows) % len(A.cols)]
-    if how == "flipped":
-        return M, ReprMatroid(with_entry(A, r, c, 0 if A.enc(r, c) else 1 + pick % (field.order - 1)))
-    # scale row r, or column c, by a nonzero factor other than 1
-    factor = 2 + pick // 64 % (field.order - 2)
-    line = [(r, f) for f in A.cols] if pick // 32 % 2 else [(e, c) for e in A.rows]
-    for e, f in line:
-        A = with_entry(A, e, f, field.mul_enc(factor, A.enc(e, f)))
-    return M, ReprMatroid(A)
-
-
 def test_leaf_zero_pattern_rule_matches_the_table_search():
     # a leaf on N's rows with another zero pattern is rejected with no
     # table over every field; one with N's pattern and other entries
     # (a scaled line) goes to its table, so it is still found
-    seen = Counter()
-
-    @seed(0)
-    @settings(max_examples=600, derandomize=True, deadline=None, database=None)
-    @given(pattern_pairs())
-    @example((1, [[1, 2], [0, 1]], 2, list("NNNN"), "scaled", 0))
-    @example((3, [[1, 4], [3, 0]], 2, list("NNNN"), "flipped", 1))
-    def check(case):
-        M, N = build_pattern_pair(*case)
-        got = fragile_partitions(M, N)
-        assert got == fragile_partitions_table(M, N)
-        seen[SEARCH_FIELDS[case[0]].order, case[4], min(len(got), 2)] += 1
-
-    check()
-    for q in (3, 4, 5):
-        for how in ("cut", "scaled"):
-            assert seen[q, how, 1] + seen[q, how, 2] >= 10, seen
-        assert seen[q, "flipped", 0] >= 10, seen
+    reference, seen = cache(fragile_partitions_table), Counter()
+    for scope in SCOPES["pattern"]:
+        for M, part in scope_cases(scope):
+            for how, N in minor_variants(M, part, scope.hows):
+                got = fragile_partitions(M, N)
+                assert got == reference(M, N), (entries(M.rep), part, how, entries(N.rep))
+                seen[scope.field.order, how, min(len(got), 2)] += 1
+    assert seen == {
+        (3, "cut", 1): 1649, (3, "cut", 2): 4912, (3, "flipped", 0): 2548, (3, "flipped", 1): 240,
+        (3, "scaled", 1): 1824, (3, "scaled", 2): 1216, (4, "cut", 1): 121, (4, "cut", 2): 311,
+        (4, "flipped", 0): 87, (4, "scaled", 1): 93, (4, "scaled", 2): 24, (5, "cut", 1): 201,
+        (5, "cut", 2): 474, (5, "flipped", 0): 134, (5, "scaled", 1): 160, (5, "scaled", 2): 32,
+    }
 
 
 def test_leaf_off_the_minors_zero_pattern_builds_no_table(monkeypatch):
@@ -678,82 +618,33 @@ def test_unzeroed_ladder_has_one_realising_partition(q):
         assert fragile_partitions(M, N) == {MinorSpec(M.rep.rows[h:], M.rep.cols[h:])}, n
 
 
-GF2_HOWS = ("cut", "rebased", "flipped", "isolated", "gf4")
-
-
-@st.composite
-def gf2_pairs(draw):
-    """A GF(2) matrix of at most 5 x 5, a side for each label as in
-    `minor_pairs`, how N is made from the cut minor (kept, re-displayed
-    on another of its bases, one entry flipped, an isolated matroid on
-    its labels, or lifted to GF(4) with one nonzero entry possibly moved
-    off GF(2)) and a number that picks the basis, the coloops or the
-    entry."""
-    m = draw(st.integers(0, 5))
-    n = draw(st.integers(0, 5))
-    data = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
-                         min_size=m, max_size=m))
-    sides = draw(st.lists(st.sampled_from("CDNN"), min_size=m + n, max_size=m + n))
-    return data, n, sides, draw(st.sampled_from(GF2_HOWS)), draw(st.integers(0, 4095))
-
-
-def build_gf2_pair(data, n, sides, how, pick):
-    M, N = build_minor_pair(0, data, n, sides, "cut", 0)
-    A = N.rep
-    if how == "isolated":
-        # no coloop, every label a coloop, or the coloops pick's bits name
-        labels = sorted(N.ground)
-        named = {e for i, e in enumerate(labels) if pick >> i + 2 & 1}
-        return M, isolated((set(), labels, named)[pick % 3], labels, GF2)
-    if how == "rebased":
-        bases = sorted(map(sorted, N.bases()))
-        return M, N.rebase(bases[pick % len(bases)])
-    if how == "gf4":
-        A = LabeledMatrix(GF4, A.rows, A.cols, A._data)
-    if how in ("flipped", "gf4") and A.rows and A.cols:
-        r = A.rows[pick % len(A.rows)]
-        c = A.cols[pick // len(A.rows) % len(A.cols)]
-        x = A.enc(r, c)
-        A = with_entry(A, r, c, 1 - x if how == "flipped" else x * (1 + pick // 64 % 3))
-    return M, ReprMatroid(A)
-
-
 def test_packed_search_matches_the_generic_steps():
     # the packed GF(2) search, with its span tests, against the generic
     # steps it replaced over GF(2), partition set for partition set; N
     # lifted to GF(4) takes the generic steps, so those cases check the
-    # generic steps against themselves
-    seen = Counter()
-
-    @seed(0)
-    @settings(max_examples=800, derandomize=True, deadline=None, database=None)
-    @given(gf2_pairs())
-    @example(([[1, 1], [0, 1]], 2, list("CNNN"), "cut", 0))
-    @example(([[1, 0], [1, 1]], 2, list("NDNN"), "gf4", 65))
-    # N = [[x, 1], [1, 1]] over GF(4) is U(2, 4), with M's zero pattern
-    @example(([[1, 1], [1, 1]], 2, list("NNNN"), "gf4", 64))
-    def check(case):
-        M, N = build_gf2_pair(*case)
-        got = fragile_partitions(M, N)
-        assert got == fragile_partitions_generic(M, N), case
-        count = min(len(got), 2)
-        seen[count] += 1
-        seen[case[3], count > 0] += 1
-        seen["empty BN", count > 0] += not N.basis
-        seen["empty coN", count > 0] += not N.ground - N.basis
-
-    check()
+    # generic steps against themselves; every way of making N realised
+    # or not, and an empty BN or coN both ways
+    reference, seen = cache(fragile_partitions_generic), Counter()
+    for scope in SCOPES["packed"]:
+        for M, part in scope_cases(scope):
+            for how, N in minor_variants(M, part, scope.hows):
+                got = fragile_partitions(M, N)
+                assert got == reference(M, N), (entries(M.rep), part, how, entries(N.rep))
+                count = min(len(got), 2)
+                seen[how, count] += 1
+                seen["empty BN", count] += not N.basis
+                seen["empty coN", count] += not N.ground - N.basis
+    assert seen == {
+        ("cut", 1): 492, ("cut", 2): 4692, ("empty BN", 0): 376, ("empty BN", 1): 273,
+        ("empty BN", 2): 3562, ("empty coN", 0): 376, ("empty coN", 1): 312, ("empty coN", 2): 4106,
+        ("flipped", 0): 532, ("flipped", 1): 30, ("gf4", 0): 4, ("gf4", 1): 382, ("gf4", 2): 1168,
+        ("isolated", 0): 1352, ("isolated", 1): 376, ("isolated", 2): 1296, ("rebased", 1): 392,
+        ("rebased", 2): 1168,
+    }
     for n in range(10, 17, 2):
         M, N = ladder_draw(n, 2)
         got = fragile_partitions(M, N, cap=40)
         assert got == fragile_partitions_generic(M, N) and len(got) == 1
-    # none, one and several partitions; every way of making N realised,
-    # and the flipped and isolated ones also not; an empty BN or coN
-    # both ways
-    for key in (0, 1, 2, *((how, True) for how in GF2_HOWS), ("flipped", False),
-                ("isolated", False), *((side, b) for side in ("empty BN", "empty coN")
-                                       for b in (False, True))):
-        assert seen[key] >= 10, seen
 
 
 def test_search_matches_the_table_search_on_rebased_minors():
@@ -829,51 +720,25 @@ def test_x_fragile_failure_matches_the_loop():
     assert min(seen.values()) >= 10, seen
 
 
-XFRAGILE_FIELDS = (GF2, GF3, GF4, GF5, GF9)
-
-
-@st.composite
-def x_sets(draw):
-    """A matrix of at most 4 x 5 over one of XFRAGILE_FIELDS, sparse or
-    dense, a set X of its labels, and whether the X block is zeroed (in
-    three draws of four)."""
-    F = draw(st.sampled_from(range(len(XFRAGILE_FIELDS))))
-    m = draw(st.integers(0, 4))
-    n = draw(st.integers(0, 5))
-    order = XFRAGILE_FIELDS[F].order
-    entries = st.integers(0, order - 1) | st.just(0)
-    data = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
-                         min_size=m, max_size=m))
-    in_x = draw(st.lists(st.booleans(), min_size=m + n, max_size=m + n))
-    return F, data, in_x, draw(st.sampled_from((True, True, True, False)))
-
-
 def test_x_fragile_failure_matches_the_minors_reference():
     # the tables read off the display by elimination against the tables
     # of the two pivoted minors they replaced: the same verdicts,
-    # witnesses included, with each kind of verdict drawn
+    # witnesses included, on every X of every matrix of the scopes, so
+    # with the X block zero or not
     seen = Counter()
-
-    @seed(0)
-    @settings(max_examples=600, derandomize=True, deadline=None, database=None)
-    @given(x_sets())
-    @example((0, [], [], True))
-    @example((1, [[1, 0], [0, 0]], [True, False, False, True], True))
-    def check(case):
-        F, data, in_x, zeroed = case
-        rows = [f"r{i}" for i in range(len(data))]
-        cols = [f"c{j}" for j in range(len(in_x) - len(data))]
-        X = {e for e, x in zip(rows + cols, in_x) if x}
-        if zeroed:
-            data = [[0 if r in X and c in X else v for c, v in zip(cols, row)]
-                    for r, row in zip(rows, data)]
-        A = LabeledMatrix(XFRAGILE_FIELDS[F], rows, cols, data)
-        got = x_fragile_failure(A, X)
-        assert got == x_fragile_failure_minors(A, X)
-        seen[got and got[0]] += 1
-
-    check()
-    assert min(seen[kind] for kind in (None, "block_nonzero", "rank_not_increased")) >= 10, seen
+    for scope in SCOPES["x_fragile"]:
+        for A in scope_matrices(scope):
+            for X in subsets_by_size(A.labels()):
+                got = x_fragile_failure(A, X)
+                assert got == x_fragile_failure_minors(A, X), (entries(A), sorted(X))
+                seen[scope.field.order, got and got[0]] += 1
+    assert seen == {
+        (2, "block_nonzero"): 979, (2, "rank_not_increased"): 888, (2, None): 189,
+        (3, "block_nonzero"): 584, (3, "rank_not_increased"): 503, (3, None): 209,
+        (4, "block_nonzero"): 1983, (4, "rank_not_increased"): 1458, (4, None): 655,
+        (5, "block_nonzero"): 784, (5, "rank_not_increased"): 967, (5, None): 249,
+        (9, "block_nonzero"): 224, (9, "rank_not_increased"): 263, (9, None): 161,
+    }
 
 
 def test_x_fragility_is_isolated_minor_fragility():
@@ -997,63 +862,39 @@ class CountingMatroid(ReprMatroid):
         return super().rank(X)
 
 
-WITNESS_FIELDS = (GF2, GF3, GF4, GF5, GF8, GF9)
+def test_one_move_witness_matches_the_full_search():
+    # with no rank query: a returned partition is a one-move neighbour
+    # by the full search, and None means there is none, so a unique
+    # realising partition gets None
+    seen = Counter()
+    for scope in SCOPES["one_move"]:
+        for M, part in scope_cases(scope):
+            M = CountingMatroid(M.rep)
+            neighbours, parts = one_move_neighbours(M, part)
+            M.queries = 0
+            got = one_move_partition(M, part)
+            assert M.queries == 0
+            assert got in neighbours if got else not neighbours, (entries(M.rep), part)
+            seen[scope.field.order, "none" if got is None else "moved", min(len(parts), 2)] += 1
+    assert seen == {
+        (2, "moved", 2): 1050, (2, "none", 1): 246, (3, "moved", 2): 4816, (3, "none", 1): 1649,
+        (3, "none", 2): 96, (4, "moved", 2): 311, (4, "none", 1): 121,
+    }
 
 
-@st.composite
-def pairs_with_partition(draw, fields=3, size=4):
-    """A matrix over one of the first `fields` WITNESS_FIELDS of at most
-    `size` x `size`, and a side for each label: "C" to contract, "D" to
-    delete, "N" to keep."""
-    F = draw(st.sampled_from(range(fields)))
-    m = draw(st.integers(0, size))
-    n = draw(st.integers(0, size))
-    order = WITNESS_FIELDS[F].order
-    entries = st.integers(0, order - 1)
-    data = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
-                         min_size=m, max_size=m))
-    sides = draw(st.text(alphabet="CDN", min_size=m + n, max_size=m + n))
-    return F, data, n, sides
+def reference_rank(A, X, dual=False):
+    """The rank of the labels X in the matroid of [I | A], or with dual
+    in that of [A^T | I], by textbook_rank on their vectors."""
+    return textbook_rank(A.field, [element_vector(A, e, dual=dual) for e in sorted(X)])
 
 
-def build_pair(F, data, n, sides):
-    rows = [f"r{i}" for i in range(len(data))]
-    cols = [f"c{j}" for j in range(n)]
-    M = CountingMatroid(LabeledMatrix(WITNESS_FIELDS[F], rows, cols, data))
-    side = dict(zip(rows + cols, sides))
-    part = MinorSpec({e for e in side if side[e] == "C"},
-                     {e for e in side if side[e] == "D"})
-    return M, part
-
-
-@settings(max_examples=400, derandomize=True, deadline=None, database=None)
-@given(pairs_with_partition())
-# no C; no D; an empty minor; a loop and a coloop that may move either way
-@example((0, [[1, 1], [0, 1]], 2, "NDND"))
-@example((1, [[1, 2], [2, 0]], 2, "NCNC"))
-@example((2, [[3, 0], [1, 2]], 2, "CDDC"))
-@example((0, [[0, 1], [0, 0]], 2, "CNDN"))
-def test_one_move_witness_matches_the_full_search(case):
-    M, part = build_pair(*case)
-    neighbours, parts = one_move_neighbours(M, part)
-    M.queries = 0
-    got = one_move_partition(M, part)
-    assert M.queries == 0
-    if got is None:
-        assert not neighbours
-    else:
-        assert got in neighbours
-    if len(parts) == 1:
-        assert got is None
-
-
-def assert_sift_callers_match_the_reference(M, part):
+def assert_sift_callers_match_the_reference(M, part, rank):
     """`block_rank`, `rank_table(..., contract=C0)` and `partition_basis`
-    against `textbook_rank` on the matroid of M's display."""
+    against `rank`: `reference_rank`, or a cache of it, on M's display."""
     A, F, m = M.rep, M.field, len(M.rep.rows)
 
     def r(X):
-        return textbook_rank(F, [element_vector(A, e) for e in X])
+        return rank(A, frozenset(X))
 
     C0, D0 = part.contract, part.delete
     drop = sum(1 << i for i, e in enumerate(A.rows) if e in C0)
@@ -1081,32 +922,26 @@ def assert_sift_callers_match_the_reference(M, part):
 def test_one_move_witness_matches_the_query_reference():
     # the two eliminations against the per-query witness they replaced:
     # the same verdict, and a returned partition is a one-move neighbour
-    # by the full search; over each field, draws with a neighbour,
+    # by the full search; over each field, cases with a neighbour,
     # without one, and with one that only the elimination in M* finds
-    # (C0 independent and D0 off cl(C0)); on the same draws, the other
-    # callers of the sift against a textbook elimination
+    # (C0 independent and D0 off cl(C0))
     seen = Counter()
-
-    @seed(0)
-    @settings(max_examples=1500, derandomize=True, deadline=None, database=None)
-    @given(pairs_with_partition(len(WITNESS_FIELDS), 5))
-    def check(case):
-        M, part = build_pair(*case)
-        got = one_move_partition(M, part)
-        want = one_move_partition_queries(M, part)
-        assert (got is None) == (want is None)
-        neighbours, _ = one_move_neighbours(M, part)
-        assert got is None or got in neighbours
-        C0, D0 = part.contract, part.delete
-        in_M = M.rank(C0) < len(C0) or any(M.rank(C0 | {e}) == M.rank(C0) for e in D0)
-        kind = "none" if got is None else "M" if in_M else "M* only"
-        seen[WITNESS_FIELDS[case[0]].order, kind] += 1
-        assert_sift_callers_match_the_reference(M, part)
-
-    check()
-    for F in WITNESS_FIELDS:
-        for kind in ("none", "M", "M* only"):
-            assert seen[F.order, kind] >= 10, seen
+    for scope in SCOPES["witness"]:
+        for M, part in scope_cases(scope):
+            got = one_move_partition(M, part)
+            want = one_move_partition_queries(M, part)
+            assert (got is None) == (want is None), (entries(M.rep), part)
+            neighbours, _ = one_move_neighbours(M, part)
+            assert got is None or got in neighbours, (entries(M.rep), part)
+            C0, D0 = part.contract, part.delete
+            in_M = M.rank(C0) < len(C0) or any(M.rank(C0 | {e}) == M.rank(C0) for e in D0)
+            seen[scope.field.order, "none" if got is None else "M" if in_M else "M* only"] += 1
+    assert seen == {
+        (2, "M"): 814, (2, "M* only"): 244, (2, "none"): 247, (3, "M"): 3440, (3, "M* only"): 1384,
+        (3, "none"): 1746, (4, "M"): 294, (4, "M* only"): 17, (4, "none"): 121, (5, "M"): 448,
+        (5, "M* only"): 26, (5, "none"): 201, (8, "M"): 1102, (8, "M* only"): 65, (8, "none"): 561,
+        (9, "M"): 1384, (9, "M* only"): 82, (9, "none"): 721,
+    }
 
 
 # The reference for `matrices._sift`: the elimination it replaced, which
@@ -1166,71 +1001,47 @@ def reference_one_move(field, row_pos, col_pos, data, C0, D0):
     return None
 
 
-@st.composite
-def sift_cases(draw, size=4):
-    """A display over one of WITNESS_FIELDS of at most `size` x `size`
-    (zero rows or columns allowed), a list of some of its labels in a
-    drawn order (perhaps none), a pivot count k and a side."""
-    F = draw(st.sampled_from(range(len(WITNESS_FIELDS))))
-    m, n = draw(st.integers(0, size)), draw(st.integers(0, size))
-    entries = st.integers(0, WITNESS_FIELDS[F].order - 1)
-    data = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
-    labels = draw(st.permutations([f"r{i}" for i in range(m)] + [f"c{j}" for j in range(n)]))
-    labels = labels[:draw(st.integers(0, len(labels)))]
-    return F, data, n, labels, draw(st.integers(0, len(labels))), draw(st.booleans())
-
-
 def test_sift_and_its_callers_match_the_reference_elimination():
     # the label-reading sift against the elimination it replaced, vector
     # for vector, stopped and not, and against textbook_rank: a reduced
     # vector is zero iff its label's vector lies in the span of the
-    # vectors of the pivoting labels before it; on the same cases the
-    # one-move witness returns the element the old elimination returned,
-    # with C0 the first k labels and D0 the rest, and the other callers
-    # of the sift agree with textbook_rank
-    seen = Counter()
-
-    @seed(0)
-    @settings(max_examples=1500, derandomize=True, deadline=None, database=None)
-    @given(sift_cases())
-    # zero rows; zero columns; no labels at all; k = 0 and k = all
-    @example((0, [], 3, ["c2", "c0"], 1, False))
-    @example((1, [[], []], 0, ["r1", "r0"], 2, True))
-    @example((2, [[0]], 1, [], 0, False))
-    @example((3, [[1, 2], [2, 4]], 2, ["c1", "c0", "r0", "r1"], 0, True))
-    @example((4, [[1, 3], [2, 6]], 2, ["c1", "c0", "r0", "r1"], 4, False))
-    def check(case):
-        F, data, n, labels, k, dual = case
-        field, m = WITNESS_FIELDS[F], len(data)
-        rows, cols = [f"r{i}" for i in range(m)], [f"c{j}" for j in range(n)]
-        row_pos = {r: i for i, r in enumerate(rows)}
-        col_pos = {c: j for j, c in enumerate(cols)}
-        display = field, row_pos, col_pos, data
-        want = list(reference_sift(
-            field, reference_element_vectors(*display, labels, dual), k))
-        got = matrices._sift(*display, labels, k, dual=dual)
-        assert got == want
-        zero = next((i for i, v in enumerate(want) if not v), len(want))
-        assert matrices._sift(*display, labels, k, dual=dual, stop=True) == want[:zero + 1]
-
-        A = LabeledMatrix(field, rows, cols, data)
-        vecs = [element_vector(A, e, dual=dual) for e in labels]
-        for i, v in enumerate(got):
-            before = vecs[:min(i, k)]
-            in_span = textbook_rank(field, before + [vecs[i]]) == textbook_rank(field, before)
-            assert (not v) == in_span, (labels[i], i)
-
-        C0, D0 = sorted(labels[:k]), sorted(labels[k:])
-        assert fragility._one_move(*display, C0, D0) == reference_one_move(*display, C0, D0)
-        assert_sift_callers_match_the_reference(ReprMatroid(A), MinorSpec(C0, D0))
-        kind = "none" if not labels else "0" if k == 0 else "all" if k == len(labels) else "some"
-        seen[field.order, dual, kind] += 1
-
-    check()
-    for F in WITNESS_FIELDS:
-        for dual in (False, True):
-            for kind in ("none", "0", "some", "all"):
-                assert seen[F.order, dual, kind] >= 3, seen
+    # vectors of the pivoting labels before it; the labels are C0 then
+    # D0 of each case of the witness scopes, and the first k = |C0|
+    # pivot; on the same cases the one-move witness returns the element
+    # the old elimination returned, and the other callers of the sift
+    # agree with textbook_rank; a scope asks the same rank of one matrix
+    # many times, so the reference ranks are cached
+    rank, seen = cache(reference_rank), Counter()
+    for scope in SCOPES["witness"]:
+        field = scope.field
+        for M, part in scope_cases(scope):
+            A = M.rep
+            C0, D0 = sorted(part.contract), sorted(part.delete)
+            labels, k = C0 + D0, len(C0)
+            display = (field, {r: i for i, r in enumerate(A.rows)},
+                       {c: j for j, c in enumerate(A.cols)}, entries(A))
+            for dual in (False, True):
+                want = list(reference_sift(
+                    field, reference_element_vectors(*display, labels, dual), k))
+                got = matrices._sift(*display, labels, k, dual=dual)
+                assert got == want, (entries(A), labels, k, dual)
+                zero = next((i for i, v in enumerate(want) if not v), len(want))
+                assert matrices._sift(*display, labels, k, dual=dual, stop=True) == want[:zero + 1]
+                for i, v in enumerate(got):
+                    before = frozenset(labels[:min(i, k)])
+                    in_span = rank(A, before | {labels[i]}, dual) == rank(A, before, dual)
+                    assert (not v) == in_span, (entries(A), labels, k, dual, i)
+            assert fragility._one_move(*display, C0, D0) == reference_one_move(*display, C0, D0)
+            assert_sift_callers_match_the_reference(M, part, rank)
+            kind = "none" if not labels else "0" if k == 0 else "all" if not D0 else "some"
+            seen[field.order, kind] += 1
+    assert seen == {
+        (2, "0"): 243, (2, "all"): 243, (2, "none"): 17, (2, "some"): 802, (3, "0"): 1218,
+        (3, "all"): 1218, (3, "none"): 82, (3, "some"): 4052, (4, "0"): 112, (4, "all"): 112,
+        (4, "none"): 16, (4, "some"): 192, (5, "0"): 175, (5, "all"): 175, (5, "none"): 25,
+        (5, "some"): 300, (8, "0"): 448, (8, "all"): 448, (8, "none"): 64, (8, "some"): 768,
+        (9, "0"): 567, (9, "all"): 567, (9, "none"): 81, (9, "some"): 972,
+    }
 
 
 def test_one_move_witness_reads_no_rank_table(monkeypatch):

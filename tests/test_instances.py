@@ -8,7 +8,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from matroidfrag import instances, matrices
 from matroidfrag import (
@@ -241,6 +241,7 @@ def documents(draw):
     return doc
 
 
+@seed(0)
 @settings(max_examples=600, derandomize=True, deadline=None, database=None)
 @given(documents())
 def test_parse_refuses_only_with_toolkit_errors(doc):
@@ -544,6 +545,7 @@ def test_instance_file_refuses_a_seed_that_is_not_an_int(seed):
 LONGEST_SEED = 10 ** sys.get_int_max_str_digits() - 1
 
 
+@seed(0)
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
 @given(st.one_of(st.integers(), st.integers(-2**200, 2**200)))
 @example(LONGEST_SEED)

@@ -8,7 +8,6 @@ from itertools import product
 from random import Random
 
 import pytest
-from hypothesis import example, given, seed, settings, strategies as st
 
 from matroidfrag import (
     FieldMismatch,
@@ -22,7 +21,8 @@ from matroidfrag import (
 from matroidfrag.instances import field_to_json, matrix_to_json, parse_instance
 from matroidfrag.matrices import _rank_generic, block_rank, rank_table
 from reference import (
-    GF2, GF3, GF4, GF5, GF8, GF9, GF16_OVER_GF4, random_matrix, rowspace_rank,
+    GF2, GF3, GF4, GF8, GF9, GF16_OVER_GF4, SCOPES, entries, random_matrix, rowspace_rank,
+    scope_cases,
 )
 
 
@@ -261,58 +261,30 @@ def test_rank_table_label_checks():
 
 # -- contraction by elimination against the pivoted minor ----------------------
 
-CONTRACT_FIELDS = (GF2, GF3, GF4, GF5, GF9)
-
-
-@st.composite
-def contraction_cases(draw):
-    """A matrix of at most 4 x 5 over one of CONTRACT_FIELDS, with some
-    columns zeroed (loops), and a role for each label: "S" contracted,
-    "L" in the table (each drawn twice as often as "-", neither)."""
-    F = draw(st.sampled_from(range(len(CONTRACT_FIELDS))))
-    m = draw(st.integers(0, 4))
-    n = draw(st.integers(0, 5))
-    entries = st.integers(0, CONTRACT_FIELDS[F].order - 1)
-    data = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
-                         min_size=m, max_size=m))
-    loops = draw(st.lists(st.sampled_from((True, False, False)), min_size=n, max_size=n))
-    roles = draw(st.lists(st.sampled_from("SSLL-"), min_size=m + n, max_size=m + n))
-    order = draw(st.permutations(range(m + n)))
-    return F, data, loops, roles, order
-
-
 def test_rank_table_contraction_matches_the_minor():
-    # rank_table(A, labels, contract=S) against the table of the minor
-    # M/S that ReprMatroid builds by pivots, over five fields, with S
-    # mixing rows and columns, holding loops, and dependent
+    # rank_table(A, labels, contract=C) against the table of the minor
+    # M/C that ReprMatroid builds by pivots, on every case of the scopes
+    # with the kept labels (N) in label order and reversed: C mixing rows
+    # and columns, holding loops, and dependent
     seen = Counter()
-
-    @seed(0)
-    @settings(max_examples=500, derandomize=True, deadline=None, database=None)
-    @given(contraction_cases())
-    @example((0, [], [], [], []))
-    @example((1, [[1, 0], [2, 0]], [False, True], list("SSLS"), [3, 0, 2, 1]))
-    def check(case):
-        F, data, loops, roles, order = case
-        field = CONTRACT_FIELDS[F]
-        rows = [f"r{i}" for i in range(len(data))]
-        cols = [f"c{j}" for j in range(len(loops))]
-        data = [[0 if loop else x for x, loop in zip(row, loops)] for row in data]
-        A = LabeledMatrix(field, rows, cols, data)
-        E = [(rows + cols)[i] for i in order]
-        S = [e for e, role in zip(E, roles) if role == "S"]
-        labels = [e for e, role in zip(E, roles) if role == "L"]
-        M = ReprMatroid(A)
-        assert rank_table(A, labels, contract=S) == rank_table(M.minor(S, ()).rep, labels)
-        q = field.order
-        seen[q, "rows and columns"] += bool(set(S) & set(rows)) and bool(set(S) & set(cols))
-        seen[q, "loop"] += any(M.rank({e}) == 0 for e in S)
-        seen[q, "dependent"] += M.rank(S) < len(S)
-
-    check()
-    for F in CONTRACT_FIELDS:
-        for kind in ("rows and columns", "loop", "dependent"):
-            assert seen[F.order, kind] >= 10, seen
+    for scope in SCOPES["contract"]:
+        q = scope.field.order
+        for M, part in scope_cases(scope):
+            A, S = M.rep, sorted(part.contract)
+            labels = sorted(M.ground - part.contract - part.delete)
+            for order in (labels, labels[::-1]):
+                assert rank_table(A, order, contract=S) == rank_table(M.minor(S, ()).rep, order), (
+                    entries(A), S, order)
+            seen[q, "rows and columns"] += bool(set(S) & set(A.rows)) and bool(set(S) & set(A.cols))
+            seen[q, "loop"] += any(M.rank({e}) == 0 for e in S)
+            seen[q, "dependent"] += M.rank(S) < len(S)
+    assert seen == {
+        (2, "dependent"): 376, (2, "loop"): 207, (2, "rows and columns"): 400,
+        (3, "dependent"): 1437, (3, "loop"): 477, (3, "rows and columns"): 2025,
+        (4, "dependent"): 144, (4, "loop"): 69, (4, "rows and columns"): 80, (5, "dependent"): 215,
+        (5, "loop"): 87, (5, "rows and columns"): 125, (9, "dependent"): 639, (9, "loop"): 159,
+        (9, "rows and columns"): 405,
+    }
 
 
 def test_rank_table_contraction_checks():

@@ -11,7 +11,6 @@ from itertools import combinations
 from random import Random
 
 import pytest
-from hypothesis import given, seed, settings, strategies as st
 
 from matroidfrag import (
     CapExceeded,
@@ -28,7 +27,7 @@ from matroidfrag import (
     subsets_by_size,
 )
 from matroidfrag.matroids import _pivot_inplace
-from reference import GF2, GF3, GF4, GF5, GF9, textbook_rank
+from reference import GF2, GF3, GF4, GF5, GF9, SCOPES, entries, scope_matrices, textbook_rank
 
 
 def running_example():
@@ -329,57 +328,30 @@ def rebase_by_rank_queries(M, B):
     return ReprMatroid(LabeledMatrix(M.field, rows, cols, data))
 
 
-REBASE_FIELDS = (GF2, GF3, GF4, GF5)
-
-
-@st.composite
-def rebase_cases(draw):
-    """A matrix of at most 4 x 5 over one of REBASE_FIELDS, what kind of
-    set B to try (a basis, a dependent set of size r(M), or a set of
-    another size) and a number that picks it among those of its kind."""
-    F = REBASE_FIELDS[draw(st.integers(0, len(REBASE_FIELDS) - 1))]
-    m, n = draw(st.integers(0, 4)), draw(st.integers(0, 5))
-    data = draw(st.lists(st.lists(st.integers(0, F.order - 1), min_size=n, max_size=n),
-                         min_size=m, max_size=m))
-    kind = draw(st.sampled_from(("basis", "dependent", "size")))
-    return F, data, n, kind, draw(st.integers(0, 4095))
-
-
 def test_rebase_by_pivots_matches_rank_queries():
-    # the same display, or the same exception type and message, for each
-    # kind of B; the kind counted is the one B turned out to be
+    # the same display, or the same exception type and message, for
+    # every subset B of every matrix of the scopes: a basis, a dependent
+    # set of size r(M), or a set of another size
     seen = Counter()
-
-    @seed(0)
-    @settings(max_examples=800, derandomize=True, deadline=None, database=None)
-    @given(rebase_cases())
-    def check(case):
-        F, data, n, kind, pick = case
-        rows = [f"r{i}" for i in range(len(data))]
-        M = ReprMatroid(LabeledMatrix(F, rows, [f"c{j}" for j in range(n)], data))
-        r, E, bases = M.rank(), sorted(M.ground), M.bases()
-        sized = [frozenset(S) for k in range(len(E) + 1) for S in combinations(E, k)]
-        pool = {
-            "basis": [S for S in sized if S in bases],
-            "dependent": [S for S in sized if len(S) == r and S not in bases],
-            "size": [S for S in sized if len(S) != r],
-        }[kind]
-        if not pool:
-            return
-        B = pool[pick % len(pool)]
-        outcomes = []
-        for rebase in (ReprMatroid.rebase, rebase_by_rank_queries):
-            try:
-                outcomes.append(rebase(ReprMatroid(M.rep), B).rep)
-            except (InvalidArgs, UnknownLabel) as e:
-                outcomes.append((type(e), str(e)))
-        assert outcomes[0] == outcomes[1]
-        seen[F.order, kind] += 1
-
-    check()
-    for F in REBASE_FIELDS:
-        for kind in ("basis", "dependent", "size"):
-            assert seen[F.order, kind] >= 10, seen
+    for scope in SCOPES["rebase"]:
+        for A in scope_matrices(scope):
+            M = ReprMatroid(A)
+            r, bases = M.rank(), M.bases()
+            for B in subsets_by_size(M.ground):
+                outcomes = []
+                for rebase in (ReprMatroid.rebase, rebase_by_rank_queries):
+                    try:
+                        outcomes.append(rebase(ReprMatroid(A), B).rep)
+                    except (InvalidArgs, UnknownLabel) as e:
+                        outcomes.append((type(e), str(e)))
+                assert outcomes[0] == outcomes[1], (entries(A), sorted(B))
+                kind = "basis" if B in bases else "dependent" if len(B) == r else "size"
+                seen[scope.field.order, kind] += 1
+    assert seen == {
+        (2, "basis"): 328, (2, "dependent"): 312, (2, "size"): 1408, (3, "basis"): 345,
+        (3, "dependent"): 141, (3, "size"): 810, (4, "basis"): 1204, (4, "dependent"): 332,
+        (4, "size"): 2560, (5, "basis"): 425, (5, "dependent"): 75, (5, "size"): 1500,
+    }
 
 
 # -- the pivot's residue path and the dual's transposition ------------------

@@ -15,7 +15,6 @@ from random import Random
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, seed, settings, strategies as st
 
 from matroidfrag import (
     CapExceeded,
@@ -41,7 +40,8 @@ from matroidfrag import (
 from matroidfrag import fragility, matrices, matroids, reductions
 from matroidfrag.galois import DEGREE_CAP_DEFAULT, FieldSpec, subfield_basis
 from reference import (
-    GF2, GF3, GF4, GF5, GF9, free_placement_failure, relax_sweep_failure, with_entry,
+    GF2, GF3, GF4, GF5, GF9, SCOPES, entries, free_placement_failure, relax_sweep_failure,
+    scope_matrices, scope_x, with_entry, x_fragile_failure_loop,
 )
 
 
@@ -1101,96 +1101,85 @@ def test_every_stage_output_passes_the_full_check(conformance):
             assert fragility.x_fragile_failure(tr.relaxed.rep, {c, d}) is None
 
 
-LEMMA_FIELDS = (GF2, GF3, GF4, GF5)
-
-
-@st.composite
-def zero_block_displays(draw):
-    """A matrix of at most 4 x 5 over GF(2), GF(3), GF(4) or GF(5) and a
-    flag for each label: whether it lies in X, the labels of the minor."""
-    F = draw(st.sampled_from(range(len(LEMMA_FIELDS))))
-    m = draw(st.integers(0, 4))
-    n = draw(st.integers(0, 5))
-    entries = st.integers(0, LEMMA_FIELDS[F].order - 1)
-    data = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
-                         min_size=m, max_size=m))
-    return F, data, n, draw(st.lists(st.booleans(), min_size=m + n, max_size=m + n))
-
-
-def build_display(F, data, n, inside):
-    """The matroid of the drawn matrix, with X1 the rows and X2 the
-    columns flagged as inside X."""
-    rows = [f"r{i}" for i in range(len(data))]
-    cols = [f"c{j}" for j in range(n)]
-    flagged = {e for e, f in zip(rows + cols, inside) if f}
-    M = ReprMatroid(LabeledMatrix(LEMMA_FIELDS[F], rows, cols, data))
-    return M, flagged & set(rows), flagged & set(cols)
-
-
 def test_the_collapses_keep_the_partition_set():
-    # collapse lemma: on a display with a zero block on (X1, X2), fragile
-    # or not, the loop collapse and then the coloop collapse, run on the
-    # transposed display and transposed back, keep the set of partitions
-    # realising the isolated minor
+    # collapse lemma: on every display of the scopes, with a zero block
+    # on (X1, X2), fragile or not, the loop collapse and then the coloop
+    # collapse, run on the transposed display and transposed back, keep
+    # the set of partitions realising the isolated minor
     seen = Counter()
-
-    @seed(0)
-    @settings(max_examples=600, derandomize=True, deadline=None, database=None)
-    @given(zero_block_displays())
-    def check(case):
-        M, X1, X2 = build_display(*case)
-        X1, X2 = frozenset(sorted(X1)[:2]), frozenset(sorted(X2)[:2])
-        A = M.rep
-        for r in X1:
-            for c in X2:
-                A = with_entry(A, r, c, 0)
-        M = ReprMatroid(A)
-        before = fragility.fragile_partitions(M, isolated(X1, X1 | X2))
-        assert matroids.MinorSpec(set(A.rows) - X1, set(A.cols) - X2) in before
-        loop = ReprMatroid(collapse_side(A, X1, X2, "d"))
-        assert fragility.fragile_partitions(loop, isolated(X1, X1 | {"d"})) == before
-        both = ReprMatroid(collapse_side(loop.rep.transpose(), {"d"}, X1, "c").transpose())
-        assert fragility.fragile_partitions(both, isolated({"c"}, {"c", "d"})) == before
-        seen[A.field.order, min(len(before), 2)] += 1
-
-    check()
-    for q in (2, 3, 4, 5):
-        assert seen[q, 1] >= 10 and seen[q, 2] >= 10, seen
+    for scope in SCOPES["collapse"]:
+        X1, X2 = scope_x(scope)
+        for A in scope_matrices(scope):
+            M = ReprMatroid(A)
+            before = fragility.fragile_partitions(M, isolated(X1, X1 | X2))
+            assert matroids.MinorSpec(set(A.rows) - X1, set(A.cols) - X2) in before
+            loop = ReprMatroid(collapse_side(A, X1, X2, "d"))
+            both = ReprMatroid(collapse_side(loop.rep.transpose(), {"d"}, X1, "c").transpose())
+            assert (fragility.fragile_partitions(loop, isolated(X1, X1 | {"d"}))
+                    == fragility.fragile_partitions(both, isolated({"c"}, {"c", "d"}))
+                    == before), entries(A)
+            seen[scope.field.order, min(len(before), 2)] += 1
+    assert seen == {
+        (2, 1): 41, (2, 2): 312, (3, 1): 205, (3, 2): 327, (4, 1): 216, (4, 2): 104, (5, 1): 80,
+        (5, 2): 45,
+    }
 
 
 def test_zeroing_keeps_only_partitions_realising_the_minor(monkeypatch):
     # zeroing lemma: with A displaying M on C0 + BN and N = M/C0\D0, every
     # partition realising isolated(BN, E(N)) after the zeroing realises N
     # in M, fragile or not; the zeroing may drop some, never add one, so a
-    # fragile M zeroes to a fragile display
+    # fragile M zeroes to a fragile display.  Every display of the scopes
+    # stands for the one the search finds: its partition, and its own
+    # rows as the basis read off it
+    monkeypatch.setattr(reductions, "fragile_partitions",
+                        lambda M, N, cap: {matroids.MinorSpec(C0, D0)})
+    monkeypatch.setattr(reductions, "partition_basis", lambda M, N, part: M.rep.rows)
     seen = Counter()
-
-    @seed(0)
-    @settings(max_examples=600, derandomize=True, deadline=None, database=None)
-    @given(zero_block_displays())
-    def check(case):
-        M, BN, cols = build_display(*case)
+    for scope in SCOPES["zeroing"]:
+        BN, cols = scope_x(scope)
         EN = BN | cols
-        C0, D0 = set(M.rep.rows) - EN, set(M.rep.cols) - EN
-        N = M.minor(C0, D0)
-        want = fragility.fragile_partitions(M, N)
-        with monkeypatch.context() as m:
-            # the drawn display stands for the one the search finds: its
-            # partition, and its own rows as the basis read off it
-            m.setattr(reductions, "fragile_partitions",
-                      lambda M, N, cap: {matroids.MinorSpec(C0, D0)})
-            m.setattr(reductions, "partition_basis", lambda M, N, part: M.rep.rows)
+        for A in scope_matrices(scope):
+            M = ReprMatroid(A)
+            C0, D0 = set(A.rows) - EN, set(A.cols) - EN
+            N = M.minor(C0, D0)
+            want = fragility.fragile_partitions(M, N)
             M2, A2 = zero_out(M, N)
-        assert A2.rows == M.rep.rows
-        got = fragility.fragile_partitions(M2, isolated(BN, EN))
-        assert matroids.MinorSpec(C0, D0) in got <= want
-        seen["fragile"] += len(want) == 1
-        seen["several", bool(EN)] += len(want) > 1
-        seen["proper"] += got < want
+            assert A2.rows == A.rows
+            got = fragility.fragile_partitions(M2, isolated(BN, EN))
+            assert matroids.MinorSpec(C0, D0) in got <= want, entries(A)
+            seen[scope.field.order, min(len(want), 2), got < want] += 1
+    assert seen == {
+        (2, 1, False): 86, (2, 2, False): 122, (3, 1, False): 517, (3, 2, False): 805,
+        (3, 2, True): 136, (4, 1, False): 90, (4, 2, False): 112, (4, 2, True): 54,
+        (5, 1, False): 208, (5, 2, False): 225, (5, 2, True): 192,
+    }
 
-    check()
-    assert seen["fragile"] >= 100 and seen["several", True] >= 100, seen
-    assert seen["proper"] >= 15, seen
+
+def test_pipeline_certifies_every_x_fragile_matrix_of_its_scopes():
+    # every matrix of the scopes, X its zero block: x_fragile_failure
+    # against the subset loop, witness included, and on each X-fragile
+    # one, pipeline(M, isolated(X & rows, X)) in both modes, its output
+    # checked as the certify benchmark checks it
+    seen = Counter()
+    for scope in SCOPES["pipeline"]:
+        X1, X2 = scope_x(scope)
+        X = X1 | X2
+        for A in scope_matrices(scope):
+            got = fragility.x_fragile_failure(A, X)
+            assert got == x_fragile_failure_loop(A, X), entries(A)
+            seen[scope.field.order, scope.cols, got and got[0]] += 1
+            if got is not None:
+                continue
+            for conformance in (False, True):
+                tr = pipeline(ReprMatroid(A), isolated(X1, X), conformance=conformance)
+                assert is_relaxation(tr.relaxed, tr.relaxation, tr.hyperplane), entries(A)
+                common = tr.input_matroid.minor(tr.coloop_side, tr.loop_side)
+                assert common.equals(tr.relaxed.minor({tr.c_label}, {tr.d_label})), entries(A)
+    assert seen == {
+        (2, 3, "rank_not_increased"): 242, (2, 3, None): 14, (2, 4, "rank_not_increased"): 148,
+        (2, 4, None): 108, (3, 3, "rank_not_increased"): 5457, (3, 3, None): 1104,
+    }
 
 
 def test_pipeline_field_work_does_not_depend_on_string_hashing():
