@@ -223,11 +223,9 @@ def fragile_partitions(
             return node[2] == NA
 
         def fits(node) -> bool:
-            # the primal and the dual span test, passed at once when
-            # there is nothing to span
+            # the primal and the dual span test; both pass when BN's
+            # rows are NA's, as every vector to span is then zero
             data = node[2]
-            if data[:nb] == NA:
-                return True
             xs = [x ^ y for x, y in zip(data, NA)]
             if not _spans(xs, ~mask, nb):
                 return False

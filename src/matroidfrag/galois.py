@@ -27,9 +27,11 @@ Nothing is precomputed; each canonical modulus is memoised once found.
 
 Towers are interned: building the same (p, steps) twice returns the
 same FieldSpec object, so the per-field multiplication/inverse memo
-tables stay warm across calls; only fields of order at most 2^20 keep
-them, so each is bounded.  All mutation is append-only cache filling,
-safe under the usual CPython execution model.
+tables stay warm across calls.  Only fields of order at most 2^20 keep
+them: the limit bounds which fields memoise, not how many products one
+memo holds, which can reach about Q^2 / 2 for a field of order Q.  All
+mutation is append-only cache filling, safe under the usual CPython
+execution model.
 """
 
 from __future__ import annotations
@@ -61,19 +63,10 @@ _SPEC_CACHE: dict[tuple[int, tuple[Step, ...]], "FieldSpec"] = {}
 _CANONICAL_MODULI: dict[tuple[int, tuple[Step, ...], int], tuple[int, ...]] = {}
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+def _least_factor(n: int) -> int | None:
+    """The least divisor of n that is at least 2 and at most PRIME_LIMIT,
+    by trial division, or None when there is none."""
+    return next((c for c in range(2, min(n, PRIME_LIMIT) + 1) if n % c == 0), None)
 
 
 class FieldSpec:
@@ -505,10 +498,10 @@ def _intern(p: int, steps: tuple[Step, ...]) -> FieldSpec:
 
 
 def make_prime_field(p: int) -> FieldSpec:
-    """GF(p) for a prime p <= 2^16."""
+    """GF(p) for a prime p <= 2^16: p must be its own least factor."""
     if not isinstance(p, int) or not 2 <= p <= PRIME_LIMIT:
         raise InvalidField(f"characteristic {p!r} is not an int in 2 .. {PRIME_LIMIT}")
-    if not _is_prime(p):
+    if _least_factor(p) != p:
         raise InvalidField(f"{p} is not prime")
     return _intern(p, ())
 
@@ -575,10 +568,10 @@ def field_from_tower(
 def field_of_order(q: int) -> FieldSpec:
     """GF(q) for a prime power q, as the canonical one-step tower
     GF(p) or GF(p^k) over GF(p), under the default degree cap.  The
-    characteristic is found by trial division up to PRIME_LIMIT."""
+    characteristic is q's least factor (`_least_factor`)."""
     if not isinstance(q, int) or q < 2:
         raise InvalidField(f"field order {q!r} is not a prime power")
-    p = next((c for c in range(2, min(q, PRIME_LIMIT) + 1) if q % c == 0), None)
+    p = _least_factor(q)
     if p is None:
         raise InvalidField(f"field order {q} has no prime factor up to {PRIME_LIMIT}")
     k, n = 0, q

@@ -137,7 +137,7 @@ class InstanceFile(Record):
         if task is not None:
             if not isinstance(task, tuple(_TASKS.values())):
                 raise InvalidArgs(f"not a task object: {task!r}")
-            ground = frozenset(matrix.rows) | frozenset(matrix.cols)
+            ground = matrix.labels()
             for slot in task.__slots__:
                 labels = getattr(task, slot)
                 if isinstance(labels, ReprMatroid):

@@ -133,24 +133,19 @@ class ReprMatroid:
     __slots__ = (
         "rep",
         "ground",
-        "_rowset",
+        "basis",
         "_rank_cache",
     )
 
     def __init__(self, rep: LabeledMatrix):
         self.rep = rep
-        self._rowset = frozenset(rep.rows)
-        self.ground = self._rowset.union(rep.cols)
+        self.basis = frozenset(rep.rows)
+        self.ground = self.basis.union(rep.cols)
         self._rank_cache: dict[frozenset[str], int] = {}
 
     @property
     def field(self) -> FieldSpec:
         return self.rep.field
-
-    @property
-    def basis(self) -> frozenset[str]:
-        """The displayed basis (the row-label set)."""
-        return self._rowset
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ReprMatroid) and self.rep == other.rep
@@ -160,7 +155,7 @@ class ReprMatroid:
 
     def __repr__(self) -> str:
         return (
-            f"ReprMatroid(rows={sorted(self._rowset)}, "
+            f"ReprMatroid(rows={sorted(self.basis)}, "
             f"cols={sorted(self.rep.cols)}, field={self.field!r})"
         )
 
@@ -169,7 +164,7 @@ class ReprMatroid:
     def rank(self, X: Iterable[str] | None = None) -> int:
         if X is None:
             return len(self.rep.rows)
-        Xf = X if isinstance(X, frozenset) else frozenset(X)
+        Xf = frozenset(X)
         cached = self._rank_cache.get(Xf)
         if cached is not None:
             return cached
@@ -201,7 +196,7 @@ class ReprMatroid:
         contract: Iterable[str] = (),
         delete: Iterable[str] = (),
     ) -> "ReprMatroid":
-        spec = MinorSpec(frozenset(contract), frozenset(delete))
+        spec = MinorSpec(contract, delete)
         spec.validate(self)
         rows, cols, data = display = self._display_lists()
         field = self.field
@@ -320,13 +315,10 @@ class ReprMatroid:
     # -- duality -----------------------------------------------------------------
 
     def dual(self) -> "ReprMatroid":
-        """The dual, displayed by -A^T: `transpose`, negated unless the
-        field has characteristic 2, where -x = x; each distinct entry is
-        negated once."""
+        """The dual, displayed by -A^T: `transpose`, each entry negated
+        (the identity in characteristic 2, where -x = x)."""
         T = self.rep.transpose()
-        if T.field.p == 2:
-            return ReprMatroid(T)
-        neg = {x: T.field.neg_enc(x) for x in set().union(*T._data)}.__getitem__
+        neg = T.field.neg_enc
         return ReprMatroid(LabeledMatrix._of_display(
             T.field, T.rows, T.cols, [map(neg, row) for row in T._data]))
 

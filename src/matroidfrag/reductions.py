@@ -78,7 +78,7 @@ from .fragility import (
     partition_basis,
     x_fragile_failure,
 )
-from .galois import DEGREE_CAP_DEFAULT, extend_field, is_in_subfield
+from .galois import DEGREE_CAP_DEFAULT, extend_field, is_in_subfield, is_tower_prefix
 from .matrices import LabeledMatrix
 from .matroids import ReprMatroid
 from .records import Record
@@ -210,7 +210,7 @@ def free_extension(
     F2 = extend_field(A.field, d, degree_cap=degree_cap)
     js = [A._col_pos[v] for v in sorted(Xf)]
     coords = [[row[j] for j in js] + [0] * (d - k) for row in A._data]
-    column = [c[0] for c in coords] if d == 1 else map(F2._undigits, coords)
+    column = map(F2._undigits, coords)
     out = LabeledMatrix._of_display(F2, A.rows, A.cols + (e,),
                                     [row + (x,) for row, x in zip(A._data, column)])
     if (out.rows, out.cols) != (A.rows, A.cols + (e,)) or any(
@@ -460,6 +460,10 @@ def pipeline(
     always collapses both sides at degree k = |E(N)|, landing on total
     degree exactly 2*k*k.  In both modes the degree cap is raised to
     2*k*k over the input field, the bound either tower stays within.
+    Before returning, each stage's field must be a tower over the one
+    before it, starting from the input field (`is_tower_prefix`), and
+    the final degree over the input field must be exactly the one the
+    mode promises.
 
     The common minor M1/c\\d = M/X1\\X2 is checked literally on the
     zeroed display Az (`_keeps_minor`): X1 is the row set BN of
@@ -495,12 +499,6 @@ def pipeline(
     used = set(M.ground)
     cur = Mz
 
-    def _deg(m: ReprMatroid) -> int:
-        q, r = divmod(m.field.degree, base_field.degree)
-        if r:
-            raise PostconditionViolation("stage field is not a tower over the input field")
-        return q
-
     # the loop side, then the coloop side as the loop side of the
     # transposed display, where rows and columns swap
     labels = {}
@@ -523,31 +521,29 @@ def pipeline(
             cur = ReprMatroid(A)
             details = {"collapsed": sorted(side)}
         details[key] = labels[key]
-        stages.append(StageRecord(name, _deg(cur), cur, details))
+        stages.append(StageRecord(name, cur.field.degree // base_field.degree, cur, details))
     c_label, d_label = labels["c"], labels["d"]
 
     # relax the entry of the display the last stage certified pair-fragile
     M1, M2, H = _relax_entry(cur, c_label, d_label, dcap)
-    stages.append(StageRecord("relax_entry", _deg(M2), M2, {"hyperplane": sorted(H)}))
+    final_degree = M2.field.degree // base_field.degree
+    stages.append(StageRecord("relax_entry", final_degree, M2, {"hyperplane": sorted(H)}))
 
     if not _keeps_minor(Az, X1, X2, M1.rep, {c_label}, {d_label}):
         raise PostconditionViolation(
             "pipeline lost the common minor: contracting the displayed basis "
             "of the input minor disagrees with contracting c and deleting d"
         )
-    degs = [s.degree_over_input for s in stages]
-    if any(a > b for a, b in zip(degs, degs[1:])):
-        raise PostconditionViolation(f"stage degrees not monotone: {degs}")
-    final_degree = M2.field.degree // base_field.degree
+    # each stage's field is a tower over the one before it, so every
+    # degree over the input field is exact and none falls
+    fields = [base_field] + [s.matroid.field for s in stages]
+    bad = [s.name for s, f, g in zip(stages, fields, fields[1:]) if not is_tower_prefix(f, g)]
+    if bad:
+        raise PostconditionViolation(f"stage field not a tower over the one before: {bad}")
     bound = 2 * k * k
-    if k >= 1 and final_degree > bound:
-        raise PostconditionViolation(
-            f"final degree {final_degree} above the 2k^2 bound {bound}"
-        )
-    if conformance and final_degree != bound:
-        raise PostconditionViolation(
-            f"conformance degree {final_degree} != 2k^2 = {bound}"
-        )
+    promised = bound if conformance else 2 * max(1, len(X1)) * max(1, len(X2))
+    if final_degree != promised:
+        raise PostconditionViolation(f"final degree {final_degree}, promised {promised}")
 
     return ReductionTrace(
         M, N, B, X1, X2, c_label, d_label, stages, M1, M2, H, conformance, bound, final_degree

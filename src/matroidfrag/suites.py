@@ -281,7 +281,7 @@ def free_placement(seed: int = 0, count: int = 100) -> dict:
         except Exception as exc:
             return {**record, "reason": f"{type(exc).__name__}: {exc}"}
         Mn = ReprMatroid(A2)
-        old = frozenset(A.rows) | frozenset(A.cols)
+        old = A.labels()
         if Mn.rank(X | {"e"}) != Mn.rank(X):
             return {**record, "reason": "X does not span the new element"}
         for S in subsets_by_size(old):

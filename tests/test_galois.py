@@ -442,6 +442,19 @@ def test_field_of_order_stops_trial_division_at_the_prime_limit():
         field_of_order(2 * (2**61 - 1))
 
 
+def test_a_prime_is_its_own_least_factor():
+    # odd composites are refused, 65535 = 3 * 5 * 17 * 257 among them;
+    # a prime field has no extension generator
+    assert [galois._least_factor(n) for n in (2, 9, 65521, 65535, PRIME_LIMIT + 1)] == [
+        2, 3, 65521, 3, None]
+    for n in (9, 15, 65535):
+        with pytest.raises(InvalidField, match=f"{n} is not prime"):
+            make_prime_field(n)
+    assert make_prime_field(65521).order == 65521
+    with pytest.raises(InvalidArgs, match="no extension generator"):
+        GF3.gen
+
+
 def test_interning():
     assert extend_field(GF2, 2) is GF4
     assert field_from_tower(2, [(2, (1, 1, 1))]) is GF4

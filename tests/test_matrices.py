@@ -251,6 +251,31 @@ def test_rank_table_frozen_cases():
     assert rank_table(G, ["a", "b"]) == bytearray([0, 1, 1, 2])
 
 
+def test_rank_table_fills_full_rank_subtrees_under_contraction(monkeypatch):
+    # M/{a, x} has rank 3 - 2 = 1 and c is a loop in it, as x = a + c:
+    # the child of each of b, y and z reaches full rank and fills its
+    # subtree by one slice, so the walk makes no batch step
+    from matroidfrag import matrices
+
+    steps = []
+
+    def counted(reduce):
+        def step(pivot, rest):
+            steps.append(pivot)
+            return reduce(pivot, rest)
+
+        return step
+
+    generic = matrices._generic_reducer
+    monkeypatch.setattr(matrices, "_reduce_gf2", counted(matrices._reduce_gf2))
+    monkeypatch.setattr(matrices, "_generic_reducer", lambda field: counted(generic(field)))
+    for F in (GF2, GF3):
+        A = LabeledMatrix(F, ["a", "b", "c"], ["x", "y", "z"], [[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+        table = rank_table(A, ["b", "c", "y", "z"], contract=["a", "x"])
+        assert table == bytearray(int(s & 0b1101 != 0) for s in range(16))
+        assert steps == []
+
+
 def test_rank_table_label_checks():
     A = LabeledMatrix(GF2, ["a"], ["x"], [[1]])
     with pytest.raises(UnknownLabel):

@@ -28,6 +28,7 @@ from matroidfrag import (
     collapse_side,
     display_basis,
     extend_field,
+    field_of_order,
     free_extension,
     gen_random,
     is_N_fragile,
@@ -1312,3 +1313,50 @@ def test_pipeline_matches_the_reference_chain_byte_for_byte():
     assert all(seen[run] == 52 for run in runs)
     assert all(seen[q, "coloop collapsed"] >= 26 for q in (2, 3, 4, 5, 7, 8, 9)), seen
     assert seen["skipped"] >= 50 and seen["collapsed"] >= 300, seen
+
+
+@pytest.mark.parametrize("conformance", [False, True])
+def test_a_stage_field_that_is_no_tower_over_the_one_before_is_refused(monkeypatch, conformance):
+    # each collapse's display put over the one-step field of its order:
+    # the loop side's field is that field already, but the coloop side's,
+    # built over it, becomes a one-step field over GF(2), which is no
+    # tower over the stage before.  Every encoding stays in range, so the
+    # common minor, the final degree and the relaxation all pass; only
+    # the tower check refuses it
+    M, N = four_element_pair()
+    collapse = reductions.collapse_side
+    fields = []
+
+    def one_step(*args, **kwargs):
+        A = collapse(*args, **kwargs)
+        fields.append((A.field, field_of_order(A.field.order)))
+        return LabeledMatrix._of_display(fields[-1][1], A.rows, A.cols, A._data)
+
+    monkeypatch.setattr(reductions, "collapse_side", one_step)
+    with pytest.raises(PostconditionViolation,
+                       match=r"not a tower over the one before: \['collapse_coloop_side'\]"):
+        pipeline(M, N, conformance=conformance)
+    (loop, loop_one_step), (coloop, coloop_one_step) = fields
+    assert loop is loop_one_step and coloop.base is loop and coloop_one_step.base is GF2
+
+
+@pytest.mark.parametrize("conformance, degree", [(False, 2), (True, 8)])
+def test_a_relaxation_at_the_wrong_degree_is_refused(monkeypatch, conformance, degree):
+    # the relaxation's display put over a quadratic extension of its
+    # field, a tower over every stage before it: the final degree is then
+    # twice the one the mode promises, 2 * 1 * 1 in default mode and
+    # 2k^2 with k = 2 in conformance mode
+    M, N = pair_matroid(), isolated({"c"}, {"c", "d"})
+    assert pipeline(M, N, conformance=conformance).final_degree_over_input == degree
+    relax = reductions._relax_entry
+
+    def taller(*args):
+        M1, M2, H = relax(*args)
+        A2 = M2.rep
+        F = extend_field(A2.field, 2)
+        return M1, ReprMatroid(LabeledMatrix._of_display(F, A2.rows, A2.cols, A2._data)), H
+
+    monkeypatch.setattr(reductions, "_relax_entry", taller)
+    with pytest.raises(PostconditionViolation,
+                       match=f"final degree {2 * degree}, promised {degree}"):
+        pipeline(M, N, conformance=conformance)

@@ -3,6 +3,7 @@ test_acceptance.py; here only the report shape and the dispatch."""
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -206,3 +207,22 @@ def test_failure_records_are_pinned(monkeypatch, case):
     report = run(0, count)
     assert len(report["failures"]) >= 2 and not report["ok"]
     assert hashlib.sha256(canonical_report(report).encode()).hexdigest() == digest
+
+
+def test_gen_with_retry_raises_the_last_refusal_after_forty_shapes(monkeypatch):
+    # a generator that refuses every shape at once: forty shapes are
+    # drawn, and the last refusal is the one raised
+    refusals, shapes = [], []
+
+    def refuse(kind, **kwargs):
+        refusals.append(Exhausted(f"{kind} refusal {len(refusals)}"))
+        raise refusals[-1]
+
+    def shape(master):
+        shapes.append(master.randrange(4))
+        return {"q": 2}
+
+    monkeypatch.setattr(suites, "gen_random", refuse)
+    with pytest.raises(Exhausted, match="pipeline refusal 39") as info:
+        suites._gen_with_retry("pipeline", random.Random(0), shape)
+    assert info.value is refusals[-1] and len(refusals) == len(shapes) == 40
