@@ -123,9 +123,13 @@ class FieldSpec:
         return hash((self.p, self.steps))
 
     def __repr__(self) -> str:
+        # a tower of two or more steps shows its step degrees, so unequal
+        # presentations of one field print apart: GF(2^(2*2)), GF(2^4)
         if not self.steps:
             return f"GF({self.p})"
-        return f"GF({self.p}^{self.degree})"
+        if len(self.steps) == 1:
+            return f"GF({self.p}^{self.degree})"
+        return f"GF({self.p}^({'*'.join(str(d) for d, _ in self.steps)}))"
 
     # -- element access --------------------------------------------------
 

@@ -339,6 +339,17 @@ def test_an_element_of_another_field_is_a_mismatch_on_either_side(F):
             run()
 
 
+def test_unequal_presentations_of_one_field_print_apart():
+    # the flat GF(16) and the tower GF(2) -> 4 -> 16; prime fields and
+    # one-step towers print as p and p^k
+    flat, tower = field_of_order(16), GF16_OVER_GF4
+    assert (repr(GF2), repr(GF4), repr(flat), repr(tower)) == (
+        "GF(2)", "GF(2^2)", "GF(2^4)", "GF(2^(2*2))")
+    assert repr(extend_field(GF16_OVER_GF4, 3)) == "GF(2^(2*2*3))"
+    with pytest.raises(FieldMismatch, match=r"^GF\(2\^4\) vs GF\(2\^\(2\*2\)\)$"):
+        flat.one + tower.one
+
+
 @pytest.mark.parametrize("F", OPERATOR_FIELDS, ids=repr)
 @pytest.mark.parametrize("other", [1.0, 0.5, "1", None], ids=repr)
 def test_other_operands_are_not_implemented_on_either_side(F, other):

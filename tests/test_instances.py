@@ -1001,17 +1001,24 @@ def test_random_matrix_draws_one_randrange_per_entry(q):
             assert rng.getstate() == ref.getstate()
 
 
-@pytest.mark.parametrize("q", [2, 3, 4])
+# q = 8 is the power of two above 4: getrandbits(4) redraws half its draws
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8])
 @pytest.mark.parametrize("kind,shape", [
     ("xfragile", {"rows": 3, "cols": 3, "x_rows": 1, "x_cols": 1}),
     ("xfragile", {"rows": 2, "cols": 4, "x_rows": 2, "x_cols": 0}),
     ("relax", {"rows": 3, "cols": 3}),
     ("nfragile", {"rows": 3, "cols": 3, "minor_size": 2}),
     ("pipeline", {"rows": 3, "cols": 4, "minor_size": 3}),
+    ("nfragile", {"rows": 2, "cols": 3, "minor_size": 5}),
+    ("pipeline", {"rows": 3, "cols": 3, "minor_size": 6}),
+    ("nfragile", {"rows": 1, "cols": 3, "minor_size": 1}),
+    ("pipeline", {"rows": 2, "cols": 1, "minor_size": 1}),
 ])
 def test_gen_random_matches_the_reference_rejection_loop(kind, shape, q):
     # the same serialized instance and rejection count at every seed,
-    # and the same seeds running out of draws
+    # and the same seeds running out of draws; a minor of every element
+    # leaves none outside it, so the partition draw flips no coin and
+    # the first draw, N = M, is accepted
     for seed in range(30):
         want = reference_gen_random(kind, seed=seed, q=q, max_attempts=300, **shape)
         try:

@@ -1,16 +1,20 @@
 """In-process A/B timing of two source trees of matroidfrag.
 
 Usage: python3 tools/ab_inprocess.py PARENT_SRC CHANGE_SRC
-           --workload certify|generate [--seeds N ...] [--rounds R] [--ops K]
+           --workload certify|generate|suites [--seeds N ...] [--rounds R]
+           [--ops K]
 
 Each `src/` tree is loaded under its own package name, so the two
 versions run side by side in one process on the same host state.  The
-pool of one seed is drawn by `bench/workloads.py`, imported read-only
-(no bytecode is written there) with PARENT_SRC's package as
-`matroidfrag`, and handed to each side as JSON: a `certify` op is one
-`pipeline` on a fragile pair, parsed by each side's `parse_instance`; a
-`generate` op is one `gen_random` draw with its retries, as the workload
-makes it.  `--ops K` keeps the first K ops of the pool.
+pool of one seed is drawn with PARENT_SRC's package as `matroidfrag`
+and handed to each side as JSON.  A `certify` or `generate` op comes
+from `bench/workloads.py`, imported read-only (no bytecode is written
+there): a `certify` op is one `pipeline` on a fragile pair, parsed by
+each side's `parse_instance`; a `generate` op is one `gen_random` draw
+with its retries, as the workload makes it.  A `suites` op is one
+`suites.run_suite(name, seed)`, one per name in `suites.SUITES`, in
+order, and its output is the report with `timing_ms` stripped
+(`canonical_report`).  `--ops K` keeps the first K ops of the pool.
 
 Every op runs once on each side untimed first, and the two sides must
 agree on its output.  Then each round times every op on both sides, the
@@ -59,6 +63,9 @@ def draw_pool(parent_src: Path, workload: str, seed: int) -> list[str]:
     import matroidfrag
     import workloads
 
+    if workload == "suites":
+        from matroidfrag import suites
+        return [json.dumps([name, seed]) for name in suites.SUITES]
     if workload == "certify":
         w = workloads.Certify(seed)
         w.setup()
@@ -106,6 +113,18 @@ def generate_side(pkg):
     return json.loads, run
 
 
+def suites_side(pkg):
+    suites = importlib.import_module(f"{pkg.__name__}.suites")
+
+    def run(op):
+        name, seed = op
+        t0 = perf_counter()
+        report = suites.run_suite(name, seed)
+        t = perf_counter() - t0
+        return t, suites.canonical_report(report)
+    return json.loads, run
+
+
 def ab_rounds(sides, rounds: int) -> list[float]:
     """Each round's CHANGE / PARENT ratio of summed op times; `sides` is
     [(ops, run)] for the parent, then the change."""
@@ -128,16 +147,19 @@ def ab_rounds(sides, rounds: int) -> list[float]:
     return ratios
 
 
+SIDES = {"certify": certify_side, "generate": generate_side, "suites": suites_side}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent_src", type=Path)
     ap.add_argument("change_src", type=Path)
-    ap.add_argument("--workload", choices=("certify", "generate"), required=True)
+    ap.add_argument("--workload", choices=tuple(SIDES), required=True)
     ap.add_argument("--seeds", type=int, nargs="+", default=[0])
     ap.add_argument("--rounds", type=int, default=8)
     ap.add_argument("--ops", type=int, default=None, help="keep the first K ops of each pool")
     args = ap.parse_args(argv)
-    side = certify_side if args.workload == "certify" else generate_side
+    side = SIDES[args.workload]
     pkgs = [load_package(args.parent_src, "ab_parent"), load_package(args.change_src, "ab_change")]
     every = []
     for seed in args.seeds:
