@@ -359,6 +359,66 @@ def _random_matrix(rng: random.Random, field: FieldSpec, rows: list[str], cols: 
     return LabeledMatrix._of_display(field, rows, cols, data)
 
 
+def _draw_sample(getrandbits, ground: tuple, steps: list[tuple[int, int]]) -> list:
+    """The k elements of `ground` that `rng.sample(ground, k)` picks, in
+    its order, given steps = [(m, m.bit_length()) for m = n, n - 1, ..,
+    n - k + 1] with n = len(ground), and rng's bound `getrandbits`.
+
+    This is CPython's pool branch of `Random.sample`: each step draws
+    j = `randrange(m)` as `_draw_rows` draws an entry (getrandbits of m's
+    bit length, drawn again while it is m or more), picks pool[j] and
+    moves pool[m - 1] into its place.  So the picks, and the generator's
+    state after them, are those of `rng.sample`, which `PINNED_DRAWS` in
+    the tests depends on.  `sample` takes that branch when n <= 21, plus
+    4^ceil(log4(3k)) when k > 5.  `gen_random` samples k of n = k + rest
+    elements with rest at most the partition cap 12: n <= 17 when k <= 5,
+    and n < 21 + 3k otherwise, so the branch is always the one taken.
+    The loop, with the steps computed once per `gen_random` call, is the
+    fast form: `sample` checks its population's type, computes the set
+    size that picks its branch, and calls `_randbelow` once per pick,
+    which looks up m's bit length each time; it took 3 to 3.5 times
+    this loop's time for n = 6..16 and k = 2..7 (CPython 3.11, x86-64)."""
+    pool = list(ground)
+    picks = []
+    for m, bits in steps:
+        j = getrandbits(bits)
+        while j >= m:
+            j = getrandbits(bits)
+        picks.append(pool[j])
+        pool[j] = pool[m - 1]
+    return picks
+
+
+# (q, rows, cols) -> the field, the labels, their position maps and the
+# sorted ground set of that shape, cleared before it would pass
+# _SHAPES_MAX shapes
+_SHAPES: dict = {}
+_SHAPES_MAX = 256
+
+
+def _shape(q: int, rows: int, cols: int) -> tuple:
+    """`gen_random`'s constants of a shape, built on its first draw: the
+    field of order q, the row labels r0.. and column labels c0.. as
+    tuples, their position maps and the sorted ground set.  A shape is
+    stored only once `field_of_order` has accepted its q, and the memo
+    is read only for an int q: q = 2.0 equals the key 2 but is refused
+    as a field order, as it is on a first draw."""
+    key = (q, rows, cols)
+    shape = _SHAPES.get(key) if isinstance(q, int) else None
+    if shape is None:
+        field = field_of_order(q)
+        row_labels = tuple(f"r{i}" for i in range(rows))
+        col_labels = tuple(f"c{j}" for j in range(cols))
+        shape = (field, row_labels, col_labels,
+                 {r: i for i, r in enumerate(row_labels)},
+                 {c: j for j, c in enumerate(col_labels)},
+                 tuple(sorted(row_labels + col_labels)))
+        if len(_SHAPES) >= _SHAPES_MAX:
+            _SHAPES.clear()
+        _SHAPES[key] = shape
+    return shape
+
+
 def gen_random(
     kind: str,
     *,
@@ -389,10 +449,12 @@ def gen_random(
     sampled one, or (rows - X, cols - X), which realises the isolated
     minor on X as its block is zero.  A second realising partition one
     move from it (`fragility._one_move`, the two eliminations of
-    `one_move_partition`, run on the drawn rows with label positions
-    computed once per call) proves the draw is not fragile.  A rejected
-    draw costs its entries, its partition draw and one sift (two when
-    the first finds no move), which reads each element vector off the
+    `one_move_partition`, run on the drawn rows) proves the draw is not
+    fragile.  A shape's field, labels, label positions and sorted ground
+    set are built on its first draw and kept (`_shape`).  A rejected
+    draw costs its entries, for "nfragile" and "pipeline" its inline
+    sample (`_draw_sample`) and its coins, and one sift (two when the
+    first finds no move), which reads each element vector off the
     drawn rows when it reaches it and stops at the first zero one: it
     builds no vector list, no generator, no LabeledMatrix, no matroid,
     no minor and no rank table.  The witness only rejects: a draw is
@@ -421,11 +483,7 @@ def gen_random(
         raise InvalidArgs("matrix sizes must be nonnegative")
     if max_attempts < 1:
         raise InvalidArgs("max_attempts must be positive")
-    field = field_of_order(q)
-    row_labels = [f"r{i}" for i in range(rows)]
-    col_labels = [f"c{j}" for j in range(cols)]
-    row_pos = {r: i for i, r in enumerate(row_labels)}
-    col_pos = {c: j for j, c in enumerate(col_labels)}
+    field, row_labels, col_labels, row_pos, col_pos, ground = _shape(q, rows, cols)
     rng = random.Random(seed)
 
     if kind in ("nfragile", "pipeline"):
@@ -439,11 +497,12 @@ def gen_random(
                 f"{rest} elements outside the minor exceeds the partition cap "
                 f"{PARTITION_CAP_DEFAULT}"
             )
-        ground = sorted(row_labels + col_labels)
-        sample, coin = rng.sample, rng.random
+        n = rows + cols
+        steps = [(m, m.bit_length()) for m in range(n, n - minor_size, -1)]
+        getrandbits, coin = rng.getrandbits, rng.random
         for attempt in range(max_attempts):
             data = _draw_rows(rng, field.order, rows, cols)
-            keep = sample(ground, minor_size)
+            keep = _draw_sample(getrandbits, ground, steps)
             contract, delete = [], []
             for e in ground:  # one coin per element outside the minor
                 if e in keep:

@@ -3,8 +3,10 @@
 import copy
 import hashlib
 import json
+import math
 import pickle
 import random
+import re
 import sys
 
 import pytest
@@ -40,6 +42,7 @@ from matroidfrag import (
     serialize_instance,
     x_fragile_failure,
 )
+from matroidfrag.fragility import PARTITION_CAP_DEFAULT
 from reference import GF2, GF3, drawn_matrix, reference_gen_random
 
 MINIMAL = '{"field": {"p": 2, "tower": []}, "matrix": {"rows": ["a"], "cols": ["b"], "entries": [[1]]}}'
@@ -570,7 +573,7 @@ def test_a_seed_json_cannot_carry_is_refused(seed):
 def test_empty_minor_of_nonempty_ground_is_refused(monkeypatch):
     # every partition realises the empty minor, so no draw could succeed;
     # the shape is refused before the first draw
-    monkeypatch.setattr(instances, "_random_matrix", None)
+    monkeypatch.setattr(instances, "_draw_rows", None)
     for kind in ("nfragile", "pipeline"):
         with pytest.raises(InvalidArgs, match="empty minor"):
             gen_random(kind, seed=25, q=2, rows=3, cols=4, minor_size=0)
@@ -1029,3 +1032,94 @@ def test_gen_random_matches_the_reference_rejection_loop(kind, shape, q):
         assert want is not None
         assert (serialize_instance(gi.instance), gi.rejections) == (
             serialize_instance(want[0]), want[1])
+
+
+def pool_branch_bound(k):
+    """The largest population `Random.sample` draws k from by its pool
+    branch: 21, plus the table size of a k-set when k > 5."""
+    return 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+
+
+# every (n, k) gen_random samples: a minor of k elements, at most the
+# partition cap outside it
+SAMPLED_SIZES = [(n, k) for k in range(21) for n in range(k, k + PARTITION_CAP_DEFAULT + 1)]
+
+
+def test_sample_takes_the_pool_branch_under_the_partition_cap():
+    # _draw_sample copies the pool branch alone; a cap past this bound
+    # would reach the set branch, whose draws differ
+    for n, k in SAMPLED_SIZES:
+        assert n <= pool_branch_bound(k), (n, k)
+
+
+def test_draw_sample_is_randoms_sample():
+    # the same picks in the same order and the same generator state
+    # after them, at every size gen_random samples
+    for n, k in SAMPLED_SIZES:
+        ground = tuple(f"e{i:02d}" for i in range(n))
+        steps = [(m, m.bit_length()) for m in range(n, n - k, -1)]
+        for seed in range(10):
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert instances._draw_sample(rng.getrandbits, ground, steps) == ref.sample(ground, k)
+            assert rng.getstate() == ref.getstate()
+
+
+MEMO_SHAPES = [
+    ("relax", dict(q=2, rows=2, cols=2)),
+    ("relax", dict(q=3, rows=3, cols=3)),
+    ("xfragile", dict(q=2, rows=3, cols=3, x_rows=1, x_cols=1)),
+    ("xfragile", dict(q=4, rows=2, cols=4, x_rows=2, x_cols=0)),
+    ("nfragile", dict(q=2, rows=3, cols=3, minor_size=2)),
+    ("nfragile", dict(q=3, rows=3, cols=3, minor_size=3)),
+    ("pipeline", dict(q=2, rows=3, cols=3, minor_size=3)),
+    ("pipeline", dict(q=5, rows=2, cols=3, minor_size=2)),
+]
+
+
+def test_shape_memo_does_not_change_a_draw(monkeypatch):
+    # the same shapes, some sharing (q, rows, cols) across kinds, drawn
+    # in two orders from an empty memo each time: each gives the same
+    # instance and rejection count whichever shape warmed the memo
+    monkeypatch.setattr(instances, "_SHAPES", {})
+
+    def draws(order):
+        instances._SHAPES.clear()
+        out = {}
+        for i in order:
+            kind, shape = MEMO_SHAPES[i]
+            for seed in range(3):
+                gi = gen_random(kind, seed=seed, **shape)
+                out[i, seed] = serialize_instance(gi.instance), gi.rejections
+        return out
+
+    forward = draws(range(len(MEMO_SHAPES)))
+    assert forward == draws(reversed(range(len(MEMO_SHAPES))))
+    assert len(instances._SHAPES) == len({(s["q"], s["rows"], s["cols"]) for _, s in MEMO_SHAPES})
+
+
+def test_shape_memo_is_bounded(monkeypatch):
+    # more distinct shapes than the bound, each X-fragile at its first
+    # draw as X is every label: the memo never holds more than the bound
+    monkeypatch.setattr(instances, "_SHAPES", {})
+    shapes = [(rows, cols) for rows in range(18) for cols in range(18)]
+    assert len(shapes) > instances._SHAPES_MAX
+    for rows, cols in shapes:
+        gi = gen_random("xfragile", seed=0, rows=rows, cols=cols, x_rows=rows, x_cols=cols)
+        assert gi.rejections == 0
+        assert (2, rows, cols) in instances._SHAPES
+        assert len(instances._SHAPES) <= instances._SHAPES_MAX
+
+
+@pytest.mark.parametrize("kind", ["relax", "nfragile"])
+@pytest.mark.parametrize("arg,value,error,message", [
+    ("q", 2.0, InvalidField, "field order 2.0 is not a prime power"),
+    ("q", True, InvalidField, "field order True is not a prime power"),
+    ("rows", 2.0, InvalidArgs, "rows must be an int, got 2.0"),
+], ids=["q=2.0", "q=True", "rows=2.0"])
+def test_warm_shape_memo_refuses_what_a_first_draw_refuses(kind, arg, value, error, message):
+    # 2.0 == 2, so (2.0, 2, 2) finds the key (2, 2, 2); the refusal is
+    # the one a draw on an empty memo gives
+    gen_random(kind, seed=0, q=2, rows=2, cols=2)
+    assert (2, 2, 2) in instances._SHAPES
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        gen_random(kind, seed=0, **{"q": 2, "rows": 2, "cols": 2, arg: value})
