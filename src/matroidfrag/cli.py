@@ -161,7 +161,7 @@ def run(
         # pipeline
         tr = run_pipeline(M, task.minor, conformance=conformance, cap=max_ground)
         report["verdict"] = True
-        report["conformance"] = conformance
+        report["conformance"] = tr.conformance
         report["displayed_basis"] = sorted(tr.displayed_basis)
         report["coloop_side"] = sorted(tr.coloop_side)
         report["loop_side"] = sorted(tr.loop_side)

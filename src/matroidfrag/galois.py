@@ -23,19 +23,23 @@ monic irreducible of the requested degree, found by walking candidates
 in lex order and testing each with Ben-Or's test, whose cost is
 polynomial in the degree and in log of the base order, and which
 refuses a candidate at the least degree of its irreducible factors.
-Nothing is precomputed; each canonical modulus is memoised once found.
+Nothing is precomputed; `_canonical_modulus` is a `functools.cache`, so
+each modulus is searched for once.
 
-Towers are interned: building the same (p, steps) twice returns the
-same FieldSpec object, so the per-field multiplication/inverse memo
-tables stay warm across calls.  Only fields of order at most 2^20 keep
-them: the limit bounds which fields memoise, not how many products one
-memo holds, which can reach about Q^2 / 2 for a field of order Q.  All
-mutation is append-only cache filling, safe under the usual CPython
-execution model.
+Towers are interned by `_intern`, also a `functools.cache`: building the
+same (p, steps) twice returns the same FieldSpec object, so two fields
+are equal exactly when they are one object, and the per-field
+multiplication/inverse memo tables stay warm across calls.  Only fields
+of order at most 2^20 keep them: the limit bounds which fields memoise,
+not how many products one memo holds, which can reach about Q^2 / 2 for
+a field of order Q.  Interning assumes one thread builds fields at a
+time: two threads interning one new tower at once could each get an
+object of their own, and the two would compare unequal.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterator
 
 from .errors import (
@@ -59,9 +63,6 @@ _MEMO_ORDER_LIMIT = 2**20
 
 Step = tuple[int, tuple[int, ...]]  # (degree, modulus coeffs, constant term first, monic)
 
-_SPEC_CACHE: dict[tuple[int, tuple[Step, ...]], "FieldSpec"] = {}
-_CANONICAL_MODULI: dict[tuple[int, tuple[Step, ...], int], tuple[int, ...]] = {}
-
 
 def _least_factor(n: int) -> int | None:
     """The least divisor of n that is at least 2 and at most PRIME_LIMIT,
@@ -74,7 +75,9 @@ class FieldSpec:
 
     Do not call the constructor directly; use make_prime_field,
     extend_field, or field_from_tower so instances are interned and
-    moduli validated.
+    moduli validated.  Equality is identity, as each (p, steps) has one
+    object, and `copy`, `deepcopy` and `pickle` hand back that object:
+    `__reduce__` rebuilds a field by `_intern`.
     """
 
     __slots__ = (
@@ -112,15 +115,8 @@ class FieldSpec:
 
     # -- identity ------------------------------------------------------
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FieldSpec)
-            and self.p == other.p
-            and self.steps == other.steps
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.steps))
+    def __reduce__(self):
+        return _intern, (self.p, self.steps)
 
     def __repr__(self) -> str:
         # a tower of two or more steps shows its step degrees, so unequal
@@ -463,6 +459,7 @@ def is_irreducible(base: FieldSpec, coeffs: tuple[int, ...]) -> bool:
     return True
 
 
+@cache
 def _canonical_modulus(base: FieldSpec, k: int) -> tuple[int, ...]:
     """Lexicographically least monic irreducible of degree k >= 2 over
     base, comparing coefficient tuples constant term first by encoding.
@@ -472,10 +469,6 @@ def _canonical_modulus(base: FieldSpec, k: int) -> tuple[int, ...]:
     counting up is the lex order.  It starts at c_0 = 1, since every
     candidate before that is divisible by x.
     """
-    key = (base.p, base.steps, k)
-    hit = _CANONICAL_MODULI.get(key)
-    if hit is not None:
-        return hit
     Q = base.order
     for m in range(Q ** (k - 1), Q**k):
         tail, rest = [], m
@@ -484,18 +477,13 @@ def _canonical_modulus(base: FieldSpec, k: int) -> tuple[int, ...]:
             tail.append(c)
         coeffs = (*reversed(tail), 1)
         if is_irreducible(base, coeffs):
-            _CANONICAL_MODULI[key] = coeffs
             return coeffs
     raise InvalidField(f"no irreducible of degree {k} over {base!r}")  # unreachable
 
 
+@cache
 def _intern(p: int, steps: tuple[Step, ...]) -> FieldSpec:
-    key = (p, steps)
-    spec = _SPEC_CACHE.get(key)
-    if spec is None:
-        spec = FieldSpec(p, steps)
-        _SPEC_CACHE[key] = spec
-    return spec
+    return FieldSpec(p, steps)
 
 
 # -- public constructors ----------------------------------------------------

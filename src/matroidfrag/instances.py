@@ -44,6 +44,7 @@ from __future__ import annotations
 import json
 import random
 import sys
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Union
 
 from .errors import (
@@ -352,10 +353,10 @@ def _draw_rows(rng: random.Random, q: int, m: int, n: int, x_rows: int = 0,
     return data
 
 
-def _random_matrix(rng: random.Random, field: FieldSpec, rows: list[str], cols: list[str],
-                   x_rows: int = 0, x_cols: int = 0) -> LabeledMatrix:
+def _random_matrix(rng: random.Random, field: FieldSpec, rows: list[str],
+                   cols: list[str]) -> LabeledMatrix:
     """A drawn matrix with labels `rows` and `cols`: `_draw_rows`."""
-    data = _draw_rows(rng, field.order, len(rows), len(cols), x_rows, x_cols)
+    data = _draw_rows(rng, field.order, len(rows), len(cols))
     return LabeledMatrix._of_display(field, rows, cols, data)
 
 
@@ -389,34 +390,23 @@ def _draw_sample(getrandbits, ground: tuple, steps: list[tuple[int, int]]) -> li
     return picks
 
 
-# (q, rows, cols) -> the field, the labels, their position maps and the
-# sorted ground set of that shape, cleared before it would pass
-# _SHAPES_MAX shapes
-_SHAPES: dict = {}
-_SHAPES_MAX = 256
-
-
+@lru_cache(maxsize=256, typed=True)
 def _shape(q: int, rows: int, cols: int) -> tuple:
-    """`gen_random`'s constants of a shape, built on its first draw: the
-    field of order q, the row labels r0.. and column labels c0.. as
-    tuples, their position maps and the sorted ground set.  A shape is
-    stored only once `field_of_order` has accepted its q, and the memo
-    is read only for an int q: q = 2.0 equals the key 2 but is refused
-    as a field order, as it is on a first draw."""
-    key = (q, rows, cols)
-    shape = _SHAPES.get(key) if isinstance(q, int) else None
-    if shape is None:
-        field = field_of_order(q)
-        row_labels = tuple(f"r{i}" for i in range(rows))
-        col_labels = tuple(f"c{j}" for j in range(cols))
-        shape = (field, row_labels, col_labels,
-                 {r: i for i, r in enumerate(row_labels)},
-                 {c: j for j, c in enumerate(col_labels)},
-                 tuple(sorted(row_labels + col_labels)))
-        if len(_SHAPES) >= _SHAPES_MAX:
-            _SHAPES.clear()
-        _SHAPES[key] = shape
-    return shape
+    """`gen_random`'s constants of a shape, built on its first draw and
+    kept for the 256 most recent shapes: the field of order q, the row
+    labels r0.. and column labels c0.. as tuples, their position maps and
+    the sorted ground set.  A shape is kept only once `field_of_order`
+    has accepted its q.  The cache hashes its arguments first, so
+    `gen_random` refuses a q that is not an int before the call (q = [2]
+    would raise TypeError here), and it is typed, so an int subclass
+    such as True never finds an int's key."""
+    field = field_of_order(q)
+    row_labels = tuple(f"r{i}" for i in range(rows))
+    col_labels = tuple(f"c{j}" for j in range(cols))
+    return (field, row_labels, col_labels,
+            {r: i for i, r in enumerate(row_labels)},
+            {c: j for j, c in enumerate(col_labels)},
+            tuple(sorted(row_labels + col_labels)))
 
 
 def gen_random(
@@ -483,6 +473,8 @@ def gen_random(
         raise InvalidArgs("matrix sizes must be nonnegative")
     if max_attempts < 1:
         raise InvalidArgs("max_attempts must be positive")
+    if not isinstance(q, int):
+        field_of_order(q)  # refuses it, as the shape cache would hash it first
     field, row_labels, col_labels, row_pos, col_pos, ground = _shape(q, rows, cols)
     rng = random.Random(seed)
 

@@ -441,11 +441,11 @@ def _structural_failure(M: ReprMatroid, master: random.Random) -> str | None:
         for X in subsets_by_size(Mm.ground):
             if Mm.rank(X) != ranks[X | C] - rC:
                 return f"minor-rank identity fails at C={sorted(C)}, X={sorted(X)}"
-        if not Mm.dual().equals(M.dual().minor(D, C)):
+        if not Mm.dual().equals(Md.minor(D, C)):
             return f"minor/dual commutation fails at C={sorted(C)}, D={sorted(D)}"
         if len(C) + len(D) <= 5:
             parts = fragile_partitions(M, Mm)
-            dparts = fragile_partitions(M.dual(), Mm.dual())
+            dparts = fragile_partitions(Md, Mm.dual())
             if {MinorSpec(p.delete, p.contract) for p in parts} != set(dparts):
                 return f"fragility does not transport to the dual at C={sorted(C)}, D={sorted(D)}"
     return None

@@ -1,6 +1,8 @@
 """Field tower tests with independently derived expected values."""
 
+import copy
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -18,6 +20,7 @@ from matroidfrag import (
     FieldMismatch,
     InvalidArgs,
     InvalidField,
+    LabeledMatrix,
     NotASubfield,
     embed,
     extend_field,
@@ -695,3 +698,16 @@ def test_inverse_by_euclid_on_towers():
     gf2_32 = _conformance_tower(2, 4)
     for F in (gf2_32.base, gf2_32, _conformance_tower(3, 3).base):
         _check_inverse(F, [rng.randrange(1, F.order) for _ in range(500)])
+
+
+def test_copies_and_pickles_of_a_field_are_the_interned_field():
+    # field equality is identity, so a copy must be the interned object
+    F = GF16_OVER_GF4
+    assert len(F.steps) == 2
+    twins = [copy.copy(F), copy.deepcopy(F)]
+    twins += [pickle.loads(pickle.dumps(F, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in twins:
+        assert twin is F
+    A = LabeledMatrix(F, ["r0", "r1"], ["c0", "c1"], [[F.gen, 1], [0, F.order - 1]])
+    twin = pickle.loads(pickle.dumps(A))
+    assert twin == A and twin.field is F

@@ -989,8 +989,9 @@ def test_witness_rejects_only_what_the_full_search_rejects(monkeypatch, kind, sh
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 27])
 def test_random_matrix_draws_one_randrange_per_entry(q):
     # the same entries in row-major order and the same generator state
-    # after them as one randrange(q) per entry, the X block drawn and
-    # then zeroed; empty shapes draw nothing
+    # after them as one randrange(q) per entry, the X block, where there
+    # is one, drawn by `_draw_rows` and then zeroed; empty shapes draw
+    # nothing
     field = field_of_order(q)
     shapes = [(0, 0, 0, 0), (0, 3, 0, 0), (3, 0, 0, 0), (3, 0, 2, 0), (1, 1, 0, 0),
               (1, 1, 1, 1), (3, 4, 0, 0), (3, 4, 2, 3), (4, 2, 4, 2), (2, 5, 1, 0),
@@ -999,7 +1000,11 @@ def test_random_matrix_draws_one_randrange_per_entry(q):
         rows, cols = [f"r{i}" for i in range(m)], [f"c{j}" for j in range(n)]
         rng, ref = random.Random(seed), random.Random(seed)
         for _ in range(3):  # one generator across several draws
-            A = instances._random_matrix(rng, field, rows, cols, x_rows, x_cols)
+            if x_rows or x_cols:
+                A = LabeledMatrix(field, rows, cols,
+                                  instances._draw_rows(rng, q, m, n, x_rows, x_cols))
+            else:
+                A = instances._random_matrix(rng, field, rows, cols)
             assert A == drawn_matrix(ref, field, rows, cols, x_rows, x_cols)
             assert rng.getstate() == ref.getstate()
 
@@ -1076,14 +1081,12 @@ MEMO_SHAPES = [
 ]
 
 
-def test_shape_memo_does_not_change_a_draw(monkeypatch):
+def test_shape_memo_does_not_change_a_draw():
     # the same shapes, some sharing (q, rows, cols) across kinds, drawn
     # in two orders from an empty memo each time: each gives the same
     # instance and rejection count whichever shape warmed the memo
-    monkeypatch.setattr(instances, "_SHAPES", {})
-
     def draws(order):
-        instances._SHAPES.clear()
+        instances._shape.cache_clear()
         out = {}
         for i in order:
             kind, shape = MEMO_SHAPES[i]
@@ -1094,20 +1097,25 @@ def test_shape_memo_does_not_change_a_draw(monkeypatch):
 
     forward = draws(range(len(MEMO_SHAPES)))
     assert forward == draws(reversed(range(len(MEMO_SHAPES))))
-    assert len(instances._SHAPES) == len({(s["q"], s["rows"], s["cols"]) for _, s in MEMO_SHAPES})
+    assert (instances._shape.cache_info().currsize
+            == len({(s["q"], s["rows"], s["cols"]) for _, s in MEMO_SHAPES}))
 
 
-def test_shape_memo_is_bounded(monkeypatch):
+def test_shape_memo_is_bounded():
     # more distinct shapes than the bound, each X-fragile at its first
-    # draw as X is every label: the memo never holds more than the bound
-    monkeypatch.setattr(instances, "_SHAPES", {})
+    # draw as X is every label: the shape just drawn is kept, and the
+    # memo never holds more than the bound
+    instances._shape.cache_clear()
     shapes = [(rows, cols) for rows in range(18) for cols in range(18)]
-    assert len(shapes) > instances._SHAPES_MAX
+    assert instances._shape.cache_info().maxsize == 256 < len(shapes)
     for rows, cols in shapes:
         gi = gen_random("xfragile", seed=0, rows=rows, cols=cols, x_rows=rows, x_cols=cols)
         assert gi.rejections == 0
-        assert (2, rows, cols) in instances._SHAPES
-        assert len(instances._SHAPES) <= instances._SHAPES_MAX
+        hits = instances._shape.cache_info().hits
+        instances._shape(2, rows, cols)
+        info = instances._shape.cache_info()
+        assert info.hits == hits + 1
+        assert info.currsize <= info.maxsize
 
 
 @pytest.mark.parametrize("kind", ["relax", "nfragile"])
@@ -1117,9 +1125,25 @@ def test_shape_memo_is_bounded(monkeypatch):
     ("rows", 2.0, InvalidArgs, "rows must be an int, got 2.0"),
 ], ids=["q=2.0", "q=True", "rows=2.0"])
 def test_warm_shape_memo_refuses_what_a_first_draw_refuses(kind, arg, value, error, message):
-    # 2.0 == 2, so (2.0, 2, 2) finds the key (2, 2, 2); the refusal is
-    # the one a draw on an empty memo gives
+    # 2.0 == 2, so a memo keyed by value finds (2, 2, 2) for q = 2.0;
+    # the refusal is the one a draw on an empty memo gives
+    instances._shape.cache_clear()
     gen_random(kind, seed=0, q=2, rows=2, cols=2)
-    assert (2, 2, 2) in instances._SHAPES
+    assert instances._shape.cache_info().currsize == 1
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         gen_random(kind, seed=0, **{"q": 2, "rows": 2, "cols": 2, arg: value})
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("q", [[2], {2: 1}, None, "2"], ids=["list", "dict", "None", "str"])
+def test_a_q_that_is_not_an_int_is_refused_before_the_shape_memo(q, warm):
+    # the memo hashes its arguments, which [2] and {2: 1} refuse with a
+    # TypeError: a q that is not an int is refused as a field order
+    # first, on an empty memo and on one that holds the int shape
+    instances._shape.cache_clear()
+    if warm:
+        gen_random("relax", seed=0, q=2, rows=2, cols=2)
+    message = f"field order {q!r} is not a prime power"
+    with pytest.raises(InvalidField, match=f"^{re.escape(message)}$"):
+        gen_random("relax", seed=0, q=q, rows=2, cols=2)
+    assert instances._shape.cache_info().currsize == int(warm)

@@ -23,7 +23,8 @@ times.  The round ratio is CHANGE / PARENT, so a ratio below 1 means the
 change is faster.  Per seed, the median round ratio and the rounds the
 change won are printed, then the median over all rounds.  A few-percent
 difference that separate processes cannot resolve on a busy host shows
-here.
+here.  The process keeps to one CPU, the least it may run on, as
+`bench/run.py` does, and runs unpinned where it may not set that.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import argparse
 import gc
 import importlib.util
 import json
+import os
 import statistics
 import sys
 from pathlib import Path
@@ -159,6 +161,10 @@ def main(argv=None) -> int:
     ap.add_argument("--rounds", type=int, default=8)
     ap.add_argument("--ops", type=int, default=None, help="keep the first K ops of each pool")
     args = ap.parse_args(argv)
+    try:
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    except OSError:
+        pass  # not allowed here: the rounds then run on any CPU
     side = SIDES[args.workload]
     pkgs = [load_package(args.parent_src, "ab_parent"), load_package(args.change_src, "ab_change")]
     every = []
