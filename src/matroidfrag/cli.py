@@ -48,8 +48,6 @@ from .matroids import ReprMatroid
 from .reductions import pipeline as run_pipeline
 from .reductions import relax_entry
 
-COMMANDS = ("check-xfragile", "check-nfragile", "relax", "pipeline", "verify-suite")
-
 # the keys of `suites.SUITES`, in order: only verify-suite imports the
 # suites, so that no other command pays for loading them
 SUITE_NAMES = (
@@ -69,6 +67,7 @@ _TASK_FOR = {
     "relax": RelaxTask,
     "pipeline": PipelineTask,
 }
+COMMANDS = (*_TASK_FOR, "verify-suite")
 
 
 def _witness_json(fail) -> dict | None:

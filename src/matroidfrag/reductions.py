@@ -84,7 +84,7 @@ from .matroids import ReprMatroid
 from .records import Record
 
 
-def _fresh_label(stem: str, used: set[str]) -> str:
+def _fresh_label(stem: str, used: frozenset[str]) -> str:
     if stem not in used:
         return stem
     i = 1
@@ -496,7 +496,6 @@ def pipeline(
     # the records are built positionally, in slot order
     stages = [StageRecord("zero_displayed_block", 1, Mz, {"displayed_basis": sorted(B)})]
 
-    used = set(M.ground)
     cur = Mz
 
     # the loop side, then the coloop side as the loop side of the
@@ -510,8 +509,8 @@ def pipeline(
             labels[key] = next(iter(side))
             details = {"skipped": True}
         else:
-            labels[key] = _fresh_label(key, used)
-            used.add(labels[key])
+            # the stems differ, so the fresh d is never the fresh c
+            labels[key] = _fresh_label(key, M.ground)
             degree = k if conformance else None
             if key == "d":
                 A = collapse_side(cur.rep, X1, X2, labels["d"], degree=degree, degree_cap=dcap)

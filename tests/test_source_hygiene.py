@@ -21,8 +21,6 @@ package only names in `__all__` and from `matroidfrag.galois`, and
 otherwise only the standard library; it reads no attribute and imports
 no name with a leading underscore; it uses every import; and every
 function and constant it defines is read by some test module.
-Every Hypothesis test under tests/ names its seed (`@seed`), so no
-draw depends on the test's source text.
 Nothing is imported or run, so a left-over helper, import, parameter
 or export fails here rather than lingering unnoticed.
 """
@@ -370,22 +368,3 @@ def test_the_reference_module_has_no_unused_import_or_reference():
                          for path in (ROOT / "tests").glob("test_*.py")))
     assert sorted(defined - read) == []
 
-
-def _decorators(node):
-    """The names of a function's decorators, called or not, without the
-    module they are read from."""
-    for d in node.decorator_list:
-        yield ast.unparse(d.func if isinstance(d, ast.Call) else d).rsplit(".", 1)[-1]
-
-
-def test_every_hypothesis_test_names_its_seed():
-    # with no @seed, a @given test draws from a seed derived from its
-    # source text under derandomize, so an edit to its body re-draws it
-    unseeded = [
-        f"{path.name}::{node.name}"
-        for path in sorted((ROOT / "tests").glob("test_*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and "given" in _decorators(node) and "seed" not in _decorators(node)
-    ]
-    assert unseeded == []

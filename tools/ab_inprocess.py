@@ -5,13 +5,14 @@ Usage: python3 tools/ab_inprocess.py PARENT_SRC CHANGE_SRC
            [--ops K]
 
 Each `src/` tree is loaded under its own package name, so the two
-versions run side by side in one process on the same host state.  The
-pool of one seed is drawn with PARENT_SRC's package as `matroidfrag`
-and handed to each side as JSON.  A `certify` or `generate` op comes
-from `bench/workloads.py`, imported read-only (no bytecode is written
-there): a `certify` op is one `pipeline` on a fragile pair, parsed by
-each side's `parse_instance`; a `generate` op is one `gen_random` draw
-with its retries, as the workload makes it.  A `suites` op is one
+versions run side by side in one process on the same host state.
+`bench/workloads.py` is loaded once per tree, read-only (no bytecode is
+written there), with that tree's package as `matroidfrag`.  The pool of
+one seed is drawn by PARENT_SRC's copy and handed to each side as JSON.
+A `certify` or `generate` op is run by the side's own copy of the
+workload's `run_op`: a `certify` op is one `pipeline` on a fragile
+pair, parsed by each side's `parse_instance`; a `generate` op is one
+`gen_random` draw with its retries.  A `suites` op is one
 `suites.run_suite(name, seed)`, one per name in `suites.SUITES`, in
 order, and its output is the report with `timing_ms` stripped
 (`canonical_report`).  `--ops K` keeps the first K ops of the pool.
@@ -56,66 +57,61 @@ def load_package(src: Path, name: str):
     return module
 
 
-def draw_pool(parent_src: Path, workload: str, seed: int) -> list[str]:
-    """The seed's ops, drawn by `bench/workloads.py`, as JSON texts."""
-    if "matroidfrag" not in sys.modules:
-        sys.path.insert(0, str(Path(parent_src).resolve()))
-        sys.path.insert(0, str(BENCH))
-        sys.dont_write_bytecode = True
-    import matroidfrag
-    import workloads
+def load_workloads(pkg):
+    """`bench/workloads.py` run against `pkg`: loaded under its own name,
+    with `sys.modules["matroidfrag"]` pointed at `pkg` while it executes,
+    and no bytecode written under bench/."""
+    real = sys.modules.get("matroidfrag")
+    sys.modules["matroidfrag"] = pkg
+    sys.dont_write_bytecode = True
+    try:
+        spec = importlib.util.spec_from_file_location(f"{pkg.__name__}_workloads",
+                                                      BENCH / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        if real is None:
+            del sys.modules["matroidfrag"]
+        else:
+            sys.modules["matroidfrag"] = real
+    return module
 
+
+def draw_pool(pkg, workloads, workload: str, seed: int) -> list[str]:
+    """The seed's ops, drawn by `workloads` against `pkg`, as JSON texts."""
     if workload == "suites":
-        from matroidfrag import suites
+        suites = importlib.import_module(f"{pkg.__name__}.suites")
         return [json.dumps([name, seed]) for name in suites.SUITES]
     if workload == "certify":
         w = workloads.Certify(seed)
         w.setup()
-        return [json.dumps(matroidfrag.serialize_instance(inst)) for _, inst in w.ops()]
+        return [json.dumps(pkg.serialize_instance(inst)) for _, inst in w.ops()]
     w = workloads.Generate(seed)
     w.catalogue = workloads.generate_catalogue()
     return [json.dumps(op) for op in w.ops()]
 
 
-def certify_side(pkg):
-    """Parse an op for this side, and run it: time of `pipeline` alone,
-    and the output the two sides must agree on."""
-    def prepare(text):
-        inst = pkg.parse_instance(text)
-        return inst.matrix, inst.task.minor.rep
+def certify_side(pkg, workloads):
+    """Parse an op for this side, and run it as the workload does: time
+    of `pipeline` alone, and the output the two sides must agree on."""
+    run_op = workloads.Certify(0).run_op
 
     def run(op):
-        M, N = pkg.ReprMatroid(op[0]), pkg.ReprMatroid(op[1])
-        t0 = perf_counter()
-        tr = pkg.pipeline(M, N)
-        t = perf_counter() - t0
+        t, tr = run_op(op)
         return t, (tr.final_degree_over_input, sorted(tr.hyperplane), tr.relaxation.rep._data)
-    return prepare, run
+    return lambda text: (None, pkg.parse_instance(text)), run
 
 
-def generate_side(pkg):
-    import workloads  # on the path once `draw_pool` has run
-
-    retries, attempts = workloads.GEN_RETRIES, workloads.GEN_ATTEMPTS
+def generate_side(pkg, workloads):
+    run_op = workloads.Generate(0).run_op
 
     def run(op):
-        kind, shape, sub = op
-        t0 = perf_counter()
-        for attempt in range(retries):
-            try:
-                g = pkg.gen_random(kind, seed=(sub + attempt) % 2**32,
-                                   max_attempts=attempts, **shape)
-                break
-            except pkg.Exhausted:
-                continue
-        else:
-            raise RuntimeError(f"{kind} {shape}: Exhausted {retries} times")
-        t = perf_counter() - t0
+        t, g = run_op(op)
         return t, (g.rejections, pkg.serialize_instance(g.instance))
     return json.loads, run
 
 
-def suites_side(pkg):
+def suites_side(pkg, workloads):
     suites = importlib.import_module(f"{pkg.__name__}.suites")
 
     def run(op):
@@ -167,12 +163,13 @@ def main(argv=None) -> int:
         pass  # not allowed here: the rounds then run on any CPU
     side = SIDES[args.workload]
     pkgs = [load_package(args.parent_src, "ab_parent"), load_package(args.change_src, "ab_change")]
+    workloads = [load_workloads(pkg) for pkg in pkgs]
     every = []
     for seed in args.seeds:
-        pool = draw_pool(args.parent_src, args.workload, seed)[:args.ops]
+        pool = draw_pool(pkgs[0], workloads[0], args.workload, seed)[:args.ops]
         sides = []
-        for pkg in pkgs:
-            prepare, run = side(pkg)
+        for pkg, wl in zip(pkgs, workloads):
+            prepare, run = side(pkg, wl)
             sides.append(([prepare(text) for text in pool], run))
         ratios = ab_rounds(sides, args.rounds)
         every += ratios
