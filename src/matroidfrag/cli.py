@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 import time
 
 from .errors import PostconditionViolation, ToolkitError
@@ -249,7 +248,3 @@ def main(argv: list[str] | None = None) -> int:
         with out:
             out.write(text + "\n")
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -293,7 +293,10 @@ def fragile_partitions(
             if is_N(node):
                 found.append(MinorSpec(C, outside - C))
 
-    walk(0, frozenset(), root)
+    try:
+        walk(0, frozenset(), root)
+    finally:
+        del walk  # its cell refers to it: a cycle that reference counting cannot free
     return frozenset(found)
 
 

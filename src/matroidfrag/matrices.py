@@ -250,6 +250,7 @@ def rank_table(
                 walk(child, r + 1, j + 1, reduce(v, red[j - lo + 1 :]))
 
     walk(0, 0, 0, vecs)
+    del walk  # its cell refers to it: a cycle that reference counting cannot free
     return table
 
 

@@ -28,19 +28,19 @@ from .reductions import free_extension, pipeline, relax_entry, zero_out
 from .subsets import subsets_by_size
 
 
+def _strip(x):
+    if isinstance(x, dict):
+        return {k: _strip(v) for k, v in x.items() if k != "timing_ms"}
+    if isinstance(x, list):
+        return [_strip(v) for v in x]
+    return x
+
+
 def canonical_report(report: dict) -> str:
     """Canonical byte form of a report: timing fields removed, keys
     sorted, compact separators.  Two runs with identical inputs and
     seeds must agree on this string exactly."""
-
-    def strip(x):
-        if isinstance(x, dict):
-            return {k: strip(v) for k, v in x.items() if k != "timing_ms"}
-        if isinstance(x, list):
-            return [strip(v) for v in x]
-        return x
-
-    return json.dumps(strip(report), sort_keys=True, separators=(",", ":"))
+    return json.dumps(_strip(report), sort_keys=True, separators=(",", ":"))
 
 
 def _finish(name: str, seed, checked: int, failures: list, t0: float) -> dict:

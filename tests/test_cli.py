@@ -16,6 +16,7 @@ import pytest
 from matroidfrag import cli, gen_random, suites
 from matroidfrag.cli import main, run
 from matroidfrag.instances import parse_instance, serialize_instance
+from watch import forbid, watch
 
 PAIR_PIPELINE = """{
   "field": {"p": 2, "tower": []},
@@ -287,10 +288,8 @@ def test_report_flag_writes_stdout_text(tmp_path, capsys):
 
 
 def test_unwritable_report_exits_two(tmp_path, capsys, monkeypatch):
-    def boom(*args, **kwargs):
-        raise AssertionError("the command ran before the report path was checked")
-
-    monkeypatch.setattr(cli, "run", boom)
+    # the report path is checked before the command runs
+    watch(monkeypatch, run, [], key=forbid)
     path = tmp_path / "inst.json"
     path.write_text(PAIR_PIPELINE)
     out_path = tmp_path / "no" / "such" / "r.json"

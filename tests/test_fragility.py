@@ -15,6 +15,7 @@ from random import Random
 import pytest
 
 from matroidfrag import fragility, matrices, matroids
+from matroidfrag.matrices import rank_table
 from matroidfrag.subsets import first_by_size
 from matroidfrag import (
     CapExceeded,
@@ -31,6 +32,7 @@ from matroidfrag import (
     isolated,
     one_move_partition,
     partitions_of,
+    submatrix_rank,
     subsets_by_size,
     x_fragile_failure,
 )
@@ -40,6 +42,7 @@ from reference import (
     partition_basis_scan, random_matrix, scope_cases, scope_matrices, scope_x, textbook_rank,
     unzeroed_ladder_draw, with_entry, x_fragile_failure_loop,
 )
+from watch import forbid, watch
 
 
 def one_coloop_one_loop_one_parallel():
@@ -90,15 +93,12 @@ def test_minor_table_is_capped_before_it_is_built(monkeypatch):
     # a 17-element GF(3) matroid against itself with a row scaled by 2:
     # the leaf (∅, ∅) has N's zero pattern and other entries, so it needs
     # N's table, which is refused before any table is built
-    def no_table(*args, **kwargs):
-        raise AssertionError("rank table built before the cap check")
-
-    monkeypatch.setattr(fragility, "rank_table", no_table)
     rows, cols = [f"r{i}" for i in range(8)], [f"c{j}" for j in range(9)]
     A = LabeledMatrix(GF3, rows, cols, [[1] * len(cols)] * len(rows))
     N = A
     for f in cols:
         N = with_entry(N, "r0", f, 2)
+    watch(monkeypatch, rank_table, [], key=forbid)
     start = time.perf_counter()
     with pytest.raises(CapExceeded, match="cap 16"):
         fragile_partitions(ReprMatroid(A), ReprMatroid(N))
@@ -108,14 +108,11 @@ def test_minor_table_is_capped_before_it_is_built(monkeypatch):
 def test_minor_equal_to_a_large_matroid_builds_no_table(monkeypatch):
     # 22 elements over GF(2), N = M: the one leaf is N's own display, so
     # it is accepted with no table, however large E(N) is
-    def no_table(*args, **kwargs):
-        raise AssertionError("rank table built")
-
-    monkeypatch.setattr(fragility, "rank_table", no_table)
     rows, cols = [f"r{i}" for i in range(11)], [f"c{j}" for j in range(11)]
     rng = Random(22)
     data = [[rng.randint(0, 1) for _ in cols] for _ in rows]
     M = ReprMatroid(LabeledMatrix(GF2, rows, cols, data))
+    watch(monkeypatch, rank_table, [], key=forbid)
     assert fragile_partitions(M, M) == {MinorSpec(set(), set())}
 
 
@@ -124,15 +121,13 @@ def test_isolated_minor_over_another_field_builds_no_table(monkeypatch):
     # with A[r8][c9] = 2, and N isolated on the other 17 labels over
     # GF(2); the leaf with N's all-zero display is N over every field, so
     # no table is built (N's would be refused above 16 elements)
-    tables = []
-    monkeypatch.setattr(fragility, "rank_table",
-                        lambda *a, **k: tables.append(a) or matrices.rank_table(*a, **k))
     rows, cols = [f"r{i}" for i in range(9)], [f"c{j}" for j in range(10)]
     data = [[0] * 9 + [1] for _ in rows[:8]] + [[1] * 9 + [2]]
     A = LabeledMatrix(GF3, rows, cols, data)
     X = frozenset(rows[:8] + cols[:9])
     assert x_fragile_failure(A, X) is None
-    tables.clear()  # x_fragile_failure's two, over the labels outside X
+    tables = []
+    watch(monkeypatch, rank_table, tables)
     want = {MinorSpec({"r8"}, {"c9"})}
     for F in (GF2, GF3):
         N = isolated(rows[:8], X, F)
@@ -266,8 +261,8 @@ def fragile_partitions_table(M, N):
     n = len(N.ground)
     order = sorted(N.ground) + sorted(rest)
     bit = {v: 1 << i for i, v in enumerate(order)}
-    T = matrices.rank_table(M.rep, order)
-    TN = matrices.rank_table(N.rep, order[:n])
+    T = rank_table(M.rep, order)
+    TN = rank_table(N.rep, order[:n])
     found = set()
     for C, D in partitions_of(rest):
         cm = sum(bit[v] for v in C)
@@ -303,7 +298,7 @@ def fragile_partitions_generic(M, N):
         if N.field == field and data == NA:
             return True
         A = LabeledMatrix._of_display(field, rows, cols, data)
-        return matrices.rank_table(A, labels) == matrices.rank_table(N.rep, labels)
+        return rank_table(A, labels) == rank_table(N.rep, labels)
 
     def walk(i, C, node):
         if i == len(rest):
@@ -338,8 +333,8 @@ def x_fragile_failure_minors(A, X):
                 return ("block_nonzero", (r, c))
     rest = sorted(A.labels() - Xf)
     M = ReprMatroid(A)
-    Tc = matrices.rank_table(M.minor(xc, xr).rep, rest)
-    Tr = matrices.rank_table(M.minor(xr, xc).rep, rest)
+    Tc = rank_table(M.minor(xc, xr).rep, rest)
+    Tr = rank_table(M.minor(xr, xc).rep, rest)
     rc = M.rank(xc)
     rmask = sum(1 << i for i, v in enumerate(rest) if v in R)
     fails = [y for y in range(1, len(Tc)) if Tc[y ^ rmask] + rc <= Tr[y ^ rmask]]
@@ -434,8 +429,7 @@ def test_gf2_leaf_on_the_minors_basis_is_decided_by_its_display(monkeypatch):
     # display is N's, so no table is built; over GF(3) a scaled entry
     # keeps the matroid, and that leaf goes to its table and N's
     tables = []
-    monkeypatch.setattr(fragility, "rank_table",
-                        lambda *a, **k: tables.append(a) or matrices.rank_table(*a, **k))
+    watch(monkeypatch, rank_table, tables)
     A = LabeledMatrix(GF2, ["a", "b"], ["c", "d"], [[1, 1], [0, 1]])
     M, N = ReprMatroid(A), ReprMatroid(with_entry(A, "a", "d", 0))
     assert fragile_partitions(M, N) == fragile_partitions_table(M, N) == set()
@@ -473,8 +467,7 @@ def test_leaf_off_the_minors_zero_pattern_builds_no_table(monkeypatch):
     # display, where comparing only the leaves already on N's rows built
     # 9 tables
     tables = []
-    monkeypatch.setattr(fragility, "rank_table",
-                        lambda *a, **k: tables.append(a) or matrices.rank_table(*a, **k))
+    watch(monkeypatch, rank_table, tables)
     for F in (GF3, GF4, GF5):
         A = LabeledMatrix(F, ["a", "b"], ["c", "d"], [[1, 1], [0, 1]])
         tables.clear()
@@ -496,12 +489,7 @@ def test_search_tables_span_the_minor_only(monkeypatch):
     # per leaf with N's zero pattern and other entries, never one over
     # E(M); a scaled N sends its realising leaf, and N, to tables
     spans = []
-
-    def recorded(A, labels, *, contract=()):
-        spans.append(len(labels))
-        return matrices.rank_table(A, labels, contract=contract)
-
-    monkeypatch.setattr(fragility, "rank_table", recorded)
+    watch(monkeypatch, rank_table, spans, key=lambda A, labels, **kwargs: len(labels))
     rng = Random(14)
     built = 0
     for t in range(80):
@@ -535,21 +523,14 @@ def counted_search(monkeypatch, M, N):
     (`_contract_one` and `_delete_one` calls, or `_step_gf2` calls on
     packed GF(2) rows) and of pivots (`_pivot_inplace` calls, the root's
     included, and `_pivot_gf2` calls) it made."""
-    counts = Counter()
-
-    def counting(key, fn):
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
+    calls = []
     with monkeypatch.context() as mp:
-        for name in ("_contract_one", "_delete_one"):
-            mp.setattr(ReprMatroid, name, staticmethod(counting("steps", getattr(ReprMatroid, name))))
-        mp.setattr(matroids, "_pivot_inplace", counting("pivots", matroids._pivot_inplace))
-        mp.setattr(fragility, "_step_gf2", counting("steps", fragility._step_gf2))
-        mp.setattr(fragility, "_pivot_gf2", counting("pivots", fragility._pivot_gf2))
-        return fragile_partitions(M, N), counts["steps"], counts["pivots"]
+        for target in ((ReprMatroid, "_contract_one"), (ReprMatroid, "_delete_one"),
+                       fragility._step_gf2):
+            watch(mp, target, calls, key=lambda *args: "steps")
+        for target in (matroids._pivot_inplace, fragility._pivot_gf2):
+            watch(mp, target, calls, key=lambda *args: "pivots")
+        return fragile_partitions(M, N), calls.count("steps"), calls.count("pivots")
 
 
 def test_dependent_basis_or_codependent_cobasis_ends_the_search_at_the_root(monkeypatch):
@@ -591,9 +572,9 @@ def test_gf2_frontier_search_tests_one_leaf(monkeypatch):
     # the GF(2) ladder draw of size 20 (|E| = 40) has one realising
     # partition, and the span tests leave only its leaf; the generic
     # steps with no node test reach 53411 leaves of it
-    leaves = []
-    monkeypatch.setattr(fragility, "partitions_of", lambda S: leaves.append(S) or partitions_of(S))
     M, N = ladder_draw(20, 2)
+    leaves = []
+    watch(monkeypatch, partitions_of, leaves)
     got = fragile_partitions(M, N, cap=40)
     assert got == {MinorSpec({f"r{i}" for i in range(10, 20)}, {f"c{j}" for j in range(10, 20)})}
     assert len(leaves) == 1
@@ -770,13 +751,7 @@ def test_x_fragility_tall_matrix_reads_small_tables(monkeypatch):
     # 20 rows, 5 columns, X = every row: both tables range over the 5
     # columns alone, 2^5 entries each, however many rows are contracted
     sizes = []
-
-    def recorded(A, labels, *, contract=()):
-        table = matrices.rank_table(A, labels, contract=contract)
-        sizes.append(len(table))
-        return table
-
-    monkeypatch.setattr(fragility, "rank_table", recorded)
+    watch(monkeypatch, rank_table, sizes, key=lambda A, labels, **kwargs: 1 << len(labels))
     rng = Random(13)
     rows = [f"r{i:02d}" for i in range(20)]
     cols = [f"c{j}" for j in range(5)]
@@ -797,33 +772,16 @@ def test_searches_and_bases_make_no_rank_queries(monkeypatch):
     # fragile_partitions, x_fragile_failure and bases read rank tables:
     # no submatrix rank, through any binding, and no rank of a subset
     # (x_fragile_failure reads its offset r(Xc) off its own table)
-    calls = []
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-
-        return wrapper
-
     A = LabeledMatrix(GF3, ["a", "b"], ["c", "d", "e"], [[0, 1, 2], [0, 0, 1]])
     M = ReprMatroid(A)
     N = isolated({"a"}, {"a", "c"}, GF3)
     want = (fragile_partitions_loop(M, N), x_fragile_failure_loop(A, {"a", "c"}),
             {frozenset(B) for B in combinations("abcde", 2) if M.rank(B) == 2})
     assert len(want[0]) == 3 and want[1] is not None and len(want[2]) == 5
-    rank = ReprMatroid.rank
-
-    def subset_rank(self, X=None):
-        if X is not None:
-            calls.append(("ReprMatroid.rank", sorted(X)))
-        return rank(self, X)
-
-    monkeypatch.setattr(ReprMatroid, "rank", subset_rank)
-    for module in (matrices, fragility):
-        monkeypatch.setattr(module, "submatrix_rank",
-                            counted("submatrix_rank", matrices.submatrix_rank), raising=False)
     M = ReprMatroid(A)  # an empty rank cache
+    calls = []
+    watch(monkeypatch, (ReprMatroid, "rank"), [], key=lambda self, X=None: X is None or forbid())
+    watch(monkeypatch, submatrix_rank, calls)
     assert (fragile_partitions(M, N), x_fragile_failure(A, {"a", "c"}), M.bases()) == want
     assert calls == []
 
@@ -903,7 +861,7 @@ def assert_sift_callers_match_the_reference(M, part, rank):
     assert matrices.block_rank(A, drop, cols) == textbook_rank(F, block)
     # the table of M/C0: the empty set, each label, all, and all but one
     labels = sorted(M.ground - C0)
-    table = matrices.rank_table(A, labels, contract=sorted(C0))
+    table = rank_table(A, labels, contract=sorted(C0))
     full = (1 << len(labels)) - 1
     for W in {0, full, *(1 << i for i in range(len(labels))),
               *(full ^ 1 << i for i in range(len(labels)))}:
@@ -1046,11 +1004,8 @@ def test_sift_and_its_callers_match_the_reference_elimination():
 
 def test_one_move_witness_reads_no_rank_table(monkeypatch):
     tables, ranks = [], []
-    monkeypatch.setattr(fragility, "rank_table",
-                        lambda *a: tables.append(a) or matrices.rank_table(*a))
-    rank = ReprMatroid.rank
-    monkeypatch.setattr(ReprMatroid, "rank",
-                        lambda self, X=None: ranks.append(X) or rank(self, X))
+    watch(monkeypatch, rank_table, tables)
+    watch(monkeypatch, (ReprMatroid, "rank"), ranks)
     # e parallel to the coloop-side c: contracting it is the only choice
     M = one_coloop_one_loop_one_parallel()
     assert one_move_partition(M, MinorSpec({"e"}, set())) is None

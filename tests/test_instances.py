@@ -44,6 +44,7 @@ from matroidfrag import (
 )
 from matroidfrag.fragility import PARTITION_CAP_DEFAULT
 from reference import GF2, GF3, drawn_matrix, reference_gen_random
+from watch import watch
 
 MINIMAL = '{"field": {"p": 2, "tower": []}, "matrix": {"rows": ["a"], "cols": ["b"], "entries": [[1]]}}'
 
@@ -586,9 +587,7 @@ def test_rejected_draws_build_no_matrix(monkeypatch):
     # once and then checked: by x_fragile_failure, which builds none, or
     # by the partition search, which builds minors and displays
     events = []
-    of_display = LabeledMatrix._of_display.__func__
-    built = classmethod(lambda cls, *a: events.append("matrix") or of_display(cls, *a))
-    monkeypatch.setattr(LabeledMatrix, "_of_display", built)
+    watch(monkeypatch, (LabeledMatrix, "_of_display"), events, key=lambda cls, *args: "matrix")
     witness = instances._one_move
 
     def logged_witness(*display_and_sides):
@@ -911,20 +910,9 @@ def test_witness_rejected_draws_build_no_minor_and_no_table(
     # ("witness", moved label or None) pair, and only a draw it cannot
     # reject goes on to build a matroid, tables (and a minor)
     events = []
-
-    def logged(name, fn):
-        def wrapper(*args, **kwargs):
-            events.append(name)
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    table = logged("rank_table", matrices.rank_table)
-    for name, module in list(sys.modules.items()):
-        if name.startswith("matroidfrag") and hasattr(module, "rank_table"):
-            monkeypatch.setattr(module, "rank_table", table)
-    monkeypatch.setattr(ReprMatroid, "minor", logged("minor", ReprMatroid.minor))
-    monkeypatch.setattr(ReprMatroid, "__init__", logged("matroid", ReprMatroid.__init__))
+    watch(monkeypatch, matrices.rank_table, events)
+    watch(monkeypatch, (ReprMatroid, "minor"), events)
+    watch(monkeypatch, (ReprMatroid, "__init__"), events, key=lambda self, rep: "matroid")
     witness = instances._one_move
 
     def logged_witness(*display_and_sides):

@@ -24,6 +24,7 @@ from reference import (
     GF2, GF3, GF4, GF8, GF9, GF16_OVER_GF4, SCOPES, entries, random_matrix, rowspace_rank,
     scope_cases,
 )
+from watch import watch
 
 
 def rank(A):
@@ -187,19 +188,12 @@ def test_one_elimination_step_per_field_kind(monkeypatch):
     from matroidfrag import matrices
 
     used = []
-
-    def counted(name, fn, order=None):
-        # the generic routines take the field first
-        def wrapper(*args):
-            used.append((name, order or args[0].order))
-            return fn(*args)
-
-        return wrapper
-
     for name, order in (("_sift_gf2", 2), ("_sift_enc", None), ("rank_gf2", 2),
                         ("_rank_generic", None), ("_reduce_gf2", 2),
                         ("_generic_reducer", None)):
-        monkeypatch.setattr(matrices, name, counted(name, getattr(matrices, name), order))
+        # the generic routines take the field first
+        watch(monkeypatch, getattr(matrices, name), used,
+              key=lambda *args, name=name, order=order: (name, order or args[0].order))
     for F in (GF2, GF3, GF4):
         A = LabeledMatrix(F, ["a", "b"], ["x", "y"], [[1, 1], [0, 1]])
         sift, rank_loop, step = (("_sift_gf2", "rank_gf2", "_reduce_gf2") if F is GF2 else
@@ -267,7 +261,7 @@ def test_rank_table_fills_full_rank_subtrees_under_contraction(monkeypatch):
         return step
 
     generic = matrices._generic_reducer
-    monkeypatch.setattr(matrices, "_reduce_gf2", counted(matrices._reduce_gf2))
+    watch(monkeypatch, matrices._reduce_gf2, steps, key=lambda pivot, rest: pivot)
     monkeypatch.setattr(matrices, "_generic_reducer", lambda field: counted(generic(field)))
     for F in (GF2, GF3):
         A = LabeledMatrix(F, ["a", "b", "c"], ["x", "y", "z"], [[1, 1, 0], [0, 1, 1], [1, 0, 1]])

@@ -28,6 +28,7 @@ from matroidfrag import (
 )
 from matroidfrag.matroids import _pivot_inplace
 from reference import GF2, GF3, GF4, GF5, GF9, SCOPES, entries, scope_matrices, textbook_rank
+from watch import forbid, watch
 
 
 def running_example():
@@ -227,12 +228,9 @@ def test_equals_cap():
 
 
 def test_bases_cap(monkeypatch):
-    from matroidfrag import matroids
+    from matroidfrag.matrices import rank_table
 
-    def no_table(*args):
-        raise AssertionError("rank table built before the cap check")
-
-    monkeypatch.setattr(matroids, "rank_table", no_table)
+    watch(monkeypatch, rank_table, [], key=forbid)
     with pytest.raises(CapExceeded, match="bases cap 16"):
         isolated({1}, range(1, 18)).bases()
 
@@ -403,23 +401,16 @@ def test_prime_field_pivot_matches_the_field_methods(p):
 def test_tower_pivot_takes_the_field_methods(monkeypatch, F):
     # a field with tower steps keeps the method path, which the residue
     # path would get wrong: its encodings are not residues mod p
-    calls = Counter()
-    for name in ("mul_enc", "sub_enc"):
-        op = getattr(type(F), name)
-
-        def counted(self, a, b, op=op, name=name):
-            calls[name] += 1
-            return op(self, a, b)
-
-        monkeypatch.setattr(type(F), name, counted)
     data = [[1, F.order - 1, 2], [3, 1, F.order - 2]]
     want = [row[:] for row in data]
     rows, cols = ["a", "b"], ["c", "d", "e"]
     pivot_by_field_methods(F, rows[:], cols[:], want, 0, 0)
-    calls.clear()
+    calls = []
+    for name in ("mul_enc", "sub_enc"):
+        watch(monkeypatch, (type(F), name), calls)
     _pivot_inplace(F, rows, cols, data, 0, 0)
     assert data == want
-    assert calls["mul_enc"] > 0 and calls["sub_enc"] > 0
+    assert calls.count("mul_enc") > 0 and calls.count("sub_enc") > 0
 
 
 @pytest.mark.parametrize("F", [GF2, GF3, GF4, GF5, GF9], ids=str)

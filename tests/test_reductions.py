@@ -44,6 +44,7 @@ from reference import (
     GF2, GF3, GF4, GF5, GF9, SCOPES, entries, free_placement_failure, relax_sweep_failure,
     scope_matrices, scope_x, with_entry, x_fragile_failure_loop,
 )
+from watch import watch
 
 
 def pair_matroid():
@@ -204,20 +205,14 @@ def test_free_extension_does_no_arithmetic_in_the_extension(monkeypatch):
     # interned (its modulus searched), free_extension multiplies and adds
     # nothing in it
     A = LabeledMatrix(GF3, ["r1", "r2"], ["a", "b", "x"], [[1, 2, 0], [2, 1, 1]])
-    calls = Counter()
+    calls = []
     for name in ("mul_enc", "add_enc"):
-        op = getattr(FieldSpec, name)
-
-        def counted(self, a, b, op=op, name=name):
-            calls[self, name] += 1
-            return op(self, a, b)
-
-        monkeypatch.setattr(FieldSpec, name, counted)
+        watch(monkeypatch, (FieldSpec, name), calls, key=lambda self, a, b, name=name: (self, name))
     for X, d in ((("a", "b", "x"), None), (("a",), 3), ((), 2)):
         F2 = extend_field(GF3, d or len(X))
         calls.clear()
         assert free_extension(A, X, "e", degree=d).field is F2
-        assert calls[F2, "mul_enc"] == calls[F2, "add_enc"] == 0, calls
+        assert calls.count((F2, "mul_enc")) == calls.count((F2, "add_enc")) == 0, calls
 
 
 @pytest.mark.parametrize("field, X", [
@@ -379,38 +374,19 @@ def test_relax_entry_matches_the_partition_search():
 def test_sweeps_make_no_rank_queries(monkeypatch):
     # free_extension and relax_entry certify by proofs: no rank query of
     # their own, and no rank table once the pair fragility is certified
-    calls = 0
-    tables = 0
-
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    def counted_table(*args, **kwargs):
-        nonlocal tables
-        tables += 1
-        return rank_table(*args, **kwargs)
-
-    rank_table = matrices.rank_table
-    monkeypatch.setattr(ReprMatroid, "rank", counted(ReprMatroid.rank))
-    for module in (matrices, fragility, reductions, matroids):
-        monkeypatch.setattr(module, "submatrix_rank", counted(matrices.submatrix_rank),
-                            raising=False)
-        monkeypatch.setattr(module, "rank_table", counted_table, raising=False)
-
     A = LabeledMatrix(GF3, ["r1", "r2", "r3"], ["a", "b", "x"],
                       [[1, 0, 2], [0, 1, 1], [1, 1, 0]])
-    free_extension(A, {"a", "b"}, "e")
-    assert (calls, tables) == (0, 0)
     M = ReprMatroid(LabeledMatrix(GF2, ["a", "b"], ["c", "d"], [[0, 1], [1, 0]]))
+    calls, tables = [], []
+    watch(monkeypatch, (ReprMatroid, "rank"), calls)
+    watch(monkeypatch, matrices.submatrix_rank, calls)
+    watch(monkeypatch, matrices.rank_table, tables)
+    free_extension(A, {"a", "b"}, "e")
+    assert (calls, tables) == ([], [])
     # displayed with basis {a, b} = C + {c}: H = rows - {a} + {c}
     M1, M2, H = reductions._relax_entry(M, "a", "c", DEGREE_CAP_DEFAULT)
     assert H == {"b", "c"} and M1 is M
-    assert (calls, tables) == (0, 0)
+    assert (calls, tables) == ([], [])
 
 
 # -- zero_out -----------------------------------------------------------------
@@ -497,9 +473,8 @@ def test_a_new_label_that_is_not_a_string_is_converted_once(monkeypatch):
         free_extension(out, ["a"], 5)
     # collapse_side converts it once, on entry: its extension gets the str
     A = pair_matroid().rep
-    extend, labels = reductions.free_extension, []
-    monkeypatch.setattr(reductions, "free_extension",
-                        lambda A, X, e, **k: labels.append(e) or extend(A, X, e, **k))
+    labels = []
+    watch(monkeypatch, free_extension, labels, key=lambda A, X, e, **kwargs: e)
     out = collapse_side(A, {"c"}, {"d"}, 7)
     assert out == collapse_side(A, {"c"}, {"d"}, "7")
     assert out.cols == ("e", "7") and labels == ["7", "7"]
@@ -574,17 +549,11 @@ def test_relax_entry_rejections():
 def test_relax_entry_makes_no_subset_query_on_the_matroid(monkeypatch):
     # the two singleton queries are on the minor M/C\D; whether C + {c}
     # is a basis of M is left to the pivots of `rebase`
-    queries = []
-    rank = ReprMatroid.rank
-
-    def recorded(self, X=None):
-        queries.append((self, sorted(X) if X is not None else None))
-        return rank(self, X)
-
-    monkeypatch.setattr(ReprMatroid, "rank", recorded)
     gi = gen_random("relax", seed=3, q=3, rows=3, cols=3)
     M, t = ReprMatroid(gi.instance.matrix), gi.instance.task
-    queries.clear()
+    queries = []
+    watch(monkeypatch, (ReprMatroid, "rank"), queries,
+          key=lambda self, X=None: (self, sorted(X) if X is not None else None))
     relax_entry(M, t.contract, t.delete)
     assert [X for _, X in queries] == [["c0"], ["r0"]]
     assert all(K is not M for K, _ in queries)
@@ -673,15 +642,8 @@ def test_pipeline_forwards_the_partition(monkeypatch, instance, conformance, col
     # the zeroing and collapse lemmas, so no X-fragility check runs and no
     # partition is built after
     names = ("fragile_partitions", "display_basis", "partition_basis", "x_fragile_failure")
-    calls = Counter()
+    calls = []
     inside = 0
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name, inside > 0] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
 
     def zero_out_core(*args, **kwargs):
         nonlocal inside
@@ -697,17 +659,14 @@ def test_pipeline_forwards_the_partition(monkeypatch, instance, conformance, col
         seed, rows, cols, k = (2, 3, 3, 3) if instance == "split" else (1, 4, 4, 4)
         gi = gen_random("pipeline", seed=seed, q=2, rows=rows, cols=cols, minor_size=k)
         M, N = ReprMatroid(gi.instance.matrix), gi.instance.task.minor
-    # both bindings, so calls through is_N_fragile count as well
-    for name in names:
-        wrapped = counted(name, getattr(fragility, name))
-        monkeypatch.setattr(fragility, name, wrapped)
-        monkeypatch.setattr(reductions, name, wrapped, raising=False)
-    monkeypatch.setattr(ReprMatroid, "rebase", counted("rebase", ReprMatroid.rebase))
+    targets = [(name, getattr(fragility, name)) for name in names]
+    for name, target in targets + [("rebase", (ReprMatroid, "rebase"))]:
+        watch(monkeypatch, target, calls, key=lambda *args, name=name, **kwargs: (name, inside > 0))
     zero_out_ = reductions.zero_out
     monkeypatch.setattr(reductions, "zero_out", zero_out_core)
     tr = pipeline(M, N, conformance=conformance)
     assert sum(not s.details.get("skipped") for s in tr.stages[1:3]) == collapsed
-    assert dict(calls) == {
+    assert Counter(calls) == {
         ("fragile_partitions", True): 1,
         ("partition_basis", True): 1,
         ("rebase", True): 1,
@@ -915,8 +874,7 @@ def test_a_changed_entry_on_the_common_minor_is_refused(monkeypatch, which):
         return with_entry(out, r, c, out.field.add_enc(out.enc(r, c), 1))
 
     monkeypatch.setattr(reductions, "free_extension", changed_extension)
-    monkeypatch.setattr(reductions, "x_fragile_failure",
-                        lambda *a, **k: checks.append(a) or fragility.x_fragile_failure(*a, **k))
+    watch(monkeypatch, fragility.x_fragile_failure, checks)
     with pytest.raises(PostconditionViolation, match="changed the common minor"):
         pipeline(M, N)
     assert checks == []
@@ -987,16 +945,9 @@ def test_pipeline_runs_above_the_equals_cap():
 
 
 def test_pipeline_and_collapse_side_make_no_equals_call(monkeypatch):
-    calls = 0
-    equals = ReprMatroid.equals
-
-    def counted(self, other):
-        nonlocal calls
-        calls += 1
-        return equals(self, other)
-
-    monkeypatch.setattr(ReprMatroid, "equals", counted)
     M, N = four_element_pair()
+    calls = []
+    watch(monkeypatch, (ReprMatroid, "equals"), calls)
     for conformance in (False, True):
         pipeline(M, N, conformance=conformance)
     pipeline(pair_matroid(), isolated({"c"}, {"c", "d"}))
@@ -1006,7 +957,7 @@ def test_pipeline_and_collapse_side_make_no_equals_call(monkeypatch):
     Aa = collapse_side(Az, X1, N.ground - B, "d")
     collapse_side(Aa.transpose(), {"d"}, X1, "c")
     collapse_side(pair_matroid().rep, {"c"}, {"d"}, "d2")
-    assert calls == 0
+    assert calls == []
 
 
 def test_pipeline_builds_no_dual(monkeypatch):
@@ -1015,10 +966,9 @@ def test_pipeline_builds_no_dual(monkeypatch):
     # input field, and over the prime field GF(3), whose pivots take
     # residues, no entry is negated at all.  Over GF(9) the input field's
     # pivots still negate
-    duals, negs = Counter(), Counter()
-    dual, neg = ReprMatroid.dual, FieldSpec.neg_enc
-    monkeypatch.setattr(ReprMatroid, "dual", lambda self: duals.update([self.field]) or dual(self))
-    monkeypatch.setattr(FieldSpec, "neg_enc", lambda self, a: negs.update([self]) or neg(self, a))
+    duals, negs = [], []
+    watch(monkeypatch, (ReprMatroid, "dual"), duals, key=lambda self: self.field)
+    watch(monkeypatch, (FieldSpec, "neg_enc"), negs, key=lambda self, a: self)
     collapsed = Counter()
     for F, modes in ((GF3, (False, True)), (GF9, (False,))):
         for seed in range(20):
@@ -1030,7 +980,7 @@ def test_pipeline_builds_no_dual(monkeypatch):
                 collapsed[F] += "collapsed" in tr.stages[2].details
     assert collapsed[GF3] >= 20 and collapsed[GF9] >= 10, collapsed
     assert not duals, duals
-    assert set(negs) == {GF9} and negs[GF9] > 0, negs
+    assert set(negs) == {GF9} and negs.count(GF9) > 0, Counter(negs)
 
 
 # -- no rank table after the partition search -------------------------------
@@ -1044,17 +994,10 @@ def test_reference_pipeline_builds_no_rank_table(monkeypatch):
     # X-fragility check
     gi = gen_random("pipeline", seed=1, q=2, rows=8, cols=8, minor_size=5)
     M, N = ReprMatroid(gi.instance.matrix), gi.instance.task.minor
-    rank_table = matrices.rank_table
     tables, checks = [], []
-
-    def recorded(A, labels, *, contract=()):
-        tables.append((len(labels), tuple(contract)))
-        return rank_table(A, labels, contract=contract)
-
-    for module in (fragility, matroids):
-        monkeypatch.setattr(module, "rank_table", recorded)
-    monkeypatch.setattr(reductions, "x_fragile_failure",
-                        lambda *a, **k: checks.append(a) or fragility.x_fragile_failure(*a, **k))
+    watch(monkeypatch, matrices.rank_table, tables,
+          key=lambda A, labels, *, contract=(): (len(labels), tuple(contract)))
+    watch(monkeypatch, fragility.x_fragile_failure, checks)
     tr = pipeline(M, N)
     assert (sorted(tr.coloop_side), sorted(tr.loop_side)) == (["c0", "c3"], ["c4", "c6", "r7"])
     assert (tables, checks) == ([], [])
@@ -1067,14 +1010,8 @@ def test_reference_pipeline_makes_one_rank_query(monkeypatch, conformance):
     # E(N) it replaced made 6 here)
     gi = gen_random("pipeline", seed=1, q=2, rows=8, cols=8, minor_size=5)
     M, N = ReprMatroid(gi.instance.matrix), gi.instance.task.minor
-    rank, queries = ReprMatroid.rank, []
-
-    def recorded(self, X=None):
-        if X is not None:
-            queries.append(sorted(X))
-        return rank(self, X)
-
-    monkeypatch.setattr(ReprMatroid, "rank", recorded)
+    queries = []
+    watch(monkeypatch, (ReprMatroid, "rank"), queries, key=lambda self, X=None: sorted(X))
     tr = pipeline(M, N, conformance=conformance)
     assert queries == [sorted(tr.displayed_basis - N.ground)]
 
