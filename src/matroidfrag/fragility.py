@@ -15,11 +15,13 @@ leaf is decided by one rule: a zero pattern other than N's is not N,
 N's own display, or an all-zero display over any field, is N, and
 only a leaf with N's zero pattern and other entries compares rank
 tables over E(N) (`matrices.rank_table`, one byte per subset of E(N)).
-When M and N are over GF(2) the same search runs on packed rows from
-the same root display, a pivot XORs ints, and a node is skipped unless
-two span tests, proved exact, leave room for N below it.  So the
-certificate is the whole search space, not a heuristic, and no table
-grows with E(M).
+The walk, its placement rule and the leaf's zero-pattern test are
+written once, on bit masks of the supports of lines, over one of two
+row kernels: packed rows when M and N are both over GF(2), where a
+pivot XORs ints and a node is skipped unless two span tests, proved
+exact, leave room for N below it, and lists of encodings otherwise.
+So the certificate is the whole search space, not a heuristic, and no
+table grows with E(M).
 
 The matrix-side notion: a labeled matrix A is X-fragile when the block
 A[X] vanishes and adjoining X to any nonempty disjoint Y strictly
@@ -55,11 +57,14 @@ none.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import compress
+from operator import eq
 from typing import Iterable, Sequence
 
 from .errors import CapExceeded, GroundSetMismatch, UnknownLabel
 from .galois import FieldSpec
-from .matrices import LabeledMatrix, _gf2_row, _sift, rank_table
+from .matrices import LabeledMatrix, _sift, rank_table
 from .matroids import EQUALS_CAP_DEFAULT, MinorSpec, ReprMatroid
 from .subsets import first_by_size, partitions_of
 
@@ -78,9 +83,9 @@ def fragile_partitions(
     A depth-first search over the elements of E(M) - E(N) in label
     order.  A node holds a display [I | A] of K = M/C'\\D', with
     (C', D') the elements placed so far; each child deletes or contracts
-    the next element, by the pivots of `ReprMatroid.minor`, on a copy of
-    that display (the last child on the display itself).  Every element
-    is placed by that one rule; a leaf is a node with all of them
+    the next element by the kernel's step (below), on a copy of that
+    display (the last child on the display itself).  Every element is
+    placed by one rule, `ways`; a leaf is a node with all of them
     placed, tested once in a loop over `partitions_of(())`, the single
     colouring of the empty remainder, so that its items count the
     leaves tested (`bench/tracer.py`).
@@ -91,8 +96,8 @@ def fragile_partitions(
     element of coN still on the rows onto a column outside coN
     (`_pivot_off`).  Each step keeps it: contracting a column element
     pivots it onto a row outside BN, deleting a row element pivots it
-    onto a column outside coN (`keep`), and a step that has no such
-    pivot is not taken.  That is the only pruning, and it is exact.
+    onto a column outside coN, and a step that has no such pivot is not
+    taken.  That is the only pruning, and it is exact.
     If the first root step fails, BN is dependent in M; if the
     second fails, coN is dependent in M*.  A contraction with no pivot
     outside BN is of a nonzero column whose nonzero entries all lie in
@@ -108,11 +113,16 @@ def fragile_partitions(
     coindependent, as N has.
 
     No pivot moves a row of BN or a column of coN: a contraction pivots
-    onto a row outside BN, a deletion onto a column outside coN, and
-    dropping a line keeps the order of the rest.  So every leaf lists BN
-    on its rows and coN on its columns in the root's order, and N's
-    display is read once, at the root, with its rows and columns in that
-    order (NA); a leaf is compared with NA row by row.
+    onto a row outside BN and a deletion onto a column outside coN.  A
+    contracted element's row is dropped, which keeps the order of the
+    other rows, and a deleted element's column keeps its position, with
+    label None and zero entries.  So with BN's rows put first at the
+    root, every node holds them first, in the root's order, and coN's
+    columns at their root positions; a leaf's rows are BN's and its only
+    labelled columns coN's.  N's display is read once, at the root, in
+    those positions (NA), and a line's support is the bit mask of its
+    nonzero positions: coN's columns are the bits of one mask and BN's
+    rows the first nb bits.
 
     A leaf displays L = M/C\\D on E(N), |E(N)| elements with BN on the
     rows and coN on the columns, so it is displayed on N's basis, and
@@ -121,7 +131,8 @@ def fragile_partitions(
         display [I | A] on B, the vector of f outside B is the sum of
         A[b][f] times the unit vector of b, so f + {b : A[b][f] != 0} is
         the unique circuit in B + f, the fundamental circuit of f.  The
-        matroid alone fixes where a display on B is nonzero.
+        matroid alone fixes where a display on B is nonzero.  The test
+        compares the support of each leaf row with that of NA's row.
     (b) N's own display over N's field (the same entries as NA, in that
         order) is N, as one representation has one matroid.  Over GF(2)
         the zero pattern is every entry, so with M and N over GF(2) no
@@ -135,21 +146,27 @@ def fragile_partitions(
         leaf first needs it, and refused above EQUALS_CAP_DEFAULT (16)
         elements before it is built.
 
-    When M and N are both over GF(2), the same walk runs on a packed
-    display: the root is set up on lists by `_pivot_onto` and
-    `_pivot_off` as above, BN's rows are put first, and each row becomes
-    an int with bit j for its entry in column position j
-    (`matrices._gf2_row`).  A pivot at (i, j) XORs data[i] ^ (1 << j)
-    into every other row with bit j (`_pivot_gf2`).
-    Column positions stay fixed: a deleted column keeps its position,
-    with its bit cleared in every row (`_step_gf2`).  A contraction
-    pivots onto a row after BN's and a deletion onto a column outside
-    coN, so BN's rows stay first in the root's order and coN's columns
-    keep their root positions; a leaf's rows are BN's and its only
-    columns coN's.  NA is packed once in those positions, by its zero
-    pattern, so (a) and (b) are the one test data == NA, and no leaf
-    reaches (c).  A packed node holds r(M) ints and two label lists.
-    Every other pair of fields takes the generic steps.
+    One walk runs over one of two row kernels, which lay a node out
+    alike, as above; the walk, `ways` and (a) are written once, on
+    support masks.  The kernel is chosen by what the code can see: the
+    packed kernel when M and N are both over GF(2), the generic kernel
+    otherwise.  The root is set up on lists by `_pivot_onto` and
+    `_pivot_off` for both.  A kernel supplies only the support of a row
+    or of a column, the step on e, its node test and its leaf test
+    after (a):
+    - packed: each row is packed into its support, an int with bit j
+      for its entry in column j, so a row is its own support.  A step
+      is `_step_gf2`, which pivots onto the first row after BN's or
+      the lowest column outside coN, and whose pivot at (i, j) XORs
+      data[i] ^ (1 << j) into every other row with bit j
+      (`_pivot_gf2`).  Its node test is the two span tests below.  Over
+      GF(2) the zero pattern is the display, so (a) is (b), no leaf
+      reaches (c), and it has no leaf test after (a).
+    - generic: each row is a list of encodings.  A step is
+      `_step_lists`, whose pivots are `ReprMatroid._pivot_in` and
+      `_pivot_out`, avoiding BN or coN, the one pivot search per side.
+      It has no node test, and its leaf test is (b) and then (c), on
+      the leaf with its None columns dropped.
 
     On packed rows a node K whose undecided elements are
     U = E(K) - E(N) is skipped unless two span tests pass, each one
@@ -171,103 +188,63 @@ def fragile_partitions(
     when K*/D''\\C'' = N*; the primal test on K* is the dual test.  So
     no leaf below a node that fails either test is N, and skipping it
     keeps the search exact.  A leaf is left to the leaf rule: there U
-    is empty, and the primal test is data == NA.
+    is empty, and the primal test is (a).
     """
     if not N.ground <= M.ground:
-        raise GroundSetMismatch(
-            f"minor ground {sorted(N.ground)} not inside {sorted(M.ground)}"
-        )
+        raise GroundSetMismatch(f"minor ground {sorted(N.ground)} not inside {sorted(M.ground)}")
     rest = sorted(M.ground - N.ground)
     if len(rest) > cap:
-        raise CapExceeded(
-            f"|E(M)-E(N)| = {len(rest)} exceeds partition cap {cap}"
-        )
-    A, BN, coN = N.rep, N.basis, N.ground - N.basis
-    field = M.field
+        raise CapExceeded(f"|E(M)-E(N)| = {len(rest)} exceeds partition cap {cap}")
+    A, BN, coN, field = N.rep, N.basis, N.ground - N.basis, M.field
     outside = frozenset(rest)
     found = []
-    fits = None  # the node test, on packed rows
-    root = rows, cols, data = M._display_lists()
+    rows, cols, data = root = M._display_lists()
     if not (ReprMatroid._pivot_onto(field, *root, BN)
             and ReprMatroid._pivot_off(field, *root, coN)):
         return frozenset()
+    # the one node layout: BN's rows first, every column at its root
+    # position, N's display (NA) in the same positions, and a line's
+    # support the bit mask of its nonzero positions
+    nb, bits = len(BN), _bits(max(len(rows), len(cols)))
+    if not BN.issuperset(rows[:nb]):
+        rows, data = map(list, zip(*sorted(zip(rows, data), key=lambda row: row[0] not in BN)))
+
+    def support(line) -> int:
+        return sum(compress(bits, line))
+
+    NA = [[A.enc(b, f) if f in coN else 0 for f in cols] for b in rows[:nb]]
+    zeros = [sum(compress(bits, row)) for row in NA]
+    mask = sum(compress(bits, map(coN.__contains__, cols)))
     if field.order == 2 and N.field == field:
-        # the root's rows packed, BN's first over fixed column positions,
-        # and N's display (NA) packed in the same positions by its zero
-        # pattern; coN's columns are the bits of mask
-        order = [i for i, b in enumerate(rows) if b in BN]
-        order += [i for i, b in enumerate(rows) if b not in BN]
-        rows, data = [rows[i] for i in order], [_gf2_row(data[i]) for i in order]
-        nb, root = len(BN), (rows, cols, data)
-        NA = [_gf2_row([f in coN and A.enc(b, f) != 0 for f in cols]) for b in rows[:nb]]
-        mask = _gf2_row([f in coN for f in cols])
+        # each row packed into its support, an int with bit j for its
+        # entry in column j
+        data, row_mask, final = list(map(support, data)), int, None
+        copy, move, args = list.copy, _step_gf2, (nb, mask)
 
-        def ways(rows, cols, data, e) -> tuple[bool, ...]:
-            # the generic rule below, on bits
-            if e in rows:
-                x = data[rows.index(e)]
-                return (True,) if x and not x & ~mask else (False, True)
-            bit = 1 << cols.index(e)
-            if any(x & bit for x in data[:nb]) and not any(x & bit for x in data[nb:]):
-                return (False,)
-            return (False, True)
+        def col_mask(data, j) -> int:
+            return sum(compress(bits, [x >> j & 1 for x in data]))
 
-        def step(node, e, contracting, last):
-            if not last:
-                node = node[0][:], node[1][:], node[2][:]
-            _step_gf2(*node, e, contracting, nb, mask)
-            return node
-
-        def is_N(node) -> bool:
-            # (a) and (b) at once: the columns left at a leaf are coN's
-            return node[2] == NA
-
-        def fits(node) -> bool:
+        def fits(data) -> bool:
             # the primal and the dual span test; both pass when BN's
             # rows are NA's, as every vector to span is then zero
-            data = node[2]
-            xs = [x ^ y for x, y in zip(data, NA)]
+            xs = [x ^ y for x, y in zip(data, zeros)]
             if not _spans(xs, ~mask, nb):
                 return False
             ts = [x & mask for x in xs]
             return not any(ts) or _spans([x & mask for x in data[nb:]] + ts, -1, len(data) - nb)
     else:
-        # N's display with its rows and columns in the root's order, the
-        # order of every leaf's; a zero one is N over every field
-        NA = [[A.enc(b, f) for f in cols if f in coN] for b in rows if b in BN]
-        shown = N.field == field or not any(map(any, NA))
+        row_mask, fits, move, args = support, None, _step_lists, (field, BN, coN)
+        shown = N.field == field or not any(zeros)  # a zero NA is N over every field
         TN = []  # N's rank table, built when a leaf first needs it
-        contract, delete = ReprMatroid._contract_one, ReprMatroid._delete_one
 
-        def ways(rows, cols, data, e) -> tuple[bool, ...]:
-            # the steps on e that keep the invariant, deletion (False)
-            # first: a row e is deleted, or a column e contracted, by a
-            # pivot on its line, which none has when its nonzero entries
-            # all lie in coN's columns, or in BN's rows
-            if e in rows:
-                line, across, kept = data[rows.index(e)], cols, coN
-            else:
-                j = cols.index(e)
-                line, across, kept = [row[j] for row in data], rows, BN
-            if any(line) and all(f in kept for f, x in zip(across, line) if x):
-                return (e in rows,)
-            return (False, True)
+        def col_mask(data, j) -> int:
+            return sum(compress(bits, [x[j] for x in data]))
 
-        def step(node, e, contracting, last):
-            # the step on e, on a copy of the node while a sibling still
-            # needs the node, and on the node itself for the last sibling
-            if not last:
-                rows, cols, data = node
-                node = rows[:], cols[:], [row[:] for row in data]
-            (contract if contracting else delete)(field, *node, e, BN if contracting else coN)
-            return node
+        def copy(data) -> list:
+            return [x[:] for x in data]
 
-        def is_N(node) -> bool:
-            # the leaf rule: compare zero patterns, then displays over
-            # N's field or zero ones, and only then tables
-            rows, cols, data = node
-            if any((x == 0) != (y == 0) for row, nrow in zip(data, NA) for x, y in zip(row, nrow)):
-                return False
+        def final(rows, cols, data) -> bool:
+            # (b), then (c) on the leaf's labelled columns
             if shown and data == NA:
                 return True
             labels = sorted(N.ground)
@@ -276,28 +253,54 @@ def fragile_partitions(
                     raise CapExceeded(
                         f"|E(N)| = {len(labels)} exceeds rank table cap {EQUALS_CAP_DEFAULT}")
                 TN.append(rank_table(A, labels))
-            return rank_table(LabeledMatrix._of_display(field, rows, cols, data), labels) == TN[0]
+            keep = [j for j, f in enumerate(cols) if f is not None]
+            L = LabeledMatrix._of_display(field, rows, [cols[j] for j in keep],
+                                          [[x[j] for j in keep] for x in data])
+            return rank_table(L, labels) == TN[0]
+
+    def ways(rows, cols, data, e) -> tuple[bool, ...]:
+        # the steps on e that keep the invariant, deletion (False) first:
+        # a row e is deleted, or a column e contracted, by a pivot on its
+        # line, which none has when its support lies in coN's columns, or
+        # in BN's rows
+        if e in rows:
+            x = row_mask(data[rows.index(e)])
+            return (True,) if x and not x & ~mask else (False, True)
+        x = col_mask(data, cols.index(e))
+        return (False,) if x and not x >> nb else (False, True)
 
     def walk(i, C, node) -> None:
         # node displays M/C\(rest[:i] - C), BN on its rows, coN on its columns
         if i < len(rest):
-            if fits and not fits(node):
+            if fits and not fits(node[2]):
                 return
             e = rest[i]
             allowed = ways(*node, e)
             for contracting in allowed:
-                child = step(node, e, contracting, contracting == allowed[-1])
+                # the kernel's step on e, on a copy of the node while a
+                # sibling still needs it, and on the node itself for the last
+                rows, cols, data = node
+                child = node if contracting == allowed[-1] else (rows[:], cols[:], copy(data))
+                move(*child, e, contracting, *args)
                 walk(i + 1, C | {e} if contracting else C, child)
             return
         for _ in partitions_of(()):  # the one colouring of the empty remainder
-            if is_N(node):
+            # (a) on the leaf's rows, BN's, then the kernel's leaf test
+            if all(map(eq, map(row_mask, node[2]), zeros)) and (not final or final(*node)):
                 found.append(MinorSpec(C, outside - C))
 
     try:
-        walk(0, frozenset(), root)
+        walk(0, frozenset(), (rows, cols, data))
     finally:
         del walk  # its cell refers to it: a cycle that reference counting cannot free
     return frozenset(found)
+
+
+@lru_cache(maxsize=64)
+def _bits(n: int) -> tuple[int, ...]:
+    """The masks 1 << k of the first n positions, shared by every search
+    over displays that wide."""
+    return tuple(1 << k for k in range(n))
 
 
 def _pivot_gf2(rows, cols, data, i, j) -> None:
@@ -313,10 +316,12 @@ def _pivot_gf2(rows, cols, data, i, j) -> None:
 
 def _step_gf2(rows, cols, data, e, contracting, nb, mask) -> None:
     """Contract or delete e on packed GF(2) rows whose first nb are BN's,
-    with coN's columns at the bits of `mask`: `_contract_one` and
-    `_delete_one` with their `keep`, pivoting onto the first row after
-    BN's, or onto the lowest column outside coN.  A deleted column keeps
-    its position, with label None and its bit clear in every row."""
+    with coN's columns at the bits of `mask`: a contracted column
+    pivots onto the first row after BN's with its bit, and a deleted
+    row onto the lowest column outside coN with its bit.  Then a row e
+    (contracted, or a deleted coloop) is dropped, and a column e
+    (deleted, or a contracted loop) keeps its position, with label None
+    and its bit clear in every row."""
     if e in rows:
         i = rows.index(e)
         x = 0 if contracting else data[i] & ~mask
@@ -334,6 +339,26 @@ def _step_gf2(rows, cols, data, e, contracting, nb, mask) -> None:
     else:  # deleted, or a contracted loop
         cols[j] = None
         data[:] = [x & ~(1 << j) for x in data]
+
+
+def _step_lists(rows, cols, data, e, contracting, field, BN, coN) -> None:
+    """`_step_gf2` on rows of encodings: a contracted column pivots by
+    `ReprMatroid._pivot_in` onto the least row label outside BN, and a
+    deleted row by `_pivot_out` onto the least column label outside
+    coN.  A deleted column keeps its position, with label None and zero
+    entries."""
+    if contracting and e in cols:
+        ReprMatroid._pivot_in(field, rows, cols, data, e, BN)
+    elif not contracting and e in rows:
+        ReprMatroid._pivot_out(field, rows, cols, data, e, coN)
+    if e in rows:  # contracted, or a deleted coloop
+        i = rows.index(e)
+        del rows[i], data[i]
+    else:  # deleted, or a contracted loop
+        j = cols.index(e)
+        cols[j] = None
+        for row in data:
+            row[j] = 0
 
 
 def _spans(vecs: list[int], mask: int, k: int) -> bool:

@@ -55,3 +55,18 @@ def test_total_row_is_the_sum_of_the_module_rows():
         assert (int(row[0]), int(row[1])) == code_lines.count(source)
     assert total == [str(sum(int(row[0]) for row in rows)),
                      str(sum(int(row[1]) for row in rows)), "total"]
+
+
+def test_help_prints_a_usage_line_and_exits_zero():
+    proc = subprocess.run([sys.executable, str(SCRIPT), "--help"], cwd=ROOT,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: ") and proc.stderr == ""
+
+
+def test_an_unknown_option_exits_two_with_a_usage_line():
+    proc = subprocess.run([sys.executable, str(SCRIPT), "--bogus"], cwd=ROOT,
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: ") and "--bogus" in proc.stderr
+    assert proc.stdout == ""

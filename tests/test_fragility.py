@@ -518,19 +518,32 @@ def test_search_tables_span_the_minor_only(monkeypatch):
     assert spans == []
 
 
-def counted_search(monkeypatch, M, N):
-    """fragile_partitions(M, N), with the number of display steps
-    (`_contract_one` and `_delete_one` calls, or `_step_gf2` calls on
-    packed GF(2) rows) and of pivots (`_pivot_inplace` calls, the root's
-    included, and `_pivot_gf2` calls) it made."""
+def search_counter(mp):
+    """A function running fragile_partitions(M, N) under watches installed
+    on `mp`, and returning it with the number of display steps
+    (`_step_lists` calls, or `_step_gf2` calls on packed GF(2) rows), of
+    pivots (`_pivot_inplace` calls, the root's included, and
+    `_pivot_gf2` calls) and of leaves tested (`partitions_of` calls)
+    that it made."""
     calls = []
+    for target in (fragility._step_lists, fragility._step_gf2):
+        watch(mp, target, calls, key=lambda *args: "steps")
+    for target in (matroids._pivot_inplace, fragility._pivot_gf2):
+        watch(mp, target, calls, key=lambda *args: "pivots")
+    watch(mp, partitions_of, calls, key=lambda *args: "leaves")
+
+    def search(M, N):
+        calls.clear()
+        got = fragile_partitions(M, N)
+        return got, calls.count("steps"), calls.count("pivots"), calls.count("leaves")
+    return search
+
+
+def counted_search(monkeypatch, M, N):
+    """fragile_partitions(M, N), with the number of display steps and of
+    pivots it made (`search_counter`)."""
     with monkeypatch.context() as mp:
-        for target in ((ReprMatroid, "_contract_one"), (ReprMatroid, "_delete_one"),
-                       fragility._step_gf2):
-            watch(mp, target, calls, key=lambda *args: "steps")
-        for target in (matroids._pivot_inplace, fragility._pivot_gf2):
-            watch(mp, target, calls, key=lambda *args: "pivots")
-        return fragile_partitions(M, N), calls.count("steps"), calls.count("pivots")
+        return search_counter(mp)(M, N)[:3]
 
 
 def test_dependent_basis_or_codependent_cobasis_ends_the_search_at_the_root(monkeypatch):
@@ -548,6 +561,36 @@ def test_dependent_basis_or_codependent_cobasis_ends_the_search_at_the_root(monk
     got, steps, _ = counted_search(monkeypatch, M, N)
     assert got == fragile_partitions_table(M, N) != set()
     assert steps > 0
+
+
+def test_search_tree_does_not_depend_on_the_display_of_m(monkeypatch):
+    # the search on M re-displayed on each of its bases: the same
+    # partitions, steps and leaves, as every rule of the walk reads the
+    # matroid through a display with N's basis on the rows and N's
+    # cobasis on the columns, so the packed kernel may pivot by position
+    # and the generic one by label; only the root's pivots, and so the
+    # pivot count, may differ
+    search, seen, displays = search_counter(monkeypatch), Counter(), {}
+    for scope in (SCOPES["packed"][0], SCOPES["search"][1]):
+        assert (scope.field, scope.rows, scope.cols) in ((GF2, 2, 2), (GF3, 2, 1))
+        for M, part in scope_cases(scope):
+            if M.rep not in displays:
+                displays[M.rep] = [M.rebase(B) for B in sorted(map(sorted, M.bases()))]
+            for how, N in minor_variants(M, part, scope.hows):
+                counts = [search(MB, N) for MB in displays[M.rep]]
+                assert all(c[:2] + c[3:] == counts[0][:2] + counts[0][3:] for c in counts), (
+                    entries(M.rep), part, how, entries(N.rep))
+                seen[scope.field.order, how, min(len(counts[0][0]), 2)] += 1
+                seen[scope.field.order, "pivots differ"] += len({c[2] for c in counts}) > 1
+    assert seen == {
+        (2, "cut", 1): 246, (2, "cut", 2): 1050, (2, "flipped", 0): 532, (2, "flipped", 1): 30,
+        (2, "gf4", 0): 4, (2, "gf4", 1): 382, (2, "gf4", 2): 1168, (2, "isolated", 0): 1352,
+        (2, "isolated", 1): 376, (2, "isolated", 2): 1296, (2, "pivots differ"): 5635,
+        (2, "rebased", 1): 392, (2, "rebased", 2): 1168, (3, "cut", 1): 61, (3, "cut", 2): 182,
+        (3, "flipped", 0): 50, (3, "isolated GF(2)", 0): 180, (3, "isolated GF(2)", 1): 92,
+        (3, "isolated GF(2)", 2): 214, (3, "isolated", 0): 180, (3, "isolated", 1): 92,
+        (3, "isolated", 2): 214, (3, "pivots differ"): 776,
+    }
 
 
 @pytest.mark.parametrize("pair, steps, pivots", [

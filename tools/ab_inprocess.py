@@ -22,9 +22,12 @@ agree on its output.  Then each round times every op on both sides, the
 side that runs first alternating from op to op, and sums each side's
 times.  The round ratio is CHANGE / PARENT, so a ratio below 1 means the
 change is faster.  Per seed, the median round ratio and the rounds the
-change won are printed, then the median over all rounds.  A few-percent
-difference that separate processes cannot resolve on a busy host shows
-here.  The process keeps to one CPU, the least it may run on, as
+change won are printed; the last line gives, over all rounds, the
+median, the rounds the change won and the quartiles of the round
+ratios.  A few-percent difference that separate processes cannot
+resolve on a busy host shows here, and the quartiles show whether a
+ratio near a threshold is resolved: when they straddle it, it is not.
+The process keeps to one CPU, the least it may run on, as
 `bench/run.py` does, and runs unpinned where it may not set that.
 """
 
@@ -177,7 +180,11 @@ def main(argv=None) -> int:
         print(f"{args.workload} seed {seed}: {len(pool)} ops, median ratio "
               f"{statistics.median(ratios):.3f}, change won {won}/{len(ratios)} rounds "
               f"[{' '.join(f'{x:.3f}' for x in ratios)}]")
-    print(f"median ratio over {len(every)} rounds: {statistics.median(every):.3f}")
+    # one round's ratio is its own quartiles
+    q1, _, q3 = (statistics.quantiles(every, n=4, method="inclusive") if len(every) > 1
+                 else every * 3)
+    print(f"median ratio over {len(every)} rounds: {statistics.median(every):.3f}, change won "
+          f"{sum(x < 1 for x in every)}/{len(every)} rounds, quartiles {q1:.3f} {q3:.3f}")
     return 0
 
 

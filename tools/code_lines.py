@@ -13,9 +13,9 @@ module is printed, then the total.
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
-import sys
 import tokenize
 from pathlib import Path
 
@@ -46,10 +46,12 @@ def count(source: str) -> tuple[int, int]:
     return len(lines), statements
 
 
-def main(argv: list[str]) -> None:
+def main(argv: list[str] | None = None) -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("paths", nargs="*", type=Path, default=[Path("src")],
+                    help="modules, or directories searched for *.py (default: src)")
     files = []
-    for arg in argv or ["src"]:
-        path = Path(arg)
+    for path in ap.parse_args(argv).paths:
         files += sorted(path.rglob("*.py")) if path.is_dir() else [path]
     total_lines = total_statements = 0
     print(f"{'lines':>6} {'stmts':>6}  module")
@@ -62,4 +64,4 @@ def main(argv: list[str]) -> None:
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()
