@@ -35,6 +35,14 @@ not how many products one memo holds, which can reach about Q^2 / 2 for
 a field of order Q.  Interning assumes one thread builds fields at a
 time: two threads interning one new tower at once could each get an
 object of their own, and the two would compare unequal.
+
+A modulus is read by four things only: the walk that finds the
+canonical one, `field_from_tower`'s check of a given one, arithmetic
+in its field (`mul_enc`, `inv_enc` and what calls them), and whatever
+names a field by writing its tower (the CLI report, instance JSON).
+`is_tower_prefix`, the check that `embed` and `is_in_subfield` make
+first, follows `.base` links and compares objects.  No reduction stage
+reads one: the chain computes in its input field only (`reductions`).
 """
 
 from __future__ import annotations
@@ -580,7 +588,12 @@ def field_of_order(q: int) -> FieldSpec:
 
 
 def is_tower_prefix(sub: FieldSpec, sup: FieldSpec) -> bool:
-    return sub.p == sup.p and sup.steps[: len(sub.steps)] == sub.steps
+    """True iff `sup` is a tower over `sub`: `sup` is `sub`, or has more
+    steps and its `.base` is a tower over `sub`, so the `.base` links
+    from `sup` down to `sub`'s number of steps reach `sub` itself.  As
+    `_intern` makes one object per (p, steps), that is sup.steps
+    beginning with sub.steps, decided without reading a modulus."""
+    return sup is sub or len(sup.steps) > len(sub.steps) and is_tower_prefix(sub, sup.base)
 
 
 def embed(a: FieldElem, target: FieldSpec) -> FieldElem:

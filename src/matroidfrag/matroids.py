@@ -24,11 +24,15 @@ is coindependent.  Contracting a column element is `_pivot_in` and
 deleting a row element `_pivot_out`, each followed by dropping the
 element's line.  Each step takes a set `keep` it must not pivot into:
 the rows of `keep` for a contraction, its columns for a deletion.
-`minor` passes none.  The partition search
-`fragility.fragile_partitions` passes N's basis, or N's cobasis, so
-that they stay where its root display put them.  Its nodes are these
-steps, so the certificate of every input rests on them.  Duality
-negates the transposed display (`LabeledMatrix.transpose`).
+`minor` passes none.  The one caller that passes a `keep` is the
+reference partition search of the tests (`fragile_partitions_generic`
+in `tests/test_fragility.py`), which passes N's basis, or N's cobasis,
+so that they stay where its root display put them; the parameter stays
+for it.  The partition search `fragility.fragile_partitions`, unless M
+and N are both over GF(2), steps by `fragility._step_lists`, which
+pivots by `_pivot_in` and `_pivot_out` avoiding the same sets, so its
+certificate rests on these two rules.  Duality negates the transposed
+display (`LabeledMatrix.transpose`).
 
 Two ReprMatroids are `==` when their displays (`rep`) are: the same
 field, labels in the same order and entries.  So a pickled or copied

@@ -59,6 +59,18 @@ both collapse stages, landing on total degree exactly 2*k*k over the
 input field; the default minimal degrees do not always divide 2*k*k, so
 the uniform-degree tower is built stage by stage rather than by a final
 embedding.
+
+No stage reads a modulus or computes in a field above its input field.
+`free_extension` writes each new entry from its coordinates,
+`_relax_entry` decides theta outside F from F2's tower and theta's
+encoding, every check compares encodings, and `pipeline` checks its
+stage fields by their `.base` links (`galois.is_tower_prefix`).  Each
+proof needs only that every tower step's modulus is irreducible, so the
+certificate holds for every choice of irreducible moduli.  The
+canonical modulus only names a field: in reports, and in
+`field_from_tower`'s input check, where a tower given by its canonical
+moduli is the field `extend_field` built.  `extend_field` is the one
+call on the certifying path that walks for a modulus.
 """
 
 from __future__ import annotations
@@ -78,7 +90,7 @@ from .fragility import (
     partition_basis,
     x_fragile_failure,
 )
-from .galois import DEGREE_CAP_DEFAULT, extend_field, is_in_subfield, is_tower_prefix
+from .galois import DEGREE_CAP_DEFAULT, extend_field, is_tower_prefix
 from .matrices import LabeledMatrix
 from .matroids import ReprMatroid
 from .records import Record
@@ -342,11 +354,14 @@ def relax_entry(
     Verified before returning: C + {c} is a basis of M; the display A1
     of M on it is {c, d}-fragile, its (c, d) entry zero included, by
     `x_fragile_failure` (capped by `cap` on the |E| - 2 labels outside
-    the pair); and the generator theta of the extension lies outside the
-    entry field F.  The first two hold exactly when (C, D) is the only
-    partition realising the pair.  If it is, C is independent and E - D
-    spans, else one move (`fragility.one_move_partition`) gives a second
-    partition; as M/C\\D has rank 1, C + {c} is then a basis.  On that
+    the pair); and the generator theta of the quadratic extension F2
+    lies outside the entry field F, read off F2's tower and theta's
+    encoding with no arithmetic (proof in `_relax_entry`: for every
+    irreducible quadratic, {1, theta} is an F-basis of F2).  The first
+    two hold exactly when (C, D) is the only partition realising the
+    pair.  If it is, C is independent and E - D spans, else one move
+    (`fragility.one_move_partition`) gives a second partition; as
+    M/C\\D has rank 1, C + {c} is then a basis.  On that
     display (C, D) is (rows - {c}, cols - {d}), the only partition
     realising the pair exactly when A1 is {c, d}-fragile (proof in
     `fragility.x_fragile_failure`).
@@ -400,12 +415,23 @@ def _relax_entry(
     """relax_entry on M1 displayed with basis C + {c}, a display
     certified {c, d}-fragile; H = rows - {c} + {d}.  M2 is built once,
     over F2, from A1's rows with row c rebuilt to hold theta at d: an
-    encoding of F is the same element of F2 (`galois.embed`)."""
+    encoding of F is the same element of F2 (`galois.embed`).
+
+    theta lies outside F, decided literally with no arithmetic: F2's
+    `base` must be F, and theta's encoding must be at least |F|, the
+    encodings below |F| being F's image in F2 (`galois.embed`).  Proof.
+    For every irreducible quadratic f over F, F2 = F[t]/(f) is a field
+    with F-basis {1, t}, as a relation a + b t = 0 with b nonzero would
+    give f the root -a / b in F.  An element of F2 is encoded by its
+    coordinates (a_0, a_1) in that basis as enc(a_0) + |F| enc(a_1), so
+    F is the encodings below |F|, and theta = t = F2.gen, with
+    coordinates (0, 1), has encoding |F|: t is not in F.  Nothing here
+    depends on which irreducible f is, so no modulus is read."""
     A1 = M1.rep
     F = A1.field
     F2 = extend_field(F, 2, degree_cap=degree_cap)
     theta = F2.gen
-    if is_in_subfield(theta, F):
+    if F2.base is not F or theta.enc < F.order:
         raise PostconditionViolation("extension generator lies in the entry field")
     # with the caller's pair fragility this certifies the relaxation
     # (proof in relax_entry)

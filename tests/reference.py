@@ -28,8 +28,8 @@ from random import Random
 
 from matroidfrag import (
     InstanceFile, LabeledMatrix, MinorSpec, NFragileTask, PipelineTask, RelaxTask, ReprMatroid,
-    XFragileTask, extend_field, field_of_order, fragile_partitions, is_N_fragile, isolated,
-    make_prime_field, one_move_partition, partitions_of, submatrix_rank, subsets_by_size,
+    XFragileTask, extend_field, field_of_order, fragile_partitions, is_N_fragile, is_irreducible,
+    isolated, make_prime_field, one_move_partition, partitions_of, submatrix_rank, subsets_by_size,
     x_fragile_failure,
 )
 
@@ -116,6 +116,21 @@ def rabin_irreducible(base, coeffs):
         powers.append(frobenius(powers[-1]))
     primes = [r for r in range(2, n + 1) if n % r == 0 and all(r % d for d in range(2, r))]
     return powers[n] == x and all(coprime_to_f(powers[n // r]) for r in primes)
+
+
+def lex_greatest_modulus(base, k):
+    """The lex-greatest monic irreducible of degree k >= 2 over `base`,
+    comparing coefficient tuples constant term first by encoding, by
+    the public `is_irreducible`: a second modulus for every tower step,
+    which differs from the canonical (lex-least) one whenever the step
+    has two.  The counter m holds (c_0, ..., c_{k-1}) as base-Q digits,
+    c_0 most significant, so counting down is the descending lex order."""
+    Q = base.order
+    for m in range(Q**k - 1, -1, -1):
+        coeffs = tuple(m // Q ** (k - 1 - i) % Q for i in range(k)) + (1,)
+        if is_irreducible(base, coeffs):
+            return coeffs
+    raise AssertionError(f"no irreducible of degree {k} over {base!r}")
 
 
 # -- rank -------------------------------------------------------------------

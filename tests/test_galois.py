@@ -410,6 +410,28 @@ def test_embed_requires_tower_prefix():
         is_in_subfield(GF8.gen, GF4)
 
 
+def test_tower_prefix_by_links_is_the_steps_prefix_rule():
+    # is_tower_prefix walks `.base` links and compares objects; on every
+    # ordered pair of ten towers it agrees with comparing the steps:
+    # the three presentations of GF(9), a quadratic step over each, the
+    # GF(2) towers of 2, 4 and 8 over GF(2) by quadratic steps, and GF(5)
+    nines = [field_from_tower(3, [(2, f)]) for f in ((1, 0, 1), (2, 1, 1), (2, 2, 1))]
+    twos = [extend_field(GF2, 2)]
+    for _ in range(2):
+        twos.append(extend_field(twos[-1], 2))
+    towers = nines + [extend_field(F, 2) for F in nines] + twos + [GF5]
+    assert len({id(F) for F in towers}) == 10 and nines[0] is GF9
+    true_pairs = 0
+    for sub in towers:
+        for sup in towers:
+            steps_rule = sub.p == sup.p and sup.steps[:len(sub.steps)] == sub.steps
+            assert is_tower_prefix(sub, sup) == steps_rule, (sub, sup)
+            true_pairs += steps_rule
+    # each tower with itself, each GF(9) under its quadratic step, and
+    # the three pairs of the GF(2) chain
+    assert true_pairs == 10 + 3 + 3
+
+
 def test_subfield_basis():
     assert tuple(e.enc for e in subfield_basis(GF4, GF2)) == (1, 2)
     assert tuple(e.enc for e in subfield_basis(GF16_OVER_GF4, GF4)) == (1, 4)

@@ -10,6 +10,8 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from functools import cache
+from itertools import product
 from pathlib import Path
 from random import Random
 from types import SimpleNamespace
@@ -38,11 +40,12 @@ from matroidfrag import (
     relax_entry,
     zero_out,
 )
-from matroidfrag import fragility, matrices, matroids, reductions
+from matroidfrag import fragility, galois, matrices, matroids, reductions
 from matroidfrag.galois import DEGREE_CAP_DEFAULT, FieldSpec, subfield_basis
 from reference import (
-    GF2, GF3, GF4, GF5, GF9, SCOPES, entries, free_placement_failure, relax_sweep_failure,
-    scope_matrices, scope_x, with_entry, x_fragile_failure_loop,
+    GF2, GF3, GF4, GF5, GF9, SCOPES, entries, free_placement_failure, ladder_draw,
+    lex_greatest_modulus, relax_sweep_failure, scope_matrices, scope_x, with_entry,
+    x_fragile_failure_loop,
 )
 from watch import watch
 
@@ -800,20 +803,28 @@ def test_a_changed_entry_after_each_collapse_is_refused_by_its_check(monkeypatch
 
 
 def test_a_generator_inside_the_entry_field_is_refused(monkeypatch):
-    # the relaxation's quadratic extension replaced by the entry field
-    # itself, which has tower steps here, so that theta is the entry
-    # field's own generator: the check that theta lies outside refuses it,
+    # the relaxation's quadratic extension replaced by a field whose base
+    # is not the entry field F, so that theta's encoding does not show it
+    # outside F: by F itself, which has tower steps here, so that theta
+    # is F's own generator, or by a quadratic step over F's quadratic
+    # extension, whose base is that extension.  The check refuses both,
     # in relax_entry and at the end of a pipeline, whose third extension
     # is the relaxation's, after one per collapse
     extend = reductions.extend_field
     M, N = four_element_pair()
     pair = ReprMatroid(LabeledMatrix(GF4, ["c"], ["d", "e"], [[0, 1]]))
-    for run, at in ((lambda: pipeline(M, N), 3), (lambda: relax_entry(pair, (), {"e"}), 1)):
+    for wrong, (run, at) in product(
+            ("the entry field", "two steps over it"),
+            ((lambda: pipeline(M, N), 3), (lambda: relax_entry(pair, (), {"e"}), 1))):
         calls = []
 
         def inside(F, k, **kwargs):
             calls.append(k)
-            return F if len(calls) == at else extend(F, k, **kwargs)
+            if len(calls) != at:
+                return extend(F, k, **kwargs)
+            F2 = F if wrong == "the entry field" else extend(extend(F, 2, **kwargs), 2, **kwargs)
+            assert F2.base is not F
+            return F2
 
         monkeypatch.setattr(reductions, "extend_field", inside)
         with pytest.raises(PostconditionViolation, match="generator lies in the entry field"):
@@ -1094,12 +1105,32 @@ def test_zeroing_keeps_only_partitions_realising_the_minor(monkeypatch):
     }
 
 
-def test_pipeline_certifies_every_x_fragile_matrix_of_its_scopes():
+def shown(tr):
+    """What a trace shows of each stage: its display's labels, in
+    order, and entries, and its degree over the input field."""
+    return [(s.matroid.rep.rows, s.matroid.rep.cols, entries(s.matroid.rep), s.degree_over_input)
+            for s in tr.stages]
+
+
+def check_output(tr, A):
+    """The trace's output checked as the certify benchmark checks it:
+    a relaxation, and the common minor kept."""
+    assert is_relaxation(tr.relaxed, tr.relaxation, tr.hyperplane), entries(A)
+    common = tr.input_matroid.minor(tr.coloop_side, tr.loop_side)
+    assert common.equals(tr.relaxed.minor({tr.c_label}, {tr.d_label})), entries(A)
+
+
+def test_pipeline_certifies_every_x_fragile_matrix_of_its_scopes(monkeypatch):
     # every matrix of the scopes, X its zero block: x_fragile_failure
     # against the subset loop, witness included, and on each X-fragile
     # one, pipeline(M, isolated(X & rows, X)) in both modes, its output
-    # checked as the certify benchmark checks it
+    # checked as the certify benchmark checks it.  Then every pipeline
+    # again with each tower step on the lex-greatest irreducible
+    # modulus: the certificate holds for every choice of moduli, so each
+    # stage shows the same display and degree, and the output passes the
+    # same checks on the new fields
     seen = Counter()
+    runs = []
     for scope in SCOPES["pipeline"]:
         X1, X2 = scope_x(scope)
         X = X1 | X2
@@ -1111,13 +1142,51 @@ def test_pipeline_certifies_every_x_fragile_matrix_of_its_scopes():
                 continue
             for conformance in (False, True):
                 tr = pipeline(ReprMatroid(A), isolated(X1, X), conformance=conformance)
-                assert is_relaxation(tr.relaxed, tr.relaxation, tr.hyperplane), entries(A)
-                common = tr.input_matroid.minor(tr.coloop_side, tr.loop_side)
-                assert common.equals(tr.relaxed.minor({tr.c_label}, {tr.d_label})), entries(A)
+                check_output(tr, A)
+                runs.append((A, X1, X, conformance, shown(tr), tr.relaxation.field))
     assert seen == {
         (2, 3, "rank_not_increased"): 242, (2, 3, None): 14, (2, 4, "rank_not_increased"): 148,
         (2, 4, None): 108, (3, 3, "rank_not_increased"): 5457, (3, 3, None): 1104,
     }
+    monkeypatch.setattr(galois, "_canonical_modulus", cache(lex_greatest_modulus))
+    moduli = Counter()
+    for A, X1, X, conformance, canonical, field in runs:
+        tr = pipeline(ReprMatroid(A), isolated(X1, X), conformance=conformance)
+        assert shown(tr) == canonical, entries(A)
+        check_output(tr, A)
+        moduli[tr.relaxation.field is field, field.p, conformance] += 1
+    # GF(2) in default mode extends only by GF(2)'s one quadratic, x^2+x+1
+    assert moduli == {(True, 2, False): 14, (False, 2, False): 108, (False, 2, True): 122,
+                      (False, 3, False): 1104, (False, 3, True): 1104}
+
+
+def test_a_warm_pipeline_computes_in_its_input_field_only(monkeypatch):
+    # each pair run once, which builds every tower (a walk for a
+    # canonical modulus computes in the field below it), then again with
+    # FieldSpec's element operations watched: no stage reads a modulus,
+    # so a warm pipeline makes no operation outside its input field.
+    # The pairs: every X-fragile case of the pipeline scopes in both
+    # modes, and the ladder draws of size 4 to 10 over GF(2) and GF(3)
+    cases = []
+    for scope in SCOPES["pipeline"]:
+        X1, X2 = scope_x(scope)
+        for A in scope_matrices(scope):
+            if fragility.x_fragile_failure(A, X1 | X2) is None:
+                cases += [("scopes", ReprMatroid(A), isolated(X1, X1 | X2), conformance)
+                          for conformance in (False, True)]
+    cases += [("ladders", *ladder_draw(n, q), False) for n in range(4, 11) for q in (2, 3)]
+    for _, M, N, conformance in cases:
+        pipeline(M, N, conformance=conformance)
+    log = []
+    for name in ("add_enc", "sub_enc", "neg_enc", "mul_enc", "inv_enc", "pow_enc"):
+        watch(monkeypatch, (FieldSpec, name), log, key=lambda F, *args, name=name: (name, F))
+    outside = Counter()
+    for kind, M, N, conformance in cases:
+        pipeline(M, N, conformance=conformance)
+        outside.update((kind, name) for name, F in log if F is not M.field)
+        log.clear()
+    assert Counter(kind for kind, *_ in cases) == {"scopes": 2452, "ladders": 14}
+    assert not outside, outside
 
 
 def test_pipeline_field_work_does_not_depend_on_string_hashing():
