@@ -19,9 +19,12 @@ The walk, its placement rule and the leaf's zero-pattern test are
 written once, on bit masks of the supports of lines, over one of two
 row kernels: packed rows when M and N are both over GF(2), where a
 pivot XORs ints and a node is skipped unless two span tests, proved
-exact, leave room for N below it, and lists of encodings otherwise.
-So the certificate is the whole search space, not a heuristic, and no
-table grows with E(M).
+exact, leave room for N below it, and lists of encodings otherwise,
+stepped by `ReprMatroid._step`, the step of every minor, with its
+pivots avoiding E(N).  Both kernels start from a root display set up
+by the same pivot rule (`ReprMatroid._pivot_each`).  So the
+certificate is the whole search space, not a heuristic, and no table
+grows with E(M).
 
 The matrix-side notion: a labeled matrix A is X-fragile when the block
 A[X] vanishes and adjoining X to any nonempty disjoint Y strictly
@@ -92,14 +95,20 @@ def fragile_partitions(
 
     The invariant: every display holds N's basis BN on its rows and N's
     cobasis coN = E(N) - BN on its columns.  The root display of M is
-    set up by pivoting BN onto the rows (`_pivot_onto`), then every
-    element of coN still on the rows onto a column outside coN
-    (`_pivot_off`).  Each step keeps it: contracting a column element
-    pivots it onto a row outside BN, deleting a row element pivots it
-    onto a column outside coN, and a step that has no such pivot is not
-    taken.  That is the only pruning, and it is exact.
-    If the first root step fails, BN is dependent in M; if the
-    second fails, coN is dependent in M*.  A contraction with no pivot
+    set up by two loops of `ReprMatroid._pivot_each`: every element of
+    BN on the columns pivots onto a row outside BN, then every element
+    of coN still on the rows onto a column outside coN.  The two loops
+    keep their sets apart, as coN may start on the rows, where a pivot
+    of BN must be free to land.  Each step keeps the invariant:
+    contracting a column element pivots it onto a row outside BN,
+    deleting a row element pivots it onto a column outside coN, and a
+    step that has no such pivot is not taken.  That is the only
+    pruning, and it is exact.
+    If the first root loop fails, an element of BN has a column whose
+    nonzero entries all lie in BN's rows, so BN is dependent in M; if
+    the second fails, an element of coN has a row whose nonzero entries
+    all lie in coN's columns, so, by the same statement in the dual
+    display -A^T, coN is dependent in M*.  A contraction with no pivot
     outside BN is of a nonzero column whose nonzero entries all lie in
     BN's rows: e is spanned by BN and is not a loop, so BN is dependent
     in K/e.  A deletion with no pivot outside coN is of a nonzero row
@@ -150,10 +159,9 @@ def fragile_partitions(
     alike, as above; the walk, `ways` and (a) are written once, on
     support masks.  The kernel is chosen by what the code can see: the
     packed kernel when M and N are both over GF(2), the generic kernel
-    otherwise.  The root is set up on lists by `_pivot_onto` and
-    `_pivot_off` for both.  A kernel supplies only the support of a row
-    or of a column, the step on e, its node test and its leaf test
-    after (a):
+    otherwise.  The root is set up on lists by `_pivot_each` for both.
+    A kernel supplies only the support of a row or of a column, the step
+    on e, its node test and its leaf test after (a):
     - packed: each row is packed into its support, an int with bit j
       for its entry in column j, so a row is its own support.  A step
       is `_step_gf2`, which pivots onto the first row after BN's or
@@ -163,10 +171,14 @@ def fragile_partitions(
       GF(2) the zero pattern is the display, so (a) is (b), no leaf
       reaches (c), and it has no leaf test after (a).
     - generic: each row is a list of encodings.  A step is
-      `_step_lists`, whose pivots are `ReprMatroid._pivot_in` and
-      `_pivot_out`, avoiding BN or coN, the one pivot search per side.
-      It has no node test, and its leaf test is (b) and then (c), on
-      the leaf with its None columns dropped.
+      `ReprMatroid._step`, the step of `ReprMatroid.minor`, with its
+      pivots avoiding the one set E(N).  That set serves both sides at
+      every node: BN stays on the rows and coN on the columns, so a row
+      outside E(N) is a row outside BN, and a column outside E(N) a
+      column outside coN (a None column, with zero entries, is never a
+      pivot).  It has no node test, and its leaf test is (b) and then
+      (c), on the leaf with its None columns cut out
+      (`LabeledMatrix._without_columns`).
 
     On packed rows a node K whose undecided elements are
     U = E(K) - E(N) is skipped unless two span tests pass, each one
@@ -199,8 +211,8 @@ def fragile_partitions(
     outside = frozenset(rest)
     found = []
     rows, cols, data = root = M._display_lists()
-    if not (ReprMatroid._pivot_onto(field, *root, BN)
-            and ReprMatroid._pivot_off(field, *root, coN)):
+    if not (ReprMatroid._pivot_each(field, *root, BN.difference(rows), BN)
+            and ReprMatroid._pivot_each(field, *root, coN.intersection(rows), coN)):
         return frozenset()
     # the one node layout: BN's rows first, every column at its root
     # position, N's display (NA) in the same positions, and a line's
@@ -233,7 +245,7 @@ def fragile_partitions(
             ts = [x & mask for x in xs]
             return not any(ts) or _spans([x & mask for x in data[nb:]] + ts, -1, len(data) - nb)
     else:
-        row_mask, fits, move, args = support, None, _step_lists, (field, BN, coN)
+        row_mask, fits, move, args = support, None, ReprMatroid._step, (field, N.ground)
         shown = N.field == field or not any(zeros)  # a zero NA is N over every field
         TN = []  # N's rank table, built when a leaf first needs it
 
@@ -253,9 +265,7 @@ def fragile_partitions(
                     raise CapExceeded(
                         f"|E(N)| = {len(labels)} exceeds rank table cap {EQUALS_CAP_DEFAULT}")
                 TN.append(rank_table(A, labels))
-            keep = [j for j, f in enumerate(cols) if f is not None]
-            L = LabeledMatrix._of_display(field, rows, [cols[j] for j in keep],
-                                          [[x[j] for j in keep] for x in data])
+            L = LabeledMatrix._without_columns(field, rows, cols, data, {None})
             return rank_table(L, labels) == TN[0]
 
     def ways(rows, cols, data, e) -> tuple[bool, ...]:
@@ -339,26 +349,6 @@ def _step_gf2(rows, cols, data, e, contracting, nb, mask) -> None:
     else:  # deleted, or a contracted loop
         cols[j] = None
         data[:] = [x & ~(1 << j) for x in data]
-
-
-def _step_lists(rows, cols, data, e, contracting, field, BN, coN) -> None:
-    """`_step_gf2` on rows of encodings: a contracted column pivots by
-    `ReprMatroid._pivot_in` onto the least row label outside BN, and a
-    deleted row by `_pivot_out` onto the least column label outside
-    coN.  A deleted column keeps its position, with label None and zero
-    entries."""
-    if contracting and e in cols:
-        ReprMatroid._pivot_in(field, rows, cols, data, e, BN)
-    elif not contracting and e in rows:
-        ReprMatroid._pivot_out(field, rows, cols, data, e, coN)
-    if e in rows:  # contracted, or a deleted coloop
-        i = rows.index(e)
-        del rows[i], data[i]
-    else:  # deleted, or a contracted loop
-        j = cols.index(e)
-        cols[j] = None
-        for row in data:
-            row[j] = 0
 
 
 def _spans(vecs: list[int], mask: int, k: int) -> bool:

@@ -118,6 +118,13 @@ class LabeledMatrix:
         A._set(field, tuple(rows), tuple(cols), tuple(map(tuple, data)))
         return A
 
+    @classmethod
+    def _without_columns(cls, F, rows, cols, data, drop) -> "LabeledMatrix":
+        """`_of_display` over the field F on the columns whose labels are
+        not in `drop`: a display with some of its columns cut out."""
+        js = [j for j, c in enumerate(cols) if c not in drop]
+        return cls._of_display(F, rows, [cols[j] for j in js], [[x[j] for j in js] for x in data])
+
     # -- access -----------------------------------------------------------
 
     def enc(self, row: str, col: str) -> int:

@@ -8,31 +8,25 @@ rank of the complementary block of A, computed by
 `matrices.block_rank`, and its result is cached per matroid.  The cache
 serves single queries only: no exhaustive sweep goes through it.
 
-Minors are computed by pivoting: contracting a column element first
-pivots it onto the row side, deleting a row element first pivots it out
-(coloops and loops degenerate to plain drops).  Two step rules make
-every pivot choice: `_pivot_in` pivots a column element onto the least
-row label, outside a set it must avoid, with a nonzero entry in its
-column, and its mirror `_pivot_out` pivots a row element onto the least
-such column label.  Taking the least label keeps every derived
-representation deterministic, and each rule finds its one pivot
-directly, building no set.  `rebase` re-displays on a basis B by
-`_pivot_onto`, which applies `_pivot_in` to B's elements and so checks
-B by its own pivots, with no rank query; its mirror `_pivot_off`
-applies `_pivot_out` to B's elements on the rows and so checks that B
-is coindependent.  Contracting a column element is `_pivot_in` and
-deleting a row element `_pivot_out`, each followed by dropping the
-element's line.  Each step takes a set `keep` it must not pivot into:
-the rows of `keep` for a contraction, its columns for a deletion.
-`minor` passes none.  The one caller that passes a `keep` is the
-reference partition search of the tests (`fragile_partitions_generic`
-in `tests/test_fragility.py`), which passes N's basis, or N's cobasis,
-so that they stay where its root display put them; the parameter stays
-for it.  The partition search `fragility.fragile_partitions`, unless M
-and N are both over GF(2), steps by `fragility._step_lists`, which
-pivots by `_pivot_in` and `_pivot_out` avoiding the same sets, so its
-certificate rests on these two rules.  Duality negates the transposed
-display (`LabeledMatrix.transpose`).
+Minors are computed by pivoting, by one rule for contraction and
+deletion alike: an element on the wrong side for its step (a column to
+contract, a row to delete) pivots to the other side onto the least
+label that may move, and its line is then dropped.  `_pivot` makes
+every pivot choice: a column element pivots onto the least row label
+outside a set `fixed` with a nonzero entry in its column, a row element
+onto the least such column label in its row.  Taking the least label
+keeps every derived representation deterministic, and the rule finds
+its one pivot directly, building no set.  `_step` contracts or deletes
+one element by `_pivot` and then drops its row, or keeps its column in
+place with label None and zero entries; a line with no pivot is zero,
+so a contracted loop or a deleted coloop degenerates to the drop.
+`minor` steps with `fixed` empty and removes the None columns at the
+end.  The partition search `fragility.fragile_partitions`, unless M and
+N are both over GF(2), steps by `_step` with `fixed` = E(N), so its
+certificate rests on the same rule.  `rebase` re-displays on a basis B
+by pivoting each element of B on the columns onto a row outside B
+(`_pivot_each`), and so checks B by its own pivots, with no rank query.
+Duality negates the transposed display (`LabeledMatrix.transpose`).
 
 Two ReprMatroids are `==` when their displays (`rep`) are: the same
 field, labels in the same order and entries.  So a pickled or copied
@@ -202,12 +196,17 @@ class ReprMatroid:
     ) -> "ReprMatroid":
         spec = MinorSpec(contract, delete)
         spec.validate(self)
-        rows, cols, data = display = self._display_lists()
-        field = self.field
+        rows, cols, data = self._display_lists()
+        field, step = self.field, self._step
         for e in sorted(spec.contract):
-            self._contract_one(field, *display, e)
+            step(rows, cols, data, e, True, field)
         for e in sorted(spec.delete):
-            self._delete_one(field, *display, e)
+            step(rows, cols, data, e, False, field)
+        while None in cols:  # the steps' None columns, all zero, removed in place
+            j = cols.index(None)
+            del cols[j]
+            for row in data:
+                del row[j]
         return ReprMatroid(LabeledMatrix._of_display(field, rows, cols, data))
 
     def _display_lists(self) -> tuple[list, list, list]:
@@ -216,103 +215,75 @@ class ReprMatroid:
         return list(self.rep.rows), list(self.rep.cols), [list(r) for r in self.rep._data]
 
     @staticmethod
-    def _pivot_in(field, rows, cols, data, v, avoid) -> bool:
-        """Pivot the column element v onto the least row label outside
-        `avoid` whose entry in v's column is nonzero.  False, changing
-        nothing, when there is no such row."""
-        j = cols.index(v)
-        pick = -1
-        for i, r in enumerate(rows):
-            if data[i][j] and r not in avoid and (pick < 0 or r < rows[pick]):
-                pick = i
-        if pick < 0:
+    def _pivot(field, rows, cols, data, v, fixed) -> bool:
+        """Pivot v to the other side: a column element onto the least row
+        label outside `fixed` with a nonzero entry in its column, a row
+        element onto the least such column label in its row.  False,
+        changing nothing, when there is none."""
+        # one loop per side, reading the line in place: copying a column
+        # into a list first is the slower form
+        if v in cols:
+            j = cols.index(v)
+            i = -1
+            for p, r in enumerate(rows):
+                if data[p][j] and r not in fixed and (i < 0 or r < rows[i]):
+                    i = p
+        else:
+            i = rows.index(v)
+            row, j = data[i], -1
+            for p, c in enumerate(cols):
+                if row[p] and c not in fixed and (j < 0 or c < cols[j]):
+                    j = p
+        if i < 0 or j < 0:
             return False
-        _pivot_inplace(field, rows, cols, data, pick, j)
+        _pivot_inplace(field, rows, cols, data, i, j)
         return True
 
     @staticmethod
-    def _pivot_out(field, rows, cols, data, v, avoid) -> bool:
-        """The mirror of `_pivot_in`: pivot the row element v onto the
-        least column label outside `avoid` whose entry in v's row is
-        nonzero.  False, changing nothing, when there is no such column."""
-        i = rows.index(v)
-        row = data[i]
-        pick = -1
-        for j, c in enumerate(cols):
-            if row[j] and c not in avoid and (pick < 0 or c < cols[pick]):
-                pick = j
-        if pick < 0:
-            return False
-        _pivot_inplace(field, rows, cols, data, i, pick)
+    def _pivot_each(field, rows, cols, data, S, fixed) -> bool:
+        """`_pivot` on each element of S in label order, avoiding `fixed`.
+        False, part way, when one finds no pivot."""
+        for v in sorted(S):
+            if not ReprMatroid._pivot(field, rows, cols, data, v, fixed):
+                return False
         return True
 
     @staticmethod
-    def _contract_one(field, rows, cols, data, e, keep=frozenset()) -> None:
-        # a column e pivots onto the rows by `_pivot_in`, and e's row is
-        # then dropped.  keep lies on the rows, and a column e with no
-        # row to pivot onto must be zero: e is a loop, and contracting a
-        # loop is the same as deleting it
-        if e in cols and not ReprMatroid._pivot_in(field, rows, cols, data, e, keep):
-            j = cols.index(e)
-            del cols[j]
-            for row in data:
-                del row[j]
-            return
-        i = rows.index(e)
-        del rows[i]
-        del data[i]
-
-    @staticmethod
-    def _delete_one(field, rows, cols, data, e, keep=frozenset()) -> None:
-        # the mirror: a row e pivots off the rows by `_pivot_out`, and
-        # e's column is then dropped.  keep lies on the columns, and a
-        # row e with no column to pivot onto must be zero: e is a
-        # coloop, and dropping its row deletes it
-        if e in rows and not ReprMatroid._pivot_out(field, rows, cols, data, e, keep):
+    def _step(rows, cols, data, e, contracting, field, fixed=frozenset()) -> None:
+        """Contract or delete e on a display held as lists: a column e to
+        contract, or a row e to delete, first pivots by `_pivot`,
+        avoiding `fixed`.  Then e's row (contracted, or a deleted
+        coloop) is dropped, and e's column (deleted, or a contracted
+        loop) keeps its position, with label None and zero entries.  A
+        line left without a pivot must be zero: with `fixed` empty, e is
+        then a loop, which contracting deletes, or a coloop, whose row
+        deleting drops; the partition search, which passes E(N), takes
+        no step on a nonzero line whose nonzero entries all lie in
+        `fixed`."""
+        if contracting == (e in cols):
+            ReprMatroid._pivot(field, rows, cols, data, e, fixed)
+        if e in rows:
             i = rows.index(e)
-            del rows[i]
-            del data[i]
-            return
-        j = cols.index(e)
-        del cols[j]
-        for row in data:
-            del row[j]
-
-    @staticmethod
-    def _pivot_onto(field, rows, cols, data, B: frozenset) -> bool:
-        """`_pivot_in` on each element of B not on the row side, in label
-        order, avoiding B's rows.  False, part way, when one finds no
-        row: that column is then a combination of the unit vectors of
-        B's rows, so B is dependent, and an independent B never gets
-        False."""
-        for v in sorted(B.difference(rows)):
-            if not ReprMatroid._pivot_in(field, rows, cols, data, v, B):
-                return False
-        return True
-
-    @staticmethod
-    def _pivot_off(field, rows, cols, data, B: frozenset) -> bool:
-        """The mirror of `_pivot_onto`: `_pivot_out` on each element of B
-        on the row side, in label order, avoiding B's columns.  False,
-        part way, when one finds no column: that row, negated, is the
-        element's vector in the display -A^T of the dual, a combination
-        of the unit vectors of B's columns, so B is dependent in M*
-        (codependent), and a coindependent B never gets False."""
-        for v in sorted(B.intersection(rows)):
-            if not ReprMatroid._pivot_out(field, rows, cols, data, v, B):
-                return False
-        return True
+            del rows[i], data[i]
+        else:
+            j = cols.index(e)
+            cols[j] = None
+            for row in data:
+                row[j] = 0
 
     def rebase(self, B: Iterable[str]) -> "ReprMatroid":
         """The same matroid re-displayed with basis B on the row side.
-        B is checked by the pivots themselves (`_pivot_onto`): a set of
-        r(M) elements is a basis exactly when they all succeed."""
+        B is checked by the pivots themselves: each element of B on the
+        columns pivots onto a row outside B (`_pivot_each`), and one that
+        finds none is a combination of the unit vectors of B's rows, so
+        B is dependent.  A set of r(M) elements is a basis exactly when
+        they all succeed."""
         Bf = frozenset(B)
         unknown = Bf - self.ground
         if unknown:
             raise UnknownLabel(f"labels not in ground set: {sorted(unknown)}")
         rows, cols, data = display = self._display_lists()
-        if len(Bf) != len(rows) or not self._pivot_onto(self.field, *display, Bf):
+        if len(Bf) != len(rows) or not self._pivot_each(self.field, *display, Bf - self.basis, Bf):
             raise InvalidArgs(f"{sorted(Bf)} is not a basis")
         return ReprMatroid(LabeledMatrix._of_display(self.field, rows, cols, data))
 

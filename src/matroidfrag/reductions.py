@@ -289,9 +289,7 @@ def collapse_side(
         raise UnknownLabel(f"not row labels of the matrix: {sorted(not_rows)}")
     # refuses an X2 off the columns and a used d before it extends
     A1 = free_extension(A, X2, d, degree=degree, degree_cap=degree_cap)
-    keep = [j for j, v in enumerate(A1.cols) if v not in X2]
-    out = LabeledMatrix._of_display(A1.field, A1.rows, [A1.cols[j] for j in keep],
-                                    [tuple([row[j] for j in keep]) for row in A1._data])
+    out = LabeledMatrix._without_columns(A1.field, A1.rows, A1.cols, A1._data, X2)
     if not _keeps_minor(A, X1, X2, out, X1, {d}):
         raise PostconditionViolation("the collapse changed the common minor on (C, D)")
     return out
@@ -418,8 +416,10 @@ def _relax_entry(
     encoding of F is the same element of F2 (`galois.embed`).
 
     theta lies outside F, decided literally with no arithmetic: F2's
-    `base` must be F, and theta's encoding must be at least |F|, the
-    encodings below |F| being F's image in F2 (`galois.embed`).  Proof.
+    `base` must be F, or F2 is refused as not one step over F, and
+    theta's encoding must be at least |F|, the encodings below |F|
+    being F's image in F2 (`galois.embed`), or theta is refused as
+    lying in F.  Proof.
     For every irreducible quadratic f over F, F2 = F[t]/(f) is a field
     with F-basis {1, t}, as a relation a + b t = 0 with b nonzero would
     give f the root -a / b in F.  An element of F2 is encoded by its
@@ -431,7 +431,9 @@ def _relax_entry(
     F = A1.field
     F2 = extend_field(F, 2, degree_cap=degree_cap)
     theta = F2.gen
-    if F2.base is not F or theta.enc < F.order:
+    if F2.base is not F:
+        raise PostconditionViolation("the relaxation field is not one step over the entry field")
+    if theta.enc < F.order:
         raise PostconditionViolation("extension generator lies in the entry field")
     # with the caller's pair fragility this certifies the relaxation
     # (proof in relax_entry)

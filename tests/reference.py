@@ -185,6 +185,68 @@ def rowspace_rank(A):
     return r
 
 
+# -- minors ------------------------------------------------------------------
+
+
+def pivot_by_field_methods(field, rows, cols, data, i, j):
+    """Exchange rows[i] and cols[j] in the standard representation held
+    as lists, every entry computed by the field's methods: row i scaled
+    by a = data[i][j]^-1, with a at j, and from every other row with
+    f = data[r][j] nonzero, f times that row subtracted, with -f * a at
+    j."""
+    mul, sub, neg, inv = field.mul_enc, field.sub_enc, field.neg_enc, field.inv_enc
+    ainv = inv(data[i][j])
+    srow = [mul(x, ainv) for x in data[i]]
+    srow[j] = ainv
+    for r in range(len(data)):
+        f = data[r][j]
+        if r != i and f:
+            row = data[r]
+            for u in range(len(row)):
+                if u != j and srow[u]:
+                    row[u] = sub(row[u], mul(f, srow[u]))
+            row[j] = neg(mul(f, ainv))
+    data[i] = srow
+    rows[i], cols[j] = cols[j], rows[i]
+
+
+def minor_by_pivots(M, C, D):
+    """The display of M/C\\D by the textbook steps, read by `enc`: the
+    contracted elements in label order, then the deleted ones.  A
+    contracted column pivots onto the least row label with a nonzero
+    entry in it, and a deleted row onto the least column label with a
+    nonzero entry in it (`pivot_by_field_methods`); then the element's
+    line is deleted, its row if it is a row, else its column.  Returns
+    the display and the kind of each step: "loop" for a contracted zero
+    column, "coloop" for a deleted zero row, "pivot" for a step that
+    pivots, and "drop" for one that needs none."""
+    A, F = M.rep, M.field
+    rows, cols, data = list(A.rows), list(A.cols), entries(A)
+    kinds = []
+    for e, contracting in [(e, True) for e in sorted(C)] + [(e, False) for e in sorted(D)]:
+        if contracting == (e in cols):
+            if contracting:
+                j = cols.index(e)
+                picks = [(r, i, j) for i, r in enumerate(rows) if data[i][j]]
+            else:
+                i = rows.index(e)
+                picks = [(c, i, j) for j, c in enumerate(cols) if data[i][j]]
+            if picks:
+                pivot_by_field_methods(F, rows, cols, data, *min(picks)[1:])
+            kinds.append("pivot" if picks else "loop" if contracting else "coloop")
+        else:
+            kinds.append("drop")
+        if e in rows:
+            i = rows.index(e)
+            del rows[i], data[i]
+        else:
+            j = cols.index(e)
+            del cols[j]
+            for row in data:
+                del row[j]
+    return LabeledMatrix(F, rows, cols, data), kinds
+
+
 # -- fragility: the per-subset sweeps that the searches replaced ---------------
 
 

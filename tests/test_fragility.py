@@ -272,10 +272,12 @@ def fragile_partitions_table(M, N):
 
 
 def fragile_partitions_generic(M, N):
-    """The partition search with the generic pivot steps of
-    `ReprMatroid` over every field, GF(2) included: the search before
-    its GF(2) steps moved to packed rows and gained the two span tests.
-    The same walk, root and leaf rule, with no node test."""
+    """The partition search with the pivots of `ReprMatroid._pivot` over
+    every field, GF(2) included: the search before its GF(2) steps moved
+    to packed rows and gained the two span tests.  The same walk, root
+    and leaf rule, with no node test; a step pivots avoiding BN or coN
+    and then deletes the element's line, so no drop code is shared with
+    the kernel it checks."""
     rest = sorted(M.ground - N.ground)
     labels = sorted(N.ground)
     BN, coN = N.basis, N.ground - N.basis
@@ -307,14 +309,22 @@ def fragile_partitions_generic(M, N):
             return
         e = rest[i]
         for contracting in ways(*node, e):
-            rows, cols, data = node
-            child = rows[:], cols[:], [row[:] for row in data]
-            step = ReprMatroid._contract_one if contracting else ReprMatroid._delete_one
-            step(field, *child, e, BN if contracting else coN)
-            walk(i + 1, C | {e} if contracting else C, child)
+            rows, cols, data = node[0][:], node[1][:], [row[:] for row in node[2]]
+            if contracting == (e in cols):
+                ReprMatroid._pivot(field, rows, cols, data, e, BN if contracting else coN)
+            if e in rows:
+                k = rows.index(e)
+                del rows[k], data[k]
+            else:
+                j = cols.index(e)
+                del cols[j]
+                for row in data:
+                    del row[j]
+            walk(i + 1, C | {e} if contracting else C, (rows, cols, data))
 
     root = M._display_lists()
-    if ReprMatroid._pivot_onto(field, *root, BN) and ReprMatroid._pivot_off(field, *root, coN):
+    if (ReprMatroid._pivot_each(field, *root, BN.difference(root[0]), BN)
+            and ReprMatroid._pivot_each(field, *root, coN.intersection(root[0]), coN)):
         NA = [[N.rep.enc(b, f) for f in root[1] if f in coN] for b in root[0] if b in BN]
         walk(0, frozenset(), root)
     return frozenset(found)
@@ -521,12 +531,12 @@ def test_search_tables_span_the_minor_only(monkeypatch):
 def search_counter(mp):
     """A function running fragile_partitions(M, N) under watches installed
     on `mp`, and returning it with the number of display steps
-    (`_step_lists` calls, or `_step_gf2` calls on packed GF(2) rows), of
+    (`ReprMatroid._step` calls, or `_step_gf2` calls on packed GF(2) rows), of
     pivots (`_pivot_inplace` calls, the root's included, and
     `_pivot_gf2` calls) and of leaves tested (`partitions_of` calls)
     that it made."""
     calls = []
-    for target in (fragility._step_lists, fragility._step_gf2):
+    for target in ((ReprMatroid, "_step"), fragility._step_gf2):
         watch(mp, target, calls, key=lambda *args: "steps")
     for target in (matroids._pivot_inplace, fragility._pivot_gf2):
         watch(mp, target, calls, key=lambda *args: "pivots")

@@ -27,7 +27,10 @@ from matroidfrag import (
     subsets_by_size,
 )
 from matroidfrag.matroids import _pivot_inplace
-from reference import GF2, GF3, GF4, GF5, GF9, SCOPES, entries, scope_matrices, textbook_rank
+from reference import (
+    GF2, GF3, GF4, GF5, GF9, SCOPES, entries, minor_by_pivots, pivot_by_field_methods, scope_cases,
+    scope_matrices, textbook_rank,
+)
 from watch import forbid, watch
 
 
@@ -352,26 +355,26 @@ def test_rebase_by_pivots_matches_rank_queries():
     }
 
 
+def test_minor_display_matches_the_textbook_steps():
+    # M.minor(C, D)'s display, not only its matroid, against the textbook
+    # pivots read by `enc` on the field's methods, for every disjoint
+    # (C, D) of every matrix of the scopes: each kind of step is reached
+    seen = Counter()
+    for scope in SCOPES["contract"]:
+        for M, part in scope_cases(scope):
+            want, kinds = minor_by_pivots(M, part.contract, part.delete)
+            assert M.minor(part.contract, part.delete).rep == want, (entries(M.rep), part)
+            seen.update((scope.field.order, kind) for kind in kinds)
+    assert seen == {
+        (2, "coloop"): 412, (2, "drop"): 1728, (2, "loop"): 412, (2, "pivot"): 904,
+        (3, "coloop"): 1558, (3, "drop"): 8748, (3, "loop"): 1558, (3, "pivot"): 5632,
+        (4, "coloop"): 36, (4, "drop"): 432, (4, "loop"): 162, (4, "pivot"): 234,
+        (5, "coloop"): 49, (5, "drop"): 675, (5, "loop"): 242, (5, "pivot"): 384,
+        (9, "coloop"): 121, (9, "drop"): 2187, (9, "loop"): 722, (9, "pivot"): 1344,
+    }
+
+
 # -- the pivot's residue path and the dual's transposition ------------------
-
-
-def pivot_by_field_methods(field, rows, cols, data, i, j):
-    """Reference: `_pivot_inplace` with every entry computed by the
-    field's methods, as it is over every field with tower steps."""
-    mul, sub, neg, inv = field.mul_enc, field.sub_enc, field.neg_enc, field.inv_enc
-    ainv = inv(data[i][j])
-    srow = [mul(x, ainv) for x in data[i]]
-    srow[j] = ainv
-    for r in range(len(data)):
-        f = data[r][j]
-        if r != i and f:
-            row = data[r]
-            for u in range(len(row)):
-                if u != j and srow[u]:
-                    row[u] = sub(row[u], mul(f, srow[u]))
-            row[j] = neg(mul(f, ainv))
-    data[i] = srow
-    rows[i], cols[j] = cols[j], rows[i]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

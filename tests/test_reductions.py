@@ -807,15 +807,16 @@ def test_a_generator_inside_the_entry_field_is_refused(monkeypatch):
     # is not the entry field F, so that theta's encoding does not show it
     # outside F: by F itself, which has tower steps here, so that theta
     # is F's own generator, or by a quadratic step over F's quadratic
-    # extension, whose base is that extension.  The check refuses both,
-    # in relax_entry and at the end of a pipeline, whose third extension
-    # is the relaxation's, after one per collapse
+    # extension, whose base is that extension.  The check refuses both
+    # as not one step over F, in relax_entry and at the end of a
+    # pipeline, whose third extension is the relaxation's, after one per
+    # collapse.  One step over F whose generator is encoded 1, inside F,
+    # is refused as lying in F
     extend = reductions.extend_field
     M, N = four_element_pair()
     pair = ReprMatroid(LabeledMatrix(GF4, ["c"], ["d", "e"], [[0, 1]]))
-    for wrong, (run, at) in product(
-            ("the entry field", "two steps over it"),
-            ((lambda: pipeline(M, N), 3), (lambda: relax_entry(pair, (), {"e"}), 1))):
+    runs = ((lambda: pipeline(M, N), 3), (lambda: relax_entry(pair, (), {"e"}), 1))
+    for wrong, (run, at) in product(("the entry field", "two steps over it"), runs):
         calls = []
 
         def inside(F, k, **kwargs):
@@ -827,9 +828,14 @@ def test_a_generator_inside_the_entry_field_is_refused(monkeypatch):
             return F2
 
         monkeypatch.setattr(reductions, "extend_field", inside)
-        with pytest.raises(PostconditionViolation, match="generator lies in the entry field"):
+        with pytest.raises(PostconditionViolation, match="not one step over the entry field"):
             run()
         assert len(calls) == at and calls[-1] == 2
+    monkeypatch.setattr(reductions, "extend_field", extend)
+    monkeypatch.setattr(FieldSpec, "gen", property(lambda F: galois.FieldElem(F, 1)))
+    for run, _ in runs:
+        with pytest.raises(PostconditionViolation, match="generator lies in the entry field"):
+            run()
 
 
 def one_entry_changed(A, keep):
@@ -909,7 +915,8 @@ def test_a_changed_old_entry_of_the_transposed_display_is_refused(monkeypatch):
             data[i][j] = field.add_enc(data[i][j], 1)
         return LabeledMatrix._of_display(field, rows, cols, data)
 
-    monkeypatch.setattr(reductions, "LabeledMatrix", SimpleNamespace(_of_display=changed))
+    monkeypatch.setattr(reductions, "LabeledMatrix", SimpleNamespace(
+        _of_display=changed, _without_columns=LabeledMatrix._without_columns))
     with pytest.raises(PostconditionViolation, match="is not the display extended"):
         pipeline(M, N)
     assert built == ["c"]

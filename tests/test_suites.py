@@ -58,6 +58,17 @@ def test_run_suite_dispatch():
         run_suite("nope")
 
 
+def test_field_core_checks_the_package_subfield_test(monkeypatch):
+    # a subfield test that answers wrong: field_core compares the
+    # package's `is_in_subfield` itself with the embedding images, so
+    # every field pair fails at its first element
+    monkeypatch.setattr(suites, "is_in_subfield", lambda a, sub: False)
+    report = field_core(seed=0)
+    assert not report["ok"]
+    assert [(f["pair"], f["element"]) for f in report["failures"]] == [
+        ("GF(4)/GF(2)", 0), ("GF(9)/GF(3)", 0), ("GF(16)/GF(4)", 0)]
+
+
 def _redisplay(M, N):
     # zero_out without the zeroing
     Md = M.rebase(display_basis(M, N))
