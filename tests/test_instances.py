@@ -581,13 +581,12 @@ def test_empty_minor_of_nonempty_ground_is_refused(monkeypatch):
     assert gi.instance.task.minor.ground == frozenset()
 
 
-def test_rejected_draws_build_no_matrix(monkeypatch):
-    # the witness runs on each draw's rows, before anything is built; a
-    # draw it rejects builds no LabeledMatrix, and one it passes is built
-    # once and then checked: by x_fragile_failure, which builds none, or
-    # by the partition search, which builds minors and displays
-    events = []
-    watch(monkeypatch, (LabeledMatrix, "_of_display"), events, key=lambda cls, *args: "matrix")
+def witness_draws(monkeypatch, events, kind, **kwargs):
+    """gen_random(kind, **kwargs) with each witness verdict logged to
+    `events`, which the caller's watches fill too, as a ("witness", moved
+    label or None) pair.  The witness runs once per draw, first, so the
+    log splits into draws that each open with their verdict; returns the
+    draw's result and that split."""
     witness = instances._one_move
 
     def logged_witness(*display_and_sides):
@@ -595,16 +594,27 @@ def test_rejected_draws_build_no_matrix(monkeypatch):
         events.append(("witness", moved))
         return moved
 
-    monkeypatch.setattr(instances, "_one_move", logged_witness)
+    events.clear()
+    with monkeypatch.context() as m:
+        m.setattr(instances, "_one_move", logged_witness)
+        gi = gen_random(kind, **kwargs)
+    starts = [i for i, e in enumerate(events) if isinstance(e, tuple)]
+    assert starts[:1] == [0] and len(starts) == gi.rejections + 1
+    return gi, [events[i:j] for i, j in zip(starts, starts[1:] + [len(events)])]
+
+
+def test_rejected_draws_build_no_matrix(monkeypatch):
+    # the witness runs on each draw's rows, before anything is built; a
+    # draw it rejects builds no LabeledMatrix, and one it passes is built
+    # once and then checked: by x_fragile_failure, which builds none, or
+    # by the partition search, which builds minors and displays
+    events = []
+    watch(monkeypatch, (LabeledMatrix, "_of_display"), events, key=lambda cls, *args: "matrix")
     for kind, shape in (("xfragile", dict(rows=4, cols=5, x_rows=2, x_cols=2)),
                         ("relax", dict(rows=3, cols=3)),
                         ("nfragile", dict(rows=4, cols=4, minor_size=3)),
                         ("pipeline", dict(rows=3, cols=4, minor_size=3))):
-        events.clear()
-        gi = gen_random(kind, seed=5, q=2, **shape)
-        starts = [i for i, e in enumerate(events) if isinstance(e, tuple)]
-        assert starts[:1] == [0] and len(starts) == gi.rejections + 1
-        draws = [events[i:j] for i, j in zip(starts, starts[1:] + [len(events)])]
+        _, draws = witness_draws(monkeypatch, events, kind, seed=5, q=2, **shape)
         for (_, moved), *rest in draws:
             if moved is not None:
                 assert rest == []
@@ -913,20 +923,8 @@ def test_witness_rejected_draws_build_no_minor_and_no_table(
     watch(monkeypatch, matrices.rank_table, events)
     watch(monkeypatch, (ReprMatroid, "minor"), events)
     watch(monkeypatch, (ReprMatroid, "__init__"), events, key=lambda self, rep: "matroid")
-    witness = instances._one_move
-
-    def logged_witness(*display_and_sides):
-        moved = witness(*display_and_sides)
-        events.append(("witness", moved))
-        return moved
-
-    monkeypatch.setattr(instances, "_one_move", logged_witness)
-    gi = gen_random(kind, seed=seed, **shape)
+    gi, draws = witness_draws(monkeypatch, events, kind, seed=seed, **shape)
     assert gi.rejections == rejections
-    # the witness runs once per draw, first
-    starts = [i for i, e in enumerate(events) if isinstance(e, tuple)]
-    assert starts[:1] == [0] and len(starts) == rejections + 1
-    draws = [events[i:j] for i, j in zip(starts, starts[1:] + [len(events)])]
     # a cut minor N (the matroid M, then `minor` building N) goes to the
     # pruned partition search, which builds no table over GF(2): each
     # leaf re-displayed on N's basis is decided by its display; a zeroed

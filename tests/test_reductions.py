@@ -3,18 +3,20 @@
 Small frozen instances first, then seeded random ones.  Every reduction
 already re-verifies its own defining properties and raises
 PostconditionViolation on failure, so a clean return is itself a
-certificate; the assertions below pin the concrete outputs.
+certificate; the assertions below pin the concrete outputs, and the
+table STAGE_FAULTS shows each of those checks refusing a faulty builder.
 """
 
+import ast
 import os
 import subprocess
 import sys
+import traceback
 from collections import Counter
-from functools import cache
-from itertools import product
+from functools import cache, partial
+from itertools import count
 from pathlib import Path
 from random import Random
-from types import SimpleNamespace
 
 import pytest
 
@@ -47,7 +49,7 @@ from reference import (
     lex_greatest_modulus, relax_sweep_failure, scope_matrices, scope_x, with_entry,
     x_fragile_failure_loop,
 )
-from watch import watch
+from watch import forbid, watch
 
 
 def pair_matroid():
@@ -120,17 +122,15 @@ def _placed(A, X, alphas, e="e"):
     return LabeledMatrix(F2, A.rows, A.cols + (e,), data)
 
 
-def written_column(change):
-    """A stand-in for `reductions.LabeledMatrix` that injects a fault
-    where free_extension writes its new column, the last one, in its one
-    `_of_display` call: `change(field, column)` rewrites that column."""
-    def of_display(field, rows, cols, data):
-        data = [tuple(row) for row in data]
-        column = change(field, [row[-1] for row in data])
-        return LabeledMatrix._of_display(
-            field, rows, cols, [row[:-1] + (x,) for row, x in zip(data, column)])
+class Displays:
+    """A stand-in for `reductions.LabeledMatrix` whose `_of_display` is
+    the function given; every other attribute is the real class's."""
 
-    return SimpleNamespace(_of_display=of_display)
+    def __init__(self, of_display):
+        self._of_display = of_display
+
+    def __getattr__(self, name):
+        return getattr(LabeledMatrix, name)
 
 
 def test_free_extension_failures_match_the_reference(monkeypatch):
@@ -165,8 +165,9 @@ def test_free_extension_failures_match_the_reference(monkeypatch):
         placed = _placed(lifted, X, [want.field.one] * len(X))
         dependent = [placed.enc(r, "e") for r in placed.rows]
         with monkeypatch.context() as m:
-            m.setattr(reductions, "LabeledMatrix",
-                      written_column(lambda field, column: dependent))
+            m.setattr(reductions, "LabeledMatrix", Displays(
+                lambda field, rows, cols, data: LabeledMatrix._of_display(
+                    field, rows, cols, [row[:-1] + (x,) for row, x in zip(data, dependent)])))
             try:
                 got = free_extension(A, X, "e")
             except PostconditionViolation as err:
@@ -216,47 +217,6 @@ def test_free_extension_does_no_arithmetic_in_the_extension(monkeypatch):
         calls.clear()
         assert free_extension(A, X, "e", degree=d).field is F2
         assert calls.count((F2, "mul_enc")) == calls.count((F2, "add_enc")) == 0, calls
-
-
-@pytest.mark.parametrize("field, X", [
-    (GF2, ()), (GF3, ("a",)), (GF2, ("a", "b")), (GF5, ("a", "x")), (GF4, ("a", "b", "x")),
-], ids=["gf2-empty", "gf3-a", "gf2-ab", "gf5-ax", "gf4-abx"])
-def test_a_changed_entry_of_the_new_column_is_refused(monkeypatch, field, X):
-    # the column is read back in coordinates over the entry field: one
-    # entry off by one, in the extension field or in the entry field
-    # itself, is refused inside free_extension
-    A = LabeledMatrix(field, ["r1", "r2", "r3"], ["a", "b", "x"],
-                      [[1, 0, 1], [0, 1, 1], [1, 1, 0]])
-    free_extension(A, X, "e")
-
-    def off_by_one(field, encs):
-        encs[1] = field.add_enc(encs[1], 1)
-        return encs
-
-    monkeypatch.setattr(reductions, "LabeledMatrix", written_column(off_by_one))
-    with pytest.raises(PostconditionViolation, match=r"entry \('r2', 'e'\) of the new column"):
-        free_extension(A, X, "e")
-
-
-def test_a_changed_old_entry_or_row_order_of_the_extension_is_refused(monkeypatch):
-    # the read-back reads the new column by position, so the extended
-    # display must keep A's labels in order and A's entries: one old
-    # entry changed, or the rows reordered with their labels, is refused
-    A = LabeledMatrix(GF3, ["r1", "r2"], ["a", "b"], [[1, 2], [0, 1]])
-
-    def changed(field, rows, cols, data):
-        data = [list(row) for row in data]
-        data[0][0] = field.add_enc(data[0][0], 1)
-        return LabeledMatrix._of_display(field, rows, cols, data)
-
-    def reordered(field, rows, cols, data):
-        return LabeledMatrix._of_display(field, rows[::-1], cols, data[::-1])
-
-    free_extension(A, ["a", "b"], "e")
-    for fake in (changed, reordered):
-        monkeypatch.setattr(reductions, "LabeledMatrix", SimpleNamespace(_of_display=fake))
-        with pytest.raises(PostconditionViolation, match="is not the display extended"):
-            free_extension(A, ["a", "b"], "e")
 
 
 def test_relax_and_free_extension_run_above_sixteen_elements():
@@ -445,10 +405,8 @@ def test_collapse_side_errors(monkeypatch):
     # a field is extended or a display built, and never as a
     # PostconditionViolation, which stands for a failed check alone
     A = LabeledMatrix(GF3, ["r0", "r1"], ["c0", "c1", "c2"], [[0, 1, 2], [1, 1, 0]])
-    work = []
-    monkeypatch.setattr(reductions, "extend_field", lambda *a, **k: work.append(a))
-    monkeypatch.setattr(reductions, "LabeledMatrix",
-                        SimpleNamespace(_of_display=lambda *a: work.append(a)))
+    for target in (extend_field, (LabeledMatrix, "_of_display")):
+        watch(monkeypatch, target, [], key=forbid)
     for X1, X2, d, error in (
         ({"r0"}, {"c0", "r0"}, "d", InvalidArgs),    # the sides overlap
         ({"r0", "c1"}, {"c0"}, "d", UnknownLabel),   # a column in X1
@@ -461,7 +419,6 @@ def test_collapse_side_errors(monkeypatch):
         with pytest.raises(error) as info:
             collapse_side(A, X1, X2, d)
         assert not isinstance(info.value, PostconditionViolation)
-    assert work == []
 
 
 def test_a_new_label_that_is_not_a_string_is_converted_once(monkeypatch):
@@ -723,9 +680,10 @@ def test_pipeline_respects_partition_cap():
         pipeline(M, isolated({"c"}, {"c", "d"}), cap=0)
 
 
-# -- literal contraction checks ----------------------------------------------
+# -- each stage check refuses an injected fault ------------------------------
 
 
+@cache
 def four_element_pair():
     # displayed with rows r0, r1, c1, c2 and BN = {r0, c1}; both sides
     # collapse, and C = {r1, c2}, D = {c0, c3}
@@ -733,217 +691,250 @@ def four_element_pair():
     return ReprMatroid(gi.instance.matrix), gi.instance.task.minor
 
 
-def test_zeroing_outside_the_minor_basis_is_refused(monkeypatch):
-    # the zeroing may write only into the block on (BN, E(N) - BN): one
-    # entry changed in a row outside BN fails the literal check, and so
-    # does one in a row of BN at a column outside E(N), which leaves
-    # M2/BN unchanged but breaks the zeroing lemma's hypothesis.  The
-    # zeroed display is built unchecked, by `_of_display`, so the leak is
-    # injected there; `reductions.LabeledMatrix` offers nothing else
-    M, N = four_element_pair()
-    zero_out(M, N)
-    for in_bn in (False, True):
-        def leaky(field, rows, cols, data):
-            data = [list(row) for row in data]
-            i = next(i for i, r in enumerate(rows) if (r in N.ground) == in_bn)
-            j = next(j for j, c in enumerate(cols) if c not in N.ground)
-            data[i][j] = field.add_enc(data[i][j], 1)
-            return LabeledMatrix._of_display(field, rows, cols, data)
-
-        monkeypatch.setattr(reductions, "LabeledMatrix", SimpleNamespace(_of_display=leaky))
-        for run in (zero_out, pipeline):
-            with pytest.raises(PostconditionViolation,
-                               match="not the display with its block zeroed"):
-                run(M, N)
+def on_pair(run, **kwargs):
+    """A call of `run` on the four-element pair."""
+    return lambda: run(*four_element_pair(), **kwargs)
 
 
-def test_a_zeroed_block_entry_left_nonzero_is_refused(monkeypatch):
-    # the zeroed display built with one entry of the block (BN, E(N) - BN)
-    # set to one: the literal check of the zeroing refuses it
-    M, N = four_element_pair()
-    BN = N.ground & frozenset(zero_out(M, N)[1].rows)
-
-    def unzeroed(field, rows, cols, data):
-        data = [list(row) for row in data]
-        i = next(i for i, r in enumerate(rows) if r in BN)
-        j = next(j for j, c in enumerate(cols) if c in N.ground)
-        data[i][j] = 1
-        return LabeledMatrix._of_display(field, rows, cols, data)
-
-    monkeypatch.setattr(reductions, "LabeledMatrix", SimpleNamespace(_of_display=unzeroed))
-    for run in (zero_out, pipeline):
-        with pytest.raises(PostconditionViolation, match="not the display with its block zeroed"):
-            run(M, N)
+def first(labels, inside=False):
+    """The first label inside, or outside, E(N) + {c, d} of the
+    four-element pair."""
+    ground = four_element_pair()[1].ground | {"c", "d"}
+    return next(x for x in labels if (x in ground) == inside)
 
 
-@pytest.mark.parametrize("which", [1, 2])
-def test_a_changed_entry_after_each_collapse_is_refused_by_its_check(monkeypatch, which):
-    # the extended display of the loop-side collapse (which = 1), or of
-    # the coloop-side collapse on the dual (which = 2), returned with one
-    # entry changed on (C, D), or on (D, C) in the dual, off the new
-    # column: that collapse's own literal check refuses it
-    M, N = four_element_pair()
-    pipeline(M, N)
-    extend = reductions.free_extension
-    calls = []
-
-    def changed_extension(A, X, e, **kwargs):
-        out = extend(A, X, e, **kwargs)
-        calls.append(e)
-        if len(calls) == which:
-            r = next(x for x in out.rows if x not in N.ground | {"c", "d"})
-            c = next(x for x in out.cols if x not in N.ground | {"c", "d"})
-            out = with_entry(out, r, c, out.field.add_enc(out.enc(r, c), 1))
-        return out
-
-    monkeypatch.setattr(reductions, "free_extension", changed_extension)
-    with pytest.raises(PostconditionViolation, match="the collapse changed the common minor"):
-        pipeline(M, N)
-    assert calls == ["d", "c"][:which]
+def off_the_minor(A):
+    """The first row and the first column of A outside E(N) + {c, d}."""
+    return first(A.rows), first(A.cols)
 
 
-def test_a_generator_inside_the_entry_field_is_refused(monkeypatch):
-    # the relaxation's quadratic extension replaced by a field whose base
-    # is not the entry field F, so that theta's encoding does not show it
-    # outside F: by F itself, which has tower steps here, so that theta
-    # is F's own generator, or by a quadratic step over F's quadratic
-    # extension, whose base is that extension.  The check refuses both
-    # as not one step over F, in relax_entry and at the end of a
-    # pipeline, whose third extension is the relaxation's, after one per
-    # collapse.  One step over F whose generator is encoded 1, inside F,
-    # is refused as lying in F
-    extend = reductions.extend_field
-    M, N = four_element_pair()
-    pair = ReprMatroid(LabeledMatrix(GF4, ["c"], ["d", "e"], [[0, 1]]))
-    runs = ((lambda: pipeline(M, N), 3), (lambda: relax_entry(pair, (), {"e"}), 1))
-    for wrong, (run, at) in product(("the entry field", "two steps over it"), runs):
-        calls = []
+def bumped(at, when=lambda A: True):
+    """A fault for a function that returns a display: each display that
+    `when` accepts gets one added to its entry at the labels `at(A)`."""
+    def fault(original, fired):
+        def changed(*args, **kwargs):
+            out = original(*args, **kwargs)
+            if when(out):
+                r, c = at(out)
+                fired.append((r, c))
+                out = with_entry(out, r, c, out.field.add_enc(out.enc(r, c), 1))
+            return out
 
-        def inside(F, k, **kwargs):
-            calls.append(k)
-            if len(calls) != at:
+        return changed
+
+    return fault
+
+
+def of_display_fault(fault):
+    """A fault for `_of_display` as one for `reductions.LabeledMatrix`."""
+    return lambda real, fired: Displays(fault(real._of_display, fired))
+
+
+def relaxation_over(at, wrong):
+    """A fault for `reductions.extend_field`: its `at`-th call, the
+    relaxation's quadratic step over the entry field F, returns
+    `wrong(step, F)`, with `step` that quadratic step: a field whose base
+    is not F, so that theta's encoding cannot show it outside F."""
+    def fault(extend, fired):
+        calls = count(1)
+
+        def extended(F, k, **kwargs):
+            if next(calls) != at:
                 return extend(F, k, **kwargs)
-            F2 = F if wrong == "the entry field" else extend(extend(F, 2, **kwargs), 2, **kwargs)
-            assert F2.base is not F
+            F2 = wrong(lambda G: extend(G, 2, **kwargs), F)
+            assert k == 2 and F2.base is not F
+            fired.append(F2)
             return F2
 
-        monkeypatch.setattr(reductions, "extend_field", inside)
-        with pytest.raises(PostconditionViolation, match="not one step over the entry field"):
-            run()
-        assert len(calls) == at and calls[-1] == 2
-    monkeypatch.setattr(reductions, "extend_field", extend)
-    monkeypatch.setattr(FieldSpec, "gen", property(lambda F: galois.FieldElem(F, 1)))
-    for run, _ in runs:
-        with pytest.raises(PostconditionViolation, match="generator lies in the entry field"):
-            run()
+        return extended
+
+    return fault
 
 
-def one_entry_changed(A, keep):
-    """A with one entry changed, at the first row and the first column
-    outside `keep`."""
-    r = next(x for x in A.rows if x not in keep)
-    c = next(x for x in A.cols if x not in keep)
-    return with_entry(A, r, c, A.field.add_enc(A.enc(r, c), 1))
+def one_step_fields(collapse, fired):
+    """A fault for `reductions.collapse_side`: each display put over the
+    one-step field of its order.  The loop side's field is that field
+    already, but the coloop side's, built over it, becomes a one-step
+    field over GF(2), which is no tower over the stage before.  Every
+    encoding stays in range, so the common minor, the final degree and
+    the relaxation all pass; only the tower check refuses it."""
+    def one_step(A, *args, **kwargs):
+        out = collapse(A, *args, **kwargs)
+        F = field_of_order(out.field.order)
+        if out.cols[-1] == "c":
+            assert out.field.base is A.field and F.base is GF2
+            fired.append(F)
+        else:
+            assert F is out.field
+        return LabeledMatrix._of_display(F, out.rows, out.cols, out._data)
+
+    return one_step
 
 
-@pytest.mark.parametrize("which", [1, 2])
-def test_a_changed_entry_on_the_common_minor_is_refused(monkeypatch, which):
-    # one collapse's certified output reaches the chain with one entry
-    # changed off the collapsed side and the new element: the loop side's
-    # display as `collapse_side` returns it (which = 1), with rows C + X1
-    # and columns D + {d}, or the coloop side's where the chain builds it,
-    # transposed back from A^T (which = 2), with rows C + {c} and columns
-    # D + {d}.  Either way M1 differs from the input display in one entry
+def taller(relax, fired):
+    """A fault for `reductions._relax_entry`: the relaxation's display put
+    over a quadratic extension of its field, a tower over every stage
+    before it, so that the final degree is twice the one promised."""
+    def relaxed(*args):
+        M1, M2, H = relax(*args)
+        A2, F = M2.rep, extend_field(M2.field, 2)
+        fired.append(F)
+        return M1, ReprMatroid(LabeledMatrix._of_display(F, A2.rows, A2.cols, A2._data)), H
+
+    return relaxed
+
+
+EXTENDED = partial(free_extension, LabeledMatrix(GF3, ["r1", "r2"], ["a", "b"], [[1, 2], [0, 1]]),
+                   ["a", "b"], "e")
+RELAXED = partial(relax_entry, ReprMatroid(LabeledMatrix(GF4, ["c"], ["d", "e"], [[0, 1]])), (),
+                  {"e"})
+
+# case -> (owner, attribute, fault, calls, message).  `fault(original,
+# fired)` is the stand-in for owner.attribute, and appends to `fired`
+# each time its fault takes effect.  Each call runs clean, and then,
+# with the stand-in in place, is refused by a stage check with
+# `message`.
+STAGE_FAULTS = {
+    # the new column is read back in coordinates over the entry field:
+    # one entry off by one, in the extension field or in the entry field
+    **{f"new-column-{name}": (
+        reductions, "LabeledMatrix", of_display_fault(bumped(lambda A: (A.rows[1], A.cols[-1]))),
+        [partial(free_extension, LabeledMatrix(F, ["r1", "r2", "r3"], ["a", "b", "x"],
+                                               [[1, 0, 1], [0, 1, 1], [1, 1, 0]]), X, "e")],
+        r"entry \('r2', 'e'\) of the new column",
+    ) for name, F, X in (("gf2-empty", GF2, ()), ("gf3-a", GF3, ("a",)),
+                         ("gf2-ab", GF2, ("a", "b")), ("gf5-ax", GF5, ("a", "x")),
+                         ("gf4-abx", GF4, ("a", "b", "x")))},
+    # the read-back reads the new column by position, so the extended
+    # display must keep A's labels in order and A's entries
+    "extension-old-entry": (
+        reductions, "LabeledMatrix", of_display_fault(bumped(lambda A: (A.rows[0], A.cols[0]))),
+        [EXTENDED], "is not the display extended",
+    ),
+    "extension-rows-reordered": (
+        reductions, "LabeledMatrix",
+        of_display_fault(lambda build, fired: lambda field, rows, cols, data: fired.append(rows)
+                         or build(field, rows[::-1], cols, data[::-1])),
+        [EXTENDED], "is not the display extended",
+    ),
+    # the zeroing may write only into the block (BN, E(N) - BN): one
+    # entry changed in a row outside BN, or in a row of BN at a column
+    # outside E(N), which leaves M2/BN unchanged but breaks the zeroing
+    # lemma's hypothesis, or one block entry left nonzero; r and c say
+    # whether the entry's row and column lie in E(N)
+    **{f"zeroing-{name}": (
+        reductions, "LabeledMatrix",
+        of_display_fault(bumped(lambda A, r=r, c=c: (first(A.rows, r), first(A.cols, c)))),
+        [on_pair(zero_out), on_pair(pipeline)], "not the display with its block zeroed",
+    ) for name, r, c in (("outside-bn", False, False), ("bn-row-outside-the-minor", True, False),
+                         ("block-entry-nonzero", True, True))},
+    # the loop side's extended display, or the coloop side's on the
+    # transpose, with one entry changed on (C, D), or (D, C), off the new
+    # column: that collapse's own literal check refuses it
+    **{f"collapse-{side}-side-extension": (
+        reductions, "free_extension", bumped(off_the_minor, lambda A, e=e: A.cols[-1] == e),
+        [on_pair(pipeline)], "the collapse changed the common minor",
+    ) for side, e in (("loop", "d"), ("coloop", "c"))},
+    # the same change made to every extension: the loop side's check
+    # refuses it before any other stage runs
+    "collapse-every-extension": (
+        reductions, "free_extension", bumped(off_the_minor),
+        [on_pair(pipeline)], "changed the common minor",
+    ),
+    # a collapse's certified output reaching the chain with one entry
+    # changed on (C, D): the loop side's display as `collapse_side`
+    # returns it, or the coloop side's transposed back from A^T, with the
+    # new coloop c on its rows.  M1 then differs from the zeroed display
     # on (C, D), and the literal common-minor check fails
-    M, N = four_element_pair()
-    pipeline(M, N)
-    collapse, transpose = reductions.collapse_side, LabeledMatrix.transpose
-    calls = []
-
-    def changed(A, X1, X2, d, **kwargs):
-        out = collapse(A, X1, X2, d, **kwargs)
-        calls.append(d)
-        return one_entry_changed(out, X1 | {d}) if which == 1 and d == "d" else out
-
-    def changed_back(A):
-        # the transpose back is the one with the new coloop c on its rows
-        T = transpose(A)
-        return one_entry_changed(T, N.ground | {"c", "d"}) if which == 2 and "c" in T.rows else T
-
-    monkeypatch.setattr(reductions, "collapse_side", changed)
-    monkeypatch.setattr(LabeledMatrix, "transpose", changed_back)
-    with pytest.raises(PostconditionViolation, match="lost the common minor"):
-        pipeline(M, N)
-    assert len(calls) == 2
-    if which == 2:
-        return
-    # the same change made inside the loop-side collapse, to the column
-    # free_extension returns: that stage's own literal check refuses it,
-    # and no X-fragility check runs, in zero_out or after it
-    monkeypatch.setattr(reductions, "collapse_side", collapse)
-    extend = reductions.free_extension
-    checks = []
-
-    def changed_extension(A, X, e, **kwargs):
-        out = extend(A, X, e, **kwargs)
-        r = next(x for x in out.rows if x not in N.ground)
-        c = next(x for x in out.cols if x not in N.ground and x != e)
-        return with_entry(out, r, c, out.field.add_enc(out.enc(r, c), 1))
-
-    monkeypatch.setattr(reductions, "free_extension", changed_extension)
-    watch(monkeypatch, fragility.x_fragile_failure, checks)
-    with pytest.raises(PostconditionViolation, match="changed the common minor"):
-        pipeline(M, N)
-    assert checks == []
-
-
-def test_a_changed_old_entry_of_the_transposed_display_is_refused(monkeypatch):
-    # the coloop side's extension of A^T, built with one old entry
-    # changed on (D, C): free_extension's own check refuses it, so no
-    # display that differs from A^T off the new column reaches the
-    # collapse's drop of X1's columns
-    M, N = four_element_pair()
-    pipeline(M, N)
-    built = []
-
-    def changed(field, rows, cols, data):
-        if cols[-1] == "c":
-            built.append(cols[-1])
-            data = [list(row) for row in data]
-            i = next(i for i, r in enumerate(rows) if r not in N.ground | {"d"})
-            j = next(j for j, c in enumerate(cols) if c not in N.ground | {"c"})
-            data[i][j] = field.add_enc(data[i][j], 1)
-        return LabeledMatrix._of_display(field, rows, cols, data)
-
-    monkeypatch.setattr(reductions, "LabeledMatrix", SimpleNamespace(
-        _of_display=changed, _without_columns=LabeledMatrix._without_columns))
-    with pytest.raises(PostconditionViolation, match="is not the display extended"):
-        pipeline(M, N)
-    assert built == ["c"]
-
-
-def test_a_changed_entry_of_the_transpose_is_refused(monkeypatch):
-    # A^T, the coloop collapse's input, with one entry changed on (D, C):
+    "common-minor-loop-side": (
+        reductions, "collapse_side", bumped(off_the_minor, lambda A: "d" in A.cols),
+        [on_pair(pipeline)], "lost the common minor",
+    ),
+    "common-minor-coloop-side": (
+        LabeledMatrix, "transpose", bumped(off_the_minor, lambda A: "c" in A.rows),
+        [on_pair(pipeline)], "lost the common minor",
+    ),
+    # A^T, the coloop collapse's input, with the new loop d on its rows:
     # the collapse keeps the changed entry, as its check compares its
-    # output with its own input, and after the transpose back M1 differs
-    # from the zeroed display on (C, D), which the common-minor check
-    # refuses
-    M, N = four_element_pair()
-    pipeline(M, N)
-    transpose = LabeledMatrix.transpose
-    changed = []
+    # output with its own input, and the common-minor check refuses it
+    "coloop-side-input": (
+        LabeledMatrix, "transpose", bumped(off_the_minor, lambda A: "d" in A.rows),
+        [on_pair(pipeline)], "lost the common minor",
+    ),
+    # the coloop side's extension of A^T built with one old entry changed
+    # on (D, C): free_extension's own check refuses it, so no display
+    # that differs from A^T off the new column reaches the column drop
+    "coloop-side-extended-display": (
+        reductions, "LabeledMatrix",
+        of_display_fault(bumped(off_the_minor, lambda A: A.cols[-1] == "c")),
+        [on_pair(pipeline)], "is not the display extended",
+    ),
+    # the relaxation's quadratic extension replaced by F itself, which has
+    # tower steps here, so that theta is F's own generator, or by a
+    # quadratic step over F's quadratic extension: not one step over F,
+    # in relax_entry and at the end of a pipeline, whose third extension
+    # is the relaxation's, after one per collapse
+    **{f"relaxation-field-{name}-{run}": (
+        reductions, "extend_field", relaxation_over(at, wrong),
+        [call], "not one step over the entry field",
+    ) for name, wrong in (("the-entry-field", lambda step, F: F),
+                          ("two-steps-over-it", lambda step, F: step(step(F))))
+        for run, call, at in (("pipeline", on_pair(pipeline), 3), ("relax_entry", RELAXED, 1))},
+    # one step over F whose generator is encoded 1, inside F
+    "relaxation-generator": (
+        FieldSpec, "gen",
+        lambda gen, fired: property(lambda F: fired.append(F) or galois.FieldElem(F, 1)),
+        [on_pair(pipeline), RELAXED], "generator lies in the entry field",
+    ),
+    "stage-tower": (
+        reductions, "collapse_side", one_step_fields,
+        [on_pair(pipeline), on_pair(pipeline, conformance=True)],
+        r"not a tower over the one before: \['collapse_coloop_side'\]",
+    ),
+    # the final degree twice 2 * 1 * 1 in default mode, and twice 2k^2
+    # with k = 2 in conformance mode
+    **{f"final-degree-{mode}": (
+        reductions, "_relax_entry", taller,
+        [partial(pipeline, pair_matroid(), isolated({"c"}, {"c", "d"}), conformance=conformance)],
+        f"final degree {2 * degree}, promised {degree}",
+    ) for mode, conformance, degree in (("default", False, 2), ("conformance", True, 8))},
+}
 
-    def changed_transpose(A):
-        T = transpose(A)
-        if not changed:
-            changed.append(T.rows)
-            T = one_entry_changed(T, N.ground | {"c", "d"})
-        return T
 
-    monkeypatch.setattr(LabeledMatrix, "transpose", changed_transpose)
-    with pytest.raises(PostconditionViolation, match="lost the common minor"):
-        pipeline(M, N)
-    assert len(changed) == 1 and "d" in changed[0]
+def refusal_lines(monkeypatch, case):
+    """Run each call of `case` clean, then with its fault in place, where
+    the fault must fire and a stage check refuse the call with the case's
+    message; returns the line of reductions.py that raised, per call."""
+    owner, attribute, fault, calls, message = STAGE_FAULTS[case]
+    for call in calls:
+        call()
+    fired, lines = [], []
+    with monkeypatch.context() as m:
+        m.setattr(owner, attribute, fault(getattr(owner, attribute), fired))
+        for call in calls:
+            fired.clear()
+            with pytest.raises(PostconditionViolation, match=message) as info:
+                call()
+            assert fired, f"{case}: the fault never took effect"
+            frame = traceback.extract_tb(info.tb)[-1]
+            lines.append((frame.filename, frame.lineno))
+    return lines
+
+
+@pytest.mark.parametrize("case", list(STAGE_FAULTS))
+def test_a_stage_check_refuses_each_injected_fault(monkeypatch, case):
+    refusal_lines(monkeypatch, case)
+
+
+def test_every_stage_check_refuses_a_fault_of_the_table(monkeypatch):
+    # every `raise PostconditionViolation(...)` of reductions.py, read off
+    # its syntax tree, is the one that refuses the call of some row
+    tree = ast.parse(Path(reductions.__file__).read_text())
+    sites = {(reductions.__file__, node.lineno) for node in ast.walk(tree)
+             if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+             and getattr(node.exc.func, "id", None) == "PostconditionViolation"}
+    refused = {line for case in STAGE_FAULTS for line in refusal_lines(monkeypatch, case)}
+    assert refused == sites, f"raised by no row: {sorted(sites - refused)}"
 
 
 def test_pipeline_runs_above_the_equals_cap():
@@ -1326,50 +1317,3 @@ def test_pipeline_matches_the_reference_chain_byte_for_byte():
     assert all(seen[run] == 52 for run in runs)
     assert all(seen[q, "coloop collapsed"] >= 26 for q in (2, 3, 4, 5, 7, 8, 9)), seen
     assert seen["skipped"] >= 50 and seen["collapsed"] >= 300, seen
-
-
-@pytest.mark.parametrize("conformance", [False, True])
-def test_a_stage_field_that_is_no_tower_over_the_one_before_is_refused(monkeypatch, conformance):
-    # each collapse's display put over the one-step field of its order:
-    # the loop side's field is that field already, but the coloop side's,
-    # built over it, becomes a one-step field over GF(2), which is no
-    # tower over the stage before.  Every encoding stays in range, so the
-    # common minor, the final degree and the relaxation all pass; only
-    # the tower check refuses it
-    M, N = four_element_pair()
-    collapse = reductions.collapse_side
-    fields = []
-
-    def one_step(*args, **kwargs):
-        A = collapse(*args, **kwargs)
-        fields.append((A.field, field_of_order(A.field.order)))
-        return LabeledMatrix._of_display(fields[-1][1], A.rows, A.cols, A._data)
-
-    monkeypatch.setattr(reductions, "collapse_side", one_step)
-    with pytest.raises(PostconditionViolation,
-                       match=r"not a tower over the one before: \['collapse_coloop_side'\]"):
-        pipeline(M, N, conformance=conformance)
-    (loop, loop_one_step), (coloop, coloop_one_step) = fields
-    assert loop is loop_one_step and coloop.base is loop and coloop_one_step.base is GF2
-
-
-@pytest.mark.parametrize("conformance, degree", [(False, 2), (True, 8)])
-def test_a_relaxation_at_the_wrong_degree_is_refused(monkeypatch, conformance, degree):
-    # the relaxation's display put over a quadratic extension of its
-    # field, a tower over every stage before it: the final degree is then
-    # twice the one the mode promises, 2 * 1 * 1 in default mode and
-    # 2k^2 with k = 2 in conformance mode
-    M, N = pair_matroid(), isolated({"c"}, {"c", "d"})
-    assert pipeline(M, N, conformance=conformance).final_degree_over_input == degree
-    relax = reductions._relax_entry
-
-    def taller(*args):
-        M1, M2, H = relax(*args)
-        A2 = M2.rep
-        F = extend_field(A2.field, 2)
-        return M1, ReprMatroid(LabeledMatrix._of_display(F, A2.rows, A2.cols, A2._data)), H
-
-    monkeypatch.setattr(reductions, "_relax_entry", taller)
-    with pytest.raises(PostconditionViolation,
-                       match=f"final degree {2 * degree}, promised {degree}"):
-        pipeline(M, N, conformance=conformance)
