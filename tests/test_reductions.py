@@ -926,6 +926,19 @@ def test_a_stage_check_refuses_each_injected_fault(monkeypatch, case):
     refusal_lines(monkeypatch, case)
 
 
+@pytest.mark.parametrize("conformance", [False, True])
+def test_a_stage_field_that_is_no_tower_over_the_one_before_is_refused(monkeypatch, conformance):
+    # the stage-tower row's fault in one mode at a time: the tower check
+    # is the one that refuses the pipeline, in default and conformance mode
+    fired = []
+    monkeypatch.setattr(reductions, "collapse_side",
+                        one_step_fields(reductions.collapse_side, fired))
+    with pytest.raises(PostconditionViolation,
+                       match=r"not a tower over the one before: \['collapse_coloop_side'\]"):
+        pipeline(*four_element_pair(), conformance=conformance)
+    assert [F.base for F in fired] == [GF2]
+
+
 def test_every_stage_check_refuses_a_fault_of_the_table(monkeypatch):
     # every `raise PostconditionViolation(...)` of reductions.py, read off
     # its syntax tree, is the one that refuses the call of some row
