@@ -5,10 +5,13 @@ Exit codes: 0 command ran (verdicts may be false), 1 a verified
 property failed, 2 invalid input.
 """
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -16,7 +19,9 @@ import pytest
 from matroidfrag import cli, gen_random, suites
 from matroidfrag.cli import main, run
 from matroidfrag.instances import parse_instance, serialize_instance
-from watch import forbid, watch
+from watch import forbid, lines_run, watch
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 PAIR_PIPELINE = """{
   "field": {"p": 2, "tower": []},
@@ -30,6 +35,9 @@ ALL_ZERO_XFRAGILE = """{
   "matrix": {"rows": ["c"], "cols": ["d", "e"], "entries": [[0, 0]]},
   "task": {"kind": "xfragile", "x": ["c", "d"]}
 }"""
+
+RELAX_PAIR = json.dumps({**json.loads(PAIR_PIPELINE),
+                         "task": {"kind": "relax", "contract": [], "delete": ["e"]}})
 
 
 def run_main(capsys, argv):
@@ -87,10 +95,8 @@ def test_false_verdict_still_exits_zero(tmp_path, capsys):
 
 
 def test_check_xfragile_true_verdict(tmp_path, capsys):
-    inst = json.loads(ALL_ZERO_XFRAGILE)
-    inst["matrix"]["entries"] = [[0, 1]]
     path = tmp_path / "inst.json"
-    path.write_text(json.dumps(inst))
+    path.write_text(ALL_ZERO_XFRAGILE.replace("[[0, 0]]", "[[0, 1]]"))
     code, report = run_main(capsys, ["check-xfragile", "--input", str(path)])
     assert code == 0
     assert report["verdict"] is True
@@ -98,32 +104,17 @@ def test_check_xfragile_true_verdict(tmp_path, capsys):
 
 
 def test_check_xfragile_block_nonzero_witness(tmp_path, capsys):
-    inst = json.loads(ALL_ZERO_XFRAGILE)
-    inst["matrix"]["entries"] = [[1, 0]]
     path = tmp_path / "inst.json"
-    path.write_text(json.dumps(inst))
+    path.write_text(ALL_ZERO_XFRAGILE.replace("[[0, 0]]", "[[1, 0]]"))
     code, report = run_main(capsys, ["check-xfragile", "--input", str(path)])
     assert code == 0
     assert report["verdict"] is False
     assert report["witness"] == {"kind": "block_nonzero", "row": "c", "col": "d"}
 
 
-def test_run_refuses_an_unknown_command():
-    report, code = run("nope", None)
-    assert code == 2
-    assert report["error"] == {"type": "ToolkitError", "message": "unknown command 'nope'"}
-    assert list(report) == ["command", "error", "timing_ms"]
-
-
 def test_check_nfragile_lists_partitions(tmp_path, capsys):
-    inst = {
-        "field": {"p": 2, "tower": []},
-        "matrix": {"rows": ["c"], "cols": ["d", "e"], "entries": [[0, 1]]},
-        "task": {"kind": "nfragile",
-                 "minor": {"rows": ["c"], "cols": ["d"], "entries": [[0]]}},
-    }
     path = tmp_path / "inst.json"
-    path.write_text(json.dumps(inst))
+    path.write_text(PAIR_PIPELINE.replace('"pipeline"', '"nfragile"'))
     code, report = run_main(capsys, ["check-nfragile", "--input", str(path)])
     assert code == 0
     assert report["verdict"] is True
@@ -131,13 +122,8 @@ def test_check_nfragile_lists_partitions(tmp_path, capsys):
 
 
 def test_relax_command(tmp_path, capsys):
-    inst = {
-        "field": {"p": 2, "tower": []},
-        "matrix": {"rows": ["c"], "cols": ["d", "e"], "entries": [[0, 1]]},
-        "task": {"kind": "relax", "contract": [], "delete": ["e"]},
-    }
     path = tmp_path / "inst.json"
-    path.write_text(json.dumps(inst))
+    path.write_text(RELAX_PAIR)
     code, report = run_main(capsys, ["relax", "--input", str(path)])
     assert code == 0
     assert report["h"] == ["d"]
@@ -145,97 +131,102 @@ def test_relax_command(tmp_path, capsys):
     assert report["field"]["tower"] == [{"deg": 2, "modulus": [1, 1, 1]}]
 
 
-def test_malformed_input_exits_two(tmp_path, capsys):
-    path = tmp_path / "bad.json"
-    path.write_text("{nope")
-    code, report = run_main(capsys, ["pipeline", "--input", str(path)])
-    assert code == 2
-    assert report["error"]["type"] == "MalformedJson"
+# the keys of a refusal's report: main's, printed before the command
+# runs, or run's, which adds its timing
+BEFORE_RUN, IN_RUN = ("command", "error"), ("command", "error", "timing_ms")
+
+# case -> (argv, files, exit code, error type, message, report keys).
+# The files are written to a fresh working directory, and argv goes to
+# main, or is a call of run made directly.  The report must name the
+# command and the error, and have exactly the keys given; nothing is
+# written, and a refusal before the run never calls run.
+CLI_REFUSALS = {
+    **{f"{name}-{command}": ([command, *args], files, 2, kind, message, BEFORE_RUN)
+       for command in ("pipeline", "check-nfragile")
+       for name, args, files, kind, message in (
+        ("max-ground-zero", ["--input", "inst.json", "--max-ground", "0"],
+         {"inst.json": PAIR_PIPELINE}, "InvalidArgs", "^--max-ground must be positive$"),
+        ("missing-file", ["--input", "nope.json"], {}, "MalformedJson",
+         r"^cannot read nope\.json: \[Errno 2\] No such file"),
+        ("malformed-json", ["--input", "bad.json"], {"bad.json": "{nope"}, "MalformedJson",
+         "^line 1 column 2: Expecting property name"),
+        ("unwritable-report", ["--input", "inst.json", "--report", "no/such/r.json"],
+         {"inst.json": PAIR_PIPELINE}, "InvalidArgs", r"^cannot write no/such/r\.json: "))},
+    **{name: (["pipeline", "--input", "bad.json"], {"bad.json": data}, 2, "MalformedJson",
+              message, BEFORE_RUN) for name, data, message in (
+        ("not-utf8", b"\xff\xfe{", r"^cannot read bad\.json: 'utf-8' codec can't decode"),
+        ("too-deep", b"[" * 200000 + b"]" * 200000, "^maximum recursion depth"),
+        ("too-many-digits", b'{"seed": ' + b"9" * 5000 + b"}", "^Exceeds the limit"))},
+    "unknown-command": (partial(run, "nope", None), {}, 2, "ToolkitError",
+                        "^unknown command 'nope'$", IN_RUN),
+    "missing-input-flag": (["pipeline"], {}, 2, "ToolkitError", "needs --input", IN_RUN),
+    "task-kind-mismatch": (["check-nfragile", "--input", "inst.json"],
+                           {"inst.json": ALL_ZERO_XFRAGILE}, 2, "ToolkitError",
+                           "task block of kind 'nfragile'", IN_RUN),
+    "max-ground-limit": (["pipeline", "--input", "inst.json", "--max-ground", "2"],
+                         {"inst.json": PAIR_PIPELINE}, 2, "ToolkitError", "above --max-ground",
+                         IN_RUN),
+    "not-fragile": (["pipeline", "--input", "inst.json"],
+                    {"inst.json": PAIR_PIPELINE.replace("[[0, 1]]", "[[0, 0]]")}, 2,
+                    "NotFragile", "^2 partitions realise the minor; need exactly one$",
+                    ("command", "error", "instance", "timing_ms")),
+    "unknown-suite": (partial(run, "verify-suite", None, suite="nope"), {}, 2, "InvalidArgs",
+                      "^unknown suite 'nope'; choose from field-core, ", IN_RUN),
+}
 
 
-def test_missing_file_exits_two(tmp_path, capsys):
-    code, report = run_main(capsys, ["pipeline", "--input", str(tmp_path / "nope.json")])
-    assert code == 2
-    assert report["error"]["type"] == "MalformedJson"
+def cli_refusal(monkeypatch, capsys, tmp_path_factory, case):
+    """Run the case in a fresh directory as the table says; returns the
+    lines of cli.py that ran."""
+    call, files, code, kind, message, keys = CLI_REFUSALS[case]
+    directory = tmp_path_factory.mktemp(case)
+    for name, data in files.items():
+        (directory / name).write_bytes(data if isinstance(data, bytes) else data.encode())
+    with monkeypatch.context() as m:
+        m.chdir(directory)
+        if keys == BEFORE_RUN:
+            watch(m, run, [], key=forbid)
+        with lines_run(cli.__file__) as lines:
+            if isinstance(call, partial):
+                command, (report, exit_code) = call.args[0], call()
+            else:
+                command, exit_code = call[0], main(call)
+                report = json.loads(capsys.readouterr().out)
+    assert (exit_code, tuple(report), report["command"]) == (code, keys, command)
+    assert report["error"].keys() == {"type", "message"} and report["error"]["type"] == kind
+    assert re.search(message, report["error"]["message"]), report["error"]["message"]
+    assert sorted(os.listdir(directory)) == sorted(files)
+    return lines
 
 
-@pytest.mark.parametrize("data", [
-    b"\xff\xfe{",  # not UTF-8
-    b"[" * 200000 + b"]" * 200000,  # deeper than json.loads recurses
-    b'{"seed": ' + b"9" * 5000 + b"}",  # past Python's 4300-digit limit
-], ids=["not-utf8", "too-deep", "too-many-digits"])
-def test_unreadable_json_exits_two(tmp_path, capsys, data):
-    path = tmp_path / "bad.json"
-    path.write_bytes(data)
-    code, report = run_main(capsys, ["pipeline", "--input", str(path)])
-    assert code == 2
-    assert report["error"]["type"] == "MalformedJson"
+@pytest.mark.parametrize("case", list(CLI_REFUSALS))
+def test_the_front_end_refuses_each_input_of_the_table(monkeypatch, capsys, tmp_path_factory,
+                                                       case):
+    cli_refusal(monkeypatch, capsys, tmp_path_factory, case)
 
 
-def test_every_refusal_before_the_run_names_the_command_and_error(tmp_path, capsys):
-    good, bad = tmp_path / "inst.json", tmp_path / "bad.json"
-    good.write_text(PAIR_PIPELINE)
-    bad.write_text("{nope")
-    for argv, kind in (
-        (["--max-ground", "0"], "InvalidArgs"),
-        (["--input", str(tmp_path / "nope.json")], "MalformedJson"),
-        (["--input", str(bad)], "MalformedJson"),
-        (["--input", str(good), "--report", str(tmp_path / "no" / "r.json")], "InvalidArgs"),
-    ):
-        code, report = run_main(capsys, ["check-nfragile", *argv])
-        assert code == 2
-        assert set(report) == {"command", "error"}
-        assert report["command"] == "check-nfragile"
-        assert report["error"]["type"] == kind and report["error"]["message"]
+def test_every_front_end_refusal_refuses_a_row_of_the_table(monkeypatch, capsys,
+                                                            tmp_path_factory):
+    # every `raise` of run and every `return refuse(...)` of main, read
+    # off cli.py's syntax tree, runs for some row
+    tree = ast.parse(Path(cli.__file__).read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    sites = {node.lineno for node in ast.walk(defs["run"]) if isinstance(node, ast.Raise)}
+    sites |= {node.lineno for node in ast.walk(defs["main"]) if isinstance(node, ast.Return)
+              and getattr(getattr(node.value, "func", None), "id", None) == "refuse"}
+    ran = set().union(*(cli_refusal(monkeypatch, capsys, tmp_path_factory, case)
+                        for case in CLI_REFUSALS))
+    assert sites and sites <= ran, f"refused by no row: {sorted(sites - ran)}"
 
 
 def test_non_utf8_file_exits_two_from_a_fresh_process(tmp_path):
     path = tmp_path / "bad.json"
     path.write_bytes(b"\xff\xfe{")
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    env = {**os.environ, "PYTHONPATH": SRC}
     proc = subprocess.run([sys.executable, "-m", "matroidfrag", "pipeline", "--input", str(path)],
                           env=env, capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (2, "")
     assert json.loads(proc.stdout)["error"]["type"] == "MalformedJson"
-
-
-def test_missing_input_flag_exits_two(capsys):
-    code, report = run_main(capsys, ["pipeline"])
-    assert code == 2
-    assert "needs --input" in report["error"]["message"]
-
-
-def test_task_kind_mismatch_exits_two(tmp_path, capsys):
-    path = tmp_path / "inst.json"
-    path.write_text(ALL_ZERO_XFRAGILE)
-    code, report = run_main(capsys, ["check-nfragile", "--input", str(path)])
-    assert code == 2
-    assert "task block of kind 'nfragile'" in report["error"]["message"]
-
-
-def test_max_ground_limit(tmp_path, capsys):
-    path = tmp_path / "inst.json"
-    path.write_text(PAIR_PIPELINE)
-    code, report = run_main(capsys, ["pipeline", "--input", str(path), "--max-ground", "2"])
-    assert code == 2
-    assert "above --max-ground" in report["error"]["message"]
-    assert main(["pipeline", "--input", str(path), "--max-ground", "0"]) == 2
-    capsys.readouterr()
-
-
-def test_non_fragile_instance_exits_two(tmp_path, capsys):
-    inst = {
-        "field": {"p": 2, "tower": []},
-        "matrix": {"rows": ["c"], "cols": ["d", "e"], "entries": [[0, 0]]},
-        "task": {"kind": "pipeline",
-                 "minor": {"rows": ["c"], "cols": ["d"], "entries": [[0]]}},
-    }
-    path = tmp_path / "inst.json"
-    path.write_text(json.dumps(inst))
-    code, report = run_main(capsys, ["pipeline", "--input", str(path)])
-    assert code == 2
-    assert report["error"]["type"] == "NotFragile"
 
 
 def test_verify_suite_single(capsys):
@@ -266,12 +257,7 @@ def test_postcondition_violation_exits_one(tmp_path, monkeypatch):
         raise PostconditionViolation("stub")
 
     monkeypatch.setattr(cli, "relax_entry", boom)
-    inst = parse_instance(json.dumps({
-        "field": {"p": 2, "tower": []},
-        "matrix": {"rows": ["c"], "cols": ["d", "e"], "entries": [[0, 1]]},
-        "task": {"kind": "relax", "contract": [], "delete": ["e"]},
-    }))
-    report, code = run("relax", inst)
+    report, code = run("relax", parse_instance(RELAX_PAIR))
     assert code == 1
     assert report["verdict"] is False
     assert report["error"]["type"] == "PostconditionViolation"
@@ -285,20 +271,6 @@ def test_report_flag_writes_stdout_text(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert code == 0
     assert out_path.read_text() == printed.rstrip("\n") + "\n"
-
-
-def test_unwritable_report_exits_two(tmp_path, capsys, monkeypatch):
-    # the report path is checked before the command runs
-    watch(monkeypatch, run, [], key=forbid)
-    path = tmp_path / "inst.json"
-    path.write_text(PAIR_PIPELINE)
-    out_path = tmp_path / "no" / "such" / "r.json"
-    code, report = run_main(capsys, ["pipeline", "--input", str(path),
-                                     "--report", str(out_path)])
-    assert code == 2
-    assert report["error"]["type"] == "InvalidArgs"
-    assert str(out_path) in report["error"]["message"]
-    assert not out_path.parent.exists()
 
 
 def test_reports_are_canonical_across_runs(tmp_path, capsys):
@@ -333,13 +305,12 @@ def test_reports_do_not_depend_on_string_hashing(tmp_path):
         ("pipeline", instance("pipeline", rows=3, cols=3, minor_size=3), []),
         ("pipeline", instance("pipeline", rows=3, cols=3, minor_size=3), ["--conformance"]),
     ]
-    src = Path(__file__).resolve().parent.parent / "src"
     for i, (command, inst, flags) in enumerate(runs):
         path = tmp_path / f"inst{i}.json"
         path.write_text(json.dumps(inst))
         reports = set()
         for hash_seed in ("1", "2"):
-            env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": hash_seed}
+            env = {**os.environ, "PYTHONPATH": SRC, "PYTHONHASHSEED": hash_seed}
             proc = subprocess.run(
                 [sys.executable, "-m", "matroidfrag", command, "--input", str(path), *flags],
                 env=env, capture_output=True, text=True, timeout=120)
@@ -356,15 +327,6 @@ def test_reports_do_not_depend_on_string_hashing(tmp_path):
             assert code == 0 and json.loads(report)["verdict"] is True, report
 
 
-def test_unknown_suite_exits_two(capsys):
-    with pytest.raises(SystemExit):
-        main(["verify-suite", "--suite", "nope"])  # argparse rejects the choice
-    capsys.readouterr()
-    report, code = run("verify-suite", None, suite="nope")
-    assert code == 2
-    assert report["error"]["type"] == "InvalidArgs"
-
-
 def test_suite_names_are_the_suites():
     # argument parsing reads the names without importing the suites
     assert cli.SUITE_NAMES == tuple(suites.SUITES)
@@ -373,11 +335,10 @@ def test_suite_names_are_the_suites():
 def test_cli_import_loads_no_suites_dataclasses_or_inspect():
     # a fresh interpreter without site packages, so that nothing but
     # the import of the front end can load them
-    src = Path(__file__).resolve().parent.parent / "src"
     watched = ("dataclasses", "inspect", "matroidfrag.suites")
     code = ("import sys, matroidfrag.cli; "
             f"print([m for m in {watched!r} if m in sys.modules])")
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    env = {**os.environ, "PYTHONPATH": SRC}
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,6 @@
 """Instance file codec and random generation tests."""
 
+import ast
 import copy
 import hashlib
 import json
@@ -8,7 +9,9 @@ import pickle
 import random
 import re
 import sys
+import traceback
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -113,22 +116,6 @@ def test_every_task_kind_round_trips(task):
                            for k, v in task.items()}
 
 
-@pytest.mark.parametrize("task", TASK_BLOCKS[::2], ids=lambda t: t["kind"])
-def test_task_block_names_an_unexpected_or_missing_key(task):
-    for stray in ("stray", *(k for k in ("x", "minor", "delete") if k not in task)):
-        with pytest.raises(SchemaViolation, match=rf"^\$\.task: unexpected key '{stray}'$"):
-            parse_instance(task_doc({**task, stray: []}))
-    last = list(task)[-1]
-    with pytest.raises(SchemaViolation, match=rf"^\$\.task: missing key '{last}'$"):
-        parse_instance(task_doc({k: v for k, v in task.items() if k != last}))
-
-
-@pytest.mark.parametrize("kind", ["bogus", "", "Relax", "kind", "minor"])
-def test_unknown_task_kind_is_refused(kind):
-    with pytest.raises(SchemaViolation, match=rf"^\$\.task\.kind: unknown kind '{kind}'$"):
-        parse_instance(task_doc({"kind": kind, "x": []}))
-
-
 def test_serialize_refuses_what_is_not_a_task():
     # the record refuses it, so no instance serializes one
     A = LabeledMatrix(GF2, ["a"], ["b"], [[1]])
@@ -165,21 +152,6 @@ def test_task_payloads():
     )).task
     assert isinstance(pt, PipelineTask)
     assert pt.minor.ground == {"b"}
-
-
-def test_malformed_json():
-    with pytest.raises(MalformedJson) as e:
-        parse_instance("{bad")
-    assert "line 1" in str(e.value)
-
-
-@pytest.mark.parametrize("text", [
-    "[" * 200000 + "]" * 200000,  # deeper than json.loads recurses
-    '{"seed": ' + "9" * 5000 + "}",  # past Python's 4300-digit limit
-], ids=["too-deep", "too-many-digits"])
-def test_json_loads_refusals_are_malformed_json(text):
-    with pytest.raises(MalformedJson):
-        parse_instance(text)
 
 
 # every document one edit away from a well-formed one, at any depth:
@@ -288,82 +260,6 @@ def test_task_records_hold_sets_and_refuse_what_parsing_refuses():
             InstanceFile(GF2, A, task)
 
 
-def test_schema_paths_in_messages():
-    with pytest.raises(SchemaViolation, match=r"\$: expected object"):
-        parse_instance("[1]")
-    with pytest.raises(SchemaViolation, match=r"\$: missing key 'matrix'"):
-        parse_instance('{"field": {"p": 2, "tower": []}}')
-    with pytest.raises(SchemaViolation, match=r"^\$\.matrix: entry \('a', 'b'\): True is neither"):
-        parse_instance(
-            '{"field": {"p": 2, "tower": []},'
-            ' "matrix": {"rows": ["a"], "cols": ["b"], "entries": [[true]]}}'
-        )
-    with pytest.raises(SchemaViolation, match=r"\$\.task\.kind"):
-        parse_instance(with_task('{"kind": "bogus"}'))
-    with pytest.raises(SchemaViolation, match=r"^\$\.task: task x: label 'q' not in the matrix$"):
-        parse_instance(with_task('{"kind": "xfragile", "x": ["q"]}'))
-    with pytest.raises(SchemaViolation, match=r"\$\.seed"):
-        parse_instance(MINIMAL[:-1] + ', "seed": "x"}')
-    # InstanceFile reads a seed of None as no seed, so the reader refuses null
-    with pytest.raises(SchemaViolation, match=r"^\$\.seed: expected integer, got NoneType$"):
-        parse_instance(MINIMAL[:-1] + ', "seed": null}')
-    with pytest.raises(SchemaViolation, match=r"unexpected key 'extra'"):
-        parse_instance(MINIMAL[:-1] + ', "extra": 1}')
-
-
-def test_duplicate_labels_rejected():
-    with pytest.raises(SchemaViolation, match=r"\$\.matrix"):
-        parse_instance(
-            '{"field": {"p": 2, "tower": []},'
-            ' "matrix": {"rows": ["a"], "cols": ["a"], "entries": [[1]]}}'
-        )
-
-
-def test_encoding_out_of_range():
-    with pytest.raises(SchemaViolation, match="out of range"):
-        parse_instance(
-            '{"field": {"p": 2, "tower": []},'
-            ' "matrix": {"rows": ["a"], "cols": ["b"], "entries": [[2]]}}'
-        )
-
-
-def test_reducible_modulus_named_in_error():
-    with pytest.raises(InvalidField, match=r"\[0, 0, 1\] is reducible"):
-        parse_instance(
-            '{"field": {"p": 2, "tower": [{"deg": 2, "modulus": [0, 0, 1]}]},'
-            ' "matrix": {"rows": [], "cols": [], "entries": []}}'
-        )
-
-
-def test_degree_one_tower_step_is_refused_with_its_path():
-    text = json.dumps({"field": {"p": 3, "tower": [{"deg": 1, "modulus": [1, 1]}]},
-                       "matrix": {"rows": [], "cols": [], "entries": []}})
-    with pytest.raises(InvalidField, match=r"^\$\.field: tower step 0: degree 1 invalid"):
-        parse_instance(text)
-
-
-def test_degree_cap_in_a_tower_is_reported_with_its_path():
-    # GF(2^4) then a degree-5 step over it: total degree 20 > 16
-    tower = [{"deg": 4, "modulus": [1, 1, 0, 0, 1]}, {"deg": 5, "modulus": [1, 0, 0, 0, 0, 1]}]
-    text = json.dumps({"field": {"p": 2, "tower": tower},
-                       "matrix": {"rows": [], "cols": [], "entries": []}})
-    with pytest.raises(DegreeCap, match=r"^\$\.field: tower step 1: total degree exceeds cap 16$"):
-        parse_instance(text)
-
-
-def test_relax_sets_must_be_disjoint():
-    with pytest.raises(SchemaViolation, match=r"^\$\.task: contract and delete overlap: \['a'\]$"):
-        parse_instance(with_task('{"kind": "relax", "contract": ["a"], "delete": ["a"]}'))
-
-
-def test_minor_labels_must_be_inside_ground():
-    shown = r"^\$\.task: task minor: label 'q' not in the matrix$"
-    with pytest.raises(SchemaViolation, match=shown):
-        parse_instance(with_task(
-            '{"kind": "nfragile", "minor": {"rows": ["q"], "cols": [], "entries": [[]]}}'
-        ))
-
-
 # One bad document per value rule the constructors own, with the same
 # content handed to the constructor directly: (document edits, the
 # block's JSON path, the constructor call, the part of its message that
@@ -433,6 +329,89 @@ def test_each_value_is_checked_once_by_its_constructor(case):
         parse_instance(json.dumps(doc))
     assert str(parsed.value) == f"{path}: {direct.value}"
     assert where in str(direct.value)
+
+
+# case -> (document, class, message): `parse_instance(document)` is
+# refused with an error of the class whose message matches.  Every
+# message but a JSON decoder's starts with the path of what it refuses
+READER_REFUSALS = {
+    **{f"task-{task['kind']}-unexpected-{stray}": (
+        task_doc({**task, stray: []}), SchemaViolation, rf"^\$\.task: unexpected key '{stray}'$",
+    ) for task in TASK_BLOCKS[::2]
+        for stray in ("stray", *(k for k in ("x", "minor", "delete") if k not in task))},
+    **{f"task-{task['kind']}-missing-{last}": (
+        task_doc({k: v for k, v in task.items() if k != last}), SchemaViolation,
+        rf"^\$\.task: missing key '{last}'$",
+    ) for task in TASK_BLOCKS[::2] for last in [list(task)[-1]]},
+    **{f"unknown-kind-{kind}": (
+        task_doc({"kind": kind, "x": []}), SchemaViolation,
+        rf"^\$\.task\.kind: unknown kind '{kind}'$",
+    ) for kind in ("bogus", "", "Relax", "kind", "minor")},
+    "malformed-json": ("{bad", MalformedJson, "line 1"),
+    "too-deep": ("[" * 200000 + "]" * 200000, MalformedJson, "^maximum recursion depth"),
+    "too-many-digits": ('{"seed": ' + "9" * 5000 + "}", MalformedJson, "^Exceeds the limit"),
+    "not-an-object": ("[1]", SchemaViolation, r"\$: expected object"),
+    "missing-matrix": ('{"field": {"p": 2, "tower": []}}', SchemaViolation,
+                       r"\$: missing key 'matrix'"),
+    "unexpected-key": (MINIMAL[:-1] + ', "extra": 1}', SchemaViolation, "unexpected key 'extra'"),
+    "entry-true": (MINIMAL.replace("[[1]]", "[[true]]"), SchemaViolation,
+                   r"^\$\.matrix: entry \('a', 'b'\): True is neither"),
+    "entry-out-of-range": (MINIMAL.replace("[[1]]", "[[2]]"), SchemaViolation, "out of range"),
+    "duplicate-labels": (MINIMAL.replace('["b"]', '["a"]'), SchemaViolation, r"\$\.matrix"),
+    "kind-without-slots": (with_task('{"kind": "bogus"}'), SchemaViolation, r"\$\.task\.kind"),
+    "x-outside-the-matrix": (with_task('{"kind": "xfragile", "x": ["q"]}'), SchemaViolation,
+                             r"^\$\.task: task x: label 'q' not in the matrix$"),
+    "minor-outside-the-matrix": (
+        with_task('{"kind": "nfragile", "minor": {"rows": ["q"], "cols": [], "entries": [[]]}}'),
+        SchemaViolation, r"^\$\.task: task minor: label 'q' not in the matrix$"),
+    "relax-sides-overlap": (
+        with_task('{"kind": "relax", "contract": ["a"], "delete": ["a"]}'), SchemaViolation,
+        r"^\$\.task: contract and delete overlap: \['a'\]$"),
+    "seed-a-string": (MINIMAL[:-1] + ', "seed": "x"}', SchemaViolation, r"\$\.seed"),
+    # InstanceFile reads a seed of None as no seed, so the reader refuses null
+    "seed-null": (MINIMAL[:-1] + ', "seed": null}', SchemaViolation,
+                  r"^\$\.seed: expected integer, got NoneType$"),
+    **{name: (json.dumps({**over(p, tower), **matrix([], [], [])}), cls, message)
+       for name, p, tower, cls, message in (
+        ("reducible-modulus", 2, [(2, [0, 0, 1])], InvalidField, r"\[0, 0, 1\] is reducible"),
+        ("degree-one-step", 3, [(1, [1, 1])], InvalidField,
+         r"^\$\.field: tower step 0: degree 1 invalid"),
+        # GF(2^4) then a degree-5 step over it: total degree 20 > 16
+        ("degree-cap", 2, [(4, [1, 1, 0, 0, 1]), (5, [1, 0, 0, 0, 0, 1])], DegreeCap,
+         r"^\$\.field: tower step 1: total degree exceeds cap 16$"))},
+}
+
+
+def reader_refusal(case):
+    """Parse the case's document, which must be refused with the case's
+    class and message; returns the line of instances.py that raised."""
+    document, cls, message = READER_REFUSALS[case]
+    with pytest.raises(cls, match=message) as info:
+        parse_instance(document)
+    return [frame.lineno for frame in traceback.extract_tb(info.tb)
+            if frame.filename == instances.__file__][-1]
+
+
+@pytest.mark.parametrize("case", list(READER_REFUSALS))
+def test_the_reader_refuses_each_document_of_the_table(case):
+    reader_refusal(case)
+
+
+def test_every_reader_refusal_refuses_a_row_of_the_table():
+    # every `raise` of parse_instance and of the functions of
+    # instances.py that it calls, directly or not, read off the syntax
+    # tree, is the one that refuses some row
+    tree = ast.parse(Path(instances.__file__).read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reader, size = {"parse_instance"}, 0
+    while size < len(reader):
+        size = len(reader)
+        reader |= {node.func.id for name in reader for node in ast.walk(defs[name])
+                   if isinstance(node, ast.Call) and getattr(node.func, "id", None) in defs}
+    sites = {node.lineno for name in reader for node in ast.walk(defs[name])
+             if isinstance(node, ast.Raise)}
+    refused = set(map(reader_refusal, READER_REFUSALS))
+    assert refused == sites, f"raised by no row: {sorted(sites - refused)}"
 
 
 # -- generation ---------------------------------------------------------------

@@ -5,9 +5,14 @@ A test that pins what a path calls or never calls (no rank table after
 the search, no `equals`, one rank query per pipeline) installs a watch
 after its set-up, runs the path, and asserts on the log.  The watch is
 undone with the test's `monkeypatch`.
+
+`lines_run` records the lines of one source file that a block runs, so
+that a refusal table can name the `raise` or `return` that refused a
+row, even when the caller catches the error.
 """
 
 import sys
+from contextlib import contextmanager
 from functools import wraps
 
 
@@ -48,3 +53,22 @@ def watch(monkeypatch, target, log, key=None):
 
     for owner, name in bindings:
         monkeypatch.setattr(owner, name, kind(watched) if kind else watched)
+
+
+@contextmanager
+def lines_run(path):
+    """Yield the set of line numbers of the source file `path` that run
+    inside the block, filled as they run; no other file is traced."""
+    lines = set()
+
+    def line(frame, event, arg):
+        if event == "line":
+            lines.add(frame.f_lineno)
+        return line
+
+    before = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: line if frame.f_code.co_filename == path else None)
+    try:
+        yield lines
+    finally:
+        sys.settrace(before)

@@ -8,7 +8,8 @@ Each `src/` tree is loaded under its own package name, so the two
 versions run side by side in one process on the same host state.
 `bench/workloads.py` is loaded once per tree, read-only (no bytecode is
 written there), with that tree's package as `matroidfrag`.  The pool of
-one seed is drawn by PARENT_SRC's copy and handed to each side as JSON.
+one seed is drawn by a third copy of PARENT_SRC, loaded and dropped
+before the two sides load, and handed to each side as JSON.
 A `certify` or `generate` op is run by the side's own copy of the
 workload's `run_op`: a `certify` op is one `pipeline` on a fragile
 pair, parsed by each side's `parse_instance`; a `generate` op is one
@@ -17,16 +18,19 @@ pair, parsed by each side's `parse_instance`; a `generate` op is one
 order, and its output is the report with `timing_ms` stripped
 (`canonical_report`).  `--ops K` keeps the first K ops of the pool.
 
-Every op runs once on each side untimed first, and the two sides must
-agree on its output.  Then each round times every op on both sides, the
-side that runs first alternating from op to op, and sums each side's
-times.  The round ratio is CHANGE / PARENT, so a ratio below 1 means the
-change is faster.  Per seed, the median round ratio and the rounds the
-change won are printed; the last line gives, over all rounds, the
-median, the rounds the change won and the quartiles of the round
-ratios.  A few-percent difference that separate processes cannot
-resolve on a busy host shows here, and the quartiles show whether a
-ratio near a threshold is resolved: when they straddle it, it is not.
+Each op is prepared on both sides and run once on each side untimed,
+and the two sides must agree on its output.  Then each round times
+every op on both sides and sums each side's times.  In every pass the
+side that goes first alternates from op to op, and in the rounds from
+round to round too: a side that prepared and ran every op first read
+slower in the rounds that followed.  The round ratio is CHANGE /
+PARENT, so a ratio below 1 means the change is faster.  Per seed, the
+median round ratio and the rounds the change won are printed; the last
+line gives, over all rounds, the median, the rounds the change won and
+the quartiles of the round ratios.  A few-percent difference that
+separate processes cannot resolve on a busy host shows here, and the
+quartiles show whether a ratio near a threshold is resolved: when they
+straddle it, it is not.
 The process keeps to one CPU, the least it may run on, as
 `bench/run.py` does, and runs unpinned where it may not set that.
 """
@@ -126,24 +130,32 @@ def suites_side(pkg, workloads):
     return json.loads, run
 
 
-def ab_rounds(sides, rounds: int) -> list[float]:
-    """Each round's CHANGE / PARENT ratio of summed op times; `sides` is
-    [(ops, run)] for the parent, then the change."""
-    (ops_a, run_a), (ops_b, run_b) = sides
-    for i, (a, b) in enumerate(zip(ops_a, ops_b)):
-        if run_a(a)[1] != run_b(b)[1]:
+def in_turn(k: int, call_a, call_b) -> tuple:
+    """(call_a(), call_b()), called in the order that alternates with k:
+    a first when k is even."""
+    if k % 2:
+        b = call_b()
+        return call_a(), b
+    a = call_a()
+    return a, call_b()
+
+
+def ab_rounds(ops, run_a, run_b, rounds: int) -> list[float]:
+    """Each round's CHANGE / PARENT ratio of summed op times; `ops` is
+    the (parent, change) pair of each prepared op, and `run_a` and
+    `run_b` the parent's and the change's run."""
+    for i, (a, b) in enumerate(ops):
+        out_a, out_b = in_turn(i, lambda: run_a(a)[1], lambda: run_b(b)[1])
+        if out_a != out_b:
             raise SystemExit(f"op {i}: the two trees' outputs differ")
     ratios = []
     for r in range(rounds):
         gc.collect()
         ta = tb = 0.0
-        for i, (a, b) in enumerate(zip(ops_a, ops_b)):
-            if (i + r) % 2:
-                tb += run_b(b)[0]
-                ta += run_a(a)[0]
-            else:
-                ta += run_a(a)[0]
-                tb += run_b(b)[0]
+        for i, (a, b) in enumerate(ops):
+            t_a, t_b = in_turn(i + r, lambda: run_a(a)[0], lambda: run_b(b)[0])
+            ta += t_a
+            tb += t_b
         ratios.append(tb / ta)
     return ratios
 
@@ -164,17 +176,21 @@ def main(argv=None) -> int:
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     except OSError:
         pass  # not allowed here: the rounds then run on any CPU
-    side = SIDES[args.workload]
+    pkg = load_package(args.parent_src, "ab_pool")
+    workloads = load_workloads(pkg)
+    pools = [draw_pool(pkg, workloads, args.workload, seed)[:args.ops] for seed in args.seeds]
+    for name in [name for name in sys.modules if name.partition(".")[0] == "ab_pool"]:
+        del sys.modules[name]
+    del pkg, workloads
+    gc.collect()
     pkgs = [load_package(args.parent_src, "ab_parent"), load_package(args.change_src, "ab_change")]
-    workloads = [load_workloads(pkg) for pkg in pkgs]
+    (prepare_a, run_a), (prepare_b, run_b) = (SIDES[args.workload](pkg, load_workloads(pkg))
+                                              for pkg in pkgs)
     every = []
-    for seed in args.seeds:
-        pool = draw_pool(pkgs[0], workloads[0], args.workload, seed)[:args.ops]
-        sides = []
-        for pkg, wl in zip(pkgs, workloads):
-            prepare, run = side(pkg, wl)
-            sides.append(([prepare(text) for text in pool], run))
-        ratios = ab_rounds(sides, args.rounds)
+    for seed, pool in zip(args.seeds, pools):
+        ops = [in_turn(i, lambda: prepare_a(text), lambda: prepare_b(text))
+               for i, text in enumerate(pool)]
+        ratios = ab_rounds(ops, run_a, run_b, args.rounds)
         every += ratios
         won = sum(x < 1 for x in ratios)
         print(f"{args.workload} seed {seed}: {len(pool)} ops, median ratio "
