@@ -68,7 +68,7 @@ from typing import Iterable, Sequence
 from .errors import CapExceeded, GroundSetMismatch, UnknownLabel
 from .galois import FieldSpec
 from .matrices import LabeledMatrix, _sift, rank_table
-from .matroids import EQUALS_CAP_DEFAULT, MinorSpec, ReprMatroid
+from .matroids import MinorSpec, ReprMatroid
 from .subsets import first_by_size, partitions_of
 
 PARTITION_CAP_DEFAULT = 12
@@ -151,9 +151,9 @@ def fragile_partitions(
         the field, and a leaf with NA's zero pattern is all zero too,
         so it is N.
     (c) Otherwise L is N exactly when its rank table over sorted E(N) is
-        N's, a test exact over every field.  N's table is built when a
-        leaf first needs it, and refused above EQUALS_CAP_DEFAULT (16)
-        elements before it is built.
+        N's, a test exact over every field.  N's labels and table are
+        `N._table`'s, built when a leaf first needs them and refused
+        above the equals cap (16 elements) before any table is built.
 
     One walk runs over one of two row kernels, which lay a node out
     alike, as above; the walk, `ways` and (a) are written once, on
@@ -247,7 +247,7 @@ def fragile_partitions(
     else:
         row_mask, fits, move, args = support, None, ReprMatroid._step, (field, N.ground)
         shown = N.field == field or not any(zeros)  # a zero NA is N over every field
-        TN = []  # N's rank table, built when a leaf first needs it
+        TN = []  # N's labels and rank table, built when a leaf first needs them
 
         def col_mask(data, j) -> int:
             return sum(compress(bits, [x[j] for x in data]))
@@ -259,14 +259,11 @@ def fragile_partitions(
             # (b), then (c) on the leaf's labelled columns
             if shown and data == NA:
                 return True
-            labels = sorted(N.ground)
             if not TN:
-                if len(labels) > EQUALS_CAP_DEFAULT:
-                    raise CapExceeded(
-                        f"|E(N)| = {len(labels)} exceeds rank table cap {EQUALS_CAP_DEFAULT}")
-                TN.append(rank_table(A, labels))
+                TN.extend(N._table("rank table"))
+            labels, table = TN
             L = LabeledMatrix._without_columns(field, rows, cols, data, {None})
-            return rank_table(L, labels) == TN[0]
+            return rank_table(L, labels) == table
 
     def ways(rows, cols, data, e) -> tuple[bool, ...]:
         # the steps on e that keep the invariant, deletion (False) first:

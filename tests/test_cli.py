@@ -19,7 +19,7 @@ import pytest
 from matroidfrag import cli, gen_random, suites
 from matroidfrag.cli import main, run
 from matroidfrag.instances import parse_instance, serialize_instance
-from watch import forbid, lines_run, watch
+from watch import forbid, lines_run, raise_sites, watch
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -210,9 +210,9 @@ def test_every_front_end_refusal_refuses_a_row_of_the_table(monkeypatch, capsys,
     # every `raise` of run and every `return refuse(...)` of main, read
     # off cli.py's syntax tree, runs for some row
     tree = ast.parse(Path(cli.__file__).read_text())
-    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    sites = {node.lineno for node in ast.walk(defs["run"]) if isinstance(node, ast.Raise)}
-    sites |= {node.lineno for node in ast.walk(defs["main"]) if isinstance(node, ast.Return)
+    main_def = next(node for node in tree.body if getattr(node, "name", None) == "main")
+    sites = set(raise_sites(cli.__file__, {"run"}))
+    sites |= {node.lineno for node in ast.walk(main_def) if isinstance(node, ast.Return)
               and getattr(getattr(node.value, "func", None), "id", None) == "refuse"}
     ran = set().union(*(cli_refusal(monkeypatch, capsys, tmp_path_factory, case)
                         for case in CLI_REFUSALS))

@@ -1,6 +1,5 @@
 """Instance file codec and random generation tests."""
 
-import ast
 import copy
 import hashlib
 import json
@@ -11,7 +10,6 @@ import re
 import sys
 import traceback
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
@@ -20,22 +18,18 @@ from matroidfrag import (
     CapExceeded,
     DegreeCap,
     Exhausted,
-    FieldMismatch,
     GeneratedInstance,
     InstanceFile,
     InvalidArgs,
     InvalidField,
-    InvalidMinorSpec,
     LabeledMatrix,
     MalformedJson,
-    MinorSpec,
     NFragileTask,
     PipelineTask,
     RelaxTask,
     ReprMatroid,
     SchemaViolation,
     ToolkitError,
-    UnknownLabel,
     XFragileTask,
     field_from_tower,
     field_of_order,
@@ -47,7 +41,8 @@ from matroidfrag import (
 )
 from matroidfrag.fragility import PARTITION_CAP_DEFAULT
 from reference import GF2, GF3, drawn_matrix, reference_gen_random
-from watch import watch
+from test_refusals import SHAPE_REFUSALS
+from watch import raise_sites, watch
 
 MINIMAL = '{"field": {"p": 2, "tower": []}, "matrix": {"rows": ["a"], "cols": ["b"], "entries": [[1]]}}'
 
@@ -114,13 +109,6 @@ def test_every_task_kind_round_trips(task):
     assert list(obj["task"]) == ["kind", *cls.__slots__]
     assert obj["task"] == {k: sorted(v) if k in ("x", "contract", "delete") else v
                            for k, v in task.items()}
-
-
-def test_serialize_refuses_what_is_not_a_task():
-    # the record refuses it, so no instance serializes one
-    A = LabeledMatrix(GF2, ["a"], ["b"], [[1]])
-    with pytest.raises(InvalidArgs, match="not a task object: MinorSpec"):
-        serialize_instance(InstanceFile(GF2, A, MinorSpec({"a"}, set())))
 
 
 def test_tower_field_instance():
@@ -224,23 +212,18 @@ def test_parse_refuses_only_with_toolkit_errors():
                         "DegreeCap": 30}
 
 
-def test_instance_over_another_field_is_refused():
-    A2 = LabeledMatrix(GF2, ["c"], ["d"], [[1]])
+def test_copies_and_pickles_rebuild_an_instance():
     A3 = LabeledMatrix(GF3, ["c"], ["d"], [[2]])
-    with pytest.raises(FieldMismatch, match="matrix over GF.3. in a GF.2. instance"):
-        InstanceFile(GF2, A3)
-    with pytest.raises(FieldMismatch, match="task minor over GF.3. in a GF.2. instance"):
-        InstanceFile(GF2, A2, PipelineTask(ReprMatroid(A3)))
     # copies and pickles rebuild the record by its checked `__init__`
     inst = InstanceFile(GF3, A3, NFragileTask(ReprMatroid(A3)), 1)
     for twin in (copy.copy(inst), pickle.loads(pickle.dumps(inst))):
         assert serialize_instance(twin) == serialize_instance(inst)
 
 
-def test_task_records_hold_sets_and_refuse_what_parsing_refuses():
+def test_task_records_hold_sets_and_parse_back():
     # a task record holds frozensets, so it hashes and equals its parsed
-    # copy; a task label outside the matrix, or a label both contracted
-    # and deleted, is refused by the record, which is the check
+    # copy; the record refuses a task label outside the matrix, or a
+    # label both contracted and deleted, which is the check
     # parse_instance reports, so serialize_instance writes only
     # documents that parse back
     A = LabeledMatrix(GF2, ["a", "b"], ["c"], [[1], [0]])
@@ -251,13 +234,6 @@ def test_task_records_hold_sets_and_refuse_what_parsing_refuses():
         assert parse_instance(json.dumps(serialize_instance(inst))) == inst
         assert len({inst, copy.copy(inst)}) == 1
     assert XFragileTask(["a", "c", "a"]).x == frozenset({"a", "c"})
-    with pytest.raises(InvalidMinorSpec, match=r"^contract and delete overlap: \['a'\]$"):
-        RelaxTask({"a"}, {"a"})
-    off = ReprMatroid(LabeledMatrix(GF2, ["a"], ["zz"], [[1]]))
-    for task, slot in ((XFragileTask({"zz"}), "x"), (RelaxTask({"a"}, {"zz"}), "delete"),
-                       (NFragileTask(off), "minor"), (PipelineTask(off), "minor")):
-        with pytest.raises(UnknownLabel, match=rf"^task {slot}: label 'zz' not in the matrix$"):
-            InstanceFile(GF2, A, task)
 
 
 # One bad document per value rule the constructors own, with the same
@@ -401,15 +377,7 @@ def test_every_reader_refusal_refuses_a_row_of_the_table():
     # every `raise` of parse_instance and of the functions of
     # instances.py that it calls, directly or not, read off the syntax
     # tree, is the one that refuses some row
-    tree = ast.parse(Path(instances.__file__).read_text())
-    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    reader, size = {"parse_instance"}, 0
-    while size < len(reader):
-        size = len(reader)
-        reader |= {node.func.id for name in reader for node in ast.walk(defs[name])
-                   if isinstance(node, ast.Call) and getattr(node.func, "id", None) in defs}
-    sites = {node.lineno for name in reader for node in ast.walk(defs[name])
-             if isinstance(node, ast.Raise)}
+    sites = set(raise_sites(instances.__file__, {"parse_instance"}))
     refused = set(map(reader_refusal, READER_REFUSALS))
     assert refused == sites, f"raised by no row: {sorted(sites - refused)}"
 
@@ -450,46 +418,12 @@ def test_gen_relax_shape():
     assert gi.instance.matrix.enc("r0", "c0") == 0
 
 
-def test_gen_exhausted_on_unsatisfiable_shape():
-    # an all-column X with a column outside it can never gain rank from
-    # a pure-column Y, so this shape has no fragile instances
-    with pytest.raises(Exhausted):
-        gen_random("xfragile", seed=0, q=2, rows=1, cols=2,
-                   x_rows=0, x_cols=1, max_attempts=200)
-
-
-def test_gen_validates_before_sampling():
-    with pytest.raises(CapExceeded):
-        gen_random("nfragile", seed=0, rows=8, cols=8, minor_size=2)
-    with pytest.raises(InvalidArgs):
-        gen_random("nope", seed=0)
-
-
-@pytest.mark.parametrize("kind,args,error,message", [
-    ("xfragile", {"rows": -1}, InvalidArgs, "matrix sizes must be nonnegative"),
-    ("nfragile", {"cols": -1}, InvalidArgs, "matrix sizes must be nonnegative"),
-    ("relax", {"max_attempts": 0}, InvalidArgs, "max_attempts must be positive"),
-    ("nfragile", {"minor_size": 7}, InvalidArgs, "minor_size out of range for the ground set"),
-    ("pipeline", {"minor_size": -1}, InvalidArgs, "minor_size out of range for the ground set"),
-    ("relax", {"rows": 0}, InvalidArgs, "relax instances need at least one row and one column"),
-    ("relax", {"cols": 0}, InvalidArgs, "relax instances need at least one row and one column"),
-    ("xfragile", {"x_rows": 4}, InvalidArgs, "x_rows/x_cols out of range for the matrix shape"),
-    ("xfragile", {"x_cols": -1}, InvalidArgs,
-     "x_rows/x_cols out of range for the matrix shape"),
-    ("xfragile", {"rows": 7, "cols": 7, "x_cols": 0}, CapExceeded,
-     "13 elements outside X exceeds the partition cap 12"),
-])
+@pytest.mark.parametrize("kind,args,error,message", SHAPE_REFUSALS)
 def test_gen_refuses_a_shape_before_the_first_draw(monkeypatch, kind, args, error, message):
+    # each shape that API_REFUSALS refuses is refused before the first draw
     monkeypatch.setattr(instances, "_draw_rows", None)
     with pytest.raises(error, match=f"^{message}$"):
         gen_random(kind, seed=0, **args)
-
-
-def test_gen_exhausted_on_an_nfragile_shape():
-    # a one-element minor of a 2 x 2 binary matroid: each of these three
-    # draws has a second realising partition
-    with pytest.raises(Exhausted, match="^no fragile pair in 3 attempts$"):
-        gen_random("nfragile", seed=0, q=2, rows=2, cols=2, minor_size=1, max_attempts=3)
 
 
 NOT_INTS = ["a", True, False, 1.5, 2.0, None]
@@ -510,14 +444,6 @@ def test_gen_refuses_an_argument_that_is_not_an_int(monkeypatch, kind, arg, valu
         gen_random(kind, **{"seed": 0, arg: value})
 
 
-@pytest.mark.parametrize("seed", NOT_INTS[:-1], ids=repr)
-def test_instance_file_refuses_a_seed_that_is_not_an_int(seed):
-    A = LabeledMatrix(GF2, ["a"], ["b"], [[1]])
-    with pytest.raises(InvalidArgs, match="seed must be an int"):
-        InstanceFile(A.field, A, None, seed)
-    assert InstanceFile(A.field, A, None, None).seed is None
-
-
 LONGEST_SEED = 10 ** sys.get_int_max_str_digits() - 1
 
 
@@ -533,17 +459,6 @@ def test_every_accepted_seed_round_trips(seed):
     inst = gen_random("relax", seed=seed, rows=2, cols=2).instance
     assert inst.seed == seed
     assert parse_instance(json.dumps(serialize_instance(inst))) == inst
-
-
-@pytest.mark.parametrize("seed", [LONGEST_SEED + 1, -LONGEST_SEED - 1], ids=["+", "-"])
-def test_a_seed_json_cannot_carry_is_refused(seed):
-    # one digit more than the interpreter converts: its document could
-    # be neither written nor parsed
-    with pytest.raises(InvalidArgs, match="digits"):
-        gen_random("relax", seed=seed)
-    A = LabeledMatrix(GF2, ["a"], ["b"], [[1]])
-    with pytest.raises(InvalidArgs, match="digits"):
-        InstanceFile(A.field, A, None, seed)
 
 
 def test_empty_minor_of_nonempty_ground_is_refused(monkeypatch):

@@ -7,15 +7,10 @@ from collections import Counter
 from itertools import product
 from random import Random
 
-import pytest
 
 from matroidfrag import (
-    FieldMismatch,
-    InvalidArgs,
-    LabelCollision,
     LabeledMatrix,
     ReprMatroid,
-    UnknownLabel,
     submatrix_rank,
 )
 from matroidfrag.instances import field_to_json, matrix_to_json, parse_instance
@@ -78,38 +73,11 @@ def test_rank_invariant_under_label_permutation():
         assert submatrix_rank(A, S) == submatrix_rank(B, S)
 
 
-def test_duplicate_column_label_and_unknown_submatrix_label_are_refused():
-    with pytest.raises(LabelCollision, match=r"^duplicate column label in \('c', 'd', 'c'\)$"):
-        LabeledMatrix(GF2, ["a"], ["c", "d", "c"], [[1, 0, 1]])
-    A = LabeledMatrix(GF3, ["a", "b"], ["x", "y"], [[1, 2], [0, 1]])
-    with pytest.raises(UnknownLabel, match=r"^labels not in matrix: \['q', 'z'\]$"):
-        submatrix_rank(A, ["a", "z", "x", "q"])
-
-
-def test_constructor_validation():
-    with pytest.raises(LabelCollision):
-        LabeledMatrix(GF2, ["a", "a"], ["c"], [[1], [0]])
-    with pytest.raises(LabelCollision):
-        LabeledMatrix(GF2, ["a"], ["a"], [[1]])
-    with pytest.raises(InvalidArgs):
-        LabeledMatrix(GF2, ["a"], ["c"], [[1], [0]])
-    with pytest.raises(InvalidArgs):
-        LabeledMatrix(GF2, ["a"], ["c", "d"], [[1]])
-    with pytest.raises(InvalidArgs):
-        LabeledMatrix(GF2, ["a"], ["c"], [[2]])
-    with pytest.raises(FieldMismatch):
-        LabeledMatrix(GF2, ["a"], ["c"], [[GF3.one]])
-
-
 def test_entry_access():
     A = LabeledMatrix(GF4, ["a"], ["c", "d"], [[2, 3]])
     assert A.enc("a", "c") == 2
     assert A.rows == ("a",) and A.cols == ("c", "d")
     assert A.labels() == {"a", "c", "d"}
-    with pytest.raises(UnknownLabel):
-        A.enc("a", "e")
-    with pytest.raises(UnknownLabel):
-        A.enc("c", "a")
 
 
 def test_transpose():
@@ -126,23 +94,11 @@ def test_transpose():
 
 def test_integer_labels_become_strings_and_round_trip():
     # the constructor turns labels into strings, so the matrix serializes
-    # with string labels and parses back, and an int label collides with
-    # the string it becomes
+    # with string labels and parses back
     A = LabeledMatrix(GF2, [1], [2, 5], [[1, 1]])
     assert A.rows == ("1",) and A.cols == ("2", "5")
-    with pytest.raises(LabelCollision):
-        LabeledMatrix(GF2, [1], [2, 5, 1], [[1, 1, 0]])
     text = json.dumps({"field": field_to_json(GF2), "matrix": matrix_to_json(A)})
     assert parse_instance(text).matrix == A
-
-
-def test_bool_entries_are_refused():
-    # a bool is an int, but JSON's true and false are not numbers, so a
-    # matrix holding one would not round-trip: the constructor refuses
-    # it, for the instance parser too
-    for value in (True, False):
-        with pytest.raises(InvalidArgs):
-            LabeledMatrix(GF2, ["a"], ["b", "c"], [[value, 0]])
 
 
 def test_equality_and_hash():
@@ -270,14 +226,6 @@ def test_rank_table_fills_full_rank_subtrees_under_contraction(monkeypatch):
         assert steps == []
 
 
-def test_rank_table_label_checks():
-    A = LabeledMatrix(GF2, ["a"], ["x"], [[1]])
-    with pytest.raises(UnknownLabel):
-        rank_table(A, ["a", "q"])
-    with pytest.raises(InvalidArgs):
-        rank_table(A, ["a", "a"])
-
-
 # -- contraction by elimination against the pivoted minor ----------------------
 
 def test_rank_table_contraction_matches_the_minor():
@@ -310,9 +258,3 @@ def test_rank_table_contraction_checks():
     A = LabeledMatrix(GF3, ["a", "b"], ["x", "y"], [[1, 2], [0, 1]])
     assert rank_table(A, ["x", "y"], contract=["a", "b"]) == bytearray(4)
     assert rank_table(A, ["b", "y"], contract=["x"]) == bytearray([0, 1, 1, 1])
-    with pytest.raises(InvalidArgs):
-        rank_table(A, ["a", "x"], contract=["x"])
-    with pytest.raises(InvalidArgs):
-        rank_table(A, ["a"], contract=["x", "x"])
-    with pytest.raises(UnknownLabel):
-        rank_table(A, ["a"], contract=["q"])

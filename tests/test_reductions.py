@@ -7,7 +7,6 @@ certificate; the assertions below pin the concrete outputs, and the
 table STAGE_FAULTS shows each of those checks refusing a faulty builder.
 """
 
-import ast
 import os
 import subprocess
 import sys
@@ -21,7 +20,6 @@ from random import Random
 import pytest
 
 from matroidfrag import (
-    CapExceeded,
     InvalidArgs,
     LabelCollision,
     LabeledMatrix,
@@ -49,7 +47,8 @@ from reference import (
     lex_greatest_modulus, relax_sweep_failure, scope_matrices, scope_x, with_entry,
     x_fragile_failure_loop,
 )
-from watch import forbid, watch
+from test_refusals import API_REFUSALS, api_refusal
+from watch import forbid, raise_sites, watch
 
 
 def pair_matroid():
@@ -91,22 +90,6 @@ def test_free_extension_degree_override():
     out = free_extension(A, {"a"}, "e", degree=2)
     assert out.field is GF4
     assert [out.enc(r, "e") for r in out.rows] == [out.enc(r, "a") for r in out.rows]
-    with pytest.raises(InvalidArgs):
-        free_extension(A, {"a"}, "e", degree=0)
-
-
-def test_free_extension_degree_below_flat_size():
-    A = LabeledMatrix(GF2, ["r1", "r2"], ["a", "b"], [[1, 0], [0, 1]])
-    with pytest.raises(InvalidArgs):
-        free_extension(A, {"a", "b"}, "e", degree=1)
-
-
-def test_free_extension_label_checks():
-    A = LabeledMatrix(GF2, ["r1"], ["a"], [[1]])
-    with pytest.raises(UnknownLabel):
-        free_extension(A, {"r1"}, "e")  # rows are not a flat of columns
-    with pytest.raises(LabelCollision):
-        free_extension(A, {"a"}, "a")
 
 
 def _placed(A, X, alphas, e="e"):
@@ -229,8 +212,6 @@ def test_relax_and_free_extension_run_above_sixteen_elements():
     # is bounded only by its partition cap on the labels outside the pair
     es = [f"e{j:02d}" for j in range(1, 16)]
     M = ReprMatroid(LabeledMatrix(GF2, ["c"], ["d"] + es, [[0] + [1] * 15]))
-    with pytest.raises(CapExceeded, match="partition cap 12"):
-        relax_entry(M, (), es, cap=12)
     M1, M2, H = relax_entry(M, (), es, cap=15)
     assert H == {"d"}
     assert M1.rep == M.rep
@@ -381,12 +362,6 @@ def test_zero_out_modifies_nonzero_block():
     assert not M2.equals(M)
 
 
-def test_zero_out_rejects_non_fragile():
-    M = isolated({"c"}, {"c", "d", "e"})  # two partitions
-    with pytest.raises(NotFragile):
-        zero_out(M, isolated({"c"}, {"c", "d"}))
-
-
 # -- collapse_side -----------------------------------------------------------
 
 
@@ -401,24 +376,16 @@ def test_collapse_side_singleton():
 
 def test_collapse_side_errors(monkeypatch):
     # sides that overlap or leave the display's rows and columns, and a
-    # new label already in use, are input errors: each is refused before
-    # a field is extended or a display built, and never as a
-    # PostconditionViolation, which stands for a failed check alone
-    A = LabeledMatrix(GF3, ["r0", "r1"], ["c0", "c1", "c2"], [[0, 1, 2], [1, 1, 0]])
+    # new label already in use, are input errors: each row of
+    # API_REFUSALS that collapse_side refuses is refused before a field
+    # is extended or a display built, and with its own class, never as
+    # a PostconditionViolation, which stands for a failed check alone
     for target in (extend_field, (LabeledMatrix, "_of_display")):
         watch(monkeypatch, target, [], key=forbid)
-    for X1, X2, d, error in (
-        ({"r0"}, {"c0", "r0"}, "d", InvalidArgs),    # the sides overlap
-        ({"r0", "c1"}, {"c0"}, "d", UnknownLabel),   # a column in X1
-        ({"r0", "q"}, {"c0"}, "d", UnknownLabel),    # a label of neither
-        ({"r0"}, {"c0", "r1"}, "d", UnknownLabel),   # a row in X2
-        ({"r0"}, {"c0", "q"}, "d", UnknownLabel),
-        ({"r0"}, {"c0"}, "c2", LabelCollision),      # d is a column
-        ({"r0"}, {"c0"}, "r1", LabelCollision),      # d is a row
-    ):
-        with pytest.raises(error) as info:
-            collapse_side(A, X1, X2, d)
-        assert not isinstance(info.value, PostconditionViolation)
+    cases = [case for case in API_REFUSALS if case.startswith("collapse-")]
+    assert len(cases) == 8
+    for case in cases:
+        api_refusal(case)
 
 
 def test_a_new_label_that_is_not_a_string_is_converted_once(monkeypatch):
@@ -429,8 +396,6 @@ def test_a_new_label_that_is_not_a_string_is_converted_once(monkeypatch):
     out = free_extension(A, ["a"], 5)
     assert out.cols == ("a", "b", "5")
     assert [out.enc(r, "5") for r in out.rows] == [A.enc(r, "a") for r in A.rows]
-    with pytest.raises(LabelCollision):
-        free_extension(out, ["a"], 5)
     # collapse_side converts it once, on entry: its extension gets the str
     A = pair_matroid().rep
     labels = []
@@ -438,8 +403,6 @@ def test_a_new_label_that_is_not_a_string_is_converted_once(monkeypatch):
     out = collapse_side(A, {"c"}, {"d"}, 7)
     assert out == collapse_side(A, {"c"}, {"d"}, "7")
     assert out.cols == ("e", "7") and labels == ["7", "7"]
-    with pytest.raises(LabelCollision, match="already used"):
-        collapse_side(LabeledMatrix(GF2, ["c"], ["d", "7"], [[0, 1]]), {"c"}, {"d"}, 7)
 
 
 def test_public_collapses_run_above_the_equals_cap():
@@ -486,24 +449,6 @@ def test_relax_entry_frozen_two_by_two():
     assert M2.rep.enc("a", "c") == 2
     assert M1.is_circuit_hyperplane(H)
     assert not M2.is_circuit_hyperplane(H)
-
-
-def test_relax_entry_rejections():
-    M = pair_matroid()
-    with pytest.raises(NotFragile):
-        relax_entry(M, (), ())  # three elements left
-    with pytest.raises(NotFragile):
-        relax_entry(M, {"e"}, ())  # both leftovers are loops
-    with pytest.raises(NotFragile):
-        relax_entry(isolated({"c"}, {"c", "d", "e"}), (), {"e"})  # two partitions
-    with pytest.raises(InvalidArgs):
-        relax_entry(M, {"e"}, {"e"})
-    # C + {c} is not a basis: too large, or of the right size with C a
-    # loop; `rebase` refuses both and relax_entry says so as NotFragile
-    for M, D in ((isolated({"c"}, {"c", "d", "e"}), set()),
-                 (isolated({"c", "x"}, {"c", "d", "e", "x"}), {"x"})):
-        with pytest.raises(NotFragile, match="not fragile for the pair"):
-            relax_entry(M, {"e"}, D)
 
 
 def test_relax_entry_makes_no_subset_query_on_the_matroid(monkeypatch):
@@ -664,20 +609,6 @@ def test_pipeline_empty_minor():
     assert tr.relaxation.ground == {tr.c_label, tr.d_label}
     assert tr.final_degree_over_input == 2
     assert tr.degree_bound == 0  # vacuous for an empty minor
-    with pytest.raises(InvalidArgs):
-        pipeline(M, N, conformance=True)
-
-
-def test_pipeline_rejects_non_fragile():
-    M = ReprMatroid(LabeledMatrix(GF2, ["a"], ["b", "c"], [[1, 1]]))
-    with pytest.raises(NotFragile):
-        pipeline(M, isolated({"a"}, {"a", "b"}))
-
-
-def test_pipeline_respects_partition_cap():
-    M = pair_matroid()
-    with pytest.raises(CapExceeded):
-        pipeline(M, isolated({"c"}, {"c", "d"}), cap=0)
 
 
 # -- each stage check refuses an injected fault ------------------------------
@@ -942,10 +873,8 @@ def test_a_stage_field_that_is_no_tower_over_the_one_before_is_refused(monkeypat
 def test_every_stage_check_refuses_a_fault_of_the_table(monkeypatch):
     # every `raise PostconditionViolation(...)` of reductions.py, read off
     # its syntax tree, is the one that refuses the call of some row
-    tree = ast.parse(Path(reductions.__file__).read_text())
-    sites = {(reductions.__file__, node.lineno) for node in ast.walk(tree)
-             if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
-             and getattr(node.exc.func, "id", None) == "PostconditionViolation"}
+    sites = {(reductions.__file__, line) for line, raised
+             in raise_sites(reductions.__file__).items() if raised == "PostconditionViolation"}
     refused = {line for case in STAGE_FAULTS for line in refusal_lines(monkeypatch, case)}
     assert refused == sites, f"raised by no row: {sorted(sites - refused)}"
 

@@ -49,12 +49,8 @@ def test_tracer_counts_and_restores(monkeypatch):
         assert vars(owner)[attr] is original, (owner, attr)
 
 
-def test_traced_pipeline_counts_its_free_extensions_and_rank_query(monkeypatch):
-    # the chain calls `reductions.free_extension` by its module name, so
-    # the tracer times each collapse's extension, and `partition_basis`
-    # makes the one rank query of a pipeline; otherwise the benchmark's
-    # `reductions.free_extension.self_ms` would read 0 and its
-    # `matroids.rank.calls` check on `certify` would fail
+def _traced_pipeline(monkeypatch):
+    """Trace one pipeline that collapses both sides; return the tracer."""
     monkeypatch.syspath_prepend(str(BENCH))
     from tracer import Tracer
 
@@ -66,6 +62,16 @@ def test_traced_pipeline_counts_its_free_extensions_and_rank_query(monkeypatch):
     finally:
         tr.uninstall()
     assert [s.details.get("skipped", False) for s in trace.stages[1:3]] == [False, False]
+    return tr
+
+
+def test_traced_pipeline_counts_its_free_extensions_and_rank_query(monkeypatch):
+    # the chain calls `reductions.free_extension` by its module name, so
+    # the tracer times each collapse's extension, and `partition_basis`
+    # makes the one rank query of a pipeline; otherwise the benchmark's
+    # `reductions.free_extension.self_ms` would read 0 and its
+    # `matroids.rank.calls` check on `certify` would fail
+    tr = _traced_pipeline(monkeypatch)
     assert tr.calls["reductions.free_extension"] == 2
     assert tr.self_time["reductions.free_extension"] > 0
     assert tr.calls["matroids.rank"] >= 1
@@ -76,17 +82,7 @@ def test_traced_pipeline_times_its_zeroing_and_both_collapses(monkeypatch):
     # by their module names, so a pipeline that collapses both sides
     # shows one zeroing and two collapses, each with time of its own;
     # otherwise their `self_ms` in the benchmark would read 0
-    monkeypatch.syspath_prepend(str(BENCH))
-    from tracer import Tracer
-
-    gi = instances.gen_random("pipeline", seed=1, q=2, rows=4, cols=4, minor_size=4)
-    M, N = ReprMatroid(gi.instance.matrix), gi.instance.task.minor
-    tr = Tracer().install()
-    try:
-        trace = reductions.pipeline(M, N)
-    finally:
-        tr.uninstall()
-    assert [s.details.get("skipped", False) for s in trace.stages[1:3]] == [False, False]
+    tr = _traced_pipeline(monkeypatch)
     assert tr.calls["reductions.zero_out"] == 1
     assert tr.calls["reductions.collapse_side"] == 2
     assert tr.self_time["reductions.zero_out"] > 0

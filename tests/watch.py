@@ -8,9 +8,12 @@ undone with the test's `monkeypatch`.
 
 `lines_run` records the lines of one source file that a block runs, so
 that a refusal table can name the `raise` or `return` that refused a
-row, even when the caller catches the error.
+row, even when the caller catches the error.  `raise_sites` reads the
+`raise` statements a refusal table must cover off a module's syntax
+tree.
 """
 
+import ast
 import sys
 from contextlib import contextmanager
 from functools import wraps
@@ -72,3 +75,22 @@ def lines_run(path):
         yield lines
     finally:
         sys.settrace(before)
+
+
+def raise_sites(path, functions=None):
+    """Map the line of each `raise` in the module at `path` to what it
+    raises: a class name, or the expression raised.  With `functions`,
+    only the raises in the module-level functions it names and in the
+    module-level functions they call, directly or not."""
+    tree = ast.parse(open(path).read(), str(path))
+    roots = [tree]
+    if functions is not None:
+        defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        scope, size = set(functions), 0
+        while size < len(scope):
+            size = len(scope)
+            scope |= {node.func.id for name in scope for node in ast.walk(defs[name])
+                      if isinstance(node, ast.Call) and getattr(node.func, "id", None) in defs}
+        roots = [defs[name] for name in scope]
+    return {node.lineno: ast.unparse(getattr(node.exc, "func", node.exc))
+            for root in roots for node in ast.walk(root) if isinstance(node, ast.Raise)}
